@@ -1,0 +1,12 @@
+"""The benchmark's modules import each other as top-level modules (run.py
+is a script), and the package under test sits at the repository root."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(PERFBENCH)
+for p in (PERFBENCH, ROOT):
+    if p not in sys.path:
+        sys.path.insert(0, p)
