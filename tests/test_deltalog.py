@@ -389,6 +389,52 @@ def test_torn_append_invisible_and_vacuumed(base_store, ray_session):
     assert got2.set_index("k").loc[1, "v"] == 2
 
 
+def _tiny_store(tmp_path, counter: str) -> tuple[str, str]:
+    """One partition with a base file, a seq-2 delta file and the given
+    ``_delta_seq`` counter text; returns (root, delta path)."""
+    root = str(tmp_path / "store")
+    ddir = os.path.join(root, "day=d", "_deltas")
+    os.makedirs(ddir)
+    pq.write_table(pa.table({"k": [1], "v": [10]}),
+                   os.path.join(root, "day=d", "a.parquet"))
+    delta = os.path.join(ddir, "delta-000002-0000.parquet")
+    pq.write_table(pa.table({"k": [1], "v": [99]}), delta)
+    with open(os.path.join(root, "_delta_seq"), "w") as f:
+        f.write(counter)
+    return root, delta
+
+
+def test_vacuum_corrupt_delta_seq_skips_torn_cleanup(tmp_path):
+    """An unreadable counter cannot tell torn from committed deltas:
+    vacuum keeps every delta file and still reclaims the other litter."""
+    from zeeklog_ray.partitioned import vacuum_store
+
+    root, delta = _tiny_store(tmp_path, "not-a-number")
+    os.makedirs(os.path.join(root, "_delta_staging_y"))
+    rep = vacuum_store(root)
+    assert rep["torn_delta_files"] == 0
+    assert rep["staging_dirs"] == 1
+    assert os.path.exists(delta)
+
+
+def test_vacuum_reclaims_orphan_seq_tmp(tmp_path):
+    """A crash inside _advance_store_delta_seq leaves a root-level
+    ``*.seq.tmp``; vacuum reclaims it and leaves the counter alone."""
+    from zeeklog_ray.partitioned import vacuum_store
+
+    root, delta = _tiny_store(tmp_path, "2")
+    orphan = os.path.join(root, "tmpdead.seq.tmp")
+    with open(orphan, "w") as f:
+        f.write("3")
+    rep = vacuum_store(root)
+    assert rep["tmp_files"] == 1 and rep["bytes_reclaimed"] == 1
+    assert rep["torn_delta_files"] == 0
+    assert not os.path.exists(orphan) and os.path.exists(delta)
+    with open(os.path.join(root, "_delta_seq")) as f:
+        assert f.read() == "2"
+    assert vacuum_store(root)["tmp_files"] == 0
+
+
 def test_global_seq_survives_fold_and_crash_rebuild(base_store, ray_session):
     import ray.data
 

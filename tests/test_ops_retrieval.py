@@ -128,3 +128,20 @@ def test_keyword_search_tie_break_and_empty(ray_session):
     none = keyword_search(ray.data.from_pandas(df), ["absent"], k=5)
     assert none.count() == 0
     assert sorted(none.schema().names) == ["doc_id", "score"]
+
+
+@pytest.mark.parametrize("bm25, idf_scale", [(False, 2 * 10**18),
+                                             (True, 2 * 10**9)])
+def test_keyword_search_int64_headroom_guard(ray_session, bm25, idf_scale):
+    """A score bound past int64 raises before scoring instead of letting
+    numpy wrap: 3 docs, max tf 2 — TF-IDF bound 1·S·3·2, BM25 bound
+    1·S·3·2.2·S."""
+    df = pd.DataFrame({"doc_id": [3, 1, 2],
+                       "text": ["golf golf", "golf", "hotel"]})
+    with pytest.raises(ValueError, match="overflow int64"):
+        keyword_search(ray.data.from_pandas(df), ["golf"], k=2,
+                       idf_scale=idf_scale, bm25=bm25)
+    # one step under the bound still scores
+    ok = keyword_search(ray.data.from_pandas(df), ["golf"], k=2,
+                        idf_scale=idf_scale // 2, bm25=bm25).to_pandas()
+    assert ok["doc_id"].tolist() == [3, 1]

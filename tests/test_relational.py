@@ -1,12 +1,19 @@
 """Bucketed-groupby relational helpers: distinct / grouped min over a
 key-hash bucket — the scale substitutes for Dataset.groupby aggregates."""
 
+import pathlib
+import re
+import uuid
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data
 
+import zeeklog_ray
 from zeeklog_ray.relational import (
+    bucket_exchange,
     bucketed_distinct,
     bucketed_group_min,
     with_hash_bucket,
@@ -50,6 +57,71 @@ def test_with_hash_bucket_multikey_colocates(ray_session, pairs_df):
     n_buckets_per_key = out.groupby(["doc_a", "doc_b"])["_bucket"].nunique()
     assert (n_buckets_per_key == 1).all()
     assert out["_bucket"].between(0, 15).all()
+
+
+@pytest.mark.parametrize("key", ["doc_a", ["doc_a", "doc_b"]])
+@pytest.mark.parametrize("arrow_out", [False, True])
+def test_bucket_exchange_colocates_and_hides_bucket(ray_session, pairs_df,
+                                                    key, arrow_out):
+    """Every key's rows reach exactly one fn call; fn sees the input's
+    columns only, and the bucket column never reaches the output."""
+    keys = [key] if isinstance(key, str) else key
+
+    def fn(group: pd.DataFrame):
+        assert list(group.columns) == ["doc_a", "doc_b"]
+        out = group.assign(call=np.int64(uuid.uuid4().int >> 66))
+        return pa.Table.from_pandas(out, preserve_index=False) \
+            if arrow_out else out
+
+    ds = bucket_exchange(ray.data.from_pandas(pairs_df).repartition(5),
+                         key, fn, 8)
+    out = ds.to_pandas()
+    assert sorted(ds.schema().names) == ["call", "doc_a", "doc_b"]
+    assert len(out) == len(pairs_df)
+    assert (out.groupby(keys)["call"].nunique() == 1).all()
+    assert 1 < out["call"].nunique() <= 8
+    pd.testing.assert_frame_equal(
+        out[["doc_a", "doc_b"]].sort_values(["doc_a", "doc_b"])
+        .reset_index(drop=True),
+        pairs_df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
+
+
+def test_bucket_exchange_empty_input(ray_session, pairs_df):
+    """An empty input yields an empty output and never calls fn.  Ray 2.49
+    drops an all-empty input's schema at its first map stage, so the
+    output carries no columns — the same as every exchange before the
+    primitive."""
+    def fn(group: pd.DataFrame):
+        raise AssertionError("fn called on an empty input")
+
+    ds = bucket_exchange(ray.data.from_pandas(pairs_df.iloc[:0]), "doc_a",
+                         fn, 4)
+    assert ds.count() == 0
+    assert "_bucket" not in ds.to_pandas().columns
+
+
+# The bucket column and its groupby belong to relational.bucket_exchange;
+# any other module must call the primitive instead of rebuilding it.
+_BUCKET_ALLOWED = {
+    "relational.py": "home of bucket_exchange and with_hash_bucket",
+    "ops/sample.py": "a RANGE exchange, not a hash one: the bucket is the "
+                     "top hash bits so buckets are ordered, and per_bucket "
+                     "reads the bucket id to offset a global index — "
+                     "bucket_exchange hides the id by design",
+}
+
+
+def test_no_hand_built_bucket_exchange_outside_relational():
+    pkg = pathlib.Path(zeeklog_ray.__file__).parent
+    pattern = re.compile(r"""["']_bucket["']""")
+    offenders = sorted(
+        rel for rel in (p.relative_to(pkg).as_posix()
+                        for p in pkg.rglob("*.py"))
+        if rel not in _BUCKET_ALLOWED
+        and pattern.search((pkg / rel).read_text()))
+    assert offenders == [], (
+        f"hand-built hash-bucket exchange in {offenders}: use "
+        "relational.bucket_exchange")
 
 
 def test_pivot_sum_semantics(ray_session):

@@ -49,7 +49,7 @@ def coalesce_partials(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     (measured: 520 rows in 200 blocks → 8 s at 2 CPUs; after repartition →
     0.5 s).  A narrow ``repartition`` (no shuffle of content, just block
     packing) to ~CPU-count blocks fixes the granularity."""
-    from zeeklog_ray.cluster import cluster_cpus
+    from zeeklog_ray.relational import cluster_cpus
 
     return ds.repartition(max(2, cluster_cpus() // 2))
 

@@ -198,12 +198,6 @@ def main(argv: list[str] | None = None) -> int:
                          end_date=args.end_date, src_ip=args.src_ip,
                          source=args.source, enrich=args.enrich)
 
-    if args.input_format == "zeek-tsv" and not args.resume:
-        report = _run_zeek_tsv(cfg, corpus, args)
-        print(json.dumps(report))
-        ray.shutdown()
-        return 0
-
     if args.resume:
         from zeeklog_ray.lineage import ResumableRun
 
@@ -219,10 +213,25 @@ def main(argv: list[str] | None = None) -> int:
         report = {"mode": "resume", "new_shards": len(records),
                   "rows_per_sink_new": rows}
     else:
-        from zeeklog_ray.flagship import run_flagship
+        from zeeklog_ray.flagship import run_files, run_flagship
 
-        stats = run_flagship(cfg, args.out, compression=args.compression)
-        report = {"mode": "flagship", "plan": cfg.plan(),
+        if args.input_format == "zeek-tsv":
+            # the reference's NATIVE input (zeek_log.rs:364-410): the
+            # fused flagship stage over the raw .log.gz date range
+            import shutil
+
+            from zeeklog_ray.zeektsv import select_zeek_files
+
+            shutil.rmtree(args.out, ignore_errors=True)  # never accumulate
+            stats = run_files(cfg, select_zeek_files(corpus, cfg.start_date,
+                                                     cfg.end_date),
+                              args.out, input_format="zeek-tsv",
+                              on_error=args.on_error,
+                              compression=args.compression)
+        else:
+            stats = run_flagship(cfg, args.out, compression=args.compression)
+        report = {"mode": "zeek-tsv" if args.input_format == "zeek-tsv"
+                  else "flagship", "plan": cfg.plan(),
                   "rows_per_sink": dict(zip(stats["sink"], stats["n"].astype(int)))}
 
     if args.ip_db:
@@ -309,55 +318,6 @@ def _tsv_dataset(cfg, base_dir: str, args):
     files = select_zeek_files(base_dir, cfg.start_date, cfg.end_date)
     dates = sorted({_os.path.basename(_os.path.dirname(f)) for f in files})
     return read_zeek_logs(base_dir, dates=dates, on_error=args.on_error)
-
-
-def _run_zeek_tsv(cfg, base_dir: str, args) -> dict:
-    """Raw Zeek ``.log.gz`` tree → the same parsed schema → the same
-    filters, routed sinks and per-sink stats as the parquet path.  This is
-    the reference's NATIVE input (``zeek_log.rs:364-410``): a user can
-    point the CLI at their existing log directory unchanged."""
-    import shutil
-
-    import ray
-
-    from zeeklog_ray.aggregate import grouped_stats
-    from zeeklog_ray.enrich import Enricher
-    from zeeklog_ray.pipeline import (
-        _default_pool_size,
-        _ip_predicate,
-        route_to_sinks,
-    )
-    from zeeklog_ray.sources import normalize_source
-
-    ds = _tsv_dataset(cfg, base_dir, args)
-    if cfg.source:
-        want = normalize_source(cfg.source)
-
-        def keep_source(batch, want=want):
-            import pyarrow.compute as pc
-
-            return batch.filter(pc.equal(batch["sink"], want))
-
-        ds = ds.map_batches(keep_source, batch_format="pyarrow",
-                            batch_size=None)
-    if cfg.src_ip:
-        ds = ds.map_batches(_ip_predicate(cfg.src_ip), batch_format="pyarrow",
-                            batch_size=None)
-    if cfg.enrich:
-        ds = ds.map_batches(Enricher, batch_format="pyarrow", batch_size=None,
-                            concurrency=_default_pool_size())
-    shutil.rmtree(args.out, ignore_errors=True)   # replace, never accumulate
-    route_to_sinks(ds, args.out, compression=args.compression)
-    import glob as _glob
-    import os as _os
-
-    if not _glob.glob(_os.path.join(args.out, "sink=*")):
-        rows = {}                                 # every row filtered out
-    else:
-        stats = grouped_stats(ray.data.read_parquet(args.out),
-                              key="sink").to_pandas()
-        rows = dict(zip(stats["sink"], stats["n"].astype(int)))
-    return {"mode": "zeek-tsv", "plan": cfg.plan(), "rows_per_sink": rows}
 
 
 if __name__ == "__main__":

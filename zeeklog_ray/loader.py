@@ -78,7 +78,7 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
     the padding-free ``pack_hash``.  Input needs (order_col, tokens_col,
     n_tok, group_col, range_col) — the tokenized-corpus schema."""
     from zeeklog_ray.ops.packing import pack_assignments
-    from zeeklog_ray.relational import bucketed_equi_join
+    from zeeklog_ray.relational import bucket_exchange, bucketed_equi_join
 
     assign = pack_assignments(
         ds.select_columns([group_col, order_col, "n_tok", range_col]),
@@ -151,16 +151,10 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
         # int32.tobytes() round-trips exactly via np.frombuffer
         tok_bytes = [gathered[poffs[i]:poffs[i + 1]].tobytes()
                      for i in range(len(plens))]
-        gvals = batch[group_col].to_numpy()[kd]
-        bkt = (pd.util.hash_pandas_object(
-            pd.DataFrame({group_col: gvals, "pack_id": pk[keep]}),
-            index=False).to_numpy() % np.uint64(num_buckets)) \
-            .astype("int64")
         return pd.DataFrame({
-            group_col: gvals,
+            group_col: batch[group_col].to_numpy()[kd],
             "pack_id": pk[keep],
             "_dest": dest[keep],
-            "_bucket": bkt,
             "_toks": tok_bytes})
 
     piece_rows = joined.map_batches(pieces, batch_format="pandas",
@@ -210,8 +204,8 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
             "n_real": pa.array(n_real),
             "pack_hash": pa.array(hashes.astype(np.int64))})
 
-    return piece_rows.groupby("_bucket").map_groups(
-        assemble, batch_format="pandas")
+    return bucket_exchange(piece_rows, [group_col, "pack_id"], assemble,
+                           num_buckets)
 
 
 def iter_token_batches(packed: "ray.data.Dataset", micro_batch: int,

@@ -72,14 +72,12 @@ def normalized_exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
     pass is one vectorized regex per batch.  Reference analog: none
     (the reference has no content dedup); public C4-style cleaning
     stage."""
+    from zeeklog_ray.relational import bucket_exchange
 
     def digest(batch: pd.DataFrame) -> pd.DataFrame:
         h1, h2 = content_digest128(normalize_text(batch[text_col]))
-        out = pd.DataFrame({"digest": h1, "digest2": h2,
-                            id_col: batch[id_col]})
-        out["_bucket"] = (out["digest"]
-                          % np.uint64(num_buckets)).astype("int64")
-        return out
+        return pd.DataFrame({"digest": h1, "digest2": h2,
+                             id_col: batch[id_col]})
 
     def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby(["digest", "digest2"], sort=False)
@@ -87,8 +85,7 @@ def normalized_exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
                         "n_dups": (id_col, "size")}).reset_index(drop=True)
 
     hashed = ds.map_batches(digest, batch_format="pandas", batch_size=None)
-    return hashed.groupby("_bucket").map_groups(dedup_bucket,
-                                                batch_format="pandas")
+    return bucket_exchange(hashed, "digest", dedup_bucket, num_buckets)
 
 
 def _shingle_hashes(texts: pd.Series, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +221,7 @@ def _over_cap_bucket_keys(banded: "ray.data.Dataset", n_banded: int,
         return (totals.index.to_numpy(np.int64)[over],
                 int(totals.to_numpy()[over].sum()))
 
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     def over_cap(group: pd.DataFrame) -> pd.DataFrame:
         vc = group["bb"].value_counts()
@@ -233,9 +230,7 @@ def _over_cap_bucket_keys(banded: "ray.data.Dataset", n_banded: int,
                              "m": vc.to_numpy(np.int64)})
 
     n_count_buckets = max(16, n_banded // 2_000_000)
-    big = with_hash_bucket(banded, "bb", n_count_buckets) \
-        .groupby("_bucket").map_groups(over_cap, batch_format="pandas") \
-        .to_pandas()
+    big = bucket_exchange(banded, "bb", over_cap, n_count_buckets).to_pandas()
     big_keys = (big["bb"].to_numpy(np.int64) if "bb" in big.columns
                 else np.zeros(0, np.int64))
     return big_keys, (int(big["m"].sum()) if "m" in big.columns else 0)
@@ -765,17 +760,15 @@ def first_wins(ds: "ray.data.Dataset", key: str, order_col: str,
     ``order_col`` per key — the reference's multi-day merge semantics
     (main.rs:320-330: insert only if key absent, days scanned in order).
 
-    Bucketed-groupby (relational.with_hash_bucket): one stable sort +
+    One :func:`~zeeklog_ray.relational.bucket_exchange`: a stable sort +
     ``drop_duplicates`` per key-hash bucket instead of Python per key."""
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key, order_col], kind="mergesort")
-        return g.drop_duplicates(subset=[key], keep="first") \
-            .drop(columns=["_bucket"])
+        return g.drop_duplicates(subset=[key], keep="first")
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def embedding_cosine_pairs(ds: "ray.data.Dataset", threshold_e4: int,
@@ -1025,9 +1018,9 @@ def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
     both finish inside the bucket as C-level pandas); stage 3 is a
     doc-shaped bucketed sum.  Window payloads (the text) never shuffle.
     ``num_buckets`` sizes stage 2 — at corpus scale pass ~total_words/2M
-    (see relational.with_hash_bucket).
+    (see relational.bucket_exchange).
     """
-    from zeeklog_ray.relational import grouped_sum_bucketed, with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange, grouped_sum_bucketed
 
     dg = window_gram_counts(ds, text_col=text_col, id_col=id_col, k=k)
 
@@ -1040,9 +1033,8 @@ def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
         out["n_windows"] = np.int64(0)
         return out[[id_col, "n_windows", "dup_windows"]]
 
-    dup_partial = with_hash_bucket(dg, "gram", num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas") \
-        .materialize()
+    dup_partial = bucket_exchange(dg, "gram", per_bucket,
+                                  num_buckets).materialize()
 
     # TIERED finish (same reasoning as cdc_dup_stats): the dup partials
     # are DUP-doc cardinality — broadcast them onto a row-local pass
@@ -1147,7 +1139,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
 
     Both tiers are exact and agree (pytest cross-tier parity).
     """
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     import ray as _ray
 
@@ -1157,9 +1149,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
         sz = group.groupby("gram", sort=False)["cnt"].transform("size")
         return group.loc[sz >= 2, ["gram"]].drop_duplicates()
 
-    dup = with_hash_bucket(dg, "gram", num_buckets) \
-        .groupby("_bucket").map_groups(dup_grams, batch_format="pandas") \
-        .materialize()
+    dup = bucket_exchange(dg, "gram", dup_grams, num_buckets).materialize()
     n_dup = dup.count()
 
     from zeeklog_ray.ops.wordhash import split_word_hashes
@@ -1250,10 +1240,8 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
             .agg(lambda s: sorted(s)).reset_index(name="_starts")
         return agg
 
-    starts = with_hash_bucket(hits.select_columns([id_col, "pos"]),
-                              id_col, num_buckets) \
-        .groupby("_bucket").map_groups(starts_per_doc,
-                                       batch_format="pandas")
+    starts = bucket_exchange(hits.select_columns([id_col, "pos"]), id_col,
+                             starts_per_doc, num_buckets)
 
     # ONE doc-bucketed LEFT attach of the starts lists onto the text
     def tag_docs(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1298,8 +1286,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
                 covered = np.cumsum(diff[:-1]) > 0
         return _rebuild(batch, wvals, doc_of, covered)
 
-    return with_hash_bucket(both, id_col, num_buckets) \
-        .groupby("_bucket").map_groups(clean_join, batch_format="pandas")
+    return bucket_exchange(both, id_col, clean_join, num_buckets)
 
 
 def cdc_chunk_table(ds: "ray.data.Dataset", text_col: str = "text",
@@ -1430,7 +1417,7 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
     Output: ``(doc_id, n_words, shared_words, shared_ratio_e4)`` for
     every document.
     """
-    from zeeklog_ray.relational import grouped_sum_bucketed, with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange, grouped_sum_bucketed
 
     ch = cdc_chunk_table(ds, text_col=text_col, id_col=id_col,
                          window=window, mask_bits=mask_bits,
@@ -1463,9 +1450,8 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
         out["n_words"] = np.int64(0)
         return out[[id_col, "n_words", "shared_words"]]
 
-    dup_partial = with_hash_bucket(per_doc, "chunk_hash", num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas") \
-        .materialize()
+    dup_partial = bucket_exchange(per_doc, "chunk_hash", per_bucket,
+                                  num_buckets).materialize()
 
     # TIERED finish: dup partials are DUP-doc cardinality (docs holding
     # any shared chunk — a few % of the corpus at realistic dup rates),

@@ -159,7 +159,7 @@ def canonical_per_component(components: "ray.data.Dataset",
     escape from Ray's per-group Python).  Output: one row per
     component — ``(component, canonical, canonical_score, n_members)``.
     """
-    from zeeklog_ray.relational import hash_join, with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange, hash_join
 
     scored = hash_join(components, meta.select_columns([meta_key, score_col]),
                        on="node", right_on=meta_key)
@@ -178,9 +178,7 @@ def canonical_per_component(components: "ray.data.Dataset",
             .astype("int64"),
         })
 
-    bucketed = with_hash_bucket(scored, "component", num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(scored, "component", per_bucket, num_buckets)
 
 
 def node_degrees(pairs: "ray.data.Dataset", a_col: str = "doc_a",
@@ -230,10 +228,10 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
     import ray as _ray
 
     from zeeklog_ray.relational import (
+        bucket_exchange,
         bucketed_distinct,
         bucketed_equi_join,
         hash_join,
-        with_hash_bucket,
     )
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -295,8 +293,7 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
         return pd.DataFrame({"w1": out["dst_x"].to_numpy(),
                              "w2": out["dst_y"].to_numpy()})
 
-    wedge_ds = with_hash_bucket(directed, "src", num_buckets) \
-        .groupby("_bucket").map_groups(wedges, batch_format="pandas") \
+    wedge_ds = bucket_exchange(directed, "src", wedges, num_buckets) \
         .materialize()
     if wedge_ds.count() == 0:       # no node has out-degree ≥ 2
         return 0

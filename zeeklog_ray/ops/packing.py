@@ -37,7 +37,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from zeeklog_ray.relational import grouped_sum, with_hash_bucket
+from zeeklog_ray.relational import bucket_exchange, grouped_sum
 
 
 def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
@@ -93,9 +93,8 @@ def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
         })
         return out
 
-    bucketed = with_hash_bucket(ds, [group_col, range_col], num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(ds, [group_col, range_col], per_bucket,
+                           num_buckets)
 
 
 def pack_stats(ds: "ray.data.Dataset", *, group_col: str = "source",

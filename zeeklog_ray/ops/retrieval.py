@@ -15,8 +15,11 @@ modes, both integer-exact so results hash-replay in SQL:
   (derivation: tf·(k1+1) / (tf + k1·(1−b+b·dl/avgdl)) with numerator and
   denominator multiplied by 20·avgdl; avgdl = total_words // N floored).
   Magnitude bound: idf ≤ idf_scale·N and tf_norm_e4 ≤ 2.2·idf_scale, so
-  scores stay inside int64 for corpora up to ~10^13 docs at the default
-  scale.
+  a score is ≤ |terms|·idf_scale·N·2.2·idf_scale = |terms|·2.2·10^8·N at
+  the default scale — inside int64 only while N·|terms| ≲ 4·10^10.
+  TF-IDF scores are ≤ |terms|·idf_scale·N·max(tf).  Past the bound
+  :func:`keyword_search` raises ``ValueError`` before scoring instead of
+  letting numpy wrap silently.
 
 Scale shape — shuffle volume is O(postings that MATCH the query), never
 the corpus:
@@ -110,18 +113,25 @@ def keyword_search(docs: "ray.data.Dataset", query_terms: list[str],
     def df_partial(batch: pd.DataFrame) -> pd.DataFrame:
         g = batch.groupby("term", sort=False)
         return g.agg(docs=(id_col, "size"), n=("tf", "sum"),
-                     w=("dl", "sum")).reset_index()
+                     w=("dl", "sum"), tf_max=("tf", "max")).reset_index()
 
     dfp = rows.map_batches(df_partial, batch_format="pandas",
                            batch_size=None).to_pandas()
     sent = dfp[dfp["term"] == _N_SENTINEL]
     n_docs = int(sent["n"].sum())
     total_words = int(sent["w"].sum())
-    df_map = (dfp[dfp["term"] != _N_SENTINEL]
-              .groupby("term", sort=False)["docs"].sum())
+    matched = dfp[dfp["term"] != _N_SENTINEL]
+    df_map = matched.groupby("term", sort=False)["docs"].sum()
     if not len(df_map) or n_docs == 0:
         return ray.data.from_pandas(empty)
     idf = {t: (n_docs * idf_scale) // int(d) for t, d in df_map.items()}
+    tf_norm_max = 22 * idf_scale // 10 if bm25 \
+        else int(matched["tf_max"].max())
+    if len(idf) * idf_scale * n_docs * tf_norm_max > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"keyword_search: scores may overflow int64 ({len(idf)} terms "
+            f"x idf_scale {idf_scale} x {n_docs} docs x tf_norm "
+            f"{tf_norm_max}); lower idf_scale or shard the corpus")
     iref = ray.put(idf)
     avgdl = max(1, total_words // n_docs)
 

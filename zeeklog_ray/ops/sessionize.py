@@ -10,7 +10,7 @@ hour-bucket files are pre-materialized tumbling windows; these operators
 generalize that).
 
 All three operators group by a HASH BUCKET of the key, not the key itself
-(:func:`zeeklog_ray.relational.with_hash_bucket`): Ray's grouped execution
+(:func:`zeeklog_ray.relational.bucket_exchange`): Ray's grouped execution
 pays Python per group, so a per-user groupby scales its overhead with user
 cardinality; bucketing keeps every row of a key co-located while the
 per-bucket work is one C-level pandas pass (sort by (key, ts) + grouped
@@ -23,7 +23,7 @@ import pandas as pd
 
 import ray.data
 
-from zeeklog_ray.relational import with_hash_bucket
+from zeeklog_ray.relational import bucket_exchange
 
 
 def sessionize(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
@@ -55,9 +55,7 @@ def sessionize(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
         return out[[key, "session_id", "n_events",
                     "session_start", "session_end"]]
 
-    bucketed = with_hash_bucket(ds, key, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def session_counts(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
@@ -77,9 +75,7 @@ def session_counts(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    bucketed = with_hash_bucket(ds, key, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def lead_lag(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
@@ -105,11 +101,9 @@ def lead_lag(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
         same_next = g[key].eq(g[key].shift(-1))
         g = g.assign(**{prev_col: g[ts].shift().where(same_prev),
                         next_col: g[ts].shift(-1).where(same_next)})
-        return g.drop(columns=["_bucket"])
+        return g
 
-    bucketed = with_hash_bucket(ds, key, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -206,9 +200,7 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         keep = (m[ts] >= m[start]) & (m[ts] <= m[end])
         return m.loc[keep, out_cols].astype(int_casts)
 
-    bucketed = with_hash_bucket(both, key, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(both, key, per_bucket, num_buckets)
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -282,6 +274,4 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             out = pd.concat([out, rest], ignore_index=True)
         return out
 
-    bucketed = with_hash_bucket(both, key, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(both, key, per_bucket, num_buckets)

@@ -172,13 +172,11 @@ def grouped_approx_distinct(ds: "ray.data.Dataset", key: str, col: str,
             out_sk.append(regs.tobytes())
         return pd.DataFrame({key: out_keys, "_sk": out_sk})
 
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     parts = ds.select_columns([key, col]).map_batches(
         sketch, batch_format="pandas", batch_size=None)
-    merged = with_hash_bucket(parts, key, num_buckets) \
-        .groupby("_bucket").map_groups(merge_bucket, batch_format="pandas") \
-        .to_pandas()
+    merged = bucket_exchange(parts, key, merge_bucket, num_buckets).to_pandas()
     est = hll_estimate_int if replayable else \
         (lambda r: round(hll_estimate(r)))
     merged["approx_n"] = [
@@ -289,7 +287,7 @@ def grouped_exact_quantiles(ds: "ray.data.Dataset", key: str, col: str,
     quantile (like ``quantile_disc``).  The value column rides as the
     nullable twin of its dtype so every bucket's block schema agrees
     whether or not it produced null rows."""
-    from zeeklog_ray.relational import grouped_sum, with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange, grouped_sum
 
     hist = grouped_sum(ds.select_columns([key, col]), [key, col],
                        count_as="_n")
@@ -349,8 +347,7 @@ def grouped_exact_quantiles(ds: "ray.data.Dataset", key: str, col: str,
                                  "value": pd.array([], dtype=vdt)})
         return pd.concat(parts, ignore_index=True)
 
-    return with_hash_bucket(hist, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(hist, key, per_bucket, num_buckets)
 
 
 def grouped_iqr_outliers(ds: "ray.data.Dataset", key: str, col: str,
@@ -582,7 +579,7 @@ def grouped_interp_quantiles(ds: "ray.data.Dataset", key: str, col: str,
     no non-null values is omitted (the SQL twin filters ``col IS NOT
     NULL`` before grouping).  Output: ``(key, q_pct, value_x100)``.
     """
-    from zeeklog_ray.relational import grouped_sum, with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange, grouped_sum
 
     if not all(isinstance(p, int) and 0 <= p <= 100 for p in q_pcts):
         raise ValueError(f"grouped_interp_quantiles: q_pcts must be integer "
@@ -618,9 +615,7 @@ def grouped_interp_quantiles(ds: "ray.data.Dataset", key: str, col: str,
             pd.DataFrame({key: g[key].iloc[:0], "q_pct": np.zeros(0, np.int64),
                           "value_x100": np.zeros(0, np.int64)})
 
-    bucketed = with_hash_bucket(hist, [key], num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(hist, [key], per_bucket, num_buckets)
 
 
 # ---- Count-Min sketch: mergeable approximate frequencies ------------------
@@ -745,13 +740,11 @@ def grouped_approx_quantiles(ds: "ray.data.Dataset", key: str, col: str,
             out_w.append(w.tobytes())
         return pd.DataFrame({key: out_keys, "_v": out_v, "_w": out_w})
 
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     parts = ds.select_columns([key, col]).map_batches(
         sk, batch_format="pandas", batch_size=None)
-    merged = with_hash_bucket(parts, key, num_buckets) \
-        .groupby("_bucket").map_groups(merge_bucket, batch_format="pandas") \
-        .to_pandas()
+    merged = bucket_exchange(parts, key, merge_bucket, num_buckets).to_pandas()
     rows = []
     for kk, bv, bw in zip(merged[key], merged["_v"], merged["_w"]):
         v = np.frombuffer(bv, dtype=np.float64)

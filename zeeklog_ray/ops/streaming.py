@@ -51,7 +51,7 @@ def trailing_windows(ds: "ray.data.Dataset", key: str = "user_id",
     sort once by (key, ts) and each key segment computes its two-pointer
     windows on a numpy slice.
     """
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     window_ns = np.int64(window_seconds) * 1_000_000_000
 
@@ -78,8 +78,7 @@ def trailing_windows(ds: "ray.data.Dataset", key: str = "user_id",
             "w_sum": w_sum,
         })
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def rows_window(ds: "ray.data.Dataset", key: str,
@@ -107,7 +106,7 @@ def rows_window(ds: "ray.data.Dataset", key: str,
     Output: ``keep_cols`` (default: key + order_cols) + ``w_count``,
     ``w_sum``.
     """
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     if preceding is not None and preceding < 0:
         raise ValueError(f"rows_window: preceding must be >= 0, got {preceding}")
@@ -145,8 +144,7 @@ def rows_window(ds: "ray.data.Dataset", key: str,
         out["w_sum"] = w_sum
         return out
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 @ray.remote
@@ -366,7 +364,7 @@ def trailing_deviation(ds: "ray.data.Dataset", key: str, order: str,
 
     Output: ``(key, order, value, trail_sum, trail_cnt, spike_e4)``.
     """
-    from zeeklog_ray.relational import with_hash_bucket
+    from zeeklog_ray.relational import bucket_exchange
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort") \
@@ -392,5 +390,4 @@ def trailing_deviation(ds: "ray.data.Dataset", key: str, order: str,
             "spike_e4": spike.astype("int64"),
         })
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)

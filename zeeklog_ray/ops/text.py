@@ -233,10 +233,10 @@ def digest_dedup(prepped: "ray.data.Dataset", attr_col: str,
     texts with different ``attr_col`` values this keeps MIN(attr), by
     design: Min vectorizes where arg-min would pay per-group Python).
 
-    Bucketed on ``h1 % num_buckets`` so the per-group Python cost is paid
-    per BUCKET (measured 189 s → 17 s at 1M docs); same h1 ⇒ same bucket
-    keeps every copy co-located.  Output drops the digests:
-    ``(doc_id, attr_col, n_bpe)``.
+    One :func:`~zeeklog_ray.relational.bucket_exchange` on ``h1``, so the
+    per-group Python cost is paid per BUCKET (measured 189 s → 17 s at
+    1M docs); same h1 ⇒ same bucket keeps every copy co-located.  Output
+    drops the digests: ``(doc_id, attr_col, n_bpe)``.
 
     Bucket sizing (measured at 1M docs / 32 CPUs: 2048 buckets 7.3 s,
     512 5.6 s, 64 9.1 s): past ~4×CPUs buckets the wall is the shuffle
@@ -244,12 +244,7 @@ def digest_dedup(prepped: "ray.data.Dataset", attr_col: str,
     bucket and at least a few buckets per CPU; the conservative default
     serves the corpus scale this is designed for, tune DOWN for small
     inputs."""
-    import numpy as np
-
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["_bucket"] = (batch["h1"] %
-                            np.uint64(num_buckets)).astype("int64")
-        return batch
+    from zeeklog_ray.relational import bucket_exchange
 
     def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby(["h1", "h2"], sort=False)
@@ -257,10 +252,7 @@ def digest_dedup(prepped: "ray.data.Dataset", attr_col: str,
                      n_bpe=("n_bpe", "min")).reset_index() \
             .drop(columns=["h1", "h2"])
 
-    return (prepped.map_batches(bucketize, batch_format="pandas",
-                                batch_size=None)
-            .groupby("_bucket").map_groups(dedup_bucket,
-                                           batch_format="pandas"))
+    return bucket_exchange(prepped, "h1", dedup_bucket, num_buckets)
 
 
 def corpus_prep(ds: "ray.data.Dataset", min_words: int = 15,
@@ -286,12 +278,12 @@ def corpus_prep(ds: "ray.data.Dataset", min_words: int = 15,
     Dedup mechanics: digest-count groups ≈ distinct docs, and BOTH Ray
     grouped paths pay Python per group (`map_groups` ~2.7 ms/group,
     `aggregate(Min)` ~0.19 ms/group — measured 189 s for 1M docs), so the
-    digests are hash-BUCKETED first (`h1 % num_buckets`) and each bucket
+    digests are hash-BUCKETED first (on the hash of `h1`) and each bucket
     dedups with one C-level pandas groupby: the shuffle still co-locates
     every copy of a digest (same h1 ⇒ same bucket), but the per-group
     Python cost is paid per BUCKET instead of per document.  Measured:
     189 s → 17 s for 1M docs (58k docs/s).  Size ``num_buckets`` so a
-    bucket fits one task's memory (see relational.with_hash_bucket).
+    bucket fits one task's memory (see relational.bucket_exchange).
     """
     from zeeklog_ray.relational import grouped_sum
 
@@ -565,15 +557,15 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
       broadcasts once (row-local merge, the common case); a 10^8-term
       web-scale vocab falls back to a bucketed equi-join on ``word``;
     * the final per-doc top-k is the bucketed-groupby pattern
-      (:func:`zeeklog_ray.relational.with_hash_bucket` sizing rule).
+      (:func:`zeeklog_ray.relational.bucket_exchange` sizing rule).
 
     Ties break by word ascending (deterministic on both sides).  Output:
     ``(doc_id, rank, word, tf, score_ppm)``, rank 1..k.
     """
     from zeeklog_ray.relational import (
+        bucket_exchange,
         bucketed_equi_join,
         grouped_sum_bucketed,
-        with_hash_bucket,
     )
 
     if n_docs is None:
@@ -648,8 +640,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
         g["rank"] = (g.groupby(id_col, sort=False).cumcount() + 1).astype("int64")
         return g[g["rank"] <= k][[id_col, "rank", "word", "tf", "score_ppm"]]
 
-    return with_hash_bucket(pruned, id_col, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(pruned, id_col, per_bucket, num_buckets)
 
 
 def source_distribution_tv(docs: "ray.data.Dataset", k: int = 50,
@@ -1189,10 +1180,10 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
     """
     from zeeklog_ray.relational import (
         broadcast_merge,
+        bucket_exchange,
         bucketed_equi_join,
         grouped_sum,
         grouped_sum_bucketed,
-        with_hash_bucket,
     )
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1276,8 +1267,7 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
         return g[g["rank"] <= k][
             [source_col, "rank", "word", "tf_source", "score_e4"]]
 
-    return with_hash_bucket(pruned, source_col, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(pruned, source_col, per_bucket, num_buckets)
 
 
 def passage_chunks(ds: "ray.data.Dataset", text_col: str = "text",

@@ -891,7 +891,9 @@ def vacuum_store(root: str) -> dict:
       partition directory — first any COMMITTED journal is rolled
       forward via :func:`_recover_compaction` (so vacuum never deletes
       a tmp the journal still owns), then survivors are pre-commit
-      garbage by the protocol's fsync-ordering argument and are dropped
+      garbage by the protocol's fsync-ordering argument and are dropped;
+      plus root-level ``*.seq.tmp`` counter tmps left by a crash inside
+      :func:`_advance_store_delta_seq` (counted in ``tmp_files``)
 
     Committed data is never touched: vacuum is a no-op on a healthy
     store (gated by the hash-green ``events_vacuum_roundtrip`` query,
@@ -904,17 +906,19 @@ def vacuum_store(root: str) -> dict:
       store's committed ``_delta_seq`` counter — an append that died
       before its commit point; already invisible to
       :func:`read_merged` / :func:`compact_deltas`, reclaimed here
-      (skipped when the store predates the counter file)
+      (skipped when the store predates the counter file or the counter
+      is unreadable — then torn cannot be told from committed)
 
     Returns ``{"staging_dirs", "tmp_files", "torn_delta_files",
     "bytes_reclaimed", "partitions"}``."""
     import shutil as _shutil
 
-    seq_path = os.path.join(root, "_delta_seq")
     committed = None
-    if os.path.exists(seq_path):
-        with open(seq_path) as f:
+    try:
+        with open(os.path.join(root, "_delta_seq")) as f:
             committed = int(f.read().strip())
+    except (OSError, ValueError):
+        pass
     staging_dirs = tmp_files = torn_delta_files = 0
     bytes_reclaimed = n_parts = 0
     for d in sorted(os.listdir(root)):
@@ -926,6 +930,10 @@ def vacuum_store(root: str) -> dict:
                 for dp, _, fs in os.walk(p) for f in fs)
             _shutil.rmtree(p)
             staging_dirs += 1
+        elif d.endswith(".seq.tmp") and os.path.isfile(p):
+            bytes_reclaimed += os.path.getsize(p)
+            os.remove(p)
+            tmp_files += 1
         elif os.path.isdir(p) and "=" in d:
             n_parts += 1
             # snapshot tmps BEFORE recovery: the rollback path of

@@ -172,7 +172,7 @@ def _default_pool_size() -> tuple[int, int]:
     read stage needs — on tiny clusters a min of 2 starves the reader and
     stalls the pipeline), max ≈ 3/4 of CPUs but always leaving at least one
     CPU for the read/write stages."""
-    from zeeklog_ray.cluster import cluster_cpus
+    from zeeklog_ray.relational import cluster_cpus
 
     cpus = cluster_cpus()
     return (1, max(1, min(cpus - 1, (cpus * 3) // 4)))

@@ -37,6 +37,7 @@ from zeeklog_ray.pipeline import PipelineConfig, build_dataset
 from zeeklog_ray.relational import (
     CAP_SALT as _CAP_SALT,
     broadcast_merge,
+    bucket_exchange,
     grouped_sum,
     hash_join,
     read_table,
@@ -639,7 +640,6 @@ def docs_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     (key, content-digest) rows — only scalars shuffle — then one bucketed
     per-key compare."""
     from zeeklog_ray.ops.dedup import content_digest128
-    from zeeklog_ray.relational import with_hash_bucket
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -680,9 +680,7 @@ def docs_snapshot_diff(sf_dir: str) -> pd.DataFrame:
             "changed": [int((in_a & in_b & ~same).sum())],
             "unchanged": [int((in_a & in_b & same).sum())]})
 
-    parts = with_hash_bucket(union, "doc_id", 64) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas") \
-        .to_pandas()
+    parts = bucket_exchange(union, "doc_id", per_bucket, 64).to_pandas()
     return pd.DataFrame({c: [int(parts[c].sum())]
                          for c in ("added", "removed", "changed",
                                    "unchanged")})
@@ -882,8 +880,6 @@ def user_funnel_counts(sf_dir: str) -> pd.DataFrame:
             "_click_ts": g["_click_ts"].min().to_numpy(),
             "_purch_ts": g["_purch_ts"].max().to_numpy()})
 
-    from zeeklog_ray.relational import with_hash_bucket
-
     parts = prepped.map_batches(partial, batch_format="pandas",
                                 batch_size=None)
 
@@ -894,9 +890,7 @@ def user_funnel_counts(sf_dir: str) -> pd.DataFrame:
             "_purch_ts": g["_purch_ts"].max()}).reset_index()
         return out
 
-    per_user = with_hash_bucket(parts, "user_id", 256) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas") \
-        .to_pandas()
+    per_user = bucket_exchange(parts, "user_id", per_bucket, 256).to_pandas()
     big = np.int64(2**62)
     has_click = per_user["_click_ts"] < big
     has_purch = per_user["_purch_ts"] >= 0
@@ -1436,19 +1430,18 @@ def exact_dedup_docs(sf_dir: str) -> "ray.data.Dataset":
     Digests are hash-BUCKETED before grouping and each bucket dedups with
     one C-level pandas groupby — digest-count groups ≈ distinct docs, and
     Ray's grouped paths pay Python per group (measured 189 s for 1M
-    groups via aggregate(Min) vs 17 s bucketed — ops/text.corpus_prep)."""
+    groups via aggregate(Min) vs 17 s bucketed — ops/text.corpus_prep).
+    The bucket count follows the :func:`relational.bucket_exchange` sizing
+    rule (~2M rows per bucket at scale); 2048 suits the tested
+    10^3–10^6-doc range."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def digest(batch: pd.DataFrame) -> pd.DataFrame:
         from zeeklog_ray.ops.dedup import content_digest128
 
         h1, h2 = content_digest128(batch["text"])
-        out = pd.DataFrame({"digest": h1, "digest2": h2,
-                            "doc_id": batch["doc_id"]})
-        # bucket count follows the with_hash_bucket sizing rule (~2M rows
-        # per bucket at scale); 2048 suits the tested 10^3–10^6-doc range
-        out["_bucket"] = (out["digest"] % np.uint64(2048)).astype("int64")
-        return out
+        return pd.DataFrame({"digest": h1, "digest2": h2,
+                             "doc_id": batch["doc_id"]})
 
     def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.groupby(["digest", "digest2"], sort=False)
@@ -1456,8 +1449,7 @@ def exact_dedup_docs(sf_dir: str) -> "ray.data.Dataset":
                      n_dups=("doc_id", "size")).reset_index(drop=True)
 
     hashed = ds.map_batches(digest, batch_format="pandas", batch_size=None)
-    return hashed.groupby("_bucket").map_groups(dedup_bucket,
-                                                batch_format="pandas")
+    return bucket_exchange(hashed, "digest", dedup_bucket, 2048)
 
 
 def docs_prep_pipeline(sf_dir: str) -> "ray.data.Dataset":
@@ -3836,8 +3828,6 @@ def docs_word_postings(sf_dir: str) -> "ray.data.Dataset":
     vocabulary-sized, never corpus-sized.  The cap bounds output row
     width — an uncapped posting list for a stopword would be a
     corpus-length string."""
-    from zeeklog_ray.relational import with_hash_bucket
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
@@ -3863,8 +3853,7 @@ def docs_word_postings(sf_dir: str) -> "ray.data.Dataset":
                              "df": sizes.to_numpy().astype("int64"),
                              "postings": posts.to_numpy()})
 
-    return with_hash_bucket(exploded, ["word"], 512) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(exploded, ["word"], per_bucket, 512)
 
 
 def docs_top_bigrams(sf_dir: str) -> pd.DataFrame:
@@ -3968,11 +3957,9 @@ def docs_shuffle_order(sf_dir: str) -> "ray.data.Dataset":
 
 def top_orders_per_customer(sf_dir: str) -> "ray.data.Dataset":
     """Per-group top-N (window-rank shape): each customer's 2 highest-value
-    orders.  Bucketed-groupby pattern (relational.with_hash_bucket): one
-    sort + ``groupby.head`` per key-hash bucket, C-level — a per-customer
+    orders.  One :func:`~zeeklog_ray.relational.bucket_exchange`: a sort
+    + ``groupby.head`` per key-hash bucket, C-level — a per-customer
     ``map_groups`` would pay Python per customer."""
-    from zeeklog_ray.relational import with_hash_bucket
-
     ds = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderkey",
                                                "o_totalprice"])
 
@@ -3980,17 +3967,14 @@ def top_orders_per_customer(sf_dir: str) -> "ray.data.Dataset":
         batch["total_cents"] = _round_half_away(batch["o_totalprice"] * 100)
         return batch[["o_custkey", "o_orderkey", "total_cents"]]
 
-    prepped = with_hash_bucket(
-        ds.map_batches(prep, batch_format="pandas", batch_size=None),
-        "o_custkey")
-
     def top2(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["o_custkey", "total_cents", "o_orderkey"],
                               ascending=[True, False, True])
-        return g.groupby("o_custkey", sort=False).head(2) \
-            .drop(columns=["_bucket"])
+        return g.groupby("o_custkey", sort=False).head(2)
 
-    return prepped.groupby("_bucket").map_groups(top2, batch_format="pandas")
+    return bucket_exchange(
+        ds.map_batches(prep, batch_format="pandas", batch_size=None),
+        "o_custkey", top2, 1024)
 
 
 def building_revenue_q3(sf_dir: str) -> "ray.data.Dataset":

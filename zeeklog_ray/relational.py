@@ -13,7 +13,8 @@ between Ray and the DuckDB oracle.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Callable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -58,45 +59,70 @@ def broadcast_merge(ds: "ray.data.Dataset", small: pd.DataFrame, on: str | list[
     return ds.map_batches(merge, batch_format="pandas", batch_size=None)
 
 
+def cluster_cpus(default: int = 8) -> int:
+    """Total cluster CPUs, or ``default`` when Ray is not initialised yet
+    (sizing decisions made before ray.init fall back conservatively)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", default))
+    except Exception:  # noqa: BLE001 — no Ray session
+        return default
+
+
 def default_join_partitions(requested: int | None = None) -> int:
     """Join/shuffle partition count bounded by cluster CPUs: the hash
     aggregators are actors, and more partitions than CPUs can DEADLOCK a
     small cluster (measured: num_partitions=16 on 4 CPUs hangs)."""
-    from zeeklog_ray.cluster import cluster_cpus
-
     cap = max(2, cluster_cpus())
     return min(requested, cap) if requested else cap
 
 
 def with_hash_bucket(ds: "ray.data.Dataset", key: str | Sequence[str],
-                     num_buckets: int = 1024,
-                     col: str = "_bucket") -> "ray.data.Dataset":
-    """Append a deterministic hash-bucket column for ``key`` (a column name
-    or a list of column names hashed together row-wise).
-
-    The bucketed-groupby pattern: Ray's grouped execution pays Python per
-    GROUP, so any per-entity groupby scales its overhead with entity
-    cardinality (measured: 1M distinct digests 189 s vs 17 s bucketed;
-    1M rows / 100k users in trailing_windows 12.8 s vs 1.3 s).  Grouping
-    by the bucket instead still co-locates every row of a key (same key ⇒
-    same bucket) while the per-group cost is paid per bucket; inside the
-    bucket the per-key logic runs as C-level pandas/numpy over sorted
-    key segments.
-
-    SIZE ``num_buckets`` TO THE DATA: one bucket materializes as a single
-    in-memory pandas group of ~rows/num_buckets rows, so pick
-    ``num_buckets ≈ total_rows / 2M`` (≈100 MB/bucket) — the defaults
-    suit the 10^6–10^9-row range; at 10^12 rows pass ~500k buckets.  The
-    only correctness constraint is determinism of the hash; any bucket
-    count preserves key co-location."""
+                     num_buckets: int = 1024) -> "ray.data.Dataset":
+    """Append the ``_bucket`` column: a deterministic hash of ``key`` (a
+    column name or a list of column names hashed together row-wise)
+    modulo ``num_buckets``.  The bucket rule of :func:`bucket_exchange`."""
     sel = key if isinstance(key, str) else list(key)
 
     def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
         h = pd.util.hash_pandas_object(batch[sel], index=False).to_numpy()
-        batch[col] = (h % np.uint64(num_buckets)).astype("int64")
+        batch["_bucket"] = (h % np.uint64(num_buckets)).astype("int64")
         return batch
 
     return ds.map_batches(bucketize, batch_format="pandas", batch_size=None)
+
+
+def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
+                    fn: Callable[[pd.DataFrame], "pd.DataFrame | pa.Table"],
+                    num_buckets: int) -> "ray.data.Dataset":
+    """The hash-bucket exchange: every row of a ``key`` value lands in the
+    same ``fn`` call.  Rows shuffle on the :func:`with_hash_bucket` bucket
+    through Ray's sort-based ``groupby(...).map_groups``; ``fn`` gets one
+    bucket as a pandas DataFrame with the input's columns (the bucket
+    column removed) and returns a pandas DataFrame or a pyarrow Table.
+    An empty input yields an empty output without calling ``fn``.
+
+    Why buckets: Ray's grouped execution pays Python per GROUP, so any
+    per-entity groupby scales its overhead with entity cardinality
+    (measured: 1M distinct digests 189 s vs 17 s bucketed; 1M rows / 100k
+    users in trailing_windows 12.8 s vs 1.3 s).  Grouping by the bucket
+    still co-locates every row of a key (same key ⇒ same bucket) while
+    the per-group cost is paid per bucket; inside the bucket ``fn`` runs
+    its per-key logic as C-level pandas/numpy over the bucket's rows.
+
+    SIZE ``num_buckets`` TO THE DATA: one bucket materializes as a single
+    in-memory pandas group of ~rows/num_buckets rows, so pick
+    ``num_buckets ≈ total_rows / 2M`` (≈100 MB/bucket) — the callers'
+    defaults suit the 10^6–10^9-row range; at 10^12 rows pass ~500k
+    buckets.  The only correctness constraint is determinism of the
+    hash; any bucket count preserves key co-location."""
+
+    @functools.wraps(fn)      # Ray names the map stage after fn
+    def per_bucket(group: pd.DataFrame):
+        del group["_bucket"]
+        return fn(group)
+
+    return with_hash_bucket(ds, key, num_buckets) \
+        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
 
 
 def bucketed_distinct(ds: "ray.data.Dataset", keys: Sequence[str],
@@ -114,8 +140,7 @@ def bucketed_distinct(ds: "ray.data.Dataset", keys: Sequence[str],
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates(subset=keys)[keys]
 
-    return with_hash_bucket(ds, keys, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, keys, per_bucket, num_buckets)
 
 
 def bucketed_group_min(ds: "ray.data.Dataset", key: str, val: str,
@@ -129,8 +154,7 @@ def bucketed_group_min(ds: "ray.data.Dataset", key: str, val: str,
         return (group.groupby(key, sort=False, dropna=False)[val]
                 .min().reset_index())
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def sized_join_partitions(n_rows: int,
@@ -329,7 +353,7 @@ def grouped_sum_bucketed(ds: "ray.data.Dataset", keys: Sequence[str],
     per-batch combiner partials shuffle ONCE on the key-hash bucket and
     each bucket finishes with a C-level pandas groupby-sum — the result
     stays distributed (≈rows/num_buckets per output block; size
-    ``num_buckets`` per the with_hash_bucket rule)."""
+    ``num_buckets`` per the :func:`bucket_exchange` rule)."""
     keys = list(keys)
     sums = sums or {}
 
@@ -343,15 +367,13 @@ def grouped_sum_bucketed(ds: "ray.data.Dataset", keys: Sequence[str],
         return out.reset_index()
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return (group.drop(columns=["_bucket"])
-                .groupby(keys, sort=False, observed=True, dropna=False)
+        return (group.groupby(keys, sort=False, observed=True, dropna=False)
                 .sum().reset_index())
 
     partials = ds.select_columns(
         list(dict.fromkeys(keys + list(sums)))).map_batches(
         partial, batch_format="pandas", batch_size=None)
-    return with_hash_bucket(partials, keys, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(partials, keys, per_bucket, num_buckets)
 
 
 def rollup_sum(ds: "ray.data.Dataset", keys: Sequence[str],
@@ -444,11 +466,10 @@ def latest_per_key(ds: "ray.data.Dataset", keys: Sequence[str],
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(order_cols, ascending=False, kind="mergesort")
-        return g.drop_duplicates(keys, keep="first").drop(columns=["_bucket"])
+        return g.drop_duplicates(keys, keep="first")
 
     pruned = ds.map_batches(prune, batch_format="pandas", batch_size=None)
-    return with_hash_bucket(pruned, keys, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(pruned, keys, per_bucket, num_buckets)
 
 
 def seq_index_per_key(ds: "ray.data.Dataset", key: str,
@@ -464,7 +485,7 @@ def seq_index_per_key(ds: "ray.data.Dataset", key: str,
     numbering is one C-level sort + ``groupby(...).cumcount()``.  Same
     partitioning assumption as the repo's other windowed ops: a key's
     rows fit one bucket's pandas group (size ``num_buckets`` to the
-    data — with_hash_bucket docstring)."""
+    data — :func:`bucket_exchange` docstring)."""
     order_cols = list(order_cols)
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -474,10 +495,9 @@ def seq_index_per_key(ds: "ray.data.Dataset", key: str,
         # for them and degrade the column to float64
         g[out] = g.groupby(key, sort=False,
                            dropna=False).cumcount().to_numpy() + 1
-        return g.drop(columns=["_bucket"])
+        return g
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def ranks_per_key(ds: "ray.data.Dataset", key: str,
@@ -533,23 +553,22 @@ def ranks_per_key(ds: "ray.data.Dataset", key: str,
             new_tie[1:] |= oc[1:] != oc[:-1]
         seg_start = np.maximum.accumulate(np.where(new_seg, idx, 0))
         tie_start = np.maximum.accumulate(np.where(new_tie, idx, 0))
-        out = g.drop(columns=["_bucket"])
-        out["rnk"] = tie_start - seg_start + 1
+        g["rnk"] = tie_start - seg_start + 1
         d = np.cumsum(new_tie)
-        out["drnk"] = d - d[seg_start] + 1
+        g["drnk"] = d - d[seg_start] + 1
         if ntile is not None or percent_scale is not None:
             seg_id = np.cumsum(new_seg) - 1
             m = np.bincount(seg_id)[seg_id]
         if percent_scale is not None:
             rnk = tie_start - seg_start + 1
-            out["pr_scaled"] = np.where(
+            g["pr_scaled"] = np.where(
                 m > 1, (rnk - 1) * percent_scale // np.maximum(m - 1, 1), 0)
             # index of the LAST row of each tie group: nearest tie-group
             # end at or after the row (sentinel n, reverse min-accumulate)
             ends_here = np.r_[new_tie[1:], True]
             tie_end = np.minimum.accumulate(
                 np.where(ends_here, idx, n)[::-1])[::-1]
-            out["cume_scaled"] = (tie_end - seg_start + 1) * \
+            g["cume_scaled"] = (tie_end - seg_start + 1) * \
                 percent_scale // m
         if ntile is not None:
             # NTILE: the first (m mod k) tiles get ceil(m/k) rows, the
@@ -560,13 +579,12 @@ def ranks_per_key(ds: "ray.data.Dataset", key: str,
             in_big = p < boundary
             # base==0 only when m < ntile, and then boundary == m > p,
             # so the small-tile branch (and its divisor) is never taken
-            out["tile"] = np.where(
+            g["tile"] = np.where(
                 in_big, p // (base + 1),
                 rem + (p - boundary) // np.maximum(base, 1)) + 1
-        return out
+        return g
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds, key, per_bucket, num_buckets)
 
 
 def mode_per_key(ds: "ray.data.Dataset", key: str, val: str,
@@ -598,8 +616,7 @@ def mode_per_key(ds: "ray.data.Dataset", key: str, val: str,
 
     partials = ds.map_batches(partial, batch_format="pandas",
                               batch_size=None)
-    return with_hash_bucket(partials, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(partials, key, per_bucket, num_buckets)
 
 
 def string_agg_per_key(ds: "ray.data.Dataset", key: str, val: str,
@@ -633,8 +650,8 @@ def string_agg_per_key(ds: "ray.data.Dataset", key: str, val: str,
         return agg
 
     cols = [key] + order_cols + [val]
-    return with_hash_bucket(ds.select_columns(cols), key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(ds.select_columns(cols), key, per_bucket,
+                           num_buckets)
 
 
 def melt(ds: "ray.data.Dataset", id_cols: Sequence[str],
@@ -900,9 +917,7 @@ def set_op(a: "ray.data.Dataset", b: "ray.data.Dataset",
             ((g["max"] == 1) if op == "intersect" else (g["max"] == 0))
         return g.loc[keep, cols]
 
-    bucketed = with_hash_bucket(tagged, cols, num_buckets)
-    return bucketed.groupby("_bucket").map_groups(per_bucket,
-                                                  batch_format="pandas")
+    return bucket_exchange(tagged, cols, per_bucket, num_buckets)
 
 
 # Default salt for cap_per_key's draw hash: an arbitrary odd 64-bit
@@ -957,11 +972,10 @@ def cap_per_key(ds: "ray.data.Dataset", key: str | Sequence[str], n: int,
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["_h", id_col], kind="mergesort")
         return g.groupby(keys, sort=False, dropna=False).head(n) \
-            .drop(columns=["_bucket", "_h"])
+            .drop(columns=["_h"])
 
     pruned = ds.map_batches(prune, batch_format="pandas", batch_size=None)
-    return with_hash_bucket(pruned, keys, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(pruned, keys, per_bucket, num_buckets)
 
 
 _NULLABLE_INT = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
@@ -1032,7 +1046,7 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     infra at 32 CPUs; the same joins bucketed run in ~5 s).  Supports
     multi-column keys; ``right_on`` columns are renamed onto ``on``.
     Null keys match nothing (inner semantics).  Same bucket-count sizing
-    rule as :func:`with_hash_bucket`; assumes one bucket's rows fit one
+    rule as :func:`bucket_exchange`; assumes one bucket's rows fit one
     task (both sides land in the same pandas group).
 
     Prefer ``Dataset.join`` when either side is so large that a single
@@ -1121,8 +1135,7 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         m = lg.merge(rg, on=on, how="inner")
         return m[out_cols].astype(int_casts)
 
-    return with_hash_bucket(both, on, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(both, on, per_bucket, num_buckets)
 
 
 def bucketed_semi_anti_join(left: "ray.data.Dataset",
@@ -1244,8 +1257,7 @@ def bucketed_semi_anti_join(left: "ray.data.Dataset",
             kept = pd.concat([kept, lg.loc[null_keys]])
         return kept[lcols].astype(int_casts)
 
-    return with_hash_bucket(both, on, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(both, on, per_bucket, num_buckets)
 
 
 def key_skew_profile(ds: "ray.data.Dataset", key: str,
@@ -1331,8 +1343,7 @@ def retention_cohorts(events: "ray.data.Dataset", user_col: str = "user_id",
             "week_offset": (g["w"] - cw).to_numpy(),
             user_col: g[user_col].to_numpy()})
 
-    trip = with_hash_bucket(weeks, user_col, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    trip = bucket_exchange(weeks, user_col, per_bucket, num_buckets)
     return grouped_sum(trip, ["cohort_week", "week_offset"],
                        count_as="n_users")
 
