@@ -428,6 +428,17 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     timed2(f"scale_bpe_train_{dtag}",
            lambda: train_bpe(ray.data.read_parquet(dc), n_merges=16))
 
+    from zeeklog_ray import relational
+
+    def train_bpe_distributed(*args, **kw) -> dict:
+        # a zero heap budget forces the distributed training tier
+        saved = relational.HEAP_BUDGET_BYTES
+        relational.HEAP_BUDGET_BYTES = 0
+        try:
+            return train_bpe(*args, **kw)
+        finally:
+            relational.HEAP_BUDGET_BYTES = saved
+
     # the DISTRIBUTED training tier at its volume regime: 3M distinct
     # words (every word unique), 4 merge rounds — per-round bucketed
     # pair census + row-local merge apply
@@ -442,7 +453,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
         uniq_words, batch_format="pandas", batch_size=None)
 
     def bpe_3m():
-        fit = train_bpe(docs_u, n_merges=4, driver_vocab=0, num_buckets=256)
+        fit = train_bpe_distributed(docs_u, n_merges=4, num_buckets=256)
         assert fit["n_distinct_words"] == 3_000_000
 
     timed2("scale_bpe_train_distributed_3m_words", bpe_3m)
@@ -478,7 +489,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
         zipf_lines, batch_format="pandas", batch_size=None)
 
     def bpe_64():
-        fit = train_bpe(docs_z, n_merges=64, driver_vocab=0, num_buckets=32)
+        fit = train_bpe_distributed(docs_z, n_merges=64, num_buckets=32)
         assert len(fit["merges"]) == 64
         extras["bpe64_rounds"] = fit["n_rounds"]
         extras["bpe64_distinct_words"] = fit["n_distinct_words"]
@@ -492,8 +503,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     # 64-merge twin above is best-of-2; this entry exists for the
     # growth ratio, not the absolute number).
     t0 = time.monotonic()
-    fit256 = train_bpe(docs_z, n_merges=256, driver_vocab=0,
-                       num_buckets=32)
+    fit256 = train_bpe_distributed(docs_z, n_merges=256, num_buckets=32)
     timings["scale_bpe_train_distributed_256merges"] = round(
         time.monotonic() - t0, 3)
     assert len(fit256["merges"]) == 256

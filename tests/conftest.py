@@ -38,3 +38,17 @@ def corpus_frame():
     from zeeklog_ray.corpus import make_corpus_frame
 
     return make_corpus_frame(6_000)
+
+
+@pytest.fixture(params=["in_heap", "distributed"])
+def heap_tier(request, monkeypatch):
+    """Run a test on both sides of every broadcast/driver tier decision
+    (relational.fits_in_heap): ``in_heap`` keeps the default budget,
+    ``distributed`` sets relational.HEAP_BUDGET_BYTES to 0.  A test that
+    parametrizes this fixture indirectly with an int sets that budget."""
+    from zeeklog_ray import relational
+
+    budget = {"in_heap": relational.HEAP_BUDGET_BYTES,
+              "distributed": 0}.get(request.param, request.param)
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", budget)
+    return request.param

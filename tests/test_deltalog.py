@@ -389,6 +389,45 @@ def test_torn_append_invisible_and_vacuumed(base_store, ray_session):
     assert got2.set_index("k").loc[1, "v"] == 2
 
 
+def test_retried_append_discards_torn_batch(base_store, ray_session):
+    """A crash between the file moves and the counter advance leaves a
+    torn batch at seq committed+1.  The retried append reuses that seq;
+    it must delete the torn files first, or the ones it does not
+    overwrite (other partitions, higher file indices) commit with it as
+    ghost rows.  The merged view equals a pandas replay of the committed
+    batches only."""
+    import ray.data
+
+    from zeeklog_ray.partitioned import append_deltas
+
+    root, base = base_store
+    b1 = pd.DataFrame({"k": [0], "day": ["2024-06-01"], "v": [111],
+                       "ver": [1], "deleted": [False]})
+    append_deltas(root, ray.data.from_pandas(b1), part_col="day")
+    # torn seq-2 batch: two files in 06-01, one in 06-02; counter says 1
+    torn = {("2024-06-01", 0): (3, 555), ("2024-06-01", 1): (9, 777),
+            ("2024-06-02", 0): (1, 666)}
+    for (day, i), (k, v) in torn.items():
+        ddir = os.path.join(root, f"day={day}", "_deltas")
+        os.makedirs(ddir, exist_ok=True)
+        pq.write_table(pa.table({"k": [k], "v": [v], "ver": [9],
+                                 "deleted": [False]}),
+                       os.path.join(ddir, f"delta-000002-{i:04d}.parquet"))
+    # the retry touches only 06-01 and writes a single file
+    b2 = pd.DataFrame({"k": [6], "day": ["2024-06-01"], "v": [333],
+                       "ver": [1], "deleted": [False]})
+    rep = append_deltas(root, ray.data.from_pandas(b2), part_col="day")
+    assert rep["seq"].tolist() == [2] and rep["files"].tolist() == [1]
+
+    replay = pd.concat([base.assign(deleted=False), b1, b2],
+                       ignore_index=True)
+    replay = replay.sort_values("ver", kind="stable").groupby("k").tail(1)
+    exp = replay[~replay["deleted"]].sort_values("k")[["k", "v"]] \
+        .reset_index(drop=True)
+    got = _merged(root)[["k", "v"]]
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+
+
 def _tiny_store(tmp_path, counter: str) -> tuple[str, str]:
     """One partition with a base file, a seq-2 delta file and the given
     ``_delta_seq`` counter text; returns (root, delta path)."""

@@ -30,9 +30,10 @@ def test_minhash_degenerate_bucket_capped(ray_session):
 
 
 def test_minhash_guard_distributed_count_tier(ray_session, monkeypatch):
-    """Above the driver-merge threshold the bucket count runs as a Dataset
-    groupby; both tiers must produce the same capped result."""
+    """Past the heap budget the bucket count runs as a Dataset groupby;
+    both tiers must produce the same capped result."""
     import zeeklog_ray.ops.dedup as dd
+    from zeeklog_ray import relational
 
     n_same = 40
     df = pd.DataFrame({
@@ -42,7 +43,7 @@ def test_minhash_guard_distributed_count_tier(ray_session, monkeypatch):
            "second unique document about actor pools and backpressure ok"],
     })
     ds = ray.data.from_pandas(df).repartition(2)
-    monkeypatch.setattr(dd, "_GUARD_DRIVER_MERGE_MAX", 0)  # force groupby tier
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)  # groupby tier
     capped = dd.minhash_lsh_pairs(ds, max_bucket=10).to_pandas()
     assert len(capped) == 0
     uncapped = dd.minhash_lsh_pairs(ds, max_bucket=1000).to_pandas()

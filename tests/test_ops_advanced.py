@@ -6,21 +6,21 @@ import pandas as pd
 import pytest
 import ray.data
 
+from zeeklog_ray import relational
 from zeeklog_ray.aggregate import salted_groupby_sum
 from zeeklog_ray.ops.graph import connected_components, dedup_keep_canonical
 from zeeklog_ray.ops.sketch import approx_distinct
 from zeeklog_ray.ops.streaming import sliding_window_counts
 
 
-@pytest.mark.parametrize("threshold", [100_000, 0])
-def test_connected_components(ray_session, threshold):
-    """threshold=100k → driver union-find path; 0 → distributed min-label
-    propagation path.  Same answer from both."""
+@pytest.mark.parametrize("heap_tier", [100_000, 0], indirect=True)
+def test_connected_components(ray_session, heap_tier):
+    """A 100 kB heap budget → driver union-find path; 0 → distributed
+    min-label propagation path.  Same answer from both."""
     # components: {1,2,3,9} via chain, {5,6}, {7,8}
     pairs = pd.DataFrame({"doc_a": [1, 2, 3, 5, 7],
                           "doc_b": [2, 3, 9, 6, 8]})
-    out = connected_components(ray.data.from_pandas(pairs),
-                               small_edge_threshold=threshold).to_pandas() \
+    out = connected_components(ray.data.from_pandas(pairs)).to_pandas() \
         .set_index("node")["component"]
     assert out.loc[[1, 2, 3, 9]].tolist() == [1, 1, 1, 1]
     assert out.loc[[5, 6]].tolist() == [5, 5]
@@ -281,10 +281,11 @@ def test_canonical_per_component(ray_session):
     assert out["n_members"].tolist() == [3, 2]
 
 
-def test_node_degrees_and_triangle_count(ray_session):
+def test_node_degrees_and_triangle_count(ray_session, monkeypatch):
     """K5 has C(5,3)=10 triangles and uniform degree 4; a random graph
     matches a brute-force count; reversed/duplicate/self-loop rows are
-    canonicalized away; an edgeless input counts zero."""
+    canonicalized away; an edgeless input counts zero.  The broadcast
+    degree tier and the hash-join tier (zero heap budget) agree."""
     import itertools
 
     import numpy as np
@@ -320,6 +321,10 @@ def test_node_degrees_and_triangle_count(ray_session):
 
     path = pd.DataFrame({"doc_a": [1, 2], "doc_b": [2, 3]})  # wedge, no close
     assert triangle_count(ray.data.from_pandas(path), num_buckets=4) == 0
+
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    assert triangle_count(ds, num_buckets=8) == 10
+    assert triangle_count(ds2, num_buckets=16) == brute
 
 
 def test_kmeans_planted_mixture_recovery(ray_session):
@@ -399,7 +404,7 @@ def test_kmeans_small_sample_and_inertia_consistency(ray_session):
     assert len(out) == 3000
 
 
-def test_pagerank_tiers_agree_and_rank_hubs(ray_session):
+def test_pagerank_tiers_agree_and_rank_hubs(ray_session, monkeypatch):
     """Driver tier matches a dense-matrix reference; distributed tier
     matches the driver tier on the same graph; a star center outranks
     its leaves; ranks sum to ~1."""
@@ -432,12 +437,19 @@ def test_pagerank_tiers_agree_and_rank_hubs(ray_session):
     assert out.loc[0] == out.max()             # star center is the hub
     assert abs(int(out.sum()) - 1_000_000_000) < 100
 
-    # distributed tier on the same graph (driver_nodes=0 forces it);
-    # fewer rounds — each distributed round costs shuffle infra — and
-    # tol=0 in BOTH tiers so both run exactly 8 rounds
+    # distributed tier on the same graph (a zero heap budget forces
+    # it); fewer rounds — each distributed round costs shuffle infra —
+    # and tol=0 in BOTH tiers so both run exactly 8 rounds.  Every
+    # driver-tier run comes first: the budget stays 0 once set.
     drv8 = pagerank(pairs, n_iters=8, tol=0.0).to_pandas() \
         .set_index("node")["rank_e9"]
-    dist = pagerank(pairs, n_iters=8, tol=0.0, driver_nodes=0,
+    es = dict(n_iters=30, tol=1e-3, damping=0.5)
+    drv_es = pagerank(pairs, **es).to_pandas() \
+        .set_index("node")["rank_e9"]
+    full_es = pagerank(pairs, n_iters=30, tol=0.0, damping=0.5) \
+        .to_pandas().set_index("node")["rank_e9"]
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    dist = pagerank(pairs, n_iters=8, tol=0.0,
                     num_buckets=8).to_pandas().set_index("node")["rank_e9"]
     assert np.abs(dist.loc[np.arange(n)].to_numpy()
                   - drv8.loc[np.arange(n)].to_numpy()).max() <= 2
@@ -448,17 +460,12 @@ def test_pagerank_tiers_agree_and_rank_hubs(ray_session):
     # damping=0.5 so the L1 delta halves per round and the stop lands
     # around round ~9 (keeps the distributed run's shuffle-round count,
     # and this test's wall time, small)
-    es = dict(n_iters=30, tol=1e-3, damping=0.5)
-    drv_es = pagerank(pairs, **es).to_pandas() \
-        .set_index("node")["rank_e9"]
-    dist_es = pagerank(pairs, driver_nodes=0, num_buckets=8,
+    dist_es = pagerank(pairs, num_buckets=8,
                        **es).to_pandas().set_index("node")["rank_e9"]
     assert np.abs(dist_es.loc[np.arange(n)].to_numpy()
                   - drv_es.loc[np.arange(n)].to_numpy()).max() <= 2
     # and the loose-tol result is genuinely an early stop (differs from
     # the same-damping full-30-round fixpoint) — guards the guard
-    full_es = pagerank(pairs, n_iters=30, tol=0.0, damping=0.5) \
-        .to_pandas().set_index("node")["rank_e9"]
     assert np.abs(drv_es.loc[np.arange(n)].to_numpy()
                   - full_es.loc[np.arange(n)].to_numpy()).max() > 10
 

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 import ray.data
 
+from zeeklog_ray import relational
 from zeeklog_ray.ops.bpetrain import (
     END_WORD,
     _apply_merge,
@@ -65,11 +66,10 @@ TEXTS = [
 ]
 
 
-@pytest.mark.parametrize("driver_vocab", [1_000_000, 0])
-def test_train_bpe_matches_reference(ray_session, driver_vocab):
+@pytest.mark.parametrize("heap_tier", [1_000_000, 0], indirect=True)
+def test_train_bpe_matches_reference(ray_session, heap_tier):
     ds = ray.data.from_pandas(pd.DataFrame({"text": TEXTS})).repartition(3)
-    got = train_bpe(ds, n_merges=12, driver_vocab=driver_vocab,
-                    num_buckets=8)
+    got = train_bpe(ds, n_merges=12, num_buckets=8)
     exp = reference_bpe(TEXTS, 12)
     assert got["merges"] == exp
     assert got["n_distinct_words"] == len(
@@ -107,7 +107,7 @@ def test_select_merge_batch_rules():
     assert _select_merge_batch(pd.Series(dtype=np.int64), 10, 2) == []
 
 
-def test_train_bpe_batched_64_merges_parity(ray_session):
+def test_train_bpe_batched_64_merges_parity(ray_session, monkeypatch):
     """64 merges on a natural-statistics corpus: the batched distributed
     tier must produce the BIT-IDENTICAL merge list to the driver tier
     and the pure-Python reference (VERDICT r3 item 6)."""
@@ -123,7 +123,8 @@ def test_train_bpe_batched_64_merges_parity(ray_session):
     lines = [" ".join(texts[i:i + 10]) for i in range(0, len(texts), 10)]
     ds = ray.data.from_pandas(pd.DataFrame({"text": lines})).repartition(4)
     drv = train_bpe(ds, n_merges=64)
-    dist = train_bpe(ds, n_merges=64, driver_vocab=0, num_buckets=8)
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    dist = train_bpe(ds, n_merges=64, num_buckets=8)
     exp = reference_bpe(lines, 64)
     assert drv["merges"] == exp
     assert dist["merges"] == exp
@@ -216,12 +217,14 @@ def test_tokenize_sentinel_collision_and_unknown_chars(ray_session):
     assert o2.loc[1] == 0 and o2.loc[2] == 0
 
 
-def test_train_bpe_distributed_spill_parity(ray_session, tmp_path):
+def test_train_bpe_distributed_spill_parity(ray_session, tmp_path,
+                                            monkeypatch):
     """The Parquet spill seam for the per-round code-table pin must be
     bit-identical to the object-store pin (same merges, same counts)."""
     ds = ray.data.from_pandas(pd.DataFrame({"text": TEXTS})).repartition(3)
-    pinned = train_bpe(ds, n_merges=12, driver_vocab=0, num_buckets=8)
-    spilled = train_bpe(ds, n_merges=12, driver_vocab=0, num_buckets=8,
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    pinned = train_bpe(ds, n_merges=12, num_buckets=8)
+    spilled = train_bpe(ds, n_merges=12, num_buckets=8,
                         spill_dir=str(tmp_path / "bpe_spill"))
     assert spilled["merges"] == pinned["merges"]
     assert spilled["n_rounds"] == pinned["n_rounds"]

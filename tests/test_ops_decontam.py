@@ -49,11 +49,14 @@ def test_empty_benchmark_flags_nothing(ray_session):
     assert benchmark_contamination(docs, bench).count() == 0
 
 
-def test_benchmark_size_guard(ray_session):
+def test_benchmark_size_guard(ray_session, monkeypatch):
+    from zeeklog_ray import relational
+
     bench = _ds({"doc_id": [1],
                  "text": ["abcdefghijklmnopqrstuvwxyz0123456789"]})
-    with pytest.raises(ValueError, match="broadcast-sized"):
-        collect_benchmark_grams(bench, max_grams=10)
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 10 * 8)  # 10 grams
+    with pytest.raises(ValueError, match="heap budget"):
+        collect_benchmark_grams(bench)
 
 
 def test_collect_grams_sorted_unique(ray_session):

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 import ray.data
 
+from zeeklog_ray import relational
 from zeeklog_ray.ops.dedup import (
     _shingle_hashes,
     embedding_cosine_pairs,
@@ -187,10 +188,12 @@ def test_ngram_jaccard_dedup_pairs(ray_session):
     assert all(b != 3 and a != 3 for a, b in got)  # unrelated filtered
 
 
-def test_ngram_jaccard_dedup_pairs_join_tier_parity(ray_session):
-    """broadcast_candidate_docs=0 forces the partitioned bucketed-join
-    verify tier; planted dups must come out IDENTICAL to the broadcast
-    tier (same pairs, same j_e4)."""
+def test_ngram_jaccard_dedup_pairs_join_tier_parity(ray_session,
+                                                    monkeypatch):
+    """A zero heap budget forces the partitioned bucketed-join verify
+    tier (and the Dataset-groupby over-cap bucket count); planted dups
+    must come out IDENTICAL to the broadcast tier (same pairs, same
+    j_e4)."""
     from zeeklog_ray.ops.dedup import ngram_jaccard_dedup_pairs
 
     # planted near-dup clusters across enough docs that LSH yields a
@@ -205,10 +208,9 @@ def test_ngram_jaccard_dedup_pairs_join_tier_parity(ray_session):
     broad = ngram_jaccard_dedup_pairs(
         ray.data.from_pandas(df), **kw).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     joined = ngram_jaccard_dedup_pairs(
-        ray.data.from_pandas(df), broadcast_candidate_docs=0,
-        broadcast_text_bytes=0,
-        num_buckets=16, **kw).to_pandas() \
+        ray.data.from_pandas(df), num_buckets=16, **kw).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert len(broad) > 0                       # planted dups were found
     pd.testing.assert_frame_equal(broad, joined)
@@ -216,6 +218,49 @@ def test_ngram_jaccard_dedup_pairs_join_tier_parity(ray_session):
     exact = {(i, i + 100) for i in range(30) if i % 3 != 0}
     got = set(zip(broad["doc_a"], broad["doc_b"]))
     assert exact <= got
+
+
+def test_ngram_jaccard_verify_tier_priced_in_utf8_bytes(ray_session,
+                                                        monkeypatch):
+    """The candidate-text lookup is priced in UTF-8 bytes, not
+    characters: multibyte texts whose character count fits the heap
+    budget but whose bytes do not take the bucketed-join verify tier,
+    with the same pairs as the broadcast tier."""
+    from zeeklog_ray.ops.dedup import ngram_jaccard_dedup_pairs
+
+    rows = []
+    for i in range(12):
+        t = f"ĉiu ŝanĝo ĝenas ĉefe {i} " + "ŭaŭ ĥoro ĵaŭdo " * 3
+        rows += [(i, t), (i + 100, t + "ĵ")]
+    df = pd.DataFrame(rows, columns=["doc_id", "text"])
+    kw = dict(threshold_e4=5000, num_perm=16, bands=8)
+    cand = minhash_lsh_pairs(ray.data.from_pandas(df), num_perm=16,
+                             bands=8).to_pandas()
+    ids = np.unique(cand[["doc_a", "doc_b"]].to_numpy())
+    texts = df.set_index("doc_id").loc[ids, "text"]
+    n_chars = int(texts.str.len().sum())
+    n_bytes = int(texts.str.encode("utf-8").str.len().sum())
+    id_bytes = len(ids) * relational.PY_ROW_BYTES
+    assert len(ids) and n_bytes > n_chars
+
+    joins = []
+    real_join = relational.bucketed_equi_join
+    monkeypatch.setattr(relational, "bucketed_equi_join",
+                        lambda *a, **k: joins.append(1) or real_join(*a, **k))
+
+    def run() -> pd.DataFrame:
+        return ngram_jaccard_dedup_pairs(
+            ray.data.from_pandas(df), num_buckets=8, **kw).to_pandas() \
+            .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", n_bytes + id_bytes)
+    broad = run()
+    assert joins == []                       # byte price fits: broadcast
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", n_chars + id_bytes)
+    joined = run()
+    assert len(joins) == 2                   # chars fit, bytes do not
+    assert len(broad) > 0
+    pd.testing.assert_frame_equal(broad, joined)
 
 
 def test_levenshtein_pairs_matches_duckdb():
@@ -357,7 +402,7 @@ def _brute_dup_windows(df: pd.DataFrame, k: int = 8) -> dict[int, tuple]:
             for d, ws in per_doc.items()}
 
 
-def test_duplicated_window_stats_planted(ray_session):
+def test_duplicated_window_stats_planted(ray_session, monkeypatch):
     from zeeklog_ray.ops.dedup import duplicated_window_stats
 
     shared = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
@@ -379,6 +424,11 @@ def test_duplicated_window_stats_planted(ray_session):
     assert out.loc[4, "n_windows"] == 0 and out.loc[4, "dup_ratio_e4"] == 0
     assert out.loc[5, "dup_windows"] == out.loc[5, "n_windows"]  # exact dup
     assert out.loc[3, "dup_windows"] == 0
+    # union-sum finish tier (zero heap budget) agrees exactly
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    dist = duplicated_window_stats(ray.data.from_pandas(df), num_buckets=4) \
+        .to_pandas().set_index("doc_id").sort_index()
+    pd.testing.assert_frame_equal(out, dist[out.columns.tolist()])
 
 
 def test_duplicated_window_stats_batch_invariance(ray_session):
@@ -423,8 +473,8 @@ def _brute_remove_spans(df: pd.DataFrame, k: int = 8) -> dict[int, tuple]:
     return out
 
 
-@pytest.mark.parametrize("broadcast_grams", [2_000_000, 0])
-def test_remove_dup_spans_tiers(ray_session, broadcast_grams):
+@pytest.mark.parametrize("heap_tier", [2_000_000, 0], indirect=True)
+def test_remove_dup_spans_tiers(ray_session, heap_tier):
     from zeeklog_ray.ops.dedup import remove_dup_spans
 
     shared = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
@@ -436,8 +486,7 @@ def test_remove_dup_spans_tiers(ray_session, broadcast_grams):
         "short doc",
     ]})
     out = remove_dup_spans(ray.data.from_pandas(df).repartition(3),
-                           num_buckets=4,
-                           broadcast_grams=broadcast_grams) \
+                           num_buckets=4) \
         .to_pandas().set_index("doc_id").sort_index()
     ref = _brute_remove_spans(df)
     for d, (clean, nw, nr) in ref.items():
@@ -450,7 +499,7 @@ def test_remove_dup_spans_tiers(ray_session, broadcast_grams):
     assert out.loc[4, "text_clean"] == "short doc"
 
 
-def test_remove_dup_spans_random_cross_tier(ray_session):
+def test_remove_dup_spans_random_cross_tier(ray_session, monkeypatch):
     from zeeklog_ray.ops.dedup import remove_dup_spans
 
     rng = np.random.default_rng(17)
@@ -461,8 +510,9 @@ def test_remove_dup_spans_random_cross_tier(ray_session):
     df = pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts})
     a = remove_dup_spans(ray.data.from_pandas(df), num_buckets=4) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     b = remove_dup_spans(ray.data.from_pandas(df).repartition(7),
-                         num_buckets=8, broadcast_grams=0) \
+                         num_buckets=8) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns.tolist()])
     ref = _brute_remove_spans(df)
@@ -541,10 +591,11 @@ def test_cdc_chunk_table_matches_reference(ray_session):
             assert (sub["chunk_words"].iloc[:-1] >= 4).all()
 
 
-def test_cdc_dup_stats_planted_and_edit_robust(ray_session):
+def test_cdc_dup_stats_planted_and_edit_robust(ray_session, monkeypatch):
     """A planted copy with a novel 5-word prefix still shares most
     chunks with the original (boundaries resync on content); unrelated
-    docs share nothing; block layout does not change the answer."""
+    docs share nothing; neither block layout nor the finish tier (zero
+    heap budget) changes the answer."""
     import ray.data
 
     from zeeklog_ray.ops.dedup import cdc_dup_stats
@@ -573,11 +624,16 @@ def test_cdc_dup_stats_planted_and_edit_robust(ray_session):
     out2 = cdc_dup_stats(rowwise, **kw).to_pandas() \
         .set_index("doc_id").sort_index()
     pd.testing.assert_frame_equal(out, out2)
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    dist = cdc_dup_stats(ray.data.from_pandas(df), **kw).to_pandas() \
+        .set_index("doc_id").sort_index()
+    pd.testing.assert_frame_equal(out, dist[out.columns.tolist()])
 
 
-def test_cdc_screen_then_verify_planted(ray_session):
+def test_cdc_screen_then_verify_planted(ray_session, monkeypatch):
     """Planted near-copies screen in together and get exact window
-    stats; clean docs never reach (or pay for) the verify tier; an
+    stats; clean docs never reach (or pay for) the verify tier; the
+    bucketed-join suspect tier (zero heap budget) agrees exactly; an
     all-clean corpus returns an empty frame with the contract schema."""
     import ray.data
 
@@ -610,6 +666,11 @@ def test_cdc_screen_then_verify_planted(ray_session):
         assert (out[c] == ref[c]).all(), c
     assert (out["screen_ratio_e4"] >= 2_000).all()
     assert out.loc[1, "dup_ratio_e4"] > 8_000
+    with monkeypatch.context() as m:
+        m.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+        dist = cdc_screen_then_verify(ray.data.from_pandas(df), **kw) \
+            .to_pandas().set_index("doc_id").sort_index()
+    pd.testing.assert_frame_equal(out, dist[out.columns.tolist()])
 
     # all-clean corpus -> empty result with the contract schema on the
     # DATASET (zero-row .to_pandas() loses columns — the documented Ray
@@ -707,7 +768,7 @@ def test_cdc_screen_asymmetric_copy_documents_recall_limit(ray_session):
     assert int(lo.loc[2, "dup_windows"]) > 0
 
 
-def test_incremental_dedup_exact_and_fp_removal():
+def test_incremental_dedup_exact_and_fp_removal(monkeypatch):
     from zeeklog_ray.ops.dedup import incremental_dedup
 
     rng = np.random.default_rng(7)
@@ -723,14 +784,14 @@ def test_incremental_dedup_exact_and_fp_removal():
     # exactness must come from the 128-bit semi-join, not the screen
     out = incremental_dedup(ray.data.from_pandas(new).repartition(4),
                             ray.data.from_pandas(base).repartition(4),
-                            n_bits=256, broadcast_ids=2_000_000) \
-        .to_pandas()
+                            n_bits=256).to_pandas()
     assert sorted(out["doc_id"]) == list(range(1000, 1100))
-    # bucketed anti tier (broadcast cap 0) must agree exactly
+    # full-base semi-join and bucketed anti tier (zero heap budget)
+    # must agree exactly
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     out2 = incremental_dedup(ray.data.from_pandas(new).repartition(4),
                              ray.data.from_pandas(base).repartition(4),
-                             n_bits=256, broadcast_ids=0,
-                             num_buckets=8).to_pandas()
+                             n_bits=256, num_buckets=8).to_pandas()
     assert sorted(out2["doc_id"]) == sorted(out["doc_id"])
     assert sorted(out2.columns) == sorted(new.columns)
 
@@ -746,7 +807,7 @@ def test_incremental_dedup_empty_base_passes_everything():
     assert sorted(out["doc_id"]) == [1, 2]
 
 
-def test_incremental_near_dup_planted_and_tiers(ray_session):
+def test_incremental_near_dup_planted_and_tiers(ray_session, monkeypatch):
     from zeeklog_ray.ops.dedup import incremental_near_dup
 
     rng = np.random.default_rng(11)
@@ -774,13 +835,14 @@ def test_incremental_near_dup_planted_and_tiers(ray_session):
     # new-vs-new pairs must never appear (both ids in new id space)
     assert not ((out["doc_id"] >= 1000) & (out["base_id"] >= 1000)).any()
 
-    # partitioned verify tier (broadcast cap 0) agrees bit-exactly
-    out2 = incremental_near_dup(
-        ray.data.from_pandas(new).repartition(4),
-        ray.data.from_pandas(base).repartition(4),
-        num_perm=16, bands=4, threshold_e4=5000,
-        broadcast_candidate_docs=0, broadcast_text_bytes=0,
-        num_buckets=8).to_pandas()
+    # partitioned verify tier (zero heap budget) agrees bit-exactly
+    with monkeypatch.context() as m:
+        m.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+        out2 = incremental_near_dup(
+            ray.data.from_pandas(new).repartition(4),
+            ray.data.from_pandas(base).repartition(4),
+            num_perm=16, bands=4, threshold_e4=5000,
+            num_buckets=8).to_pandas()
     key = ["doc_id", "base_id", "j_e4"]
     pd.testing.assert_frame_equal(
         out[key].sort_values(key).reset_index(drop=True),

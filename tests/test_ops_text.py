@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 import ray.data
 
+from zeeklog_ray import relational
 from zeeklog_ray.ops.text import (
     _BPE_RE,
     LangId,
@@ -250,9 +251,10 @@ def test_normalize_text_documented_divergences():
     con.close()
 
 
-def test_tfidf_top_terms_hand_computed(ray_session):
+def test_tfidf_top_terms_hand_computed(ray_session, monkeypatch):
     """Tiny corpus with hand-computed linear-idf scores: shared word
-    scores low, unique word scores high, ties break by word ascending."""
+    scores low, unique word scores high, ties break by word ascending.
+    The bucketed-join df tier (zero heap budget) agrees exactly."""
     import pandas as pd
     import ray.data
 
@@ -279,6 +281,13 @@ def test_tfidf_top_terms_hand_computed(ray_session):
     assert d3[["word", "tf", "score_ppm"]].values.tolist() == [
         ["cat", 1, 1_500_000]]
     assert out["rank"].max() <= 2
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    dist = tfidf_top_terms(ray.data.from_pandas(docs), k=2,
+                           num_buckets=4).to_pandas()
+    key = ["doc_id", "rank"]
+    pd.testing.assert_frame_equal(
+        out.sort_values(key).reset_index(drop=True),
+        dist[out.columns.tolist()].sort_values(key).reset_index(drop=True))
 
 
 def test_tfidf_tie_break_by_word(ray_session):
@@ -398,7 +407,7 @@ def test_rare_word_stats_hand_case(ray_session):
     assert out.loc[3].tolist() == [1, 0, 0]
 
 
-def test_unigram_logprob_matches_pandas(ray_session):
+def test_unigram_logprob_matches_pandas(ray_session, monkeypatch):
     from zeeklog_ray.ops.text import unigram_logprob
 
     rng = np.random.default_rng(11)
@@ -422,10 +431,19 @@ def test_unigram_logprob_matches_pandas(ray_session):
     np.testing.assert_allclose(got["avg_logprob"].to_numpy(),
                                exp.to_numpy(), atol=1e-9)
     assert (got["avg_logprob"].to_numpy()[:-1] < 0).all()
+    # bucketed-join attach tier (zero heap budget): same counts, same
+    # float sums up to summation order
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    dist = unigram_logprob(ray.data.from_pandas(df).repartition(7),
+                           num_buckets=4).to_pandas() \
+        .set_index("doc_id").sort_index()
+    assert (dist["n_words"] == got["n_words"]).all()
+    np.testing.assert_allclose(dist["avg_logprob"].to_numpy(),
+                               got["avg_logprob"].to_numpy(), atol=1e-9)
 
 
-def test_rare_word_stats_join_tier_parity(ray_session):
-    """broadcast_vocab=0 forces the long-table bucketed-join tier; both
+def test_rare_word_stats_join_tier_parity(ray_session, monkeypatch):
+    """A zero heap budget forces the long-table bucketed-join tier; both
     tiers must agree exactly."""
     from zeeklog_ray.ops.text import rare_word_stats
 
@@ -437,9 +455,9 @@ def test_rare_word_stats_join_tier_parity(ray_session):
     a = rare_word_stats(ray.data.from_pandas(df), min_corpus_count=10,
                         num_buckets=4).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     b = rare_word_stats(ray.data.from_pandas(df).repartition(9),
-                        min_corpus_count=10, num_buckets=8,
-                        broadcast_vocab=0).to_pandas() \
+                        min_corpus_count=10, num_buckets=8).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns.tolist()])
 
@@ -467,11 +485,12 @@ def test_corpus_stat_spill_dir_parity(ray_session, tmp_path):
     pd.testing.assert_frame_equal(ra, rb[ra.columns.tolist()])
 
 
-def test_source_distinctive_terms_hand_computed(ray_session):
+def test_source_distinctive_terms_hand_computed(ray_session, monkeypatch):
     """Two sources, one word exclusive to each: the exclusive word tops
     its source's ranking with the hand-computed integer score; the
-    shared word scores low in both.  Also checks min_count filtering
-    and block-layout invariance (1 block vs row-per-block)."""
+    shared word scores low in both.  Also checks min_count filtering,
+    block-layout invariance (1 block vs row-per-block) and the
+    bucketed-join attach tier (zero heap budget)."""
     import ray.data
 
     from zeeklog_ray.ops.text import source_distinctive_terms
@@ -514,6 +533,12 @@ def test_source_distinctive_terms_hand_computed(ray_session):
                                     num_buckets=4).to_pandas() \
         .sort_values(["source", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(out, out3)
+
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
+    out4 = source_distinctive_terms(ray.data.from_pandas(docs), k=10,
+                                    min_count=1, num_buckets=4) \
+        .to_pandas().sort_values(["source", "rank"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(out, out4[out.columns.tolist()])
 
 
 def test_passage_chunks_hand_and_layout():

@@ -82,10 +82,11 @@ def test_prep_export_roundtrip(ray_session, tmp_path):
         v["sum_tokens"] for v in summary["sources"].values())
 
 
-def test_span_screen_drops_duplicated_span_docs(ray_session):
+def test_span_screen_drops_duplicated_span_docs(ray_session, monkeypatch):
     """The optional prep screen drops docs whose shared-span ratio
     reaches the threshold, in BOTH scoring modes; the default (off)
-    leaves prep_manifest output unchanged."""
+    leaves prep_manifest output unchanged; a drop set over the heap
+    budget raises instead of shuffling text."""
     import numpy as np
     import ray.data
 
@@ -119,6 +120,19 @@ def test_span_screen_drops_duplicated_span_docs(ray_session):
     assert set(base["doc_id"]) - set(screened["doc_id"]) <= set(range(10))
     assert not (set(screened["doc_id"]) & set(range(10)))
     assert len(screened) == len(base) - 1  # the kept first copy drops too
+
+    from zeeklog_ray import relational
+
+    # the 10 dropped ids cost 10 * PY_ROW_BYTES: exactly at the budget
+    # they broadcast (tiers inside the scoring agree), one id short raises
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES",
+                        10 * relational.PY_ROW_BYTES)
+    kept = span_screen(docs, ratio_e4=5000, num_buckets=4).to_pandas()
+    assert set(kept["doc_id"]) == set(range(10, 40))
+    monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES",
+                        9 * relational.PY_ROW_BYTES)
+    with pytest.raises(ValueError, match="heap budget"):
+        span_screen(docs, ratio_e4=5000, num_buckets=4)
 
 
 def test_span_screen_mode_validation(ray_session):

@@ -3,21 +3,39 @@ and compare against oracle_sql() via DuckDB (row count + sorted-column-name
 schema + order-insensitive value hash).
 
 Usage: python tools/check_oracle.py [sf_dir] [--cpus N] [--md OUT.md]
+                                    [--only a,b,...]
 
-With --md, appends a per-query markdown section for the certification
-artifact (VERDICT r3 item 1: the full-registry proof the driver's ~50-query
-sample never covers in one round).
+The checked code is the checkout this script sits in (imported relative to
+this file), so a copy of the script in another checkout checks that one.
+
+Queries run in order in a child process that holds one Ray session.  A
+query that returns nothing within ``QUERY_TIMEOUT_S`` is recorded as HANG:
+the parent kills the child's process group, runs ``ray stop --force`` and
+goes on with the next query in a fresh child.  Every result line carries
+the row count and the value hash (rows-only entries included) and no
+timing, so the logs of two commits diff line by line; the child's own
+output (Ray and query logs) goes to stderr.
+
+With --md, appends a per-query markdown section (status, rows, hash,
+seconds) for a certification artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import os
+import select
+import signal
+import subprocess
 import sys
 import time
 
-import duckdb
 import pandas as pd
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+QUERY_TIMEOUT_S = 90
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
@@ -41,16 +59,57 @@ def value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()[:16]
 
 
-def main(sf_dir: str, num_cpus: int = 8, md_path: str | None = None,
-         only: list[str] | None = None) -> int:
-    import ray
+def _registry() -> dict:
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as entrymod
 
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             logging_level="ERROR")
+    return entrymod.queries()
+
+
+def check_one(name: str, fn, oracle: str | None, con, sf_dir: str) -> dict:
+    """Run one query and compare it with its oracle; the result record."""
+    rec = {"name": name, "rows": "-", "hash": "-"}
+    try:
+        got = to_pandas(fn(sf_dir))
+    except Exception as e:  # noqa: BLE001
+        return {**rec, "status": "FAIL",
+                "msg": f"query raised {type(e).__name__}: {e}"}
+    rec.update(rows=str(len(got)), hash=value_hash(got))
+    if oracle is None:
+        return {**rec, "status": "rows-only"}
+    exp = con.sql(oracle).df()
+    problems = []
+    if len(got) != len(exp):
+        problems.append(f"rows {len(got)} != {len(exp)}")
+    if sorted(got.columns) != sorted(exp.columns):
+        problems.append(f"schema {sorted(got.columns)} != {sorted(exp.columns)}")
+    elif rec["hash"] != value_hash(exp):
+        problems.append("value hash mismatch")
+        m = got.merge(exp, how="outer", indicator=True,
+                      on=sorted(set(got.columns) & set(exp.columns)))
+        problems.append("\n" + m[m["_merge"] != "both"].head(10).to_string())
+    if problems:
+        return {**rec, "status": "FAIL", "msg": "; ".join(problems)}
+    return {**rec, "status": "PASS"}
+
+
+def child(sf_dir: str, num_cpus: int, names: list[str], out_fd: int) -> None:
+    """Run ``names`` in order in one Ray session, writing a ``start`` line
+    before and a result line after each query to ``out_fd``."""
+    import logging
+
+    import duckdb
+    import ray
     from ray.data import DataContext
 
-    DataContext.get_current().enable_progress_bars = False
+    qs = _registry()
+    from zeeklog_ray.queries import build_oracle_sql, ensure_oracle_corpus
+    from zeeklog_ray.raypatch import worker_runtime_env
 
+    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
+             logging_level="ERROR", runtime_env=worker_runtime_env())
+    DataContext.get_current().enable_progress_bars = False
+    logging.getLogger("ray.data").setLevel(logging.WARNING)
     con = duckdb.connect()
     # cap DuckDB's memory and give it a spill dir: its default limit is
     # 80% of RAM, which collides with Ray's object store in the same
@@ -61,79 +120,126 @@ def main(sf_dir: str, num_cpus: int = 8, md_path: str | None = None,
     con.sql("SET temp_directory='/tmp/duckdb_oracle_spill'")
     for t in TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as entrymod
-
-    qs = entrymod.queries()
-    if only:
-        missing = [n for n in only if n not in qs]
-        if missing:
-            raise SystemExit(f"--only names not in registry: {missing}")
-        qs = {n: qs[n] for n in only}
     # build the oracles for THIS sf dir directly (the driver runs at
     # sf0.01; locally we check other scales too) — calling
     # entrymod.oracle_sql() here would generate the sf0.01 corpus/TSV/
     # media artifacts only to discard its return value
-    from zeeklog_ray.queries import build_oracle_sql, ensure_oracle_corpus
-
     ensure_oracle_corpus(sf_dir)
     oracles = build_oracle_sql(sf_dir)
-    failures = 0
-    records: list[tuple[str, str, str, float]] = []  # name, status, rows, sec
-    for name, fn in qs.items():
-        t0 = time.monotonic()
-        try:
-            got = to_pandas(fn(sf_dir))
-        except Exception as e:  # noqa: BLE001
-            print(f"FAIL {name}: query raised {type(e).__name__}: {e}",
-                  flush=True)
-            failures += 1
-            records.append((name, "FAIL (raised)", "-",
-                            time.monotonic() - t0))
-            continue
-        dt = time.monotonic() - t0
-        if name not in oracles:
-            print(f"ok   {name}: rows={len(got)} (rows-only) [{dt:.1f}s]",
-                  flush=True)
-            records.append((name, "rows-only", str(len(got)), dt))
-            continue
-        exp = con.sql(oracles[name]).df()
-        problems = []
-        if len(got) != len(exp):
-            problems.append(f"rows {len(got)} != {len(exp)}")
-        if sorted(got.columns) != sorted(exp.columns):
-            problems.append(f"schema {sorted(got.columns)} != {sorted(exp.columns)}")
-        elif value_hash(got) != value_hash(exp):
-            problems.append("value hash mismatch")
-        if problems:
-            failures += 1
-            print(f"FAIL {name}: {'; '.join(problems)} [{dt:.1f}s]", flush=True)
-            records.append((name, "FAIL", str(len(got)), dt))
-            if "value hash mismatch" in problems:
-                m = got.merge(exp, how="outer", indicator=True,
-                              on=list(sorted(set(got.columns) & set(exp.columns))))
-                diff = m[m["_merge"] != "both"]
-                print(diff.head(10).to_string())
-        else:
-            print(f"PASS {name}: rows={len(got)} [{dt:.1f}s]", flush=True)
-            records.append((name, "PASS", str(len(got)), dt))
+    with os.fdopen(out_fd, "w") as out:
+        for name in names:
+            out.write(json.dumps({"start": name}) + "\n")
+            out.flush()
+            t0 = time.monotonic()
+            rec = check_one(name, qs[name], oracles.get(name), con, sf_dir)
+            rec["sec"] = round(time.monotonic() - t0, 1)
+            out.write(json.dumps(rec) + "\n")
+            out.flush()
     ray.shutdown()
 
+
+def _kill(proc: subprocess.Popen) -> None:
+    """Kill the child's whole process group, then any Ray processes it
+    left outside that group."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+    subprocess.run(["ray", "stop", "--force"], stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, check=False)
+
+
+def run_all(sf_dir: str, num_cpus: int, names: list[str]) -> list[dict]:
+    """Every query's result record, respawning the child after a hang or
+    a crash; prints one diffable line per query."""
+    records: list[dict] = []
+    pending = list(names)
+    while pending:
+        r, w = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), sf_dir, "--cpus",
+             str(num_cpus), "--child-fd", str(w), "--only",
+             ",".join(pending)],
+            cwd=REPO, pass_fds=(w,), start_new_session=True,
+            stdout=sys.stderr)
+        os.close(w)
+        buf, current = b"", None
+        # the child's start-up (ray.init + oracle build) shares the limit
+        deadline = time.monotonic() + QUERY_TIMEOUT_S
+        while True:
+            if b"\n" not in buf:
+                ready, _, _ = select.select(
+                    [r], [], [], max(0.0, deadline - time.monotonic()))
+                if not ready:
+                    rec = {"name": current or pending[0], "status": "HANG",
+                           "rows": "-", "hash": "-", "sec": QUERY_TIMEOUT_S,
+                           "msg": f"no result within {QUERY_TIMEOUT_S} s"}
+                    _kill(proc)
+                    break
+                chunk = os.read(r, 1 << 16)
+                if not chunk:        # child exited
+                    proc.wait()
+                    rec = None
+                    if current is not None:
+                        rec = {"name": current, "status": "FAIL", "rows": "-",
+                               "hash": "-", "sec": 0.0,
+                               "msg": f"child died (exit {proc.returncode})"}
+                    elif pending:
+                        raise SystemExit(f"child exited before its first "
+                                         f"query (exit {proc.returncode})")
+                    break
+                buf += chunk
+                continue
+            line, buf = buf.split(b"\n", 1)
+            msg = json.loads(line)
+            if "start" in msg:
+                current = msg["start"]
+                deadline = time.monotonic() + QUERY_TIMEOUT_S
+                continue
+            _report(msg, records, pending)
+            current = None
+        os.close(r)
+        if rec is not None:
+            _report(rec, records, pending)
+    return records
+
+
+def _report(rec: dict, records: list[dict], pending: list[str]) -> None:
+    records.append(rec)
+    pending.remove(rec["name"])
+    print(f"{rec['status']:9s} {rec['name']}: rows={rec['rows']} "
+          f"hash={rec['hash']}", flush=True)
+    if rec.get("msg"):
+        print(f"          {rec['msg']}", flush=True)
+
+
+def main(sf_dir: str, num_cpus: int = 8, md_path: str | None = None,
+         only: list[str] | None = None) -> int:
+    names = list(_registry())
+    if only:
+        missing = [n for n in only if n not in names]
+        if missing:
+            raise SystemExit(f"--only names not in registry: {missing}")
+        names = only
+    records = run_all(sf_dir, num_cpus, names)
+    counts = {s: sum(r["status"] == s for r in records)
+              for s in ("PASS", "rows-only", "FAIL", "HANG")}
+    total_s = sum(r["sec"] for r in records)
+    summary = (f"{len(records)} queries: {counts['PASS']} PASS (DuckDB "
+               f"rows+schema+hash), {counts['rows-only']} rows-only, "
+               f"{counts['FAIL']} FAIL, {counts['HANG']} HANG "
+               f"({total_s:.0f} s total at num_cpus={num_cpus})")
+    print(summary, flush=True)
     if md_path:
-        n_pass = sum(1 for r in records if r[1] == "PASS")
-        n_rows_only = sum(1 for r in records if r[1] == "rows-only")
-        n_fail = failures
-        total_s = sum(r[3] for r in records)
         with open(md_path, "a") as f:
-            f.write(f"\n## {sf_dir} — {len(records)} queries: "
-                    f"{n_pass} PASS (DuckDB rows+schema+hash), "
-                    f"{n_rows_only} rows-only, {n_fail} FAIL "
-                    f"({total_s:.0f} s total at num_cpus={num_cpus})\n\n")
-            f.write("| query | status | rows | sec |\n|---|---|---|---|\n")
-            for name, status, rows, dt in records:
-                f.write(f"| {name} | {status} | {rows} | {dt:.1f} |\n")
-    return failures
+            f.write(f"\n## {sf_dir} — {summary}\n\n")
+            f.write("| query | status | rows | hash | sec |\n"
+                    "|---|---|---|---|---|\n")
+            for r in records:
+                f.write(f"| {r['name']} | {r['status']} | {r['rows']} | "
+                        f"{r['hash']} | {r['sec']:.1f} |\n")
+    return counts["FAIL"] + counts["HANG"]
 
 
 if __name__ == "__main__":
@@ -144,7 +250,12 @@ if __name__ == "__main__":
                     help="append a certification markdown section here")
     ap.add_argument("--only", default=None,
                     help="comma-separated query names (incremental re-check)")
+    ap.add_argument("--child-fd", type=int, default=None,
+                    help=argparse.SUPPRESS)
     a = ap.parse_args()
     only = a.only.split(",") if a.only else None
+    if a.child_fd is not None:
+        child(a.sf_dir, a.cpus, only, a.child_fd)
+        sys.exit(0)
     sys.exit(1 if main(a.sf_dir, num_cpus=a.cpus, md_path=a.md, only=only)
              else 0)

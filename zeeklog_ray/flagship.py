@@ -188,8 +188,8 @@ class ZeekTsvRouteWorker(FileRouteWorker):
 # are PRESTARTED by ray.init, so running the file worker as a plain function
 # with module-cached state skips actor-process spawn entirely (2-5 s for a
 # 32-actor pool) while keeping the amortize-state-per-process property of an
-# actor.  The actor-pool form (FileRouteWorker as a class) remains the shape
-# to use when per-worker state is heavy (models, large dicts).
+# actor.  FileRouteWorker stays a class, so it still drops into an actor
+# pool where per-worker state is heavy (models, large dicts).
 _WORKER_CACHE: dict = {}
 
 
@@ -215,7 +215,6 @@ def _file_route_task(batch: pa.Table, *, out_dir: str, src_ip: str | None,
 
 
 def run_flagship(cfg: PipelineConfig, out_dir: str,
-                 concurrency: tuple[int, int] | None = None,
                  compression: str | None = None):
     """One-pass flagship: returns the per-sink stats DataFrame after writing
     the routed Parquet output under ``out_dir``.
@@ -230,11 +229,10 @@ def run_flagship(cfg: PipelineConfig, out_dir: str,
 
     cfg.validate()
     shutil.rmtree(out_dir, ignore_errors=True)
-    return run_files(cfg, _date_dirs(cfg), out_dir, concurrency, compression)
+    return run_files(cfg, _date_dirs(cfg), out_dir, compression)
 
 
 def run_files(cfg: PipelineConfig, files: list[str], out_dir: str,
-              concurrency: tuple[int, int] | None = None,
               compression: str | None = None,
               input_format: str = "parquet", on_error: str = "raise"):
     """Fused flagship over an explicit fragment list (the unit the lineage
@@ -249,22 +247,13 @@ def run_files(cfg: PipelineConfig, files: list[str], out_dir: str,
     # collapses to the block count)
     paths = ray.data.from_items([{"path": f} for f in files],
                                 override_num_blocks=len(files))
-    kwargs = {"out_dir": out_dir, "src_ip": cfg.src_ip, "enrich": cfg.enrich,
-              "source": cfg.source, "compression": compression}
-    if input_format == "zeek-tsv":
-        kwargs.update(input_format="zeek-tsv", on_error=on_error)
-    if concurrency is not None:  # explicit pool → actor-pool dispatch
-        cls = (ZeekTsvRouteWorker if input_format == "zeek-tsv"
-               else FileRouteWorker)
-        actor_kwargs = {k: v for k, v in kwargs.items()
-                        if k != "input_format"}
-        partial = paths.map_batches(
-            cls, batch_format="pyarrow", batch_size=1,
-            concurrency=concurrency, fn_constructor_kwargs=actor_kwargs)
-    else:  # default: task dispatch on prestarted workers, state module-cached
-        partial = paths.map_batches(
-            functools.partial(_file_route_task, **kwargs),
-            batch_format="pyarrow", batch_size=1)
+    # task dispatch on prestarted workers, worker state module-cached
+    partial = paths.map_batches(
+        functools.partial(_file_route_task, out_dir=out_dir,
+                          src_ip=cfg.src_ip, enrich=cfg.enrich,
+                          source=cfg.source, compression=compression,
+                          input_format=input_format, on_error=on_error),
+        batch_format="pyarrow", batch_size=1)
     # Final merge on the DRIVER: the combiner emits ≤|sinks| rows per
     # fragment, so the collected partials are tiny (|fragments| × |sinks|).
     # Keeping the merge out of the streaming plan matters: a groupby in the

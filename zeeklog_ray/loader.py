@@ -39,32 +39,13 @@ import pandas as pd
 import ray
 import ray.data
 
-_HASH_BASE = 1000003
-_HASH_BASE_INV = pow(_HASH_BASE, -1, 1 << 64)
+from zeeklog_ray.ops.packing import segment_hashes
 
 
 def _pack_hashes(flat: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Horner(B) mod 2^64 hash of each segment flat[offs[i]:offs[i+1]]
-    via one inverse-weighted prefix scan (the chunk_tokens machinery);
-    empty segments hash to 0."""
-    vals = flat.astype(np.uint64)
-    n = len(vals)
-    pw = np.ones(n + 1, dtype=np.uint64)
-    if n:
-        pw[1:] = np.multiply.accumulate(
-            np.full(n, _HASH_BASE, dtype=np.uint64))
-    ipw = np.ones(n, dtype=np.uint64)
-    if n > 1:
-        ipw[1:] = np.multiply.accumulate(
-            np.full(n - 1, _HASH_BASE_INV, dtype=np.uint64))
-    c = np.zeros(n + 1, dtype=np.uint64)
-    if n:
-        np.cumsum(vals * ipw, out=c[1:])
-    s, e = offs[:-1], offs[1:]
-    out = np.zeros(len(s), dtype=np.uint64)
-    ok = e > s
-    out[ok] = pw[e[ok] - 1] * (c[e[ok]] - c[s[ok]])
-    return out
+    """``pack_hash`` of each segment ``flat[offs[i]:offs[i+1]]``
+    (:func:`zeeklog_ray.ops.packing.segment_hashes`)."""
+    return segment_hashes(flat, offs[:-1], offs[1:])
 
 
 def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,

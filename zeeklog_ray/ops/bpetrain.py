@@ -8,8 +8,9 @@ corpus collapses to a ≤~10^7-row (word, count) table after one
 entity-shaped grouped count.  Training is then tiered like everything
 else here:
 
-* ``word vocab ≤ driver_vocab`` (the overwhelmingly common case): the
-  whole (word, count) table fits the driver and every merge round runs as
+* the (word, count) table passes :func:`zeeklog_ray.relational.fits_in_heap`
+  at ``PY_ROW_BYTES`` per word (the overwhelmingly common case): it
+  collects to the driver and every merge round runs as
   two VECTORIZED numpy kernels over the flattened symbol stream —
   weighted pair census (`pandas` C groupby over packed pair keys) and
   greedy left-to-right merge application (run-parity overlap resolution,
@@ -42,6 +43,8 @@ import pandas as pd
 
 import ray
 import ray.data
+
+from zeeklog_ray.relational import PY_ROW_BYTES, fits_in_heap
 
 END_WORD = "</w>"
 
@@ -236,7 +239,6 @@ def _encode_words(words: pd.Series, char_code: dict[str, int]):
 
 def train_bpe(docs: "ray.data.Dataset", n_merges: int = 50,
               text_col: str = "text", min_pair_count: int = 2,
-              driver_vocab: int = 1_000_000,
               num_buckets: int = 1024,
               spill_dir: str | None = None) -> dict:
     """Learn ``n_merges`` BPE merges from the corpus.  Returns
@@ -294,7 +296,7 @@ def train_bpe(docs: "ray.data.Dataset", n_merges: int = 50,
     merge_codes: list[tuple[int, int, int]] = []
     n_rounds = 0            # census passes (== merges on the driver tier;
     #                         merges / avg_batch on the distributed tier)
-    if n_words <= driver_vocab:
+    if fits_in_heap(n_words * PY_ROW_BYTES):
         table = wc.to_pandas()
         seq, offs = _encode_words(table["word"], char_code)
         weights = table["n"].to_numpy(np.int64)

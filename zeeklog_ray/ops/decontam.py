@@ -35,6 +35,9 @@ import pandas as pd
 
 import ray
 
+from zeeklog_ray.relational import fits_in_heap
+
+
 def _packed_kgram_pairs(texts: pd.Series, k: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """DISTINCT (doc_index, packed_gram) pairs for a batch, fully
@@ -61,16 +64,18 @@ def _packed_kgram_pairs(texts: pd.Series, k: int
 
 
 def collect_benchmark_grams(bench_ds: "ray.data.Dataset",
-                            text_col: str = "text", k: int = 8,
-                            max_grams: int = 50_000_000) -> np.ndarray:
+                            text_col: str = "text", k: int = 8
+                            ) -> np.ndarray:
     """Distinct packed byte-k-grams of the benchmark set as a SORTED uint64
     array (the probe-side index).
 
     Per-batch distinct happens inside ``map_batches`` (only unique grams
     per batch cross the wire); the driver unions the per-batch arrays.
-    ``max_grams`` is a guardrail: the benchmark side must be broadcastable
-    (50M grams = 400 MB); a "benchmark" bigger than that is a misuse of
-    this operator — raise instead of silently OOMing every worker.
+    The heap budget is a guardrail: the benchmark side must be
+    broadcastable (8 B per gram must pass
+    :func:`zeeklog_ray.relational.fits_in_heap`); a "benchmark" bigger
+    than that is a misuse of this operator — raise instead of silently
+    OOMing every worker.
     """
 
     def batch_grams(batch: pd.DataFrame) -> pd.DataFrame:
@@ -82,11 +87,12 @@ def collect_benchmark_grams(bench_ds: "ray.data.Dataset",
     if len(parts) == 0:
         return np.empty(0, np.uint64)
     grams = np.unique(np.concatenate(list(parts["grams"])))
-    if len(grams) > max_grams:
+    if not fits_in_heap(grams.nbytes):
         raise ValueError(
-            f"collect_benchmark_grams: {len(grams)} distinct grams exceeds "
-            f"max_grams={max_grams} — the benchmark side must stay "
-            "broadcast-sized; split it or raise the cap explicitly")
+            f"collect_benchmark_grams: {len(grams)} distinct grams "
+            f"({grams.nbytes} B) exceed the heap budget "
+            "(relational.HEAP_BUDGET_BYTES) — the benchmark side must stay "
+            "broadcast-sized; split it")
     return grams.astype(np.uint64)
 
 

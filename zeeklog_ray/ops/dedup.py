@@ -21,6 +21,7 @@ import pandas as pd
 import ray.data
 
 from zeeklog_ray.ops.text import rolling_kgram_hashes
+from zeeklog_ray.relational import PY_ROW_BYTES, fits_in_heap
 
 _MERSENNE = (1 << 61) - 1
 
@@ -36,11 +37,6 @@ def content_digest128(texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
                                     hash_key="zeeklog-dedup-02") \
         .to_numpy(np.uint64)
     return h1, h2
-
-# Banded-rows threshold for the oversized-bucket count: driver-merged
-# per-batch partials below (fast, no shuffle), Dataset groupby above (the
-# partials are O(rows) and would OOM the driver at real scale).
-_GUARD_DRIVER_MERGE_MAX = 5_000_000
 
 
 def normalize_text(texts: pd.Series) -> pd.Series:
@@ -201,14 +197,15 @@ def _over_cap_bucket_keys(banded: "ray.data.Dataset", n_banded: int,
     """Over-cap LSH bucket keys (and their total row count) — the tiered
     count pass shared by the dedup joins.  Band-bucket hashes are mostly
     distinct, so per-batch ``value_counts`` partials are O(rows) —
-    merging them on the driver is the FAST path only while that is small
-    (≤ _GUARD_DRIVER_MERGE_MAX rows).  Past the threshold the count runs
+    merging them on the driver is the FAST path only while their
+    (bb, m) int64 frame fits the heap budget
+    (:func:`zeeklog_ray.relational.fits_in_heap`).  Past it the count runs
     as a bucketed Dataset groupby (one shuffle of the banded rows, one
     C-level value_counts per key-hash bucket — a plain
     ``groupby("bb").aggregate(Count)`` would pay Ray's per-group Python
     per DISTINCT BUCKET).  Only the over-cap KEY SET — at most
     |rows|/max_bucket entries — ever reaches the driver."""
-    if n_banded <= _GUARD_DRIVER_MERGE_MAX:
+    if fits_in_heap(n_banded * 16):
         def bucket_partials(batch: pd.DataFrame) -> pd.DataFrame:
             vc = batch["bb"].value_counts()
             return pd.DataFrame({"bb": vc.index.to_numpy(np.int64),
@@ -273,11 +270,12 @@ def minhash_lsh_pairs(ds: "ray.data.Dataset", text_col: str = "text",
     certainly an exact-duplicate cluster — run exact dedup first, which
     collapses them without pair enumeration).  The count pass is tiered:
     driver-merged per-batch ``value_counts`` partials while the banded
-    table is small (≤5M rows; an in-plan groupby would halve map
-    parallelism, BASELINE.md), a proper Dataset groupby above (the
-    partials are O(rows) — mostly-distinct buckets — so the driver merge
-    does NOT scale; the shuffle it avoids is amortized at the sizes where
-    it triggers).  Only the over-cap key set — ≤ |rows|/max_bucket entries
+    rows' partials fit the heap budget (16 B/row, ≈16.8M rows,
+    :func:`zeeklog_ray.relational.fits_in_heap`; an in-plan groupby
+    would halve map parallelism, BASELINE.md), a proper Dataset groupby
+    above (the partials are O(rows) — mostly-distinct buckets — so the
+    driver merge does NOT scale; the shuffle it avoids is amortized at
+    the sizes where it triggers).  Only the over-cap key set — ≤ |rows|/max_bucket entries
     — ever reaches the driver.  The banded rows are pinned once so the
     count and join passes don't recompute the shingle hashing —
     ``materialize()`` by default, or a Parquet write + lazy re-read
@@ -477,15 +475,26 @@ def levenshtein_pairs(texts_a: pd.Series, texts_b: pd.Series,
     return out.astype(np.int64)
 
 
+def _utf8_bytes(texts: "ray.data.Dataset", text_col: str) -> int:
+    """Total UTF-8 bytes of ``text_col`` — the text half of a broadcast
+    lookup's heap price (a character count undercounts non-ASCII text)."""
+    import pyarrow.compute as pc
+
+    def nbytes(t: "pa.Table") -> dict:
+        return {"b": [pc.sum(pc.binary_length(t[text_col])).as_py() or 0]}
+
+    parts = texts.map_batches(nbytes, batch_format="pyarrow",
+                              batch_size=None).to_pandas()
+    return int(parts["b"].sum()) if "b" in parts.columns else 0
+
+
 def ngram_jaccard_dedup_pairs(ds: "ray.data.Dataset",
                               threshold_e4: int = 5000,
                               text_col: str = "text", k: int = 5,
                               num_perm: int = 16, bands: int = 4,
                               max_bucket: int = 512,
-                              broadcast_candidate_docs: int = 100_000,
                               num_buckets: int = 1024,
-                              spill_dir: str | None = None,
-                              broadcast_text_bytes: int = 256 << 20
+                              spill_dir: str | None = None
                               ) -> "ray.data.Dataset":
     """n-gram Jaccard near-duplicate pairs — the production two-phase shape:
     MinHash+LSH candidate generation (:func:`minhash_lsh_pairs`, signatures
@@ -498,15 +507,14 @@ def ngram_jaccard_dedup_pairs(ds: "ray.data.Dataset",
     smaller than the corpus) is broadcast once via ``ray.put`` and the
     matching texts are semi-FILTERED out of the corpus map-side
     (vectorized ``np.isin`` per batch).  The candidate TEXTS are then
-    attached two ways, tiered on the candidate count OR their measured
-    bytes (worker heap is the binding constraint for a broadcast, so a
-    large candidate POPULATION of short texts still broadcasts when it
-    fits ``broadcast_text_bytes`` — measured in incremental_near_dup,
+    attached two ways, tiered on the lookup's priced size — measured
+    UTF-8 text bytes plus ``PY_ROW_BYTES`` per id (worker heap is the
+    binding constraint for a broadcast; measured in incremental_near_dup,
     the broadcast beats the two join passes ~1.6× end-to-end when it
     fits):
 
-    * ``≤ broadcast_candidate_docs`` ids or ``≤ broadcast_text_bytes``
-      total text: the candidate texts collect to one ``ray.put`` lookup
+    * the lookup passes :func:`zeeklog_ray.relational.fits_in_heap`:
+      the candidate texts collect to one ``ray.put`` lookup
       and the verify map reads it zero-copy — zero shuffles (the common
       case: near-dup populations are small).
     * above it: the candidate texts STAY a Dataset and attach to the pair
@@ -551,13 +559,6 @@ def ngram_jaccard_dedup_pairs(ds: "ray.data.Dataset",
         ds.map_batches(keep_cands, batch_format="pandas", batch_size=None),
         spill_dir, "ngram_cand_texts")
 
-    def sz(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"b": [int(batch[text_col].str.len().sum())]})
-
-    szp = cand_texts.map_batches(sz, batch_format="pandas",
-                                 batch_size=None).to_pandas()
-    cand_bytes = int(szp["b"].sum()) if "b" in szp.columns else 0
-
     def verify_cols(batch: pd.DataFrame, ta: pd.Series,
                     tb: pd.Series) -> pd.DataFrame:
         inter, union = ngram_jaccard_counts(ta, tb, k)
@@ -567,8 +568,8 @@ def ngram_jaccard_dedup_pairs(ds: "ray.data.Dataset",
                        union[keep]).astype(np.int64)
         return out
 
-    if (len(cand_ids) <= broadcast_candidate_docs
-            or cand_bytes <= broadcast_text_bytes):
+    if fits_in_heap(_utf8_bytes(cand_texts, text_col)
+                    + len(cand_ids) * PY_ROW_BYTES):
         texts_pd = cand_texts.to_pandas()
         lookup = (dict(zip(texts_pd["doc_id"], texts_pd[text_col]))
                   if "doc_id" in texts_pd.columns else {})
@@ -998,10 +999,85 @@ def window_gram_counts(ds: "ray.data.Dataset", text_col: str = "text",
     return ds.map_batches(partial, batch_format="pandas", batch_size=None)
 
 
+def _finish_dup_stats(ds: "ray.data.Dataset", dup_partial: "ray.data.Dataset",
+                      text_col: str, id_col: str, num_buckets: int,
+                      cols: tuple[str, str, str],
+                      n_offset: int = 0) -> "ray.data.Dataset":
+    """Stage 3 of :func:`duplicated_window_stats` / :func:`cdc_dup_stats`:
+    attach the per-(doc, bucket) dup partials ``(id, n=0, dup)`` to EVERY
+    doc of ``ds`` as ``(id, n, dup, ratio_e4)`` under the names ``cols``,
+    where ``n`` is the doc's word count minus ``n_offset`` (floored at 0).
+
+    TIERED: the partials are DUP-doc cardinality (docs holding any shared
+    span — a few % of the corpus at realistic dup rates), so while the
+    summed (doc → count) map fits the heap budget
+    (:func:`zeeklog_ray.relational.fits_in_heap`) it broadcasts onto a
+    row-local pass over the docs instead of paying a corpus-cardinality
+    doc-shaped Sort (the union path measured ~6 s of the 16 s wall at 1M
+    docs); the union sum against an n-words spine is the fallback for a
+    pathological corpus where most docs share content."""
+    from zeeklog_ray.relational import grouped_sum_bucketed
+
+    n_col, dup_col, ratio_col = cols
+
+    def n_of(batch: pd.DataFrame) -> np.ndarray:
+        from zeeklog_ray.ops.wordhash import split_words
+
+        doc_of, _flat = split_words(batch[text_col])
+        n_words = np.bincount(doc_of, minlength=len(batch)).astype(np.int64)
+        return np.maximum(n_words - n_offset, 0)
+
+    n_dup_docs = dup_partial.count()
+    if fits_in_heap(n_dup_docs * PY_ROW_BYTES):
+        import ray as _ray
+
+        # an all-empty dataset's to_pandas() loses its columns (the Ray
+        # empty-block schema wart) — build the empty map explicitly
+        if n_dup_docs:
+            # one partial row per (doc, bucket) — SUM per doc before
+            # building the map (a dict(zip(...)) would keep only the
+            # last bucket's partial)
+            dp = dup_partial.to_pandas().groupby(id_col)[dup_col].sum()
+            dmap = dict(zip(dp.index, dp.to_numpy().astype(np.int64)))
+        else:
+            dmap = {}
+        dref = _ray.put(dmap)
+
+        def finish_bc(batch: pd.DataFrame) -> pd.DataFrame:
+            nw = n_of(batch)
+            dw = batch[id_col].map(_ray.get(dref)).fillna(0) \
+                .to_numpy().astype(np.int64)
+            return pd.DataFrame({
+                id_col: batch[id_col].to_numpy(),
+                n_col: nw,
+                dup_col: dw,
+                ratio_col: dw * 10_000 // np.maximum(nw, 1),
+            })
+
+        return ds.map_batches(finish_bc, batch_format="pandas",
+                              batch_size=None)
+
+    def spine(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({id_col: batch[id_col].to_numpy(),
+                             n_col: n_of(batch), dup_col: np.int64(0)})
+
+    spine_ds = ds.map_batches(spine, batch_format="pandas", batch_size=None)
+    summed = grouped_sum_bucketed(
+        spine_ds.union(dup_partial), [id_col],
+        sums={n_col: n_col, dup_col: dup_col}, num_buckets=num_buckets)
+
+    def finish(batch: pd.DataFrame) -> pd.DataFrame:
+        nw = batch[n_col].to_numpy().astype(np.int64)
+        dw = batch[dup_col].to_numpy().astype(np.int64)
+        batch[ratio_col] = dw * 10_000 // np.maximum(nw, 1)
+        return batch
+
+    return summed.map_batches(finish, batch_format="pandas", batch_size=None)
+
+
 def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
                             id_col: str = "doc_id", k: int = 8,
-                            num_buckets: int = 256,
-                            broadcast_docs: int = 2_000_000
+                            num_buckets: int = 256
                             ) -> "ray.data.Dataset":
     """Per-document duplicated-span statistics: of the document's k-word
     windows, how many (counting repeats) have a window hash that appears in
@@ -1020,7 +1096,7 @@ def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
     ``num_buckets`` sizes stage 2 — at corpus scale pass ~total_words/2M
     (see relational.bucket_exchange).
     """
-    from zeeklog_ray.relational import bucket_exchange, grouped_sum_bucketed
+    from zeeklog_ray.relational import bucket_exchange
 
     dg = window_gram_counts(ds, text_col=text_col, id_col=id_col, k=k)
 
@@ -1036,70 +1112,9 @@ def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
     dup_partial = bucket_exchange(dg, "gram", per_bucket,
                                   num_buckets).materialize()
 
-    # TIERED finish (same reasoning as cdc_dup_stats): the dup partials
-    # are DUP-doc cardinality — broadcast them onto a row-local pass
-    # instead of a corpus-cardinality doc-shaped Sort; union-sum
-    # fallback above the broadcast cap
-    n_dup_docs = dup_partial.count()
-    if n_dup_docs <= broadcast_docs:
-        import ray as _ray
-
-        # an all-empty dataset's to_pandas() loses its columns (the Ray
-        # empty-block schema wart) — build the empty map explicitly
-        if n_dup_docs:
-            # one partial row per (doc, bucket) — SUM per doc before
-            # building the map (a dict(zip(...)) would keep only the
-            # last bucket's partial)
-            dp = dup_partial.to_pandas() \
-                .groupby(id_col)["dup_windows"].sum()
-            dmap = dict(zip(dp.index, dp.to_numpy().astype(np.int64)))
-        else:
-            dmap = {}
-        dref = _ray.put(dmap)
-
-        def finish_bc(batch: pd.DataFrame) -> pd.DataFrame:
-            from zeeklog_ray.ops.wordhash import split_words
-
-            n = len(batch)
-            doc_of, _flat = split_words(batch[text_col])
-            n_words = np.bincount(doc_of, minlength=n).astype(np.int64)
-            nw = np.maximum(n_words - (k - 1), 0)
-            dw = batch[id_col].map(_ray.get(dref)).fillna(0) \
-                .to_numpy().astype(np.int64)
-            return pd.DataFrame({
-                id_col: batch[id_col].to_numpy(),
-                "n_windows": nw,
-                "dup_windows": dw,
-                "dup_ratio_e4": dw * 10_000 // np.maximum(nw, 1),
-            })
-
-        return ds.map_batches(finish_bc, batch_format="pandas",
-                              batch_size=None)
-
-    def spine(batch: pd.DataFrame) -> pd.DataFrame:
-        from zeeklog_ray.ops.wordhash import split_words
-
-        doc_of, _flat = split_words(batch[text_col])
-        n_words = np.bincount(doc_of, minlength=len(batch)).astype(np.int64)
-        return pd.DataFrame({
-            id_col: batch[id_col].to_numpy(),
-            "n_windows": np.maximum(n_words - (k - 1), 0).astype("int64"),
-            "dup_windows": np.int64(0),
-        })
-
-    spine_ds = ds.map_batches(spine, batch_format="pandas", batch_size=None)
-    summed = grouped_sum_bucketed(
-        spine_ds.union(dup_partial), [id_col],
-        sums={"n_windows": "n_windows", "dup_windows": "dup_windows"},
-        num_buckets=num_buckets)
-
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        nw = batch["n_windows"].to_numpy().astype(np.int64)
-        dw = batch["dup_windows"].to_numpy().astype(np.int64)
-        batch["dup_ratio_e4"] = dw * 10_000 // np.maximum(nw, 1)
-        return batch
-
-    return summed.map_batches(finish, batch_format="pandas", batch_size=None)
+    return _finish_dup_stats(ds, dup_partial, text_col, id_col, num_buckets,
+                             ("n_windows", "dup_windows", "dup_ratio_e4"),
+                             n_offset=k - 1)
 
 
 def _gram_hashes(wh: np.ndarray, k: int) -> np.ndarray:
@@ -1117,7 +1132,6 @@ def _gram_hashes(wh: np.ndarray, k: int) -> np.ndarray:
 def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
                      id_col: str = "doc_id", k: int = 8,
                      num_buckets: int = 256,
-                     broadcast_grams: int = 2_000_000,
                      carry_cols: tuple[str, ...] = ()) -> "ray.data.Dataset":
     """The CLEANING transform behind :func:`duplicated_window_stats`:
     delete every word covered by a k-word window whose hash appears in
@@ -1126,9 +1140,10 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
     for every document; surviving words re-join with single spaces (the
     filtered-word-list normalization the oracle replays).
 
-    Tiered on the duplicated-gram count:
+    Tiered on the duplicated-gram array (8 B per gram,
+    :func:`zeeklog_ray.relational.fits_in_heap`):
 
-    * fits a broadcast — ship the SORTED dup-hash array once; a second
+    * fits the heap budget — ship the SORTED dup-hash array once; a second
       row-local pass recomputes each doc's window hashes, probes with one
       ``np.searchsorted``, and deletes covered words via an interval
       difference array.  No text ever shuffles.
@@ -1175,7 +1190,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
             out[c] = batch[c].to_numpy()
         return out
 
-    if n_dup <= broadcast_grams:
+    if fits_in_heap(n_dup * 8):
         dset = np.sort(dup.to_pandas()["gram"].to_numpy().astype(np.int64)) \
             if n_dup else np.zeros(0, dtype=np.int64)
         dref = _ray.put(dset)
@@ -1400,8 +1415,7 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
                   id_col: str = "doc_id", window: int = 4,
                   mask_bits: int = 5, min_words: int = 8,
                   max_words: int = 64,
-                  num_buckets: int = 256,
-                  broadcast_docs: int = 2_000_000) -> "ray.data.Dataset":
+                  num_buckets: int = 256) -> "ray.data.Dataset":
     """Per-document shared-content estimate from content-defined chunks:
     words covered by a chunk whose hash appears in >= 2 distinct
     documents — :func:`duplicated_window_stats`' signal at
@@ -1417,7 +1431,7 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
     Output: ``(doc_id, n_words, shared_words, shared_ratio_e4)`` for
     every document.
     """
-    from zeeklog_ray.relational import bucket_exchange, grouped_sum_bucketed
+    from zeeklog_ray.relational import bucket_exchange
 
     ch = cdc_chunk_table(ds, text_col=text_col, id_col=id_col,
                          window=window, mask_bits=mask_bits,
@@ -1453,72 +1467,8 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
     dup_partial = bucket_exchange(per_doc, "chunk_hash", per_bucket,
                                   num_buckets).materialize()
 
-    # TIERED finish: dup partials are DUP-doc cardinality (docs holding
-    # any shared chunk — a few % of the corpus at realistic dup rates),
-    # so broadcast them onto a row-local pass over the docs instead of
-    # paying a corpus-cardinality doc-shaped Sort (the union path
-    # measured ~6 s of the 16 s wall at 1M docs); the union sum stays as
-    # the fallback for a pathological corpus where most docs share
-    # content
-    n_dup_docs = dup_partial.count()
-    if n_dup_docs <= broadcast_docs:
-        import ray as _ray
-
-        # an all-empty dataset's to_pandas() loses its columns (the Ray
-        # empty-block schema wart) — build the empty map explicitly
-        if n_dup_docs:
-            # one partial row per (doc, bucket) — SUM per doc before
-            # building the map (a dict(zip(...)) would keep only the
-            # last bucket's partial)
-            dp = dup_partial.to_pandas() \
-                .groupby(id_col)["shared_words"].sum()
-            smap = dict(zip(dp.index, dp.to_numpy().astype(np.int64)))
-        else:
-            smap = {}
-        sref = _ray.put(smap)
-
-        def finish_bc(batch: pd.DataFrame) -> pd.DataFrame:
-            from zeeklog_ray.ops.wordhash import split_words
-
-            n = len(batch)
-            doc_of, _flat = split_words(batch[text_col])
-            nw = np.bincount(doc_of, minlength=n).astype(np.int64)
-            sw = batch[id_col].map(_ray.get(sref)).fillna(0) \
-                .to_numpy().astype(np.int64)
-            return pd.DataFrame({
-                id_col: batch[id_col].to_numpy(),
-                "n_words": nw,
-                "shared_words": sw,
-                "shared_ratio_e4": sw * 10_000 // np.maximum(nw, 1),
-            })
-
-        return ds.map_batches(finish_bc, batch_format="pandas",
-                              batch_size=None)
-
-    def spine(batch: pd.DataFrame) -> pd.DataFrame:
-        from zeeklog_ray.ops.wordhash import split_words
-
-        doc_of, _flat = split_words(batch[text_col])
-        n_words = np.bincount(doc_of, minlength=len(batch)).astype(np.int64)
-        return pd.DataFrame({
-            id_col: batch[id_col].to_numpy(),
-            "n_words": n_words,
-            "shared_words": np.int64(0),
-        })
-
-    spine_ds = ds.map_batches(spine, batch_format="pandas", batch_size=None)
-    summed = grouped_sum_bucketed(
-        spine_ds.union(dup_partial), [id_col],
-        sums={"n_words": "n_words", "shared_words": "shared_words"},
-        num_buckets=num_buckets)
-
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        nw = batch["n_words"].to_numpy().astype(np.int64)
-        sw = batch["shared_words"].to_numpy().astype(np.int64)
-        batch["shared_ratio_e4"] = sw * 10_000 // np.maximum(nw, 1)
-        return batch
-
-    return summed.map_batches(finish, batch_format="pandas", batch_size=None)
+    return _finish_dup_stats(ds, dup_partial, text_col, id_col, num_buckets,
+                             ("n_words", "shared_words", "shared_ratio_e4"))
 
 
 def cdc_screen_then_verify(ds: "ray.data.Dataset", text_col: str = "text",
@@ -1538,8 +1488,10 @@ def cdc_screen_then_verify(ds: "ray.data.Dataset", text_col: str = "text",
     would shuffle ~n_words rows.
 
     The suspect filter is a broadcast semi-join on doc ids when the
-    suspect set is small (the expected case: dup rates are a few
-    percent), else a bucketed equi-join — the decontam/ngram tiering.
+    suspect frame fits the heap budget
+    (:func:`zeeklog_ray.relational.fits_in_heap`; the expected case: dup
+    rates are a few percent), else a bucketed equi-join — the
+    decontam/ngram tiering.
 
     Output: per SUSPECT document, the exact window stats **within the
     suspect subset** plus the screening ratio:
@@ -1581,7 +1533,8 @@ def cdc_screen_then_verify(ds: "ray.data.Dataset", text_col: str = "text",
             "dup_windows": pa.array([], pa.int64()),
             "dup_ratio_e4": pa.array([], pa.int64()),
             "screen_ratio_e4": pa.array([], pa.int64())}))
-    if n_susp <= 2_000_000:
+    broadcast = fits_in_heap(n_susp * PY_ROW_BYTES)
+    if broadcast:
         susp_docs = broadcast_merge(
             ds.select_columns([id_col, text_col]), suspects.to_pandas(),
             on=id_col)
@@ -1593,7 +1546,7 @@ def cdc_screen_then_verify(ds: "ray.data.Dataset", text_col: str = "text",
         susp_docs, text_col=text_col, id_col=id_col, k=k,
         num_buckets=num_buckets)
     # re-attach the screening ratio (suspects are small; broadcast)
-    if n_susp <= 2_000_000:
+    if broadcast:
         return broadcast_merge(exact, suspects.to_pandas(), on=id_col)
     return bucketed_equi_join(exact, suspects, on=id_col,
                               num_buckets=num_buckets)
@@ -1603,7 +1556,6 @@ def incremental_dedup(new_docs: "ray.data.Dataset",
                       base_docs: "ray.data.Dataset",
                       text_col: str = "text", id_col: str = "doc_id",
                       n_bits: int = 1 << 23, k_hashes: int = 5,
-                      broadcast_ids: int = 2_000_000,
                       num_buckets: int = 1024,
                       spill_dir: str | None = None) -> "ray.data.Dataset":
     """Incremental EXACT dedup of a new snapshot against an existing base
@@ -1631,8 +1583,9 @@ def incremental_dedup(new_docs: "ray.data.Dataset",
        (:func:`~zeeklog_ray.relational.bucketed_semi_anti_join` — one
        key-shaped shuffle of candidates + base digests) which removes
        the bloom false positives exactly; the confirmed-dup id set then
-       anti-filters ``new_docs`` — broadcast when ≤ ``broadcast_ids``,
-       bucketed anti-join above.
+       anti-filters ``new_docs`` — broadcast while it passes
+       :func:`zeeklog_ray.relational.fits_in_heap`, bucketed anti-join
+       above.
 
     ``new_docs`` is read twice (probe pass + final filter pass) — the
     deliberate streaming trade: re-executing a deterministic read costs
@@ -1687,16 +1640,15 @@ def incremental_dedup(new_docs: "ray.data.Dataset",
     # table BEFORE the verify join — the exchange then carries
     # O(candidates + colliding base rows), not the whole base (at a
     # 10^12-doc base the full-digest shuffle would move ~16 TB per daily
-    # run; the filtered one moves delta-sized rows).  Above the
-    # broadcast budget (8 B per candidate d1) fall back to the full
-    # semi-join.
+    # run; the filtered one moves delta-sized rows).  Above the heap
+    # budget (8 B per candidate d1) fall back to the full semi-join.
     candidates = pin_or_spill(
         new_docs.map_batches(probe, batch_format="pandas",
                              batch_size=None),
         spill_dir, "incdedup_candidates")
     n_cand = candidates.count()
     verify_base = base_dig
-    if 0 < n_cand <= 32_000_000:        # ≤ 256 MB broadcast of d1 keys
+    if n_cand and fits_in_heap(n_cand * 8):
         def d1_of(batch: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({"d1": np.unique(batch["d1"].to_numpy())})
 
@@ -1718,7 +1670,7 @@ def incremental_dedup(new_docs: "ray.data.Dataset",
         candidates, verify_base, on=["d1", "d2"], anti=False,
         num_buckets=num_buckets).select_columns([id_col])
     n_conf = confirmed.count()
-    if n_conf <= broadcast_ids:
+    if fits_in_heap(n_conf * PY_ROW_BYTES):
         ids_ref = _ray.put(
             confirmed.to_pandas()[id_col].to_numpy() if n_conf
             else np.array([], dtype=np.int64))
@@ -1738,11 +1690,9 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
                          num_perm: int = 64, bands: int = 8, k: int = 5,
                          max_bucket: int = 512,
                          threshold_e4: int | None = 5000,
-                         broadcast_candidate_docs: int = 100_000,
                          num_buckets: int = 1024,
                          spill_dir: str | None = None,
-                         base_banded: "ray.data.Dataset | None" = None,
-                         broadcast_text_bytes: int = 256 << 20
+                         base_banded: "ray.data.Dataset | None" = None
                          ) -> "ray.data.Dataset":
     """Cross-snapshot NEAR-duplicate detection: which NEW docs are
     near-dups of the BASE corpus — the daily-crawl complement of
@@ -1776,10 +1726,9 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
     integer byte-k-gram Jaccard (``10000·inter >= t·union``), texts
     attached by the same two-tier scheme as
     :func:`ngram_jaccard_dedup_pairs`: broadcast lookups per side when
-    EITHER the candidate-doc count is under ``broadcast_candidate_docs``
-    OR the candidate texts total under ``broadcast_text_bytes`` (the
-    binding constraint is worker heap, so bytes — measured over the
-    already-filtered candidate texts — decide, not counts); two
+    both lookups — UTF-8 text bytes, measured over the already-filtered
+    candidate texts, plus ``PY_ROW_BYTES`` per id — pass
+    :func:`zeeklog_ray.relational.fits_in_heap`; two
     :func:`zeeklog_ray.relational.bucketed_equi_join` passes above —
     shuffle volume O(candidate texts), never the corpus.  Pass
     ``threshold_e4=None`` for raw candidates.
@@ -1859,9 +1808,9 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
         return pairs
 
     # ---- exact-Jaccard verify: texts attached per side, tiered ----
-    # Tier choice is BYTE-budgeted, not id-counted: what bounds a
-    # broadcast is worker heap (each map task deserializes the lut), and
-    # candidate-text bytes are knowable for one cheap sum over the
+    # Tier choice is BYTE-budgeted: what bounds a broadcast is worker
+    # heap (each map task deserializes the lut), and candidate-text
+    # bytes are knowable for one cheap sum over the
     # already-filtered candidate texts — measured at 1M docs / 335k
     # candidate pairs, broadcasting ~40 MB of texts beats the two
     # bucketed equi-join passes 35 s vs 55 s end-to-end.  The pinned
@@ -1890,19 +1839,10 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
         texts = pin_or_spill(
             src.map_batches(keep, batch_format="pandas", batch_size=None),
             spill_dir, f"incr_verify_texts_{tag}")
+        return _utf8_bytes(texts, text_col) + len(ids) * PY_ROW_BYTES, texts
 
-        def sz(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"b": [int(batch[text_col].str.len().sum())]})
-
-        szp = texts.map_batches(sz, batch_format="pandas",
-                                batch_size=None).to_pandas()
-        n_bytes = int(szp["b"].sum()) if "b" in szp.columns else 0
-        return len(ids), n_bytes, texts
-
-    n_new_ids, new_bytes, new_texts = wanted_texts(new_docs, id_col, "new")
-    n_base_ids, base_bytes, base_texts = wanted_texts(
-        base_docs, "base_id", "base")
+    new_bytes, new_texts = wanted_texts(new_docs, id_col, "new")
+    base_bytes, base_texts = wanted_texts(base_docs, "base_id", "base")
 
     def verify_cols(batch: pd.DataFrame, ta: pd.Series,
                     tb: pd.Series) -> pd.DataFrame:
@@ -1913,8 +1853,7 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
                        union[keep]).astype(np.int64)
         return out
 
-    if (n_new_ids + n_base_ids <= broadcast_candidate_docs
-            or new_bytes + base_bytes <= broadcast_text_bytes):
+    if fits_in_heap(new_bytes + base_bytes):
         def lut_of(ds_texts):
             t = ds_texts.to_pandas()
             return (dict(zip(t[id_col], t[text_col]))

@@ -27,7 +27,11 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from zeeklog_ray.aggregate import coalesce_partials
-from zeeklog_ray.relational import bucketed_group_min, default_join_partitions
+from zeeklog_ray.relational import (
+    bucketed_group_min,
+    default_join_partitions,
+    fits_in_heap,
+)
 
 
 def _blocks_from_pandas(out: pd.DataFrame,
@@ -67,8 +71,8 @@ def _driver_union_find(edges: pd.DataFrame) -> "ray.data.Dataset":
 
 def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 30,
                          a_col: str = "doc_a", b_col: str = "doc_b",
-                         num_partitions: int | None = None,
-                         small_edge_threshold: int = 10_000_000) -> "ray.data.Dataset":
+                         num_partitions: int | None = None
+                         ) -> "ray.data.Dataset":
     """Labels (node, component) for every node appearing in ``pairs``.
 
     ``component`` is the minimum node id of the node's connected component.
@@ -78,15 +82,15 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 30,
         lambda df: pd.DataFrame({"a": df[a_col], "b": df[b_col]}),
         batch_format="pandas", batch_size=None).materialize()
 
-    # Candidate sets up to ~10M edges resolve on the driver — the
-    # vectorized min-label propagation in _driver_union_find is O(E+V)
-    # numpy per round (10M edges ≈ 160 MB + ~1 s/round), far under the
-    # cost of even ONE distributed round (2 hash joins + a bucketed
-    # min).  The distributed loop below is the genuine beyond-driver
-    # tier; after LSH blocking the pair set is edge-sparse by
-    # construction, so this threshold covers ~10^9-doc corpora.
-    n_edges = edges.count()
-    if n_edges <= small_edge_threshold:
+    # Candidate sets whose (a, b) int64 edge frame fits the heap budget
+    # (16 B/edge, ~16M edges) resolve on the driver — the vectorized
+    # min-label propagation in _driver_union_find is O(E+V) numpy per
+    # round (~1 s/round at 10M edges), far under the cost of even ONE
+    # distributed round (2 hash joins + a bucketed min).  The
+    # distributed loop below is the genuine beyond-driver tier; after
+    # LSH blocking the pair set is edge-sparse by construction, so the
+    # driver tier covers ~10^9-doc corpora.
+    if fits_in_heap(edges.count() * 16):
         return _driver_union_find(edges.to_pandas())
 
     def init_labels(df: pd.DataFrame) -> pd.DataFrame:
@@ -203,8 +207,7 @@ def node_degrees(pairs: "ray.data.Dataset", a_col: str = "doc_a",
 
 
 def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
-                   b_col: str = "doc_b", num_buckets: int = 256,
-                   broadcast_nodes: int = 50_000_000) -> int:
+                   b_col: str = "doc_b", num_buckets: int = 256) -> int:
     """Exact triangle count of the undirected pair graph — the standard
     cluster-density / community-structure metric over a near-dup or
     co-occurrence edge list.
@@ -217,11 +220,11 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
     multi-key bucketed equi-join.  Every triangle is counted exactly
     once (its rank-minimal vertex owns the wedge).
 
-    Degree attachment is TIERED like connected_components: up to
-    ``broadcast_nodes`` distinct nodes the (node → degree) map
-    broadcasts once via ``ray.put`` (16 B/node: 50M nodes ≈ 800 MB
-    object-store, orientation becomes a row-local searchsorted — two
-    hash joins saved); above it, two partitioned hash joins.
+    Degree attachment is TIERED like connected_components: while the
+    sorted (node, degree) int64 arrays (16 B/node) pass
+    :func:`zeeklog_ray.relational.fits_in_heap` they broadcast once via
+    ``ray.put`` (orientation becomes a row-local searchsorted — two hash
+    joins saved); above it, two partitioned hash joins.
 
     Self-loops are dropped and duplicate/reversed edges deduped
     defensively.  Only (src, dst, deg) triples ever shuffle."""
@@ -261,7 +264,7 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
         dst_deg = np.where(fwd, df["dv"], df["du"])
         return pd.DataFrame({"src": src, "dst": dst, "dst_deg": dst_deg})
 
-    if deg.count() <= broadcast_nodes:
+    if fits_in_heap(deg.count() * 16):
         dpd = deg.to_pandas().sort_values("node")
         dref = _ray.put((dpd["node"].to_numpy(), dpd["degree"].to_numpy()))
 
@@ -307,7 +310,6 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
 def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
              n_iters: int = 20, tol: float = 1e-9,
              a_col: str = "doc_a", b_col: str = "doc_b",
-             driver_nodes: int = 10_000_000,
              num_buckets: int = 256) -> "ray.data.Dataset":
     """PageRank over the undirected pair graph (edges symmetrized) —
     the centrality ranking for hub detection in candidate-pair /
@@ -318,8 +320,9 @@ def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
     (already known after the materialize — no node-distinct shuffle for
     the common driver-sized case):
 
-    * ``2·edges ≤ driver_nodes`` (nodes ≤ 2·edges): vectorized power
-      iteration on the driver — dense indices via one
+    * the symmetrized (src, dst) int64 index arrays (2·edges entries
+      each, 32 B/edge) pass :func:`zeeklog_ray.relational.fits_in_heap`:
+      vectorized power iteration on the driver — dense indices via one
       ``np.unique(return_inverse)``, one ``np.add.at`` scatter per
       round, early stop on L1 change < ``tol``.  Symmetrized node sets
       have no dangling nodes (every node sits on an edge), so there is
@@ -354,7 +357,7 @@ def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
             {"node": pd.array([], dtype="int64"),
              "rank_e9": pd.array([], dtype="int64")}))
 
-    if 2 * n_edges <= driver_nodes:
+    if fits_in_heap(n_edges * 32):
         ep = edges.to_pandas()
         a, b = ep["a"].to_numpy(), ep["b"].to_numpy()
         nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)

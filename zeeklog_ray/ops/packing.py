@@ -116,6 +116,35 @@ _HASH_BASE = 1000003           # odd ⇒ invertible mod 2^64
 _HASH_BASE_INV = pow(_HASH_BASE, -1, 1 << 64)
 
 
+def segment_hashes(vals: "np.ndarray", starts: "np.ndarray",
+                   ends: "np.ndarray") -> "np.ndarray":
+    """Horner hash ``((t0*B + t1)*B + ...) mod 2^64`` (B = 1000003) of
+    every slice ``vals[starts[i]:ends[i]]`` (uint64; empty slices hash to
+    0) from ONE prefix scan over ``vals``: ``h[s:e) = pw[e-1] * (C[e] -
+    C[s])`` with ``pw[i] = B^i`` and ``C`` the cumsum of ``v[j] * B^-j``,
+    all wrapping mod 2^64 in uint64."""
+    import numpy as np
+
+    vals = vals.astype(np.uint64)
+    n = len(vals)
+    pw = np.ones(n + 1, dtype=np.uint64)
+    if n:
+        pw[1:] = np.multiply.accumulate(
+            np.full(n, _HASH_BASE, dtype=np.uint64))
+    ipw = np.ones(n, dtype=np.uint64)
+    if n > 1:
+        ipw[1:] = np.multiply.accumulate(
+            np.full(n - 1, _HASH_BASE_INV, dtype=np.uint64))
+    c = np.zeros(n + 1, dtype=np.uint64)
+    if n:
+        np.cumsum(vals * ipw, out=c[1:])
+    out = np.zeros(len(starts), dtype=np.uint64)
+    ok = ends > starts
+    s, e = starts[ok], ends[ok]
+    out[ok] = pw[e - 1] * (c[e] - c[s])          # uint64 wrap == mod 2^64
+    return out
+
+
 def chunk_tokens(ds: "ray.data.Dataset", *, window: int = 256,
                  stride: int = 192, id_col: str = "doc_id",
                  tokens_col: str = "tokens") -> "ray.data.Dataset":
@@ -137,12 +166,9 @@ def chunk_tokens(ds: "ray.data.Dataset", *, window: int = 256,
 
     Scale shape: ROW-LOCAL — one ``map_batches`` over a column-pruned
     read, no shuffle, output ≈ n/stride rows per doc produced inside the
-    same task.  The per-batch hash is O(total_tokens): a single Horner
-    prefix scan over the batch's flattened token stream (no per-doc
-    reset — slice hashes come out of the prefix via the modular inverse
-    of the base, ``h[s:e) = pw[e-1] * (C[e] - C[s])`` with ``C`` the
-    inverse-power-weighted cumsum, everything wrapping mod 2^64 in
-    uint64), then pure gather for every chunk.
+    same task.  The per-batch hash is O(total_tokens): one
+    :func:`segment_hashes` prefix scan over the batch's flattened token
+    stream, then pure gather for every chunk.
     """
     import numpy as np
     import pyarrow as pa
@@ -156,7 +182,6 @@ def chunk_tokens(ds: "ray.data.Dataset", *, window: int = 256,
         from zeeklog_ray.arrowutil import list_values_offsets
 
         vals, offs = list_values_offsets(batch[tokens_col])
-        vals = vals.astype(np.uint64)
         n = np.diff(offs)
         m = np.where(n == 0, 0,
                      np.where(n <= W, 1, (n - W + S - 1) // S + 1))
@@ -171,22 +196,7 @@ def chunk_tokens(ds: "ray.data.Dataset", *, window: int = 256,
         start = k * S
         length = np.minimum(W, n[doc_idx] - start)
         s = offs[:-1][doc_idx] + start
-        e = s + length
-
-        # prefix machinery: pw[i] = B^i, C[i] = sum_{j<i} v[j] * B^-j
-        N = len(vals)
-        pw = np.ones(N + 1, dtype=np.uint64)
-        if N:
-            pw[1:] = np.multiply.accumulate(
-                np.full(N, _HASH_BASE, dtype=np.uint64))
-        ipw = np.ones(N, dtype=np.uint64)
-        if N > 1:
-            ipw[1:] = np.multiply.accumulate(
-                np.full(N - 1, _HASH_BASE_INV, dtype=np.uint64))
-        C = np.zeros(N + 1, dtype=np.uint64)
-        if N:
-            np.cumsum(vals * ipw, out=C[1:])
-        h = pw[e - 1] * (C[e] - C[s])            # uint64 wrap == mod 2^64
+        h = segment_hashes(vals, s, s + length)
 
         return pa.table({
             id_col: batch[id_col].take(pa.array(doc_idx, pa.int64())),

@@ -17,6 +17,8 @@ import pandas as pd
 
 import ray.data
 
+from zeeklog_ray.relational import PY_ROW_BYTES, fits_in_heap
+
 STOPWORDS = {
     "en": {"the", "and", "of", "a", "to", "in", "is", "it", "that", "for"},
     "de": {"der", "die", "das", "und", "ist", "ein", "eine", "zu", "mit", "von"},
@@ -538,8 +540,7 @@ def term_scrub(ds: "ray.data.Dataset", terms: "list[str]",
 def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
                     n_docs: int | None = None,
                     text_col: str = "text", id_col: str = "doc_id",
-                    num_buckets: int = 1024,
-                    broadcast_vocab: int = 2_000_000) -> "ray.data.Dataset":
+                    num_buckets: int = 1024) -> "ray.data.Dataset":
     """Per-document top-``k`` terms by TF-IDF with a linear idf
     (``score_ppm = tf · 10^6 · N // (n_words · df)``) — integer-exact end
     to end, so the DuckDB replay hash-matches; the ``log``-idf variant
@@ -553,9 +554,10 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
     * document frequency is an ENTITY-shaped grouped count over the long
       table (``grouped_sum_bucketed`` on ``word`` — vocab cardinality,
       stays distributed);
-    * the long table attaches ``df`` tiered: vocab ≤ ``broadcast_vocab``
-      broadcasts once (row-local merge, the common case); a 10^8-term
-      web-scale vocab falls back to a bucketed equi-join on ``word``;
+    * the long table attaches ``df`` tiered: a vocab whose (word, df)
+      frame passes :func:`zeeklog_ray.relational.fits_in_heap` broadcasts
+      once (row-local merge, the common case); a 10^8-term web-scale
+      vocab falls back to a bucketed equi-join on ``word``;
     * the final per-doc top-k is the bucketed-groupby pattern
       (:func:`zeeklog_ray.relational.bucket_exchange` sizing rule).
 
@@ -602,11 +604,11 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
     df = grouped_sum_bucketed(long.select_columns(["word"]), ["word"],
                               count_as="df",
                               num_buckets=num_buckets).materialize()
-    # TIERED df attachment: a vocabulary up to broadcast_vocab entries
+    # TIERED df attachment: a vocabulary that fits the heap budget
     # broadcasts once via ray.put (row-local merge, big side never
     # shuffles); a 10^8-term web-scale vocab falls back to the
     # partitioned bucketed equi-join
-    if df.count() <= broadcast_vocab:
+    if fits_in_heap(df.count() * PY_ROW_BYTES):
         from zeeklog_ray.relational import broadcast_merge
 
         joined = broadcast_merge(long, df.to_pandas(), on="word")
@@ -901,7 +903,6 @@ def bigram_pmi_topk(docs: "ray.data.Dataset", k: int = 20,
 def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
                     text_col: str = "text", id_col: str = "doc_id",
                     num_buckets: int = 1024,
-                    broadcast_vocab: int = 2_000_000,
                     spill_dir: str | None = None) -> "ray.data.Dataset":
     """Per-document rare-word ratio against the CORPUS unigram table — the
     integer-exact core of perplexity-style quality filtering (a doc made
@@ -911,7 +912,8 @@ def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
 
     Tiered on the size of the RARE TAIL itself (not the whole vocab):
 
-    * tail ≤ ``broadcast_vocab`` distinct words — broadcast the rare SET
+    * the rare word SET fits the heap budget
+      (:func:`zeeklog_ray.relational.fits_in_heap`) — broadcast it
       once and finish in ONE row-local pass (n_words and n_rare per doc
       straight out of the explode; no long table, no join, no doc-shaped
       shuffle — measured 42.8 s → ~8 s at 1M docs);
@@ -956,7 +958,7 @@ def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
     rare_wc = wc.map_batches(rare_only, batch_format="pyarrow",
                              batch_size=None)
     n_rare_words = rare_wc.count()
-    if n_rare_words <= broadcast_vocab:
+    if fits_in_heap(n_rare_words * PY_ROW_BYTES):
         # an all-empty dataset's to_pandas() loses its columns (the Ray
         # empty-block schema wart) — build the empty set explicitly
         rare_ref = _ray.put(
@@ -1026,7 +1028,6 @@ def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
 def unigram_logprob(docs: "ray.data.Dataset", text_col: str = "text",
                     id_col: str = "doc_id",
                     num_buckets: int = 1024,
-                    broadcast_vocab: int = 2_000_000,
                     spill_dir: str | None = None) -> "ray.data.Dataset":
     """Per-document average unigram log-likelihood under the corpus's own
     unigram LM: ``avg_logprob = (Σ cnt_w·log2 c_w − n_words·log2 N) /
@@ -1053,7 +1054,7 @@ def unigram_logprob(docs: "ray.data.Dataset", text_col: str = "text",
         long.select_columns(["word", "cnt"]), ["word"],
         sums={"cnt": "c"}, num_buckets=num_buckets), spill_dir, "lm_wc")
     n_total = int(wc.sum("c"))
-    if wc.count() <= broadcast_vocab:
+    if fits_in_heap(wc.count() * PY_ROW_BYTES):
         joined = broadcast_merge(long, wc.to_pandas(), on="word")
     else:
         joined = bucketed_equi_join(long, wc, on="word",
@@ -1142,8 +1143,7 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
                              min_count: int = 20,
                              text_col: str = "text",
                              source_col: str = "source",
-                             num_buckets: int = 1024,
-                             broadcast_vocab: int = 2_000_000
+                             num_buckets: int = 1024
                              ) -> "ray.data.Dataset":
     """Per-source distinctive vocabulary: for every source, the top-``k``
     words whose in-source usage rate most exceeds their rate in the REST
@@ -1167,8 +1167,9 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
     Scale shape (the tfidf_top_terms structure on the source axis):
     per-(source, word) counts are one entity-shaped bucketed sum — only
     count partials shuffle, never word streams; word totals are a second
-    vocabulary-shaped bucketed sum with a tiered attach (broadcast below
-    ``broadcast_vocab`` distinct words, bucketed equi-join above);
+    vocabulary-shaped bucketed sum with a tiered attach (broadcast while
+    the word table passes :func:`zeeklog_ray.relational.fits_in_heap`,
+    bucketed equi-join above);
     source totals are report-shaped (|sources| rows) and ride the task
     closure.  Per-block per-source head(k) prunes the exchange before
     the final source-bucketed rank, exactly like the TF-IDF prune: a
@@ -1222,7 +1223,7 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
     n_s = dict(zip(src_tot[source_col], src_tot["n_s"].astype("int64")))
     n_tot = int(sum(n_s.values()))
 
-    if word_tot.count() <= broadcast_vocab:
+    if fits_in_heap(word_tot.count() * PY_ROW_BYTES):
         joined = broadcast_merge(counts, word_tot.to_pandas(), on="word")
     else:
         joined = bucketed_equi_join(counts, word_tot, on="word",

@@ -619,8 +619,11 @@ def append_deltas(root: str, changes: "ray.data.Dataset",
     — global, not per-partition, so a batch that touches only some
     partitions still forms one consistent snapshot and
     :func:`read_merged`'s ``as_of_seq`` time travel cuts the SAME batch
-    boundary everywhere.  :func:`read_merged` applies deltas in
-    sequence order, so a later batch's row beats an earlier batch's row
+    boundary everywhere.  Before moving its files an append deletes any
+    torn batch (:func:`_sweep_torn_deltas`), so a retry that reuses the
+    torn sequence number never commits the dead attempt's leftovers.
+    :func:`read_merged` applies deltas in sequence order, so a later
+    batch's row beats an earlier batch's row
     at equal ``order_col``.  Rows WITHIN one batch must not carry the
     same key at the same ``order_col`` (their file order inside the
     batch is block layout, not time).  Single writer per STORE assumed
@@ -640,6 +643,7 @@ def append_deltas(root: str, changes: "ray.data.Dataset",
         if not touched:
             raise ValueError("append_deltas: change batch staged "
                              "zero partitions")
+        _sweep_torn_deltas(root)
         seq = 1 + _store_delta_seq(root)
         rows = []
         for d in touched:
@@ -670,12 +674,9 @@ def _store_delta_seq(root: str) -> int:
     partition's delta files (0 on a fresh store).  The counter survives
     :func:`compact_deltas` folds, so snapshot ids stay monotonic across
     the store's whole history even after the log is compacted away."""
-    path = os.path.join(root, "_delta_seq")
-    try:
-        with open(path) as f:
-            return int(f.read().strip())
-    except (OSError, ValueError):
-        pass
+    committed = _committed_delta_seq(root)
+    if committed is not None:
+        return committed
     best = 0
     for d in os.listdir(root):
         ddir = os.path.join(root, d, "_deltas")
@@ -684,6 +685,42 @@ def _store_delta_seq(root: str) -> int:
                 (_delta_seq(f) for f in os.listdir(ddir)
                  if f.startswith("delta-")), default=0))
     return best
+
+
+def _committed_delta_seq(root: str) -> int | None:
+    """The ``_delta_seq`` counter, or None when it is missing or
+    unreadable (then torn deltas cannot be told from committed ones)."""
+    try:
+        with open(os.path.join(root, "_delta_seq")) as f:
+            return int(f.read().strip())
+    except (OSError, ValueError):
+        return None
+
+
+def _sweep_torn_deltas(root: str) -> tuple[int, int]:
+    """Delete every partition's delta files whose sequence is above the
+    committed ``_delta_seq`` counter — a torn batch, from an append that
+    died before its commit point; nothing when the counter is missing or
+    unreadable.  Returns (files deleted, bytes reclaimed)."""
+    committed = _committed_delta_seq(root)
+    if committed is None:
+        return 0, 0
+    n_files = n_bytes = 0
+    for d in os.listdir(root):
+        ddir = os.path.join(root, d, "_deltas")
+        if "=" not in d or not os.path.isdir(ddir):
+            continue
+        torn = [f for f in os.listdir(ddir)
+                if f.startswith("delta-") and f.endswith(".parquet")
+                and _delta_seq(f) > committed]
+        for f in torn:
+            fp = os.path.join(ddir, f)
+            n_bytes += os.path.getsize(fp)
+            os.remove(fp)
+        if torn:
+            _fsync_dir(ddir)
+            n_files += len(torn)
+    return n_files, n_bytes
 
 
 def _advance_store_delta_seq(root: str, seq: int) -> None:
@@ -913,12 +950,6 @@ def vacuum_store(root: str) -> dict:
     "bytes_reclaimed", "partitions"}``."""
     import shutil as _shutil
 
-    committed = None
-    try:
-        with open(os.path.join(root, "_delta_seq")) as f:
-            committed = int(f.read().strip())
-    except (OSError, ValueError):
-        pass
     staging_dirs = tmp_files = torn_delta_files = 0
     bytes_reclaimed = n_parts = 0
     for d in sorted(os.listdir(root)):
@@ -960,21 +991,10 @@ def vacuum_store(root: str) -> dict:
                         bytes_reclaimed += os.path.getsize(fp)
                         os.remove(fp)
                         tmp_files += 1
-            # torn delta batches: files above the committed counter are
-            # an append that died before its commit point (counter
-            # advance) — invisible to readers/folds, reclaimed here
-            ddir = os.path.join(p, "_deltas")
-            if committed is not None and os.path.isdir(ddir):
-                for f in os.listdir(ddir):
-                    if f.startswith("delta-") and f.endswith(".parquet") \
-                            and _delta_seq(f) > committed:
-                        fp = os.path.join(ddir, f)
-                        bytes_reclaimed += os.path.getsize(fp)
-                        os.remove(fp)
-                        torn_delta_files += 1
+    torn_delta_files, torn_bytes = _sweep_torn_deltas(root)
     return {"staging_dirs": staging_dirs, "tmp_files": tmp_files,
             "torn_delta_files": torn_delta_files,
-            "bytes_reclaimed": int(bytes_reclaimed),
+            "bytes_reclaimed": int(bytes_reclaimed + torn_bytes),
             "partitions": n_parts}
 
 

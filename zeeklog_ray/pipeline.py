@@ -29,7 +29,7 @@ IPs (``tests/zeek_search.rs:189-216``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pyarrow.compute as pc
 import ray.data
@@ -62,11 +62,6 @@ class PipelineConfig:
     src_ip: str | None = None
     source: str | None = None       # reference: proto_type (case-insensitive)
     enrich: bool = False
-    # None → autoscale the actor pool to ~3/4 of cluster CPUs (leaves slots
-    # for the read and write stages so no stage starves — SURVEY.md §4).
-    enrich_concurrency: tuple[int, int] | None = None
-    parse_batch_size: int | None = None  # None → whole blocks, no rebatch copy
-    extra_columns: list[str] = field(default_factory=list)
 
     def plan(self) -> int:
         """Bit weights: src_ip=4, source(proto)=2, end_date=1."""
@@ -154,16 +149,15 @@ def build_dataset(cfg: PipelineConfig) -> "ray.data.Dataset":
     or a small ``take``/``to_pandas`` in tests.
     """
     ds = read_corpus(cfg)
+    # whole blocks (batch_size=None): no rebatch copy
     ds = ds.map_batches(parse_batch, batch_format="pyarrow",
-                        batch_size=cfg.parse_batch_size, zero_copy_batch=True)
+                        batch_size=None, zero_copy_batch=True)
     if cfg.src_ip:
         ds = ds.map_batches(_ip_predicate(cfg.src_ip), batch_format="pyarrow",
                             zero_copy_batch=True)
     if cfg.enrich:
-        conc = cfg.enrich_concurrency or _default_pool_size()
         ds = ds.map_batches(Enricher, batch_format="pyarrow",
-                            batch_size=cfg.parse_batch_size,
-                            concurrency=conc)
+                            batch_size=None, concurrency=_default_pool_size())
     return ds
 
 

@@ -24,6 +24,8 @@ import pandas as pd
 
 import ray.data
 
+from zeeklog_ray.relational import PY_ROW_BYTES, fits_in_heap
+
 # epoch numbering must stay below this for the packing order key
 # (order = doc_id·MAX_EPOCHS + epoch, monotone in (doc_id, epoch))
 MAX_EPOCHS = 8
@@ -31,8 +33,8 @@ MAX_EPOCHS = 8
 
 def span_screen(docs: "ray.data.Dataset", ratio_e4: int,
                 mode: str = "cdc", id_col: str = "doc_id",
-                text_col: str = "text", num_buckets: int = 256,
-                broadcast_docs: int = 2_000_000) -> "ray.data.Dataset":
+                text_col: str = "text", num_buckets: int = 256
+                ) -> "ray.data.Dataset":
     """Boilerplate/duplication SCREEN for the prep chain: drop every
     document whose duplicated-span ratio reaches ``ratio_e4`` — the
     Gopher/Lee-style cleaning gate that removes syndicated copy and
@@ -49,9 +51,11 @@ def span_screen(docs: "ray.data.Dataset", ratio_e4: int,
 
     The drop set is DUP-doc cardinality and broadcasts
     (``ray.put`` once, row-local isin filter — text never shuffles);
-    above ``broadcast_docs`` this raises rather than silently shuffling
-    text — at that dup rate run the id-manifest pattern (screen → id
-    anti-join → re-attach text by doc_id) explicitly."""
+    when the drop set (``PY_ROW_BYTES`` per id) fails
+    :func:`zeeklog_ray.relational.fits_in_heap` this raises rather than
+    silently shuffling text — at that dup rate run the id-manifest
+    pattern (screen → id anti-join → re-attach text by doc_id)
+    explicitly."""
     import ray as _ray
 
     from zeeklog_ray.ops.dedup import cdc_dup_stats, duplicated_window_stats
@@ -76,10 +80,11 @@ def span_screen(docs: "ray.data.Dataset", ratio_e4: int,
     n_drop = drop.count()
     if n_drop == 0:
         return docs
-    if n_drop > broadcast_docs:
+    if not fits_in_heap(n_drop * PY_ROW_BYTES):
         raise ValueError(
-            f"span_screen: {n_drop} docs exceed the broadcast cap "
-            f"({broadcast_docs}) — run the id-manifest pattern instead")
+            f"span_screen: {n_drop} dropped doc ids exceed the heap budget "
+            "(relational.HEAP_BUDGET_BYTES) — run the id-manifest pattern "
+            "instead")
     dref = _ray.put(frozenset(drop.to_pandas()[id_col]))
 
     def keep(batch: pd.DataFrame) -> pd.DataFrame:

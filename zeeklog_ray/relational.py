@@ -59,6 +59,22 @@ def broadcast_merge(ds: "ray.data.Dataset", small: pd.DataFrame, on: str | list[
     return ds.map_batches(merge, batch_format="pandas", batch_size=None)
 
 
+# One budget for every broadcast/driver tier.  A site prices what it
+# would build: a numpy array costs rows × itemsize; a Python dict, set or
+# object column costs rows × PY_ROW_BYTES (object header + hash slot +
+# boxed key), plus its UTF-8 text bytes where the site measures text.
+HEAP_BUDGET_BYTES = 256 << 20
+PY_ROW_BYTES = 128
+
+
+def fits_in_heap(nbytes: int) -> bool:
+    """True when a structure of ``nbytes`` may be held whole in one
+    process heap (a broadcast lookup in every task, or the driver).
+    Reads ``HEAP_BUDGET_BYTES`` at call time, so setting it on the driver
+    (0 forces every distributed tier) moves every decision at once."""
+    return nbytes <= HEAP_BUDGET_BYTES
+
+
 def cluster_cpus(default: int = 8) -> int:
     """Total cluster CPUs, or ``default`` when Ray is not initialised yet
     (sizing decisions made before ray.init fall back conservatively)."""
