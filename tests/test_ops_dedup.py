@@ -673,8 +673,7 @@ def test_cdc_screen_then_verify_planted(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(out, dist[out.columns.tolist()])
 
     # all-clean corpus -> empty result with the contract schema on the
-    # DATASET (zero-row .to_pandas() loses columns — the documented Ray
-    # 2.49 empty-block wart, see raypatch.py)
+    # DATASET (Ray 2.49's zero-row .to_pandas() loses the columns)
     ds2 = cdc_screen_then_verify(
         ray.data.from_pandas(df[df.doc_id >= 3]), **kw)
     assert ds2.count() == 0

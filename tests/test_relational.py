@@ -124,6 +124,19 @@ def test_no_hand_built_bucket_exchange_outside_relational():
         "relational.bucket_exchange")
 
 
+def test_no_hash_shuffle_join_in_package():
+    """Every equi-join goes through relational.bucketed_equi_join or a
+    bucket_exchange; Ray's hash-shuffle join (Dataset.join) deadlocks
+    when its aggregators hold every CPU."""
+    pkg = pathlib.Path(zeeklog_ray.__file__).parent
+    pattern = re.compile(r"join_type=|hash_join|_join_partitions|hash_shuffle")
+    offenders = sorted(
+        f"{p.relative_to(pkg).as_posix()}: {m.group(0)}"
+        for p in pkg.rglob("*.py")
+        for m in [pattern.search(p.read_text())] if m)
+    assert offenders == [], offenders
+
+
 def test_pivot_sum_semantics(ray_session):
     """PIVOT: zero-fill, out-of-list values count toward count_as but no
     column, duplicate categories rejected."""
@@ -184,11 +197,11 @@ def test_rollup_sum(ray_session):
 
 
 def test_hash_join_full_outer(ray_session):
-    from zeeklog_ray.relational import hash_join
+    from zeeklog_ray.relational import bucketed_equi_join
 
     l = ray.data.from_pandas(pd.DataFrame({"k": [1, 2], "x": [10, 20]}))
     r = ray.data.from_pandas(pd.DataFrame({"k": [2, 3], "y": [200, 300]}))
-    out = hash_join(l, r, on="k", how="full_outer").to_pandas() \
+    out = bucketed_equi_join(l, r, on="k", how="full").to_pandas() \
         .sort_values("k").reset_index(drop=True)
     # key coalesced into one column; unmatched sides null-filled
     assert out["k"].tolist() == [1, 2, 3]
@@ -197,16 +210,16 @@ def test_hash_join_full_outer(ray_session):
 
 
 def test_hash_join_empty_side_and_empty_first_block(ray_session):
-    """Regression for the Ray 2.49 hash-shuffle schema-broadcast defect
-    (raypatch.py): a join side that is entirely empty, or whose first
-    bundle is an empty block, must not crash the aggregator with
-    ``KeyError: <key>`` when sparse partitions finalize."""
+    """An outer join side that is entirely empty keeps its columns
+    through the ``grouped_sum`` schema seed; a side whose first blocks
+    are empty (repartition manufactures zero-column empties when rows <
+    partitions) joins like any other."""
     import pyarrow as pa
 
-    from zeeklog_ray.relational import grouped_sum, hash_join
+    from zeeklog_ray.relational import bucketed_equi_join, grouped_sum
 
     # side B matches NOTHING -> entirely empty aggregate; the schema seed
-    # keeps it joinable
+    # names its columns
     ev = ray.data.from_pandas(pd.DataFrame({
         "user_id": [1, 2, 3], "kind": ["a", "a", "b"]}))
 
@@ -218,20 +231,20 @@ def test_hash_join_empty_side_and_empty_first_block(ray_session):
                                           batch_size=None),
                            ["user_id"], count_as=out, empty_schema=seed)
 
-    out = hash_join(pick("a", "n_a"), pick("zzz", "n_z"),
-                    on="user_id", how="full_outer").to_pandas()
+    out = bucketed_equi_join(pick("a", "n_a"), pick("zzz", "n_z"),
+                             on="user_id", how="full").to_pandas()
     out = out.sort_values("user_id").reset_index(drop=True)
     assert out["user_id"].tolist() == [1, 2]
     assert out["n_a"].tolist() == [1, 1]
     assert out["n_z"].isna().all()
 
-    # empty FIRST block on one side (repartition manufactures zero-column
-    # empties when rows < partitions) must not eat the schema broadcast
+    # empty FIRST block on one side
     sparse = ray.data.from_pandas(
         pd.DataFrame({"user_id": [7], "m": [70]})).repartition(4)
     dense = ray.data.from_pandas(
         pd.DataFrame({"user_id": [1, 7], "x": [10, 20]}))
-    j = hash_join(dense, sparse, on="user_id", how="left_outer").to_pandas()
+    j = bucketed_equi_join(dense, sparse, on="user_id",
+                           how="left").to_pandas()
     j = j.sort_values("user_id").reset_index(drop=True)
     assert j["user_id"].tolist() == [1, 7]
     assert j["m"].fillna(-1).tolist() == [-1, 70]
@@ -519,25 +532,35 @@ def test_cap_per_key_partition_independent(ray_session):
 
 
 def test_hash_join_map_produced_empty_side(ray_session):
-    """Regression (raypatch patch A, empty-pandas conversion): a join side
-    produced by a map stage that filtered out every row used to broadcast
-    a NULL-typed schema shard — pyarrow then rejected the join key
-    ('Data type null is not supported in join key field').  The patched
-    shard conversion preserves numeric dtypes."""
+    """A multi-key join side produced by a map stage that filtered out
+    every row joins to nothing (it once crashed on a null-typed key)."""
+    from zeeklog_ray.relational import bucketed_equi_join
+
     ev = ray.data.from_pandas(pd.DataFrame({"w1": [1], "w2": [9]}))
     empty = ev.map_batches(lambda df: df[df["w1"] < 0],
                            batch_format="pandas", batch_size=None)
     right = ray.data.from_pandas(pd.DataFrame({"src": [1, 2],
                                                "dst": [2, 3]}))
-    j = empty.join(right, join_type="inner", num_partitions=4,
-                   on=("w1", "w2"), right_on=("src", "dst"))
+    j = bucketed_equi_join(empty, right, on=["w1", "w2"],
+                           right_on=["src", "dst"], num_buckets=4)
     assert j.count() == 0
+
+    # a map over an all-empty input loses its schema (schema() is None):
+    # nothing to match, so inner is empty and left keeps the left rows
+    gone = ev.filter(lambda r: r["w1"] < 0).map_batches(
+        lambda df: df, batch_format="pandas", batch_size=None)
+    assert gone.schema() is None
+    assert bucketed_equi_join(ev, gone, on="w1").count() == 0
+    assert bucketed_equi_join(gone, ev, on="w1").count() == 0
+    kept = bucketed_equi_join(ev, gone, on="w1", how="left").to_pandas()
+    assert kept.to_dict("list") == {"w1": [1], "w2": [9]}
 
 
 def test_bucketed_equi_join(ray_session):
-    """Single- and multi-key inner join via tagged union + bucket shuffle:
+    """Single- and multi-key join via tagged union + bucket shuffle:
     matches pandas merge, preserves int64 exactness above 2^53 through
-    the null-filled union, rejects column collisions."""
+    the null-filled union, rejects column collisions; inner/left/full
+    follow SQL null rules."""
     import pytest
 
     from zeeklog_ray.relational import bucketed_equi_join
@@ -565,6 +588,55 @@ def test_bucketed_equi_join(ray_session):
     with pytest.raises(ValueError, match="collide"):
         bucketed_equi_join(ray.data.from_pandas(l2),
                            ray.data.from_pandas(l2), on="a")
+
+    # how sweep against a nested-loop SQL reference: 2-column key, null
+    # keys on both sides, 2^53+1 in columns the outer joins null-extend,
+    # and 64 buckets for 8 keys, so most buckets hold one side only
+    ls = pd.DataFrame({"a": pd.array([1, 1, 2, None, 3, 4, 1], "Int64"),
+                       "b": ["p", "q", "p", "p", None, "r", "p"],
+                       "x": [big, 11, 12, 13, 14, 15, 16]})
+    rs = pd.DataFrame({"p": pd.array([1, 2, None, 3, 5, 1], "Int64"),
+                       "q": ["p", "p", "p", None, "s", "p"],
+                       "y": [200, big, 202, 203, 204, 205]})
+
+    def sql_join(how):
+        rows, r_hit = [], set()
+        for lrow in ls.itertuples(index=False):
+            hits = [j for j, rrow in enumerate(rs.itertuples(index=False))
+                    if not pd.isna([lrow.a, lrow.b, rrow.p, rrow.q]).any()
+                    and (lrow.a, lrow.b) == (rrow.p, rrow.q)]
+            r_hit.update(hits)
+            rows += [(lrow.a, lrow.b, lrow.x, rs.y[j]) for j in hits]
+            if not hits and how != "inner":
+                rows.append((lrow.a, lrow.b, lrow.x, None))
+        if how == "full":
+            rows += [(r.p, r.q, None, r.y) for j, r in
+                     enumerate(rs.itertuples(index=False)) if j not in r_hit]
+        return rows
+
+    def as_rows(df):
+        return sorted((tuple(None if pd.isna(v) else v for v in row)
+                       for row in df[["a", "b", "x", "y"]]
+                       .itertuples(index=False)), key=repr)
+
+    for how in ("inner", "left", "full"):
+        got = bucketed_equi_join(
+            ray.data.from_arrow(pa.Table.from_pandas(ls)).repartition(3),
+            ray.data.from_arrow(pa.Table.from_pandas(rs)).repartition(2),
+            on=["a", "b"], right_on=["p", "q"], num_buckets=64,
+            how=how).to_pandas()
+        assert as_rows(got) == sorted(
+            (tuple(None if pd.isna(v) else v for v in row)
+             for row in sql_join(how)), key=repr), how
+        # null-extended integers stay exact nullable Int64, never float64
+        nulled = {"inner": [], "left": ["y"], "full": ["x", "y"]}[how]
+        for c in nulled:
+            assert str(got[c].dtype) == "Int64", (how, c)
+        assert (got["y"] == big).sum() == 1, how
+    with pytest.raises(ValueError, match="how"):
+        bucketed_equi_join(ray.data.from_pandas(l2),
+                           ray.data.from_pandas(r2), on=["a", "b"],
+                           right_on=["p", "q"], how="right")
 
 
 def test_bucketed_equi_join_key_dtype_guards(ray_session):

@@ -308,38 +308,23 @@ def minhash_lsh_pairs(ds: "ray.data.Dataset", text_col: str = "text",
             len(big_keys), n_dropped_rows, max_bucket)
         banded = _drop_buckets(banded, big_keys)
 
-    # Bucket-pair generation as a SELF-JOIN on the folded band-bucket key:
-    # per-group map_groups paid Python overhead for thousands of tiny
-    # buckets (28 s for 5k docs); the hash join is one vectorized exchange.
-    def as_role(role: str):
-        # Dataset.rename_columns fails on pandas blocks in Ray 2.49
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={"doc_id": role})
+    # Pair generation is ONE exchange on the band key: every banded row
+    # crosses it once, and each key-hash bucket self-merges its rows in
+    # C-level pandas.  A bucket holds many band keys because Ray pays
+    # Python per group (one group per band key: 28 s for 5k docs).
+    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
 
-        return f
+    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
+        m = group.merge(group, on="bb", suffixes=("_a", "_b"))
+        m = m[m["doc_id_a"] < m["doc_id_b"]]
+        return pd.DataFrame({"doc_a": m["doc_id_a"].to_numpy(),
+                             "doc_b": m["doc_id_b"].to_numpy()})
 
-    left = banded.map_batches(as_role("doc_a"), batch_format="pandas",
-                              batch_size=None)
-    right = banded.map_batches(as_role("doc_b"), batch_format="pandas",
-                               batch_size=None)
-    from zeeklog_ray.relational import sized_join_partitions
-
-    cand = left.join(right, join_type="inner",
-                     num_partitions=sized_join_partitions(n_banded),
-                     on=("bb",), right_on=("bb",),
-                     left_suffix="_l", right_suffix="_r")
-
-    def ordered(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[batch["doc_a"] < batch["doc_b"]]
-        return batch[["doc_a", "doc_b"]]
-
-    cand = cand.map_batches(ordered, batch_format="pandas", batch_size=None)
+    cand = bucket_exchange(banded, "bb", bucket_pairs)
     # distinct pairs (a doc pair can collide in several bands) — bucketed:
     # a plain groupby([doc_a, doc_b]) pays Ray's per-group Python per PAIR
     # (~0.19 ms/group measured), ~30 min at 10M candidates; the bucketed
     # drop_duplicates is one C-level pass per bucket
-    from zeeklog_ray.relational import bucketed_distinct
-
     return bucketed_distinct(cand, ["doc_a", "doc_b"])
 
 
@@ -723,35 +708,19 @@ def simhash_near_dup_pairs(ds: "ray.data.Dataset", max_hamming: int = 3,
             "doc_b": pa.array([], pa.int64()),
             "hamming": pa.array([], pa.int64())}))
 
-    def as_role(role: str, shcol: str):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={"doc_id": role, "sh": shcol})
+    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
 
-        return f
+    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
+        m = group.merge(group, on="bb", suffixes=("_a", "_b"))
+        m = m[m["doc_id_a"] < m["doc_id_b"]]
+        ham = _popcount64(m["sh_a"].to_numpy(np.int64).view(np.uint64)
+                          ^ m["sh_b"].to_numpy(np.int64).view(np.uint64))
+        keep = ham <= max_hamming
+        return pd.DataFrame({"doc_a": m["doc_id_a"].to_numpy()[keep],
+                             "doc_b": m["doc_id_b"].to_numpy()[keep],
+                             "hamming": ham[keep]})
 
-    from zeeklog_ray.relational import (bucketed_distinct,
-                                        sized_join_partitions)
-
-    left = banded.map_batches(as_role("doc_a", "sh_a"),
-                              batch_format="pandas", batch_size=None)
-    right = banded.map_batches(as_role("doc_b", "sh_b"),
-                               batch_format="pandas", batch_size=None)
-    cand = left.join(right, join_type="inner",
-                     num_partitions=sized_join_partitions(n_banded),
-                     on=("bb",), right_on=("bb",),
-                     left_suffix="_l", right_suffix="_r")
-
-    def verify(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[batch["doc_a"] < batch["doc_b"]]
-        ham = _popcount64(batch["sh_a"].to_numpy(np.int64).view(np.uint64)
-                          ^ batch["sh_b"].to_numpy(np.int64)
-                          .view(np.uint64))
-        out = batch[["doc_a", "doc_b"]].copy()
-        out["hamming"] = ham
-        return out[out["hamming"] <= max_hamming]
-
-    cand = cand.map_batches(verify, batch_format="pandas",
-                            batch_size=None)
+    cand = bucket_exchange(banded, "bb", bucket_pairs)
     return bucketed_distinct(cand, ["doc_a", "doc_b", "hamming"])
 
 
@@ -1741,12 +1710,6 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
 
     from zeeklog_ray.spill import pin_or_spill
 
-    def _rename(col_from: str, col_to: str):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={col_from: col_to})
-
-        return f
-
     new_b = pin_or_spill(
         _banded_rows(new_docs, text_col, num_perm, bands, k),
         spill_dir, "incr_banded_new")
@@ -1770,10 +1733,9 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
             max_bucket)
         new_b = _drop_buckets(new_b, big_keys)
         base_b = _drop_buckets(base_b, big_keys)
-        # a side whose every row sat in over-cap buckets is now EMPTY of
-        # non-empty blocks — Ray's hash join cannot resolve the key
-        # schema from all-empty pandas blocks, so short-circuit
         n_new_b, n_base_b = new_b.count(), base_b.count()
+    # a side with no band rows left has no candidates: return the typed
+    # empty result (a join over no rows would carry no columns)
     if n_new_b == 0 or n_base_b == 0:
         cols = {id_col: pd.Series(dtype="int64"),
                 "base_id": pd.Series(dtype="int64")}
@@ -1781,29 +1743,40 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
             cols["j_e4"] = pd.Series(dtype="int64")
         return ray.data.from_pandas(pd.DataFrame(cols))
 
-    from zeeklog_ray.relational import sized_join_partitions
+    # new⨝base on the band key is ONE exchange: both sides keep the same
+    # (bb, doc_id) columns plus a side bit, so the exchanged blocks stay
+    # plain int64 — bucketed_equi_join's null-filled union of unlike
+    # sides took 64 s against 39 s for this at 1M base docs on 4 CPUs
+    from zeeklog_ray.relational import (bucket_exchange, bucketed_distinct,
+                                        cluster_cpus)
 
-    left = new_b.map_batches(_rename("doc_id", "new_id"),
-                             batch_format="pandas", batch_size=None)
-    right = base_b.map_batches(_rename("doc_id", "base_id"),
-                               batch_format="pandas", batch_size=None)
-    cand = left.join(right, join_type="inner",
-                     num_partitions=sized_join_partitions(
-                         max(n_new_b, n_base_b)),
-                     on=("bb",), right_on=("bb",),
-                     left_suffix="_l", right_suffix="_r")
+    def tag(is_new: int):
+        def f(batch: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"bb": batch["bb"].to_numpy(),
+                                 "doc_id": batch["doc_id"].to_numpy(),
+                                 "_new": np.int8(is_new)})
 
-    def project(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch[["new_id", "base_id"]]
+        return f
 
-    from zeeklog_ray.relational import bucketed_distinct
+    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
+        new = group["_new"].to_numpy() == 1
+        m = group.loc[new, ["bb", "doc_id"]].merge(
+            group.loc[~new, ["bb", "doc_id"]], on="bb",
+            suffixes=("", "_base"))
+        return pd.DataFrame({id_col: m["doc_id"].to_numpy(),
+                             "base_id": m["doc_id_base"].to_numpy()})
 
-    cand = bucketed_distinct(
-        cand.map_batches(project, batch_format="pandas", batch_size=None),
-        ["new_id", "base_id"])
-    pairs = cand.map_batches(_rename("new_id", id_col),
-                             batch_format="pandas",
-                             batch_size=None).materialize()
+    # the banded sides arrive in hundreds of blocks and a sort exchange
+    # moves blocks² pieces (twice: here and in the distinct), so pack the
+    # union to one block per CPU first
+    both = new_b.map_batches(tag(1), batch_format="pandas",
+                             batch_size=None) \
+        .union(base_b.map_batches(tag(0), batch_format="pandas",
+                                  batch_size=None)) \
+        .repartition(cluster_cpus())
+    pairs = bucketed_distinct(
+        bucket_exchange(both, "bb", bucket_pairs, num_buckets),
+        [id_col, "base_id"]).materialize()
     if threshold_e4 is None:
         return pairs
 

@@ -9,8 +9,8 @@ edge; a per-node grouped min merges; convergence when the label sum stops
 changing (it decreases monotonically).  O(diameter) rounds — near-dup
 clusters are shallow (usually ≤3).
 
-Each round is two hash joins + one grouped min over (node, label) pairs —
-signatures-sized data, never documents.  The grouped min is BUCKETED
+Each round is two bucketed equi-joins + one grouped min over (node, label)
+pairs — signatures-sized data, never documents.  The grouped min is BUCKETED
 (:func:`zeeklog_ray.relational.bucketed_group_min`): a plain
 ``groupby(node).aggregate(Min)`` pays Ray's per-group Python per NODE
 (~0.19 ms/group measured) and this loop pays it once per round — at 10M
@@ -28,8 +28,8 @@ from ray.data.aggregate import Sum
 
 from zeeklog_ray.aggregate import coalesce_partials
 from zeeklog_ray.relational import (
+    bucketed_equi_join,
     bucketed_group_min,
-    default_join_partitions,
     fits_in_heap,
 )
 
@@ -70,14 +70,12 @@ def _driver_union_find(edges: pd.DataFrame) -> "ray.data.Dataset":
 
 
 def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 30,
-                         a_col: str = "doc_a", b_col: str = "doc_b",
-                         num_partitions: int | None = None
+                         a_col: str = "doc_a", b_col: str = "doc_b"
                          ) -> "ray.data.Dataset":
     """Labels (node, component) for every node appearing in ``pairs``.
 
     ``component`` is the minimum node id of the node's connected component.
     """
-    num_partitions = default_join_partitions(num_partitions)
     edges = pairs.map_batches(
         lambda df: pd.DataFrame({"a": df[a_col], "b": df[b_col]}),
         batch_format="pandas", batch_size=None).materialize()
@@ -86,7 +84,7 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 30,
     # (16 B/edge, ~16M edges) resolve on the driver — the vectorized
     # min-label propagation in _driver_union_find is O(E+V) numpy per
     # round (~1 s/round at 10M edges), far under the cost of even ONE
-    # distributed round (2 hash joins + a bucketed min).  The
+    # distributed round (2 bucketed joins + a bucketed min).  The
     # distributed loop below is the genuine beyond-driver tier; after
     # LSH blocking the pair set is edge-sparse by construction, so the
     # driver tier covers ~10^9-doc corpora.
@@ -110,15 +108,11 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 30,
     for _ in range(max_rounds):
         # propagate: label(b) candidate ← label(a) over each edge, and vice
         # versa; then node-wise min with current labels
-        la = edges.join(labels, join_type="inner",
-                        num_partitions=num_partitions,
-                        on=("a",), right_on=("node",)) \
+        la = bucketed_equi_join(edges, labels, on="a", right_on="node") \
             .map_batches(lambda df: pd.DataFrame({"node": df["b"],
                                                   "label": df["label"]}),
                          batch_format="pandas", batch_size=None)
-        lb = edges.join(labels, join_type="inner",
-                        num_partitions=num_partitions,
-                        on=("b",), right_on=("node",)) \
+        lb = bucketed_equi_join(edges, labels, on="b", right_on="node") \
             .map_batches(lambda df: pd.DataFrame({"node": df["a"],
                                                   "label": df["label"]}),
                          batch_format="pandas", batch_size=None)
@@ -156,17 +150,18 @@ def canonical_per_component(components: "ray.data.Dataset",
     node id) — the dedup policy a training pipeline actually wants
     (keep the best copy, not the arbitrary min-id one).
 
-    Shape: one hash join attaches each member's score (components ⋈
-    meta on node id — both sides shuffle only (id, score) columns),
-    then a component-hash-bucketed groupby picks the winner with ONE
-    C-level sort + drop_duplicates per bucket (the repo's standard
+    Shape: one bucketed equi-join attaches each member's score
+    (components ⋈ meta on node id — both sides shuffle only (id, score)
+    columns), then a component-hash-bucketed groupby picks the winner
+    with ONE C-level sort + drop_duplicates per bucket (the repo's standard
     escape from Ray's per-group Python).  Output: one row per
     component — ``(component, canonical, canonical_score, n_members)``.
     """
-    from zeeklog_ray.relational import bucket_exchange, hash_join
+    from zeeklog_ray.relational import bucket_exchange
 
-    scored = hash_join(components, meta.select_columns([meta_key, score_col]),
-                       on="node", right_on=meta_key)
+    scored = bucketed_equi_join(
+        components, meta.select_columns([meta_key, score_col]),
+        on="node", right_on=meta_key, num_buckets=num_buckets)
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["component", score_col, "node"],
@@ -223,19 +218,14 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
     Degree attachment is TIERED like connected_components: while the
     sorted (node, degree) int64 arrays (16 B/node) pass
     :func:`zeeklog_ray.relational.fits_in_heap` they broadcast once via
-    ``ray.put`` (orientation becomes a row-local searchsorted — two hash
-    joins saved); above it, two partitioned hash joins.
+    ``ray.put`` (orientation becomes a row-local searchsorted — two
+    joins saved); above it, two bucketed equi-joins.
 
     Self-loops are dropped and duplicate/reversed edges deduped
     defensively.  Only (src, dst, deg) triples ever shuffle."""
     import ray as _ray
 
-    from zeeklog_ray.relational import (
-        bucket_exchange,
-        bucketed_distinct,
-        bucketed_equi_join,
-        hash_join,
-    )
+    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         a, b = df[a_col].to_numpy(), df[b_col].to_numpy()
@@ -279,10 +269,12 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
                                      batch_format="pandas",
                                      batch_size=None).materialize()
     else:
-        du = hash_join(edges, deg, on="u", right_on="node").map_batches(
+        du = bucketed_equi_join(edges, deg, on="u", right_on="node",
+                                num_buckets=num_buckets).map_batches(
             lambda df: df.rename(columns={"degree": "du"}),
             batch_format="pandas", batch_size=None)
-        dboth = hash_join(du, deg, on="v", right_on="node").map_batches(
+        dboth = bucketed_equi_join(du, deg, on="v", right_on="node",
+                                   num_buckets=num_buckets).map_batches(
             lambda df: df.rename(columns={"degree": "dv"}),
             batch_format="pandas", batch_size=None)
         directed = dboth.map_batches(orient, batch_format="pandas",

@@ -668,17 +668,18 @@ def phash_dup_groups(phashes: "ray.data.Dataset", max_hamming: int = 3,
     EXCLUDED from the self-join with a runtime warning (an m-row bucket
     emits m² candidates; smooth/low-texture images legitimately share
     the all-zero gradient band, and dropping ONE band of a pair still
-    leaves its other three to find it).  The pair generation is a hash
-    self-join, not per-band-bucket ``map_groups`` — Ray pays Python per
-    GROUP, and 4×2^16 distinct band buckets would cost ~50 s of pure
-    overhead at 1M images.  The bucket census is driver-merged
+    leaves its other three to find it).  The pair generation is ONE
+    :func:`~zeeklog_ray.relational.bucket_exchange` on the band key with
+    a self-merge per key-hash bucket, not per-band-key ``map_groups`` —
+    Ray pays Python per GROUP, and 4×2^16 distinct band keys would cost
+    ~50 s of pure overhead at 1M images.  The bucket census is driver-merged
     value_counts partials (band keys are mostly distinct; at text-corpus
     scale use the tiered census in ``ops/dedup.minhash_lsh_pairs``).
     Output: ``(node, component)`` over the string item ids."""
     import pandas as pd
 
     from zeeklog_ray.ops.graph import connected_components
-    from zeeklog_ray.relational import bucketed_distinct, sized_join_partitions
+    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
 
     def band_rows(df: pd.DataFrame) -> pd.DataFrame:
         h = df["phash"].to_numpy(np.int64).view(np.uint64)
@@ -693,7 +694,6 @@ def phash_dup_groups(phashes: "ray.data.Dataset", max_hamming: int = 3,
 
     banded = phashes.map_batches(band_rows, batch_format="pandas",
                                  batch_size=None).materialize()
-    n_banded = banded.count()
 
     def bucket_partials(batch: pd.DataFrame) -> pd.DataFrame:
         vc = batch["bb"].value_counts()
@@ -724,35 +724,21 @@ def phash_dup_groups(phashes: "ray.data.Dataset", max_hamming: int = 3,
         banded = banded.map_batches(drop_big, batch_format="pandas",
                                     batch_size=None)
 
-    def as_role(role: str):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"bb": batch["bb"], role: batch["item_id"],
-                                 f"ph_{role[-1]}": batch["phash"]})
-
-        return f
-
-    left = banded.map_batches(as_role("doc_a"),
-                              batch_format="pandas", batch_size=None)
-    right = banded.map_batches(as_role("doc_b"),
-                               batch_format="pandas", batch_size=None)
-    cand = left.join(right, join_type="inner",
-                     num_partitions=sized_join_partitions(n_banded),
-                     on=("bb",), right_on=("bb",),
-                     left_suffix="_l", right_suffix="_r")
-
-    def verify(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[batch["doc_a"] < batch["doc_b"]]
-        x = batch["ph_a"].to_numpy(np.int64).view(np.uint64) ^ \
-            batch["ph_b"].to_numpy(np.int64).view(np.uint64)
+    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
+        m = group.merge(group, on="bb", suffixes=("_a", "_b"))
+        m = m[m["item_id_a"] < m["item_id_b"]]
+        x = m["phash_a"].to_numpy(np.int64).view(np.uint64) ^ \
+            m["phash_b"].to_numpy(np.int64).view(np.uint64)
         ham = np.zeros(len(x), dtype=np.int64)
         for _ in range(64):                    # vectorized popcount
             ham += (x & np.uint64(1)).astype(np.int64)
             x = x >> np.uint64(1)
-        return batch.loc[ham <= max_hamming, ["doc_a", "doc_b"]]
+        keep = ham <= max_hamming
+        return pd.DataFrame({"doc_a": m["item_id_a"].to_numpy()[keep],
+                             "doc_b": m["item_id_b"].to_numpy()[keep]})
 
-    pairs = bucketed_distinct(
-        cand.map_batches(verify, batch_format="pandas", batch_size=None),
-        ["doc_a", "doc_b"])
+    pairs = bucketed_distinct(bucket_exchange(banded, "bb", bucket_pairs),
+                              ["doc_a", "doc_b"])
     return connected_components(pairs)
 
 

@@ -38,8 +38,8 @@ from zeeklog_ray.relational import (
     CAP_SALT as _CAP_SALT,
     broadcast_merge,
     bucket_exchange,
+    bucketed_equi_join,
     grouped_sum,
-    hash_join,
     read_table,
     small_table,
     top_k,
@@ -1356,11 +1356,10 @@ _OUTER_MIN_CENTS = 30_000  # $300 — sparse enough that BOTH outer sides
 
 def user_click_purchase_outer(sf_dir: str) -> "ray.data.Dataset":
     """FULL OUTER join of per-user big-click counts vs big-purchase
-    counts (relational.hash_join how=full_outer): users with only one
+    counts (relational.bucketed_equi_join how=full): users with only one
     side survive with a 0 on the other — the join type the semi/anti
     family lacked.  Both sides are pre-aggregated (combiner-first)
     before the shuffle join, so only |users| rows move per side."""
-    from zeeklog_ray.relational import grouped_sum, hash_join
 
     ev = read_table(sf_dir, "events",
                     columns=["user_id", "event_type", "value"])
@@ -1374,15 +1373,19 @@ def user_click_purchase_outer(sf_dir: str) -> "ray.data.Dataset":
 
         f = ev.map_batches(pick, batch_format="pandas", batch_size=None)
         # a side can match NOTHING at small scale — the schema seed keeps
-        # the empty aggregate joinable (see relational.grouped_sum)
+        # the empty aggregate joinable (see relational.grouped_sum).  The
+        # aggregate is one small block; pinning it keeps its two
+        # repartitions out of the join's exchange (two such branches under
+        # one exchange stall Ray's executor on a 1-CPU cluster).
         schema = pa.schema([("user_id", pa.int64()), (out, pa.int64())])
-        return grouped_sum(f, ["user_id"], count_as=out, empty_schema=schema)
+        return grouped_sum(f, ["user_id"], count_as=out,
+                           empty_schema=schema).materialize()
 
-    # Ray's full_outer COALESCEs the key into the left key column and
-    # null-promotes count columns to float64 — safe below 2^53
-    joined = hash_join(side("click", "n_clicks"),
-                       side("purchase", "n_purchases"),
-                       on="user_id", how="full_outer")
+    # the full join coalesces the key into user_id; a user missing from
+    # one side gets a null count there (nullable Int64)
+    joined = bucketed_equi_join(side("click", "n_clicks"),
+                                side("purchase", "n_purchases"),
+                                on="user_id", how="full")
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1395,8 +1398,8 @@ def user_click_purchase_outer(sf_dir: str) -> "ray.data.Dataset":
 
 
 def order_priority_items(sf_dir: str) -> "ray.data.Dataset":
-    """orders ⨝ lineitem — both sides large → partitioned hash join
-    (Dataset.join), then grouped aggregate."""
+    """orders ⨝ lineitem — both sides large → bucketed equi-join, then
+    grouped aggregate."""
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
     items = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
@@ -1405,8 +1408,8 @@ def order_priority_items(sf_dir: str) -> "ray.data.Dataset":
         return batch[["l_orderkey", "qty"]]
 
     items = items.map_batches(prep, batch_format="pandas", batch_size=None)
-    joined = hash_join(orders, items, on="o_orderkey", right_on="l_orderkey",
-                       num_partitions=16)
+    joined = bucketed_equi_join(orders, items, on="o_orderkey",
+                                right_on="l_orderkey")
     return grouped_sum(joined, ["o_orderpriority"], sums={"qty": "sum_qty"},
                        count_as="n_items")
 
@@ -3917,7 +3920,6 @@ def docs_editdist_adjacent(sf_dir: str) -> "ray.data.Dataset":
     callers feed LSH candidates instead — the cost contract (candidate
     pairs only, never a cross product) is the same."""
     from zeeklog_ray.ops.dedup import levenshtein_pairs
-    from zeeklog_ray.relational import hash_join
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -3927,7 +3929,7 @@ def docs_editdist_adjacent(sf_dir: str) -> "ray.data.Dataset":
                              "text_a": batch["text"].to_numpy()})
 
     left = ds.map_batches(as_left, batch_format="pandas", batch_size=None)
-    joined = hash_join(left, ds, on="k", right_on="doc_id")
+    joined = bucketed_equi_join(left, ds, on="k", right_on="doc_id")
 
     def dist(batch: pd.DataFrame) -> pd.DataFrame:
         if not len(batch):
@@ -3936,7 +3938,7 @@ def docs_editdist_adjacent(sf_dir: str) -> "ray.data.Dataset":
                                  "edit_dist": pd.Series([], dtype="int64")})
         return pd.DataFrame({
             "doc_a": batch["doc_a"].to_numpy(),
-            # Dataset.join keeps only the LEFT key column; k == right doc_id
+            # the right key is renamed onto k, so k == right doc_id
             "doc_b": batch["k"].to_numpy(),
             "edit_dist": levenshtein_pairs(batch["text_a"], batch["text"])})
 
@@ -3979,9 +3981,9 @@ def top_orders_per_customer(sf_dir: str) -> "ray.data.Dataset":
 
 def building_revenue_q3(sf_dir: str) -> "ray.data.Dataset":
     """TPC-H Q3-shaped: top-10 orders by revenue for BUILDING-segment
-    customers — broadcast semi-filter (customer keys) + partitioned hash
-    join (orders ⨝ lineitem) + grouped sum + top-k, the full relational
-    stack in one pipeline."""
+    customers — broadcast semi-filter (customer keys) + bucketed
+    equi-join (orders ⨝ lineitem) + grouped sum + top-k, the full
+    relational stack in one pipeline."""
     import ray as _ray
 
     keys = set(small_table(sf_dir, "customer",
@@ -4007,14 +4009,15 @@ def building_revenue_q3(sf_dir: str) -> "ray.data.Dataset":
                 batch["l_extendedprice"] * (1 - batch["l_discount"]) * 100)})
 
     items = items.map_batches(rev, batch_format="pandas", batch_size=None)
-    joined = hash_join(orders, items, on="o_orderkey", right_on="l_orderkey")
+    joined = bucketed_equi_join(orders, items, on="o_orderkey",
+                                right_on="l_orderkey")
     summed = grouped_sum(joined, ["o_orderkey"], sums={"rev_cents": "revenue_cents"})
     return top_k(summed, by=["revenue_cents", "o_orderkey"],
                  descending=[True, False], k=10)
 
 
 def nation_order_counts_left(sf_dir: str) -> "ray.data.Dataset":
-    """LEFT OUTER hash join: every nation with its customer-order count,
+    """LEFT OUTER equi-join: every nation with its customer-order count,
     including nations whose customers placed no orders (NULL-extended side
     counted as zero)."""
     nation = small_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
@@ -4024,19 +4027,14 @@ def nation_order_counts_left(sf_dir: str) -> "ray.data.Dataset":
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
 
     def mark(batch: pd.DataFrame) -> pd.DataFrame:
-        # the join coalesces the key columns away, so a marker column is the
-        # way to tell matched rows from NULL-extended ones
+        # the right key is renamed onto the left one, so a marker column
+        # tells matched rows from NULL-extended ones
         batch["_order_marker"] = 1
         return batch
 
     orders = orders.map_batches(mark, batch_format="pandas", batch_size=None)
-    from zeeklog_ray.relational import default_join_partitions
-
-    # partitions capped to cluster CPUs — a literal count larger than the
-    # cluster deadlocks small clusters (measured, relational.py:60-67)
-    joined = cust_ds.join(orders, join_type="left_outer",
-                          num_partitions=default_join_partitions(None),
-                          on=("c_custkey",), right_on=("o_custkey",))
+    joined = bucketed_equi_join(cust_ds, orders, on="c_custkey",
+                                right_on="o_custkey", how="left")
 
     def count_orders(batch: pd.DataFrame) -> pd.DataFrame:
         # NULL-extended rows (no orders) contribute 0

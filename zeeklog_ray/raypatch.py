@@ -2,46 +2,14 @@
 production paths.  Applied once at package import (idempotent, and every
 patch degrades to a no-op if the internals it touches have moved).
 
-THE DEFECT — hash-shuffle schema broadcast lost on empty blocks
----------------------------------------------------------------
-``HashShufflingOperatorBase`` (the engine under ``Dataset.join``, hash
-repartition, and hash aggregations) broadcasts each input sequence's
-schema to every aggregator exactly ONCE, riding the first block it
-shuffles (``hash_shuffle.py:548,584-589``).  Two holes:
-
-1. ``_shuffle_block`` returns early for a zero-row block
-   (``hash_shuffle.py:223-225``) without fanning anything out — while
-   the caller unconditionally flips ``_has_schemas_broadcasted``.  So
-   an empty FIRST block (Ray's own ``repartition`` manufactures
-   zero-column empties whenever rows < partitions, and the streaming
-   executor passes empties through map stages untouched) silently
-   consumes the one-shot broadcast.
-2. A join side that is legitimately EMPTY (e.g. a filter matched
-   nothing) never broadcasts its schema at all, because its only block
-   has zero rows.
-
-Either way, every aggregator partition that receives no real rows for
-that side finalizes a ZERO-COLUMN table and ``pyarrow.Table.join``
-raises ``KeyError: <key column>``.  Observed as a flaky-to-permanent
-crash of a full-outer join whose right side is sparse (most of the hash
-partitions see no right rows).  At cluster scale ANY sparse/skewed join
-side reproduces it.
-
-THE FIX — two cooperating patches
----------------------------------
-A. ``_shuffle_block`` wrapper: when asked to broadcast schemas and the
-   block is empty but CARRIES a schema, fan an empty shard out to every
-   aggregator (what the flag already claims happened) instead of
-   early-returning.
-B. ``_do_add_input_inner`` wrapper: prune zero-row blocks from incoming
-   bundles so real blocks carry the broadcast; keep exactly one empty
-   block as a schema carrier when the broadcast is still pending and
-   the bundle has a schema; drop schema-LESS empty bundles entirely
-   WITHOUT consuming the broadcast flag.
-
-A third, engine-level piece lives in ``relational.grouped_sum``
-(``empty_schema=`` seed) so that an aggregate over zero rows still
-emits a schema-bearing empty block for patch A to broadcast.
+* ``unify_schemas`` loses its identical-schemas early-exit on schemas
+  that carry pandas metadata (unhashable in this pyarrow) and logs a
+  warning per call from every sort-reduce worker; the wrapper dedupes on
+  the metadata-stripped schemas.
+* Two log filters drop warnings Ray emits for the empty blocks it
+  manufactures itself (sparse sort-shuffle partitions and buckets): a
+  zero-column schema "drift", and a size estimate that fails on a
+  zero-row object-column sample.
 """
 
 from __future__ import annotations
@@ -56,8 +24,8 @@ _APPLIED = False
 def worker_runtime_env() -> dict:
     """``runtime_env`` for ``ray.init`` in sessions WE own (bench, tests,
     CLI): installs :func:`apply_patches` in every worker process at spawn,
-    so even workers whose first task is pure-Ray shuffle code (sort-reduce,
-    hash aggregators) carry the unify_schemas fix and its log filter.
+    so even workers whose first task is pure-Ray shuffle code (sort-reduce)
+    carry the unify_schemas fix and its log filter.
     ``PYTHONPATH`` is shipped because the setup hook deserializes BEFORE
     the worker chdirs into the job cwd — without it the import fails and
     the worker dies.  Driver-owned sessions (the grader calls ray.init
@@ -80,153 +48,9 @@ def apply_patches() -> None:
     if _APPLIED:
         return
     _APPLIED = True
-    _patch_hash_shuffle_schema_broadcast()
     _patch_unify_schemas_metadata_hash()
     _quiet_empty_block_schema_warning()
     _quiet_empty_block_size_warning()
-
-
-def _empty_block_from_schema(schema):
-    """(block_ref, metadata) for a zero-row ARROW block matching ``schema``
-    (a ``pyarrow.Schema`` or Ray's ``PandasBlockSchema``); None if the
-    schema flavor is unrecognized.  Dtypes come from the schema, never
-    from value inference, so numeric/string key columns survive."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-
-    from ray.data.block import BlockAccessor
-
-    if isinstance(schema, pa.Schema):
-        table = schema.empty_table()
-    elif hasattr(schema, "names") and hasattr(schema, "types"):
-        try:
-            df = pd.DataFrame({n: pd.Series(dtype=t)
-                               for n, t in zip(schema.names, schema.types)})
-            table = pa.Table.from_pandas(df, preserve_index=False)
-        except (TypeError, ValueError):  # pragma: no cover - exotic dtype
-            return None
-    else:  # pragma: no cover - unknown schema flavor
-        return None
-    meta = BlockAccessor.for_block(table).get_metadata()
-    return ray.put(table), meta
-
-
-def _patch_hash_shuffle_schema_broadcast() -> None:
-    try:
-        import ray
-        import ray.data._internal.execution.operators.hash_shuffle as hs
-        from ray.data._internal.execution.interfaces.ref_bundle import RefBundle
-
-        orig_add = hs.HashShufflingOperatorBase._do_add_input_inner
-        orig_shuffle_fn = hs._shuffle_block._function
-    except (ImportError, AttributeError):  # pragma: no cover - other Ray
-        logger.debug("hash-shuffle internals moved; schema-broadcast "
-                     "patch not applied")
-        return
-
-    if getattr(orig_add, "_zeeklog_patched", False):  # pragma: no cover
-        return
-
-    # ---- patch A: schema-bearing empty blocks DO broadcast -------------
-    def _shuffle_block_schema_safe(block, input_index, key_columns, pool,
-                                   block_transformer=None,
-                                   send_empty_blocks=False,
-                                   override_partition_id=None):
-        import ray as _ray
-        import ray.data._internal.execution.operators.hash_shuffle as _hs
-        from ray.data.block import BlockAccessor, BlockExecStats
-        from ray.data.block import BlockType
-        from ray.data._internal.table_block import TableBlockAccessor
-
-        if block_transformer is not None:
-            block = block_transformer(block)
-            block_transformer = None
-        # Ray's pandas→Arrow conversion of an EMPTY DataFrame null-types
-        # every column (measured on 2.49: int64 → null), so the schema
-        # shard patch A broadcasts would poison downstream joins
-        # ("Data type null is not supported in join key field").
-        # pa.Table.from_pandas infers from DTYPES and keeps numerics
-        # exact (object → null is unavoidable without values).
-        import pandas as _pd
-        import pyarrow as _pa
-
-        if isinstance(block, _pd.DataFrame) and len(block) == 0:
-            block = _pa.Table.from_pandas(block, preserve_index=False)
-        block = TableBlockAccessor.try_convert_block_type(
-            block, block_type=BlockType.ARROW)
-        # pandas→Arrow conversion attaches b'pandas' schema metadata, and a
-        # metadata-bearing pa.Schema is UNHASHABLE (hash touches the
-        # metadata dict) — every aggregator then warns "Failed to hash the
-        # schemas" per unify_schemas call and loses its set() early-exit.
-        # The metadata is pandas bookkeeping with no consumer downstream of
-        # a shuffle; strip it at the partitioning chokepoint.
-        if isinstance(block, _pa.Table) and block.schema.metadata:
-            block = block.replace_schema_metadata(None)
-
-        if (block.num_rows == 0 and send_empty_blocks
-                and len(block.schema.names) > 0):
-            stats = BlockExecStats.builder()
-            shard = _hs._create_empty_table(block.schema)
-            # one put, shared by every aggregator — the shards are
-            # identical (unlike the original's per-partition slices)
-            ref = _ray.put(shard)
-            pending = []
-            for pid in range(pool.num_partitions):
-                aggregator = pool.get_aggregator_for_partition(pid)
-                pending.append(aggregator.submit.remote(input_index, pid, ref))
-            # mirror the original's submission barrier: aggregations must
-            # not finalize before the shards are accepted
-            while pending:
-                _, pending = _ray.wait(pending, num_returns=len(pending),
-                                       timeout=1)
-            meta = BlockAccessor.for_block(block).get_metadata(
-                exec_stats=stats.build())
-            return meta, {}
-
-        return orig_shuffle_fn(block, input_index, key_columns, pool,
-                               block_transformer=None,
-                               send_empty_blocks=send_empty_blocks,
-                               override_partition_id=override_partition_id)
-
-    hs._shuffle_block = ray.remote(_shuffle_block_schema_safe)
-
-    # ---- patch B: bundle hygiene + broadcast-flag integrity ------------
-    def _do_add_input_inner(self, input_bundle, input_index):
-        kept = tuple(
-            (ref, meta)
-            for ref, meta in input_bundle.blocks
-            # num_rows=None (unknown) is treated as non-empty: worst case
-            # is the pre-patch behavior, never a new failure mode
-            if meta.num_rows is None or meta.num_rows > 0
-        )
-        if len(kept) == len(input_bundle.blocks):
-            return orig_add(self, input_bundle, input_index)
-
-        if not kept:
-            names = getattr(input_bundle.schema, "names", None)
-            if not names or self._has_schemas_broadcasted[input_index]:
-                # schema-less or redundant empties: drop them WITHOUT
-                # consuming the one-shot schema broadcast
-                return None
-            # Keep ONE empty block as the schema carrier for patch A —
-            # but never the raw block: Ray manufactures (0, 0)
-            # ZERO-COLUMN empties (observed from sort-shuffle partitions)
-            # whose broadcast would finalize column-less aggregator
-            # partitions even though the BUNDLE schema knows the columns.
-            # Synthesize a schema-faithful empty Arrow block instead.
-            carrier = _empty_block_from_schema(input_bundle.schema)
-            if carrier is not None:
-                kept = (carrier,)
-            else:  # unknown schema flavor: pre-patch behavior
-                kept = input_bundle.blocks[:1]
-
-        pruned = RefBundle(kept, owns_blocks=input_bundle.owns_blocks,
-                           schema=input_bundle.schema)
-        return orig_add(self, pruned, input_index)
-
-    _do_add_input_inner._zeeklog_patched = True
-    hs.HashShufflingOperatorBase._do_add_input_inner = _do_add_input_inner
 
 
 def _patch_unify_schemas_metadata_hash() -> None:
@@ -235,7 +59,7 @@ def _patch_unify_schemas_metadata_hash() -> None:
     ``hash(schema)`` raises ``TypeError: unhashable type: 'dict'`` — so
     Ray's ``unify_schemas`` loses its identical-schemas early-exit and
     logs "Failed to hash the schemas" per call (visible from every
-    HashShuffleAggregator / sort-reduce worker in a bench run).
+    sort-reduce worker in a bench run).
 
     Two pieces: (1) wrap ``unify_schemas`` to dedupe on the
     metadata-STRIPPED schemas (restores the early-exit and its speed);
@@ -243,9 +67,7 @@ def _patch_unify_schemas_metadata_hash() -> None:
     genuinely-mixed-schema case, where Ray's code proceeds correctly and
     the message is pure noise.  The filter also installs in any worker
     process that imports this package (logging config is process-global
-    and workers are reused), and the metadata strip in
-    ``_shuffle_block_schema_safe`` removes the root cause on every block
-    that crosses a hash shuffle."""
+    and workers are reused)."""
     try:
         import ray.data._internal.arrow_ops.transform_pyarrow as tp
 
@@ -282,11 +104,11 @@ def _quiet_empty_block_schema_warning() -> None:
     produced a RefBundle with a different schema than the previous one
     ... new schema: PandasBlockSchema(names=[], types=[])") every time a
     stage emits a zero-COLUMN empty pandas block — which Ray itself
-    manufactures (repartition/groupby on sparse buckets) and which the
-    hash-shuffle patches above already make semantically harmless.  The
-    warning fires hundreds of times per bench run and says nothing
-    actionable, so drop EXACTLY that message shape (empty new schema);
-    real schema drift between non-empty blocks still warns."""
+    manufactures (repartition/groupby on sparse buckets) and whose
+    columns no downstream stage reads.  The warning fires hundreds of
+    times per bench run and says nothing actionable, so drop EXACTLY
+    that message shape (empty new schema); real schema drift between
+    non-empty blocks still warns."""
     import logging
 
     class _DropEmptySchemaDrift(logging.Filter):

@@ -2,8 +2,10 @@
 
 These are the engine's reusable operators beyond the Zeek pipeline itself:
 broadcast hash joins for small dimension tables (the shape of the reference's
-only join, the ip2location lookup — SURVEY.md §2.4 J1), partitioned hash
-joins for fact⨝fact, grouped integer-exact aggregation, and top-k.
+only join, the ip2location lookup — SURVEY.md §2.4 J1), one hash-bucket
+exchange (:func:`bucket_exchange`) under every fact⨝fact join
+(:func:`bucketed_equi_join`, :func:`bucketed_semi_anti_join`) and
+high-cardinality groupby, grouped integer-exact aggregation, and top-k.
 
 Float policy for oracle-checked results: money/value columns are converted to
 integer cents (``round(x * 100) → int64``) BEFORE summing, so aggregates are
@@ -84,14 +86,6 @@ def cluster_cpus(default: int = 8) -> int:
         return default
 
 
-def default_join_partitions(requested: int | None = None) -> int:
-    """Join/shuffle partition count bounded by cluster CPUs: the hash
-    aggregators are actors, and more partitions than CPUs can DEADLOCK a
-    small cluster (measured: num_partitions=16 on 4 CPUs hangs)."""
-    cap = max(2, cluster_cpus())
-    return min(requested, cap) if requested else cap
-
-
 def with_hash_bucket(ds: "ray.data.Dataset", key: str | Sequence[str],
                      num_buckets: int = 1024) -> "ray.data.Dataset":
     """Append the ``_bucket`` column: a deterministic hash of ``key`` (a
@@ -109,7 +103,7 @@ def with_hash_bucket(ds: "ray.data.Dataset", key: str | Sequence[str],
 
 def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
                     fn: Callable[[pd.DataFrame], "pd.DataFrame | pa.Table"],
-                    num_buckets: int) -> "ray.data.Dataset":
+                    num_buckets: int = 1024) -> "ray.data.Dataset":
     """The hash-bucket exchange: every row of a ``key`` value lands in the
     same ``fn`` call.  Rows shuffle on the :func:`with_hash_bucket` bucket
     through Ray's sort-based ``groupby(...).map_groups``; ``fn`` gets one
@@ -171,37 +165,6 @@ def bucketed_group_min(ds: "ray.data.Dataset", key: str, val: str,
                 .min().reset_index())
 
     return bucket_exchange(ds, key, per_bucket, num_buckets)
-
-
-def sized_join_partitions(n_rows: int,
-                          rows_per_partition: int = 25_000) -> int:
-    """Partition count proportional to the DATA, bounded by the CPU cap:
-    every hash-shuffle partition costs a fixed aggregator-actor spin-up
-    (measured ~0.1 s each), so a small join at 32 partitions pays ~4 s of
-    pure overhead, while a big join WANTS the full width (measured on an
-    800k-row self-join: 13 s at 4 partitions vs 8.6 s at 32).  25k rows
-    per partition is the measured crossover.  Use when the input size is
-    known (e.g. after a ``materialize``); at cluster scale the CPU cap
-    dominates and this degenerates to :func:`default_join_partitions`."""
-    import math
-
-    return default_join_partitions(max(2, math.ceil(n_rows / rows_per_partition)))
-
-
-def hash_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-              on: str, right_on: str | None = None,
-              num_partitions: int | None = None,
-              how: str = "inner") -> "ray.data.Dataset":
-    """Partitioned hash join for two large sides (``Dataset.join``);
-    ``how`` ∈ inner / left_outer / right_outer / full_outer.
-
-    Both sides shuffle on the key; at multi-node scale pass ``num_partitions``
-    ≈ 2–4 × total CPUs — locally it is capped at the CPU count (see
-    :func:`default_join_partitions`).
-    """
-    return left.join(right, join_type=how,
-                     num_partitions=default_join_partitions(num_partitions),
-                     on=(on,), right_on=(right_on or on,))
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -321,9 +284,10 @@ def grouped_sum(ds: "ray.data.Dataset", keys: Sequence[str],
     input can be entirely empty (e.g. a filter that may match nothing),
     Ray's executor passes empty blocks through every map stage untouched
     and ``repartition`` strips their column metadata, so the aggregate
-    would emit a ZERO-COLUMN block — which a downstream ``Dataset.join``
-    cannot take (no schema to broadcast; see raypatch.py).  Passing the
-    expected schema unions in a zero-row seed block that pins it.
+    would emit a ZERO-COLUMN block whose ``schema()`` is None — and a
+    full outer join (:func:`bucketed_equi_join`) could not name the
+    empty side's columns.  Passing the expected schema unions in a
+    zero-row seed block that pins it.
     """
     keys = list(keys)
     sums = sums or {}
@@ -1041,7 +1005,7 @@ def _nullable_int_casts(schemas, cols: set[str]):
     int64 column null-filled on the other side's rows promotes the WHOLE
     block to float64, silently rounding ids above 2^53, so integer
     columns ride the union as pandas NULLABLE Int dtypes and cast back on
-    the way out (inner-join outputs are never null there)."""
+    the way out wherever the output cannot be null there."""
     int_casts = {}
     for sch in schemas:
         for name, typ in zip(sch.names, sch.types):
@@ -1054,21 +1018,31 @@ def _nullable_int_casts(schemas, cols: set[str]):
 def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                        on: str | Sequence[str],
                        right_on: str | Sequence[str] | None = None,
-                       num_buckets: int = 1024) -> "ray.data.Dataset":
-    """INNER equi-join via tagged union + ONE key-hash-bucket shuffle +
-    per-bucket C-level ``pandas.merge`` — the alternative to
-    ``Dataset.join`` when Ray's hash-shuffle aggregator spin-up dominates
-    (measured: two chained 2M⨝1M ``Dataset.join``s cost 14 s of mostly
-    infra at 32 CPUs; the same joins bucketed run in ~5 s).  Supports
-    multi-column keys; ``right_on`` columns are renamed onto ``on``.
-    Null keys match nothing (inner semantics).  Same bucket-count sizing
-    rule as :func:`bucket_exchange`; assumes one bucket's rows fit one
-    task (both sides land in the same pandas group).
+                       num_buckets: int = 1024,
+                       how: str = "inner") -> "ray.data.Dataset":
+    """Equi-join via tagged union + ONE :func:`bucket_exchange` on the key
+    + per-bucket C-level ``pandas.merge`` — the engine's one fact⨝fact
+    join (measured: two chained 2M⨝1M joins ~5 s at 32 CPUs, where
+    Ray's hash-shuffle join spent 14 s mostly on aggregator spin-up).
+    ``how`` ∈ inner / left / full.  Supports multi-column keys;
+    ``right_on`` columns are renamed onto ``on``, so an outer join's key
+    comes out coalesced into the ``on`` columns.  SQL null semantics: a
+    key with a null component matches nothing, and an outer side keeps
+    its null-key rows null-extended.  Integer columns an outer join can
+    null — the key and every column of a null-extended side — come out
+    as pandas nullable ``Int`` dtypes, never float64 (ids above 2^53 stay
+    exact); every other integer column keeps its numpy dtype.  Same
+    bucket-count sizing rule as :func:`bucket_exchange`; assumes one
+    bucket's rows fit one task (both sides land in the same pandas group).
 
-    Prefer ``Dataset.join`` when either side is so large that a single
-    bucket would blow a worker's heap AND the key is near-unique (its
-    partition-sized aggregation has no per-group cliff); prefer this for
-    the mid-scale entity joins that dominate these pipelines."""
+    A side whose schema Ray dropped (an all-empty input loses it at its
+    first map stage) has no columns to name and no row to match: the
+    result is then the other side as far as ``how`` keeps it (left rows
+    unchanged for ``left``; either side unchanged for ``full``), else
+    empty."""
+    if how not in ("inner", "left", "full"):
+        raise ValueError(f"bucketed_equi_join: how must be 'inner', 'left' "
+                         f"or 'full', got {how!r}")
     on = [on] if isinstance(on, str) else list(on)
     right_on = (on if right_on is None
                 else [right_on] if isinstance(right_on, str)
@@ -1076,6 +1050,10 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     if len(on) != len(right_on):
         raise ValueError("bucketed_equi_join: on/right_on length mismatch")
     lschema, rschema = left.schema(), right.schema()
+    if lschema is None:
+        return right if how == "full" else left
+    if rschema is None:
+        return left.limit(0) if how == "inner" else left
     lcols = list(lschema.names)
     missing = [c for c in on if c not in lcols] + \
         [c for c in right_on if c not in rschema.names]
@@ -1119,37 +1097,50 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             raise ValueError(
                 f"bucketed_equi_join: key {kcol!r} dtype differs across "
                 f"sides ({ltypes[kcol]} vs {rtypes[kcol]}); cast first")
+    # integer columns the join can null keep the nullable dtype on the way
+    # out; the rest cast back to numpy
+    can_null = {"inner": set(), "left": set(r_keep),
+                "full": set(out_cols)}[how]
+    out_dtypes = {c: nullable_casts[c] if c in can_null else dt
+                  for c, dt in int_casts.items()}
+    merge_how = {"inner": "inner", "left": "left", "full": "outer"}[how]
 
-    def tag(side: str, ren: dict | None):
+    def tag(side: int, ren: dict | None):
         def f(batch: pd.DataFrame) -> pd.DataFrame:
             batch = batch.rename(columns=ren) if ren else batch.copy()
             for c in batch.columns:
                 dt = nullable_casts.get(c)
                 if dt:
                     batch[c] = batch[c].astype(dt)
-            batch["_side"] = side
+            # an int8 side bit: a string tag is a Python object per row,
+            # which bloats the exchanged blocks several-fold
+            batch["_side"] = np.int8(side)
             return batch
 
         return f
 
-    both = left.map_batches(tag("L", None), batch_format="pandas",
+    both = left.map_batches(tag(0, None), batch_format="pandas",
                             batch_size=None) \
-        .union(right.map_batches(tag("R", rename), batch_format="pandas",
+        .union(right.map_batches(tag(1, rename), batch_format="pandas",
                                  batch_size=None))
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        lg = group.loc[group["_side"] == "L",
-                       [c for c in lcols if c in group.columns]]
-        rg = group.loc[group["_side"] == "R",
-                       [c for c in r_keep if c in group.columns]]
-        if lg.empty or rg.empty:       # single-sided bucket: no matches
-            return pd.DataFrame(columns=out_cols).astype(int_casts)
-        lg = lg.dropna(subset=on)
-        rg = rg.dropna(subset=on)
-        if lg.empty or rg.empty:
-            return pd.DataFrame(columns=out_cols).astype(int_casts)
-        m = lg.merge(rg, on=on, how="inner")
-        return m[out_cols].astype(int_casts)
+        is_left = group["_side"].to_numpy() == 0
+        lg = group.loc[is_left].reindex(columns=lcols)
+        rg = group.loc[~is_left].reindex(columns=r_keep)
+        # pandas.merge matches null to null; SQL never does — split them out
+        l_null = lg[on].isna().any(axis=1).to_numpy()
+        r_null = rg[on].isna().any(axis=1).to_numpy()
+        parts = [lg.loc[~l_null].merge(rg.loc[~r_null], on=on,
+                                       how=merge_how)]
+        if how != "inner":
+            parts.append(lg.loc[l_null])
+        if how == "full":
+            parts.append(rg.loc[r_null])
+        parts = [p for p in parts if len(p)] or parts[:1]
+        out = pd.concat([p.reindex(columns=out_cols).astype(nullable_casts)
+                         for p in parts], ignore_index=True)
+        return out.astype(out_dtypes)
 
     return bucket_exchange(both, on, per_bucket, num_buckets)
 
