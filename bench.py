@@ -2,10 +2,14 @@
 
 Default: run the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and print::
+num_cpus=$RAY_GRAFT_CPUS)`` (default: the CPUs this process may run on,
+``len(os.sched_getaffinity(0))``) and print::
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, ...}
+     "queries": {...}, "sf": ..., "num_cpus": N, "host_cpus": H, ...}
+
+``host_cpus`` is that affinity count whatever ``RAY_GRAFT_CPUS`` says, so
+a record states the hardware it ran on.
 
 ``--scaling``: run this same script in two FRESH processes at num_cpus=2
 and num_cpus=8 on identical input and report both throughputs plus scaling
@@ -26,7 +30,8 @@ import time
 
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+HOST_CPUS = len(os.sched_getaffinity(0))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", str(HOST_CPUS)))
 
 # --scaling uses a larger corpus (cached one-time generation) so the timed
 # region is dominated by distributed work, not per-run fixed costs (actor
@@ -996,6 +1001,7 @@ def run_bench() -> dict:
         **extras,
         "sf": _sf_tag(SF_DIR),
         "num_cpus": NUM_CPUS,
+        "host_cpus": HOST_CPUS,
         "sequences": n_seq,
         "tokens": n_tok,
         "seq_per_s": round(n_seq / headline, 1),

@@ -137,6 +137,65 @@ def test_no_hash_shuffle_join_in_package():
     assert offenders == [], offenders
 
 
+_POOL_KEYWORDS = {"concurrency", "compute", "fn_constructor_args",
+                  "fn_constructor_kwargs"}
+
+
+def _map_batches_pool_sites(pkg: pathlib.Path, pkg_name: str) -> list[str]:
+    """Every ``map_batches`` call under ``pkg`` that asks for an actor
+    pool: an actor-pool keyword, or a class as the function (resolved
+    against the module's globals and the file's own class definitions).
+    Docstring usage examples are strings, not calls, so they never
+    match."""
+    import ast
+    import importlib
+    import inspect
+
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        rel = path.relative_to(pkg)
+        tree = ast.parse(path.read_text())
+        mod_name = ".".join((pkg_name, *rel.with_suffix("").parts))
+        module = importlib.import_module(mod_name.removesuffix(".__init__"))
+        local_classes = {n.name for n in ast.walk(tree)
+                         if isinstance(n, ast.ClassDef)}
+
+        def is_class(node) -> bool:
+            if isinstance(node, ast.Name) and node.id in local_classes:
+                return True
+            try:
+                obj = eval(compile(ast.Expression(node), "<fn>", "eval"),
+                           vars(module))
+            except Exception:            # a local name: not resolvable
+                return False
+            return inspect.isclass(obj)
+
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "map_batches"):
+                continue
+            fns = call.args[:1] + [k.value for k in call.keywords
+                                   if k.arg == "fn"]
+            bad = sorted(k.arg for k in call.keywords
+                         if k.arg in _POOL_KEYWORDS)
+            bad += ["class " + ast.unparse(f) for f in fns
+                    if isinstance(f, (ast.Name, ast.Attribute))
+                    and is_class(f)]
+            if bad:
+                found.append(f"{rel.as_posix()}:{call.lineno}: "
+                             + ", ".join(bad))
+    return found
+
+
+def test_no_actor_pool_map_stage_in_package():
+    """Every map stage runs as tasks: an actor-pool stage holds a CPU for
+    its lifetime and starves the upstream read on a 1-CPU cluster."""
+    pkg = pathlib.Path(zeeklog_ray.__file__).parent
+    offenders = _map_batches_pool_sites(pkg, "zeeklog_ray")
+    assert offenders == [], offenders
+
+
 def test_pivot_sum_semantics(ray_session):
     """PIVOT: zero-fill, out-of-list values count toward count_as but no
     column, duplicate categories rejected."""

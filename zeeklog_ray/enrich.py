@@ -1,4 +1,4 @@
-"""Stateful enrichment: actor-pool broadcast-dictionary lookups.
+"""Enrichment: broadcast-dictionary lookups in stateless map tasks.
 
 The reference enriches each distinct source IP by HTTP-GETting an
 ip2location API under a global mutex — one OS thread per IP, lock held across
@@ -10,15 +10,18 @@ from a local ``ip2loc.db`` cache — that offline-dictionary design is what
 this module implements properly:
 
 * the dictionaries are small, deterministic sidecar tables (FIXTURES.md §4);
-* an :class:`Enricher` **callable class** is passed to ``map_batches`` so Ray
-  runs it as an actor pool — dict build happens once per actor in
-  ``__init__``, lookups are vectorized ``np.searchsorted`` per batch;
+* an :class:`Enricher` is built once on the driver and the INSTANCE is
+  passed to ``map_batches``, so Ray runs it as ordinary tasks that carry
+  the pickled lookup arrays and release their CPU between blocks — no
+  stage holds a CPU for its lifetime; lookups are vectorized Arrow
+  ``index_in``/``take`` per batch;
 * misses are left-outer NULLs, mirroring the reference's silent-miss path
   (``zeek_log.rs:439-447``).
 
-At cluster scale the dicts would be ``ray.put`` once on the driver and the
-object ref handed to the actor constructor; they are rebuilt deterministically
-in-process here because they are tiny (<10 KB) and the sandbox is single-node.
+At cluster scale large dicts would be ``ray.put`` once on the driver and the
+object ref resolved per batch (:func:`broadcast_range_lookup` does this);
+these ride inside the pickled instance because they are tiny
+(<10 KB).
 """
 
 from __future__ import annotations
@@ -153,16 +156,16 @@ def lookup_ip(ip: str,
 
 
 class Enricher:
-    """Actor-pool stage: append geo_* (by ``id_orig_h``) and ``service``
+    """Map stage: append geo_* (by ``id_orig_h``) and ``service``
     (by ``id_resp_p``) columns via broadcast-dict lookup.
 
     Usage::
 
-        ds.map_batches(Enricher, batch_format="pyarrow",
-                       batch_size=32768, concurrency=(2, 8))
+        ds.map_batches(Enricher(), batch_format="pyarrow", batch_size=None)
 
-    State (sorted key arrays + value matrices) is built once per actor;
-    per-batch work is two vectorized searchsorted lookups.
+    State (sorted key arrays + value arrays) is built once in
+    ``__init__`` and pickled with the instance into each task; per-batch
+    work is two vectorized ``index_in`` lookups.
     """
 
     def __init__(self) -> None:

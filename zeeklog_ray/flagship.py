@@ -1,5 +1,5 @@
 """Fused flagship stage: parse → enrich → routed write → partial stats in
-ONE actor-pool ``map_batches`` pass.
+ONE ``map_batches`` task pass.
 
 The composable path (``build_dataset`` → ``route_to_sinks`` →
 ``grouped_stats``) moves the full decoded table through the object store at
@@ -52,8 +52,8 @@ _STATS_COLUMNS = ["ts", "uid", "doc_id", "n_tok",
 
 
 class FusedRouteWriter:
-    """Actor: parse+enrich a batch, write it to per-sink Parquet, return the
-    batch's partial sink stats.  Enrichment dicts load once per actor."""
+    """Parse+enrich a batch, write it to per-sink Parquet, return the
+    batch's partial sink stats.  Enrichment dicts load once per writer."""
 
     def __init__(self, out_dir: str, src_ip: str | None = None,
                  enrich: bool = True, source: str | None = None,
@@ -124,18 +124,18 @@ class FusedRouteWriter:
 
 
 class FileRouteWorker(FusedRouteWriter):
-    """Actor: consume INPUT FRAGMENT PATHS; for each file do
+    """Consume INPUT FRAGMENT PATHS; for each file do
     read → parse → enrich → routed write → partial stats, entirely inside
-    the actor.
+    one map task (:func:`_file_route_task` builds one worker per fragment).
 
     Why file-granular: the tokens column decode costs about as much CPU as
     parse+enrich+write combined, so any static split of CPUs between a read
     stage and a process stage leaves one side starved (measured: 3 of 8
-    cores busy).  Feeding paths makes every actor do read+process
+    cores busy).  Feeding paths makes every task do read+process
     end-to-end — no large block ever crosses the object store, CPUs stay
     balanced at any cluster size, and retries/lineage stay file-granular.
     This is the map-partition pattern for partitioned-table ETL; Ray Data
-    still provides scheduling, backpressure and actor-pool state.
+    still provides scheduling and backpressure.
     """
 
     #: subclass hook: fragment path → (table, is_pre_parsed)
@@ -184,33 +184,17 @@ class ZeekTsvRouteWorker(FileRouteWorker):
             return _empty_table(), True
 
 
-# Per-worker-process singleton cache for task-based dispatch: task workers
-# are PRESTARTED by ray.init, so running the file worker as a plain function
-# with module-cached state skips actor-process spawn entirely (2-5 s for a
-# 32-actor pool) while keeping the amortize-state-per-process property of an
-# actor.  FileRouteWorker stays a class, so it still drops into an actor
-# pool where per-worker state is heavy (models, large dicts).
-_WORKER_CACHE: dict = {}
-
-
 def _file_route_task(batch: pa.Table, *, out_dir: str, src_ip: str | None,
                      enrich: bool, source: str | None = None,
                      compression: str | None = None,
                      input_format: str = "parquet",
                      on_error: str = "raise") -> pa.Table:
-    # key EXCLUDES out_dir: resumable runs use a fresh shard_out per shard,
-    # and keying on it would accumulate one full worker state (Enricher geo
-    # dict included) per shard per worker process — out_dir is plain config,
-    # re-pointed per call on the cached worker instead
-    key = (src_ip, enrich, source, compression, input_format, on_error)
-    w = _WORKER_CACHE.get(key)
-    if w is None:
-        kw = dict(out_dir=out_dir, src_ip=src_ip, enrich=enrich,
-                  source=source, compression=compression)
-        w = _WORKER_CACHE[key] = (
-            ZeekTsvRouteWorker(on_error=on_error, **kw)
-            if input_format == "zeek-tsv" else FileRouteWorker(**kw))
-    w.out_dir = out_dir
+    # one worker per fragment task: building it (Enricher included) costs
+    # about a millisecond against a fragment's ~0.2 s of work
+    kw = dict(out_dir=out_dir, src_ip=src_ip, enrich=enrich, source=source,
+              compression=compression)
+    w = (ZeekTsvRouteWorker(on_error=on_error, **kw)
+         if input_format == "zeek-tsv" else FileRouteWorker(**kw))
     return w(batch)
 
 
@@ -247,7 +231,7 @@ def run_files(cfg: PipelineConfig, files: list[str], out_dir: str,
     # collapses to the block count)
     paths = ray.data.from_items([{"path": f} for f in files],
                                 override_num_blocks=len(files))
-    # task dispatch on prestarted workers, worker state module-cached
+    # task dispatch on prestarted workers
     partial = paths.map_batches(
         functools.partial(_file_route_task, out_dir=out_dir,
                           src_ip=cfg.src_ip, enrich=cfg.enrich,

@@ -14,11 +14,11 @@ Scale shape — a pure broadcast semi-join, ZERO shuffle:
   collected once, deduplicated on the driver, and broadcast via
   ``ray.put`` — every map task reads the same object-store copy, it is
   never re-shipped per batch;
-* the corpus side streams through one ``map_batches`` stage (actor pool:
-  the sorted gram array is bound once per actor in ``__init__``); each
-  batch does one vectorized ``searchsorted`` membership probe over the
-  concatenated gram windows of all its docs.  No groupby, no sort, no
-  all-to-all — cost is a single read-scan of the corpus.
+* the corpus side streams through one ``map_batches`` task stage; each
+  batch resolves the gram array's object ref (zero-copy for a numpy
+  array) and does one vectorized ``searchsorted`` membership probe over
+  the concatenated gram windows of all its docs.  No groupby, no sort,
+  no all-to-all — cost is a single read-scan of the corpus.
 
 Grams are packed EXACTLY into uint64 (k ≤ 8, base-256 — injective, the
 true gram set, not a hash), via the shared kernel
@@ -96,22 +96,24 @@ def collect_benchmark_grams(bench_ds: "ray.data.Dataset",
     return grams.astype(np.uint64)
 
 
-class ContamProbe:
-    """Actor-pool stage: per-doc benchmark-gram hit counts.
+def benchmark_contamination(docs_ds: "ray.data.Dataset",
+                            bench_ds: "ray.data.Dataset",
+                            text_col: str = "text", k: int = 8,
+                            id_col: str = "doc_id") -> "ray.data.Dataset":
+    """Contaminated-doc report: ``(id_col, n_grams, n_hit, contam_e4)`` for
+    every training doc sharing ≥1 distinct byte-k-gram with the benchmark
+    set.  ``contam_e4 = (10000 * n_hit) // n_grams``.
 
-    ``grams_ref`` is the ``ray.put`` handle of the sorted benchmark gram
-    array — resolved ONCE per actor here, not per batch.
+    Docs shorter than ``k`` bytes have no grams and can never be flagged.
     """
+    # the probe closes over the ref, never the array: the gram set may be
+    # as large as the heap budget and must not be pickled into the task
+    grams_ref = ray.put(collect_benchmark_grams(bench_ds, text_col, k))
 
-    def __init__(self, grams_ref, text_col: str = "text", k: int = 8,
-                 id_col: str = "doc_id") -> None:
-        self._grams = ray.get(grams_ref)
-        self._text_col, self._id_col, self._k = text_col, id_col, k
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        seg, allg = _packed_kgram_pairs(batch[self._text_col], self._k)
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        bench = ray.get(grams_ref)
+        seg, allg = _packed_kgram_pairs(batch[text_col], k)
         lens = np.bincount(seg, minlength=len(batch)).astype(np.int64)
-        bench = self._grams
         if len(bench) and len(allg):
             idx = np.searchsorted(bench, allg)
             np.minimum(idx, len(bench) - 1, out=idx)
@@ -121,7 +123,7 @@ class ContamProbe:
         # bincount segment-sum is safe for zero-gram docs (unlike reduceat)
         n_hit = np.bincount(seg[hit], minlength=len(batch)).astype(np.int64)
         out = pd.DataFrame({
-            self._id_col: batch[self._id_col].to_numpy(),
+            id_col: batch[id_col].to_numpy(),
             "n_grams": lens,
             "n_hit": n_hit,
         })
@@ -130,22 +132,4 @@ class ContamProbe:
         out["contam_e4"] = (10_000 * out["n_hit"]) // out["n_grams"]
         return out
 
-
-def benchmark_contamination(docs_ds: "ray.data.Dataset",
-                            bench_ds: "ray.data.Dataset",
-                            text_col: str = "text", k: int = 8,
-                            id_col: str = "doc_id",
-                            concurrency: int | tuple[int, int] | None = None
-                            ) -> "ray.data.Dataset":
-    """Contaminated-doc report: ``(id_col, n_grams, n_hit, contam_e4)`` for
-    every training doc sharing ≥1 distinct byte-k-gram with the benchmark
-    set.  ``contam_e4 = (10000 * n_hit) // n_grams``.
-
-    Docs shorter than ``k`` bytes have no grams and can never be flagged.
-    """
-    grams_ref = ray.put(collect_benchmark_grams(bench_ds, text_col, k))
-    return docs_ds.map_batches(
-        ContamProbe, batch_format="pandas", batch_size=None,
-        concurrency=concurrency or (1, 8),
-        fn_constructor_kwargs={"grams_ref": grams_ref, "text_col": text_col,
-                               "k": k, "id_col": id_col})
+    return docs_ds.map_batches(probe, batch_format="pandas", batch_size=None)

@@ -1,5 +1,5 @@
 """Multimodal columns: opaque ``binary`` payloads with typed metadata,
-decoded and feature-extracted by actor-pool ``map_batches`` stages.
+decoded and feature-extracted by ``map_batches`` task stages.
 
 Three decoder tiers:
 
@@ -30,8 +30,10 @@ Three decoder tiers:
 
 Everything Ray-side is identical across tiers: the Arrow schema (binary +
 metadata columns), deliberately small batch sizes (payload x batch x
-concurrency must fit the worker heap), decode state held per actor
-(``__init__`` once, ``__call__`` per batch).
+concurrent tasks must fit the worker heap), and plain tasks: a stage maps
+a function or a callable instance, so no stage holds a CPU between
+blocks (decoder state is built once on the driver and pickled with the
+instance).
 
 Schema convention::
 
@@ -43,6 +45,7 @@ Schema convention::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -409,19 +412,20 @@ def synth_media_table(n: int, seed: int = 7) -> pa.Table:
 
 
 # --------------------------------------------------------------------------
-# actor stage
+# feature stage
 # --------------------------------------------------------------------------
 
 
 class MediaFeatureExtractor:
-    """Actor stage: decode payload -> fixed-dim feature vector.
+    """Map stage: decode payload -> fixed-dim feature vector.
 
-    ``__init__`` is where decoder state / a model would load (once per
-    actor); ``__call__`` handles one Arrow batch.  Decode is per-payload
-    Python by nature (each payload is its own container/file — same
-    granularity any codec library imposes); the per-payload work itself is
+    ``__init__`` is where decoder state / a small model would load (once,
+    on the driver; :func:`extract_features` maps the instance);
+    ``__call__`` handles one Arrow batch.  Decode is per-payload Python by
+    nature (each payload is its own container/file — same granularity any
+    codec library imposes); the per-payload work itself is
     numpy-vectorized.  Keep ``batch_size`` SMALL for real media (payload x
-    batch x concurrency must fit the worker heap)."""
+    batch x concurrent tasks must fit the worker heap)."""
 
     def __init__(self, decoder: str = "numpy") -> None:
         if decoder not in ("numpy", "fake", "real"):
@@ -521,61 +525,49 @@ def resize_image(pixels: np.ndarray, out_h: int, out_w: int,
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-class MediaResizer:
-    """Actor stage: decode image payload → resize → re-encode BMP.
+def _resize_batch(batch: pa.Table, out_w: int, out_h: int,
+                  method: str) -> pa.Table:
+    """Decode image payloads → resize → re-encode BMP.  Non-image rows are
+    dropped (route them to their own stages).  Output BMP size is a pure
+    function of the target dims (54-byte header + 4-aligned rows), which
+    is what the SQL oracle gates; pixel math is pinned by unit tests."""
+    import pyarrow.compute as pc
 
-    Same pool shape as :class:`MediaFeatureExtractor` (state in
-    ``__init__``, small batches — payload × batch × concurrency must fit
-    the worker heap).  Non-image rows are dropped (route them to their
-    own stages).  Output BMP size is a pure function of the target dims
-    (54-byte header + 4-aligned rows), which is what the SQL oracle
-    gates; pixel math is pinned by unit tests."""
-
-    def __init__(self, out_w: int, out_h: int,
-                 method: str = "bilinear") -> None:
-        if out_w < 1 or out_h < 1:
-            raise ValueError(f"bad target dims {out_w}x{out_h}")
-        self.out_w, self.out_h, self.method = out_w, out_h, method
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        batch = batch.filter(pc.equal(batch["modality"], "image"))
-        payloads = batch["payload"].to_pylist()
-        resized = [encode_bmp(resize_image(decode_image(p), self.out_h,
-                                           self.out_w, self.method))
-                   for p in payloads]
-        return pa.table({
-            "item_id": batch["item_id"],
-            "out_w": pa.array([self.out_w] * len(resized), pa.int64()),
-            "out_h": pa.array([self.out_h] * len(resized), pa.int64()),
-            "n_bytes": pa.array([len(r) for r in resized], pa.int64()),
-            "payload": pa.array(resized, pa.binary()),
-        })
+    batch = batch.filter(pc.equal(batch["modality"], "image"))
+    resized = [encode_bmp(resize_image(decode_image(p), out_h, out_w,
+                                       method))
+               for p in batch["payload"].to_pylist()]
+    return pa.table({
+        "item_id": batch["item_id"],
+        "out_w": pa.array([out_w] * len(resized), pa.int64()),
+        "out_h": pa.array([out_h] * len(resized), pa.int64()),
+        "n_bytes": pa.array([len(r) for r in resized], pa.int64()),
+        "payload": pa.array(resized, pa.binary()),
+    })
 
 
 def resize_images(ds: "ray.data.Dataset", out_w: int, out_h: int,
-                  method: str = "bilinear", batch_size: int = 64,
-                  concurrency: tuple[int, int] = (1, 4)) -> "ray.data.Dataset":
-    """Actor-pool image resize over a media table (images only)."""
-    return ds.map_batches(MediaResizer, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          fn_constructor_kwargs={
-                              "out_w": out_w, "out_h": out_h,
-                              "method": method})
+                  method: str = "bilinear",
+                  batch_size: int = 64) -> "ray.data.Dataset":
+    """Image resize over a media table (images only), small batches."""
+    if out_w < 1 or out_h < 1:
+        raise ValueError(f"bad target dims {out_w}x{out_h}")
+    return ds.map_batches(
+        functools.partial(_resize_batch, out_w=out_w, out_h=out_h,
+                          method=method),
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 def extract_features(ds: "ray.data.Dataset", decoder: str = "numpy",
-                     batch_size: int = 64,
-                     concurrency: tuple[int, int] = (1, 4)) -> "ray.data.Dataset":
-    """Actor-pool feature extraction over a media table.
+                     batch_size: int = 64) -> "ray.data.Dataset":
+    """Feature extraction over a media table.
 
     ``batch_size=64`` deliberately small: payloads are large binaries; a
-    batch x pool must fit in worker heap (the object store spills the rest).
+    batch x concurrent tasks must fit in worker heap (the object store
+    spills the rest).
     """
-    return ds.map_batches(MediaFeatureExtractor, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          fn_constructor_kwargs={"decoder": decoder})
+    return ds.map_batches(MediaFeatureExtractor(decoder),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
 # --------------------------------------------------------------------------
@@ -608,47 +600,38 @@ def dhash_image(pixels: np.ndarray, hash_w: int = 8,
     return val - (1 << 64) if val >= (1 << 63) else val   # int64 2's compl
 
 
-class _SignatureStage:
-    """Shared actor shape for the per-modality 64-bit signature stages:
-    filter to one modality, decode+hash each payload, emit ``(item_id,
-    phash: int64)`` — the single column contract
-    :func:`phash_dup_groups` consumes for every modality.  Subclasses
-    set ``modality`` and ``_hash(payload)``."""
+def _signature_batch(batch: pa.Table, modality: str, hash_fn) -> pa.Table:
+    """The per-modality 64-bit signature stage: filter to one modality,
+    ``hash_fn(payload)`` each row, emit ``(item_id, phash: int64)`` — the
+    single column contract :func:`phash_dup_groups` consumes for every
+    modality."""
+    import pyarrow.compute as pc
 
-    modality: str
-
-    def _hash(self, payload: bytes) -> int:
-        raise NotImplementedError
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        batch = batch.filter(pc.equal(batch["modality"], self.modality))
-        ids, hashes = [], []
-        for item_id, payload in zip(batch["item_id"].to_pylist(),
-                                    batch["payload"].to_pylist()):
-            ids.append(item_id)
-            hashes.append(self._hash(payload))
-        return pa.table({"item_id": pa.array(ids, pa.string()),
-                         "phash": pa.array(hashes, pa.int64())})
+    batch = batch.filter(pc.equal(batch["modality"], modality))
+    return pa.table({
+        "item_id": pa.array(batch["item_id"].to_pylist(), pa.string()),
+        "phash": pa.array([hash_fn(p) for p in batch["payload"].to_pylist()],
+                          pa.int64())})
 
 
-class PerceptualHasher(_SignatureStage):
-    """Decode image payloads → 64-bit dHash (non-image rows dropped)."""
+def _signatures(ds: "ray.data.Dataset", modality: str, hash_fn,
+                batch_size: int) -> "ray.data.Dataset":
+    return ds.map_batches(
+        functools.partial(_signature_batch, modality=modality,
+                          hash_fn=hash_fn),
+        batch_format="pyarrow", batch_size=batch_size)
 
-    modality = "image"
 
-    def _hash(self, payload: bytes) -> int:
-        return dhash_image(decode_image(payload))
+def _image_dhash(payload: bytes) -> int:
+    return dhash_image(decode_image(payload))
 
 
-def phash_images(ds: "ray.data.Dataset", batch_size: int = 64,
-                 concurrency: tuple[int, int] = (1, 4)) -> "ray.data.Dataset":
-    """Per-image perceptual hash over a media table — actor pool, small
-    batches (payload × batch × pool must fit the worker heap; same pool
-    shape as the other media stages)."""
-    return ds.map_batches(PerceptualHasher, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+def phash_images(ds: "ray.data.Dataset",
+                 batch_size: int = 64) -> "ray.data.Dataset":
+    """Per-image 64-bit dHash over a media table (non-image rows dropped);
+    small batches (payload × batch × concurrent tasks must fit the worker
+    heap, as for the other media stages)."""
+    return _signatures(ds, "image", _image_dhash, batch_size)
 
 
 def phash_dup_groups(phashes: "ray.data.Dataset", max_hamming: int = 3,
@@ -767,22 +750,16 @@ def afp_audio(rate: int, samples: np.ndarray, n_frames: int = 65) -> int:
     return val - (1 << 64) if val >= (1 << 63) else val
 
 
-class AudioFingerprinter(_SignatureStage):
-    """Decode WAV payloads → 64-bit energy-envelope fingerprint
-    (non-audio rows dropped)."""
-
-    modality = "audio"
-
-    def _hash(self, payload: bytes) -> int:
-        return afp_audio(*decode_wav(payload))
+def _audio_fp(payload: bytes) -> int:
+    return afp_audio(*decode_wav(payload))
 
 
-def audio_fingerprints(ds: "ray.data.Dataset", batch_size: int = 64,
-                       concurrency: tuple[int, int] = (1, 4)) -> "ray.data.Dataset":
-    """Per-clip audio fingerprint over a media table (actor pool, small
-    batches); group near-dups with :func:`phash_dup_groups`."""
-    return ds.map_batches(AudioFingerprinter, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+def audio_fingerprints(ds: "ray.data.Dataset",
+                       batch_size: int = 64) -> "ray.data.Dataset":
+    """Per-clip WAV energy-envelope fingerprint over a media table
+    (non-audio rows dropped, small batches); group near-dups with
+    :func:`phash_dup_groups`."""
+    return _signatures(ds, "audio", _audio_fp, batch_size)
 
 
 def vhash_video(frames: np.ndarray) -> int:
@@ -795,19 +772,12 @@ def vhash_video(frames: np.ndarray) -> int:
     return dhash_image(mean)
 
 
-class VideoHasher(_SignatureStage):
-    """Decode RVID payloads → mean-frame dHash (non-video rows
-    dropped)."""
-
-    modality = "video"
-
-    def _hash(self, payload: bytes) -> int:
-        return vhash_video(decode_video(payload))
+def _video_hash(payload: bytes) -> int:
+    return vhash_video(decode_video(payload))
 
 
-def video_hashes(ds: "ray.data.Dataset", batch_size: int = 64,
-                 concurrency: tuple[int, int] = (1, 4)) -> "ray.data.Dataset":
-    """Per-video signature over a media table (actor pool, small
-    batches)."""
-    return ds.map_batches(VideoHasher, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+def video_hashes(ds: "ray.data.Dataset",
+                 batch_size: int = 64) -> "ray.data.Dataset":
+    """Per-video RVID mean-frame dHash over a media table (non-video rows
+    dropped, small batches)."""
+    return _signatures(ds, "video", _video_hash, batch_size)

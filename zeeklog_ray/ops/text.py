@@ -89,8 +89,9 @@ class LangId:
     """Language-ID heuristic: score each language by stopword hit-rate over
     the document's words; emit the argmax (ties → alphabetical first).
 
-    Callable class → actor pool; the per-language word sets are built once
-    per actor (the reference's ST3 compiled-table pattern,
+    Callable class; :func:`lang_id` maps one instance, so the
+    per-language word sets are built once on the driver and ride with the
+    instance into every task (the reference's ST3 compiled-table pattern,
     /root/reference/src/zeek/zeek_log.rs:82-95 — state built once, applied
     per record).
     """
@@ -123,9 +124,8 @@ class LangId:
         })
 
 
-def lang_id(ds: "ray.data.Dataset", concurrency=(1, 4)) -> "ray.data.Dataset":
-    return ds.map_batches(LangId, batch_format="pandas", batch_size=None,
-                          concurrency=concurrency)
+def lang_id(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    return ds.map_batches(LangId(), batch_format="pandas", batch_size=None)
 
 
 _BPE_RE = r"[A-Za-z]+|[0-9]{1,3}|[^A-Za-z0-9\s]"

@@ -446,8 +446,8 @@ def _recover_compaction(part_dir: str) -> None:
             os.remove(journal_path)
 
 
-def compact_partitions(root: str, target_rows: int = 1_000_000,
-                       concurrency: int | None = None) -> pd.DataFrame:
+def compact_partitions(root: str,
+                       target_rows: int = 1_000_000) -> pd.DataFrame:
     """Compact every ``<col>=<value>`` partition directory under ``root``
     — the small-file table-maintenance pass every long-running ingest
     needs (each incremental run appends a few small files per partition;
@@ -470,8 +470,7 @@ def compact_partitions(root: str, target_rows: int = 1_000_000,
 
     reports = ray.data.from_pandas(pd.DataFrame({"dir": parts})) \
         .repartition(len(parts)) \
-        .map_batches(compact_one, batch_format="pandas", batch_size=None,
-                     concurrency=concurrency)
+        .map_batches(compact_one, batch_format="pandas", batch_size=None)
     return reports.to_pandas().sort_values("dir").reset_index(drop=True)
 
 
@@ -557,8 +556,7 @@ def upsert_partition_dir(part_dir: str, staging_dir: str, key: str,
 
 def upsert_partitions(root: str, changes: "ray.data.Dataset",
                       part_col: str, key: str, order_col: str,
-                      deleted_col: str | None = None,
-                      concurrency: int | None = None) -> pd.DataFrame:
+                      deleted_col: str | None = None) -> pd.DataFrame:
     """Apply a CDC change batch to a hive-partitioned store: stage the
     changes AS a hive-partitioned write (so change rows route to their
     partition without ever visiting the driver), then run one
@@ -590,7 +588,7 @@ def upsert_partitions(root: str, changes: "ray.data.Dataset",
 
         reports = ray.data.from_pandas(pairs).repartition(len(pairs)) \
             .map_batches(upsert_one, batch_format="pandas",
-                         batch_size=None, concurrency=concurrency)
+                         batch_size=None)
         return reports.to_pandas().sort_values("dir") \
             .reset_index(drop=True)
     finally:
@@ -797,8 +795,7 @@ def _merged_partition_table(part_dir: str, key: str, order_col: str,
 
 def read_merged(root: str, key: str, order_col: str,
                 deleted_col: str | None = None,
-                as_of_seq: int | None = None,
-                concurrency: int | None = None) -> "ray.data.Dataset":
+                as_of_seq: int | None = None) -> "ray.data.Dataset":
     """Merge-on-read scan of a delta-logged store: one task per
     partition directory merges its base files with its pending deltas
     (latest-wins per ``key`` on ``order_col``, tombstones dropped) and
@@ -837,13 +834,11 @@ def read_merged(root: str, key: str, order_col: str,
 
     return ray.data.from_pandas(pd.DataFrame({"part": parts})) \
         .repartition(len(parts)) \
-        .map_batches(merge_one, batch_format="pandas", batch_size=None,
-                     concurrency=concurrency)
+        .map_batches(merge_one, batch_format="pandas", batch_size=None)
 
 
 def compact_deltas(root: str, key: str, order_col: str,
-                   deleted_col: str | None = None,
-                   concurrency: int | None = None) -> pd.DataFrame:
+                   deleted_col: str | None = None) -> pd.DataFrame:
     """Fold every partition's pending delta log into its base — the
     maintenance pass that pays the merge ONCE so subsequent plain scans
     are delta-free.  Per partition: merge (same semantics as
@@ -910,8 +905,7 @@ def compact_deltas(root: str, key: str, order_col: str,
 
     reports = ray.data.from_pandas(pd.DataFrame({"part": parts})) \
         .repartition(len(parts)) \
-        .map_batches(fold_batch, batch_format="pandas", batch_size=None,
-                     concurrency=concurrency)
+        .map_batches(fold_batch, batch_format="pandas", batch_size=None)
     return reports.to_pandas().sort_values("dir").reset_index(drop=True)
 
 def vacuum_store(root: str) -> dict:
@@ -1002,8 +996,7 @@ def refresh_group_sums(root: str, agg_root: str, key: str, order_col: str,
                        group_cols: list[str], sum_cols: list[str],
                        deleted_col: str | None = None,
                        parts: list[str] | None = None,
-                       as_of_seq: int | None = None,
-                       concurrency: int | None = None) -> pd.DataFrame:
+                       as_of_seq: int | None = None) -> pd.DataFrame:
     """Partition-incremental materialized-aggregate maintenance: keep a
     per-partition group-sum table (``SUM(sum_cols), COUNT(*) GROUP BY
     group_cols``) over the merged view of a delta-logged store, stored
@@ -1071,8 +1064,7 @@ def refresh_group_sums(root: str, agg_root: str, key: str, order_col: str,
 
     reports = ray.data.from_pandas(pd.DataFrame({"part": todo})) \
         .repartition(len(todo)) \
-        .map_batches(refresh_batch, batch_format="pandas", batch_size=None,
-                     concurrency=concurrency)
+        .map_batches(refresh_batch, batch_format="pandas", batch_size=None)
     out = reports.to_pandas().sort_values("dir").reset_index(drop=True)
     _fsync_dir(agg_root)
     return out
@@ -1087,8 +1079,7 @@ def read_group_sums(agg_root: str) -> "ray.data.Dataset":
     return ray.data.read_parquet(agg_root)
 
 def read_evolved(root: str, target: "object", renames: dict | None = None,
-                 defaults: dict | None = None,
-                 concurrency: int | None = None) -> "ray.data.Dataset":
+                 defaults: dict | None = None) -> "ray.data.Dataset":
     """Schema-evolution read: scan a store whose Parquet files were
     written under DIFFERENT historical schema versions and normalize
     every file to one ``target`` pyarrow schema — the schema-on-read
@@ -1155,5 +1146,4 @@ def read_evolved(root: str, target: "object", renames: dict | None = None,
 
     return ray.data.from_pandas(pd.DataFrame({"rel": files})) \
         .repartition(len(files)) \
-        .map_batches(evolve_batch, batch_format="pandas", batch_size=None,
-                     concurrency=concurrency)
+        .map_batches(evolve_batch, batch_format="pandas", batch_size=None)

@@ -15,7 +15,7 @@ Physical plan shape (SURVEY.md §3 "Rebuild lifecycle")::
     read_parquet(corpus, date-partition filter, column prune)
       → map_batches(parse_batch, pyarrow, zero-copy)     # stateless tasks
       → [row predicate: src_ip]                          # vectorized mask
-      → [map_batches(Enricher, concurrency=pool)]        # actor pool
+      → [map_batches(Enricher())]                        # stateless tasks
       → write_parquet(partition_cols=['sink'])           # fan-out router
       / grouped_stats / distinct summary                 # small shuffles
 
@@ -156,20 +156,12 @@ def build_dataset(cfg: PipelineConfig) -> "ray.data.Dataset":
         ds = ds.map_batches(_ip_predicate(cfg.src_ip), batch_format="pyarrow",
                             zero_copy_batch=True)
     if cfg.enrich:
-        ds = ds.map_batches(Enricher, batch_format="pyarrow",
-                            batch_size=None, concurrency=_default_pool_size())
+        # an instance, not the class: Ray runs it as tasks that release
+        # their CPU between blocks (an actor pool would hold one for the
+        # stage's lifetime and starve the read on a 1-CPU cluster)
+        ds = ds.map_batches(Enricher(), batch_format="pyarrow",
+                            batch_size=None)
     return ds
-
-
-def _default_pool_size() -> tuple[int, int]:
-    """Autoscaling enrichment-pool bounds: min 1 (never pre-reserve CPUs the
-    read stage needs — on tiny clusters a min of 2 starves the reader and
-    stalls the pipeline), max ≈ 3/4 of CPUs but always leaving at least one
-    CPU for the read/write stages."""
-    from zeeklog_ray.relational import cluster_cpus
-
-    cpus = cluster_cpus()
-    return (1, max(1, min(cpus - 1, (cpus * 3) // 4)))
 
 
 def route_to_sinks(ds: "ray.data.Dataset", out_dir: str,
