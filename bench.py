@@ -897,7 +897,8 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     minmax[f"scale_ivm_incremental_{mtag}"] = [min(ivals), max(ivals)]
 
     # loader materialization over the flagship corpus (600k seqs at
-    # sf0.1): doc_id-bucketed token attach + per-pack piece exchange +
+    # sf0.1): (source, date) cell exchange carrying the tokens (offsets
+    # + per-pack pieces in one task) + per-pack piece exchange +
     # vectorized scatter assembly — the trainer-feed last mile
     from zeeklog_ray.corpus import corpus_for_sf_dir
     from zeeklog_ray.loader import pack_token_rows

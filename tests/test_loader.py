@@ -117,3 +117,73 @@ def test_iter_token_batches_sharding(ray_session):
     assert again == shards[1]
     with pytest.raises(ValueError):
         next(iter_token_batches(packed, micro_batch=4, shard=(3, 3)))
+
+
+def _edge_corpus() -> pd.DataFrame:
+    """``_corpus`` plus a zero-token doc and a doc three packs long."""
+    extra = pd.DataFrame([
+        {"doc_id": "d9000", "tokens": np.array([], dtype=np.int32),
+         "n_tok": 0, "source": "dns", "date": "2024-07-01"},
+        {"doc_id": "d9001",
+         "tokens": np.arange(1, 3 * CL + 1, dtype=np.int32),
+         "n_tok": 3 * CL, "source": "conn", "date": "2024-07-02"}])
+    return pd.concat([_corpus(), extra], ignore_index=True)
+
+
+def _reference_packs(df: pd.DataFrame) -> pd.DataFrame:
+    """Every (source, pack_id) row ``pack_token_rows`` must emit, built
+    in numpy from the per-source streams: pad with 0, Horner hash of the
+    real tokens as the signed int64 bit pattern."""
+    rows = []
+    for src, stream in sorted(_truth_streams(df).items()):
+        n_packs = -(-len(stream) // CL)
+        mat = np.zeros(n_packs * CL, dtype=np.int32)
+        mat[:len(stream)] = stream
+        for p, ids in enumerate(mat.reshape(n_packs, CL)):
+            n_real = min(CL, len(stream) - p * CL)
+            h = 0
+            for t in ids[:n_real]:
+                h = (h * 1000003 + int(t)) % (1 << 64)
+            rows.append((src, p, ids, n_real, np.uint64(h).astype(np.int64)))
+    return pd.DataFrame(rows, columns=["source", "pack_id", "input_ids",
+                                       "n_real", "pack_hash"])
+
+
+@pytest.mark.parametrize("num_buckets", [1, 3, 16])
+def test_pack_token_rows_matches_numpy_reference(ray_session, num_buckets):
+    df = _edge_corpus()
+    cells = df.groupby(["source", "date"])["n_tok"].sum()
+    assert (cells > CL).any() and (df["n_tok"] == 0).any() \
+        and (df["n_tok"] >= 3 * CL).any()
+    want = _reference_packs(df)
+    for nparts in (1, 5):
+        got = pack_token_rows(
+            ray.data.from_pandas(df).repartition(nparts), context_len=CL,
+            num_buckets=num_buckets).to_pandas()
+        got = got.sort_values(["source", "pack_id"]).reset_index(drop=True)
+        assert list(got.columns) == list(want.columns)
+        assert got["source"].tolist() == want["source"].tolist()
+        assert got["pack_id"].tolist() == want["pack_id"].tolist()
+        assert got["n_real"].tolist() == want["n_real"].tolist()
+        assert got["pack_hash"].tolist() == want["pack_hash"].tolist()
+        np.testing.assert_array_equal(np.stack(got["input_ids"].to_numpy()),
+                                      np.stack(want["input_ids"].to_numpy()))
+
+
+def test_pack_token_rows_plans_two_exchanges_no_union(ray_session):
+    """The packing cell exchange carries the tokens: the plan holds the
+    (group, range) and (group, pack_id) exchanges only, with no
+    tagged-union join re-attaching tokens to their assignment."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll)
+    from ray.data._internal.logical.operators.n_ary_operator import Union
+
+    packed = pack_token_rows(ray.data.from_pandas(_corpus(n_docs=6)),
+                             context_len=CL, num_buckets=2)
+    ops, stack = [], [packed._logical_plan.dag]
+    while stack:
+        op = stack.pop()
+        ops.append(op)
+        stack.extend(op.input_dependencies)
+    assert sum(isinstance(op, AbstractAllToAll) for op in ops) == 2
+    assert not any(isinstance(op, Union) for op in ops)

@@ -8,18 +8,21 @@ tokens THERE: fixed-width int32 rows it can feed a model.  This module
 is that last mile:
 
 * :func:`pack_token_rows` — build (source, pack_id, input_ids, n_real,
-  pack_hash) rows.  Two token-volume exchanges, both unavoidable and
-  both bucketed: one equi-join attaching each doc's tokens to its
-  assignment (keys: doc_id), one (source, pack_id) exchange
-  co-locating the PIECES of each pack (a doc that straddles a pack
-  boundary splits row-locally into per-pack pieces first).  Assembly is
-  fully vectorized: within a bucket, every piece's tokens scatter into
-  the padded output matrix through ONE flat index expression — no
-  per-doc or per-pack Python in the hot path.  ``pack_hash`` is the
-  Horner(B=1000003) mod-2^64 hash of the REAL tokens (padding
-  excluded), computed from one modular-inverse prefix scan per batch —
-  the same bit-replayable family as ``ops/packing.chunk_tokens``, so
-  the whole materialization is SQL-gated (queries.zeek_packed_rows).
+  pack_hash) rows.  Two token-volume exchanges, both bucketed: the
+  packing prefix sum's (source, date) cell exchange carries each doc's
+  tokens, so the task that computes a doc's global offset also cuts it
+  into per-pack PIECES; one (source, pack_id) exchange then co-locates
+  the pieces of each pack.  No join re-attaches tokens to an
+  assignment.  The price: one task holds its whole (source, date)
+  cell's token bytes (the cell bound ``ops/packing`` relies on).
+  Assembly is fully vectorized: within a bucket, every piece's tokens
+  scatter into the padded output matrix through ONE flat index
+  expression — no per-doc or per-pack Python in the hot path.
+  ``pack_hash`` is the Horner(B=1000003) mod-2^64 hash of the REAL
+  tokens (padding excluded), computed from one modular-inverse prefix
+  scan per batch — the same bit-replayable family as
+  ``ops/packing.chunk_tokens``, so the whole materialization is
+  SQL-gated (queries.zeek_packed_rows).
 * :func:`iter_token_batches` — stream the packed rows as numpy
   ``(micro_batch, context_len)`` int32 matrices via ``iter_batches``
   (optionally torch tensors when torch is importable — honest seam,
@@ -39,6 +42,7 @@ import pandas as pd
 import ray
 import ray.data
 
+from zeeklog_ray.arrowutil import list_values_offsets
 from zeeklog_ray.ops.packing import segment_hashes
 
 
@@ -58,17 +62,10 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
     ``pad_id``-padded only in each group's final pack), ``n_real`` and
     the padding-free ``pack_hash``.  Input needs (order_col, tokens_col,
     n_tok, group_col, range_col) — the tokenized-corpus schema."""
-    from zeeklog_ray.ops.packing import pack_assignments
-    from zeeklog_ray.relational import bucket_exchange, bucketed_equi_join
+    from zeeklog_ray.ops.packing import _cell_exchange
+    from zeeklog_ray.relational import bucket_exchange
 
-    assign = pack_assignments(
-        ds.select_columns([group_col, order_col, "n_tok", range_col]),
-        group_col=group_col, order_col=order_col, len_col="n_tok",
-        range_col=range_col, context_len=context_len,
-        num_buckets=num_buckets)
-
-    def as_assign(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch[[order_col, "pack_id", "pack_offset"]]
+    cl = context_len
 
     def tok_to_bytes(batch: pd.DataFrame) -> pd.DataFrame:
         # token payloads ship as BYTES through every exchange: Ray 2.49's
@@ -77,39 +74,27 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
         # TensorArray concat there; int32.tobytes() round-trips exactly
         return pd.DataFrame({
             group_col: batch[group_col],
+            range_col: batch[range_col],
             order_col: batch[order_col],
+            "n_tok": batch["n_tok"],
             "_tb": [np.asarray(t, np.int32).tobytes()
                     for t in batch[tokens_col]]})
 
-    toks = ds.select_columns([group_col, order_col, tokens_col]) \
-        .map_batches(tok_to_bytes, batch_format="pandas",
-                     batch_size=None)
-    joined = bucketed_equi_join(
-        toks,
-        assign.map_batches(as_assign, batch_format="pandas",
-                           batch_size=None),
-        on=order_col, num_buckets=num_buckets)
-
-    cl = context_len
-
-    def pieces(batch: pd.DataFrame) -> pd.DataFrame:
-        # split each doc row-locally into per-pack pieces: piece p of a
-        # doc starting at global offset g = pack_id·cl + pack_offset
-        # covers tokens [max(0, (first+p)·cl − g), …) — vectorized with
-        # repeat/cumsum, no per-doc Python
-        n = np.array([len(b) // 4 for b in batch["_tb"]], dtype=np.int64)
-        g0 = (batch["pack_id"].to_numpy(np.int64) * cl
-              + batch["pack_offset"].to_numpy(np.int64))
-        first = g0 // cl
-        last = np.where(n > 0, (g0 + n - 1) // cl, first)
+    def pieces(batch: pd.DataFrame, off: np.ndarray) -> pd.DataFrame:
+        # split each doc into per-pack pieces: piece p of a doc starting
+        # at global offset off covers tokens [max(0, (first+p)·cl − off),
+        # …) — vectorized with repeat/cumsum, no per-doc Python
+        n = batch["_tb"].str.len().to_numpy(np.int64) // 4
+        first = off // cl
+        last = np.where(n > 0, (off + n - 1) // cl, first)
         m = last - first + 1
         total = int(m.sum())
         doc_idx = np.repeat(np.arange(len(n)), m)
         p = np.arange(total) - np.repeat(np.cumsum(m) - m, m)
         pk = first[doc_idx] + p
-        src_from = np.maximum(0, pk * cl - g0[doc_idx])
-        src_to = np.minimum(n[doc_idx], (pk + 1) * cl - g0[doc_idx])
-        dest = np.maximum(g0[doc_idx] - pk * cl, 0)
+        src_from = np.maximum(0, pk * cl - off[doc_idx])
+        src_to = np.minimum(n[doc_idx], (pk + 1) * cl - off[doc_idx])
+        dest = np.maximum(off[doc_idx] - pk * cl, 0)
         keep = src_to > src_from
         flat = np.frombuffer(b"".join(batch["_tb"]), dtype=np.int32)
         starts = np.zeros(len(n) + 1, dtype=np.int64)
@@ -126,10 +111,6 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
                 + np.arange(ptotal, dtype=np.int64)
                 - np.repeat(poffs[:-1], plens))
         gathered = flat[gidx] if ptotal else np.array([], dtype=np.int32)
-        # token payload ships as BYTES: Ray's sort-based groupby merges
-        # pandas blocks, and both object-of-ndarray columns and Arrow
-        # list columns trip its TensorArray concat there (Ray 2.49);
-        # int32.tobytes() round-trips exactly via np.frombuffer
         tok_bytes = [gathered[poffs[i]:poffs[i + 1]].tobytes()
                      for i in range(len(plens))]
         return pd.DataFrame({
@@ -138,8 +119,12 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
             "_dest": dest[keep],
             "_toks": tok_bytes})
 
-    piece_rows = joined.map_batches(pieces, batch_format="pandas",
-                                    batch_size=None)
+    toks = ds.select_columns([group_col, range_col, order_col, "n_tok",
+                              tokens_col]) \
+        .map_batches(tok_to_bytes, batch_format="pandas", batch_size=None)
+    piece_rows = _cell_exchange(
+        ds, toks, pieces, group_col=group_col, order_col=order_col,
+        len_col="n_tok", range_col=range_col, num_buckets=num_buckets)
 
     def assemble(group: pd.DataFrame) -> "pa.Table":
         # pyarrow output: a pandas object column of ndarrays trips Ray's
@@ -154,8 +139,7 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
             use_na_sentinel=False)
         buf = b"".join(g["_toks"])
         flat = np.frombuffer(buf, dtype=np.int32)
-        lens = np.array([len(t) // 4 for t in g["_toks"]],
-                        dtype=np.int64)
+        lens = g["_toks"].str.len().to_numpy(np.int64) // 4
         base = codes * cl + g["_dest"].to_numpy(np.int64)
         dest = (np.repeat(base, lens)
                 + np.arange(int(lens.sum()), dtype=np.int64)
@@ -170,9 +154,8 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
         # out[r·cl : r·cl + n_real[r]] per pack from one prefix scan
         offs = np.zeros(n_packs + 1, dtype=np.int64)
         np.cumsum(n_real, out=offs[1:])
-        packed_real = np.concatenate(
-            [out[r * cl:r * cl + n_real[r]] for r in range(n_packs)]) \
-            if n_packs else np.array([], dtype=np.int32)
+        packed_real = out.reshape(n_packs, cl)[
+            np.arange(cl) < n_real[:, None]]
         hashes = _pack_hashes(packed_real, offs)
         list_offs = (np.arange(n_packs + 1, dtype=np.int64) * cl)
         return pa.table({
@@ -223,15 +206,15 @@ def iter_token_batches(packed: "ray.data.Dataset", micro_batch: int,
         if not 0 <= i < n:
             raise ValueError(f"shard index {i} outside [0, {n})")
 
-        def keep_shard(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch[batch["pack_id"] % n == i]
+        def keep_shard(batch: "pa.Table") -> "pa.Table":
+            return batch.filter(batch["pack_id"].to_numpy() % n == i)
 
-        packed = packed.map_batches(keep_shard, batch_format="pandas",
+        packed = packed.map_batches(keep_shard, batch_format="pyarrow",
                                     batch_size=None)
     for batch in packed.iter_batches(
-            batch_size=micro_batch, batch_format="pandas",
+            batch_size=micro_batch, batch_format="pyarrow",
             local_shuffle_buffer_size=local_shuffle_buffer,
             local_shuffle_seed=seed):
-        mat = np.stack([np.asarray(r, dtype=np.int32)
-                        for r in batch["input_ids"]])
+        vals = list_values_offsets(batch["input_ids"])[0]
+        mat = vals.astype(np.int32).reshape(len(batch), -1)
         yield torch.from_numpy(mat) if to_torch else mat

@@ -18,7 +18,9 @@ prefix sum instead:
           offsets per (group, range) and broadcasts them via ``ray.put``.
   pass 2  rows shuffle once, bucketed by (group, range); inside a bucket
           each (group, range) segment sorts by ``order_col``, takes a
-          C-level cumsum, and adds its broadcast base offset.
+          C-level cumsum, and adds its broadcast base offset.  The
+          loader's tokens ride this exchange, cut into per-pack pieces
+          in the same task (``loader.pack_token_rows``).
 
 ``range_col`` must be MONOTONE in ``order_col`` within each group (sorting
 by ``order_col`` globally ≡ sorting by ``(range_col, order_col)``) — for
@@ -40,25 +42,22 @@ import ray.data
 from zeeklog_ray.relational import bucket_exchange, grouped_sum
 
 
-def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
-                     order_col: str = "doc_id", len_col: str = "n_tok",
-                     range_col: str = "date", context_len: int = 2048,
-                     num_buckets: int = 256) -> "ray.data.Dataset":
-    """Per-doc pack assignment: (group, order, len, pack_id, pack_offset).
-
-    ``pack_offset`` is the doc's first-token position within its pack —
-    downstream writers need it to place the doc without recomputing the
-    scan.  Deterministic and partition-independent: the assignment depends
-    only on the (group, order) total order, never on block layout.
-    """
+def _cell_exchange(ds: "ray.data.Dataset", rows: "ray.data.Dataset",
+                   emit, *, group_col: str, order_col: str, len_col: str,
+                   range_col: str, num_buckets: int) -> "ray.data.Dataset":
+    """The two-level prefix sum: pass 1 reads only (group, range, len)
+    of ``ds``; pass 2 exchanges ``rows`` (which must carry group, range,
+    order and len) by (group, range) and calls ``emit(g, off)`` once per
+    bucket, with ``g`` the bucket sorted by (group, range, order) and
+    ``off`` each row's global int64 offset in its group's stream."""
     # ---- pass 1: per-(group, range) subtotals → exclusive base offsets
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch.groupby([group_col, range_col], sort=False)[len_col]
-             .sum().reset_index(name="_sub"))
-        return g
+        return (batch.groupby([group_col, range_col], sort=False)[len_col]
+                .sum().reset_index(name="_sub"))
 
-    subtotals = (ds.map_batches(partial, batch_format="pandas",
-                                batch_size=None)
+    subtotals = (ds.select_columns([group_col, range_col, len_col])
+                 .map_batches(partial, batch_format="pandas",
+                              batch_size=None)
                  .to_pandas()
                  .groupby([group_col, range_col], sort=False)["_sub"]
                  .sum().reset_index())
@@ -74,7 +73,7 @@ def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
         subtotals.set_index([group_col, range_col])["_base"])
 
     # ---- pass 2: one bucketed shuffle, per-cell sort + cumsum + base
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(group: pd.DataFrame):
         b = ray.get(bases_ref)
         g = group.sort_values([group_col, range_col, order_col],
                               kind="mergesort")
@@ -83,18 +82,35 @@ def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
             [g[group_col], g[range_col]], sort=False).cumsum()
         start = (csum - lens).to_numpy()
         idx = pd.MultiIndex.from_arrays([g[group_col], g[range_col]])
-        off = start + b.reindex(idx).to_numpy()
-        out = pd.DataFrame({
+        return emit(g, start + b.reindex(idx).to_numpy())
+
+    return bucket_exchange(rows, [group_col, range_col], per_bucket,
+                           num_buckets)
+
+
+def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
+                     order_col: str = "doc_id", len_col: str = "n_tok",
+                     range_col: str = "date", context_len: int = 2048,
+                     num_buckets: int = 256) -> "ray.data.Dataset":
+    """Per-doc pack assignment: (group, order, len, pack_id, pack_offset).
+
+    ``pack_offset`` is the doc's first-token position within its pack —
+    downstream writers need it to place the doc without recomputing the
+    scan.  Deterministic and partition-independent: the assignment depends
+    only on the (group, order) total order, never on block layout.
+    """
+    def assign(g: pd.DataFrame, off) -> pd.DataFrame:
+        return pd.DataFrame({
             group_col: g[group_col].to_numpy(),
             order_col: g[order_col].to_numpy(),
-            len_col: lens.to_numpy(),
+            len_col: g[len_col].to_numpy("int64"),
             "pack_id": off // context_len,
             "pack_offset": off % context_len,
         })
-        return out
 
-    return bucket_exchange(ds, [group_col, range_col], per_bucket,
-                           num_buckets)
+    return _cell_exchange(ds, ds, assign, group_col=group_col,
+                          order_col=order_col, len_col=len_col,
+                          range_col=range_col, num_buckets=num_buckets)
 
 
 def pack_stats(ds: "ray.data.Dataset", *, group_col: str = "source",

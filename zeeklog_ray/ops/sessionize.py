@@ -19,6 +19,7 @@ aggregation / ``merge_asof(by=key)``).
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 import ray.data
@@ -136,7 +137,6 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     # pandas NULLABLE Int dtypes through the union (null-fill keeps them
     # exact — verified: 2^53+1 survives concat) and cast back to numpy
     # int on the way out (matched rows are never null there).
-    import numpy as _np
     import pyarrow as _pa
 
     def _int_dtype(typ):
@@ -144,10 +144,10 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         # numpy/python types for pandas blocks — handle both; normalize to
         # an np.dtype instance (to_pandas_dtype returns the scalar CLASS)
         if isinstance(typ, _pa.DataType):
-            return (_np.dtype(typ.to_pandas_dtype())
+            return (np.dtype(typ.to_pandas_dtype())
                     if _pa.types.is_integer(typ) else None)
         try:
-            return _np.dtype(typ) if _np.issubdtype(typ, _np.integer) else None
+            return np.dtype(typ) if np.issubdtype(typ, np.integer) else None
         except TypeError:
             return None
 
@@ -164,19 +164,19 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                  "uint32": "UInt32", "uint64": "UInt64"}
     nullable_casts = {c: _nullable[str(dt)] for c, dt in int_casts.items()}
 
-    def tag(side: str):
+    def tag(side: int):
         def f(batch: pd.DataFrame) -> pd.DataFrame:
             batch = batch.copy()
             for c, dt in nullable_casts.items():
                 if c in batch.columns:
                     batch[c] = batch[c].astype(dt)
-            batch["_side"] = side
+            batch["_side"] = np.int8(side)
             return batch
 
         return f
 
-    both = left.map_batches(tag("L"), batch_format="pandas", batch_size=None) \
-        .union(right.map_batches(tag("R"), batch_format="pandas",
+    both = left.map_batches(tag(0), batch_format="pandas", batch_size=None) \
+        .union(right.map_batches(tag(1), batch_format="pandas",
                                  batch_size=None))
     out_cols = lcols + [start, end] + right_cols
 
@@ -185,9 +185,9 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         # any dropna — a bucket holding only one side's rows lacks the
         # other side's columns entirely (the asof_join lesson: never
         # dropna-by-column on a possibly-single-sided block)
-        lg = group.loc[group["_side"] == "L",
+        lg = group.loc[group["_side"] == 0,
                        [c for c in lcols if c in group.columns]]
-        rg = group.loc[group["_side"] == "R",
+        rg = group.loc[group["_side"] == 1,
                        [c for c in [key, start, end] + right_cols
                         if c in group.columns]]
         if lg.empty or rg.empty:
@@ -231,26 +231,26 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     # SAME schema regardless of which branch it takes
     out_name = {c: (c + suffix if c in lcols else c) for c in right_cols}
 
-    def tag(side: str):
+    def tag(side: int):
         def f(batch: pd.DataFrame) -> pd.DataFrame:
             batch = batch.copy()
-            batch["_side"] = side
+            batch["_side"] = np.int8(side)
             return batch
 
         return f
 
-    both = left.map_batches(tag("L"), batch_format="pandas", batch_size=None) \
-        .union(right.map_batches(tag("R"), batch_format="pandas", batch_size=None))
+    both = left.map_batches(tag(0), batch_format="pandas", batch_size=None) \
+        .union(right.map_batches(tag(1), batch_format="pandas", batch_size=None))
 
-    def _split(group: pd.DataFrame, side: str, keep: list[str]) -> pd.DataFrame:
+    def _split(group: pd.DataFrame, side: int, keep: list[str]) -> pd.DataFrame:
         g = group[group["_side"] == side]
         return g[[c for c in keep if c in g.columns]]
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         # select by the SIDE's known columns — never dropna-by-column,
         # which removed the key column when a bucket's keys were all null
-        lg = _split(group, "L", lcols)
-        rg = _split(group, "R", [key, ts] + right_cols)
+        lg = _split(group, 0, lcols)
+        rg = _split(group, 1, [key, ts] + right_cols)
         if lg.empty:
             return pd.DataFrame(columns=lcols + [out_name[c]
                                                  for c in right_cols])
