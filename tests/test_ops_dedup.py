@@ -457,7 +457,7 @@ def _brute_remove_spans(df: pd.DataFrame, k: int = 8) -> dict[int, tuple]:
     grams: dict[tuple, set] = {}
     per_doc: dict[int, list] = {}
     for _, r in df.iterrows():
-        words = [w for w in r["text"].split(" ") if w != ""]
+        words = [w for w in (r["text"] or "").split(" ") if w != ""]
         per_doc[r["doc_id"]] = words
         for i in range(len(words) - k + 1):
             grams.setdefault(tuple(words[i:i + k]), set()).add(r["doc_id"])
@@ -478,17 +478,19 @@ def test_remove_dup_spans_tiers(ray_session, heap_tier):
     from zeeklog_ray.ops.dedup import remove_dup_spans
 
     shared = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
-    df = pd.DataFrame({"doc_id": [1, 2, 3, 4], "text": [
+    df = pd.DataFrame({"doc_id": [1, 2, 3, 4, 5], "text": [
         "intro words here " + shared + " tail one",
         "other opening " + shared + " different ending stuff",
         "no overlap at all in this particular document body text "
         "keeps going onward",
         "short doc",
+        None,             # a null text is a document with no words
     ]})
     out = remove_dup_spans(ray.data.from_pandas(df).repartition(3),
                            num_buckets=4) \
         .to_pandas().set_index("doc_id").sort_index()
     ref = _brute_remove_spans(df)
+    assert out.index.tolist() == [1, 2, 3, 4, 5]
     for d, (clean, nw, nr) in ref.items():
         assert out.loc[d, "text_clean"] == clean, d
         assert out.loc[d, "n_words"] == nw

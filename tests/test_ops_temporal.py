@@ -207,6 +207,30 @@ def test_range_join_right_only_key_and_int_dtypes(ray_session, nb):
     assert out["tag"].tolist() == ["x"]
 
 
+@pytest.mark.parametrize("nb", [1, 7])
+def test_asof_join_right_only_key_and_int_dtypes(ray_session, nb):
+    """The asof twin of the range_join case: a right-side key with NO
+    left rows must not crash, integer left ids above 2^53 come out exact
+    int64 (regression: the union's null-fill rounded them through
+    float64), and an integer right column comes out nullable Int64 —
+    null where no right row matched."""
+    big = (1 << 53) + 1
+    left = pd.DataFrame({"user_id": ["a", "b"],
+                         "ts": pd.to_datetime(["2024-01-01 10:00"] * 2),
+                         "event_id": np.array([big, big + 2],
+                                              dtype=np.int64)})
+    right = pd.DataFrame({"user_id": ["a", "zero-events"],
+                          "ts": pd.to_datetime(["2024-01-01 09:00"] * 2),
+                          "val": np.array([7, 8], dtype=np.int64)})
+    out = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
+                    key="user_id", ts="ts", right_cols=["val"],
+                    num_buckets=nb).to_pandas().sort_values("event_id")
+    assert out["event_id"].dtype == np.int64
+    assert out["event_id"].tolist() == [big, big + 2]   # exact
+    assert str(out["val"].dtype) == "Int64"
+    assert out["val"].iloc[0] == 7 and pd.isna(out["val"].iloc[1])
+
+
 def test_range_join_rejects_column_collision(ray_session):
     from zeeklog_ray.ops.sessionize import range_join
 

@@ -124,6 +124,84 @@ def test_no_hand_built_bucket_exchange_outside_relational():
         "relational.bucket_exchange")
 
 
+# Side-tag columns belong to relational.cogroup; a module that writes one
+# is hand-building a co-group.
+_SIDE_TAG_ALLOWED = {
+    "relational.py": "home of cogroup",
+    "queries.py": "docs_snapshot_diff: one corpus scan emits both snapshot "
+                  "sides from the same map, so there is no union to co-group",
+}
+
+
+def test_side_tags_only_in_relational():
+    pkg = pathlib.Path(zeeklog_ray.__file__).parent
+    pattern = re.compile(r"""["'](_side|_new)["']""")
+    offenders = sorted(
+        rel for rel in (p.relative_to(pkg).as_posix()
+                        for p in pkg.rglob("*.py"))
+        if rel not in _SIDE_TAG_ALLOWED
+        and pattern.search((pkg / rel).read_text()))
+    assert offenders == [], (
+        f"hand-built side tags in {offenders}: use relational.cogroup")
+
+
+# Every Dataset.union in the package, by the function that calls it.  A
+# union of differently shaped sides ahead of an exchange is a co-group
+# and goes through relational.cogroup; what is left is listed here.
+_UNION_ALLOWED = {
+    "relational.py:cogroup": "the one co-group: unions the tagged sides",
+    "relational.py:grouped_sum": "a zero-row seed block that pins the "
+                                 "output schema of an empty aggregate",
+    "ops/dedup.py:_finish_dup_stats": "same-schema partials into a "
+                                      "grouped sum, not a co-group",
+    "ops/text.py:rare_word_stats": "same-schema partials into a grouped "
+                                   "sum, not a co-group",
+    "ops/text.py:unigram_logprob": "same-schema partials into a grouped "
+                                   "sum, not a co-group",
+    "ops/graph.py:connected_components": "same-schema label candidates "
+                                         "into a grouped min",
+    "lineage.py:committed_output": "concatenates the committed shards' "
+                                   "outputs",
+    "queries.py:_seed_mor_store": "concatenates one delta batch's updates "
+                                  "and tombstones for one append",
+    "queries.py:events_time_travel": "concatenates the per-snapshot "
+                                     "result rows",
+}
+
+
+def test_every_union_is_allowlisted():
+    import ast
+
+    class Owners(ast.NodeVisitor):
+        """Names the innermost function around every ``.union(`` call."""
+
+        def __init__(self, rel: str):
+            self.rel, self.stack, self.found = rel, [], set()
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "union":
+                self.found.add(f"{self.rel}:{self.stack[-1]}" if self.stack
+                               else self.rel)
+            self.generic_visit(node)
+
+    pkg = pathlib.Path(zeeklog_ray.__file__).parent
+    found = set()
+    for path in pkg.rglob("*.py"):
+        owners = Owners(path.relative_to(pkg).as_posix())
+        owners.visit(ast.parse(path.read_text()))
+        found |= owners.found
+    assert found == set(_UNION_ALLOWED), (
+        f"unlisted unions {sorted(found - set(_UNION_ALLOWED))} (a union "
+        "ahead of an exchange is a co-group: use relational.cogroup); "
+        f"stale entries {sorted(set(_UNION_ALLOWED) - found)}")
+
+
 def test_no_hash_shuffle_join_in_package():
     """Every equi-join goes through relational.bucketed_equi_join or a
     bucket_exchange; Ray's hash-shuffle join (Dataset.join) deadlocks
@@ -719,11 +797,83 @@ def test_bucketed_equi_join_key_dtype_guards(ray_session):
                              num_buckets=4).to_pandas()
     assert sorted(zip(out["x"], out["y"])) == [(10, 10), (20, 20)]
 
+    # an Arrow int key that holds nulls on the renamed side is still int
+    # (a pandas batch of it is float64) and matches
+    from zeeklog_ray.relational import bucketed_semi_anti_join
+
+    nulled = ray.data.from_arrow(pa.table({
+        "node": pa.array([1, None], pa.int64()), "y": [10, 30]}))
+    out = bucketed_equi_join(ray.data.from_pandas(l32), nulled, on="k",
+                             right_on="node").to_pandas()
+    assert out[["x", "y"]].values.tolist() == [[10, 10]]
+    semi = bucketed_semi_anti_join(ray.data.from_pandas(l32), nulled,
+                                   on="k", right_on="node").to_pandas()
+    assert semi["x"].tolist() == [10]
+
     bad = ray.data.from_pandas(pd.DataFrame({"k": [1], "_side": ["z"]}))
     with pytest.raises(ValueError, match="reserved"):
         bucketed_equi_join(bad, it, on="k", right_on="node")
     with pytest.raises(ValueError, match="not present"):
         bucketed_equi_join(fl, it, on="nope", right_on="node")
+
+
+@pytest.mark.parametrize("join", ["equi", "semi", "set_op", "asof", "range"])
+def test_two_sided_key_dtype_guard(ray_session, join):
+    """Every two-sided operator applies cogroup's one key rule: an int64
+    key on one side and a float64 key holding the same values on the
+    other would hash into different buckets and silently match nothing,
+    so each of them raises instead."""
+    from zeeklog_ray.ops.sessionize import asof_join, range_join
+    from zeeklog_ray.relational import (bucketed_equi_join,
+                                        bucketed_semi_anti_join, set_op)
+
+    t = pd.to_datetime(["2024-01-01 10:00", "2024-01-01 11:00"])
+    left = ray.data.from_pandas(pd.DataFrame({"k": [1, 2], "ts": t,
+                                              "x": [10, 20]}))
+    right = ray.data.from_pandas(pd.DataFrame({"k": [1.0, 2.0], "ts": t,
+                                               "t0": t, "t1": t}))
+    run = {
+        "equi": lambda: bucketed_equi_join(
+            left, right.select_columns(["k", "t0"]), on="k"),
+        "semi": lambda: bucketed_semi_anti_join(left, right, on="k"),
+        "set_op": lambda: set_op(left, right, ["k"], "intersect"),
+        "asof": lambda: asof_join(left, right, key="k", ts="ts",
+                                  right_cols=["t1"]),
+        "range": lambda: range_join(left, right, key="k", ts="ts",
+                                    start="t0", end="t1"),
+    }[join]
+    with pytest.raises(ValueError, match="hash to different buckets"):
+        run().to_pandas()
+
+
+def test_cogroup_frames_hold_each_sides_own_columns(ray_session):
+    """fn gets one frame per side with only that side's columns and
+    dtypes: no side or bucket column, int keys widened to the wider
+    width, an int64 id that only one side has exact above 2^53; the
+    reserved names are rejected on every side."""
+    from zeeklog_ray.relational import cogroup
+
+    big = 2**53 + 1
+    a = pd.DataFrame({"k": np.array([1, 2], dtype="int32"), "x": [big, 5]})
+    b = pd.DataFrame({"k": np.array([2, 3], dtype="int64"), "s": ["p", "q"]})
+
+    def fn(frames: list) -> pd.DataFrame:
+        return pd.DataFrame({
+            "shape": [repr([(list(f.columns), f.dtypes.astype(str).tolist())
+                            for f in frames])],
+            "rows": [sum(len(f) for f in frames)],
+            "xs": [" ".join(map(str, frames[0]["x"]))]})
+
+    out = cogroup([ray.data.from_pandas(a), ray.data.from_pandas(b)], "k",
+                  fn, 4).to_pandas()
+    assert set(out["shape"]) == {repr([(["k", "x"], ["int64", "int64"]),
+                                       (["k", "s"], ["int64", "object"])])}
+    assert out["rows"].sum() == 4
+    assert sorted(int(x) for xs in out["xs"] for x in xs.split()) == [5, big]
+
+    bad = ray.data.from_pandas(pd.DataFrame({"k": [1], "_bucket": [0]}))
+    with pytest.raises(ValueError, match="reserved"):
+        cogroup([ray.data.from_pandas(a), bad], "k", fn, 4)
 
 
 def test_user_retention_cohorts_handmade(ray_session):

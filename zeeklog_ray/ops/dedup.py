@@ -1188,7 +1188,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
                               batch_size=None)
 
     # ---- join tier: dup set too large to broadcast ----
-    from zeeklog_ray.relational import bucketed_equi_join
+    from zeeklog_ray.relational import bucketed_equi_join, cogroup
 
     def win_positions(batch: pd.DataFrame) -> pd.DataFrame:
         doc_of, wh = split_word_hashes(batch[text_col])
@@ -1224,31 +1224,16 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
             .agg(lambda s: sorted(s)).reset_index(name="_starts")
         return agg
 
+    # pinned: cogroup reads each side's schema, which would run this
+    # exchange once more, and the docs branch may hold repartitions of
+    # its own (the one-CPU rule)
     starts = bucket_exchange(hits.select_columns([id_col, "pos"]), id_col,
-                             starts_per_doc, num_buckets)
+                             starts_per_doc, num_buckets).materialize()
 
     # ONE doc-bucketed LEFT attach of the starts lists onto the text
-    def tag_docs(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[[id_col, text_col, *carry_cols]].copy()
-        out["_starts"] = None
-        return out
-
-    def tag_starts(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[[id_col, "_starts"]].copy()
-        out[text_col] = None
-        for c in carry_cols:
-            out[c] = None
-        return out[[id_col, text_col, *carry_cols, "_starts"]]
-
-    both = ds.map_batches(tag_docs, batch_format="pandas",
-                          batch_size=None) \
-        .union(starts.map_batches(tag_starts, batch_format="pandas",
-                                  batch_size=None))
-
-    def clean_join(group: pd.DataFrame) -> pd.DataFrame:
-        docs = group[group[text_col].notna()]
-        st = group[group[text_col].isna()]
-        batch = docs[[id_col, text_col, *carry_cols]].reset_index(drop=True)
+    def clean_join(frames: list[pd.DataFrame]) -> pd.DataFrame:
+        batch, st = frames
+        batch = batch.reset_index(drop=True)
         doc_of, _wh, wvals = split_word_hashes(batch[text_col],
                                                want_words=True)
         covered = np.zeros(len(wvals), dtype=bool)
@@ -1258,8 +1243,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
                           np.arange(len(wvals), dtype=np.int64))
             # vectorized start scatter: left-merge the starts lists onto
             # the batch rows, explode to (row, pos) pairs
-            m = batch[[id_col]].merge(st[[id_col, "_starts"]], on=id_col,
-                                      how="left")
+            m = batch[[id_col]].merge(st, on=id_col, how="left")
             sx = m["_starts"].explode().dropna()
             if len(sx):
                 rows_s = sx.index.to_numpy().astype(np.int64)
@@ -1270,7 +1254,8 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
                 covered = np.cumsum(diff[:-1]) > 0
         return _rebuild(batch, wvals, doc_of, covered)
 
-    return bucket_exchange(both, id_col, clean_join, num_buckets)
+    return cogroup([ds.select_columns([id_col, text_col, *carry_cols]),
+                    starts], id_col, clean_join, num_buckets)
 
 
 def cdc_chunk_table(ds: "ray.data.Dataset", text_col: str = "text",
@@ -1731,8 +1716,12 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
             "cross join; members emit NO candidates — run exact "
             "incremental dedup first", len(big_keys), drop_new, drop_base,
             max_bucket)
-        new_b = _drop_buckets(new_b, big_keys)
-        base_b = _drop_buckets(base_b, big_keys)
+        # pinned: cogroup reads each side's schema, which would otherwise
+        # run the filter and the repartition below once more
+        new_b = pin_or_spill(_drop_buckets(new_b, big_keys), spill_dir,
+                             "incr_kept_new")
+        base_b = pin_or_spill(_drop_buckets(base_b, big_keys), spill_dir,
+                              "incr_kept_base")
         n_new_b, n_base_b = new_b.count(), base_b.count()
     # a side with no band rows left has no candidates: return the typed
     # empty result (a join over no rows would carry no columns)
@@ -1743,39 +1732,25 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
             cols["j_e4"] = pd.Series(dtype="int64")
         return ray.data.from_pandas(pd.DataFrame(cols))
 
-    # new⨝base on the band key is ONE exchange: both sides keep the same
-    # (bb, doc_id) columns plus a side bit, so the exchanged blocks stay
-    # plain int64 — bucketed_equi_join's null-filled union of unlike
-    # sides took 64 s against 39 s for this at 1M base docs on 4 CPUs
-    from zeeklog_ray.relational import (bucket_exchange, bucketed_distinct,
-                                        cluster_cpus)
+    # new⨝base on the band key is ONE cogroup of the two (bb, doc_id)
+    # sides: they share one schema, so the exchanged blocks stay plain
+    # int64.  A bucketed_equi_join would rename the base doc_id apart and
+    # carry both id columns as nullable Int through the union — that
+    # shape measured 64 s against 39 s for this at 1M base docs on 4 CPUs.
+    from zeeklog_ray.relational import bucketed_distinct, cluster_cpus, cogroup
 
-    def tag(is_new: int):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"bb": batch["bb"].to_numpy(),
-                                 "doc_id": batch["doc_id"].to_numpy(),
-                                 "_new": np.int8(is_new)})
-
-        return f
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        new = group["_new"].to_numpy() == 1
-        m = group.loc[new, ["bb", "doc_id"]].merge(
-            group.loc[~new, ["bb", "doc_id"]], on="bb",
-            suffixes=("", "_base"))
+    def bucket_pairs(frames: list[pd.DataFrame]) -> pd.DataFrame:
+        new, base = (f[["bb", "doc_id"]] for f in frames)
+        m = new.merge(base, on="bb", suffixes=("", "_base"))
         return pd.DataFrame({id_col: m["doc_id"].to_numpy(),
                              "base_id": m["doc_id_base"].to_numpy()})
 
     # the banded sides arrive in hundreds of blocks and a sort exchange
-    # moves blocks² pieces (twice: here and in the distinct), so pack the
-    # union to one block per CPU first
-    both = new_b.map_batches(tag(1), batch_format="pandas",
-                             batch_size=None) \
-        .union(base_b.map_batches(tag(0), batch_format="pandas",
-                                  batch_size=None)) \
-        .repartition(cluster_cpus())
+    # moves blocks² pieces (twice: here and in the distinct), so pack
+    # each side to one block per CPU first
     pairs = bucketed_distinct(
-        bucket_exchange(both, "bb", bucket_pairs, num_buckets),
+        cogroup([side.repartition(cluster_cpus()) for side in (new_b, base_b)],
+                "bb", bucket_pairs, num_buckets),
         [id_col, "base_id"]).materialize()
     if threshold_e4 is None:
         return pairs

@@ -24,7 +24,7 @@ import pandas as pd
 
 import ray.data
 
-from zeeklog_ray.relational import bucket_exchange
+from zeeklog_ray.relational import _NULLABLE_INT, bucket_exchange, cogroup
 
 
 def sessionize(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
@@ -116,91 +116,36 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     semantics, one output row per containing interval (overlapping
     intervals multiply).
 
-    Same co-partition shape as :func:`asof_join` (tagged union + one
-    key-hash-bucket shuffle); inside a bucket the containment test is one
-    C-level ``merge``-on-key + vectorized between-mask.  Partitioning
-    assumption: a key's rows × its intervals fit one task (salt by time
-    range first if a single key's cross-product exceeds worker memory —
-    intervals per key are usually few: sessions, campaigns, deployments).
-    Null keys/timestamps/bounds match nothing and are dropped (inner join).
+    Same co-partition shape as :func:`asof_join` (one
+    :func:`~zeeklog_ray.relational.cogroup` on the key, whose key rule
+    rejects a key that is integer on one side only); inside a bucket the
+    containment test is one C-level ``merge``-on-key + vectorized
+    between-mask.  Partitioning assumption: a key's rows × its intervals
+    fit one task (salt by time range first if a single key's
+    cross-product exceeds worker memory — intervals per key are usually
+    few: sessions, campaigns, deployments).  Null keys/timestamps/bounds
+    match nothing and are dropped (inner join).
     """
     right_cols = right_cols or []
-    lschema = left.schema()
-    lcols = list(lschema.names)
+    lcols = list(left.schema().names)
     bad = [c for c in [start, end] + right_cols if c in lcols]
     if bad:
         raise ValueError(
             f"right columns {bad} collide with left columns — rename first")
-    # the tagged union null-fills each side's columns on the other side's
-    # rows — a numpy int64 column would promote to float64 for the WHOLE
-    # block, silently rounding ids above 2^53.  Carry integer columns as
-    # pandas NULLABLE Int dtypes through the union (null-fill keeps them
-    # exact — verified: 2^53+1 survives concat) and cast back to numpy
-    # int on the way out (matched rows are never null there).
-    import pyarrow as _pa
-
-    def _int_dtype(typ):
-        # Dataset.schema() carries Arrow types for Arrow blocks but
-        # numpy/python types for pandas blocks — handle both; normalize to
-        # an np.dtype instance (to_pandas_dtype returns the scalar CLASS)
-        if isinstance(typ, _pa.DataType):
-            return (np.dtype(typ.to_pandas_dtype())
-                    if _pa.types.is_integer(typ) else None)
-        try:
-            return np.dtype(typ) if np.issubdtype(typ, np.integer) else None
-        except TypeError:
-            return None
-
-    int_casts = {}
-    out_cols_set = set(lcols + [start, end] + right_cols)
-    for sch in (lschema, right.schema()):
-        for name, typ in zip(sch.names, sch.types):
-            dt = _int_dtype(typ)
-            if dt is not None and name in out_cols_set:
-                int_casts[name] = dt
-    # numpy int dtype → pandas nullable twin (same width, NA-safe)
-    _nullable = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
-                 "int64": "Int64", "uint8": "UInt8", "uint16": "UInt16",
-                 "uint32": "UInt32", "uint64": "UInt64"}
-    nullable_casts = {c: _nullable[str(dt)] for c, dt in int_casts.items()}
-
-    def tag(side: int):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            for c, dt in nullable_casts.items():
-                if c in batch.columns:
-                    batch[c] = batch[c].astype(dt)
-            batch["_side"] = np.int8(side)
-            return batch
-
-        return f
-
-    both = left.map_batches(tag(0), batch_format="pandas", batch_size=None) \
-        .union(right.map_batches(tag(1), batch_format="pandas",
-                                 batch_size=None))
     out_cols = lcols + [start, end] + right_cols
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        # select each side's KNOWN columns and bail on an empty side BEFORE
-        # any dropna — a bucket holding only one side's rows lacks the
-        # other side's columns entirely (the asof_join lesson: never
-        # dropna-by-column on a possibly-single-sided block)
-        lg = group.loc[group["_side"] == 0,
-                       [c for c in lcols if c in group.columns]]
-        rg = group.loc[group["_side"] == 1,
-                       [c for c in [key, start, end] + right_cols
-                        if c in group.columns]]
-        if lg.empty or rg.empty:
-            return pd.DataFrame(columns=out_cols).astype(int_casts)
-        lg = lg.dropna(subset=[key, ts])
-        rg = rg.dropna(subset=[key, start, end])
-        if lg.empty or rg.empty:
-            return pd.DataFrame(columns=out_cols).astype(int_casts)
+    def per_bucket(frames: list[pd.DataFrame]) -> pd.DataFrame:
+        lg = frames[0].dropna(subset=[key, ts])
+        rg = frames[1].dropna(subset=[key, start, end])
         m = lg.merge(rg, on=key, how="inner")
+        if m.empty:          # an empty side's bounds may not be datetimes
+            return m[out_cols]
         keep = (m[ts] >= m[start]) & (m[ts] <= m[end])
-        return m.loc[keep, out_cols].astype(int_casts)
+        return m.loc[keep, out_cols]
 
-    return bucket_exchange(both, key, per_bucket, num_buckets)
+    return cogroup([left, right.select_columns([key, start, end]
+                                               + right_cols)],
+                   key, per_bucket, num_buckets)
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -210,18 +155,21 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     """As-of join: for each left row, the latest right row of the same key
     with right.ts <= left.ts.
 
-    Implementation: co-partition both sides by key-hash bucket via a tagged
-    union + single ``groupby`` (one shuffle), then ONE
+    Implementation: co-partition both sides by key-hash bucket with one
+    :func:`~zeeklog_ray.relational.cogroup` (one shuffle; its key rule
+    rejects a key that is integer on one side only), then ONE
     ``pd.merge_asof(..., by=key)`` per bucket — the per-key matching is
     C-level inside merge_asof, no per-key Python.  At scale, salt wide
     keys and pre-bucket by time range.
 
     Right columns keep their names; ``suffix`` applies when a name
-    collides with a left column.  Null-key and null-timestamp left rows
-    get null right columns (they match nothing — and must not reach
-    ``merge_asof``, which rejects nulls in both ``by`` and ``on``; NaT
-    sorts last, so a sort alone would not isolate it).  Null-timestamp
-    right rows are dropped (nothing can match them).
+    collides with a left column.  Left columns keep their dtypes; an
+    integer right column comes out as a pandas nullable ``Int`` (left
+    rows without a match hold nulls there).  Null-key and null-timestamp
+    left rows get null right columns (they match nothing — and must not
+    reach ``merge_asof``, which rejects nulls in both ``by`` and ``on``;
+    NaT sorts last, so a sort alone would not isolate it).
+    Null-timestamp right rows are dropped (nothing can match them).
     """
     lcols = list(left.schema().names)
     bad = [c for c in right_cols if c in (key, ts)]
@@ -231,47 +179,20 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     # SAME schema regardless of which branch it takes
     out_name = {c: (c + suffix if c in lcols else c) for c in right_cols}
 
-    def tag(side: int):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["_side"] = np.int8(side)
-            return batch
-
-        return f
-
-    both = left.map_batches(tag(0), batch_format="pandas", batch_size=None) \
-        .union(right.map_batches(tag(1), batch_format="pandas", batch_size=None))
-
-    def _split(group: pd.DataFrame, side: int, keep: list[str]) -> pd.DataFrame:
-        g = group[group["_side"] == side]
-        return g[[c for c in keep if c in g.columns]]
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        # select by the SIDE's known columns — never dropna-by-column,
-        # which removed the key column when a bucket's keys were all null
-        lg = _split(group, 0, lcols)
-        rg = _split(group, 1, [key, ts] + right_cols)
-        if lg.empty:
-            return pd.DataFrame(columns=lcols + [out_name[c]
-                                                 for c in right_cols])
-        lg = lg.sort_values(ts, kind="mergesort")
-        null_key = lg[key].isna() | lg[ts].isna()
-        matched = lg[~null_key]
-        rg = rg.dropna(subset=[key, ts]) if len(rg) else rg
-        if rg.empty or matched.empty:
-            out = lg.copy()
-            for c in right_cols:
-                out[out_name[c]] = pd.NA
-            return out
-        rg = rg.sort_values(ts, kind="mergesort") \
-            .rename(columns={c: out_name[c] for c in right_cols})
-        out = pd.merge_asof(matched, rg, on=ts, by=key,
+    def per_bucket(frames: list[pd.DataFrame]) -> pd.DataFrame:
+        lg = frames[0].sort_values(ts, kind="mergesort")
+        rg = frames[1].dropna(subset=[key, ts]) \
+            .sort_values(ts, kind="mergesort").rename(columns=out_name)
+        rg = rg.astype({c: _NULLABLE_INT[str(dt)]
+                        for c, dt in rg.dtypes.items()
+                        if c in out_name.values()
+                        and str(dt) in _NULLABLE_INT})
+        null_key = (lg[key].isna() | lg[ts].isna()).to_numpy()
+        out = pd.merge_asof(lg[~null_key], rg, on=ts, by=key,
                             direction="backward")
         if null_key.any():                     # null keys match nothing
-            rest = lg[null_key].copy()
-            for c in right_cols:
-                rest[out_name[c]] = pd.NA
-            out = pd.concat([out, rest], ignore_index=True)
-        return out
+            out = pd.concat([out, lg[null_key]], ignore_index=True)
+        return out.astype(rg.dtypes.drop([key, ts]).to_dict())
 
-    return bucket_exchange(both, key, per_bucket, num_buckets)
+    return cogroup([left, right.select_columns([key, ts] + right_cols)],
+                   key, per_bucket, num_buckets)

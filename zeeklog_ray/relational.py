@@ -3,9 +3,11 @@
 These are the engine's reusable operators beyond the Zeek pipeline itself:
 broadcast hash joins for small dimension tables (the shape of the reference's
 only join, the ip2location lookup — SURVEY.md §2.4 J1), one hash-bucket
-exchange (:func:`bucket_exchange`) under every fact⨝fact join
-(:func:`bucketed_equi_join`, :func:`bucketed_semi_anti_join`) and
-high-cardinality groupby, grouped integer-exact aggregation, and top-k.
+exchange (:func:`bucket_exchange`) under every high-cardinality groupby
+and, as one co-group of the sides (:func:`cogroup`), under every
+fact⨝fact join (:func:`bucketed_equi_join`,
+:func:`bucketed_semi_anti_join`), grouped integer-exact aggregation, and
+top-k.
 
 Float policy for oracle-checked results: money/value columns are converted to
 integer cents (``round(x * 100) → int64``) BEFORE summing, so aggregates are
@@ -133,6 +135,193 @@ def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
 
     return with_hash_bucket(ds, key, num_buckets) \
         .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+
+
+_NULLABLE_INT = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
+                 "int64": "Int64", "uint8": "UInt8", "uint16": "UInt16",
+                 "uint32": "UInt32", "uint64": "UInt64"}
+
+
+def _int_np_dtype(typ):
+    """Numpy integer dtype of a schema entry (Arrow type, numpy dtype or
+    pandas nullable ``Int`` dtype), or None if the column is not
+    integer-typed."""
+    if isinstance(typ, pa.DataType):
+        return (np.dtype(typ.to_pandas_dtype())
+                if pa.types.is_integer(typ) else None)
+    typ = getattr(typ, "numpy_dtype", typ)
+    try:
+        return np.dtype(typ) if np.issubdtype(typ, np.integer) else None
+    except TypeError:
+        return None
+
+
+def _key_kind(typ) -> str:
+    """Normalized join-key dtype label across Arrow-block and pandas-block
+    schema flavors: any string representation → "str", numerics → their
+    numpy dtype string — so an Arrow `string` left side and an
+    object-dtype pandas right side compare equal, while float32 vs
+    float64 (whose bucket hashes differ) do not."""
+    if isinstance(typ, pa.DataType):
+        if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+            return "str"
+        try:
+            return str(np.dtype(typ.to_pandas_dtype()))
+        except TypeError:
+            return str(typ)
+    try:
+        dt = np.dtype(typ)
+    except TypeError:
+        return str(typ)
+    return "str" if dt.kind in ("O", "U", "S") else str(dt)
+
+
+def _empty_frame(schema) -> pd.DataFrame:
+    """A zero-row pandas frame with the columns and dtypes ``schema``'s
+    blocks convert to."""
+    base = schema.base_schema
+    if isinstance(base, pa.Schema):
+        return base.empty_table().to_pandas()
+    return pd.DataFrame({n: pd.Series(dtype=t)
+                         for n, t in zip(base.names, base.types)})
+
+
+def _key_rule(keys: list[str], types: list[dict], ints: list[dict]) -> None:
+    """:func:`cogroup`'s key rule over the sides' column ``types``: widen
+    the integer keys in ``ints`` (per side, in place) to the widest
+    width; raise ValueError when a key is integer on some sides only, or
+    its kinds differ."""
+    for k in keys:
+        seen = " vs ".join(str(t[k]) for t in types)
+        if all(k in i for i in ints):
+            wide = max((i[k] for i in ints), key=lambda d: d.itemsize)
+            for i in ints:
+                i[k] = wide
+        elif any(k in i for i in ints):
+            raise ValueError(
+                f"cogroup: key {k!r} is integer on one side ({seen}) — "
+                "same values would hash to different buckets; cast the "
+                "sides to one dtype")
+        elif len({_key_kind(t[k]) for t in types}) > 1:
+            raise ValueError(f"cogroup: key {k!r} dtype differs across "
+                             f"sides ({seen}); cast first")
+
+
+def cogroup(sides: Sequence["ray.data.Dataset"], key: str | Sequence[str],
+            fn: Callable[[list[pd.DataFrame]], "pd.DataFrame | pa.Table"],
+            num_buckets: int = 1024) -> "ray.data.Dataset":
+    """The many-sided hash-bucket exchange: every row of a ``key`` value,
+    from every Dataset in ``sides``, lands in the same ``fn`` call.  ``fn``
+    gets a list of pandas DataFrames, one per side in ``sides`` order,
+    each holding only that side's columns in that side's dtypes (an
+    integer column holding nulls as a nullable ``Int``; a side with no
+    rows in the bucket as a typed zero-row frame), and returns a
+    pandas DataFrame or a pyarrow Table.  The key columns carry the same
+    names on every side (rename first); ``_side`` and ``_bucket`` are
+    reserved on every side.
+
+    One key rule for every side, because the bucket hash is
+    dtype-sensitive (the same value in an int and a float column hashes
+    to different buckets and would silently match nothing): a key that is
+    integer on one side is integer on all of them, integer keys of
+    different widths widen to the widest (``fn`` sees the wide key), and
+    any other key kind must match across sides (:func:`_key_kind`).
+
+    Shape: one row-local map per side appends an int8 ``_side`` column,
+    the sides union, and ONE :func:`bucket_exchange` moves them.  Each
+    side ships only its own columns: null-filling every side to one
+    shared schema measured ~25% slower on a 1M ⨝ 500k join.  An integer
+    column that some side lacks rides the union as a pandas nullable
+    ``Int`` dtype — null-filled on the other sides' rows, a numpy int64
+    column would promote to float64 and round ids above 2^53 — and is
+    cast back for ``fn``; columns every side has ride as plain numpy.
+
+    SIZE ``num_buckets`` by the rule of :func:`bucket_exchange` applied
+    to the rows of ALL sides: one bucket of every side materializes as
+    one pandas group, so ``num_buckets ≈ total_rows / 2M``.
+
+    One-CPU rule: two lazy branches that each hold a repartition (or
+    another exchange) must not meet under one exchange — Ray's streaming
+    executor can stall between them on a single CPU.  Pin one of them
+    (``materialize``) first.  Every side needs a schema, and reading it
+    runs the side up to its first block (all of it when the side ends in
+    an exchange, which is one more reason to pin such a side); Ray drops
+    the schema of an all-empty input, so callers handle that case
+    before the call."""
+    keys = [key] if isinstance(key, str) else list(key)
+    schemas = [s.schema() for s in sides]
+    if any(s is None for s in schemas):
+        raise ValueError("cogroup: a side has no schema (an all-empty "
+                         "input) — handle the empty side before the call")
+    # the block-native types: a pandas block's nullable Int has no Arrow
+    # twin in Schema.types
+    types = [dict(zip(s.base_schema.names, s.base_schema.types))
+             for s in schemas]
+    for t in types:
+        missing = [k for k in keys if k not in t]
+        if missing:
+            raise ValueError(f"cogroup: key columns {missing} not present "
+                             "in every side")
+        reserved = sorted({"_side", "_bucket"} & set(t))
+        if reserved:
+            raise ValueError(f"cogroup: columns {reserved} are reserved "
+                             "internal names — rename first")
+    # the integer dtype of every side's columns as fn sees them
+    ints = [{c: dt for c, typ in t.items()
+             if (dt := _int_np_dtype(typ)) is not None} for t in types]
+    try:
+        _key_rule(keys, types, ints)
+    except ValueError:
+        # a side without rows matches nothing whatever its key dtype is
+        # (pandas types a column built from no values float64): judge
+        # the sides that have rows
+        live = [i for i, s in enumerate(sides) if s.limit(1).count()]
+        _key_rule(keys, [types[i] for i in live], [ints[i] for i in live])
+    shared = set.intersection(*(set(t) for t in types))
+    empties = [_empty_frame(s) for s in schemas]
+
+    def tag(i: int):
+        def f(batch: pd.DataFrame) -> pd.DataFrame:
+            cast = {}
+            for c, dt in ints[i].items():
+                col = batch.get(c)
+                if col is None:
+                    continue
+                # a null-bearing int column arrives as float or nullable;
+                # Int and int hash alike, float does not
+                to = (pd.api.types.pandas_dtype(_NULLABLE_INT[str(dt)])
+                      if c not in shared or (col.dtype != dt and col.hasnans)
+                      else dt)
+                if col.dtype != to:
+                    cast[c] = to
+            if cast:
+                batch = batch.astype(cast)
+            batch["_side"] = np.int8(i)
+            return batch
+
+        return f
+
+    @functools.wraps(fn)      # Ray names the exchange stage after fn
+    def per_bucket(group: pd.DataFrame):
+        side, present = group["_side"].to_numpy(), set(group.columns)
+        frames = []
+        for i, t in enumerate(types):
+            # a column the group lacks means side i has no row here: take
+            # it typed from the side's schema (the shared keys still come
+            # from the group, so they match the other frames' dtypes)
+            frame = group.loc[side == i, [c for c in t if c in present]]
+            if len(frame.columns) < len(t):
+                frame = pd.concat([frame, empties[i][[
+                    c for c in t if c not in present]]], axis=1)[list(t)]
+            cast = {c: dt for c, dt in ints[i].items()
+                    if frame[c].dtype != dt and not frame[c].hasnans}
+            frames.append(frame.astype(cast) if cast else frame)
+        return fn(frames)
+
+    tagged = [s.map_batches(tag(i), batch_format="pandas", batch_size=None)
+              for i, s in enumerate(sides)]
+    return bucket_exchange(tagged[0].union(*tagged[1:]), keys, per_bucket,
+                           num_buckets)
 
 
 def bucketed_distinct(ds: "ray.data.Dataset", keys: Sequence[str],
@@ -863,41 +1052,28 @@ def set_op(a: "ray.data.Dataset", b: "ray.data.Dataset",
     """Distinct set operations — SQL ``INTERSECT`` / ``EXCEPT`` over the
     ``cols`` tuples of two datasets.
 
-    Scale shape: tag each side with a ``_side`` bit (row-local), union,
-    then ONE hash-bucketed shuffle on the tuple; inside a bucket a
-    C-level pandas groupby min/max of the side bit decides membership
-    (min==0 ⇒ in A; max==1 ⇒ in B).  Equal-key rows always land in the
-    same bucket, so the decision is local; only distinct-ish tuples need
-    to coexist in a bucket, never whole tables on one node.  For a
-    HUGELY larger B side, prefer :func:`bloom_semi_filter` (EXCEPT ≈
-    anti-join) — this operator is the exact symmetric form.
+    Scale shape: ONE :func:`cogroup` of the two projections on the tuple;
+    inside a bucket the distinct A tuples take a C-level indicator merge
+    against the B tuples (null matches null, as SQL set operations
+    compare).  Equal tuples always land in the same bucket, so the
+    decision is local; only distinct-ish tuples need to coexist in a
+    bucket, never whole tables on one node.  For a HUGELY larger B side,
+    prefer :func:`bloom_semi_filter` (EXCEPT ≈ anti-join) — this operator
+    is the exact symmetric form.
     """
     if op not in ("intersect", "except"):
         raise ValueError(f"set_op: op must be 'intersect' or 'except', "
                          f"got {op!r}")
     cols = list(cols)
 
-    def tag(side: int):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            out = batch[cols].copy()
-            out["_side"] = np.int8(side)
-            return out
+    def per_bucket(frames: list[pd.DataFrame]) -> pd.DataFrame:
+        left, right = (f.drop_duplicates() for f in frames)
+        hit = left.merge(right, on=cols, how="left", indicator=True)[
+            "_merge"].to_numpy() == "both"
+        return left.loc[hit if op == "intersect" else ~hit]
 
-        return f
-
-    tagged = a.select_columns(cols).map_batches(
-        tag(0), batch_format="pandas", batch_size=None).union(
-        b.select_columns(cols).map_batches(
-            tag(1), batch_format="pandas", batch_size=None))
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(cols, sort=False, dropna=False)["_side"] \
-            .agg(["min", "max"]).reset_index()
-        keep = (g["min"] == 0) & \
-            ((g["max"] == 1) if op == "intersect" else (g["max"] == 0))
-        return g.loc[keep, cols]
-
-    return bucket_exchange(tagged, cols, per_bucket, num_buckets)
+    return cogroup([a.select_columns(cols), b.select_columns(cols)], cols,
+                   per_bucket, num_buckets)
 
 
 # Default salt for cap_per_key's draw hash: an arbitrary odd 64-bit
@@ -958,81 +1134,25 @@ def cap_per_key(ds: "ray.data.Dataset", key: str | Sequence[str], n: int,
     return bucket_exchange(pruned, keys, per_bucket, num_buckets)
 
 
-_NULLABLE_INT = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
-                 "int64": "Int64", "uint8": "UInt8", "uint16": "UInt16",
-                 "uint32": "UInt32", "uint64": "UInt64"}
-
-
-def _int_np_dtype(typ):
-    """Numpy integer dtype of a schema entry (Arrow type or numpy dtype),
-    or None if the column is not integer-typed."""
-    import pyarrow as _pa
-
-    if isinstance(typ, _pa.DataType):
-        return (np.dtype(typ.to_pandas_dtype())
-                if _pa.types.is_integer(typ) else None)
-    try:
-        return np.dtype(typ) if np.issubdtype(typ, np.integer) else None
-    except TypeError:
-        return None
-
-
-def _key_kind(typ) -> str:
-    """Normalized join-key dtype label across Arrow-block and pandas-block
-    schema flavors: any string representation → "str", numerics → their
-    numpy dtype string — so an Arrow `string` left side and an
-    object-dtype pandas right side compare equal, while float32 vs
-    float64 (whose bucket hashes differ) do not."""
-    import pyarrow as _pa
-
-    if isinstance(typ, _pa.DataType):
-        if _pa.types.is_string(typ) or _pa.types.is_large_string(typ):
-            return "str"
-        try:
-            return str(np.dtype(typ.to_pandas_dtype()))
-        except TypeError:
-            return str(typ)
-    try:
-        dt = np.dtype(typ)
-    except TypeError:
-        return str(typ)
-    return "str" if dt.kind in ("O", "U", "S") else str(dt)
-
-
-def _nullable_int_casts(schemas, cols: set[str]):
-    """(numpy_casts, pandas_nullable_casts) for every integer column in
-    ``cols`` across ``schemas`` — the tagged-union dtype armor: a numpy
-    int64 column null-filled on the other side's rows promotes the WHOLE
-    block to float64, silently rounding ids above 2^53, so integer
-    columns ride the union as pandas NULLABLE Int dtypes and cast back on
-    the way out wherever the output cannot be null there."""
-    int_casts = {}
-    for sch in schemas:
-        for name, typ in zip(sch.names, sch.types):
-            dt = _int_np_dtype(typ)
-            if dt is not None and name in cols:
-                int_casts[name] = dt
-    return int_casts, {c: _NULLABLE_INT[str(dt)] for c, dt in int_casts.items()}
-
-
 def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                        on: str | Sequence[str],
                        right_on: str | Sequence[str] | None = None,
                        num_buckets: int = 1024,
                        how: str = "inner") -> "ray.data.Dataset":
-    """Equi-join via tagged union + ONE :func:`bucket_exchange` on the key
-    + per-bucket C-level ``pandas.merge`` — the engine's one fact⨝fact
-    join (measured: two chained 2M⨝1M joins ~5 s at 32 CPUs, where
-    Ray's hash-shuffle join spent 14 s mostly on aggregator spin-up).
-    ``how`` ∈ inner / left / full.  Supports multi-column keys;
-    ``right_on`` columns are renamed onto ``on``, so an outer join's key
-    comes out coalesced into the ``on`` columns.  SQL null semantics: a
-    key with a null component matches nothing, and an outer side keeps
-    its null-key rows null-extended.  Integer columns an outer join can
-    null — the key and every column of a null-extended side — come out
-    as pandas nullable ``Int`` dtypes, never float64 (ids above 2^53 stay
-    exact); every other integer column keeps its numpy dtype.  Same
-    bucket-count sizing rule as :func:`bucket_exchange`; assumes one
+    """Equi-join via ONE :func:`cogroup` on the key + per-bucket C-level
+    ``pandas.merge`` — the engine's one fact⨝fact join (measured: two
+    chained 2M⨝1M joins ~5 s at 32 CPUs, where Ray's hash-shuffle join
+    spent 14 s mostly on aggregator spin-up).  ``how`` ∈ inner / left /
+    full.  Supports multi-column keys; ``right_on`` columns are renamed
+    onto ``on``, so an outer join's key comes out coalesced into the
+    ``on`` columns.  SQL null semantics: a key with a null component
+    matches nothing, and an outer side keeps its null-key rows
+    null-extended.  Integer columns an outer join can null — the key and
+    every column of a null-extended side — come out as pandas nullable
+    ``Int`` dtypes, never float64 (ids above 2^53 stay exact); every
+    other integer column keeps its numpy dtype.  Key dtypes follow the
+    :func:`cogroup` key rule (mismatched kinds raise, int widths widen).
+    Same bucket-count sizing rule as :func:`bucket_exchange`; assumes one
     bucket's rows fit one task (both sides land in the same pandas group).
 
     A side whose schema Ray dropped (an all-empty input loses it at its
@@ -1060,74 +1180,26 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     if missing:
         raise ValueError(f"bucketed_equi_join: key columns {missing} "
                          "not present in their side")
-    reserved = {"_side", "_bucket"} & (set(lcols) | set(rschema.names))
-    if reserved:
-        raise ValueError(f"bucketed_equi_join: columns {sorted(reserved)} "
-                         "are reserved internal names — rename first")
-    rename = dict(zip(right_on, on))
+    rename = {r: o for r, o in zip(right_on, on) if r != o}
     r_out = [rename.get(c, c) for c in rschema.names]
     collide = [c for c in r_out if c not in on and c in lcols]
     if collide:
         raise ValueError(f"bucketed_equi_join: right columns {collide} "
                          "collide with left columns — rename first")
-    r_keep = on + [c for c in r_out if c not in on]
     out_cols = lcols + [c for c in r_out if c not in on]
-    int_casts, nullable_casts = _nullable_int_casts(
-        (lschema, rschema), set(out_cols))
-    # Key-dtype harmonization: the bucket hash is dtype-sensitive, so a
-    # float key on one side and an int key on the other would hash the
-    # SAME value into DIFFERENT buckets and silently drop every match —
-    # reject mismatched key kinds outright, and widen int-int pairs of
-    # different widths to one nullable dtype on both sides.
-    ltypes = dict(zip(lschema.names, lschema.types))
-    rtypes = {rename.get(n, n): t for n, t in zip(rschema.names,
-                                                  rschema.types)}
-    for kcol in on:
-        li, ri = _int_np_dtype(ltypes[kcol]), _int_np_dtype(rtypes[kcol])
-        if (li is None) != (ri is None):
-            raise ValueError(
-                f"bucketed_equi_join: key {kcol!r} is integer on one side "
-                f"({ltypes[kcol]} vs {rtypes[kcol]}) — same values would "
-                "hash to different buckets; cast the sides to one dtype")
-        if li is not None:
-            wide = li if li.itemsize >= ri.itemsize else ri
-            int_casts[kcol] = wide
-            nullable_casts[kcol] = _NULLABLE_INT[str(wide)]
-        elif _key_kind(ltypes[kcol]) != _key_kind(rtypes[kcol]):
-            raise ValueError(
-                f"bucketed_equi_join: key {kcol!r} dtype differs across "
-                f"sides ({ltypes[kcol]} vs {rtypes[kcol]}); cast first")
-    # integer columns the join can null keep the nullable dtype on the way
-    # out; the rest cast back to numpy
-    can_null = {"inner": set(), "left": set(r_keep),
+    can_null = {"inner": set(), "left": set(r_out),
                 "full": set(out_cols)}[how]
-    out_dtypes = {c: nullable_casts[c] if c in can_null else dt
-                  for c, dt in int_casts.items()}
     merge_how = {"inner": "inner", "left": "left", "full": "outer"}[how]
 
-    def tag(side: int, ren: dict | None):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.rename(columns=ren) if ren else batch.copy()
-            for c in batch.columns:
-                dt = nullable_casts.get(c)
-                if dt:
-                    batch[c] = batch[c].astype(dt)
-            # an int8 side bit: a string tag is a Python object per row,
-            # which bloats the exchanged blocks several-fold
-            batch["_side"] = np.int8(side)
-            return batch
-
-        return f
-
-    both = left.map_batches(tag(0, None), batch_format="pandas",
-                            batch_size=None) \
-        .union(right.map_batches(tag(1, rename), batch_format="pandas",
-                                 batch_size=None))
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        is_left = group["_side"].to_numpy() == 0
-        lg = group.loc[is_left].reindex(columns=lcols)
-        rg = group.loc[~is_left].reindex(columns=r_keep)
+    def per_bucket(frames: list[pd.DataFrame]) -> pd.DataFrame:
+        # the integer columns this join can null ride as nullable Int
+        nulls = {c: _NULLABLE_INT.get(str(dt), str(dt)) for f in frames
+                 for c, dt in f.dtypes.items()
+                 if c in can_null and pd.api.types.is_integer_dtype(dt)}
+        if nulls:
+            frames = [f.astype({c: nulls[c] for c in f.columns if c in nulls})
+                      for f in frames]
+        lg, rg = frames
         # pandas.merge matches null to null; SQL never does — split them out
         l_null = lg[on].isna().any(axis=1).to_numpy()
         r_null = rg[on].isna().any(axis=1).to_numpy()
@@ -1137,12 +1209,22 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             parts.append(lg.loc[l_null])
         if how == "full":
             parts.append(rg.loc[r_null])
-        parts = [p for p in parts if len(p)] or parts[:1]
-        out = pd.concat([p.reindex(columns=out_cols).astype(nullable_casts)
-                         for p in parts], ignore_index=True)
-        return out.astype(out_dtypes)
+        parts = [p.reindex(columns=out_cols)
+                 for p in parts if len(p)] or [parts[0][out_cols]]
+        if nulls:
+            # a null-extended part gets the other side's columns as
+            # all-null float: cast before the concat, never via float
+            parts = [p.astype(nulls) for p in parts]
+        return pd.concat(parts, ignore_index=True)
 
-    return bucket_exchange(both, on, per_bucket, num_buckets)
+    if rename:
+        # an Arrow map: a pandas batch would report an int key that holds
+        # nulls as float64, and cogroup's key rule reads the schema
+        right = right.map_batches(
+            lambda t: t.rename_columns([rename.get(c, c)
+                                        for c in t.column_names]),
+            batch_format="pyarrow", batch_size=None)
+    return cogroup([left, right], on, per_bucket, num_buckets)
 
 
 def bucketed_semi_anti_join(left: "ray.data.Dataset",
@@ -1163,13 +1245,12 @@ def bucketed_semi_anti_join(left: "ray.data.Dataset",
 
     Scale shape: the right side is reduced to per-batch DISTINCT key
     tuples BEFORE the exchange (key-shaped, not row-shaped), then both
-    sides take ONE key-hash-bucket shuffle and the per-bucket test is a
-    C-level indicator merge.  This is the big-right-side complement to
-    the broadcast tiers (``bloom_semi_filter``, the driver-set anti in
-    queries.customers_without_orders): broadcast when the key set fits a
-    worker's heap, bucket when it doesn't.  Same dtype-harmonization
-    rules as :func:`bucketed_equi_join` (mismatched key kinds would hash
-    the same value into different buckets — rejected outright)."""
+    sides meet in ONE :func:`cogroup` and the per-bucket test is a
+    C-level ``isin`` on the key tuples.  This is the big-right-side
+    complement to the broadcast tiers (``bloom_semi_filter``, the
+    driver-set anti in queries.customers_without_orders): broadcast when
+    the key set fits a worker's heap, bucket when it doesn't.  Key dtypes
+    follow the :func:`cogroup` key rule."""
     on = [on] if isinstance(on, str) else list(on)
     right_on = (on if right_on is None
                 else [right_on] if isinstance(right_on, str)
@@ -1185,86 +1266,34 @@ def bucketed_semi_anti_join(left: "ray.data.Dataset",
         return left
     if rschema is None:
         return left if anti else left.limit(0)
-    lcols = list(lschema.names)
-    missing = [c for c in on if c not in lcols] + \
+    missing = [c for c in on if c not in lschema.names] + \
         [c for c in right_on if c not in rschema.names]
     if missing:
         raise ValueError(f"bucketed_semi_anti_join: key columns {missing} "
                          "not present in their side")
-    reserved = {"_side", "_bucket", "_m"} & set(lcols)
-    if reserved:
-        raise ValueError(f"bucketed_semi_anti_join: columns "
-                         f"{sorted(reserved)} are reserved internal names "
-                         "— rename first")
-    rename = dict(zip(right_on, on))
-    int_casts, nullable_casts = _nullable_int_casts((lschema,), set(lcols))
-    ltypes = dict(zip(lschema.names, lschema.types))
-    rtypes = {rename.get(n, n): t for n, t in zip(rschema.names,
-                                                  rschema.types)}
-    for kcol in on:
-        li, ri = _int_np_dtype(ltypes[kcol]), _int_np_dtype(rtypes[kcol])
-        if (li is None) != (ri is None):
-            raise ValueError(
-                f"bucketed_semi_anti_join: key {kcol!r} is integer on one "
-                f"side ({ltypes[kcol]} vs {rtypes[kcol]}) — same values "
-                "would hash to different buckets; cast the sides to one "
-                "dtype")
-        if li is not None:
-            wide = li if li.itemsize >= ri.itemsize else ri
-            int_casts[kcol] = wide
-            nullable_casts[kcol] = _NULLABLE_INT[str(wide)]
-        elif _key_kind(ltypes[kcol]) != _key_kind(rtypes[kcol]):
-            raise ValueError(
-                f"bucketed_semi_anti_join: key {kcol!r} dtype differs "
-                f"across sides ({ltypes[kcol]} vs {rtypes[kcol]}); cast "
-                "first")
 
-    def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        for c in batch.columns:
-            dt = nullable_casts.get(c)
-            if dt:
-                batch[c] = batch[c].astype(dt)
-        batch["_side"] = "L"
-        return batch
-
-    def keys_right(batch: pd.DataFrame) -> pd.DataFrame:
+    def keys_right(t: pa.Table) -> pa.Table:
         # key-shaped exchange: distinct non-null key tuples per batch
-        # (cross-batch dups collapse inside the bucket's merge — a full
-        # pre-distinct would cost a second shuffle for nothing)
-        kb = batch.rename(columns=rename)[on].dropna().drop_duplicates()
-        for c in on:
-            dt = nullable_casts.get(c)
-            if dt:
-                kb[c] = kb[c].astype(dt)
-        kb["_side"] = "R"
-        return kb
+        # (cross-batch dups collapse inside the bucket's isin — a full
+        # pre-distinct would cost a second shuffle for nothing); Arrow
+        # keeps an int key that held nulls int for cogroup's key rule
+        return t.select(right_on).rename_columns(on).drop_null() \
+            .group_by(on).aggregate([])
 
-    both = left.map_batches(tag_left, batch_format="pandas",
-                            batch_size=None) \
-        .union(right.map_batches(keys_right, batch_format="pandas",
-                                 batch_size=None))
+    def per_bucket(frames: list[pd.DataFrame]) -> pd.DataFrame:
+        lg, rg = frames
+        hit = ~lg[on].isna().any(axis=1).to_numpy()
+        if hit.any() and len(rg):
+            hit[hit] = pd.MultiIndex.from_frame(lg.loc[hit, on]).isin(
+                pd.MultiIndex.from_frame(rg))
+        else:
+            hit[:] = False
+        return lg.loc[~hit if anti else hit]
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        lg = group.loc[group["_side"] == "L",
-                       [c for c in lcols if c in group.columns]]
-        if lg.empty:
-            return pd.DataFrame(columns=lcols).astype(int_casts)
-        rg = group.loc[group["_side"] == "R", on].dropna() \
-            .drop_duplicates()
-        if rg.empty:
-            out = lg if anti else lg.iloc[0:0]
-            return out[lcols].astype(int_casts)
-        null_keys = lg[on].isna().any(axis=1)
-        probe = lg.loc[~null_keys]
-        hit = probe.merge(rg, on=on, how="left",
-                          indicator="_m")["_m"].to_numpy() == "both"
-        kept = probe.loc[~hit if anti else hit]
-        if anti and null_keys.any():
-            kept = pd.concat([kept, lg.loc[null_keys]])
-        return kept[lcols].astype(int_casts)
-
-    return bucket_exchange(both, on, per_bucket, num_buckets)
+    return cogroup([left, right.map_batches(keys_right,
+                                            batch_format="pyarrow",
+                                            batch_size=None)],
+                   on, per_bucket, num_buckets)
 
 
 def key_skew_profile(ds: "ray.data.Dataset", key: str,
