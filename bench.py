@@ -410,8 +410,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     def triangles():
         got = triangle_count(
             ray.data.range(n_nodes, override_num_blocks=64).map_batches(
-                ladder, batch_format="pandas", batch_size=None),
-            num_buckets=512)
+                ladder, batch_format="pandas", batch_size=None))
         assert got == n_nodes - 2, got
 
     timed2("scale_triangles_2m_edges", triangles)
@@ -458,7 +457,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
         uniq_words, batch_format="pandas", batch_size=None)
 
     def bpe_3m():
-        fit = train_bpe_distributed(docs_u, n_merges=4, num_buckets=256)
+        fit = train_bpe_distributed(docs_u, n_merges=4)
         assert fit["n_distinct_words"] == 3_000_000
 
     timed2("scale_bpe_train_distributed_3m_words", bpe_3m)
@@ -494,7 +493,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
         zipf_lines, batch_format="pandas", batch_size=None)
 
     def bpe_64():
-        fit = train_bpe_distributed(docs_z, n_merges=64, num_buckets=32)
+        fit = train_bpe_distributed(docs_z, n_merges=64)
         assert len(fit["merges"]) == 64
         extras["bpe64_rounds"] = fit["n_rounds"]
         extras["bpe64_distinct_words"] = fit["n_distinct_words"]
@@ -508,7 +507,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     # 64-merge twin above is best-of-2; this entry exists for the
     # growth ratio, not the absolute number).
     t0 = time.monotonic()
-    fit256 = train_bpe_distributed(docs_z, n_merges=256, num_buckets=32)
+    fit256 = train_bpe_distributed(docs_z, n_merges=256)
     timings["scale_bpe_train_distributed_256merges"] = round(
         time.monotonic() - t0, 3)
     assert len(fit256["merges"]) == 256
@@ -638,8 +637,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     )
 
     def dup_windows():
-        out = duplicated_window_stats(ray.data.read_parquet(dc),
-                                      num_buckets=256)
+        out = duplicated_window_stats(ray.data.read_parquet(dc))
         assert out.count() == SCALE_DOC_ROWS
 
     timed2(f"scale_dup_windows_{dtag}", dup_windows)
@@ -647,19 +645,18 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     from zeeklog_ray.ops.dedup import remove_dup_spans
 
     def dup_span_clean():
-        out = remove_dup_spans(ray.data.read_parquet(dc), num_buckets=256)
+        out = remove_dup_spans(ray.data.read_parquet(dc))
         assert out.count() == SCALE_DOC_ROWS
 
     timed2(f"scale_remove_dup_spans_{dtag}", dup_span_clean)
     timed2(f"scale_repetition_{dtag}",
            lambda: repetition_stats(ray.data.read_parquet(dc)).count())
     timed2(f"scale_rare_words_{dtag}",
-           lambda: rare_word_stats(ray.data.read_parquet(dc),
-                                   num_buckets=256).count())
+           lambda: rare_word_stats(ray.data.read_parquet(dc)).count())
 
     def pmi():
         out = bigram_pmi_topk(ray.data.read_parquet(dc), k=20,
-                              min_count=5, num_buckets=256)
+                              min_count=5)
         assert len(out) == 20
 
     timed2(f"scale_bigram_pmi_{dtag}", pmi)
@@ -693,7 +690,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     from zeeklog_ray.relational import grouped_sum_bucketed
 
     def cdc():
-        out = cdc_dup_stats(ray.data.read_parquet(dc), num_buckets=256)
+        out = cdc_dup_stats(ray.data.read_parquet(dc))
         assert out.count() == SCALE_DOC_ROWS
 
     timed2(f"scale_cdc_dup_{dtag}", cdc)
@@ -701,8 +698,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     def distinctive():
         docs_s = ray.data.read_parquet(dc).map_batches(
             add_src, batch_format="pandas", batch_size=None)
-        out = source_distinctive_terms(docs_s, k=10, min_count=20,
-                                       num_buckets=256)
+        out = source_distinctive_terms(docs_s, k=10, min_count=20)
         assert out.count() == 40   # 4 sources × top-10
 
     timed2(f"scale_distinctive_terms_{dtag}", distinctive)
@@ -718,10 +714,9 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
         hourly = grouped_sum_bucketed(
             ray.data.read_parquet(ev).map_batches(
                 hour_col, batch_format="pandas", batch_size=None),
-            ["user_id", "hour"], count_as="n", num_buckets=256)
+            ["user_id", "hour"], count_as="n")
         n = trailing_deviation(hourly, key="user_id", order="hour",
-                               value="n", window=24,
-                               num_buckets=256).count()
+                               value="n", window=24).count()
         assert n > SCALE_EVENT_ROWS // 2
 
     timed2(f"scale_trailing_deviation_{mtag}", spikes)
@@ -908,7 +903,7 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     def packrows():
         ds = ray.data.read_parquet(
             zc, columns=["doc_id", "tokens", "n_tok", "source", "date"])
-        n = pack_token_rows(ds, context_len=2048, num_buckets=64).count()
+        n = pack_token_rows(ds, context_len=2048).count()
         extras.setdefault("packed_rows", n)
 
     timed2("scale_pack_rows_flagship", packrows)

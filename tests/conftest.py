@@ -52,3 +52,23 @@ def heap_tier(request, monkeypatch):
               "distributed": 0}.get(request.param, request.param)
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", budget)
     return request.param
+
+
+@pytest.fixture(scope="session")
+def in_blocks(ray_session):
+    """``in_blocks(df, n)``: ``df`` as a Dataset of ``min(n, 8)`` blocks.
+    Every exchange calls its ``fn`` once per sorted partition and makes
+    as many partitions as its input has blocks, so a test's block count
+    sets how many calls the keys spread over: ``1`` puts every key of a
+    one-sided exchange in one call."""
+    import ray.data
+
+    def make(df, n: int):
+        k = min(n, 8)
+        # one frame per block, not a repartition: Ray drops the schema
+        # of an all-empty input at a repartition
+        return ray.data.from_pandas([df.iloc[i * len(df) // k:
+                                             (i + 1) * len(df) // k]
+                                     for i in range(k)])
+
+    return make

@@ -42,7 +42,7 @@ def test_pack_token_rows_reconstructs_streams(ray_session):
     for nparts in (1, 4):
         packed = pack_token_rows(
             ray.data.from_pandas(df).repartition(nparts),
-            context_len=CL, pad_id=0, num_buckets=8).to_pandas()
+            context_len=CL, pad_id=0).to_pandas()
         for src, stream in truth.items():
             p = packed[packed["source"] == src] \
                 .sort_values("pack_id").reset_index(drop=True)
@@ -62,8 +62,8 @@ def test_pack_token_rows_reconstructs_streams(ray_session):
 
 def test_pack_hash_matches_reference(ray_session):
     df = _corpus(n_docs=12, seed=4)
-    packed = pack_token_rows(ray.data.from_pandas(df), context_len=CL,
-                             num_buckets=4).to_pandas()
+    packed = pack_token_rows(ray.data.from_pandas(df),
+                             context_len=CL).to_pandas()
 
     def horner(ts):
         h = 0
@@ -78,8 +78,7 @@ def test_pack_hash_matches_reference(ray_session):
 
 def test_iter_token_batches_shapes_and_content(ray_session):
     df = _corpus(n_docs=30, seed=7)
-    packed = pack_token_rows(ray.data.from_pandas(df), context_len=CL,
-                             num_buckets=4)
+    packed = pack_token_rows(ray.data.from_pandas(df), context_len=CL)
     n_packs = packed.count()
     mats = list(iter_token_batches(packed, micro_batch=4))
     assert sum(m.shape[0] for m in mats) == n_packs
@@ -97,8 +96,7 @@ def test_iter_token_batches_shapes_and_content(ray_session):
 def test_iter_token_batches_sharding(ray_session):
     """shard=(i, n): disjoint, exhaustive, deterministic worker slices."""
     df = _corpus(n_docs=24, seed=2)
-    packed = pack_token_rows(ray.data.from_pandas(df), context_len=CL,
-                             num_buckets=4)
+    packed = pack_token_rows(ray.data.from_pandas(df), context_len=CL)
     all_rows = {tuple(np.asarray(r))
                 for r in packed.to_pandas()["input_ids"]}
     shards = []
@@ -149,25 +147,22 @@ def _reference_packs(df: pd.DataFrame) -> pd.DataFrame:
                                        "n_real", "pack_hash"])
 
 
-@pytest.mark.parametrize("num_buckets", [1, 3, 16])
-def test_pack_token_rows_matches_numpy_reference(ray_session, num_buckets):
+@pytest.mark.parametrize("nb", [1, 3, 16])
+def test_pack_token_rows_matches_numpy_reference(ray_session, in_blocks, nb):
     df = _edge_corpus()
     cells = df.groupby(["source", "date"])["n_tok"].sum()
     assert (cells > CL).any() and (df["n_tok"] == 0).any() \
         and (df["n_tok"] >= 3 * CL).any()
     want = _reference_packs(df)
-    for nparts in (1, 5):
-        got = pack_token_rows(
-            ray.data.from_pandas(df).repartition(nparts), context_len=CL,
-            num_buckets=num_buckets).to_pandas()
-        got = got.sort_values(["source", "pack_id"]).reset_index(drop=True)
-        assert list(got.columns) == list(want.columns)
-        assert got["source"].tolist() == want["source"].tolist()
-        assert got["pack_id"].tolist() == want["pack_id"].tolist()
-        assert got["n_real"].tolist() == want["n_real"].tolist()
-        assert got["pack_hash"].tolist() == want["pack_hash"].tolist()
-        np.testing.assert_array_equal(np.stack(got["input_ids"].to_numpy()),
-                                      np.stack(want["input_ids"].to_numpy()))
+    got = pack_token_rows(in_blocks(df, nb), context_len=CL).to_pandas()
+    got = got.sort_values(["source", "pack_id"]).reset_index(drop=True)
+    assert list(got.columns) == list(want.columns)
+    assert got["source"].tolist() == want["source"].tolist()
+    assert got["pack_id"].tolist() == want["pack_id"].tolist()
+    assert got["n_real"].tolist() == want["n_real"].tolist()
+    assert got["pack_hash"].tolist() == want["pack_hash"].tolist()
+    np.testing.assert_array_equal(np.stack(got["input_ids"].to_numpy()),
+                                  np.stack(want["input_ids"].to_numpy()))
 
 
 def test_pack_token_rows_plans_two_exchanges_no_union(ray_session):
@@ -179,7 +174,7 @@ def test_pack_token_rows_plans_two_exchanges_no_union(ray_session):
     from ray.data._internal.logical.operators.n_ary_operator import Union
 
     packed = pack_token_rows(ray.data.from_pandas(_corpus(n_docs=6)),
-                             context_len=CL, num_buckets=2)
+                             context_len=CL)
     ops, stack = [], [packed._logical_plan.dag]
     while stack:
         op = stack.pop()

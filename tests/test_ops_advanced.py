@@ -167,10 +167,10 @@ def test_ivf_topk_recall(ray_session):
 
 
 @pytest.mark.parametrize("nb", [1024, 1])
-def test_trailing_windows_matches_bruteforce(ray_session, nb):
+def test_trailing_windows_matches_bruteforce(ray_session, in_blocks, nb):
     """Bucketed trailing windows == O(n^2) reference, RANGE semantics
-    (equal-ts peers included); nb=1 forces every key into ONE bucket so
-    the key-segment boundary logic is exercised."""
+    (equal-ts peers included); nb=1 (one input block) puts every key in
+    ONE exchange call so the key-segment boundary logic is exercised."""
     from zeeklog_ray.ops.streaming import trailing_windows
 
     rng = np.random.default_rng(17)
@@ -182,9 +182,9 @@ def test_trailing_windows_matches_bruteforce(ray_session, nb):
     # plant an exact-duplicate timestamp pair to pin peer semantics
     df.loc[1, ["user_id", "ts"]] = [df.loc[0, "user_id"], df.loc[0, "ts"]]
 
-    got = trailing_windows(ray.data.from_pandas(df.sample(frac=1, random_state=3)
-                                                .reset_index(drop=True)),
-                           window_seconds=3600, num_buckets=nb).to_pandas()
+    got = trailing_windows(in_blocks(df.sample(frac=1, random_state=3)
+                                     .reset_index(drop=True), nb),
+                           window_seconds=3600).to_pandas()
     got = got.sort_values(["user_id", "ts", "w_count"]).reset_index(drop=True)
 
     rows = []
@@ -200,11 +200,12 @@ def test_trailing_windows_matches_bruteforce(ray_session, nb):
 
 
 @pytest.mark.parametrize("nb", [1024, 1])
-def test_rows_window_matches_bruteforce(ray_session, nb):
+def test_rows_window_matches_bruteforce(ray_session, in_blocks, nb):
     """Bucketed ROWS-frame window == O(n^2) reference: row i's frame is
     the `preceding` rows immediately before it (in total order) plus
-    itself, never crossing the key boundary; nb=1 packs every key into
-    one bucket to exercise the segment-start algebra."""
+    itself, never crossing the key boundary; nb=1 (one input block) puts
+    every key in one exchange call to exercise the segment-start
+    algebra."""
     from zeeklog_ray.ops.streaming import rows_window
 
     rng = np.random.default_rng(29)
@@ -213,10 +214,10 @@ def test_rows_window_matches_bruteforce(ray_session, nb):
                        "ts": rng.integers(0, 50, n),   # heavy ties
                        "id": np.arange(n, dtype="int64"),
                        "v": rng.integers(-50, 100, n).astype("int64")})
-    got = rows_window(ray.data.from_pandas(
-        df.sample(frac=1, random_state=7).reset_index(drop=True)),
-        key="k", order_cols=["ts", "id"], value="v", preceding=3,
-        num_buckets=nb).to_pandas().sort_values("id").reset_index(drop=True)
+    got = rows_window(in_blocks(
+        df.sample(frac=1, random_state=7).reset_index(drop=True), nb),
+        key="k", order_cols=["ts", "id"], value="v",
+        preceding=3).to_pandas().sort_values("id").reset_index(drop=True)
 
     s = df.sort_values(["k", "ts", "id"]).reset_index(drop=True)
     rows = {}
@@ -239,7 +240,7 @@ def test_rows_window_preserves_big_ints(ray_session):
     df = pd.DataFrame({"k": ["a", "a"], "id": [0, 1],
                        "v": np.array([big, 1], dtype=np.int64)})
     out = rows_window(ray.data.from_pandas(df), key="k", order_cols=["id"],
-                      value="v", preceding=5, num_buckets=2).to_pandas() \
+                      value="v", preceding=5).to_pandas() \
         .sort_values("id")
     assert out["w_sum"].tolist() == [big, big + 1]
 
@@ -253,10 +254,30 @@ def test_rows_window_unbounded_is_running_total(ray_session):
                        "id": [1, 2, 3, 4, 5],
                        "v": [10, 20, 30, 1, 2]})
     out = rows_window(ray.data.from_pandas(df), key="k", order_cols=["id"],
-                      value="v", preceding=None, num_buckets=4).to_pandas() \
+                      value="v", preceding=None).to_pandas() \
         .sort_values("id")
     assert out["w_count"].tolist() == [1, 2, 3, 1, 2]
     assert out["w_sum"].tolist() == [10, 30, 60, 1, 3]
+
+
+def test_window_float_sums_restart_per_key(ray_session):
+    """Keys that share one exchange call (one input block) keep their
+    own float prefix sums: b's small values are not absorbed into a
+    cumsum that a's 1e16 values run through first."""
+    from zeeklog_ray.ops.streaming import rows_window, trailing_windows
+
+    t = pd.Timestamp("2024-01-01")
+    df = pd.DataFrame({"k": ["a", "a", "b", "b"], "id": [0, 1, 2, 3],
+                       "ts": [t, t + pd.Timedelta(minutes=1)] * 2,
+                       "v": [1e16, 1e16, 1.0, 1.0]})
+    rows = rows_window(ray.data.from_pandas(df), key="k", order_cols=["id"],
+                       value="v", preceding=None).to_pandas()
+    assert rows[rows["k"] == "b"].sort_values("id")["w_sum"].tolist() \
+        == [1.0, 2.0]
+    trail = trailing_windows(ray.data.from_pandas(df), key="k", ts="ts",
+                             value="v", window_seconds=3600).to_pandas()
+    assert trail[trail["k"] == "b"].sort_values("ts")["w_sum"].tolist() \
+        == [1.0, 2.0]
 
 
 def test_canonical_per_component(ray_session):
@@ -297,8 +318,8 @@ def test_node_degrees_and_triangle_count(ray_session, monkeypatch):
     k5 = pd.DataFrame(list(itertools.combinations(range(5), 2)),
                       columns=["doc_a", "doc_b"])
     ds = ray.data.from_pandas(k5)
-    assert triangle_count(ds, num_buckets=8) == 10
-    deg = node_degrees(ds, num_buckets=8).to_pandas()
+    assert triangle_count(ds) == 10
+    deg = node_degrees(ds).to_pandas()
     assert sorted(deg["degree"].tolist()) == [4] * 5
 
     rng = np.random.default_rng(3)
@@ -317,14 +338,14 @@ def test_node_degrees_and_triangle_count(ray_session, monkeypatch):
     es = set(map(tuple, edf.values))
     brute = sum(1 for a, b, c in itertools.combinations(range(n), 3)
                 if (a, b) in es and (b, c) in es and (a, c) in es)
-    assert triangle_count(ds2, num_buckets=16) == brute
+    assert triangle_count(ds2) == brute
 
     path = pd.DataFrame({"doc_a": [1, 2], "doc_b": [2, 3]})  # wedge, no close
-    assert triangle_count(ray.data.from_pandas(path), num_buckets=4) == 0
+    assert triangle_count(ray.data.from_pandas(path)) == 0
 
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    assert triangle_count(ds, num_buckets=8) == 10
-    assert triangle_count(ds2, num_buckets=16) == brute
+    assert triangle_count(ds) == 10
+    assert triangle_count(ds2) == brute
 
 
 def test_kmeans_planted_mixture_recovery(ray_session):
@@ -449,8 +470,8 @@ def test_pagerank_tiers_agree_and_rank_hubs(ray_session, monkeypatch):
     full_es = pagerank(pairs, n_iters=30, tol=0.0, damping=0.5) \
         .to_pandas().set_index("node")["rank_e9"]
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    dist = pagerank(pairs, n_iters=8, tol=0.0,
-                    num_buckets=8).to_pandas().set_index("node")["rank_e9"]
+    dist = pagerank(pairs, n_iters=8, tol=0.0).to_pandas() \
+        .set_index("node")["rank_e9"]
     assert np.abs(dist.loc[np.arange(n)].to_numpy()
                   - drv8.loc[np.arange(n)].to_numpy()).max() <= 2
 
@@ -460,7 +481,7 @@ def test_pagerank_tiers_agree_and_rank_hubs(ray_session, monkeypatch):
     # damping=0.5 so the L1 delta halves per round and the stop lands
     # around round ~9 (keeps the distributed run's shuffle-round count,
     # and this test's wall time, small)
-    dist_es = pagerank(pairs, num_buckets=8,
+    dist_es = pagerank(pairs,
                        **es).to_pandas().set_index("node")["rank_e9"]
     assert np.abs(dist_es.loc[np.arange(n)].to_numpy()
                   - drv_es.loc[np.arange(n)].to_numpy()).max() <= 2

@@ -69,7 +69,7 @@ TEXTS = [
 @pytest.mark.parametrize("heap_tier", [1_000_000, 0], indirect=True)
 def test_train_bpe_matches_reference(ray_session, heap_tier):
     ds = ray.data.from_pandas(pd.DataFrame({"text": TEXTS})).repartition(3)
-    got = train_bpe(ds, n_merges=12, num_buckets=8)
+    got = train_bpe(ds, n_merges=12)
     exp = reference_bpe(TEXTS, 12)
     assert got["merges"] == exp
     assert got["n_distinct_words"] == len(
@@ -124,7 +124,7 @@ def test_train_bpe_batched_64_merges_parity(ray_session, monkeypatch):
     ds = ray.data.from_pandas(pd.DataFrame({"text": lines})).repartition(4)
     drv = train_bpe(ds, n_merges=64)
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    dist = train_bpe(ds, n_merges=64, num_buckets=8)
+    dist = train_bpe(ds, n_merges=64)
     exp = reference_bpe(lines, 64)
     assert drv["merges"] == exp
     assert dist["merges"] == exp
@@ -171,7 +171,7 @@ def test_tokenize_with_merges_monotone(ray_session):
         "doc_id": range(len(TEXTS)), "text": TEXTS})).repartition(2)
     prev = None
     for k in (0, 4, 12):
-        fit = train_bpe(ds, n_merges=k, num_buckets=4)
+        fit = train_bpe(ds, n_merges=k)
         out = tokenize_with_merges(ds, fit).to_pandas()
         total = int(out["n_bpe_tok"].sum())
         if k == 0:   # char tokens = total characters of all words
@@ -191,7 +191,7 @@ def test_tokenize_sentinel_collision_and_unknown_chars(ray_session):
     texts = ["d</w>d d</w>d d</w>d m</w>m m</w>m m</w>m"] * 3 + ["xy"] * 40
     ds = ray.data.from_pandas(pd.DataFrame({
         "doc_id": range(len(texts)), "text": texts})).repartition(2)
-    fit = train_bpe(ds, n_merges=8, num_buckets=4)
+    fit = train_bpe(ds, n_merges=8)
     # reference tokenization on the driver tier's own kernels: apply
     # must reproduce EXACTLY what training would have produced
     exp, word_syms = reference_bpe(texts, 8, return_state=True)
@@ -223,8 +223,8 @@ def test_train_bpe_distributed_spill_parity(ray_session, tmp_path,
     bit-identical to the object-store pin (same merges, same counts)."""
     ds = ray.data.from_pandas(pd.DataFrame({"text": TEXTS})).repartition(3)
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    pinned = train_bpe(ds, n_merges=12, num_buckets=8)
-    spilled = train_bpe(ds, n_merges=12, num_buckets=8,
+    pinned = train_bpe(ds, n_merges=12)
+    spilled = train_bpe(ds, n_merges=12,
                         spill_dir=str(tmp_path / "bpe_spill"))
     assert spilled["merges"] == pinned["merges"]
     assert spilled["n_rounds"] == pinned["n_rounds"]

@@ -93,14 +93,14 @@ def test_simhash_hamming(docs):
 
 
 @pytest.mark.parametrize("nb", [1024, 1])
-def test_first_wins(ray_session, nb):
-    """nb=1 forces every key into one bucket — exercising the multi-key
-    sort+drop_duplicates path of the bucketed groupby."""
+def test_first_wins(ray_session, in_blocks, nb):
+    """nb=1 (one input block) puts every key in one exchange call —
+    exercising the multi-key sort+drop_duplicates path."""
     df = pd.DataFrame({"ip": ["a", "a", "b", "b", "c"],
                        "date": ["2024-07-03", "2024-07-02", "2024-07-02",
                                 "2024-07-04", "2024-07-04"]})
-    out = first_wins(ray.data.from_pandas(df), key="ip", order_col="date",
-                     num_buckets=nb).to_pandas().set_index("ip")["date"]
+    out = first_wins(in_blocks(df, nb), key="ip", order_col="date") \
+        .to_pandas().set_index("ip")["date"]
     assert out.to_dict() == {"a": "2024-07-02", "b": "2024-07-02",
                              "c": "2024-07-04"}
 
@@ -210,7 +210,7 @@ def test_ngram_jaccard_dedup_pairs_join_tier_parity(ray_session,
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     joined = ngram_jaccard_dedup_pairs(
-        ray.data.from_pandas(df), num_buckets=16, **kw).to_pandas() \
+        ray.data.from_pandas(df), **kw).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     assert len(broad) > 0                       # planted dups were found
     pd.testing.assert_frame_equal(broad, joined)
@@ -250,7 +250,7 @@ def test_ngram_jaccard_verify_tier_priced_in_utf8_bytes(ray_session,
 
     def run() -> pd.DataFrame:
         return ngram_jaccard_dedup_pairs(
-            ray.data.from_pandas(df), num_buckets=8, **kw).to_pandas() \
+            ray.data.from_pandas(df), **kw).to_pandas() \
             .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", n_bytes + id_bytes)
@@ -414,7 +414,7 @@ def test_duplicated_window_stats_planted(ray_session, monkeypatch):
         "short doc",                       # < k words → 0 windows
         "intro words here " + shared + " tail one",   # exact dup of 1
     ]})
-    out = duplicated_window_stats(ray.data.from_pandas(df), num_buckets=4) \
+    out = duplicated_window_stats(ray.data.from_pandas(df)) \
         .to_pandas().set_index("doc_id").sort_index()
     ref = _brute_dup_windows(df)
     for d, (nw, dw) in ref.items():
@@ -426,7 +426,7 @@ def test_duplicated_window_stats_planted(ray_session, monkeypatch):
     assert out.loc[3, "dup_windows"] == 0
     # union-sum finish tier (zero heap budget) agrees exactly
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    dist = duplicated_window_stats(ray.data.from_pandas(df), num_buckets=4) \
+    dist = duplicated_window_stats(ray.data.from_pandas(df)) \
         .to_pandas().set_index("doc_id").sort_index()
     pd.testing.assert_frame_equal(out, dist[out.columns.tolist()])
 
@@ -441,10 +441,10 @@ def test_duplicated_window_stats_batch_invariance(ray_session):
     texts = [" ".join(rng.choice(vocab, size=rng.integers(2, 40)))
              for _ in range(60)]
     df = pd.DataFrame({"doc_id": np.arange(60), "text": texts})
-    a = duplicated_window_stats(ray.data.from_pandas(df), num_buckets=3) \
+    a = duplicated_window_stats(ray.data.from_pandas(df)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     b = duplicated_window_stats(
-        ray.data.from_pandas(df).repartition(13), num_buckets=8) \
+        ray.data.from_pandas(df).repartition(13)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
     ref = _brute_dup_windows(df)
@@ -486,8 +486,7 @@ def test_remove_dup_spans_tiers(ray_session, heap_tier):
         "short doc",
         None,             # a null text is a document with no words
     ]})
-    out = remove_dup_spans(ray.data.from_pandas(df).repartition(3),
-                           num_buckets=4) \
+    out = remove_dup_spans(ray.data.from_pandas(df).repartition(3)) \
         .to_pandas().set_index("doc_id").sort_index()
     ref = _brute_remove_spans(df)
     assert out.index.tolist() == [1, 2, 3, 4, 5]
@@ -510,11 +509,10 @@ def test_remove_dup_spans_random_cross_tier(ray_session, monkeypatch):
              for _ in range(50)]
     texts += texts[:10]                      # planted exact dups
     df = pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts})
-    a = remove_dup_spans(ray.data.from_pandas(df), num_buckets=4) \
+    a = remove_dup_spans(ray.data.from_pandas(df)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    b = remove_dup_spans(ray.data.from_pandas(df).repartition(7),
-                         num_buckets=8) \
+    b = remove_dup_spans(ray.data.from_pandas(df).repartition(7)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns.tolist()])
     ref = _brute_remove_spans(df)
@@ -611,8 +609,7 @@ def test_cdc_dup_stats_planted_and_edit_robust(ray_session, monkeypatch):
         "doc_id": [1, 2, 3],
         "text": [base, edited, other],
     })
-    kw = dict(window=4, mask_bits=4, min_words=4, max_words=32,
-              num_buckets=8)
+    kw = dict(window=4, mask_bits=4, min_words=4, max_words=32)
     out = cdc_dup_stats(ray.data.from_pandas(df), **kw).to_pandas() \
         .set_index("doc_id").sort_index()
     assert out.loc[1, "n_words"] == 400
@@ -654,7 +651,7 @@ def test_cdc_screen_then_verify_planted(ray_session, monkeypatch):
         "text": [base, near] + clean,
     })
     kw = dict(window=4, mask_bits=4, min_words=4, max_words=32,
-              screen_ratio_e4=2_000, num_buckets=8)
+              screen_ratio_e4=2_000)
     out = cdc_screen_then_verify(ray.data.from_pandas(df), **kw) \
         .to_pandas().set_index("doc_id").sort_index()
     # only the planted pair survives the screen
@@ -662,8 +659,8 @@ def test_cdc_screen_then_verify_planted(ray_session, monkeypatch):
     # exact tier within the suspect subset == window stats over just
     # the pair (both copies screened in together)
     ref = duplicated_window_stats(
-        ray.data.from_pandas(df[df.doc_id.isin([1, 2])]), k=8,
-        num_buckets=8).to_pandas().set_index("doc_id").sort_index()
+        ray.data.from_pandas(df[df.doc_id.isin([1, 2])]), k=8) \
+        .to_pandas().set_index("doc_id").sort_index()
     for c in ["n_windows", "dup_windows", "dup_ratio_e4"]:
         assert (out[c] == ref[c]).all(), c
     assert (out["screen_ratio_e4"] >= 2_000).all()
@@ -752,8 +749,7 @@ def test_cdc_screen_asymmetric_copy_documents_recall_limit(ray_session):
                  long_filler + " " + span,    # long doc, ~6% shared
                  " ".join(rng.choice(vocab, size=200))],
     })
-    kw = dict(window=4, mask_bits=4, min_words=4, max_words=32, k=8,
-              num_buckets=8)
+    kw = dict(window=4, mask_bits=4, min_words=4, max_words=32, k=8)
     # high threshold: only the short copy screens in, and within the
     # suspect subset its span has no partner -> dup_windows == 0
     hi = cdc_screen_then_verify(ray.data.from_pandas(df),
@@ -792,7 +788,7 @@ def test_incremental_dedup_exact_and_fp_removal(monkeypatch):
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     out2 = incremental_dedup(ray.data.from_pandas(new).repartition(4),
                              ray.data.from_pandas(base).repartition(4),
-                             n_bits=256, num_buckets=8).to_pandas()
+                             n_bits=256).to_pandas()
     assert sorted(out2["doc_id"]) == sorted(out["doc_id"])
     assert sorted(out2.columns) == sorted(new.columns)
 
@@ -842,8 +838,7 @@ def test_incremental_near_dup_planted_and_tiers(ray_session, monkeypatch):
         out2 = incremental_near_dup(
             ray.data.from_pandas(new).repartition(4),
             ray.data.from_pandas(base).repartition(4),
-            num_perm=16, bands=4, threshold_e4=5000,
-            num_buckets=8).to_pandas()
+            num_perm=16, bands=4, threshold_e4=5000).to_pandas()
     key = ["doc_id", "base_id", "j_e4"]
     pd.testing.assert_frame_equal(
         out[key].sort_values(key).reset_index(drop=True),

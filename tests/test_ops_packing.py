@@ -38,7 +38,7 @@ def _brute_force(df: pd.DataFrame, L: int) -> pd.DataFrame:
 def test_pack_assignments_match_brute_force(ray_session):
     df = _docs()
     ds = ray.data.from_pandas(df).repartition(9)
-    got = pack_assignments(ds, context_len=512, num_buckets=16).to_pandas()
+    got = pack_assignments(ds, context_len=512).to_pandas()
     exp = _brute_force(df, 512)
     key = ["source", "doc_id"]
     got = got.sort_values(key).reset_index(drop=True)
@@ -53,8 +53,7 @@ def test_pack_partition_independent(ray_session):
     outs = []
     for parts in (1, 13):
         ds = ray.data.from_pandas(df).repartition(parts)
-        out = pack_assignments(ds, context_len=256,
-                               num_buckets=8).to_pandas()
+        out = pack_assignments(ds, context_len=256).to_pandas()
         outs.append(out.sort_values(["source", "doc_id"])
                     .reset_index(drop=True))
     pd.testing.assert_frame_equal(outs[0], outs[1])
@@ -71,7 +70,7 @@ def test_pack_offsets_continuous_across_ranges(ray_session):
         "n_tok": np.array([60, 60, 60, 60], dtype="int32"),
     })
     ds = ray.data.from_pandas(df)
-    out = pack_assignments(ds, context_len=100, num_buckets=4) \
+    out = pack_assignments(ds, context_len=100) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert out["pack_id"].tolist() == [0, 0, 1, 1]
     assert out["pack_offset"].tolist() == [0, 60, 20, 80]
@@ -80,7 +79,7 @@ def test_pack_offsets_continuous_across_ranges(ray_session):
 def test_pack_stats_rollup(ray_session):
     df = _docs(1_000)
     ds = ray.data.from_pandas(df).repartition(4)
-    stats = pack_stats(ds, context_len=512, num_buckets=8).to_pandas()
+    stats = pack_stats(ds, context_len=512).to_pandas()
     exp = (_brute_force(df, 512).groupby(["source", "pack_id"])
            .agg(n_docs=("doc_id", "size"), sum_tok=("n_tok", "sum"))
            .reset_index())

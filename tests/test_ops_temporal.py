@@ -1,10 +1,10 @@
 """Sessionization + as-of join vs hand-computed expectations.
 
-Every test runs at num_buckets=1 as well as the default: with 1024
-buckets and a handful of keys each key lands in its own bucket, so only
-the forced single-bucket run exercises the multi-key-per-bucket logic
-(key-change boundary masking, merge_asof by=key) the bucketed-groupby
-pattern introduced.
+Every test runs its input in one block as well as in several
+(``in_blocks``; 1024 is capped at 8): one block puts every key of a
+one-sided exchange in one ``fn`` call, which exercises the multi-key
+logic (key-change boundary masking, merge_asof by=key); several blocks
+spread the keys over calls.
 """
 
 import numpy as np
@@ -30,9 +30,8 @@ def _events():
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_sessionize(ray_session, nb):
-    out = sessionize(ray.data.from_pandas(_events()), gap_minutes=30,
-                     num_buckets=nb).to_pandas()
+def test_sessionize(ray_session, in_blocks, nb):
+    out = sessionize(in_blocks(_events(), nb), gap_minutes=30).to_pandas()
     u1 = out[out["user_id"] == "u1"].sort_values("session_id")
     assert u1["n_events"].tolist() == [2, 1]
     u2 = out[out["user_id"] == "u2"].sort_values("session_id")
@@ -40,9 +39,9 @@ def test_sessionize(ray_session, nb):
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_session_counts(ray_session, nb):
-    out = session_counts(ray.data.from_pandas(_events()), gap_minutes=30,
-                         num_buckets=nb).to_pandas().set_index("user_id")
+def test_session_counts(ray_session, in_blocks, nb):
+    out = session_counts(in_blocks(_events(), nb), gap_minutes=30) \
+        .to_pandas().set_index("user_id")
     assert out.loc["u1", "n_sessions"] == 2 and out.loc["u1", "n_events"] == 3
     assert out.loc["u2", "n_sessions"] == 2 and out.loc["u2", "n_events"] == 3
 
@@ -62,11 +61,10 @@ def _asof_frames():
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_asof_join(ray_session, nb):
+def test_asof_join(ray_session, in_blocks, nb):
     left, right = _asof_frames()
-    out = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                    key="user_id", ts="ts", right_cols=["val"],
-                    num_buckets=nb).to_pandas()
+    out = asof_join(in_blocks(left, nb), in_blocks(right, nb),
+                    key="user_id", ts="ts", right_cols=["val"]).to_pandas()
     got = out.set_index("event_id")["val"]
     assert got.loc[1] == 10          # latest right ≤ 10:00 is 09:00 → 10
     assert got.loc[2] == 20          # latest right ≤ 12:00 is 11:00 → 20
@@ -74,23 +72,22 @@ def test_asof_join(ray_session, nb):
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_asof_join_null_keys(ray_session, nb):
+def test_asof_join_null_keys(ray_session, in_blocks, nb):
     """Null-key left rows must get null right columns, not crash (they
     cannot reach merge_asof, which rejects nulls in by=)."""
     left, right = _asof_frames()
     left = pd.concat([left, pd.DataFrame({
         "user_id": [None], "ts": pd.to_datetime(["2024-01-01 12:00"]),
         "event_id": [4]})], ignore_index=True)
-    out = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                    key="user_id", ts="ts", right_cols=["val"],
-                    num_buckets=nb).to_pandas()
+    out = asof_join(in_blocks(left, nb), in_blocks(right, nb),
+                    key="user_id", ts="ts", right_cols=["val"]).to_pandas()
     got = out.set_index("event_id")["val"]
     assert len(out) == 4
     assert got.loc[2] == 20 and pd.isna(got.loc[4])
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_asof_join_null_timestamps(ray_session, nb):
+def test_asof_join_null_timestamps(ray_session, in_blocks, nb):
     """A null ts on either side must not reach merge_asof (it raises on
     null merge keys; NaT sorts last so the sort alone doesn't isolate it):
     null-ts LEFT rows emit with null right columns, null-ts RIGHT rows are
@@ -102,9 +99,8 @@ def test_asof_join_null_timestamps(ray_session, nb):
     right = pd.concat([right, pd.DataFrame({
         "user_id": ["a"], "ts": [pd.NaT], "val": [99]})],
         ignore_index=True)
-    out = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                    key="user_id", ts="ts", right_cols=["val"],
-                    num_buckets=nb).to_pandas()
+    out = asof_join(in_blocks(left, nb), in_blocks(right, nb),
+                    key="user_id", ts="ts", right_cols=["val"]).to_pandas()
     got = out.set_index("event_id")["val"]
     assert len(out) == 4
     assert got.loc[1] == 10 and got.loc[2] == 20     # unchanged matches
@@ -113,7 +109,8 @@ def test_asof_join_null_timestamps(ray_session, nb):
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_asof_join_name_collision_stable_schema(ray_session, nb):
+def test_asof_join_name_collision_stable_schema(ray_session, in_blocks,
+                                                nb):
     """A right column colliding with a left name is suffixed in EVERY
     bucket — including buckets whose right side is empty — so blocks
     agree on schema and the joined values stay reachable."""
@@ -123,9 +120,8 @@ def test_asof_join_name_collision_stable_schema(ray_session, nb):
     left = pd.concat([left, pd.DataFrame({
         "user_id": ["c"], "ts": pd.to_datetime(["2024-01-01 12:00"]),
         "event_id": [5], "val": [-5]})], ignore_index=True)
-    out = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                    key="user_id", ts="ts", right_cols=["val"],
-                    num_buckets=nb).to_pandas()
+    out = asof_join(in_blocks(left, nb), in_blocks(right, nb),
+                    key="user_id", ts="ts", right_cols=["val"]).to_pandas()
     assert "val_r" in out.columns
     got = out.set_index("event_id")
     assert got.loc[2, "val"] == -2 and got.loc[2, "val_r"] == 20
@@ -151,13 +147,14 @@ def _range_frames():
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_range_join_overlapping_intervals_multiply(ray_session, nb):
+def test_range_join_overlapping_intervals_multiply(ray_session, in_blocks,
+                                                   nb):
     from zeeklog_ray.ops.sessionize import range_join
 
     left, right = _range_frames()
-    out = range_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
+    out = range_join(in_blocks(left, nb), in_blocks(right, nb),
                      key="user_id", ts="ts", start="t0", end="t1",
-                     right_cols=["tag"], num_buckets=nb).to_pandas()
+                     right_cols=["tag"]).to_pandas()
     got = sorted(zip(out["event_id"], out["tag"]))
     # e1 10:00 ∈ [9,12] only; e2 11:30 ∈ both 'a' intervals; e3 14:00 ∈
     # [11,15]; e4 (b, 10:00) ∉ [12,13]
@@ -165,7 +162,7 @@ def test_range_join_overlapping_intervals_multiply(ray_session, nb):
 
 
 @pytest.mark.parametrize("nb", BUCKETS)
-def test_range_join_nulls_dropped(ray_session, nb):
+def test_range_join_nulls_dropped(ray_session, in_blocks, nb):
     from zeeklog_ray.ops.sessionize import range_join
 
     left, right = _range_frames()
@@ -176,15 +173,16 @@ def test_range_join_nulls_dropped(ray_session, nb):
         "user_id": ["a"], "t0": [pd.NaT],
         "t1": [pd.Timestamp("2024-01-01 23:00")], "tag": ["bad"]})],
         ignore_index=True)
-    out = range_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
+    out = range_join(in_blocks(left, nb), in_blocks(right, nb),
                      key="user_id", ts="ts", start="t0", end="t1",
-                     right_cols=["tag"], num_buckets=nb).to_pandas()
+                     right_cols=["tag"]).to_pandas()
     assert 9 not in set(out["event_id"])        # null-ts left row dropped
     assert "bad" not in set(out["tag"])          # null-bound interval dropped
 
 
 @pytest.mark.parametrize("nb", BUCKETS + [7])
-def test_range_join_right_only_key_and_int_dtypes(ray_session, nb):
+def test_range_join_right_only_key_and_int_dtypes(ray_session, in_blocks,
+                                                  nb):
     """A right-side key with NO left rows must not crash (its bucket block
     lacks the left columns entirely — regression: dropna-by-column raised
     KeyError), and integer left ids above 2^53 must survive the union's
@@ -199,16 +197,17 @@ def test_range_join_right_only_key_and_int_dtypes(ray_session, nb):
                           "t0": pd.to_datetime(["2024-01-01 09:00"] * 2),
                           "t1": pd.to_datetime(["2024-01-01 11:00"] * 2),
                           "tag": ["x", "y"]})
-    out = range_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
+    out = range_join(in_blocks(left, nb), in_blocks(right, nb),
                      key="user_id", ts="ts", start="t0", end="t1",
-                     right_cols=["tag"], num_buckets=nb).to_pandas()
+                     right_cols=["tag"]).to_pandas()
     assert out["event_id"].dtype == np.int64
     assert out["event_id"].tolist() == [big]    # exact, not float-rounded
     assert out["tag"].tolist() == ["x"]
 
 
 @pytest.mark.parametrize("nb", [1, 7])
-def test_asof_join_right_only_key_and_int_dtypes(ray_session, nb):
+def test_asof_join_right_only_key_and_int_dtypes(ray_session, in_blocks,
+                                                 nb):
     """The asof twin of the range_join case: a right-side key with NO
     left rows must not crash, integer left ids above 2^53 come out exact
     int64 (regression: the union's null-fill rounded them through
@@ -222,9 +221,9 @@ def test_asof_join_right_only_key_and_int_dtypes(ray_session, nb):
     right = pd.DataFrame({"user_id": ["a", "zero-events"],
                           "ts": pd.to_datetime(["2024-01-01 09:00"] * 2),
                           "val": np.array([7, 8], dtype=np.int64)})
-    out = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                    key="user_id", ts="ts", right_cols=["val"],
-                    num_buckets=nb).to_pandas().sort_values("event_id")
+    out = asof_join(in_blocks(left, nb), in_blocks(right, nb),
+                    key="user_id", ts="ts",
+                    right_cols=["val"]).to_pandas().sort_values("event_id")
     assert out["event_id"].dtype == np.int64
     assert out["event_id"].tolist() == [big, big + 2]   # exact
     assert str(out["val"].dtype) == "Int64"
@@ -250,7 +249,7 @@ def test_asof_join_rejects_key_in_right_cols(ray_session):
 
 
 @pytest.mark.parametrize("nb", [1, 7])
-def test_lead_lag(ray_session, nb):
+def test_lead_lag(ray_session, in_blocks, nb):
     from zeeklog_ray.ops.sessionize import lead_lag
 
     t = pd.Timestamp("2024-01-01")
@@ -260,9 +259,9 @@ def test_lead_lag(ray_session, nb):
                t, t + pd.Timedelta(minutes=1)],
         "event_id": [10, 11, 12, 20, 30],
     })
-    out = lead_lag(ray.data.from_pandas(df).repartition(3),
-                   key="user_id", ts="ts", order_extra=["event_id"],
-                   num_buckets=nb).to_pandas() \
+    out = lead_lag(in_blocks(df, nb),
+                   key="user_id", ts="ts",
+                   order_extra=["event_id"]).to_pandas() \
         .sort_values("event_id").reset_index(drop=True)
     # user 1: chain of 3; user 2: singleton; null key: no sequence
     assert out.loc[0, "prev_ts"] is pd.NaT
@@ -301,8 +300,7 @@ def test_time_decayed_sum_closed_form(ray_session):
     })
     out = time_decayed_sum(ray.data.from_pandas(df).repartition(3),
                            key="user_id", ts="ts", value="value",
-                           half_life_s=86_400.0, t_ref=base,
-                           num_buckets=2).to_pandas() \
+                           half_life_s=86_400.0, t_ref=base).to_pandas() \
         .set_index("user_id").sort_index()
     # user 1: 8*2^-2 + 4*2^-1 + 2*2^0 = 6.0 (exact powers of two)
     assert out.loc[1, "decayed_sum"] == 6.0
@@ -328,7 +326,7 @@ def test_trailing_deviation_hand_computed(ray_session):
     })
     out = trailing_deviation(ray.data.from_pandas(df).repartition(4),
                              key="k", order="hour", value="n",
-                             window=3, num_buckets=2).to_pandas() \
+                             window=3).to_pandas() \
         .set_index(["k", "hour"]).sort_index()
     # a/h0: no history
     assert tuple(out.loc[("a", "h0")][["trail_sum", "trail_cnt",
@@ -350,6 +348,6 @@ def test_trailing_deviation_hand_computed(ray_session):
     # block-layout invariance
     rowwise = ray.data.from_pandas([df.iloc[[i]] for i in range(len(df))])
     out2 = trailing_deviation(rowwise, key="k", order="hour", value="n",
-                              window=3, num_buckets=2).to_pandas() \
+                              window=3).to_pandas() \
         .set_index(["k", "hour"]).sort_index()
     pd.testing.assert_frame_equal(out, out2)

@@ -264,8 +264,7 @@ def test_tfidf_top_terms_hand_computed(ray_session, monkeypatch):
         "doc_id": [1, 2, 3],
         "text": ["cat cat dog", "dog fish", "cat  "],
     })
-    out = tfidf_top_terms(ray.data.from_pandas(docs), k=2,
-                          num_buckets=4).to_pandas()
+    out = tfidf_top_terms(ray.data.from_pandas(docs), k=2).to_pandas()
     N = 3
     # doc 1: n_words=3; cat tf=2 df=2 -> 2*1e6*3 // (3*2) = 1_000_000
     #        dog tf=1 df=2 -> 1e6*3 // (3*2) = 500_000
@@ -282,8 +281,7 @@ def test_tfidf_top_terms_hand_computed(ray_session, monkeypatch):
         ["cat", 1, 1_500_000]]
     assert out["rank"].max() <= 2
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    dist = tfidf_top_terms(ray.data.from_pandas(docs), k=2,
-                           num_buckets=4).to_pandas()
+    dist = tfidf_top_terms(ray.data.from_pandas(docs), k=2).to_pandas()
     key = ["doc_id", "rank"]
     pd.testing.assert_frame_equal(
         out.sort_values(key).reset_index(drop=True),
@@ -297,8 +295,8 @@ def test_tfidf_tie_break_by_word(ray_session):
     from zeeklog_ray.ops.text import tfidf_top_terms
 
     docs = pd.DataFrame({"doc_id": [7], "text": ["b a c"]})
-    out = tfidf_top_terms(ray.data.from_pandas(docs), k=3,
-                          num_buckets=2).to_pandas().sort_values("rank")
+    out = tfidf_top_terms(ray.data.from_pandas(docs), k=3).to_pandas() \
+        .sort_values("rank")
     # equal scores -> alphabetical
     assert out["word"].tolist() == ["a", "b", "c"]
 
@@ -316,8 +314,7 @@ def test_source_distribution_tv_hand_computed(ray_session):
         "source": ["s1", "s1", "s2", "s3"],
         "text": ["a b", "a b", "a b a b", "c d c d"],
     })
-    out = source_distribution_tv(ray.data.from_pandas(docs), k=10,
-                                 num_buckets=4) \
+    out = source_distribution_tv(ray.data.from_pandas(docs), k=10) \
         .set_index(["source_a", "source_b"])["tv_ppm"]
     assert out.loc[("s1", "s2")] == 0           # identical distributions
     assert out.loc[("s1", "s3")] == 1_000_000   # disjoint vocab
@@ -327,8 +324,7 @@ def test_source_distribution_tv_hand_computed(ray_session):
         "source": ["x", "y"],
         "text": ["a a b b", "a a a a"],        # x: a=.5 b=.5; y: a=1
     })
-    out2 = source_distribution_tv(ray.data.from_pandas(docs2), k=10,
-                                  num_buckets=4)
+    out2 = source_distribution_tv(ray.data.from_pandas(docs2), k=10)
     # TV = 1/2 (|.5-1| + |.5-0|) = .5
     assert out2["tv_ppm"].iloc[0] == 500_000
 
@@ -370,8 +366,7 @@ def test_bigram_pmi_topk_hand_case(ray_session):
     # corpus: "x y" appears 3x, "x z" 2x; N = 12 words
     df = pd.DataFrame({"doc_id": [1, 2], "text": [
         "x y q x y", "x y r x z x z"]})
-    out = bigram_pmi_topk(ray.data.from_pandas(df), k=2, min_count=2,
-                          num_buckets=4)
+    out = bigram_pmi_topk(ray.data.from_pandas(df), k=2, min_count=2)
     out = out.sort_values("pair_count", ascending=False) \
         .reset_index(drop=True)
     assert out.loc[0].tolist() == ["x", "y", 3, 3 * 12 * 10000 // (5 * 3)]
@@ -385,7 +380,7 @@ def test_bigram_pmi_no_cross_doc_bigrams(ray_session):
     df = pd.DataFrame({"doc_id": [1, 2, 3, 4],
                        "text": ["a b", "b a", "a b", "b a"]})
     out = bigram_pmi_topk(ray.data.from_pandas(df).repartition(4),
-                          k=10, min_count=1, num_buckets=4)
+                          k=10, min_count=1)
     got = {(r.w1, r.w2): r.pair_count for r in out.itertuples()}
     assert got == {("a", "b"): 2, ("b", "a"): 2}
 
@@ -399,9 +394,8 @@ def test_rare_word_stats_hand_case(ray_session):
         "common rare2 rare2",
         "common",
     ]})
-    out = rare_word_stats(ray.data.from_pandas(df), min_corpus_count=3,
-                          num_buckets=4).to_pandas() \
-        .set_index("doc_id").sort_index()
+    out = rare_word_stats(ray.data.from_pandas(df), min_corpus_count=3) \
+        .to_pandas().set_index("doc_id").sort_index()
     assert out.loc[1].tolist() == [3, 1, 1 * 10000 // 3]
     assert out.loc[2].tolist() == [3, 2, 2 * 10000 // 3]  # rare2 → 2 positions
     assert out.loc[3].tolist() == [1, 0, 0]
@@ -415,9 +409,8 @@ def test_unigram_logprob_matches_pandas(ray_session, monkeypatch):
     texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 30)))
              for _ in range(50)] + [""]
     df = pd.DataFrame({"doc_id": np.arange(51), "text": texts})
-    got = unigram_logprob(ray.data.from_pandas(df).repartition(7),
-                          num_buckets=4).to_pandas() \
-        .set_index("doc_id").sort_index()
+    got = unigram_logprob(ray.data.from_pandas(df).repartition(7)) \
+        .to_pandas().set_index("doc_id").sort_index()
 
     words = df.set_index("doc_id")["text"].str.split(" ") \
         .apply(lambda ws: [w for w in ws if w])
@@ -434,9 +427,8 @@ def test_unigram_logprob_matches_pandas(ray_session, monkeypatch):
     # bucketed-join attach tier (zero heap budget): same counts, same
     # float sums up to summation order
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
-    dist = unigram_logprob(ray.data.from_pandas(df).repartition(7),
-                           num_buckets=4).to_pandas() \
-        .set_index("doc_id").sort_index()
+    dist = unigram_logprob(ray.data.from_pandas(df).repartition(7)) \
+        .to_pandas().set_index("doc_id").sort_index()
     assert (dist["n_words"] == got["n_words"]).all()
     np.testing.assert_allclose(dist["avg_logprob"].to_numpy(),
                                got["avg_logprob"].to_numpy(), atol=1e-9)
@@ -452,12 +444,11 @@ def test_rare_word_stats_join_tier_parity(ray_session, monkeypatch):
     texts = [" ".join(rng.choice(vocab, size=rng.integers(0, 25)))
              for _ in range(80)]
     df = pd.DataFrame({"doc_id": np.arange(80), "text": texts})
-    a = rare_word_stats(ray.data.from_pandas(df), min_corpus_count=10,
-                        num_buckets=4).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    a = rare_word_stats(ray.data.from_pandas(df), min_corpus_count=10) \
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     b = rare_word_stats(ray.data.from_pandas(df).repartition(9),
-                        min_corpus_count=10, num_buckets=8).to_pandas() \
+                        min_corpus_count=10).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns.tolist()])
 
@@ -473,13 +464,13 @@ def test_corpus_stat_spill_dir_parity(ray_session, tmp_path):
              for _ in range(60)]
     df = pd.DataFrame({"doc_id": np.arange(60), "text": texts})
     ds = ray.data.from_pandas(df)
-    a = bigram_pmi_topk(ds, k=5, min_count=2, num_buckets=4)
-    b = bigram_pmi_topk(ds, k=5, min_count=2, num_buckets=4,
+    a = bigram_pmi_topk(ds, k=5, min_count=2)
+    b = bigram_pmi_topk(ds, k=5, min_count=2,
                         spill_dir=str(tmp_path / "pmi"))
     pd.testing.assert_frame_equal(a, b)
-    ra = rare_word_stats(ds, min_corpus_count=8, num_buckets=4) \
+    ra = rare_word_stats(ds, min_corpus_count=8) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    rb = rare_word_stats(ds, min_corpus_count=8, num_buckets=4,
+    rb = rare_word_stats(ds, min_corpus_count=8,
                          spill_dir=str(tmp_path / "rare")).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(ra, rb[ra.columns.tolist()])
@@ -503,7 +494,7 @@ def test_source_distinctive_terms_hand_computed(ray_session, monkeypatch):
                  "the the the the the the the the the the"],
     })
     out = source_distinctive_terms(ray.data.from_pandas(docs), k=10,
-                                   min_count=1, num_buckets=4) \
+                                   min_count=1) \
         .to_pandas().sort_values(["source", "rank"]).reset_index(drop=True)
     s1 = out[out["source"] == "s1"].set_index("word")
     # code: rin = 5*1e6//10 = 500000; rout = 0*1e6//20 = 0
@@ -522,21 +513,20 @@ def test_source_distinctive_terms_hand_computed(ray_session, monkeypatch):
 
     # min_count filters the rare word out entirely
     out2 = source_distinctive_terms(ray.data.from_pandas(docs), k=10,
-                                    min_count=6, num_buckets=4).to_pandas()
+                                    min_count=6).to_pandas()
     assert "code" not in set(out2["word"])      # c_w = 5 < 6
     assert {"legal", "the"} == set(out2["word"])
 
     # block-layout invariance: one row per block gives identical output
     rowwise = ray.data.from_pandas(
         [docs.iloc[[i]] for i in range(len(docs))])
-    out3 = source_distinctive_terms(rowwise, k=10, min_count=1,
-                                    num_buckets=4).to_pandas() \
+    out3 = source_distinctive_terms(rowwise, k=10, min_count=1).to_pandas() \
         .sort_values(["source", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(out, out3)
 
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES", 0)
     out4 = source_distinctive_terms(ray.data.from_pandas(docs), k=10,
-                                    min_count=1, num_buckets=4) \
+                                    min_count=1) \
         .to_pandas().sort_values(["source", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(out, out4[out.columns.tolist()])
 

@@ -106,15 +106,12 @@ def test_span_screen_drops_duplicated_span_docs(ray_session, monkeypatch):
     docs = ray.data.from_pandas(df, override_num_blocks=3)
 
     for mode in ("cdc", "window"):
-        kept = span_screen(docs, ratio_e4=5000, mode=mode,
-                           num_buckets=4).to_pandas()
+        kept = span_screen(docs, ratio_e4=5000, mode=mode).to_pandas()
         assert set(kept["doc_id"]) == set(range(10, 40)), mode
 
-    base = prep_manifest(docs, min_words=5, min_stop_ratio_e4=0,
-                         num_buckets=8).to_pandas()
+    base = prep_manifest(docs, min_words=5, min_stop_ratio_e4=0).to_pandas()
     screened = prep_manifest(docs, min_words=5, min_stop_ratio_e4=0,
-                             num_buckets=8, span_screen_ratio_e4=5000
-                             ).to_pandas()
+                             span_screen_ratio_e4=5000).to_pandas()
     # the exact-dedup stage already keeps one copy of the shared text;
     # the screen removes the whole boilerplate cluster
     assert set(base["doc_id"]) - set(screened["doc_id"]) <= set(range(10))
@@ -127,12 +124,12 @@ def test_span_screen_drops_duplicated_span_docs(ray_session, monkeypatch):
     # they broadcast (tiers inside the scoring agree), one id short raises
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES",
                         10 * relational.PY_ROW_BYTES)
-    kept = span_screen(docs, ratio_e4=5000, num_buckets=4).to_pandas()
+    kept = span_screen(docs, ratio_e4=5000).to_pandas()
     assert set(kept["doc_id"]) == set(range(10, 40))
     monkeypatch.setattr(relational, "HEAP_BUDGET_BYTES",
                         9 * relational.PY_ROW_BYTES)
     with pytest.raises(ValueError, match="heap budget"):
-        span_screen(docs, ratio_e4=5000, num_buckets=4)
+        span_screen(docs, ratio_e4=5000)
 
 
 def test_span_screen_mode_validation(ray_session):

@@ -125,7 +125,7 @@ def test_pivot_melt_roundtrip_property(ray_session, data):
 
 @settings(max_examples=10, deadline=None)
 @given(st.data())
-def test_bucketed_equi_join_matches_pandas(ray_session, data):
+def test_bucketed_equi_join_matches_pandas(ray_session, in_blocks, data):
     """Random int-keyed sides with duplicates and non-matching keys:
     bucketed_equi_join == pandas inner merge (as multisets)."""
     from zeeklog_ray.relational import bucketed_equi_join
@@ -138,9 +138,8 @@ def test_bucketed_equi_join_matches_pandas(ray_session, data):
     right = pd.DataFrame({"node": rng.integers(0, 25, nr).astype("int64"),
                           "y": np.arange(nr, dtype="int64") * 10})
     nb = data.draw(st.sampled_from([1, 4, 16]))
-    got = bucketed_equi_join(_two_blocks(left), _two_blocks(right),
-                             on="k", right_on="node",
-                             num_buckets=nb).to_pandas()
+    got = bucketed_equi_join(in_blocks(left, nb), in_blocks(right, nb),
+                             on="k", right_on="node").to_pandas()
     exp = left.merge(right.rename(columns={"node": "k"}), on="k")
     if len(exp) == 0:      # empty to_pandas loses columns (known quirk)
         assert len(got) == 0

@@ -63,7 +63,7 @@ def test_exact_quantiles_matches_duckdb_disc(ray_session):
 
 
 @pytest.mark.parametrize("nb", [1, 64])
-def test_grouped_exact_quantiles_matches_duckdb(ray_session, nb):
+def test_grouped_exact_quantiles_matches_duckdb(ray_session, in_blocks, nb):
     import duckdb
 
     from zeeklog_ray.ops.sketch import grouped_exact_quantiles
@@ -72,8 +72,8 @@ def test_grouped_exact_quantiles_matches_duckdb(ray_session, nb):
     df = pd.DataFrame({"k": rng.integers(0, 12, 5_000),
                        "v": rng.integers(0, 200, 5_000).astype("int64")})
     qs = [0.1, 0.5, 0.99]
-    got = grouped_exact_quantiles(ray.data.from_pandas(df).repartition(8),
-                                  "k", "v", qs, num_buckets=nb).to_pandas() \
+    got = grouped_exact_quantiles(in_blocks(df, nb),
+                                  "k", "v", qs).to_pandas() \
         .sort_values(["k", "q"]).reset_index(drop=True)
     con = duckdb.connect()
     con.register("t", df)
@@ -86,7 +86,7 @@ def test_grouped_exact_quantiles_matches_duckdb(ray_session, nb):
 
 
 @pytest.mark.parametrize("nb", [1, 64])
-def test_grouped_exact_quantiles_null_semantics(ray_session, nb):
+def test_grouped_exact_quantiles_null_semantics(ray_session, in_blocks, nb):
     """SQL GROUP BY parity: null KEYS form one group, null VALUES are
     ignored per key, and an all-null-value key emits a null quantile —
     none of which may crash or split per distinct value."""
@@ -96,8 +96,8 @@ def test_grouped_exact_quantiles_null_semantics(ray_session, nb):
         "k": [1.0, 1.0, 1.0, np.nan, np.nan, np.nan, 2.0, 2.0],
         "v": [10, None, 30, 5, 7, None, None, None]})
     df["v"] = df["v"].astype("float64")
-    got = grouped_exact_quantiles(ray.data.from_pandas(df), "k", "v",
-                                  [0.5], num_buckets=nb).to_pandas()
+    got = grouped_exact_quantiles(in_blocks(df, nb), "k", "v",
+                                  [0.5]).to_pandas()
     assert len(got) == 3                       # groups: 1.0, NaN, 2.0
     by_key = {("nan" if pd.isna(r["k"]) else r["k"]): r["value"]
               for _, r in got.iterrows()}
@@ -221,8 +221,7 @@ def test_grouped_interp_quantiles_matches_numpy(ray_session):
                    ignore_index=True)
     dfi = df.dropna().assign(v=lambda d: d["v"].astype("int64"))
     out = grouped_interp_quantiles(
-        ray.data.from_pandas(dfi), "k", "v", [0, 50, 99, 100],
-        num_buckets=8).to_pandas()
+        ray.data.from_pandas(dfi), "k", "v", [0, 50, 99, 100]).to_pandas()
     for k, sub in dfi.groupby("k"):
         for p in [0, 50, 99, 100]:
             exp = np.percentile(sub["v"], p, method="linear")

@@ -28,16 +28,16 @@ def _ts(m):
 @settings(max_examples=20, deadline=None)
 @given(_left_rows, st.lists(st.tuples(_key, _minute), max_size=10),
        st.sampled_from([1, 16]))
-def test_asof_join_matches_bruteforce(ray_session, lrows, rrows, nb):
+def test_asof_join_matches_bruteforce(ray_session, in_blocks, lrows, rrows,
+                                      nb):
     left = pd.DataFrame({"user_id": [k for k, _ in lrows],
                          "ts": [_ts(m) for _, m in lrows],
                          "event_id": range(len(lrows))})
     right = pd.DataFrame({"user_id": [k for k, _ in rrows],
                           "ts": [_ts(m) for _, m in rrows],
                           "val": [10 * m for _, m in rrows]})
-    got = asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                    key="user_id", ts="ts", right_cols=["val"],
-                    num_buckets=nb).to_pandas() \
+    got = asof_join(in_blocks(left, nb), in_blocks(right, nb),
+                    key="user_id", ts="ts", right_cols=["val"]).to_pandas() \
         .sort_values("event_id").reset_index(drop=True)
     exp_vals = []
     for k, m in lrows:
@@ -52,7 +52,8 @@ def test_asof_join_matches_bruteforce(ray_session, lrows, rrows, nb):
 
 @settings(max_examples=20, deadline=None)
 @given(_left_rows, _right_rows, st.sampled_from([1, 16]))
-def test_range_join_matches_bruteforce(ray_session, lrows, rrows, nb):
+def test_range_join_matches_bruteforce(ray_session, in_blocks, lrows, rrows,
+                                       nb):
     left = pd.DataFrame({"user_id": [k for k, _ in lrows],
                          "ts": [_ts(m) for _, m in lrows],
                          "event_id": range(len(lrows))})
@@ -60,9 +61,9 @@ def test_range_join_matches_bruteforce(ray_session, lrows, rrows, nb):
                           "t0": [_ts(min(x, y)) for _, x, y in rrows],
                           "t1": [_ts(max(x, y)) for _, x, y in rrows],
                           "tag": range(len(rrows))})
-    got = range_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
+    got = range_join(in_blocks(left, nb), in_blocks(right, nb),
                      key="user_id", ts="ts", start="t0", end="t1",
-                     right_cols=["tag"], num_buckets=nb).to_pandas()
+                     right_cols=["tag"]).to_pandas()
     exp = {(e, t) for (lk, m), e in zip(lrows, range(len(lrows)))
            for (rk, x, y), t in zip(rrows, range(len(rrows)))
            if lk == rk and min(x, y) <= m <= max(x, y)}

@@ -203,8 +203,8 @@ def _select_merge_batch(census: pd.Series, max_n: int,
 
 
 
-def _word_counts(docs: "ray.data.Dataset", text_col: str,
-                 num_buckets: int) -> "ray.data.Dataset":
+def _word_counts(docs: "ray.data.Dataset",
+                 text_col: str) -> "ray.data.Dataset":
     from zeeklog_ray.relational import grouped_sum_bucketed
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
@@ -214,8 +214,7 @@ def _word_counts(docs: "ray.data.Dataset", text_col: str,
 
     words = docs.select_columns([text_col]).map_batches(
         explode, batch_format="pandas", batch_size=None)
-    return grouped_sum_bucketed(words, ["word"], count_as="n",
-                                num_buckets=num_buckets)
+    return grouped_sum_bucketed(words, ["word"], count_as="n")
 
 
 def _encode_words(words: pd.Series, char_code: dict[str, int]):
@@ -239,7 +238,6 @@ def _encode_words(words: pd.Series, char_code: dict[str, int]):
 
 def train_bpe(docs: "ray.data.Dataset", n_merges: int = 50,
               text_col: str = "text", min_pair_count: int = 2,
-              num_buckets: int = 1024,
               spill_dir: str | None = None) -> dict:
     """Learn ``n_merges`` BPE merges from the corpus.  Returns
     ``{"merges": [(left_str, right_str, count), ...], "symbols":
@@ -274,7 +272,7 @@ def train_bpe(docs: "ray.data.Dataset", n_merges: int = 50,
             _spill_prev[:] = [os.path.join(spill_dir, name)]
         return out
 
-    wc = _pin(_word_counts(docs, text_col, num_buckets), "bpe_wc")
+    wc = _pin(_word_counts(docs, text_col), "bpe_wc")
     n_words = wc.count()
 
     # character alphabet: small by nature — collect distinct chars once
@@ -362,7 +360,7 @@ def train_bpe(docs: "ray.data.Dataset", n_merges: int = 50,
         cen = grouped_sum_bucketed(
             enc.map_batches(census_rows, batch_format="pyarrow",
                             batch_size=None),
-            ["pk"], sums={"m": "m"}, num_buckets=num_buckets) \
+            ["pk"], sums={"m": "m"}) \
             .to_pandas()
         census = pd.Series(cen["m"].to_numpy(np.int64),
                            index=cen["pk"].to_numpy(np.int64)) \

@@ -56,8 +56,7 @@ def normalize_text(texts: pd.Series) -> pd.Series:
 
 
 def normalized_exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
-                           id_col: str = "doc_id",
-                           num_buckets: int = 2048) -> "ray.data.Dataset":
+                           id_col: str = "doc_id") -> "ray.data.Dataset":
     """Exact dedup over the NORMALIZED text: normalize row-locally
     (:func:`normalize_text`), digest to 128 bits, shuffle only
     (digest, id) rows bucketed by digest hash, keep the min-id doc per
@@ -81,7 +80,7 @@ def normalized_exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
                         "n_dups": (id_col, "size")}).reset_index(drop=True)
 
     hashed = ds.map_batches(digest, batch_format="pandas", batch_size=None)
-    return bucket_exchange(hashed, "digest", dedup_bucket, num_buckets)
+    return bucket_exchange(hashed, "digest", dedup_bucket)
 
 
 def _shingle_hashes(texts: pd.Series, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +200,7 @@ def _over_cap_bucket_keys(banded: "ray.data.Dataset", n_banded: int,
     (bb, m) int64 frame fits the heap budget
     (:func:`zeeklog_ray.relational.fits_in_heap`).  Past it the count runs
     as a bucketed Dataset groupby (one shuffle of the banded rows, one
-    C-level value_counts per key-hash bucket — a plain
+    C-level value_counts per exchange call — a plain
     ``groupby("bb").aggregate(Count)`` would pay Ray's per-group Python
     per DISTINCT BUCKET).  Only the over-cap KEY SET — at most
     |rows|/max_bucket entries — ever reaches the driver."""
@@ -226,8 +225,7 @@ def _over_cap_bucket_keys(banded: "ray.data.Dataset", n_banded: int,
         return pd.DataFrame({"bb": vc.index.to_numpy(np.int64),
                              "m": vc.to_numpy(np.int64)})
 
-    n_count_buckets = max(16, n_banded // 2_000_000)
-    big = bucket_exchange(banded, "bb", over_cap, n_count_buckets).to_pandas()
+    big = bucket_exchange(banded, "bb", over_cap).to_pandas()
     big_keys = (big["bb"].to_numpy(np.int64) if "bb" in big.columns
                 else np.zeros(0, np.int64))
     return big_keys, (int(big["m"].sum()) if "m" in big.columns else 0)
@@ -478,7 +476,6 @@ def ngram_jaccard_dedup_pairs(ds: "ray.data.Dataset",
                               text_col: str = "text", k: int = 5,
                               num_perm: int = 16, bands: int = 4,
                               max_bucket: int = 512,
-                              num_buckets: int = 1024,
                               spill_dir: str | None = None
                               ) -> "ray.data.Dataset":
     """n-gram Jaccard near-duplicate pairs — the production two-phase shape:
@@ -582,12 +579,12 @@ def ngram_jaccard_dedup_pairs(ds: "ray.data.Dataset",
         pairs,
         cand_texts.map_batches(as_text("doc_a"), batch_format="pandas",
                                batch_size=None),
-        on="doc_a", num_buckets=num_buckets)
+        on="doc_a")
     with_b = bucketed_equi_join(
         with_a,
         cand_texts.map_batches(as_text("doc_b"), batch_format="pandas",
                                batch_size=None),
-        on="doc_b", num_buckets=num_buckets)
+        on="doc_b")
 
     def verify_joined(batch: pd.DataFrame) -> pd.DataFrame:
         return verify_cols(batch, batch["_ta"], batch["_tb"])
@@ -724,8 +721,8 @@ def simhash_near_dup_pairs(ds: "ray.data.Dataset", max_hamming: int = 3,
     return bucketed_distinct(cand, ["doc_a", "doc_b", "hamming"])
 
 
-def first_wins(ds: "ray.data.Dataset", key: str, order_col: str,
-               num_buckets: int = 1024) -> "ray.data.Dataset":
+def first_wins(ds: "ray.data.Dataset", key: str,
+               order_col: str) -> "ray.data.Dataset":
     """Exact first-wins dedup on ``key``: keep the row with the smallest
     ``order_col`` per key — the reference's multi-day merge semantics
     (main.rs:320-330: insert only if key absent, days scanned in order).
@@ -738,7 +735,7 @@ def first_wins(ds: "ray.data.Dataset", key: str, order_col: str,
         g = group.sort_values([key, order_col], kind="mergesort")
         return g.drop_duplicates(subset=[key], keep="first")
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def embedding_cosine_pairs(ds: "ray.data.Dataset", threshold_e4: int,
@@ -969,8 +966,7 @@ def window_gram_counts(ds: "ray.data.Dataset", text_col: str = "text",
 
 
 def _finish_dup_stats(ds: "ray.data.Dataset", dup_partial: "ray.data.Dataset",
-                      text_col: str, id_col: str, num_buckets: int,
-                      cols: tuple[str, str, str],
+                      text_col: str, id_col: str, cols: tuple[str, str, str],
                       n_offset: int = 0) -> "ray.data.Dataset":
     """Stage 3 of :func:`duplicated_window_stats` / :func:`cdc_dup_stats`:
     attach the per-(doc, bucket) dup partials ``(id, n=0, dup)`` to EVERY
@@ -1033,7 +1029,7 @@ def _finish_dup_stats(ds: "ray.data.Dataset", dup_partial: "ray.data.Dataset",
     spine_ds = ds.map_batches(spine, batch_format="pandas", batch_size=None)
     summed = grouped_sum_bucketed(
         spine_ds.union(dup_partial), [id_col],
-        sums={n_col: n_col, dup_col: dup_col}, num_buckets=num_buckets)
+        sums={n_col: n_col, dup_col: dup_col})
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
         nw = batch[n_col].to_numpy().astype(np.int64)
@@ -1045,8 +1041,7 @@ def _finish_dup_stats(ds: "ray.data.Dataset", dup_partial: "ray.data.Dataset",
 
 
 def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
-                            id_col: str = "doc_id", k: int = 8,
-                            num_buckets: int = 256
+                            id_col: str = "doc_id", k: int = 8
                             ) -> "ray.data.Dataset":
     """Per-document duplicated-span statistics: of the document's k-word
     windows, how many (counting repeats) have a window hash that appears in
@@ -1062,8 +1057,6 @@ def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
     a gram co-locate, so the >= 2-docs test and the per-doc dup partials
     both finish inside the bucket as C-level pandas); stage 3 is a
     doc-shaped bucketed sum.  Window payloads (the text) never shuffle.
-    ``num_buckets`` sizes stage 2 — at corpus scale pass ~total_words/2M
-    (see relational.bucket_exchange).
     """
     from zeeklog_ray.relational import bucket_exchange
 
@@ -1078,10 +1071,9 @@ def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
         out["n_windows"] = np.int64(0)
         return out[[id_col, "n_windows", "dup_windows"]]
 
-    dup_partial = bucket_exchange(dg, "gram", per_bucket,
-                                  num_buckets).materialize()
+    dup_partial = bucket_exchange(dg, "gram", per_bucket).materialize()
 
-    return _finish_dup_stats(ds, dup_partial, text_col, id_col, num_buckets,
+    return _finish_dup_stats(ds, dup_partial, text_col, id_col,
                              ("n_windows", "dup_windows", "dup_ratio_e4"),
                              n_offset=k - 1)
 
@@ -1100,7 +1092,6 @@ def _gram_hashes(wh: np.ndarray, k: int) -> np.ndarray:
 
 def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
                      id_col: str = "doc_id", k: int = 8,
-                     num_buckets: int = 256,
                      carry_cols: tuple[str, ...] = ()) -> "ray.data.Dataset":
     """The CLEANING transform behind :func:`duplicated_window_stats`:
     delete every word covered by a k-word window whose hash appears in
@@ -1133,7 +1124,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
         sz = group.groupby("gram", sort=False)["cnt"].transform("size")
         return group.loc[sz >= 2, ["gram"]].drop_duplicates()
 
-    dup = bucket_exchange(dg, "gram", dup_grams, num_buckets).materialize()
+    dup = bucket_exchange(dg, "gram", dup_grams).materialize()
     n_dup = dup.count()
 
     from zeeklog_ray.ops.wordhash import split_word_hashes
@@ -1216,8 +1207,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
 
     winpos = ds.map_batches(win_positions, batch_format="pandas",
                             batch_size=None)
-    hits = bucketed_equi_join(winpos, dup, on="gram",
-                              num_buckets=num_buckets)
+    hits = bucketed_equi_join(winpos, dup, on="gram")
 
     def starts_per_doc(group: pd.DataFrame) -> pd.DataFrame:
         agg = group.groupby(id_col, sort=False)["pos"] \
@@ -1228,7 +1218,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
     # exchange once more, and the docs branch may hold repartitions of
     # its own (the one-CPU rule)
     starts = bucket_exchange(hits.select_columns([id_col, "pos"]), id_col,
-                             starts_per_doc, num_buckets).materialize()
+                             starts_per_doc).materialize()
 
     # ONE doc-bucketed LEFT attach of the starts lists onto the text
     def clean_join(frames: list[pd.DataFrame]) -> pd.DataFrame:
@@ -1255,7 +1245,7 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
         return _rebuild(batch, wvals, doc_of, covered)
 
     return cogroup([ds.select_columns([id_col, text_col, *carry_cols]),
-                    starts], id_col, clean_join, num_buckets)
+                    starts], id_col, clean_join)
 
 
 def cdc_chunk_table(ds: "ray.data.Dataset", text_col: str = "text",
@@ -1368,8 +1358,7 @@ def cdc_chunk_table(ds: "ray.data.Dataset", text_col: str = "text",
 def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
                   id_col: str = "doc_id", window: int = 4,
                   mask_bits: int = 5, min_words: int = 8,
-                  max_words: int = 64,
-                  num_buckets: int = 256) -> "ray.data.Dataset":
+                  max_words: int = 64) -> "ray.data.Dataset":
     """Per-document shared-content estimate from content-defined chunks:
     words covered by a chunk whose hash appears in >= 2 distinct
     documents — :func:`duplicated_window_stats`' signal at
@@ -1418,10 +1407,10 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
         out["n_words"] = np.int64(0)
         return out[[id_col, "n_words", "shared_words"]]
 
-    dup_partial = bucket_exchange(per_doc, "chunk_hash", per_bucket,
-                                  num_buckets).materialize()
+    dup_partial = bucket_exchange(per_doc, "chunk_hash",
+                                  per_bucket).materialize()
 
-    return _finish_dup_stats(ds, dup_partial, text_col, id_col, num_buckets,
+    return _finish_dup_stats(ds, dup_partial, text_col, id_col,
                              ("n_words", "shared_words", "shared_ratio_e4"))
 
 
@@ -1430,8 +1419,7 @@ def cdc_screen_then_verify(ds: "ray.data.Dataset", text_col: str = "text",
                            screen_ratio_e4: int = 2_000,
                            window: int = 4, mask_bits: int = 5,
                            min_words: int = 8, max_words: int = 64,
-                           k: int = 8,
-                           num_buckets: int = 256) -> "ray.data.Dataset":
+                           k: int = 8) -> "ray.data.Dataset":
     """The two-tier corpus-scale dup workflow as ONE operator: the cheap
     CDC screening pass (:func:`cdc_dup_stats` — one hash row per
     ~``2^mask_bits`` words) flags suspect documents whose shared-content
@@ -1467,8 +1455,7 @@ def cdc_screen_then_verify(ds: "ray.data.Dataset", text_col: str = "text",
 
     screen = cdc_dup_stats(ds, text_col=text_col, id_col=id_col,
                            window=window, mask_bits=mask_bits,
-                           min_words=min_words, max_words=max_words,
-                           num_buckets=num_buckets)
+                           min_words=min_words, max_words=max_words)
 
     def keep_suspects(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch[batch["shared_ratio_e4"] >= screen_ratio_e4]
@@ -1494,23 +1481,19 @@ def cdc_screen_then_verify(ds: "ray.data.Dataset", text_col: str = "text",
             on=id_col)
     else:
         susp_docs = bucketed_equi_join(
-            ds.select_columns([id_col, text_col]), suspects, on=id_col,
-            num_buckets=num_buckets)
+            ds.select_columns([id_col, text_col]), suspects, on=id_col)
     exact = duplicated_window_stats(
-        susp_docs, text_col=text_col, id_col=id_col, k=k,
-        num_buckets=num_buckets)
+        susp_docs, text_col=text_col, id_col=id_col, k=k)
     # re-attach the screening ratio (suspects are small; broadcast)
     if broadcast:
         return broadcast_merge(exact, suspects.to_pandas(), on=id_col)
-    return bucketed_equi_join(exact, suspects, on=id_col,
-                              num_buckets=num_buckets)
+    return bucketed_equi_join(exact, suspects, on=id_col)
 
 
 def incremental_dedup(new_docs: "ray.data.Dataset",
                       base_docs: "ray.data.Dataset",
                       text_col: str = "text", id_col: str = "doc_id",
                       n_bits: int = 1 << 23, k_hashes: int = 5,
-                      num_buckets: int = 1024,
                       spill_dir: str | None = None) -> "ray.data.Dataset":
     """Incremental EXACT dedup of a new snapshot against an existing base
     corpus: keep each ``new_docs`` row iff its text content does NOT
@@ -1621,8 +1604,8 @@ def incremental_dedup(new_docs: "ray.data.Dataset",
                                            batch_format="pandas",
                                            batch_size=None)
     confirmed = bucketed_semi_anti_join(
-        candidates, verify_base, on=["d1", "d2"], anti=False,
-        num_buckets=num_buckets).select_columns([id_col])
+        candidates, verify_base, on=["d1", "d2"],
+        anti=False).select_columns([id_col])
     n_conf = confirmed.count()
     if fits_in_heap(n_conf * PY_ROW_BYTES):
         ids_ref = _ray.put(
@@ -1635,7 +1618,7 @@ def incremental_dedup(new_docs: "ray.data.Dataset",
         return new_docs.map_batches(anti, batch_format="pandas",
                                     batch_size=None)
     return bucketed_semi_anti_join(new_docs, confirmed, on=id_col,
-                                   anti=True, num_buckets=num_buckets)
+                                   anti=True)
 
 
 def incremental_near_dup(new_docs: "ray.data.Dataset",
@@ -1644,7 +1627,6 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
                          num_perm: int = 64, bands: int = 8, k: int = 5,
                          max_bucket: int = 512,
                          threshold_e4: int | None = 5000,
-                         num_buckets: int = 1024,
                          spill_dir: str | None = None,
                          base_banded: "ray.data.Dataset | None" = None
                          ) -> "ray.data.Dataset":
@@ -1750,7 +1732,7 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
     # each side to one block per CPU first
     pairs = bucketed_distinct(
         cogroup([side.repartition(cluster_cpus()) for side in (new_b, base_b)],
-                "bb", bucket_pairs, num_buckets),
+                "bb", bucket_pairs),
         [id_col, "base_id"]).materialize()
     if threshold_e4 is None:
         return pairs
@@ -1830,12 +1812,12 @@ def incremental_near_dup(new_docs: "ray.data.Dataset",
         pairs, new_texts.map_batches(as_text(id_col, "_ta"),
                                      batch_format="pandas",
                                      batch_size=None),
-        on=id_col, num_buckets=num_buckets)
+        on=id_col)
     with_b = bucketed_equi_join(
         with_a, base_texts.map_batches(as_text("base_id", "_tb"),
                                        batch_format="pandas",
                                        batch_size=None),
-        on="base_id", num_buckets=num_buckets)
+        on="base_id")
 
     def verify_joined(batch: pd.DataFrame) -> pd.DataFrame:
         return verify_cols(batch, batch["_ta"], batch["_tb"])

@@ -143,8 +143,7 @@ def dedup_keep_canonical(pairs: "ray.data.Dataset") -> pd.DataFrame:
 def canonical_per_component(components: "ray.data.Dataset",
                             meta: "ray.data.Dataset",
                             meta_key: str = "doc_id",
-                            score_col: str = "n_chars",
-                            num_buckets: int = 1024) -> "ray.data.Dataset":
+                            score_col: str = "n_chars") -> "ray.data.Dataset":
     """Quality-aware canonical selection: for each duplicate component,
     keep the member with the highest ``score_col`` (ties → smallest
     node id) — the dedup policy a training pipeline actually wants
@@ -161,7 +160,7 @@ def canonical_per_component(components: "ray.data.Dataset",
 
     scored = bucketed_equi_join(
         components, meta.select_columns([meta_key, score_col]),
-        on="node", right_on=meta_key, num_buckets=num_buckets)
+        on="node", right_on=meta_key)
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["component", score_col, "node"],
@@ -177,12 +176,11 @@ def canonical_per_component(components: "ray.data.Dataset",
             .astype("int64"),
         })
 
-    return bucket_exchange(scored, "component", per_bucket, num_buckets)
+    return bucket_exchange(scored, "component", per_bucket)
 
 
 def node_degrees(pairs: "ray.data.Dataset", a_col: str = "doc_a",
-                 b_col: str = "doc_b",
-                 num_buckets: int = 1024) -> "ray.data.Dataset":
+                 b_col: str = "doc_b") -> "ray.data.Dataset":
     """Per-node degree of the undirected pair graph — the first skew
     question to ask of any candidate-pair table (a hub node is exactly
     what makes the downstream joins lopsided).  Assumes ``pairs`` holds
@@ -197,12 +195,11 @@ def node_degrees(pairs: "ray.data.Dataset", a_col: str = "doc_a",
         lambda df: pd.DataFrame({
             "node": pd.concat([df[a_col], df[b_col]], ignore_index=True)}),
         batch_format="pandas", batch_size=None)
-    return grouped_sum_bucketed(ends, ["node"], count_as="degree",
-                                num_buckets=num_buckets)
+    return grouped_sum_bucketed(ends, ["node"], count_as="degree")
 
 
 def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
-                   b_col: str = "doc_b", num_buckets: int = 256) -> int:
+                   b_col: str = "doc_b") -> int:
     """Exact triangle count of the undirected pair graph — the standard
     cluster-density / community-structure metric over a near-dup or
     co-occurrence edge list.
@@ -235,15 +232,14 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
 
     edges = bucketed_distinct(pairs.map_batches(
         canon, batch_format="pandas", batch_size=None),
-        ["u", "v"], num_buckets=num_buckets).materialize()
+        ["u", "v"]).materialize()
     if edges.count() == 0:
         return 0
 
     # deg and directed both feed two consumers: materialize, or the
     # whole upstream chain re-executes per consumer (measured 81 s → 35 s
     # at 2M edges; the broadcast tier below takes it to ~15 s)
-    deg = node_degrees(edges, a_col="u", b_col="v",
-                       num_buckets=num_buckets).materialize()
+    deg = node_degrees(edges, a_col="u", b_col="v").materialize()
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
         # direct from (deg, id)-smaller to larger; carry dst's rank key
@@ -269,12 +265,12 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
                                      batch_format="pandas",
                                      batch_size=None).materialize()
     else:
-        du = bucketed_equi_join(edges, deg, on="u", right_on="node",
-                                num_buckets=num_buckets).map_batches(
+        du = bucketed_equi_join(edges, deg, on="u",
+                                right_on="node").map_batches(
             lambda df: df.rename(columns={"degree": "du"}),
             batch_format="pandas", batch_size=None)
-        dboth = bucketed_equi_join(du, deg, on="v", right_on="node",
-                                   num_buckets=num_buckets).map_batches(
+        dboth = bucketed_equi_join(du, deg, on="v",
+                                   right_on="node").map_batches(
             lambda df: df.rename(columns={"degree": "dv"}),
             batch_format="pandas", batch_size=None)
         directed = dboth.map_batches(orient, batch_format="pandas",
@@ -288,21 +284,19 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
         return pd.DataFrame({"w1": out["dst_x"].to_numpy(),
                              "w2": out["dst_y"].to_numpy()})
 
-    wedge_ds = bucket_exchange(directed, "src", wedges, num_buckets) \
+    wedge_ds = bucket_exchange(directed, "src", wedges) \
         .materialize()
     if wedge_ds.count() == 0:       # no node has out-degree ≥ 2
         return 0
     closed = bucketed_equi_join(
         wedge_ds, directed.select_columns(["src", "dst"]),
-        on=["w1", "w2"], right_on=["src", "dst"],
-        num_buckets=num_buckets)
+        on=["w1", "w2"], right_on=["src", "dst"])
     return closed.count()
 
 
 def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
              n_iters: int = 20, tol: float = 1e-9,
-             a_col: str = "doc_a", b_col: str = "doc_b",
-             num_buckets: int = 256) -> "ray.data.Dataset":
+             a_col: str = "doc_a", b_col: str = "doc_b") -> "ray.data.Dataset":
     """PageRank over the undirected pair graph (edges symmetrized) —
     the centrality ranking for hub detection in candidate-pair /
     citation / co-occurrence graphs.  Returns ``(node, rank_e9)`` with
@@ -342,7 +336,7 @@ def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
 
     edges = bucketed_distinct(
         pairs.map_batches(canon, batch_format="pandas", batch_size=None),
-        ["a", "b"], num_buckets=num_buckets).materialize()
+        ["a", "b"]).materialize()
     n_edges = edges.count()
     if n_edges == 0:
         return ray.data.from_pandas(pd.DataFrame(
@@ -381,8 +375,7 @@ def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
         lambda df: pd.DataFrame({"node": pd.concat([df["a"], df["b"]],
                                                    ignore_index=True)}),
         batch_format="pandas", batch_size=None)
-    nodes_ds = bucketed_distinct(ends, ["node"],
-                                 num_buckets=num_buckets).materialize()
+    nodes_ds = bucketed_distinct(ends, ["node"]).materialize()
     n_nodes = nodes_ds.count()
 
     # symmetrized edge list with per-source out-degree attached once
@@ -394,21 +387,19 @@ def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
     deg = grouped_sum_bucketed(
         sym.map_batches(lambda df: pd.DataFrame({"node": df["src"]}),
                         batch_format="pandas", batch_size=None),
-        ["node"], count_as="outdeg", num_buckets=num_buckets)
-    sym = bucketed_equi_join(sym, deg, on="src", right_on="node",
-                             num_buckets=num_buckets).materialize()
+        ["node"], count_as="outdeg")
+    sym = bucketed_equi_join(sym, deg, on="src", right_on="node").materialize()
 
     ranks = nodes_ds.map_batches(
         lambda df: df.assign(r=1.0 / n_nodes),
         batch_format="pandas", batch_size=None).materialize()
     for _ in range(n_iters):
         contrib = grouped_sum_bucketed(
-            bucketed_equi_join(sym, ranks, on="src", right_on="node",
-                               num_buckets=num_buckets)
+            bucketed_equi_join(sym, ranks, on="src", right_on="node")
             .map_batches(lambda df: pd.DataFrame(
                 {"node": df["dst"], "c": df["r"] / df["outdeg"]}),
                 batch_format="pandas", batch_size=None),
-            ["node"], sums={"c": "c"}, num_buckets=num_buckets)
+            ["node"], sums={"c": "c"})
         base = (1 - damping) / n_nodes
 
         def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -423,7 +414,7 @@ def pagerank(pairs: "ray.data.Dataset", damping: float = 0.85,
         # node appears in both sides (symmetrized graph ⇒ every node has
         # incoming contributions), so the inner join covers all nodes.
         delta = float(bucketed_equi_join(
-            new_ranks, ranks, on="node", num_buckets=num_buckets)
+            new_ranks, ranks, on="node")
             .map_batches(lambda df: pd.DataFrame(
                 {"d": [float(np.abs(df["r_new"].to_numpy()
                                     - df["r"].to_numpy()).sum())]}),

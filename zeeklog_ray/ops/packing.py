@@ -44,7 +44,7 @@ from zeeklog_ray.relational import bucket_exchange, grouped_sum
 
 def _cell_exchange(ds: "ray.data.Dataset", rows: "ray.data.Dataset",
                    emit, *, group_col: str, order_col: str, len_col: str,
-                   range_col: str, num_buckets: int) -> "ray.data.Dataset":
+                   range_col: str) -> "ray.data.Dataset":
     """The two-level prefix sum: pass 1 reads only (group, range, len)
     of ``ds``; pass 2 exchanges ``rows`` (which must carry group, range,
     order and len) by (group, range) and calls ``emit(g, off)`` once per
@@ -84,8 +84,7 @@ def _cell_exchange(ds: "ray.data.Dataset", rows: "ray.data.Dataset",
         idx = pd.MultiIndex.from_arrays([g[group_col], g[range_col]])
         return emit(g, start + b.reindex(idx).to_numpy())
 
-    return bucket_exchange(rows, [group_col, range_col], per_bucket,
-                           num_buckets)
+    return bucket_exchange(rows, [group_col, range_col], per_bucket)
 
 
 def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
@@ -98,6 +97,10 @@ def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
     downstream writers need it to place the doc without recomputing the
     scan.  Deterministic and partition-independent: the assignment depends
     only on the (group, order) total order, never on block layout.
+
+    ``num_buckets`` is accepted and ignored (the exchange sizes itself,
+    :func:`zeeklog_ray.relational.bucket_exchange`); it stays only while
+    the perfbench ``pack`` workload passes it.
     """
     def assign(g: pd.DataFrame, off) -> pd.DataFrame:
         return pd.DataFrame({
@@ -110,19 +113,18 @@ def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
 
     return _cell_exchange(ds, ds, assign, group_col=group_col,
                           order_col=order_col, len_col=len_col,
-                          range_col=range_col, num_buckets=num_buckets)
+                          range_col=range_col)
 
 
 def pack_stats(ds: "ray.data.Dataset", *, group_col: str = "source",
                order_col: str = "doc_id", len_col: str = "n_tok",
-               range_col: str = "date", context_len: int = 2048,
-               num_buckets: int = 256) -> "ray.data.Dataset":
+               range_col: str = "date",
+               context_len: int = 2048) -> "ray.data.Dataset":
     """Rollup per (group, pack_id): n_docs + token sum — the compact
     oracle-friendly view (output rows ≈ total_tokens / context_len)."""
     assigned = pack_assignments(
         ds, group_col=group_col, order_col=order_col, len_col=len_col,
-        range_col=range_col, context_len=context_len,
-        num_buckets=num_buckets)
+        range_col=range_col, context_len=context_len)
 
     return grouped_sum(assigned, [group_col, "pack_id"],
                        sums={len_col: "sum_tok"}, count_as="n_docs")

@@ -28,8 +28,7 @@ from zeeklog_ray.relational import _NULLABLE_INT, bucket_exchange, cogroup
 
 
 def sessionize(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
-               gap_minutes: int = 30,
-               num_buckets: int = 1024) -> "ray.data.Dataset":
+               gap_minutes: int = 30) -> "ray.data.Dataset":
     """Gap-based sessions: a new session starts when the time since the
     previous event of the same key exceeds ``gap_minutes``.
 
@@ -56,12 +55,11 @@ def sessionize(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
         return out[[key, "session_id", "n_events",
                     "session_start", "session_end"]]
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def session_counts(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
-                   gap_minutes: int = 30,
-                   num_buckets: int = 1024) -> "ray.data.Dataset":
+                   gap_minutes: int = 30) -> "ray.data.Dataset":
     """Per-key session count (the compact, oracle-friendly view)."""
     gap = pd.Timedelta(minutes=gap_minutes)
 
@@ -76,12 +74,11 @@ def session_counts(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def lead_lag(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
-             order_extra: list[str] | None = None,
-             num_buckets: int = 1024) -> "ray.data.Dataset":
+             order_extra: list[str] | None = None) -> "ray.data.Dataset":
     """Per-key LAG/LEAD: append ``prev_<ts>`` / ``next_<ts>`` — the
     neighboring event timestamps of the same key in ``(ts, *order_extra)``
     order (``order_extra`` makes ties deterministic; pass a unique id).
@@ -104,13 +101,12 @@ def lead_lag(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
                         next_col: g[ts].shift(-1).where(same_next)})
         return g
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                key: str, ts: str, start: str, end: str,
-               right_cols: list[str] | None = None,
-               num_buckets: int = 1024) -> "ray.data.Dataset":
+               right_cols: list[str] | None = None) -> "ray.data.Dataset":
     """Interval (range) join: every (left row, right interval) pair of the
     same key with ``right.start <= left.ts <= right.end`` — INNER
     semantics, one output row per containing interval (overlapping
@@ -145,13 +141,12 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     return cogroup([left, right.select_columns([key, start, end]
                                                + right_cols)],
-                   key, per_bucket, num_buckets)
+                   key, per_bucket)
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               key: str, ts: str, right_cols: list[str],
-              suffix: str = "_r",
-              num_buckets: int = 1024) -> "ray.data.Dataset":
+              suffix: str = "_r") -> "ray.data.Dataset":
     """As-of join: for each left row, the latest right row of the same key
     with right.ts <= left.ts.
 
@@ -195,4 +190,4 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         return out.astype(rg.dtypes.drop([key, ts]).to_dict())
 
     return cogroup([left, right.select_columns([key, ts] + right_cols)],
-                   key, per_bucket, num_buckets)
+                   key, per_bucket)

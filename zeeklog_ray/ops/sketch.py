@@ -123,7 +123,6 @@ def approx_distinct(ds: "ray.data.Dataset", col: str) -> int:
 
 
 def grouped_approx_distinct(ds: "ray.data.Dataset", key: str, col: str,
-                            num_buckets: int = 256,
                             replayable: bool = False) -> pd.DataFrame:
     """Approximate COUNT(DISTINCT col) PER KEY — the grouped twin of
     :func:`approx_distinct`, for when the exact pair-distinct
@@ -176,7 +175,7 @@ def grouped_approx_distinct(ds: "ray.data.Dataset", key: str, col: str,
 
     parts = ds.select_columns([key, col]).map_batches(
         sketch, batch_format="pandas", batch_size=None)
-    merged = bucket_exchange(parts, key, merge_bucket, num_buckets).to_pandas()
+    merged = bucket_exchange(parts, key, merge_bucket).to_pandas()
     est = hll_estimate_int if replayable else \
         (lambda r: round(hll_estimate(r)))
     merged["approx_n"] = [
@@ -273,8 +272,7 @@ def exact_quantiles(ds: "ray.data.Dataset", col: str,
 
 
 def grouped_exact_quantiles(ds: "ray.data.Dataset", key: str, col: str,
-                            qs: list[float],
-                            num_buckets: int = 1024) -> "ray.data.Dataset":
+                            qs: list[float]) -> "ray.data.Dataset":
     """Per-key EXACT quantiles, same value-histogram method as
     :func:`exact_quantiles` but grouped: distributed (key, value) counts →
     key-hash-bucketed selection, fully vectorized ACROSS keys inside a
@@ -347,12 +345,11 @@ def grouped_exact_quantiles(ds: "ray.data.Dataset", key: str, col: str,
                                  "value": pd.array([], dtype=vdt)})
         return pd.concat(parts, ignore_index=True)
 
-    return bucket_exchange(hist, key, per_bucket, num_buckets)
+    return bucket_exchange(hist, key, per_bucket)
 
 
 def grouped_iqr_outliers(ds: "ray.data.Dataset", key: str, col: str,
-                         k_num: int = 3, k_den: int = 2,
-                         num_buckets: int = 1024) -> "ray.data.Dataset":
+                         k_num: int = 3, k_den: int = 2) -> "ray.data.Dataset":
     """Per-key Tukey-fence outlier counts in EXACT integer math: fences
     are ``q25 - (k_num·IQR)//k_den`` and ``q75 + (k_num·IQR)//k_den``
     (floor division — keeps everything int64 so the SQL replay is
@@ -370,8 +367,7 @@ def grouped_iqr_outliers(ds: "ray.data.Dataset", key: str, col: str,
     """
     from zeeklog_ray.relational import grouped_sum
 
-    q = grouped_exact_quantiles(ds, key, col, [0.25, 0.75],
-                                num_buckets=num_buckets).to_pandas()
+    q = grouped_exact_quantiles(ds, key, col, [0.25, 0.75]).to_pandas()
     if q.empty or key not in q.columns:
         # no key survived the quantile pass (empty input or all-null
         # values — an empty Dataset's to_pandas also loses columns): the
@@ -557,8 +553,7 @@ def approx_quantiles(ds: "ray.data.Dataset", col: str, qs: "list[float]",
 
 
 def grouped_interp_quantiles(ds: "ray.data.Dataset", key: str, col: str,
-                             q_pcts: list[int],
-                             num_buckets: int = 1024) -> "ray.data.Dataset":
+                             q_pcts: list[int]) -> "ray.data.Dataset":
     """Per-key CONTINUOUS (linearly interpolated) quantiles in exact
     integer math — ``quantile_cont`` / ``np.percentile(..., 'linear')``
     semantics without the float round-trip.
@@ -615,7 +610,7 @@ def grouped_interp_quantiles(ds: "ray.data.Dataset", key: str, col: str,
             pd.DataFrame({key: g[key].iloc[:0], "q_pct": np.zeros(0, np.int64),
                           "value_x100": np.zeros(0, np.int64)})
 
-    return bucket_exchange(hist, [key], per_bucket, num_buckets)
+    return bucket_exchange(hist, [key], per_bucket)
 
 
 # ---- Count-Min sketch: mergeable approximate frequencies ------------------
@@ -692,8 +687,8 @@ def countmin_counts(ds: "ray.data.Dataset", col: str,
 
 
 def grouped_approx_quantiles(ds: "ray.data.Dataset", key: str, col: str,
-                             qs: "list[float]", k: int = QSKETCH_K,
-                             num_buckets: int = 256) -> pd.DataFrame:
+                             qs: "list[float]",
+                             k: int = QSKETCH_K) -> pd.DataFrame:
     """Per-key approximate quantiles via the mergeable rank-sample sketch
     — the grouped twin of :func:`approx_quantiles`, completing the
     quantile matrix (global/grouped × exact/sketch).  Use it when
@@ -744,7 +739,7 @@ def grouped_approx_quantiles(ds: "ray.data.Dataset", key: str, col: str,
 
     parts = ds.select_columns([key, col]).map_batches(
         sk, batch_format="pandas", batch_size=None)
-    merged = bucket_exchange(parts, key, merge_bucket, num_buckets).to_pandas()
+    merged = bucket_exchange(parts, key, merge_bucket).to_pandas()
     rows = []
     for kk, bv, bw in zip(merged[key], merged["_v"], merged["_w"]):
         v = np.frombuffer(bv, dtype=np.float64)

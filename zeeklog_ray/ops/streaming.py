@@ -33,10 +33,20 @@ import ray
 import ray.data
 
 
+def _segment_cumsum(v: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``v`` that restart at every key segment
+    (``seg_start``: each row's segment-start index), in numpy's cumsum
+    accumulator dtype.  One cumsum across segments, differenced, would
+    let another key's large float values absorb this key's small ones —
+    and which keys share an exchange call is not part of the result."""
+    acc = np.cumsum(np.zeros(1, dtype=v.dtype)).dtype
+    return pd.Series(v.astype(acc, copy=False)).groupby(seg_start) \
+        .cumsum(skipna=False).to_numpy()
+
+
 def trailing_windows(ds: "ray.data.Dataset", key: str = "user_id",
                      ts: str = "ts", value: str = "value",
-                     window_seconds: int = 3600,
-                     num_buckets: int = 1024) -> "ray.data.Dataset":
+                     window_seconds: int = 3600) -> "ray.data.Dataset":
     """Per-event trailing-window (count, sum) per key, RANGE semantics:
     row i's window is every row of the same key with ``ts`` in
     ``[ts_i - window, ts_i]`` (equal-ts peers included).
@@ -62,15 +72,16 @@ def trailing_windows(ds: "ray.data.Dataset", key: str = "user_id",
         keys = g[key].to_numpy()
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         bounds = np.r_[starts, len(keys)]
-        csum = np.concatenate(([0], np.cumsum(v)))
+        csum = _segment_cumsum(v, np.repeat(starts, np.diff(bounds)))
         w_count = np.empty(len(keys), dtype="int64")
         w_sum = np.empty(len(keys), dtype=csum.dtype)
-        for s, e in zip(bounds[:-1], bounds[1:]):   # ~rows/num_buckets keys
+        for s, e in zip(bounds[:-1], bounds[1:]):
             tt = t[s:e]
             lo = np.searchsorted(tt, tt - window_ns, side="left") + s
             hi = np.searchsorted(tt, tt, side="right") + s
             w_count[s:e] = hi - lo
-            w_sum[s:e] = csum[hi] - csum[lo]
+            # the frame [lo, hi) holds its own row, so hi - 1 >= lo
+            w_sum[s:e] = csum[hi - 1] - np.where(lo > s, csum[lo - 1], 0)
         return pd.DataFrame({
             key: keys,
             ts: g[ts].to_numpy(),
@@ -78,14 +89,13 @@ def trailing_windows(ds: "ray.data.Dataset", key: str = "user_id",
             "w_sum": w_sum,
         })
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def rows_window(ds: "ray.data.Dataset", key: str,
                 order_cols: "list[str]", value: str,
                 preceding: "int | None",
-                keep_cols: "list[str] | None" = None,
-                num_buckets: int = 1024) -> "ray.data.Dataset":
+                keep_cols: "list[str] | None" = None) -> "ray.data.Dataset":
     """Per-row trailing window (count, sum) per key, ROWS semantics:
     row i's window is the ``preceding`` rows immediately before it plus
     itself, in ``order_cols`` order within the key partition (SQL:
@@ -132,9 +142,8 @@ def rows_window(ds: "ray.data.Dataset", key: str,
         # included) and emit NULL where the frame has no non-null value
         valid = ~np.isnan(v) if v.dtype.kind == "f" else None
         v0 = np.where(valid, v, 0.0) if valid is not None else v
-        csum = np.cumsum(v0, dtype=np.cumsum(np.zeros(1, dtype=v0.dtype)).dtype)
-        # frames never cross seg_start, so the global cumsum is safe
-        w_sum = csum - np.where(start > 0, csum[start - 1], 0)
+        csum = _segment_cumsum(v0, seg_start)
+        w_sum = csum - np.where(start > seg_start, csum[start - 1], 0)
         out = g[out_cols].copy()
         out["w_count"] = idx - start + 1
         if valid is not None:
@@ -144,7 +153,7 @@ def rows_window(ds: "ray.data.Dataset", key: str,
         out["w_sum"] = w_sum
         return out
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 @ray.remote
@@ -304,8 +313,8 @@ def sliding_window_counts(ds: "ray.data.Dataset", key: str = "user_id",
 
 
 def time_decayed_sum(ds: "ray.data.Dataset", key: str, ts: str, value: str,
-                     half_life_s: float, t_ref: "pd.Timestamp | str",
-                     num_buckets: int = 1024) -> "ray.data.Dataset":
+                     half_life_s: float, t_ref: "pd.Timestamp | str"
+                     ) -> "ray.data.Dataset":
     """Per-key exponentially time-decayed sum at a reference instant:
     ``decayed = Σ value_i · 2^(−(t_ref − t_i)/half_life)`` — the
     recency-weighted engagement/feature score.  Expressed as weight-at-map
@@ -335,13 +344,11 @@ def time_decayed_sum(ds: "ray.data.Dataset", key: str, ts: str, value: str,
 
     return grouped_sum_bucketed(
         ds.map_batches(weigh, batch_format="pandas", batch_size=None),
-        [key], sums={"decayed_sum": "decayed_sum", "n_events": "n_events"},
-        num_buckets=num_buckets)
+        [key], sums={"decayed_sum": "decayed_sum", "n_events": "n_events"})
 
 
 def trailing_deviation(ds: "ray.data.Dataset", key: str, order: str,
-                       value: str, window: int = 24,
-                       num_buckets: int = 1024) -> "ray.data.Dataset":
+                       value: str, window: int = 24) -> "ray.data.Dataset":
     """Per-key trailing-window spike score over an ORDERED series — the
     anomaly-detection pass a monitoring consumer runs on the gap-filled
     hourly counts (feed it :func:`queries.events_hourly_dense`-shaped
@@ -390,4 +397,4 @@ def trailing_deviation(ds: "ray.data.Dataset", key: str, order: str,
             "spike_e4": spike.astype("int64"),
         })
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)

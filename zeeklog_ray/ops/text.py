@@ -227,8 +227,8 @@ def prep_digest_stage(attr_col: str, min_words: int = 15,
     return prep
 
 
-def digest_dedup(prepped: "ray.data.Dataset", attr_col: str,
-                 num_buckets: int = 2048) -> "ray.data.Dataset":
+def digest_dedup(prepped: "ray.data.Dataset",
+                 attr_col: str) -> "ray.data.Dataset":
     """First-wins exact dedup on the 128-bit content digest, shared by the
     prep chains: MIN over every carried attribute per (h1, h2) group
     (algebraic — ``n_bpe`` is constant per content group; for identical
@@ -236,16 +236,10 @@ def digest_dedup(prepped: "ray.data.Dataset", attr_col: str,
     design: Min vectorizes where arg-min would pay per-group Python).
 
     One :func:`~zeeklog_ray.relational.bucket_exchange` on ``h1``, so the
-    per-group Python cost is paid per BUCKET (measured 189 s → 17 s at
-    1M docs); same h1 ⇒ same bucket keeps every copy co-located.  Output
-    drops the digests: ``(doc_id, attr_col, n_bpe)``.
-
-    Bucket sizing (measured at 1M docs / 32 CPUs: 2048 buckets 7.3 s,
-    512 5.6 s, 64 9.1 s): past ~4×CPUs buckets the wall is the shuffle
-    itself, below it stragglers dominate — target ≥ ~2k digests per
-    bucket and at least a few buckets per CPU; the conservative default
-    serves the corpus scale this is designed for, tune DOWN for small
-    inputs."""
+    per-group Python cost is paid per exchange call, not per digest
+    (measured 189 s → 17 s at 1M docs); same h1 ⇒ same call keeps every
+    copy co-located.  Output drops the digests: ``(doc_id, attr_col,
+    n_bpe)``."""
     from zeeklog_ray.relational import bucket_exchange
 
     def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -254,12 +248,11 @@ def digest_dedup(prepped: "ray.data.Dataset", attr_col: str,
                      n_bpe=("n_bpe", "min")).reset_index() \
             .drop(columns=["h1", "h2"])
 
-    return bucket_exchange(prepped, "h1", dedup_bucket, num_buckets)
+    return bucket_exchange(prepped, "h1", dedup_bucket)
 
 
 def corpus_prep(ds: "ray.data.Dataset", min_words: int = 15,
-                min_stop_ratio_e4: int = 200,
-                num_buckets: int = 2048) -> "ray.data.Dataset":
+                min_stop_ratio_e4: int = 200) -> "ray.data.Dataset":
     """Training-corpus preparation CHAIN: quality filter → exact dedup
     (first-wins by content) → BPE token count → per-language rollup.
     Output: one row per language — ``lang, n_docs, sum_bpe_tokens``.
@@ -284,8 +277,7 @@ def corpus_prep(ds: "ray.data.Dataset", min_words: int = 15,
     dedups with one C-level pandas groupby: the shuffle still co-locates
     every copy of a digest (same h1 ⇒ same bucket), but the per-group
     Python cost is paid per BUCKET instead of per document.  Measured:
-    189 s → 17 s for 1M docs (58k docs/s).  Size ``num_buckets`` so a
-    bucket fits one task's memory (see relational.bucket_exchange).
+    189 s → 17 s for 1M docs (58k docs/s).
     """
     from zeeklog_ray.relational import grouped_sum
 
@@ -293,7 +285,7 @@ def corpus_prep(ds: "ray.data.Dataset", min_words: int = 15,
         prep_digest_stage("lang", min_words=min_words,
                           min_stop_ratio_e4=min_stop_ratio_e4),
         batch_format="pandas", batch_size=None)
-    deduped = digest_dedup(prepped, "lang", num_buckets=num_buckets)
+    deduped = digest_dedup(prepped, "lang")
     return grouped_sum(deduped.select_columns(["lang", "n_bpe"]), ["lang"],
                        sums={"n_bpe": "sum_bpe_tokens"}, count_as="n_docs")
 
@@ -539,8 +531,8 @@ def term_scrub(ds: "ray.data.Dataset", terms: "list[str]",
 
 def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
                     n_docs: int | None = None,
-                    text_col: str = "text", id_col: str = "doc_id",
-                    num_buckets: int = 1024) -> "ray.data.Dataset":
+                    text_col: str = "text", id_col: str = "doc_id"
+                    ) -> "ray.data.Dataset":
     """Per-document top-``k`` terms by TF-IDF with a linear idf
     (``score_ppm = tf · 10^6 · N // (n_words · df)``) — integer-exact end
     to end, so the DuckDB replay hash-matches; the ``log``-idf variant
@@ -602,8 +594,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
         doc_terms, batch_format="pandas", batch_size=None).materialize()
     # (doc, word) rows are unique by construction → df = rows per word
     df = grouped_sum_bucketed(long.select_columns(["word"]), ["word"],
-                              count_as="df",
-                              num_buckets=num_buckets).materialize()
+                              count_as="df").materialize()
     # TIERED df attachment: a vocabulary that fits the heap budget
     # broadcasts once via ray.put (row-local merge, big side never
     # shuffles); a 10^8-term web-scale vocab falls back to the
@@ -613,8 +604,7 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
 
         joined = broadcast_merge(long, df.to_pandas(), on="word")
     else:
-        joined = bucketed_equi_join(long, df, on="word",
-                                    num_buckets=num_buckets)
+        joined = bucketed_equi_join(long, df, on="word")
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         batch["score_ppm"] = (batch["tf"] * 1_000_000 * n_docs) \
@@ -642,13 +632,12 @@ def tfidf_top_terms(docs: "ray.data.Dataset", k: int = 3,
         g["rank"] = (g.groupby(id_col, sort=False).cumcount() + 1).astype("int64")
         return g[g["rank"] <= k][[id_col, "rank", "word", "tf", "score_ppm"]]
 
-    return bucket_exchange(pruned, id_col, per_bucket, num_buckets)
+    return bucket_exchange(pruned, id_col, per_bucket)
 
 
 def source_distribution_tv(docs: "ray.data.Dataset", k: int = 50,
                            text_col: str = "text",
-                           source_col: str = "source",
-                           num_buckets: int = 1024) -> pd.DataFrame:
+                           source_col: str = "source") -> pd.DataFrame:
     """Data-mixture diagnostics: pairwise TOTAL-VARIATION distance (ppm,
     fixed point) between the per-source word distributions, restricted
     to the global top-``k`` vocabulary — how different two sources'
@@ -689,13 +678,11 @@ def source_distribution_tv(docs: "ray.data.Dataset", k: int = 50,
     long = docs.select_columns([source_col, text_col]).map_batches(
         explode, batch_format="pandas", batch_size=None)
     counts = grouped_sum_bucketed(long, [source_col, "word"],
-                                  sums={"n": "n"},
-                                  num_buckets=num_buckets).materialize()
+                                  sums={"n": "n"}).materialize()
     # per-word totals are VOCABULARY-cardinality — entity-shaped bucketed
     # sum (report-shaped grouped_sum would funnel the vocab into one block)
     totals = grouped_sum_bucketed(counts.select_columns(["word", "n"]),
-                                  ["word"], sums={"n": "tot"},
-                                  num_buckets=num_buckets)
+                                  ["word"], sums={"n": "tot"})
     top = top_k(totals, by=["tot", "word"], descending=[True, False],
                 k=k).to_pandas()
     vocab = set(top["word"])
@@ -810,7 +797,6 @@ def doc_word_long(docs: "ray.data.Dataset", text_col: str = "text",
 
 def bigram_pmi_topk(docs: "ray.data.Dataset", k: int = 20,
                     min_count: int = 5, text_col: str = "text",
-                    num_buckets: int = 1024,
                     spill_dir: str | None = None) -> pd.DataFrame:
     """Top-``k`` word-bigram collocations by count with EXACT pointwise
     mutual information: ``pmi_e4 = c_xy · N · 10^4 // (c_x · c_y)`` where
@@ -866,8 +852,7 @@ def bigram_pmi_topk(docs: "ray.data.Dataset", k: int = 20,
     # store (spill.pin_or_spill)
     counts = pin_or_spill(grouped_sum_bucketed(
         docs.map_batches(partial, batch_format="pandas", batch_size=None),
-        ["w1", "w2"], sums={"c": "c"},
-        num_buckets=num_buckets), spill_dir, "pmi_counts")
+        ["w1", "w2"], sums={"c": "c"}), spill_dir, "pmi_counts")
     uni = counts.map_batches(
         lambda t: t.filter(pc.equal(t["w2"], "")),
         batch_format="pyarrow", batch_size=None)
@@ -902,7 +887,6 @@ def bigram_pmi_topk(docs: "ray.data.Dataset", k: int = 20,
 
 def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
                     text_col: str = "text", id_col: str = "doc_id",
-                    num_buckets: int = 1024,
                     spill_dir: str | None = None) -> "ray.data.Dataset":
     """Per-document rare-word ratio against the CORPUS unigram table — the
     integer-exact core of perplexity-style quality filtering (a doc made
@@ -949,7 +933,7 @@ def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
     wc = pin_or_spill(grouped_sum_bucketed(
         docs.map_batches(uni_partial, batch_format="pandas",
                          batch_size=None),
-        ["word"], sums={"cnt": "c"}, num_buckets=num_buckets),
+        ["word"], sums={"cnt": "c"}),
         spill_dir, "rare_wc")
 
     def rare_only(t: "pa.Table") -> "pa.Table":
@@ -989,8 +973,7 @@ def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
                                 batch_size=None)
 
     long = doc_word_long(docs, text_col=text_col, id_col=id_col)
-    joined = bucketed_equi_join(long, rare_wc, on="word",
-                                num_buckets=num_buckets)
+    joined = bucketed_equi_join(long, rare_wc, on="word")
 
     def rare_partial(batch: pd.DataFrame) -> pd.DataFrame:
         # inner join against the rare subset: every surviving row is rare
@@ -1012,8 +995,7 @@ def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
                                   batch_size=None))
     summed = grouped_sum_bucketed(both, [id_col],
                                   sums={"n_words": "n_words",
-                                        "n_rare": "n_rare"},
-                                  num_buckets=num_buckets)
+                                        "n_rare": "n_rare"})
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
         nw = batch["n_words"].to_numpy().astype(np.int64)
@@ -1027,7 +1009,6 @@ def rare_word_stats(docs: "ray.data.Dataset", min_corpus_count: int = 5,
 
 def unigram_logprob(docs: "ray.data.Dataset", text_col: str = "text",
                     id_col: str = "doc_id",
-                    num_buckets: int = 1024,
                     spill_dir: str | None = None) -> "ray.data.Dataset":
     """Per-document average unigram log-likelihood under the corpus's own
     unigram LM: ``avg_logprob = (Σ cnt_w·log2 c_w − n_words·log2 N) /
@@ -1052,13 +1033,12 @@ def unigram_logprob(docs: "ray.data.Dataset", text_col: str = "text",
                                       id_col=id_col), spill_dir, "lm_long")
     wc = pin_or_spill(grouped_sum_bucketed(
         long.select_columns(["word", "cnt"]), ["word"],
-        sums={"cnt": "c"}, num_buckets=num_buckets), spill_dir, "lm_wc")
+        sums={"cnt": "c"}), spill_dir, "lm_wc")
     n_total = int(wc.sum("c"))
     if fits_in_heap(wc.count() * PY_ROW_BYTES):
         joined = broadcast_merge(long, wc.to_pandas(), on="word")
     else:
-        joined = bucketed_equi_join(long, wc, on="word",
-                                    num_buckets=num_buckets)
+        joined = bucketed_equi_join(long, wc, on="word")
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1080,8 +1060,7 @@ def unigram_logprob(docs: "ray.data.Dataset", text_col: str = "text",
                                   batch_size=None))
     summed = grouped_sum_bucketed(both, [id_col],
                                   sums={"n_words": "n_words",
-                                        "sum_log2c": "sum_log2c"},
-                                  num_buckets=num_buckets)
+                                        "sum_log2c": "sum_log2c"})
     log2n = np.log2(np.float64(n_total)) if n_total else np.float64(0.0)
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1142,8 +1121,7 @@ def repetition_filter(ds: "ray.data.Dataset",
 def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
                              min_count: int = 20,
                              text_col: str = "text",
-                             source_col: str = "source",
-                             num_buckets: int = 1024
+                             source_col: str = "source"
                              ) -> "ray.data.Dataset":
     """Per-source distinctive vocabulary: for every source, the top-``k``
     words whose in-source usage rate most exceeds their rate in the REST
@@ -1212,11 +1190,10 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
     long = docs.select_columns([source_col, text_col]).map_batches(
         explode, batch_format="pandas", batch_size=None)
     counts = grouped_sum_bucketed(long, [source_col, "word"],
-                                  sums={"c_sw": "c_sw"},
-                                  num_buckets=num_buckets).materialize()
+                                  sums={"c_sw": "c_sw"}).materialize()
     word_tot = grouped_sum_bucketed(
         counts.select_columns(["word", "c_sw"]), ["word"],
-        sums={"c_sw": "c_w"}, num_buckets=num_buckets).materialize()
+        sums={"c_sw": "c_w"}).materialize()
     # source totals are report-shaped: |sources| rows on the driver
     src_tot = grouped_sum(counts, [source_col],
                           sums={"c_sw": "n_s"}).to_pandas()
@@ -1226,8 +1203,7 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
     if fits_in_heap(word_tot.count() * PY_ROW_BYTES):
         joined = broadcast_merge(counts, word_tot.to_pandas(), on="word")
     else:
-        joined = bucketed_equi_join(counts, word_tot, on="word",
-                                    num_buckets=num_buckets)
+        joined = bucketed_equi_join(counts, word_tot, on="word")
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch[batch["c_w"] >= min_count]
@@ -1268,7 +1244,7 @@ def source_distinctive_terms(docs: "ray.data.Dataset", k: int = 10,
         return g[g["rank"] <= k][
             [source_col, "rank", "word", "tf_source", "score_e4"]]
 
-    return bucket_exchange(pruned, source_col, per_bucket, num_buckets)
+    return bucket_exchange(pruned, source_col, per_bucket)
 
 
 def passage_chunks(ds: "ray.data.Dataset", text_col: str = "text",

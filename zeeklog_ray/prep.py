@@ -33,7 +33,7 @@ MAX_EPOCHS = 8
 
 def span_screen(docs: "ray.data.Dataset", ratio_e4: int,
                 mode: str = "cdc", id_col: str = "doc_id",
-                text_col: str = "text", num_buckets: int = 256
+                text_col: str = "text"
                 ) -> "ray.data.Dataset":
     """Boilerplate/duplication SCREEN for the prep chain: drop every
     document whose duplicated-span ratio reaches ``ratio_e4`` — the
@@ -61,13 +61,11 @@ def span_screen(docs: "ray.data.Dataset", ratio_e4: int,
     from zeeklog_ray.ops.dedup import cdc_dup_stats, duplicated_window_stats
 
     if mode == "cdc":
-        stats = cdc_dup_stats(docs, text_col=text_col, id_col=id_col,
-                              num_buckets=num_buckets)
+        stats = cdc_dup_stats(docs, text_col=text_col, id_col=id_col)
         ratio_col = "shared_ratio_e4"
     elif mode == "window":
         stats = duplicated_window_stats(docs, text_col=text_col,
-                                        id_col=id_col,
-                                        num_buckets=num_buckets)
+                                        id_col=id_col)
         ratio_col = "dup_ratio_e4"
     else:
         raise ValueError(f"span_screen: unknown mode {mode!r}")
@@ -99,7 +97,6 @@ def prep_manifest(docs: "ray.data.Dataset",
                   context_len: int = 2048,
                   min_words: int = 15,
                   min_stop_ratio_e4: int = 200,
-                  num_buckets: int = 2048,
                   spill_dir: str | None = None,
                   span_screen_ratio_e4: int | None = None,
                   span_screen_mode: str = "cdc") -> "ray.data.Dataset":
@@ -132,7 +129,7 @@ def prep_manifest(docs: "ray.data.Dataset",
         prep_digest_stage("source", min_words=min_words,
                           min_stop_ratio_e4=min_stop_ratio_e4),
         batch_format="pandas", batch_size=None)
-    deduped = digest_dedup(prepped, "source", num_buckets=num_buckets)
+    deduped = digest_dedup(prepped, "source")
 
     resampled = mixture_resample(deduped, key_col="doc_id", by="source",
                                  rates=rates, default_rate=default_rate)

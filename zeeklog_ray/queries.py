@@ -174,7 +174,7 @@ def zeek_seq_packing(sf_dir: str) -> "ray.data.Dataset":
     corpus = corpus_for_sf_dir(sf_dir)
     ds = ray.data.read_parquet(
         corpus, columns=["doc_id", "n_tok", "source", "date"])
-    return pack_stats(ds, context_len=2048, num_buckets=64)
+    return pack_stats(ds, context_len=2048)
 
 
 def zeek_packed_rows(sf_dir: str) -> "ray.data.Dataset":
@@ -192,7 +192,7 @@ def zeek_packed_rows(sf_dir: str) -> "ray.data.Dataset":
     corpus = corpus_for_sf_dir(sf_dir)
     ds = ray.data.read_parquet(
         corpus, columns=["doc_id", "tokens", "n_tok", "source", "date"])
-    packed = pack_token_rows(ds, context_len=2048, num_buckets=64)
+    packed = pack_token_rows(ds, context_len=2048)
 
     def scalars(t):
         return t.select(["source", "pack_id", "n_real", "pack_hash"])
@@ -322,7 +322,7 @@ def zeek_geo_range_summary(sf_dir: str) -> "ray.data.Dataset":
 
     dist = bucketed_distinct(
         ds.map_batches(keep, batch_format="pandas", batch_size=None),
-        ["id_orig_h"], num_buckets=16)
+        ["id_orig_h"])
     hit = broadcast_range_lookup(dist, "id_orig_h", build_geo_ranges(),
                                  ["geo_country_code", "geo_asn"])
     return hit.map_batches(
@@ -680,7 +680,7 @@ def docs_snapshot_diff(sf_dir: str) -> pd.DataFrame:
             "changed": [int((in_a & in_b & ~same).sum())],
             "unchanged": [int((in_a & in_b & same).sum())]})
 
-    parts = bucket_exchange(union, "doc_id", per_bucket, 64).to_pandas()
+    parts = bucket_exchange(union, "doc_id", per_bucket).to_pandas()
     return pd.DataFrame({c: [int(parts[c].sum())]
                          for c in ("added", "removed", "changed",
                                    "unchanged")})
@@ -890,7 +890,7 @@ def user_funnel_counts(sf_dir: str) -> pd.DataFrame:
             "_purch_ts": g["_purch_ts"].max()}).reset_index()
         return out
 
-    per_user = bucket_exchange(parts, "user_id", per_bucket, 256).to_pandas()
+    per_user = bucket_exchange(parts, "user_id", per_bucket).to_pandas()
     big = np.int64(2**62)
     has_click = per_user["_click_ts"] < big
     has_purch = per_user["_purch_ts"] >= 0
@@ -956,7 +956,7 @@ def events_hourly_spikes(sf_dir: str) -> "ray.data.Dataset":
 
     dense = events_hourly_dense(sf_dir)
     return trailing_deviation(dense, key="event_type", order="hour",
-                              value="n", window=24, num_buckets=32)
+                              value="n", window=24)
 
 
 def lineitem_pricing(sf_dir: str) -> "ray.data.Dataset":
@@ -1433,10 +1433,7 @@ def exact_dedup_docs(sf_dir: str) -> "ray.data.Dataset":
     Digests are hash-BUCKETED before grouping and each bucket dedups with
     one C-level pandas groupby — digest-count groups ≈ distinct docs, and
     Ray's grouped paths pay Python per group (measured 189 s for 1M
-    groups via aggregate(Min) vs 17 s bucketed — ops/text.corpus_prep).
-    The bucket count follows the :func:`relational.bucket_exchange` sizing
-    rule (~2M rows per bucket at scale); 2048 suits the tested
-    10^3–10^6-doc range."""
+    groups via aggregate(Min) vs 17 s bucketed — ops/text.corpus_prep)."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def digest(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1452,7 +1449,7 @@ def exact_dedup_docs(sf_dir: str) -> "ray.data.Dataset":
                      n_dups=("doc_id", "size")).reset_index(drop=True)
 
     hashed = ds.map_batches(digest, batch_format="pandas", batch_size=None)
-    return bucket_exchange(hashed, "digest", dedup_bucket, 2048)
+    return bucket_exchange(hashed, "digest", dedup_bucket)
 
 
 def docs_prep_pipeline(sf_dir: str) -> "ray.data.Dataset":
@@ -2381,8 +2378,7 @@ def docs_dup_windows(sf_dir: str) -> "ray.data.Dataset":
     from zeeklog_ray.ops.dedup import duplicated_window_stats
 
     return duplicated_window_stats(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        num_buckets=32)
+        read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
 def docs_cdc_dup(sf_dir: str) -> "ray.data.Dataset":
@@ -2400,7 +2396,7 @@ def docs_cdc_dup(sf_dir: str) -> "ray.data.Dataset":
 
     return cdc_dup_stats(
         read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        window=4, mask_bits=4, min_words=4, max_words=32, num_buckets=32)
+        window=4, mask_bits=4, min_words=4, max_words=32)
 
 
 def docs_screen_verify(sf_dir: str) -> "ray.data.Dataset":
@@ -2415,7 +2411,7 @@ def docs_screen_verify(sf_dir: str) -> "ray.data.Dataset":
     return cdc_screen_then_verify(
         read_table(sf_dir, "documents", columns=["doc_id", "text"]),
         window=4, mask_bits=4, min_words=4, max_words=32,
-        screen_ratio_e4=2_000, num_buckets=32)
+        screen_ratio_e4=2_000)
 
 
 def docs_remove_dup_spans(sf_dir: str) -> "ray.data.Dataset":
@@ -2427,8 +2423,7 @@ def docs_remove_dup_spans(sf_dir: str) -> "ray.data.Dataset":
     from zeeklog_ray.ops.dedup import remove_dup_spans
 
     return remove_dup_spans(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        num_buckets=32)
+        read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
 def docs_clean_pipeline(sf_dir: str) -> "ray.data.Dataset":
@@ -2446,7 +2441,7 @@ def docs_clean_pipeline(sf_dir: str) -> "ray.data.Dataset":
                       columns=["doc_id", "text", "lang"])
     kept = repetition_filter(docs, min_distinct_e4=3000,
                              max_top_bigram_e4=1000)
-    cleaned = remove_dup_spans(kept, num_buckets=32, carry_cols=("lang",))
+    cleaned = remove_dup_spans(kept, carry_cols=("lang",))
 
     def gate(batch: pd.DataFrame) -> pd.DataFrame:
         cw = (batch["n_words"] - batch["n_removed"]).astype("int64")
@@ -2479,7 +2474,7 @@ def docs_bigram_pmi(sf_dir: str) -> pd.DataFrame:
 
     return bigram_pmi_topk(
         read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        k=20, min_count=5, num_buckets=32)
+        k=20, min_count=5)
 
 
 def docs_rare_word_ratio(sf_dir: str) -> "ray.data.Dataset":
@@ -2491,7 +2486,7 @@ def docs_rare_word_ratio(sf_dir: str) -> "ray.data.Dataset":
 
     return rare_word_stats(
         read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        min_corpus_count=5, num_buckets=32)
+        min_corpus_count=5)
 
 
 def docs_unigram_logprob(sf_dir: str) -> "ray.data.Dataset":
@@ -2503,8 +2498,7 @@ def docs_unigram_logprob(sf_dir: str) -> "ray.data.Dataset":
     from zeeklog_ray.ops.text import unigram_logprob
 
     return unigram_logprob(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        num_buckets=32)
+        read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
 _QR_RATES = {"q0": 0.2, "q1": 0.7, "q2": 1.0, "q3": 1.5}
@@ -2616,7 +2610,7 @@ def docs_distinctive_terms(sf_dir: str) -> "ray.data.Dataset":
 
     return source_distinctive_terms(
         read_table(sf_dir, "documents", columns=["source", "text"]),
-        k=10, min_count=20, num_buckets=32)
+        k=10, min_count=20)
 
 
 def docs_bpe_merges(sf_dir: str) -> pd.DataFrame:
@@ -2667,8 +2661,7 @@ def user_value_decayed(sf_dir: str) -> "ray.data.Dataset":
     ev = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
     t_ref = ev.max("ts")
     return time_decayed_sum(ev, key="user_id", ts="ts", value="value",
-                            half_life_s=86_400.0, t_ref=t_ref,
-                            num_buckets=32)
+                            half_life_s=86_400.0, t_ref=t_ref)
 
 
 def event_value_winsorized(sf_dir: str) -> "ray.data.Dataset":
@@ -2784,7 +2777,7 @@ def embedding_graph_triangles(sf_dir: str) -> pd.DataFrame:
                      columns=["vec_id", "embedding", "label"])
     pairs = embedding_cosine_pairs(emb, _NEAR_DUP_THRESHOLD_E4,
                                    block_col="label")
-    n = triangle_count(pairs, a_col="id_a", b_col="id_b", num_buckets=64)
+    n = triangle_count(pairs, a_col="id_a", b_col="id_b")
     return pd.DataFrame({"n_triangles": pd.array([n], dtype="int64")})
 
 
@@ -3082,9 +3075,9 @@ def user_daily_spikes(sf_dir: str) -> "ray.data.Dataset":
 
     daily = grouped_sum_bucketed(
         ds.map_batches(prep, batch_format="pyarrow", batch_size=None),
-        ["user_id", "day"], count_as="n", num_buckets=32)
+        ["user_id", "day"], count_as="n")
     return trailing_deviation(daily, key="user_id", order="day",
-                              value="n", window=7, num_buckets=32)
+                              value="n", window=7)
 
 
 def event_spike_topk(sf_dir: str) -> "ray.data.Dataset":
@@ -3856,7 +3849,7 @@ def docs_word_postings(sf_dir: str) -> "ray.data.Dataset":
                              "df": sizes.to_numpy().astype("int64"),
                              "postings": posts.to_numpy()})
 
-    return bucket_exchange(exploded, ["word"], per_bucket, 512)
+    return bucket_exchange(exploded, ["word"], per_bucket)
 
 
 def docs_top_bigrams(sf_dir: str) -> pd.DataFrame:
@@ -3976,7 +3969,7 @@ def top_orders_per_customer(sf_dir: str) -> "ray.data.Dataset":
 
     return bucket_exchange(
         ds.map_batches(prep, batch_format="pandas", batch_size=None),
-        "o_custkey", top2, 1024)
+        "o_custkey", top2)
 
 
 def building_revenue_q3(sf_dir: str) -> "ray.data.Dataset":

@@ -88,53 +88,56 @@ def cluster_cpus(default: int = 8) -> int:
         return default
 
 
-def with_hash_bucket(ds: "ray.data.Dataset", key: str | Sequence[str],
-                     num_buckets: int = 1024) -> "ray.data.Dataset":
-    """Append the ``_bucket`` column: a deterministic hash of ``key`` (a
-    column name or a list of column names hashed together row-wise)
-    modulo ``num_buckets``.  The bucket rule of :func:`bucket_exchange`."""
+def with_hash_bucket(ds: "ray.data.Dataset",
+                     key: str | Sequence[str]) -> "ray.data.Dataset":
+    """Append the ``_bucket`` column: the deterministic 64-bit hash of
+    ``key`` (a column name or a list of column names hashed together
+    row-wise), viewed as int64.  The sort key of :func:`bucket_exchange`:
+    same key ⇒ same value, and the values spread evenly over the int64
+    range whatever the key's distribution of values."""
     sel = key if isinstance(key, str) else list(key)
 
     def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
         h = pd.util.hash_pandas_object(batch[sel], index=False).to_numpy()
-        batch["_bucket"] = (h % np.uint64(num_buckets)).astype("int64")
+        batch["_bucket"] = h.view(np.int64)
         return batch
 
     return ds.map_batches(bucketize, batch_format="pandas", batch_size=None)
 
 
 def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
-                    fn: Callable[[pd.DataFrame], "pd.DataFrame | pa.Table"],
-                    num_buckets: int = 1024) -> "ray.data.Dataset":
-    """The hash-bucket exchange: every row of a ``key`` value lands in the
-    same ``fn`` call.  Rows shuffle on the :func:`with_hash_bucket` bucket
-    through Ray's sort-based ``groupby(...).map_groups``; ``fn`` gets one
-    bucket as a pandas DataFrame with the input's columns (the bucket
-    column removed) and returns a pandas DataFrame or a pyarrow Table.
-    An empty input yields an empty output without calling ``fn``.
+                    fn: Callable[[pd.DataFrame], "pd.DataFrame | pa.Table"]
+                    ) -> "ray.data.Dataset":
+    """The hash exchange: every row of a ``key`` value lands in the same
+    ``fn`` call.  Rows sort on the :func:`with_hash_bucket` hash, and
+    ``fn`` runs ONCE PER SORTED PARTITION: it gets the partition as a
+    pandas DataFrame with the input's columns (the hash column removed)
+    and returns a pandas DataFrame or a pyarrow Table.  An empty input
+    yields an empty output without calling ``fn``; an empty partition
+    is never passed to it.
 
-    Why buckets: Ray's grouped execution pays Python per GROUP, so any
-    per-entity groupby scales its overhead with entity cardinality
-    (measured: 1M distinct digests 189 s vs 17 s bucketed; 1M rows / 100k
-    users in trailing_windows 12.8 s vs 1.3 s).  Grouping by the bucket
-    still co-locates every row of a key (same key ⇒ same bucket) while
-    the per-group cost is paid per bucket; inside the bucket ``fn`` runs
-    its per-key logic as C-level pandas/numpy over the bucket's rows.
+    Why one call per partition: Ray's grouped execution pays Python per
+    GROUP, so any per-entity groupby scales its overhead with entity
+    cardinality (measured: 1M distinct digests 189 s vs 17 s bucketed;
+    1M rows / 100k users in trailing_windows 12.8 s vs 1.3 s).  A sorted
+    partition holds every row of each key it holds (a range partition
+    never splits equal sort values), so ``fn`` runs its per-key logic as
+    C-level pandas/numpy over many keys at once and the Python cost is
+    paid once per partition.
 
-    SIZE ``num_buckets`` TO THE DATA: one bucket materializes as a single
-    in-memory pandas group of ~rows/num_buckets rows, so pick
-    ``num_buckets ≈ total_rows / 2M`` (≈100 MB/bucket) — the callers'
-    defaults suit the 10^6–10^9-row range; at 10^12 rows pass ~500k
-    buckets.  The only correctness constraint is determinism of the
-    hash; any bucket count preserves key co-location."""
+    The sizing rule: Ray's sort makes as many partitions as the input
+    has blocks, and on a 64-bit hash its sampled range boundaries spread
+    the rows evenly across them, so one ``fn`` call sees about one input
+    block of rows.  A hot key is the exception: all its rows still land
+    in one call."""
 
-    @functools.wraps(fn)      # Ray names the map stage after fn
-    def per_bucket(group: pd.DataFrame):
-        del group["_bucket"]
-        return fn(group)
+    @functools.wraps(fn)      # Ray names the exchange stage after fn
+    def per_block(batch: pd.DataFrame):
+        del batch["_bucket"]
+        return fn(batch)
 
-    return with_hash_bucket(ds, key, num_buckets) \
-        .groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
+    return with_hash_bucket(ds, key).sort("_bucket").map_batches(
+        per_block, batch_format="pandas", batch_size=None)
 
 
 _NULLABLE_INT = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
@@ -208,21 +211,21 @@ def _key_rule(keys: list[str], types: list[dict], ints: list[dict]) -> None:
 
 
 def cogroup(sides: Sequence["ray.data.Dataset"], key: str | Sequence[str],
-            fn: Callable[[list[pd.DataFrame]], "pd.DataFrame | pa.Table"],
-            num_buckets: int = 1024) -> "ray.data.Dataset":
-    """The many-sided hash-bucket exchange: every row of a ``key`` value,
+            fn: Callable[[list[pd.DataFrame]], "pd.DataFrame | pa.Table"]
+            ) -> "ray.data.Dataset":
+    """The many-sided hash exchange: every row of a ``key`` value,
     from every Dataset in ``sides``, lands in the same ``fn`` call.  ``fn``
     gets a list of pandas DataFrames, one per side in ``sides`` order,
     each holding only that side's columns in that side's dtypes (an
     integer column holding nulls as a nullable ``Int``; a side with no
-    rows in the bucket as a typed zero-row frame), and returns a
+    rows in the call as a typed zero-row frame), and returns a
     pandas DataFrame or a pyarrow Table.  The key columns carry the same
     names on every side (rename first); ``_side`` and ``_bucket`` are
     reserved on every side.
 
-    One key rule for every side, because the bucket hash is
+    One key rule for every side, because the key hash is
     dtype-sensitive (the same value in an int and a float column hashes
-    to different buckets and would silently match nothing): a key that is
+    to different values and would silently match nothing): a key that is
     integer on one side is integer on all of them, integer keys of
     different widths widen to the widest (``fn`` sees the wide key), and
     any other key kind must match across sides (:func:`_key_kind`).
@@ -236,9 +239,11 @@ def cogroup(sides: Sequence["ray.data.Dataset"], key: str | Sequence[str],
     column would promote to float64 and round ids above 2^53 — and is
     cast back for ``fn``; columns every side has ride as plain numpy.
 
-    SIZE ``num_buckets`` by the rule of :func:`bucket_exchange` applied
-    to the rows of ALL sides: one bucket of every side materializes as
-    one pandas group, so ``num_buckets ≈ total_rows / 2M``.
+    Sizing is :func:`bucket_exchange`'s rule over the union: ``fn`` runs
+    once per sorted partition, and there are as many partitions as the
+    sides have blocks together, so one call sees about one input
+    block's worth of rows, drawn from every side; a hot key stays in
+    one call.
 
     One-CPU rule: two lazy branches that each hold a repartition (or
     another exchange) must not meet under one exchange — Ray's streaming
@@ -320,12 +325,11 @@ def cogroup(sides: Sequence["ray.data.Dataset"], key: str | Sequence[str],
 
     tagged = [s.map_batches(tag(i), batch_format="pandas", batch_size=None)
               for i, s in enumerate(sides)]
-    return bucket_exchange(tagged[0].union(*tagged[1:]), keys, per_bucket,
-                           num_buckets)
+    return bucket_exchange(tagged[0].union(*tagged[1:]), keys, per_bucket)
 
 
-def bucketed_distinct(ds: "ray.data.Dataset", keys: Sequence[str],
-                      num_buckets: int = 1024) -> "ray.data.Dataset":
+def bucketed_distinct(ds: "ray.data.Dataset",
+                      keys: Sequence[str]) -> "ray.data.Dataset":
     """DISTINCT on ``keys`` via the bucketed-groupby pattern.
 
     ``Dataset.groupby(keys).aggregate(...)`` pays Python per distinct key
@@ -339,11 +343,11 @@ def bucketed_distinct(ds: "ray.data.Dataset", keys: Sequence[str],
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates(subset=keys)[keys]
 
-    return bucket_exchange(ds, keys, per_bucket, num_buckets)
+    return bucket_exchange(ds, keys, per_bucket)
 
 
-def bucketed_group_min(ds: "ray.data.Dataset", key: str, val: str,
-                       num_buckets: int = 1024) -> "ray.data.Dataset":
+def bucketed_group_min(ds: "ray.data.Dataset", key: str,
+                       val: str) -> "ray.data.Dataset":
     """Per-key MIN of ``val`` via the bucketed-groupby pattern — the drop-in
     for ``groupby(key).aggregate(Min(val))`` when key cardinality is large
     (the connected-components label merge runs this once PER ROUND, so the
@@ -353,7 +357,7 @@ def bucketed_group_min(ds: "ray.data.Dataset", key: str, val: str,
         return (group.groupby(key, sort=False, dropna=False)[val]
                 .min().reset_index())
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -513,16 +517,15 @@ def grouped_sum(ds: "ray.data.Dataset", keys: Sequence[str],
 
 def grouped_sum_bucketed(ds: "ray.data.Dataset", keys: Sequence[str],
                          sums: dict[str, str] | None = None,
-                         count_as: str | None = None,
-                         num_buckets: int = 1024) -> "ray.data.Dataset":
+                         count_as: str | None = None) -> "ray.data.Dataset":
     """ENTITY-shaped grouped sum/count: one output row per key tuple at
     arbitrary cardinality.  :func:`grouped_sum` assumes the final result
     fits one block (report-shaped: per-source, per-status, ...); per-user
     / per-document aggregates scale with the entity count, so here the
     per-batch combiner partials shuffle ONCE on the key-hash bucket and
     each bucket finishes with a C-level pandas groupby-sum — the result
-    stays distributed (≈rows/num_buckets per output block; size
-    ``num_buckets`` per the :func:`bucket_exchange` rule)."""
+    stays distributed (about one output block per input block, the
+    :func:`bucket_exchange` rule)."""
     keys = list(keys)
     sums = sums or {}
 
@@ -542,7 +545,7 @@ def grouped_sum_bucketed(ds: "ray.data.Dataset", keys: Sequence[str],
     partials = ds.select_columns(
         list(dict.fromkeys(keys + list(sums)))).map_batches(
         partial, batch_format="pandas", batch_size=None)
-    return bucket_exchange(partials, keys, per_bucket, num_buckets)
+    return bucket_exchange(partials, keys, per_bucket)
 
 
 def rollup_sum(ds: "ray.data.Dataset", keys: Sequence[str],
@@ -614,8 +617,7 @@ def cube_sum(ds: "ray.data.Dataset", keys: Sequence[str],
 
 
 def latest_per_key(ds: "ray.data.Dataset", keys: Sequence[str],
-                   order_cols: Sequence[str],
-                   num_buckets: int = 1024) -> "ray.data.Dataset":
+                   order_cols: Sequence[str]) -> "ray.data.Dataset":
     """Log-compaction / SCD "latest wins": keep, per key tuple, the single
     row that is greatest by ``order_cols`` (compared in order, descending
     — ties broken by the next column, so make the last column unique for
@@ -638,13 +640,12 @@ def latest_per_key(ds: "ray.data.Dataset", keys: Sequence[str],
         return g.drop_duplicates(keys, keep="first")
 
     pruned = ds.map_batches(prune, batch_format="pandas", batch_size=None)
-    return bucket_exchange(pruned, keys, per_bucket, num_buckets)
+    return bucket_exchange(pruned, keys, per_bucket)
 
 
 def seq_index_per_key(ds: "ray.data.Dataset", key: str,
                       order_cols: Sequence[str],
-                      out: str = "seq",
-                      num_buckets: int = 1024) -> "ray.data.Dataset":
+                      out: str = "seq") -> "ray.data.Dataset":
     """Per-key ROW_NUMBER: for every row, its 1-based rank within its key
     partition ordered ascending by ``order_cols`` (make the last column
     unique for a deterministic total order).
@@ -653,8 +654,7 @@ def seq_index_per_key(ds: "ray.data.Dataset", key: str,
     shuffles once on the key-hash bucket; inside each bucket the
     numbering is one C-level sort + ``groupby(...).cumcount()``.  Same
     partitioning assumption as the repo's other windowed ops: a key's
-    rows fit one bucket's pandas group (size ``num_buckets`` to the
-    data — :func:`bucket_exchange` docstring)."""
+    rows fit one :func:`bucket_exchange` call."""
     order_cols = list(order_cols)
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -666,15 +666,14 @@ def seq_index_per_key(ds: "ray.data.Dataset", key: str,
                            dropna=False).cumcount().to_numpy() + 1
         return g
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def ranks_per_key(ds: "ray.data.Dataset", key: str,
                   order_cols: Sequence[str],
                   tie_cols: Sequence[str] | None = None,
                   ntile: int | None = None,
-                  percent_scale: int | None = None,
-                  num_buckets: int = 1024) -> "ray.data.Dataset":
+                  percent_scale: int | None = None) -> "ray.data.Dataset":
     """Per-key SQL ranking functions in one bucketed pass: ``rnk`` = RANK()
     and ``drnk`` = DENSE_RANK() over ``tie_cols`` (ties share a rank; RANK
     leaves gaps, DENSE_RANK doesn't), plus ``tile`` = NTILE(ntile) over the
@@ -753,12 +752,11 @@ def ranks_per_key(ds: "ray.data.Dataset", key: str,
                 rem + (p - boundary) // np.maximum(base, 1)) + 1
         return g
 
-    return bucket_exchange(ds, key, per_bucket, num_buckets)
+    return bucket_exchange(ds, key, per_bucket)
 
 
 def mode_per_key(ds: "ray.data.Dataset", key: str, val: str,
-                 out: str | None = None,
-                 num_buckets: int = 256) -> "ray.data.Dataset":
+                 out: str | None = None) -> "ray.data.Dataset":
     """Per-key MODE: the most frequent ``val`` per ``key`` (ties → the
     smallest value, so the result is deterministic), plus its count
     ``n_mode``.
@@ -785,13 +783,12 @@ def mode_per_key(ds: "ray.data.Dataset", key: str, val: str,
 
     partials = ds.map_batches(partial, batch_format="pandas",
                               batch_size=None)
-    return bucket_exchange(partials, key, per_bucket, num_buckets)
+    return bucket_exchange(partials, key, per_bucket)
 
 
 def string_agg_per_key(ds: "ray.data.Dataset", key: str, val: str,
                        order_cols: Sequence[str], sep: str = ">",
-                       out: str = "agg",
-                       num_buckets: int = 256) -> "ray.data.Dataset":
+                       out: str = "agg") -> "ray.data.Dataset":
     """Per-key ordered string concatenation — SQL ``STRING_AGG(val, sep
     ORDER BY order_cols)``; the "user journey" feature-building shape
     (event-type sequences per user).  Make the last order column unique
@@ -819,8 +816,7 @@ def string_agg_per_key(ds: "ray.data.Dataset", key: str, val: str,
         return agg
 
     cols = [key] + order_cols + [val]
-    return bucket_exchange(ds.select_columns(cols), key, per_bucket,
-                           num_buckets)
+    return bucket_exchange(ds.select_columns(cols), key, per_bucket)
 
 
 def melt(ds: "ray.data.Dataset", id_cols: Sequence[str],
@@ -840,6 +836,36 @@ def melt(ds: "ray.data.Dataset", id_cols: Sequence[str],
     return ds.map_batches(per_batch, batch_format="pandas", batch_size=None)
 
 
+_LO32 = np.int64(0xFFFFFFFF)
+
+
+def _add_split_products(out: pd.DataFrame,
+                        prods: dict[str, tuple[str, str]], who: str) -> None:
+    """Append each per-row product ``name: (a, b)`` of ``out``'s integer
+    columns as SPLIT 32-bit halves ``name + "h"`` (p >> 32) and
+    ``name + "l"`` (p & 0xFFFFFFFF), summed separately and recombined
+    in Python ints by :func:`_recombine`.  A plain int64 Σx² wraps at
+    ~10^6 rows of cents-scale values (x² ≈ 2.5·10^13 each); the split
+    sums stay exact up to ~2·10^9 rows per group.  Each per-row product
+    must fit int64: OverflowError names ``who`` otherwise."""
+    for name, (a, b) in prods.items():
+        av, bv = out[a].to_numpy(np.int64), out[b].to_numpy(np.int64)
+        if len(av):
+            ma, mb = int(np.abs(av).max()), int(np.abs(bv).max())
+            if ma * mb >= 1 << 63:
+                raise OverflowError(
+                    f"{who}: |{a}|·|{b}| up to {ma}·{mb} does not fit a "
+                    f"per-row int64 product — rescale the inputs first")
+        p = av * bv
+        out[name + "h"] = p >> 32          # arithmetic shift: exact
+        out[name + "l"] = p & _LO32        # for negative p too
+
+
+def _recombine(hi: pd.Series, lo: pd.Series) -> pd.Series:
+    """The exact Python-int sums of :func:`_add_split_products` halves."""
+    return hi.astype(object) * (1 << 32) + lo.astype(object)
+
+
 def grouped_var_exact(ds: "ray.data.Dataset", keys: Sequence[str],
                       val: str, scale: int = 10**6) -> pd.DataFrame:
     """Per-group sample variance of an INTEGER column in exact arithmetic:
@@ -851,24 +877,27 @@ def grouped_var_exact(ds: "ray.data.Dataset", keys: Sequence[str],
     decomposition, mergeable across any partitioning — and the final
     formula runs on the report-shaped result in PYTHON ints (the
     ``n·Σx²·scale`` product overflows int64 long before the partials do,
-    so the driver finish deliberately leaves int64).  Exactness makes the
-    result hash-comparable against an oracle computing the same integer
-    formula in HUGEINT, where float VAR_SAMP could differ in the last ulp.
+    so the driver finish deliberately leaves int64).  Σx² ships as
+    split 32-bit halves (:func:`_add_split_products`).  Exactness makes
+    the result hash-comparable against an oracle computing the same
+    integer formula in HUGEINT, where float VAR_SAMP could differ in the
+    last ulp.
     """
     keys = list(keys)
 
     def add_sq(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[keys + [val]].copy()
-        batch["_sq"] = batch[val] * batch[val]
-        return batch
+        out = batch[keys + [val]].copy()
+        _add_split_products(out, {"_xx": (val, val)}, "grouped_var_exact")
+        return out
 
     partials = grouped_sum(
         ds.map_batches(add_sq, batch_format="pandas", batch_size=None),
-        keys, sums={val: "_sx", "_sq": "_sx2"}, count_as="_n").to_pandas()
+        keys, sums={val: "_sx", "_xxh": "_sxxh", "_xxl": "_sxxl"},
+        count_as="_n").to_pandas()
     rows = partials[partials["_n"] >= 2]
     n = rows["_n"].astype(object)
     sx = rows["_sx"].astype(object)
-    sx2 = rows["_sx2"].astype(object)
+    sx2 = _recombine(rows["_sxxh"], rows["_sxxl"])
     var = (n * sx2 - sx * sx) * scale // (n * (n - 1))
     out = rows[keys].copy()
     out["n"] = rows["_n"].to_numpy()
@@ -908,35 +937,19 @@ def grouped_cov_exact(ds: "ray.data.Dataset", keys: Sequence[str],
     Same shape as :func:`grouped_var_exact`: one combiner-first
     :func:`grouped_sum` ships only per-group partials — mergeable across
     any partitioning — and the final formulas run on the report-shaped
-    result in Python ints.  The product sums (Σxy, Σx², Σy²) are
-    accumulated as SPLIT 32-bit halves (Σ(p>>32) and Σ(p&0xFFFFFFFF)
-    separately, recombined in Python ints at the finish): a plain int64
-    Σx² wraps at ~10^6 rows of cents-scale values (x² ≈ 2.5·10^13 each),
-    while the split form is exact up to ~2·10^9 rows per group — and
-    each per-row product must fit int64, guarded per batch (max|x|·max|y|
-    < 2^62).  Σy² is only computed/shipped when ``corr2_scale`` is set."""
+    result in Python ints.  The product sums (Σxy, Σx², Σy²) ship as
+    split 32-bit halves (:func:`_add_split_products`, which also guards
+    each per-row product).  Σy² is only computed/shipped when
+    ``corr2_scale`` is set."""
     keys = list(keys)
     want_yy = corr2_scale is not None
-    _LO = np.int64(0xFFFFFFFF)
+    prods = {"_xy": (x, y), "_xx": (x, x)}
+    if want_yy:
+        prods["_yy"] = (y, y)
 
     def add_prods(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch[keys + [x, y]].copy()
-        xv = batch[x].to_numpy(np.int64)
-        yv = batch[y].to_numpy(np.int64)
-        if len(xv):
-            mx, my = np.abs(xv).max(), np.abs(yv).max()
-            if max(int(mx), int(my)) ** 2 >= 1 << 62 or \
-                    int(mx) * int(my) >= 1 << 62:
-                raise OverflowError(
-                    f"grouped_cov_exact: |{x}|·|{y}| up to {mx}·{my} "
-                    f"does not fit a per-row int64 product — rescale "
-                    f"the inputs first")
-        prods = [("_xy", xv * yv), ("_xx", xv * xv)]
-        if want_yy:
-            prods.append(("_yy", yv * yv))
-        for name, p in prods:
-            out[name + "h"] = p >> 32          # arithmetic shift: exact
-            out[name + "l"] = p & _LO          # for negative p too
+        _add_split_products(out, prods, "grouped_cov_exact")
         return out
 
     sums = {x: "_sx", y: "_sy", "_xyh": "_sxyh", "_xyl": "_sxyl",
@@ -947,21 +960,16 @@ def grouped_cov_exact(ds: "ray.data.Dataset", keys: Sequence[str],
         ds.map_batches(add_prods, batch_format="pandas", batch_size=None),
         keys, sums=sums, count_as="_n").to_pandas()
     rows = partials[partials["_n"] >= 2]
-    two32 = 1 << 32
-
-    def recombine(hi: pd.Series, lo: pd.Series) -> pd.Series:
-        return hi.astype(object) * two32 + lo.astype(object)
-
     n = rows["_n"].astype(object)
     sx = rows["_sx"].astype(object)
     sy = rows["_sy"].astype(object)
-    sxy = recombine(rows["_sxyh"], rows["_sxyl"])
-    sxx = recombine(rows["_sxxh"], rows["_sxxl"])
+    sxy = _recombine(rows["_sxyh"], rows["_sxyl"])
+    sxx = _recombine(rows["_sxxh"], rows["_sxxl"])
     num = n * sxy - sx * sy
     var_den = n * sxx - sx * sx
     vary_den = None
     if want_yy:
-        syy = recombine(rows["_syyh"], rows["_syyl"])
+        syy = _recombine(rows["_syyh"], rows["_syyl"])
         vary_den = n * syy - sy * sy
     keep = var_den != 0
     if corr2_scale is not None:
@@ -1047,8 +1055,7 @@ def pivot_sum(ds: "ray.data.Dataset", index: str, pivot_col: str,
 
 
 def set_op(a: "ray.data.Dataset", b: "ray.data.Dataset",
-           cols: Sequence[str], op: str,
-           num_buckets: int = 256) -> "ray.data.Dataset":
+           cols: Sequence[str], op: str) -> "ray.data.Dataset":
     """Distinct set operations — SQL ``INTERSECT`` / ``EXCEPT`` over the
     ``cols`` tuples of two datasets.
 
@@ -1073,7 +1080,7 @@ def set_op(a: "ray.data.Dataset", b: "ray.data.Dataset",
         return left.loc[hit if op == "intersect" else ~hit]
 
     return cogroup([a.select_columns(cols), b.select_columns(cols)], cols,
-                   per_bucket, num_buckets)
+                   per_bucket)
 
 
 # Default salt for cap_per_key's draw hash: an arbitrary odd 64-bit
@@ -1084,8 +1091,7 @@ CAP_SALT = 0x6C62272E07BB0142
 
 
 def cap_per_key(ds: "ray.data.Dataset", key: str | Sequence[str], n: int,
-                id_col: str, salt: int = CAP_SALT,
-                num_buckets: int = 1024) -> "ray.data.Dataset":
+                id_col: str, salt: int = CAP_SALT) -> "ray.data.Dataset":
     """Deterministic per-key CAP: keep at most ``n`` rows per key — the
     ``n`` with the smallest ``mix64(id + salt)`` (ties broken by the id
     itself, so a unique ``id_col`` gives a total order).  The "max
@@ -1131,13 +1137,12 @@ def cap_per_key(ds: "ray.data.Dataset", key: str | Sequence[str], n: int,
             .drop(columns=["_h"])
 
     pruned = ds.map_batches(prune, batch_format="pandas", batch_size=None)
-    return bucket_exchange(pruned, keys, per_bucket, num_buckets)
+    return bucket_exchange(pruned, keys, per_bucket)
 
 
 def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                        on: str | Sequence[str],
                        right_on: str | Sequence[str] | None = None,
-                       num_buckets: int = 1024,
                        how: str = "inner") -> "ray.data.Dataset":
     """Equi-join via ONE :func:`cogroup` on the key + per-bucket C-level
     ``pandas.merge`` — the engine's one fact⨝fact join (measured: two
@@ -1224,15 +1229,14 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             lambda t: t.rename_columns([rename.get(c, c)
                                         for c in t.column_names]),
             batch_format="pyarrow", batch_size=None)
-    return cogroup([left, right], on, per_bucket, num_buckets)
+    return cogroup([left, right], on, per_bucket)
 
 
 def bucketed_semi_anti_join(left: "ray.data.Dataset",
                             right: "ray.data.Dataset",
                             on: str | Sequence[str],
                             right_on: str | Sequence[str] | None = None,
-                            anti: bool = False,
-                            num_buckets: int = 1024) -> "ray.data.Dataset":
+                            anti: bool = False) -> "ray.data.Dataset":
     """SEMI (``anti=False``) / ANTI (``anti=True``) equi-join: keep each
     ``left`` row iff its key tuple is present / absent in ``right``.
 
@@ -1293,11 +1297,10 @@ def bucketed_semi_anti_join(left: "ray.data.Dataset",
     return cogroup([left, right.map_batches(keys_right,
                                             batch_format="pyarrow",
                                             batch_size=None)],
-                   on, per_bucket, num_buckets)
+                   on, per_bucket)
 
 
-def key_skew_profile(ds: "ray.data.Dataset", key: str,
-                     num_buckets: int = 1024) -> pd.DataFrame:
+def key_skew_profile(ds: "ray.data.Dataset", key: str) -> pd.DataFrame:
     """Single-row skew diagnostic of a grouping key — the first question
     to ask before hash-partitioning 100 TB by it: total rows, distinct
     keys, the hottest key's row count and ppm share, and the p50/p99
@@ -1313,8 +1316,7 @@ def key_skew_profile(ds: "ray.data.Dataset", key: str,
     from zeeklog_ray.ops.sketch import exact_quantiles
 
     counts = grouped_sum_bucketed(ds.select_columns([key]), [key],
-                                  count_as="n_k",
-                                  num_buckets=num_buckets).materialize()
+                                  count_as="n_k").materialize()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"rows": [int(df["n_k"].sum())],
@@ -1341,8 +1343,7 @@ def key_skew_profile(ds: "ray.data.Dataset", key: str,
 
 
 def retention_cohorts(events: "ray.data.Dataset", user_col: str = "user_id",
-                      ts_col: str = "ts",
-                      num_buckets: int = 1024) -> "ray.data.Dataset":
+                      ts_col: str = "ts") -> "ray.data.Dataset":
     """Cohort retention over an event stream: distinct users per
     (first-seen epoch-week, week-offset).  Weeks are integer epoch-day
     // 7 so a SQL replay truncates identically.  Output: (cohort_week,
@@ -1379,7 +1380,7 @@ def retention_cohorts(events: "ray.data.Dataset", user_col: str = "user_id",
             "week_offset": (g["w"] - cw).to_numpy(),
             user_col: g[user_col].to_numpy()})
 
-    trip = bucket_exchange(weeks, user_col, per_bucket, num_buckets)
+    trip = bucket_exchange(weeks, user_col, per_bucket)
     return grouped_sum(trip, ["cohort_week", "week_offset"],
                        count_as="n_users")
 
