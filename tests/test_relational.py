@@ -79,11 +79,41 @@ def test_bucket_exchange_colocates_and_hides_bucket(ray_session, in_blocks,
         assert sorted(ds.schema().names) == ["call", "doc_a", "doc_b"]
         assert len(out) == len(pairs_df)
         assert (out.groupby(keys)["call"].nunique() == 1).all()
-        assert 1 <= out["call"].nunique() <= min(n_blocks, 8)
+        assert out["call"].nunique() <= min(n_blocks, 8)
+        # several blocks must spread keys over several calls, or the
+        # co-location check above holds trivially
+        assert out["call"].nunique() > 1 if n_blocks > 1 \
+            else out["call"].nunique() == 1
         pd.testing.assert_frame_equal(
             out[["doc_a", "doc_b"]].sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True),
             pairs_df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
+
+
+@pytest.mark.parametrize("call_bytes", [1, 2048])
+def test_bucket_exchange_cuts_large_partition_at_keys(ray_session, pairs_df,
+                                                      monkeypatch,
+                                                      call_bytes):
+    """A partition above relational.CALL_BYTES is cut into several calls,
+    and every cut falls between keys: each key's rows stay in one call."""
+    import zeeklog_ray.relational as rel
+
+    monkeypatch.setattr(rel, "CALL_BYTES", call_bytes)
+
+    def fn(group: pd.DataFrame):
+        return group.assign(call=np.int64(uuid.uuid4().int >> 66))
+
+    out = bucket_exchange(ray.data.from_pandas(pairs_df),
+                          ["doc_a", "doc_b"], fn).to_pandas()
+    assert (out.groupby(["doc_a", "doc_b"])["call"].nunique() == 1).all()
+    n_keys = len(pairs_df.drop_duplicates())
+    # 1 byte: every hash run is its own call; 2 KiB: several runs per call
+    assert out["call"].nunique() == n_keys if call_bytes == 1 \
+        else 1 < out["call"].nunique() < n_keys
+    pd.testing.assert_frame_equal(
+        out[["doc_a", "doc_b"]].sort_values(["doc_a", "doc_b"])
+        .reset_index(drop=True),
+        pairs_df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
 
 
 def test_bucket_exchange_empty_input(ray_session, pairs_df):

@@ -26,6 +26,7 @@ import pyarrow as pa
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 
 def read_table(sf_dir: str, name: str,
@@ -105,16 +106,23 @@ def with_hash_bucket(ds: "ray.data.Dataset",
     return ds.map_batches(bucketize, batch_format="pandas", batch_size=None)
 
 
+# The most bytes of a sorted partition one :func:`bucket_exchange` call
+# sees: a larger partition (rows exploded upstream grow it without bound)
+# is cut at hash changes into about-equal calls.  Read when the exchange
+# is built, so a test may set it on the driver.
+CALL_BYTES = 32 << 20
+
+
 def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
                     fn: Callable[[pd.DataFrame], "pd.DataFrame | pa.Table"]
                     ) -> "ray.data.Dataset":
     """The hash exchange: every row of a ``key`` value lands in the same
     ``fn`` call.  Rows sort on the :func:`with_hash_bucket` hash, and
-    ``fn`` runs ONCE PER SORTED PARTITION: it gets the partition as a
-    pandas DataFrame with the input's columns (the hash column removed)
-    and returns a pandas DataFrame or a pyarrow Table.  An empty input
-    yields an empty output without calling ``fn``; an empty partition
-    is never passed to it.
+    ``fn`` runs ONCE PER SORTED PARTITION (or per :data:`CALL_BYTES`
+    slice of a larger one): it gets the rows as a pandas DataFrame with
+    the input's columns (the hash column removed) and returns a pandas
+    DataFrame or a pyarrow Table.  An empty input yields an empty output
+    without calling ``fn``; an empty partition is never passed to it.
 
     Why one call per partition: Ray's grouped execution pays Python per
     GROUP, so any per-entity groupby scales its overhead with entity
@@ -128,16 +136,30 @@ def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
     The sizing rule: Ray's sort makes as many partitions as the input
     has blocks, and on a 64-bit hash its sampled range boundaries spread
     the rows evenly across them, so one ``fn`` call sees about one input
-    block of rows.  A hot key is the exception: all its rows still land
-    in one call."""
+    block of rows.  A partition above ``CALL_BYTES`` is cut at hash
+    changes into about-equal calls, each passed on and its output
+    yielded on its own, so ``fn``'s temporaries stay bounded and Ray
+    can flush each call's output.  A hot key is the exception: all its
+    rows still land in one call."""
+    call_bytes = CALL_BYTES
 
     @functools.wraps(fn)      # Ray names the exchange stage after fn
-    def per_block(batch: pd.DataFrame):
-        del batch["_bucket"]
-        return fn(batch)
+    def per_block(block):
+        acc = BlockAccessor.for_block(block)
+        h = acc.to_numpy("_bucket")
+        k = max(1, -(-acc.size_bytes() // call_bytes))
+        # each cut moves back to the start of its hash run: keys stay whole
+        cuts = np.searchsorted(h, h[np.arange(1, k) * len(h) // k])
+        bounds = np.unique(np.r_[0, cuts, len(h)])
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            # a copied slice, not a view fn's writes would warn about
+            part = block if e - s == len(h) else acc.slice(s, e, copy=True)
+            part = BlockAccessor.for_block(part).to_pandas()
+            del part["_bucket"]
+            yield fn(part)
 
     return with_hash_bucket(ds, key).sort("_bucket").map_batches(
-        per_block, batch_format="pandas", batch_size=None)
+        per_block, batch_format=None, batch_size=None)
 
 
 _NULLABLE_INT = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
@@ -240,10 +262,10 @@ def cogroup(sides: Sequence["ray.data.Dataset"], key: str | Sequence[str],
     cast back for ``fn``; columns every side has ride as plain numpy.
 
     Sizing is :func:`bucket_exchange`'s rule over the union: ``fn`` runs
-    once per sorted partition, and there are as many partitions as the
-    sides have blocks together, so one call sees about one input
-    block's worth of rows, drawn from every side; a hot key stays in
-    one call.
+    once per sorted partition (or per ``CALL_BYTES`` slice of a larger
+    one), and there are as many partitions as the sides have blocks
+    together, so one call sees about one input block's worth of rows,
+    drawn from every side; a hot key stays in one call.
 
     One-CPU rule: two lazy branches that each hold a repartition (or
     another exchange) must not meet under one exchange — Ray's streaming
