@@ -1,4 +1,4 @@
-"""Benchmark harness — one JSON line on stdout (driver contract).
+"""Benchmark harness — JSON lines on stdout (driver contract).
 
 Default: run the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) under ``ray.init(address="local",
@@ -7,6 +7,13 @@ num_cpus=$RAY_GRAFT_CPUS)`` (default: the CPUs this process may run on,
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
      "queries": {...}, "sf": ..., "num_cpus": N, "host_cpus": H, ...}
+
+then, as the last line, its headline alone (:func:`summary_line`, at most
+``SUMMARY_MAX_BYTES``), so a capture that keeps only the tail of stdout
+still holds the flagship and scaling numbers::
+
+    {"value": ..., "seq_per_s": ..., "tok_per_s": ..., "sf": ...,
+     "num_cpus": N, "host_cpus": H, "scaling_efficiency": ...}
 
 ``host_cpus`` is that affinity count whatever ``RAY_GRAFT_CPUS`` says, so
 a record states the hardware it ran on.
@@ -909,6 +916,33 @@ def _run_scale_ops(timings: dict, minmax: dict, extras: dict) -> None:
     timed2("scale_pack_rows_flagship", packrows)
 
 
+#: keys of the summary line, plus ``scaling_efficiency`` when the record
+#: embeds a scaling run
+SUMMARY_KEYS = ("value", "seq_per_s", "tok_per_s", "sf", "num_cpus",
+                "host_cpus")
+SUMMARY_MAX_BYTES = 512
+
+
+def summary_line(record: dict) -> str:
+    """The headline of a full bench record as one short JSON line."""
+    summary = {k: record[k] for k in SUMMARY_KEYS}
+    if "scaling" in record:
+        summary["scaling_efficiency"] = record["scaling"]["scaling_efficiency"]
+    return json.dumps(summary)
+
+
+def _find_record(stdout: str, key: str) -> dict:
+    """The last JSON line of ``stdout`` that has ``key``."""
+    for line in reversed(stdout.splitlines()):
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(rec, dict) and key in rec:
+            return rec
+    raise ValueError(f"no JSON record with {key!r} in bench output")
+
+
 def _sf_tag(sf_dir: str) -> str:
     return os.path.basename(os.path.normpath(sf_dir)).removeprefix("sf")
 
@@ -1013,7 +1047,7 @@ def run_scaling(lo: int = 2, hi: int = 8) -> dict:
         out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
                              capture_output=True, text=True, check=True,
                              cwd=os.path.dirname(os.path.abspath(__file__))).stdout
-        return json.loads(out.strip().splitlines()[-1])
+        return _find_record(out, "queries")
 
     # best-of-2 per level: one stray scheduler/disk hiccup in a single
     # 10-50 s run moves measured efficiency by ±0.1 (observed 0.83-1.14
@@ -1046,3 +1080,4 @@ if __name__ == "__main__":
         if not os.environ.get(_SKIP_SCALING_ENV):
             result["scaling"] = run_scaling()
         print(json.dumps(result))
+        print(summary_line(result))

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data
 
 from zeeklog_ray.aggregate import HIST_COLUMNS, grouped_stats
@@ -134,3 +135,68 @@ def test_sink_schema_registry_matches_output(corpus_dir, tmp_path):
     f = glob.glob(os.path.join(out2, "sink=conn", "*.parquet"))[0]
     assert pq.read_schema(f).names == reg2["conn"]
     assert not any(c.startswith("geo_") for c in reg2["conn"])
+
+
+def _reference_sink_tables(t):
+    """What the routed write must produce: per sink, ``t.filter(sink ==
+    s)`` with ``sink`` and the other protocols' registry columns dropped."""
+    import pyarrow.compute as pc
+
+    from zeeklog_ray.sources import EXTRACTED_COLUMNS, SOURCE_FIELDS
+
+    out = {}
+    for s in pc.unique(t["sink"]).to_pylist():
+        own = set(SOURCE_FIELDS.get(s, ()))
+        out[s] = t.filter(pc.equal(t["sink"], s)).drop_columns(
+            ["sink"] + [c for c in EXTRACTED_COLUMNS if c not in own])
+    return out
+
+
+def _parsed_fragments(corpus_dir):
+    """Two corpus fragments, parsed one by one and concatenated, so the
+    ``sink`` column has two chunks and every sink's rows interleave
+    across them."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from zeeklog_ray.parse import parse_batch
+
+    files = sorted(glob.glob(os.path.join(corpus_dir, "date=*", "*.parquet")))
+    return pa.concat_tables([parse_batch(pq.read_table(f)) for f in files[:2]])
+
+
+@pytest.mark.parametrize("case", ["mixed", "one_sink", "filtered_empty"])
+def test_routed_write_equals_per_sink_filter(corpus_dir, tmp_path, case):
+    """Each sink's file holds exactly the filtered rows of that sink, in
+    input order, with that sink's columns in table order; a batch the
+    ``source`` filter empties writes no file and still returns stats."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from zeeklog_ray.flagship import FusedRouteWriter
+
+    t = _parsed_fragments(corpus_dir)
+    assert t["sink"].num_chunks == 2
+    source = None
+    if case == "mixed":
+        assert "none" in pc.unique(t["sink"]).to_pylist()
+    elif case == "one_sink":
+        t = t.filter(pc.equal(t["sink"], "dns"))
+        assert t["sink"].num_chunks == 2 and len(t)
+    else:  # a conn-only batch under source='dns' leaves 0 rows
+        t = t.filter(pc.equal(t["sink"], "conn"))
+        source = "dns"
+    out = str(tmp_path / "routed")
+    stats = FusedRouteWriter(out, enrich=False, source=source)(
+        t, name_hint="frag", pre_parsed=True)
+
+    exp = _reference_sink_tables(t) if source is None else {}
+    got = {os.path.basename(os.path.dirname(f)).removeprefix("sink="): f
+           for f in glob.glob(os.path.join(out, "sink=*", "*.parquet"))}
+    assert set(got) == set(exp)
+    for s, f in got.items():
+        back = pq.read_table(f)
+        assert back.schema.names == exp[s].schema.names, s
+        assert back.equals(exp[s]), s
+    assert dict(zip(stats["sink"].to_pylist(), stats["n"].to_pylist())) \
+        == {s: len(e) for s, e in exp.items()}

@@ -1,15 +1,44 @@
 """Shared Arrow word-split/hash kernel vs the original per-occurrence
-reference kernel (zeeklog_ray/ops/wordhash.py vs dedup._word_horner_hashes):
-bit-identical hashes, identical doc indices, unicode included."""
+reference kernel (zeeklog_ray/ops/wordhash.py vs _word_horner_hashes
+below): bit-identical hashes, identical doc indices, unicode included."""
 import numpy as np
 import pandas as pd
 import pytest
 
+from zeeklog_ray.ops.wordhash import _WORD_P
+
+
+def _word_horner_hashes(words: np.ndarray, wlens: np.ndarray) -> np.ndarray:
+    """uint64 Horner hash of each word's CODEPOINTS (acc0 = first codepoint,
+    h = h*P + cp, mod 2^64) — bit-replayable in DuckDB as
+    ``list_reduce(list_transform(range(...), j -> ord(...)), ...)``.
+
+    Vectorized with no per-word loop: Horner(w) equals
+    ``sum(cp_j * P^(L-1-j))`` in mod-2^64 arithmetic, so one utf-32 decode
+    of the concatenated words + one power-weighted ``np.add.reduceat``
+    computes every word at once.
+    """
+    if len(words) == 0:
+        return np.zeros(0, dtype=np.uint64)
+    cps = np.frombuffer("".join(words.tolist()).encode("utf-32-le"),
+                        dtype="<u4").astype(np.uint64)
+    wlens = wlens.astype(np.int64)
+    starts = np.zeros(len(wlens), dtype=np.int64)
+    np.cumsum(wlens[:-1], out=starts[1:])
+    maxlen = int(wlens.max())
+    # P^0..P^(maxlen-1) mod 2^64 — array accumulate wraps silently (the
+    # scalar loop would emit a RuntimeWarning per step)
+    ppow = np.full(maxlen, _WORD_P, dtype=np.uint64)
+    ppow[0] = np.uint64(1)
+    np.multiply.accumulate(ppow, out=ppow)
+    word_idx = np.repeat(np.arange(len(wlens)), wlens)
+    pos = np.arange(len(cps), dtype=np.int64) - starts[word_idx]
+    terms = cps * ppow[wlens[word_idx] - 1 - pos]
+    return np.add.reduceat(terms, starts)
+
 
 def _reference(texts):
     """The original pandas explode + per-occurrence Horner path."""
-    from zeeklog_ray.ops.dedup import _word_horner_hashes
-
     ex = pd.Series(texts).reset_index(drop=True).str.split(" ").explode()
     keep = ex.notna() & (ex != "")
     exv = ex[keep]

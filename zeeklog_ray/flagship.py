@@ -26,6 +26,18 @@ null-column metadata (measured) and the same again on every downstream
 scan.  Cross-sink reads still work: pyarrow/Ray unify the per-directory
 schemas and null-fill absent columns — semantically identical to the
 padded union.
+
+The routed write partitions each fragment ONCE: one stable sort on
+``sink`` and one ``take`` make each sink's rows a contiguous run in their
+original order, each run is written as a zero-copy ``slice`` with its
+sink's columns kept by ``select`` (a one-sink fragment, e.g. every Zeek-TSV
+fragment, skips the sort and the copy).  Do not bring back per-sink
+``filter`` + ``drop_columns``: on one 7,981-row, 102-column, 29-sink
+fragment under pyarrow 16 the 29 ``filter`` passes took 21 ms and the 29
+``drop_columns`` calls 20 ms (it rebuilds the table once per dropped
+name, ~77 per sink), against 17 ms for sort + take + slices + select and
+52 ms for the 29 Parquet writes (lowest of three best-of-20 runs on one
+core of a 4-vCPU VM).
 """
 
 from __future__ import annotations
@@ -72,13 +84,15 @@ class FusedRouteWriter:
         self.ip_pred = _ip_predicate(src_ip) if src_ip else None
         self.source = normalize_source(source) if source else None
         self.combine = _partial_stats("sink", "n_tok")
-        # per-sink drop list: registry columns belonging to OTHER protocols
-        # (all-null for this sink by construction — see module docstring)
+        # per-sink drop set: 'sink' plus the registry columns belonging to
+        # OTHER protocols (all-null for this sink by construction — see
+        # module docstring)
         self.drop_for_sink = {
-            s: [c for c in EXTRACTED_COLUMNS if c not in set(fields)]
+            s: frozenset(["sink", *(c for c in EXTRACTED_COLUMNS
+                                    if c not in set(fields))])
             for s, fields in SOURCE_FIELDS.items()
         }
-        self.drop_for_sink["none"] = list(EXTRACTED_COLUMNS)
+        self.drop_for_sink["none"] = frozenset(["sink", *EXTRACTED_COLUMNS])
 
     def __call__(self, batch: pa.Table, name_hint: str | None = None,
                  pre_parsed: bool = False) -> pa.Table:
@@ -93,9 +107,6 @@ class FusedRouteWriter:
         if self.enricher is not None:
             t = self.enricher(t)
         if len(t):
-            sinks = t["sink"]
-            if isinstance(sinks, pa.ChunkedArray):
-                sinks = sinks.combine_chunks()
             # name_hint (fragment-derived) makes output paths DETERMINISTIC:
             # a retried task overwrites its failed attempt's files instead of
             # duplicating rows.  It is REQUIRED — a uuid/sequence fallback
@@ -105,9 +116,22 @@ class FusedRouteWriter:
                     "FusedRouteWriter needs a deterministic name_hint (derive "
                     "it from the input fragment path, as FileRouteWorker does)"
                 )
-            for sink in pc.unique(sinks).to_pylist():
-                drop = ["sink"] + self.drop_for_sink.get(sink, [])
-                sub = t.filter(pc.equal(sinks, sink)).drop_columns(drop)
+            # partition once (module docstring): the stable sort keeps each
+            # sink's rows in input order; a one-sink fragment skips it
+            runs = pc.value_counts(t["sink"])
+            by_sink = t
+            if len(runs) > 1:
+                by_sink = t.take(pc.sort_indices(
+                    t, sort_keys=[("sink", "ascending")]))
+                # first appearance in a sorted column is run order
+                runs = pc.value_counts(by_sink["sink"])
+            start = 0
+            for sink, n in zip(runs.field("values").to_pylist(),
+                               runs.field("counts").to_pylist()):
+                drop = self.drop_for_sink.get(sink, frozenset(["sink"]))
+                sub = by_sink.slice(start, n).select(
+                    [c for c in t.column_names if c not in drop])
+                start += n
                 d = os.path.join(self.out_dir, f"sink={sink}")
                 os.makedirs(d, exist_ok=True)
                 # dictionary encoding costs ~25% of the routed write on the

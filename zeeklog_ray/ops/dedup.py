@@ -890,38 +890,7 @@ def semantic_dedup_pairs(ds: "ray.data.Dataset", threshold_e4: int,
 # the filter signal (docs that are mostly boilerplate / syndicated copy
 # score near 1.0 even when no WHOLE-document dup exists).
 
-_WORD_P = np.uint64(1000003)        # codepoint Horner base — the same base
-#                                     the simhash/fingerprint oracles replay
 _GRAM_Q = np.uint64(1099511628211)  # word-hash Horner base (FNV-ish prime)
-
-
-def _word_horner_hashes(words: np.ndarray, wlens: np.ndarray) -> np.ndarray:
-    """uint64 Horner hash of each word's CODEPOINTS (acc0 = first codepoint,
-    h = h*P + cp, mod 2^64) — bit-replayable in DuckDB as
-    ``list_reduce(list_transform(range(...), j -> ord(...)), ...)``.
-
-    Vectorized with no per-word loop: Horner(w) equals
-    ``sum(cp_j * P^(L-1-j))`` in mod-2^64 arithmetic, so one utf-32 decode
-    of the concatenated words + one power-weighted ``np.add.reduceat``
-    computes every word at once.
-    """
-    if len(words) == 0:
-        return np.zeros(0, dtype=np.uint64)
-    cps = np.frombuffer("".join(words.tolist()).encode("utf-32-le"),
-                        dtype="<u4").astype(np.uint64)
-    wlens = wlens.astype(np.int64)
-    starts = np.zeros(len(wlens), dtype=np.int64)
-    np.cumsum(wlens[:-1], out=starts[1:])
-    maxlen = int(wlens.max())
-    # P^0..P^(maxlen-1) mod 2^64 — array accumulate wraps silently (the
-    # scalar loop would emit a RuntimeWarning per step)
-    ppow = np.full(maxlen, _WORD_P, dtype=np.uint64)
-    ppow[0] = np.uint64(1)
-    np.multiply.accumulate(ppow, out=ppow)
-    word_idx = np.repeat(np.arange(len(wlens)), wlens)
-    pos = np.arange(len(cps), dtype=np.int64) - starts[word_idx]
-    terms = cps * ppow[wlens[word_idx] - 1 - pos]
-    return np.add.reduceat(terms, starts)
 
 
 def window_gram_counts(ds: "ray.data.Dataset", text_col: str = "text",
@@ -1272,9 +1241,9 @@ def cdc_chunk_table(ds: "ray.data.Dataset", text_col: str = "text",
 
     Vectorization: word hashes + rolling window hashes + per-chunk
     Horner combines are all numpy (the reduceat technique of
-    :func:`_word_horner_hashes`); only the boundary WALK is a Python
-    loop, and it iterates once per emitted CHUNK (≈ words / 2^mask_bits),
-    not per word.  Documents are rows, so everything here is row-local —
+    :func:`wordhash.horner_hash_strings`); only the boundary WALK is a
+    Python loop, and it iterates once per emitted CHUNK (≈ words /
+    2^mask_bits), not per word.  Documents are rows, so everything here is row-local —
     only ``(doc_id, chunk_hash, chunk_words)`` rows leave the stage.
 
     Output: ``(doc_id, chunk_hash int64, chunk_words int64)``, one row

@@ -22,9 +22,10 @@ and in hashing every word OCCURRENCE.  This module replaces both:
 Measured on a 100k-doc zipf corpus (avg 17 words): 2.14 s → 0.21 s warm
 for split+hash, bit-identical output (see BASELINE.md round 5).
 
-Values are IDENTICAL to the original per-occurrence kernel
-(``dedup._word_horner_hashes``) — the hash of a word doesn't depend on
-how many times it occurs — so every oracle stays bit-for-bit green.
+Values are IDENTICAL to the original per-occurrence kernel (kept as
+the reference ``_word_horner_hashes`` in ``tests/test_wordhash.py``) —
+the hash of a word doesn't depend on how many times it occurs — so every
+oracle stays bit-for-bit green.
 """
 
 from __future__ import annotations
