@@ -63,13 +63,14 @@ def test_with_hash_bucket_multikey_colocates(ray_session, pairs_df):
 def test_bucket_exchange_colocates_and_hides_bucket(ray_session, in_blocks,
                                                     pairs_df, key, arrow_out):
     """Every key's rows reach exactly one fn call, and fn runs at most
-    once per input block (one block: one call); fn sees the input's
-    columns only, and the bucket column never reaches the output."""
+    once per input block (one block: one call); fn gets an Arrow table
+    of the input's columns only, and the bucket column never reaches the
+    output."""
     keys = [key] if isinstance(key, str) else key
 
-    def fn(group: pd.DataFrame):
-        assert list(group.columns) == ["doc_a", "doc_b"]
-        out = group.assign(call=np.int64(uuid.uuid4().int >> 66))
+    def fn(group: pa.Table):
+        assert group.column_names == ["doc_a", "doc_b"]
+        out = group.to_pandas().assign(call=np.int64(uuid.uuid4().int >> 66))
         return pa.Table.from_pandas(out, preserve_index=False) \
             if arrow_out else out
 
@@ -100,8 +101,8 @@ def test_bucket_exchange_cuts_large_partition_at_keys(ray_session, pairs_df,
 
     monkeypatch.setattr(rel, "CALL_BYTES", call_bytes)
 
-    def fn(group: pd.DataFrame):
-        return group.assign(call=np.int64(uuid.uuid4().int >> 66))
+    def fn(group: pa.Table):
+        return group.to_pandas().assign(call=np.int64(uuid.uuid4().int >> 66))
 
     out = bucket_exchange(ray.data.from_pandas(pairs_df),
                           ["doc_a", "doc_b"], fn).to_pandas()
@@ -121,13 +122,146 @@ def test_bucket_exchange_empty_input(ray_session, pairs_df):
     drops an all-empty input's schema at its first map stage, so the
     output carries no columns — the same as every exchange before the
     primitive."""
-    def fn(group: pd.DataFrame):
+    def fn(group: pa.Table):
         raise AssertionError("fn called on an empty input")
 
     ds = bucket_exchange(ray.data.from_pandas(pairs_df.iloc[:0]), "doc_a",
                          fn)
     assert ds.count() == 0
     assert "_bucket" not in ds.to_pandas().columns
+
+
+def _upstream(df: pd.DataFrame, kind: str, n_blocks: int = 3):
+    """``df`` as a Dataset of Arrow blocks, or of pandas blocks made by
+    a pandas map (as most operators' upstream stages make them)."""
+    k = len(df) // n_blocks
+    ds = ray.data.from_arrow([pa.Table.from_pandas(
+        df.iloc[i * k:(i + 1) * k if i < n_blocks - 1 else len(df)],
+        preserve_index=False) for i in range(n_blocks)])
+    return ds if kind == "arrow" else ds.map_batches(
+        lambda b: b, batch_format="pandas", batch_size=None)
+
+
+@pytest.mark.parametrize("kind", ["arrow", "pandas"])
+@pytest.mark.parametrize("key", ["i64", "i32", "s", ["i64", "s"]])
+def test_with_hash_bucket_values_match_pandas_hash(ray_session, kind, key):
+    """The bucket value is pandas' row hash of the key columns (a
+    Series for one key, a frame for several), viewed as int64 — the
+    same value whichever block kind the rows arrive in."""
+    rng = np.random.default_rng(5)
+    df = pd.DataFrame({
+        "id": np.arange(300),
+        "i64": rng.integers(-2**62, 2**62, 300),
+        "i32": rng.integers(-2**31, 2**31, 300).astype(np.int32),
+        "s": rng.choice(["conn", "dns", "http", "ssl"], 300)})
+    out = with_hash_bucket(_upstream(df, kind), key).to_pandas() \
+        .sort_values("id")
+    want = pd.util.hash_pandas_object(df[key], index=False).to_numpy()
+    np.testing.assert_array_equal(out["_bucket"].to_numpy(),
+                                  want.view(np.int64))
+
+
+def test_with_hash_bucket_int_key_with_nulls_hashes_like_int(ray_session):
+    """An int key holding nulls (Arrow int64 with nulls, which pandas
+    would convert to float64) buckets its non-null rows exactly like
+    the same key without nulls."""
+    t = pa.table({"k": pa.array([1, None, 2**60, -7], pa.int64())})
+    got = with_hash_bucket(ray.data.from_arrow(t), "k").to_pandas()
+    want = pd.util.hash_pandas_object(pd.Series([1, 2**60, -7]),
+                                      index=False).to_numpy()
+    np.testing.assert_array_equal(got["_bucket"].to_numpy()[[0, 2, 3]],
+                                  want.view(np.int64))
+
+
+def _token_frame(n: int = 200) -> pd.DataFrame:
+    rng = np.random.default_rng(8)
+    return pd.DataFrame({
+        "k": np.arange(n) % 17,
+        "tok": [rng.integers(0, 50_000, rng.integers(0, 40))
+                .astype(np.int32) for _ in range(n)]})
+
+
+@pytest.mark.parametrize("kind", ["arrow", "pandas"])
+def test_token_lists_cross_bucket_exchange_intact(ray_session, kind):
+    """A list<int32> column reaches fn as an Arrow list of int32 values,
+    row for row the values that went in, from an Arrow upstream and from
+    a pandas one (whose ndarray column Ray ships as a tensor column)."""
+    from zeeklog_ray.arrowutil import list_values_offsets
+
+    df = _token_frame()
+    df["row"] = np.arange(len(df))
+
+    def fn(t: pa.Table) -> pd.DataFrame:
+        vals, offs = list_values_offsets(t["tok"])
+        if kind == "arrow":
+            assert t["tok"].type == pa.list_(pa.int32())
+        assert vals.dtype == np.int32
+        return pd.DataFrame({"row": t["row"].to_numpy(),
+                             "sum": np.add.reduceat(
+                                 np.r_[vals.astype(np.int64), 0],
+                                 offs[:-1]) * (np.diff(offs) > 0),
+                             "n": np.diff(offs)})
+
+    out = bucket_exchange(_upstream(df, kind), "k", fn).to_pandas() \
+        .sort_values("row")
+    assert out["n"].tolist() == [len(t) for t in df["tok"]]
+    assert out["sum"].tolist() == [int(t.astype(np.int64).sum())
+                                   for t in df["tok"]]
+
+
+@pytest.mark.parametrize("kind", ["arrow", "pandas"])
+def test_token_lists_cross_cogroup_intact(ray_session, kind):
+    """Through cogroup a token column reaches fn as int32 ndarrays, each
+    row's values exactly as they went in."""
+    from zeeklog_ray.relational import cogroup
+
+    df = _token_frame()
+    other = pd.DataFrame({"k": np.arange(17), "w": np.arange(17) * 10})
+
+    def fn(frames: list) -> pd.DataFrame:
+        toks, ws = frames
+        assert all(isinstance(t, np.ndarray) and t.dtype == np.int32
+                   for t in toks["tok"])
+        m = toks.merge(ws, on="k")
+        return pd.DataFrame({"k": m["k"], "w": m["w"],
+                             "tok": [t.tobytes() for t in m["tok"]]})
+
+    out = cogroup([_upstream(df, kind), _upstream(other, kind, 1)], "k",
+                  fn).to_pandas()
+    want = sorted((k, k * 10, t.tobytes()) for k, t in zip(df["k"],
+                                                           df["tok"]))
+    assert sorted(zip(out["k"], out["w"], out["tok"])) == want
+
+
+def test_cogroup_int_key_with_nulls_on_one_side_matches(ray_session):
+    """A key holding nulls on one side only (Arrow int64 with nulls, a
+    pandas nullable Int64) still hashes like the other side's plain int
+    key: every non-null row meets its match, and the null-key rows
+    reach fn as well."""
+    from zeeklog_ray.relational import cogroup
+
+    big = 2**53 + 1
+    a = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, big],
+                                           "x": [10, 20, 30]}))
+    sides = {
+        "arrow": ray.data.from_arrow(pa.table({
+            "k": pa.array([1, None, 2, big, None], pa.int64()),
+            "y": pa.array([1, 2, 3, 4, 5])})),
+        "pandas": ray.data.from_pandas(pd.DataFrame({
+            "k": pd.array([1, None, 2, big, None], dtype="Int64"),
+            "y": [1, 2, 3, 4, 5]})),
+    }
+
+    def fn(frames: list) -> pd.DataFrame:
+        left, right = frames
+        m = left.merge(right.dropna(subset=["k"]).astype({"k": "int64"}),
+                       on="k")
+        return pd.DataFrame({"k": m["k"].astype("int64"), "y": m["y"],
+                             "nulls": int(right["k"].isna().sum())})
+
+    for b in sides.values():
+        out = cogroup([a, b], "k", fn).to_pandas()
+        assert sorted(zip(out["k"], out["y"])) == [(1, 1), (2, 3), (big, 4)]
 
 
 # The bucket column and its groupby belong to relational.bucket_exchange;

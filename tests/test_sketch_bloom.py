@@ -238,23 +238,21 @@ def test_grouped_interp_quantiles_rejects_bad_pcts(ray_session):
 
 
 def test_countmin_never_underestimates_and_merges(ray_session):
-    """Adversarially small width forces collisions: estimates are always
-    >= truth; the distributed per-batch merge equals a single-pass
-    sketch."""
-    from zeeklog_ray.ops.sketch import (
-        countmin_estimate,
-        countmin_from_dataset,
-        countmin_of,
-    )
+    """Adversarially small width forces collisions on a string key:
+    estimates are always >= truth; the distributed per-batch merge
+    equals a single-block sketch."""
+    from zeeklog_ray.ops.sketch import count_min_build, count_min_estimate
 
     rng = np.random.default_rng(4)
     vals = pd.Series(rng.zipf(1.3, 30_000).astype(str))
-    ds = ray.data.from_pandas(pd.DataFrame({"v": vals})).repartition(9)
-    sk = countmin_from_dataset(ds, "v", width=64, depth=4)
-    assert (sk == countmin_of(vals, width=64, depth=4)).all()   # mergeable
+    df = pd.DataFrame({"v": vals})
+    sk = count_min_build(ray.data.from_pandas(df).repartition(9), "v",
+                         width=64, depth=4)
+    one = count_min_build(ray.data.from_pandas(df), "v", width=64, depth=4)
+    assert (sk == one).all()                                     # mergeable
     true = vals.value_counts()
-    probes = pd.Series(true.index[:200])
-    est = countmin_estimate(sk, probes)
+    probes = true.index[:200].to_numpy()
+    est = count_min_estimate(sk, probes)
     truth = true[probes].to_numpy()
     assert (est >= truth).all()                                  # one-sided
     # error bound: over by < 2e/width * n with prob 1-2^-depth; allow the
@@ -263,13 +261,14 @@ def test_countmin_never_underestimates_and_merges(ray_session):
 
 
 def test_countmin_registry_config_exact(ray_session):
-    """The registry configuration (5 keys, width 2048) is collision-free:
-    estimates equal exact counts."""
-    from zeeklog_ray.ops.sketch import countmin_counts
+    """The registry configuration (5 keys, width 2048, depth 4) is
+    collision-free on a string key: estimates equal exact counts."""
+    from zeeklog_ray.ops.sketch import count_min_build, count_min_estimate
 
     df = pd.DataFrame({"t": ["a"] * 10 + ["b"] * 3 + ["c"] * 7})
-    out = countmin_counts(ray.data.from_pandas(df), "t", ["a", "b", "c", "zz"])
-    assert dict(zip(out["t"], out["n"])) == {"a": 10, "b": 3, "c": 7, "zz": 0}
+    cm = count_min_build(ray.data.from_pandas(df), "t", width=2048, depth=4)
+    est = count_min_estimate(cm, ["a", "b", "c", "zz"])
+    assert est.tolist() == [10, 3, 7, 0]
 
 
 def test_grouped_iqr_outliers(ray_session):

@@ -34,15 +34,14 @@ def list_values_offsets(col) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("list_values_offsets: column has null list slots"
                          " (flatten() would misalign values vs offsets)")
     if isinstance(t, pa.ExtensionType):
-        # Ray's tensor extension (uniform-shaped lists become
-        # ArrowTensorType/V2 when a Dataset round-trips through pandas) —
-        # decode via numpy; rows are fixed-shape by construction
-        arr = np.asarray(col.to_numpy(zero_copy_only=False))
-        if arr.dtype == object:
-            arr = np.stack(list(arr))
-        d = int(np.prod(arr.shape[1:], dtype=np.int64))
-        offs = np.arange(arr.shape[0] + 1, dtype=np.int64) * d
-        return np.ascontiguousarray(arr).reshape(-1), offs
+        # Ray's tensor extension (an ndarray column a pandas block
+        # converted to Arrow): its storage is a list of each row's
+        # flattened values, or, for variable shapes, a struct whose
+        # "data" field is that list
+        col = col.storage
+        if pa.types.is_struct(col.type):
+            col = col.flatten()[col.type.get_field_index("data")]
+        t = col.type
     if pa.types.is_fixed_size_list(t):
         vals = col.flatten().to_numpy(zero_copy_only=False)
         offs = np.arange(len(col) + 1, dtype=np.int64) * t.list_size

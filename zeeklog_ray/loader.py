@@ -13,11 +13,16 @@ is that last mile:
   tokens, so the task that computes a doc's global offset also cuts it
   into per-pack PIECES; one (source, pack_id) exchange then co-locates
   the pieces of each pack.  No join re-attaches tokens to an
-  assignment.  The price: one task holds its whole (source, date)
-  cell's token bytes (the cell bound ``ops/packing`` relies on).
-  Assembly is fully vectorized: within a bucket, every piece's tokens
-  scatter into the padded output matrix through ONE flat index
-  expression — no per-doc or per-pack Python in the hot path.
+  assignment.  Tokens cross both exchanges as an Arrow ``list<int32>``
+  column (the exchange moves Arrow blocks end to end): pieces are cut
+  from the column's flat values and offsets
+  (``arrowutil.list_values_offsets``) and shipped as one
+  ``LargeListArray`` per call.  The price: one task holds its whole
+  (source, date) cell's token bytes (the cell bound ``ops/packing``
+  relies on).  Assembly is fully vectorized: within a bucket, every
+  piece's tokens scatter into the padded output matrix through ONE
+  flat index expression — no per-doc or per-pack Python in the hot
+  path.
   ``pack_hash`` is the Horner(B=1000003) mod-2^64 hash of the REAL
   tokens (padding excluded), computed from one modular-inverse prefix
   scan per batch — the same bit-replayable family as
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray
 import ray.data
@@ -67,28 +73,16 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
     themselves, :func:`zeeklog_ray.relational.bucket_exchange`); it
     stays only while the perfbench ``pack`` workload passes it."""
     from zeeklog_ray.ops.packing import _cell_exchange
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     cl = context_len
 
-    def tok_to_bytes(batch: pd.DataFrame) -> pd.DataFrame:
-        # token payloads ship as BYTES through every exchange: Ray 2.49's
-        # sort-based shuffles merge pandas blocks, and both
-        # object-of-ndarray columns and Arrow list columns trip the
-        # TensorArray concat there; int32.tobytes() round-trips exactly
-        return pd.DataFrame({
-            group_col: batch[group_col],
-            range_col: batch[range_col],
-            order_col: batch[order_col],
-            "n_tok": batch["n_tok"],
-            "_tb": [np.asarray(t, np.int32).tobytes()
-                    for t in batch[tokens_col]]})
-
-    def pieces(batch: pd.DataFrame, off: np.ndarray) -> pd.DataFrame:
+    def pieces(batch: pa.Table, off: np.ndarray) -> pa.Table:
         # split each doc into per-pack pieces: piece p of a doc starting
         # at global offset off covers tokens [max(0, (first+p)·cl − off),
         # …) — vectorized with repeat/cumsum, no per-doc Python
-        n = batch["_tb"].str.len().to_numpy(np.int64) // 4
+        flat, starts = list_values_offsets(batch[tokens_col])
+        n = np.diff(starts)
         first = off // cl
         last = np.where(n > 0, (off + n - 1) // cl, first)
         m = last - first + 1
@@ -100,55 +94,41 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
         src_to = np.minimum(n[doc_idx], (pk + 1) * cl - off[doc_idx])
         dest = np.maximum(off[doc_idx] - pk * cl, 0)
         keep = src_to > src_from
-        flat = np.frombuffer(b"".join(batch["_tb"]), dtype=np.int32)
-        starts = np.zeros(len(n) + 1, dtype=np.int64)
-        np.cumsum(n, out=starts[1:])
         # gather every kept piece's tokens into one flat array + offsets
         # (vectorized: global index = piece start + intra-piece arange)
         kf, kt = src_from[keep], src_to[keep]
         kd = doc_idx[keep]
         plens = kt - kf
-        ptotal = int(plens.sum())
         poffs = np.zeros(len(plens) + 1, dtype=np.int64)
         np.cumsum(plens, out=poffs[1:])
         gidx = (np.repeat(starts[kd] + kf, plens)
-                + np.arange(ptotal, dtype=np.int64)
+                + np.arange(poffs[-1], dtype=np.int64)
                 - np.repeat(poffs[:-1], plens))
-        gathered = flat[gidx] if ptotal else np.array([], dtype=np.int32)
-        tok_bytes = [gathered[poffs[i]:poffs[i + 1]].tobytes()
-                     for i in range(len(plens))]
-        return pd.DataFrame({
-            group_col: batch[group_col].to_numpy()[kd],
+        return pa.table({
+            group_col: batch[group_col].take(kd),
             "pack_id": pk[keep],
             "_dest": dest[keep],
-            "_toks": tok_bytes})
+            "_toks": pa.LargeListArray.from_arrays(
+                poffs, flat[gidx].astype(np.int32, copy=False))})
 
     toks = ds.select_columns([group_col, range_col, order_col, "n_tok",
-                              tokens_col]) \
-        .map_batches(tok_to_bytes, batch_format="pandas", batch_size=None)
+                              tokens_col])
     piece_rows = _cell_exchange(
         ds, toks, pieces, group_col=group_col, order_col=order_col,
         len_col="n_tok", range_col=range_col)
 
-    def assemble(group: pd.DataFrame) -> "pa.Table":
-        # pyarrow output: a pandas object column of ndarrays trips Ray's
-        # TensorArray block concat; the ListArray is also the zero-copy
-        # layout downstream consumers want
-        import pyarrow as pa
-
-        g = group.sort_values([group_col, "pack_id", "_dest"],
-                              kind="mergesort")
-        codes, uniq = pd.factorize(
-            pd.MultiIndex.from_arrays([g[group_col], g["pack_id"]]),
-            use_na_sentinel=False)
-        buf = b"".join(g["_toks"])
-        flat = np.frombuffer(buf, dtype=np.int32)
-        lens = g["_toks"].str.len().to_numpy(np.int64) // 4
-        base = codes * cl + g["_dest"].to_numpy(np.int64)
+    def assemble(group: pa.Table) -> pa.Table:
+        # packs in (group, pack_id) order; the pieces' tokens never move
+        # until they scatter into the output
+        codes, packs = pd.MultiIndex.from_frame(to_pandas(
+            group.select([group_col, "pack_id"]))).factorize(sort=True)
+        flat, offs = list_values_offsets(group["_toks"])
+        lens = np.diff(offs)
+        base = codes * cl + group["_dest"].to_numpy()
         dest = (np.repeat(base, lens)
-                + np.arange(int(lens.sum()), dtype=np.int64)
-                - np.repeat(np.cumsum(lens) - lens, lens))
-        n_packs = len(uniq)
+                + np.arange(offs[-1], dtype=np.int64)
+                - np.repeat(offs[:-1], lens))
+        n_packs = len(packs)
         out = np.full(n_packs * cl, pad_id, dtype=np.int32)
         out[dest] = flat
         n_real = np.zeros(n_packs, dtype=np.int64)
@@ -156,21 +136,18 @@ def pack_token_rows(ds: "ray.data.Dataset", *, context_len: int = 2048,
         # padding-free hash: real tokens are CONTIGUOUS from slot 0 of
         # each pack (the stream is gap-free by construction), so hash
         # out[r·cl : r·cl + n_real[r]] per pack from one prefix scan
-        offs = np.zeros(n_packs + 1, dtype=np.int64)
-        np.cumsum(n_real, out=offs[1:])
+        roffs = np.zeros(n_packs + 1, dtype=np.int64)
+        np.cumsum(n_real, out=roffs[1:])
         packed_real = out.reshape(n_packs, cl)[
             np.arange(cl) < n_real[:, None]]
-        hashes = _pack_hashes(packed_real, offs)
-        list_offs = (np.arange(n_packs + 1, dtype=np.int64) * cl)
+        hashes = _pack_hashes(packed_real, roffs)
         return pa.table({
-            group_col: pa.array([u[0] for u in uniq]),
-            "pack_id": pa.array(
-                np.array([u[1] for u in uniq], dtype=np.int64)),
+            group_col: packs.get_level_values(0),
+            "pack_id": packs.get_level_values(1),
             "input_ids": pa.LargeListArray.from_arrays(
-                pa.array(list_offs, pa.int64()),
-                pa.array(out, pa.int32())),
-            "n_real": pa.array(n_real),
-            "pack_hash": pa.array(hashes.astype(np.int64))})
+                np.arange(n_packs + 1, dtype=np.int64) * cl, out),
+            "n_real": n_real,
+            "pack_hash": hashes.astype(np.int64)})
 
     return bucket_exchange(piece_rows, [group_col, "pack_id"], assemble)
 

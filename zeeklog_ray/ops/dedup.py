@@ -67,15 +67,15 @@ def normalized_exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
     pass is one vectorized regex per batch.  Reference analog: none
     (the reference has no content dedup); public C4-style cleaning
     stage."""
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     def digest(batch: pd.DataFrame) -> pd.DataFrame:
         h1, h2 = content_digest128(normalize_text(batch[text_col]))
         return pd.DataFrame({"digest": h1, "digest2": h2,
                              id_col: batch[id_col]})
 
-    def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(["digest", "digest2"], sort=False)
+    def dedup_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).groupby(["digest", "digest2"], sort=False)
         return g.agg(**{id_col: (id_col, "min"),
                         "n_dups": (id_col, "size")}).reset_index(drop=True)
 
@@ -217,10 +217,10 @@ def _over_cap_bucket_keys(banded: "ray.data.Dataset", n_banded: int,
         return (totals.index.to_numpy(np.int64)[over],
                 int(totals.to_numpy()[over].sum()))
 
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
-    def over_cap(group: pd.DataFrame) -> pd.DataFrame:
-        vc = group["bb"].value_counts()
+    def over_cap(group: pa.Table) -> pd.DataFrame:
+        vc = to_pandas(group)["bb"].value_counts()
         vc = vc[vc > max_bucket]
         return pd.DataFrame({"bb": vc.index.to_numpy(np.int64),
                              "m": vc.to_numpy(np.int64)})
@@ -310,9 +310,11 @@ def minhash_lsh_pairs(ds: "ray.data.Dataset", text_col: str = "text",
     # crosses it once, and each key-hash bucket self-merges its rows in
     # C-level pandas.  A bucket holds many band keys because Ray pays
     # Python per group (one group per band key: 28 s for 5k docs).
-    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
+    from zeeklog_ray.relational import (bucket_exchange, bucketed_distinct,
+                                        to_pandas)
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(group: pa.Table) -> pd.DataFrame:
+        group = to_pandas(group)
         m = group.merge(group, on="bb", suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
         return pd.DataFrame({"doc_a": m["doc_id_a"].to_numpy(),
@@ -705,9 +707,11 @@ def simhash_near_dup_pairs(ds: "ray.data.Dataset", max_hamming: int = 3,
             "doc_b": pa.array([], pa.int64()),
             "hamming": pa.array([], pa.int64())}))
 
-    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
+    from zeeklog_ray.relational import (bucket_exchange, bucketed_distinct,
+                                        to_pandas)
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(group: pa.Table) -> pd.DataFrame:
+        group = to_pandas(group)
         m = group.merge(group, on="bb", suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
         ham = _popcount64(m["sh_a"].to_numpy(np.int64).view(np.uint64)
@@ -729,10 +733,10 @@ def first_wins(ds: "ray.data.Dataset", key: str,
 
     One :func:`~zeeklog_ray.relational.bucket_exchange`: a stable sort +
     ``drop_duplicates`` per key-hash bucket instead of Python per key."""
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key, order_col], kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key, order_col], kind="mergesort")
         return g.drop_duplicates(subset=[key], keep="first")
 
     return bucket_exchange(ds, key, per_bucket)
@@ -1027,11 +1031,12 @@ def duplicated_window_stats(ds: "ray.data.Dataset", text_col: str = "text",
     both finish inside the bucket as C-level pandas); stage 3 is a
     doc-shaped bucketed sum.  Window payloads (the text) never shuffle.
     """
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     dg = window_gram_counts(ds, text_col=text_col, id_col=id_col, k=k)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        group = to_pandas(group)
         # rows are distinct per (doc, gram) ⇒ group size == n distinct docs
         ndocs = group.groupby("gram", sort=False)["cnt"].transform("size")
         dup = group[ndocs >= 2]
@@ -1083,13 +1088,14 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
 
     Both tiers are exact and agree (pytest cross-tier parity).
     """
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     import ray as _ray
 
     dg = window_gram_counts(ds, text_col=text_col, id_col=id_col, k=k)
 
-    def dup_grams(group: pd.DataFrame) -> pd.DataFrame:
+    def dup_grams(group: pa.Table) -> pd.DataFrame:
+        group = to_pandas(group)
         sz = group.groupby("gram", sort=False)["cnt"].transform("size")
         return group.loc[sz >= 2, ["gram"]].drop_duplicates()
 
@@ -1178,8 +1184,8 @@ def remove_dup_spans(ds: "ray.data.Dataset", text_col: str = "text",
                             batch_size=None)
     hits = bucketed_equi_join(winpos, dup, on="gram")
 
-    def starts_per_doc(group: pd.DataFrame) -> pd.DataFrame:
-        agg = group.groupby(id_col, sort=False)["pos"] \
+    def starts_per_doc(group: pa.Table) -> pd.DataFrame:
+        agg = to_pandas(group).groupby(id_col, sort=False)["pos"] \
             .agg(lambda s: sorted(s)).reset_index(name="_starts")
         return agg
 
@@ -1343,7 +1349,7 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
     Output: ``(doc_id, n_words, shared_words, shared_ratio_e4)`` for
     every document.
     """
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     ch = cdc_chunk_table(ds, text_col=text_col, id_col=id_col,
                          window=window, mask_bits=mask_bits,
@@ -1365,9 +1371,9 @@ def cdc_dup_stats(ds: "ray.data.Dataset", text_col: str = "text",
     per_doc = ch.map_batches(collapse, batch_format="pandas",
                              batch_size=None)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g2 = group.groupby(["chunk_hash", id_col], sort=False,
-                           as_index=False)["w"].sum()
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g2 = to_pandas(group).groupby(["chunk_hash", id_col], sort=False,
+                                      as_index=False)["w"].sum()
         ndocs = g2.groupby("chunk_hash", sort=False)["w"] \
             .transform("size")
         dup = g2[ndocs >= 2]

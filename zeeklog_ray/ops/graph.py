@@ -156,16 +156,16 @@ def canonical_per_component(components: "ray.data.Dataset",
     escape from Ray's per-group Python).  Output: one row per
     component — ``(component, canonical, canonical_score, n_members)``.
     """
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     scored = bucketed_equi_join(
         components, meta.select_columns([meta_key, score_col]),
         on="node", right_on=meta_key)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["component", score_col, "node"],
-                              ascending=[True, False, True],
-                              kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values(["component", score_col, "node"],
+                                         ascending=[True, False, True],
+                                         kind="mergesort")
         sizes = g.groupby("component", sort=False).size()
         win = g.drop_duplicates("component", keep="first")
         return pd.DataFrame({
@@ -222,7 +222,8 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
     defensively.  Only (src, dst, deg) triples ever shuffle."""
     import ray as _ray
 
-    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
+    from zeeklog_ray.relational import (bucket_exchange, bucketed_distinct,
+                                        to_pandas)
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         a, b = df[a_col].to_numpy(), df[b_col].to_numpy()
@@ -276,7 +277,8 @@ def triangle_count(pairs: "ray.data.Dataset", a_col: str = "doc_a",
         directed = dboth.map_batches(orient, batch_format="pandas",
                                      batch_size=None).materialize()
 
-    def wedges(group: pd.DataFrame) -> pd.DataFrame:
+    def wedges(group: pa.Table) -> pd.DataFrame:
+        group = to_pandas(group)
         m = group.merge(group, on="src")
         keep = (m["dst_deg_x"] < m["dst_deg_y"]) | \
             ((m["dst_deg_x"] == m["dst_deg_y"]) & (m["dst_x"] < m["dst_y"]))

@@ -662,7 +662,8 @@ def phash_dup_groups(phashes: "ray.data.Dataset", max_hamming: int = 3,
     import pandas as pd
 
     from zeeklog_ray.ops.graph import connected_components
-    from zeeklog_ray.relational import bucket_exchange, bucketed_distinct
+    from zeeklog_ray.relational import (bucket_exchange, bucketed_distinct,
+                                        to_pandas)
 
     def band_rows(df: pd.DataFrame) -> pd.DataFrame:
         h = df["phash"].to_numpy(np.int64).view(np.uint64)
@@ -707,7 +708,8 @@ def phash_dup_groups(phashes: "ray.data.Dataset", max_hamming: int = 3,
         banded = banded.map_batches(drop_big, batch_format="pandas",
                                     batch_size=None)
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(group: pa.Table) -> pd.DataFrame:
+        group = to_pandas(group)
         m = group.merge(group, on="bb", suffixes=("_a", "_b"))
         m = m[m["item_id_a"] < m["item_id_b"]]
         x = m["phash_a"].to_numpy(np.int64).view(np.uint64) ^ \

@@ -34,12 +34,14 @@ LLM-pipeline family the brief adds.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray
 import ray.data
 
-from zeeklog_ray.relational import bucket_exchange, grouped_sum
+from zeeklog_ray.relational import bucket_exchange, grouped_sum, to_pandas
 
 
 def _cell_exchange(ds: "ray.data.Dataset", rows: "ray.data.Dataset",
@@ -48,8 +50,8 @@ def _cell_exchange(ds: "ray.data.Dataset", rows: "ray.data.Dataset",
     """The two-level prefix sum: pass 1 reads only (group, range, len)
     of ``ds``; pass 2 exchanges ``rows`` (which must carry group, range,
     order and len) by (group, range) and calls ``emit(g, off)`` once per
-    bucket, with ``g`` the bucket sorted by (group, range, order) and
-    ``off`` each row's global int64 offset in its group's stream."""
+    bucket, with ``g`` the bucket's Arrow rows and ``off`` each row's
+    global int64 offset in its group's stream."""
     # ---- pass 1: per-(group, range) subtotals → exclusive base offsets
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         return (batch.groupby([group_col, range_col], sort=False)[len_col]
@@ -72,17 +74,19 @@ def _cell_exchange(ds: "ray.data.Dataset", rows: "ray.data.Dataset",
     bases_ref = ray.put(
         subtotals.set_index([group_col, range_col])["_base"])
 
-    # ---- pass 2: one bucketed shuffle, per-cell sort + cumsum + base
-    def per_bucket(group: pd.DataFrame):
+    # ---- pass 2: one bucketed shuffle, per-cell sort + cumsum + base;
+    # only the key columns sort, so a token payload never moves
+    def per_bucket(t: pa.Table):
         b = ray.get(bases_ref)
-        g = group.sort_values([group_col, range_col, order_col],
-                              kind="mergesort")
+        g = to_pandas(t.select([group_col, range_col, order_col, len_col])) \
+            .sort_values([group_col, range_col, order_col], kind="mergesort")
         lens = g[len_col].astype("int64")
         csum = lens.groupby(
             [g[group_col], g[range_col]], sort=False).cumsum()
-        start = (csum - lens).to_numpy()
         idx = pd.MultiIndex.from_arrays([g[group_col], g[range_col]])
-        return emit(g, start + b.reindex(idx).to_numpy())
+        off = np.empty(len(g), dtype=np.int64)
+        off[g.index] = (csum - lens).to_numpy() + b.reindex(idx).to_numpy()
+        return emit(t, off)
 
     return bucket_exchange(rows, [group_col, range_col], per_bucket)
 
@@ -102,11 +106,11 @@ def pack_assignments(ds: "ray.data.Dataset", *, group_col: str = "source",
     :func:`zeeklog_ray.relational.bucket_exchange`); it stays only while
     the perfbench ``pack`` workload passes it.
     """
-    def assign(g: pd.DataFrame, off) -> pd.DataFrame:
-        return pd.DataFrame({
-            group_col: g[group_col].to_numpy(),
-            order_col: g[order_col].to_numpy(),
-            len_col: g[len_col].to_numpy("int64"),
+    def assign(g: pa.Table, off) -> pa.Table:
+        return pa.table({
+            group_col: g[group_col],
+            order_col: g[order_col],
+            len_col: g[len_col].cast(pa.int64()),
             "pack_id": off // context_len,
             "pack_offset": off % context_len,
         })

@@ -24,7 +24,8 @@ import pandas as pd
 
 import ray.data
 
-from zeeklog_ray.relational import _NULLABLE_INT, bucket_exchange, cogroup
+from zeeklog_ray.relational import (_nullable_int, bucket_exchange, cogroup,
+                                    to_pandas)
 
 
 def sessionize(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
@@ -38,8 +39,8 @@ def sessionize(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
     """
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key, ts], kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key, ts], kind="mergesort")
         key_change = g[key].ne(g[key].shift())
         boundary = key_change | (g[ts].diff() > gap)
         sid = boundary.cumsum()                 # global session label
@@ -63,8 +64,8 @@ def session_counts(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
     """Per-key session count (the compact, oracle-friendly view)."""
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key, ts], kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key, ts], kind="mergesort")
         key_change = g[key].ne(g[key].shift())
         brk = (g[ts].diff() > gap) & ~key_change
         tmp = pd.DataFrame({key: g[key].to_numpy(), "_brk": brk.to_numpy()})
@@ -93,8 +94,8 @@ def lead_lag(ds: "ray.data.Dataset", key: str = "user_id", ts: str = "ts",
     extra = order_extra or []
     prev_col, next_col = f"prev_{ts}", f"next_{ts}"
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key, ts] + extra, kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key, ts] + extra, kind="mergesort")
         same_prev = g[key].eq(g[key].shift())          # False on NaN keys
         same_next = g[key].eq(g[key].shift(-1))
         g = g.assign(**{prev_col: g[ts].shift().where(same_prev),
@@ -178,10 +179,9 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         lg = frames[0].sort_values(ts, kind="mergesort")
         rg = frames[1].dropna(subset=[key, ts]) \
             .sort_values(ts, kind="mergesort").rename(columns=out_name)
-        rg = rg.astype({c: _NULLABLE_INT[str(dt)]
-                        for c, dt in rg.dtypes.items()
+        rg = rg.astype({c: _nullable_int(dt) for c, dt in rg.dtypes.items()
                         if c in out_name.values()
-                        and str(dt) in _NULLABLE_INT})
+                        and pd.api.types.is_integer_dtype(dt)})
         null_key = (lg[key].isna() | lg[ts].isna()).to_numpy()
         out = pd.merge_asof(lg[~null_key], rg, on=ts, by=key,
                             direction="backward")

@@ -162,16 +162,16 @@ def grouped_approx_distinct(ds: "ray.data.Dataset", key: str, col: str,
             out_sk.append(_sketch_of(seg).tobytes())
         return pd.DataFrame({key: out_keys, "_sk": out_sk})
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def merge_bucket(group: pa.Table) -> pd.DataFrame:
         out_keys, out_sk = [], []
-        for k, g in group.groupby(key, sort=False, dropna=False):
+        for k, g in to_pandas(group).groupby(key, sort=False, dropna=False):
             regs = np.maximum.reduce(
                 [np.frombuffer(b, dtype=np.uint8) for b in g["_sk"]])
             out_keys.append(k)
             out_sk.append(regs.tobytes())
         return pd.DataFrame({key: out_keys, "_sk": out_sk})
 
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     parts = ds.select_columns([key, col]).map_batches(
         sketch, batch_format="pandas", batch_size=None)
@@ -285,20 +285,19 @@ def grouped_exact_quantiles(ds: "ray.data.Dataset", key: str, col: str,
     quantile (like ``quantile_disc``).  The value column rides as the
     nullable twin of its dtype so every bucket's block schema agrees
     whether or not it produced null rows."""
-    from zeeklog_ray.relational import bucket_exchange, grouped_sum
+    from zeeklog_ray.relational import (_nullable_int, bucket_exchange,
+                                        grouped_sum, to_pandas)
 
     hist = grouped_sum(ds.select_columns([key, col]), [key, col],
                        count_as="_n")
-    _nullable = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
-                 "int64": "Int64", "uint8": "UInt8", "uint16": "UInt16",
-                 "uint32": "UInt32", "uint64": "UInt64"}
 
-    def _vdtype(series: pd.Series) -> str | np.dtype:
-        return _nullable.get(str(series.dtype), series.dtype)
+    def _vdtype(series: pd.Series) -> np.dtype:
+        dt = series.dtype
+        return _nullable_int(dt) if pd.api.types.is_integer_dtype(dt) else dt
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
         # NaN/NA keys AND values sort last (contiguous) with mergesort
-        g = group.sort_values([key, col], kind="mergesort")
+        g = to_pandas(group).sort_values([key, col], kind="mergesort")
         vdt = _vdtype(g[col])
         vmask = g[col].notna().to_numpy()
         gv = g[vmask]
@@ -327,10 +326,10 @@ def grouped_exact_quantiles(ds: "ray.data.Dataset", key: str, col: str,
             k = len(only_null)
 
             def _nulls():
-                # nullable extension dtype — by _nullable name or because
-                # the input column was ALREADY an extension dtype (e.g.
+                # nullable extension dtype — an int column's nullable
+                # twin, or an input column that ALREADY was one (e.g.
                 # Int64 riding out of a tagged-union join)
-                if isinstance(vdt, (str, pd.core.dtypes.base.ExtensionDtype)):
+                if isinstance(vdt, pd.core.dtypes.base.ExtensionDtype):
                     return pd.array([pd.NA] * k, dtype=vdt)
                 if np.issubdtype(vdt, np.floating):
                     return np.full(k, np.nan, dtype=vdt)
@@ -574,7 +573,7 @@ def grouped_interp_quantiles(ds: "ray.data.Dataset", key: str, col: str,
     no non-null values is omitted (the SQL twin filters ``col IS NOT
     NULL`` before grouping).  Output: ``(key, q_pct, value_x100)``.
     """
-    from zeeklog_ray.relational import bucket_exchange, grouped_sum
+    from zeeklog_ray.relational import bucket_exchange, grouped_sum, to_pandas
 
     if not all(isinstance(p, int) and 0 <= p <= 100 for p in q_pcts):
         raise ValueError(f"grouped_interp_quantiles: q_pcts must be integer "
@@ -585,8 +584,8 @@ def grouped_interp_quantiles(ds: "ray.data.Dataset", key: str, col: str,
                      batch_format="pandas", batch_size=None)
     hist = grouped_sum(filtered, [key, col], count_as="_n")
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key, col], kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key, col], kind="mergesort")
         counts = g["_n"].to_numpy(dtype=np.int64)
         vals = g[col].to_numpy(dtype=np.int64)
         codes = pd.factorize(g[key], use_na_sentinel=False)[0]
@@ -611,79 +610,6 @@ def grouped_interp_quantiles(ds: "ray.data.Dataset", key: str, col: str,
                           "value_x100": np.zeros(0, np.int64)})
 
     return bucket_exchange(hist, [key], per_bucket)
-
-
-# ---- Count-Min sketch: mergeable approximate frequencies ------------------
-
-CM_WIDTH, CM_DEPTH = 2048, 4
-
-
-def countmin_of(values: pd.Series, width: int = CM_WIDTH,
-                depth: int = CM_DEPTH) -> np.ndarray:
-    """``depth × width`` int64 count matrix for one batch of values.
-
-    Row probes are Kirsch-Mitzenmacher ``(h1 + r·h2) % width`` with
-    ``h2 = _mix64(h1)`` (the bloom lesson: pandas' hash_key is ignored
-    for numeric dtypes, so the second hash must be DERIVED, not
-    re-keyed).  Deterministic across processes and batch splits.
-    """
-    from zeeklog_ray.relational import _mix64
-
-    sk = np.zeros((depth, width), dtype=np.int64)
-    if not len(values):
-        return sk
-    h1 = pd.util.hash_pandas_object(values, index=False).to_numpy(np.uint64)
-    h2 = _mix64(h1)
-    for r in range(depth):
-        idx = ((h1 + np.uint64(r) * h2) % np.uint64(width)).astype(np.int64)
-        np.add.at(sk[r], idx, 1)
-    return sk
-
-
-def countmin_estimate(sketch: np.ndarray, items: pd.Series) -> np.ndarray:
-    """Point-frequency estimates (int64): min over rows — never
-    underestimates; overestimates by < e·n/width with prob 1-(1/2)^depth."""
-    from zeeklog_ray.relational import _mix64
-
-    depth, width = sketch.shape
-    h1 = pd.util.hash_pandas_object(pd.Series(items),
-                                    index=False).to_numpy(np.uint64)
-    h2 = _mix64(h1)
-    ests = np.stack([
-        sketch[r][((h1 + np.uint64(r) * h2) % np.uint64(width)).astype(np.int64)]
-        for r in range(depth)])
-    return ests.min(axis=0)
-
-
-def countmin_from_dataset(ds: "ray.data.Dataset", col: str,
-                          width: int = CM_WIDTH,
-                          depth: int = CM_DEPTH) -> np.ndarray:
-    """Distributed Count-Min build: ONE flattened sketch row per batch
-    crosses the wire (64 KB at the defaults, input-size independent); the
-    merge is an elementwise sum — the same mergeable-sketch exchange
-    pattern as the HLL above.  At multi-node scale the driver-side merge
-    is |batches| tiny arrays; persist the merged sketch and reuse it for
-    any number of point queries without rescanning."""
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        sk = countmin_of(batch[col], width, depth)
-        return pd.DataFrame({"sk": [sk.ravel()]})
-
-    parts = ds.select_columns([col]).map_batches(
-        partial, batch_format="pandas", batch_size=None).to_pandas()
-    out = np.zeros(depth * width, dtype=np.int64)
-    for arr in parts["sk"]:
-        out += np.asarray(arr, dtype=np.int64)
-    return out.reshape(depth, width)
-
-
-def countmin_counts(ds: "ray.data.Dataset", col: str,
-                    items: "list", width: int = CM_WIDTH,
-                    depth: int = CM_DEPTH) -> pd.DataFrame:
-    """Frequency report for a known probe list: ``(col, n)`` rows."""
-    sk = countmin_from_dataset(ds, col, width, depth)
-    return pd.DataFrame({col: items,
-                         "n": countmin_estimate(sk, pd.Series(items))})
 
 
 def grouped_approx_quantiles(ds: "ray.data.Dataset", key: str, col: str,
@@ -723,9 +649,10 @@ def grouped_approx_quantiles(ds: "ray.data.Dataset", key: str, col: str,
             out_w.append(w.tobytes())
         return pd.DataFrame({key: out_keys, "_v": out_v, "_w": out_w})
 
-    def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def merge_bucket(group: pa.Table) -> pd.DataFrame:
         out_keys, out_v, out_w = [], [], []
-        for kk, g in group.groupby(key, sort=False, dropna=False):
+        for kk, g in to_pandas(group).groupby(key, sort=False,
+                                              dropna=False):
             v, w = merge_quantile_sketches(
                 [(np.frombuffer(bv, dtype=np.float64),
                   np.frombuffer(bw, dtype=np.float64))
@@ -735,7 +662,7 @@ def grouped_approx_quantiles(ds: "ray.data.Dataset", key: str, col: str,
             out_w.append(w.tobytes())
         return pd.DataFrame({key: out_keys, "_v": out_v, "_w": out_w})
 
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     parts = ds.select_columns([key, col]).map_batches(
         sk, batch_format="pandas", batch_size=None)
@@ -816,26 +743,37 @@ def grouped_heavy_hitters(ds: "ray.data.Dataset", group_col: str, col: str,
 
 
 # --------------------------------------------------------------------------
-# SQL-replayable Count-Min tier: same mergeable counter array as the
-# ``countmin_*`` family above, but the row probes are h_j(key) =
-# splitmix64(key + j) % width — the engine-wide replayable mixer — so for
-# INTEGER keys both the counters AND the min-estimates are
-# integer-deterministic and carry a bit-exact DuckDB oracle
-# (count_min_oracle_sql), the same contract upgrade the replayable HLL
-# got (hll_oracle_sql).  The pandas-hash probes above stay the default
-# for arbitrary dtypes; this tier is what a registry query can gate.
+# Count-Min sketch: mergeable approximate frequencies.  The row probes
+# are h_j(key) = splitmix64(key + j) % width — the engine-wide replayable
+# mixer — so for INTEGER keys both the counters AND the min-estimates
+# are integer-deterministic and carry a bit-exact DuckDB oracle
+# (count_min_oracle_sql), the same contract the replayable HLL has
+# (hll_oracle_sql).  Any other key is hashed once to uint64 (pandas'
+# fixed-key hash, deterministic across processes) and probed the same
+# way.
 # --------------------------------------------------------------------------
+
+def _count_min_keys(keys) -> np.ndarray:
+    """The uint64 a key probes with: an integer key's own bits, any
+    other key's pandas hash."""
+    k = np.asarray(keys)
+    if k.dtype.kind in "iu":
+        return k.astype(np.int64).view(np.uint64)
+    return pd.util.hash_pandas_object(pd.Series(k), index=False) \
+        .to_numpy(np.uint64)
+
 
 def count_min_build(ds: "ray.data.Dataset", key_col: str,
                     width: int = 1 << 16, depth: int = 4) -> np.ndarray:
-    """Replayable Count-Min build over an INTEGER key column: dense
-    depth×width per-block partials (fixed depth·width·8 bytes per block
-    regardless of corpus size — the bloom-bitmap exchange pattern),
-    summed on the driver.  One corpus pass, zero shuffle."""
+    """Count-Min build over ``key_col``: dense depth×width per-block
+    partials (fixed depth·width·8 bytes per block regardless of corpus
+    size — the bloom-bitmap exchange pattern), summed on the driver.
+    One corpus pass, zero shuffle; the merge is an elementwise sum, so
+    any block split gives the same counters."""
     from zeeklog_ray.relational import _mix64
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        keys = batch[key_col].to_numpy().astype(np.int64).view(np.uint64)
+        keys = _count_min_keys(batch[key_col].to_numpy())
         c = np.zeros((depth, width), dtype=np.int64)
         for j in range(depth):
             b = (_mix64(keys + np.uint64(j)) % np.uint64(width)) \
@@ -854,13 +792,14 @@ def count_min_build(ds: "ray.data.Dataset", key_col: str,
 
 def count_min_estimate(counters: np.ndarray,
                        keys: np.ndarray) -> np.ndarray:
-    """Point-frequency estimates for INTEGER ``keys`` from a
+    """Point-frequency estimates for ``keys`` from a
     :func:`count_min_build` array: min over depth rows of the hashed
-    counter — vectorized, never underestimates."""
+    counter — vectorized, never underestimates; over by < e·n/width
+    with probability 1-(1/2)^depth."""
     from zeeklog_ray.relational import _mix64
 
     depth, width = counters.shape
-    ku = np.asarray(keys).astype(np.int64).view(np.uint64)
+    ku = _count_min_keys(keys)
     est = np.full(len(ku), np.iinfo(np.int64).max, dtype=np.int64)
     for j in range(depth):
         b = (_mix64(ku + np.uint64(j)) % np.uint64(width)).astype(np.int64)

@@ -61,12 +61,12 @@ def trailing_windows(ds: "ray.data.Dataset", key: str = "user_id",
     sort once by (key, ts) and each key segment computes its two-pointer
     windows on a numpy slice.
     """
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     window_ns = np.int64(window_seconds) * 1_000_000_000
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key, ts], kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key, ts], kind="mergesort")
         t = g[ts].to_numpy("datetime64[ns]").astype("int64")
         v = g[value].to_numpy()
         keys = g[key].to_numpy()
@@ -116,7 +116,7 @@ def rows_window(ds: "ray.data.Dataset", key: str,
     Output: ``keep_cols`` (default: key + order_cols) + ``w_count``,
     ``w_sum``.
     """
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
     if preceding is not None and preceding < 0:
         raise ValueError(f"rows_window: preceding must be >= 0, got {preceding}")
@@ -124,8 +124,8 @@ def rows_window(ds: "ray.data.Dataset", key: str,
     out_cols = list(keep_cols) if keep_cols is not None \
         else [key] + order_cols
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key] + order_cols, kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key] + order_cols, kind="mergesort")
         n = len(g)
         v = g[value].to_numpy()
         # factorize (not !=) so null keys form ONE partition, matching
@@ -371,10 +371,10 @@ def trailing_deviation(ds: "ray.data.Dataset", key: str, order: str,
 
     Output: ``(key, order, value, trail_sum, trail_cnt, spike_e4)``.
     """
-    from zeeklog_ray.relational import bucket_exchange
+    from zeeklog_ray.relational import bucket_exchange, to_pandas
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, order], kind="mergesort") \
+    def per_bucket(g: pa.Table) -> pd.DataFrame:
+        g = to_pandas(g).sort_values([key, order], kind="mergesort") \
             .reset_index(drop=True)
         v = g[value].to_numpy().astype("int64")
         n = len(g)

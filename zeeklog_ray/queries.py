@@ -42,6 +42,7 @@ from zeeklog_ray.relational import (
     grouped_sum,
     read_table,
     small_table,
+    to_pandas,
     top_k,
 )
 
@@ -665,7 +666,8 @@ def docs_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     union = docs.map_batches(tag_both, batch_format="pandas",
                              batch_size=None)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        group = to_pandas(group)
         p = group.pivot_table(index="doc_id", columns="_side",
                               values="_h1", aggfunc="first") \
             .reindex(columns=[0, 1])
@@ -883,8 +885,8 @@ def user_funnel_counts(sf_dir: str) -> pd.DataFrame:
     parts = prepped.map_batches(partial, batch_format="pandas",
                                 batch_size=None)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby("user_id", sort=False)
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).groupby("user_id", sort=False)
         out = pd.DataFrame({
             "_click_ts": g["_click_ts"].min(),
             "_purch_ts": g["_purch_ts"].max()}).reset_index()
@@ -1443,8 +1445,8 @@ def exact_dedup_docs(sf_dir: str) -> "ray.data.Dataset":
         return pd.DataFrame({"digest": h1, "digest2": h2,
                              "doc_id": batch["doc_id"]})
 
-    def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(["digest", "digest2"], sort=False)
+    def dedup_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).groupby(["digest", "digest2"], sort=False)
         return g.agg(doc_id=("doc_id", "min"),
                      n_dups=("doc_id", "size")).reset_index(drop=True)
 
@@ -3603,15 +3605,18 @@ def _prep_export_oracle_sql() -> str:
 
 def event_type_counts_cm(sf_dir: str) -> pd.DataFrame:
     """Count-Min sketch frequencies for the known event types
-    (ops/sketch.countmin_counts).  The sketch is approximate in general
-    (never under, over by < e·n/width w.h.p.), but at this deterministic
-    configuration — 5 probed keys, width 2048, depth 4, fixed hash — it is
-    collision-free, so the oracle is the exact GROUP BY count: the gate
-    verifies both the plumbing and the no-collision claim."""
-    from zeeklog_ray.ops.sketch import countmin_counts
+    (ops/sketch.count_min_build/estimate over a string key).  The sketch
+    is approximate in general (never under, over by < e·n/width w.h.p.),
+    but at this deterministic configuration — 5 probed keys, width 2048,
+    depth 4, fixed hash — it is collision-free, so the oracle is the
+    exact GROUP BY count: the gate verifies both the plumbing and the
+    no-collision claim."""
+    from zeeklog_ray.ops.sketch import count_min_build, count_min_estimate
 
     ev = read_table(sf_dir, "events", columns=["event_type"])
-    return countmin_counts(ev, "event_type", _PIVOT_TYPES)
+    cm = count_min_build(ev, "event_type", width=2048, depth=4)
+    return pd.DataFrame({"event_type": _PIVOT_TYPES,
+                         "n": count_min_estimate(cm, _PIVOT_TYPES)})
 
 
 _CONT_Q_PCTS = [50, 90, 99]
@@ -3838,8 +3843,8 @@ def docs_word_postings(sf_dir: str) -> "ray.data.Dataset":
     exploded = ds.map_batches(explode, batch_format="pandas",
                               batch_size=None)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["word", "doc_id"]) \
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values(["word", "doc_id"]) \
             .drop_duplicates(["word", "doc_id"])
         sizes = g.groupby("word", sort=False).size()
         posts = g.groupby("word", sort=False).head(5) \
@@ -3962,9 +3967,10 @@ def top_orders_per_customer(sf_dir: str) -> "ray.data.Dataset":
         batch["total_cents"] = _round_half_away(batch["o_totalprice"] * 100)
         return batch[["o_custkey", "o_orderkey", "total_cents"]]
 
-    def top2(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["o_custkey", "total_cents", "o_orderkey"],
-                              ascending=[True, False, True])
+    def top2(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values(
+            ["o_custkey", "total_cents", "o_orderkey"],
+            ascending=[True, False, True])
         return g.groupby("o_custkey", sort=False).head(2)
 
     return bucket_exchange(

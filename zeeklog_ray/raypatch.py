@@ -6,6 +6,8 @@ patch degrades to a no-op if the internals it touches have moved).
   that carry pandas metadata (unhashable in this pyarrow) and logs a
   warning per call from every sort-reduce worker; the wrapper dedupes on
   the metadata-stripped schemas.
+* A sort downstream of a pyarrow map merges its partitions as Arrow
+  blocks, not as whichever block type most of its inputs have.
 * Two log filters drop warnings Ray emits for the empty blocks it
   manufactures itself (sparse sort-shuffle partitions and buckets): a
   zero-column schema "drift", and a size estimate that fails on a
@@ -49,6 +51,7 @@ def apply_patches() -> None:
         return
     _APPLIED = True
     _patch_unify_schemas_metadata_hash()
+    _patch_sort_arrow_merge()
     _quiet_empty_block_schema_warning()
     _quiet_empty_block_size_warning()
 
@@ -99,23 +102,55 @@ def _patch_unify_schemas_metadata_hash() -> None:
     tp.logger.addFilter(_DropSchemaHashWarning())
 
 
+def _patch_sort_arrow_merge() -> None:
+    """``InheritBatchFormatRule`` copies an upstream map's "pyarrow" onto
+    a Sort, whose reduce targets Arrow blocks only for
+    ``BatchFormat.ARROW`` ("arrow") and otherwise merges in the block
+    type most of its inputs have — and the empty pandas blocks a map
+    passes through without calling its UDF can outvote the Arrow ones.
+    A pandas merge turns a null-filled int column to float64 and a list
+    column to a tensor, so translate the inherited value.  The rule runs
+    on the driver: no worker needs this patch."""
+    try:
+        from ray.data._internal.logical.operators.all_to_all_operator \
+            import Sort
+        from ray.data._internal.logical.rules.inherit_batch_format import (
+            InheritBatchFormatRule)
+
+        orig = InheritBatchFormatRule._apply
+    except (ImportError, AttributeError):  # pragma: no cover - other Ray
+        logger.debug("InheritBatchFormatRule moved; sort patch not applied")
+        return
+
+    def _apply(self, op):
+        op = orig(self, op)
+        for node in op.post_order_iter():
+            if isinstance(node, Sort) and node._batch_format == "pyarrow":
+                node._batch_format = "arrow"
+        return op
+
+    InheritBatchFormatRule._apply = _apply
+
+
 def _quiet_empty_block_schema_warning() -> None:
     """Cosmetic wart, documented: the streaming executor warns ("Operator
     produced a RefBundle with a different schema than the previous one
-    ... new schema: PandasBlockSchema(names=[], types=[])") every time a
-    stage emits a zero-COLUMN empty pandas block — which Ray itself
-    manufactures (repartition/groupby on sparse buckets) and whose
-    columns no downstream stage reads.  The warning fires hundreds of
-    times per bench run and says nothing actionable, so drop EXACTLY
-    that message shape (empty new schema); real schema drift between
-    non-empty blocks still warns."""
+    ... new schema: PandasBlockSchema(names=[], types=[])", or "new
+    schema: ." for an Arrow block) every time a stage emits a
+    zero-COLUMN empty block — which Ray itself manufactures
+    (repartition/sort on sparse buckets) and whose columns no downstream
+    stage reads.  The warning fires hundreds of times per bench run and
+    says nothing actionable, so drop EXACTLY that message shape (empty
+    new schema); real schema drift between non-empty blocks still
+    warns."""
     import logging
 
     class _DropEmptySchemaDrift(logging.Filter):
         def filter(self, record: logging.LogRecord) -> bool:
             msg = record.getMessage()
             return not ("different schema than the previous one" in msg
-                        and "names=[], types=[]" in msg)
+                        and ("names=[], types=[]" in msg        # pandas
+                             or "new schema: . " in msg))       # Arrow
 
     try:
         from ray.data._internal.execution import streaming_executor_state

@@ -28,6 +28,8 @@ import ray
 import ray.data
 from ray.data.block import BlockAccessor
 
+from zeeklog_ray.arrowutil import list_values_offsets
+
 
 def read_table(sf_dir: str, name: str,
                columns: list[str] | None = None) -> "ray.data.Dataset":
@@ -89,21 +91,52 @@ def cluster_cpus(default: int = 8) -> int:
         return default
 
 
+def to_pandas(t: pa.Table) -> pd.DataFrame:
+    """An exchanged Arrow table as pandas, the way Ray converts a block
+    for a pandas UDF (a tensor column as ndarray objects, pandas dtypes
+    restored from the table's pandas metadata)."""
+    return BlockAccessor.for_block(t).to_pandas()
+
+
+def _nullable_int(dt) -> "pd.api.extensions.ExtensionDtype":
+    """The pandas nullable twin of integer dtype ``dt`` (``Int32`` for
+    int32; a nullable dtype maps to itself)."""
+    return pd.Series(dtype=dt).convert_dtypes().dtype
+
+
+def _exact_frame(t: pa.Table) -> pd.DataFrame:
+    """:func:`to_pandas` without ``t``'s pandas metadata, with every
+    integer column holding nulls as a nullable ``Int``: float64 would
+    round ids above 2^53, and a float key hashes unlike its int twin."""
+    df = to_pandas(t.replace_schema_metadata())
+    for c, col in zip(t.column_names, t.columns):
+        if pa.types.is_integer(col.type) and col.null_count:
+            df[c] = pd.arrays.IntegerArray(col.fill_null(0).to_numpy(),
+                                           col.is_null().to_numpy())
+    return df
+
+
 def with_hash_bucket(ds: "ray.data.Dataset",
                      key: str | Sequence[str]) -> "ray.data.Dataset":
     """Append the ``_bucket`` column: the deterministic 64-bit hash of
     ``key`` (a column name or a list of column names hashed together
     row-wise), viewed as int64.  The sort key of :func:`bucket_exchange`:
     same key ⇒ same value, and the values spread evenly over the int64
-    range whatever the key's distribution of values."""
-    sel = key if isinstance(key, str) else list(key)
+    range whatever the key's distribution of values.
 
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(batch[sel], index=False).to_numpy()
-        batch["_bucket"] = h.view(np.int64)
-        return batch
+    An Arrow map: only the key columns convert to pandas (to hash), so
+    the rows reach the sort as Arrow blocks and a ``list<...>`` column
+    crosses the exchange as itself.  An integer key holding nulls hashes
+    as a nullable ``Int``, i.e. like the same key without nulls."""
+    sel = [key] if isinstance(key, str) else list(key)
 
-    return ds.map_batches(bucketize, batch_format="pandas", batch_size=None)
+    def bucketize(t: pa.Table) -> pa.Table:
+        k = _exact_frame(t.select(sel))
+        h = pd.util.hash_pandas_object(k[key] if isinstance(key, str)
+                                       else k, index=False).to_numpy()
+        return t.append_column("_bucket", pa.array(h.view(np.int64)))
+
+    return ds.map_batches(bucketize, batch_format="pyarrow", batch_size=None)
 
 
 # The most bytes of a sorted partition one :func:`bucket_exchange` call
@@ -114,15 +147,17 @@ CALL_BYTES = 32 << 20
 
 
 def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
-                    fn: Callable[[pd.DataFrame], "pd.DataFrame | pa.Table"]
+                    fn: Callable[[pa.Table], "pd.DataFrame | pa.Table"]
                     ) -> "ray.data.Dataset":
     """The hash exchange: every row of a ``key`` value lands in the same
     ``fn`` call.  Rows sort on the :func:`with_hash_bucket` hash, and
     ``fn`` runs ONCE PER SORTED PARTITION (or per :data:`CALL_BYTES`
-    slice of a larger one): it gets the rows as a pandas DataFrame with
-    the input's columns (the hash column removed) and returns a pandas
-    DataFrame or a pyarrow Table.  An empty input yields an empty output
-    without calling ``fn``; an empty partition is never passed to it.
+    slice of a larger one): it gets the rows as a pyarrow Table with
+    the input's columns (the hash column removed; a zero-copy slice of
+    the partition) and returns a pandas DataFrame or a pyarrow Table.
+    A pandas ``fn`` converts on its first line with :func:`to_pandas`.
+    An empty input yields an empty output without calling ``fn``; an
+    empty partition is never passed to it.
 
     Why one call per partition: Ray's grouped execution pays Python per
     GROUP, so any per-entity groupby scales its overhead with entity
@@ -130,8 +165,8 @@ def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
     1M rows / 100k users in trailing_windows 12.8 s vs 1.3 s).  A sorted
     partition holds every row of each key it holds (a range partition
     never splits equal sort values), so ``fn`` runs its per-key logic as
-    C-level pandas/numpy over many keys at once and the Python cost is
-    paid once per partition.
+    C-level pandas/numpy/Arrow over many keys at once and the Python
+    cost is paid once per partition.
 
     The sizing rule: Ray's sort makes as many partitions as the input
     has blocks, and on a 64-bit hash its sampled range boundaries spread
@@ -144,61 +179,28 @@ def bucket_exchange(ds: "ray.data.Dataset", key: str | Sequence[str],
     call_bytes = CALL_BYTES
 
     @functools.wraps(fn)      # Ray names the exchange stage after fn
-    def per_block(block):
-        acc = BlockAccessor.for_block(block)
-        h = acc.to_numpy("_bucket")
-        k = max(1, -(-acc.size_bytes() // call_bytes))
+    def per_block(block: pa.Table):
+        h = block["_bucket"].to_numpy()
+        k = max(1, -(-block.nbytes // call_bytes))
         # each cut moves back to the start of its hash run: keys stay whole
         cuts = np.searchsorted(h, h[np.arange(1, k) * len(h) // k])
         bounds = np.unique(np.r_[0, cuts, len(h)])
+        block = block.drop_columns(["_bucket"])
         for s, e in zip(bounds[:-1], bounds[1:]):
-            # a copied slice, not a view fn's writes would warn about
-            part = block if e - s == len(h) else acc.slice(s, e, copy=True)
-            part = BlockAccessor.for_block(part).to_pandas()
-            del part["_bucket"]
-            yield fn(part)
+            yield fn(block.slice(s, e - s))
 
     return with_hash_bucket(ds, key).sort("_bucket").map_batches(
-        per_block, batch_format=None, batch_size=None)
+        per_block, batch_format="pyarrow", batch_size=None)
 
 
-_NULLABLE_INT = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
-                 "int64": "Int64", "uint8": "UInt8", "uint16": "UInt16",
-                 "uint32": "UInt32", "uint64": "UInt64"}
 
-
-def _int_np_dtype(typ):
-    """Numpy integer dtype of a schema entry (Arrow type, numpy dtype or
-    pandas nullable ``Int`` dtype), or None if the column is not
-    integer-typed."""
+def _arrow_type(typ) -> "pa.DataType | None":
+    """Arrow type of a schema entry (an Arrow type or a pandas dtype), or
+    None for an object column, whose Arrow type its values decide."""
     if isinstance(typ, pa.DataType):
-        return (np.dtype(typ.to_pandas_dtype())
-                if pa.types.is_integer(typ) else None)
-    typ = getattr(typ, "numpy_dtype", typ)
-    try:
-        return np.dtype(typ) if np.issubdtype(typ, np.integer) else None
-    except TypeError:
-        return None
-
-
-def _key_kind(typ) -> str:
-    """Normalized join-key dtype label across Arrow-block and pandas-block
-    schema flavors: any string representation → "str", numerics → their
-    numpy dtype string — so an Arrow `string` left side and an
-    object-dtype pandas right side compare equal, while float32 vs
-    float64 (whose bucket hashes differ) do not."""
-    if isinstance(typ, pa.DataType):
-        if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-            return "str"
-        try:
-            return str(np.dtype(typ.to_pandas_dtype()))
-        except TypeError:
-            return str(typ)
-    try:
-        dt = np.dtype(typ)
-    except TypeError:
-        return str(typ)
-    return "str" if dt.kind in ("O", "U", "S") else str(dt)
+        return typ
+    x = pa.Array.from_pandas(pd.Series(dtype=typ)).type
+    return None if pa.types.is_null(x) else x
 
 
 def _empty_frame(schema) -> pd.DataFrame:
@@ -211,23 +213,23 @@ def _empty_frame(schema) -> pd.DataFrame:
                          for n, t in zip(base.names, base.types)})
 
 
-def _key_rule(keys: list[str], types: list[dict], ints: list[dict]) -> None:
-    """:func:`cogroup`'s key rule over the sides' column ``types``: widen
-    the integer keys in ``ints`` (per side, in place) to the widest
-    width; raise ValueError when a key is integer on some sides only, or
-    its kinds differ."""
+def _key_rule(keys: list[str], arrow: list[dict]) -> None:
+    """:func:`cogroup`'s key rule over the sides' Arrow column types (an
+    object column, absent from its side's dict, holds strings): raise
+    ValueError when a key is integer on some sides only, or its other
+    kinds differ (float32 and float64 keys hash differently)."""
     for k in keys:
-        seen = " vs ".join(str(t[k]) for t in types)
-        if all(k in i for i in ints):
-            wide = max((i[k] for i in ints), key=lambda d: d.itemsize)
-            for i in ints:
-                i[k] = wide
-        elif any(k in i for i in ints):
+        typs = [a.get(k, pa.string()) for a in arrow]
+        seen = " vs ".join(map(str, typs))
+        ints = [pa.types.is_integer(x) for x in typs]
+        if any(ints) and not all(ints):
             raise ValueError(
                 f"cogroup: key {k!r} is integer on one side ({seen}) — "
                 "same values would hash to different buckets; cast the "
                 "sides to one dtype")
-        elif len({_key_kind(t[k]) for t in types}) > 1:
+        kinds = {pa.string() if pa.types.is_large_string(x) else x
+                 for x in typs}
+        if not any(ints) and len(kinds) > 1:
             raise ValueError(f"cogroup: key {k!r} dtype differs across "
                              f"sides ({seen}); cast first")
 
@@ -248,18 +250,19 @@ def cogroup(sides: Sequence["ray.data.Dataset"], key: str | Sequence[str],
     One key rule for every side, because the key hash is
     dtype-sensitive (the same value in an int and a float column hashes
     to different values and would silently match nothing): a key that is
-    integer on one side is integer on all of them, integer keys of
-    different widths widen to the widest (``fn`` sees the wide key), and
-    any other key kind must match across sides (:func:`_key_kind`).
+    integer on one side is integer on all of them, and any other key
+    kind must match across sides (:func:`_key_rule`).  A column several
+    sides hold in different Arrow types (int32 and int64 keys, say)
+    widens to their common type, so ``fn`` sees the wide key.
 
-    Shape: one row-local map per side appends an int8 ``_side`` column,
-    the sides union, and ONE :func:`bucket_exchange` moves them.  Each
-    side ships only its own columns: null-filling every side to one
-    shared schema measured ~25% slower on a 1M ⨝ 500k join.  An integer
-    column that some side lacks rides the union as a pandas nullable
-    ``Int`` dtype — null-filled on the other sides' rows, a numpy int64
-    column would promote to float64 and round ids above 2^53 — and is
-    cast back for ``fn``; columns every side has ride as plain numpy.
+    Shape: one Arrow map per side appends an int8 ``_side`` column, the
+    sides union, and ONE :func:`bucket_exchange` moves them; each call
+    splits its Arrow slice by ``_side`` and converts every side to
+    pandas once.  Each side ships only its own columns (null-filling
+    every side to one shared schema measured ~25% slower on a
+    1M ⨝ 500k join); Arrow null-fills a column some side lacks on the
+    other sides' rows without touching its values, so an int64 id above
+    2^53 stays exact.
 
     Sizing is :func:`bucket_exchange`'s rule over the union: ``fn`` runs
     once per sorted partition (or per ``CALL_BYTES`` slice of a larger
@@ -293,59 +296,68 @@ def cogroup(sides: Sequence["ray.data.Dataset"], key: str | Sequence[str],
         if reserved:
             raise ValueError(f"cogroup: columns {reserved} are reserved "
                              "internal names — rename first")
-    # the integer dtype of every side's columns as fn sees them
-    ints = [{c: dt for c, typ in t.items()
-             if (dt := _int_np_dtype(typ)) is not None} for t in types]
+    arrow = [{c: x for c, typ in t.items()
+              if (x := _arrow_type(typ)) is not None} for t in types]
     try:
-        _key_rule(keys, types, ints)
+        _key_rule(keys, arrow)
     except ValueError:
         # a side without rows matches nothing whatever its key dtype is
         # (pandas types a column built from no values float64): judge
         # the sides that have rows
-        live = [i for i, s in enumerate(sides) if s.limit(1).count()]
-        _key_rule(keys, [types[i] for i in live], [ints[i] for i in live])
-    shared = set.intersection(*(set(t) for t in types))
-    empties = [_empty_frame(s) for s in schemas]
+        _key_rule(keys, [a for a, s in zip(arrow, sides)
+                         if s.limit(1).count()])
+    # Ray's sort concatenates the sides' blocks, which needs one Arrow
+    # type per column: widen what the sides hold differently
+    casts = [{} for _ in sides]
+    for c in set().union(*arrow):
+        typs = {a[c] for a in arrow if c in a}
+        try:
+            wide = pa.unify_schemas([pa.schema([(c, x)]) for x in typs],
+                                    promote_options="permissive")[0].type
+        except (pa.ArrowTypeError, pa.ArrowInvalid):
+            continue        # e.g. an all-empty side's float64 stand-in
+        for a, cast in zip(arrow, casts):
+            if a.get(c, wide) != wide:
+                cast[c] = wide
+    empties = [_empty_frame(s).astype({c: x.to_pandas_dtype()
+                                       for c, x in cast.items()})
+               for s, cast in zip(schemas, casts)]
 
     def tag(i: int):
-        def f(batch: pd.DataFrame) -> pd.DataFrame:
-            cast = {}
-            for c, dt in ints[i].items():
-                col = batch.get(c)
-                if col is None:
-                    continue
-                # a null-bearing int column arrives as float or nullable;
-                # Int and int hash alike, float does not
-                to = (pd.api.types.pandas_dtype(_NULLABLE_INT[str(dt)])
-                      if c not in shared or (col.dtype != dt and col.hasnans)
-                      else dt)
-                if col.dtype != to:
-                    cast[c] = to
-            if cast:
-                batch = batch.astype(cast)
-            batch["_side"] = np.int8(i)
-            return batch
+        def f(t: pa.Table) -> pa.Table:
+            for c, x in casts[i].items():
+                t = t.set_column(t.schema.get_field_index(c), c,
+                                 t[c].cast(x))
+            for c, col in zip(t.column_names, t.columns):
+                # Ray's concat cannot null-fill a tensor column another
+                # side lacks: ship a 1-D one as the Arrow list it stores
+                if isinstance(col.type, pa.ExtensionType) \
+                        and getattr(col.type, "ndim", 0) == 1:
+                    vals, offs = list_values_offsets(col)
+                    t = t.set_column(t.schema.get_field_index(c), c,
+                                     pa.LargeListArray.from_arrays(offs,
+                                                                   vals))
+            return t.append_column(
+                "_side", pa.array(np.full(len(t), i, np.int8)))
 
         return f
 
     @functools.wraps(fn)      # Ray names the exchange stage after fn
-    def per_bucket(group: pd.DataFrame):
-        side, present = group["_side"].to_numpy(), set(group.columns)
-        frames = []
-        for i, t in enumerate(types):
-            # a column the group lacks means side i has no row here: take
+    def per_bucket(t: pa.Table):
+        side, frames = t["_side"].to_numpy(), []
+        for i, s in enumerate(schemas):
+            # a column the slice lacks means side i has no row here: take
             # it typed from the side's schema (the shared keys still come
-            # from the group, so they match the other frames' dtypes)
-            frame = group.loc[side == i, [c for c in t if c in present]]
-            if len(frame.columns) < len(t):
-                frame = pd.concat([frame, empties[i][[
-                    c for c in t if c not in present]]], axis=1)[list(t)]
-            cast = {c: dt for c, dt in ints[i].items()
-                    if frame[c].dtype != dt and not frame[c].hasnans}
-            frames.append(frame.astype(cast) if cast else frame)
+            # from the slice, so they match the other frames' dtypes)
+            have = [c for c in s.names if c in t.column_names]
+            frame = _exact_frame(t.filter(side == i).select(have))
+            if len(have) < len(s.names):
+                frame = pd.concat([frame, empties[i].drop(columns=have)],
+                                  axis=1)[s.names]
+            frames.append(frame)
         return fn(frames)
 
-    tagged = [s.map_batches(tag(i), batch_format="pandas", batch_size=None)
+    tagged = [s.map_batches(tag(i), batch_format="pyarrow", batch_size=None)
               for i, s in enumerate(sides)]
     return bucket_exchange(tagged[0].union(*tagged[1:]), keys, per_bucket)
 
@@ -362,8 +374,8 @@ def bucketed_distinct(ds: "ray.data.Dataset",
     result is exact."""
     keys = list(keys)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates(subset=keys)[keys]
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        return to_pandas(group).drop_duplicates(subset=keys)[keys]
 
     return bucket_exchange(ds, keys, per_bucket)
 
@@ -375,8 +387,8 @@ def bucketed_group_min(ds: "ray.data.Dataset", key: str,
     (the connected-components label merge runs this once PER ROUND, so the
     per-group Python cliff would multiply by the component diameter)."""
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return (group.groupby(key, sort=False, dropna=False)[val]
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        return (to_pandas(group).groupby(key, sort=False, dropna=False)[val]
                 .min().reset_index())
 
     return bucket_exchange(ds, key, per_bucket)
@@ -560,8 +572,9 @@ def grouped_sum_bucketed(ds: "ray.data.Dataset", keys: Sequence[str],
             out[dst] = g[src].sum()
         return out.reset_index()
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        return (group.groupby(keys, sort=False, observed=True, dropna=False)
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        return (to_pandas(group)
+                .groupby(keys, sort=False, observed=True, dropna=False)
                 .sum().reset_index())
 
     partials = ds.select_columns(
@@ -657,8 +670,9 @@ def latest_per_key(ds: "ray.data.Dataset", keys: Sequence[str],
         g = batch.sort_values(order_cols, ascending=False, kind="mergesort")
         return g.drop_duplicates(keys, keep="first")
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(order_cols, ascending=False, kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values(order_cols, ascending=False,
+                                         kind="mergesort")
         return g.drop_duplicates(keys, keep="first")
 
     pruned = ds.map_batches(prune, batch_format="pandas", batch_size=None)
@@ -679,8 +693,8 @@ def seq_index_per_key(ds: "ray.data.Dataset", key: str,
     rows fit one :func:`bucket_exchange` call."""
     order_cols = list(order_cols)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key] + order_cols, kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key] + order_cols, kind="mergesort")
         # dropna=False: null keys form ONE partition numbered 1..n, the
         # SQL ROW_NUMBER semantics — pandas' default would emit NaN seq
         # for them and degrade the column to float64
@@ -729,8 +743,8 @@ def ranks_per_key(ds: "ray.data.Dataset", key: str,
         raise ValueError(f"ranks_per_key: percent_scale must be >= 1, "
                          f"got {percent_scale}")
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key] + order_cols, kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key] + order_cols, kind="mergesort")
         n = len(g)
         idx = np.arange(n, dtype=np.int64)
         kcodes, _ = pd.factorize(g[key], use_na_sentinel=False)
@@ -794,8 +808,9 @@ def mode_per_key(ds: "ray.data.Dataset", key: str, val: str,
         return batch.groupby([key, val], sort=False, dropna=False) \
             .size().reset_index(name="_cnt")
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby([key, val], sort=False, dropna=False)["_cnt"] \
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group) \
+            .groupby([key, val], sort=False, dropna=False)["_cnt"] \
             .sum().reset_index()
         g = g.sort_values([key, "_cnt", val],
                           ascending=[True, False, True], kind="mergesort")
@@ -831,8 +846,8 @@ def string_agg_per_key(ds: "ray.data.Dataset", key: str, val: str,
         s = s.dropna()
         return sep.join(s) if len(s) else None
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key] + order_cols, kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values([key] + order_cols, kind="mergesort")
         agg = g.groupby(key, sort=False, dropna=False)[val] \
             .agg(join_non_null).reset_index(name=out)
         return agg
@@ -1153,8 +1168,8 @@ def cap_per_key(ds: "ray.data.Dataset", key: str | Sequence[str], n: int,
         b = draw_order(batch)
         return b.groupby(keys, sort=False, dropna=False).head(n)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["_h", id_col], kind="mergesort")
+    def per_bucket(group: pa.Table) -> pd.DataFrame:
+        g = to_pandas(group).sort_values(["_h", id_col], kind="mergesort")
         return g.groupby(keys, sort=False, dropna=False).head(n) \
             .drop(columns=["_h"])
 
@@ -1220,7 +1235,7 @@ def bucketed_equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     def per_bucket(frames: list[pd.DataFrame]) -> pd.DataFrame:
         # the integer columns this join can null ride as nullable Int
-        nulls = {c: _NULLABLE_INT.get(str(dt), str(dt)) for f in frames
+        nulls = {c: _nullable_int(dt) for f in frames
                  for c, dt in f.dtypes.items()
                  if c in can_null and pd.api.types.is_integer_dtype(dt)}
         if nulls:
@@ -1394,8 +1409,8 @@ def retention_cohorts(events: "ray.data.Dataset", user_col: str = "user_id",
     weeks = events.select_columns([user_col, ts_col]).map_batches(
         to_weeks, batch_format="pandas", batch_size=None)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates([user_col, "w"])
+    def per_bucket(g: pa.Table) -> pd.DataFrame:
+        g = to_pandas(g).drop_duplicates([user_col, "w"])
         cw = g.groupby(user_col, sort=False)["w"].transform("min")
         return pd.DataFrame({
             "cohort_week": cw.to_numpy(),
