@@ -7,42 +7,9 @@ the library) calls ``ray.init`` / ``ray.shutdown``.
   sf0.001-scale corpus; returns the per-sink stats Dataset.
 * ``queries()`` — one entry per implemented operator/pipeline
   (registry: ``zeeklog_ray/queries.py``; inventory: SURVEY.md §2).
-* ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible query
-  (all but the six approximate/oracle-infeasible ones listed below —
-  count the registries for the current totals), INCLUDING the ``zeek_*``
-  flagship pipeline (the token codec
-  decodes in SQL via ``array_to_string(list_transform(tokens, x -> chr(x)),
-  '')`` + ``string_split(line, chr(9))`` over the corpus Parquet), the gzip
-  TSV ingest (``read_csv`` over the same ``.log.gz``), the custom-hash
-  sketches SimHash / rolling-hash fingerprints (bit-exact Horner-mod-2^64
-  replay via ``list_reduce``/HUGEINT), and the MinHash+LSH pipeline at
-  oracle-feasible permutation count (``minhash_dedup_pairs_small`` /
-  ``near_dup_components_small``: 16 perms × 4 bands replayed bit-exactly,
-  incl. banding, bucket guard and the CC closure).  Rows-only remainder,
-  each with its reason and a pytest gate: ``minhash_dedup_pairs`` /
-  ``near_dup_components`` (the full 64-permutation replay measures >5 min
-  in DuckDB; the SAME code path is hash-checked by the _small variants and
-  recall-tested), ``ann_lsh_topk`` / ``ivf_ann_topk`` (approximate by
-  design; recall-tested), ``approx_distinct_users`` (global HLL over the
-  pandas SipHash, accuracy-tested; the GROUPED ``event_type_users_hll``
-  left this list in round 5 — it now runs the replayable
-  splitmix64/integer-estimator tier with a full bit-exact DuckDB
-  oracle, ``ops/sketch.hll_oracle_sql``),
-  ``event_value_quantiles_sketch`` (mergeable
-  rank-sample quantile sketch, approximate by design; rank-error-bound
-  tested, with the exact twin ``event_value_quantiles`` oracle-checked),
-  ``embedding_kmeans`` / ``embedding_graph_pagerank`` (iterative float
-  means / power iteration are not SQL-replayable; pytest-gated on
-  monotone SSE + planted-mixture recovery and on dense-matrix +
-  cross-tier agreement respectively; deterministic results pin the
-  rows-only checks), and
-  ``media_phash`` / ``media_audio_fp`` / ``media_video_hash`` (DuckDB
-  cannot decode binary image/WAV/RVID payloads; the dHash /
-  energy-envelope / mean-frame signatures are pinned by exact-value
-  pytest on known pixels/samples plus planted-duplicate, gain- and
-  reorder-invariance grouping tests), and ``docs_bpe_merges`` (BPE
-  training is an iterative argmax; both tiers are pytest-gated against
-  a pure-Python reference with the same determinism contract).
+* ``oracle_sql()`` — DuckDB-equivalent SQL for every query registered with
+  ``@query(oracle=...)``; each other query declares why it has none in its
+  ``@query(rows_only="...")`` reason (``zeeklog_ray.queries.ROWS_ONLY``).
 """
 
 from __future__ import annotations
@@ -65,9 +32,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    from zeeklog_ray.queries import ORACLE_SQL, ensure_oracle_corpus
+    from zeeklog_ray.queries import build_oracle_sql, ensure_oracle_corpus
 
     # the zeek_* oracles read the tokenized corpus by path — make sure it
     # exists even if the driver runs the SQL before the Ray queries
     ensure_oracle_corpus()
-    return dict(ORACLE_SQL)
+    return build_oracle_sql()

@@ -6,11 +6,11 @@ import pandas as pd
 import pytest
 
 from zeeklog_ray.corpus import GOLDEN_IP_0702_ONLY
+from zeeklog_ray.flagship import run_flagship
 from zeeklog_ray.pipeline import (
     PipelineConfig,
     SearchInvalidStartDate,
     build_dataset,
-    route_to_sinks,
 )
 from zeeklog_ray.sources import CONN_PREFIXED, SOURCE_FIELDS
 
@@ -94,15 +94,13 @@ def test_plan_matrix_counts(corpus_dir, oracle, src_ip, source, end_date):
 
 
 def test_routed_write_token_equality(corpus_dir, corpus_frame, oracle, tmp_path):
-    """Route to per-sink Parquet and verify (a) per-sink doc_id set equality,
-    (b) exact token-array byte equality per doc_id — the north-rule per-row
-    invariant."""
-    import pyarrow.parquet as pq
+    """Route to per-sink Parquet with the flagship writer and verify (a)
+    per-sink doc_id set equality, (b) exact token-array byte equality for
+    every doc_id — the north-rule per-row invariant."""
     import ray.data
 
     out = str(tmp_path / "routed")
-    ds = build_dataset(PipelineConfig(corpus_dir=corpus_dir))
-    route_to_sinks(ds, out)
+    run_flagship(PipelineConfig(corpus_dir=corpus_dir), out)
 
     back = ray.data.read_parquet(out).to_pandas()
     exp_sets = oracle.groupby("sink")["doc_id"].agg(set).to_dict()
@@ -113,27 +111,6 @@ def test_routed_write_token_equality(corpus_dir, corpus_frame, oracle, tmp_path)
                for d, t in zip(back["doc_id"], back["tokens"])}
     exp_tok = dict(zip(corpus_frame["doc_id"], corpus_frame["tokens"]))
     assert got_tok == exp_tok
-
-
-def test_routed_write_zstd_roundtrip(corpus_dir, corpus_frame, tmp_path):
-    """compression='zstd' writes real zstd parquet (codec checked in the
-    column metadata) and the read side needs no flag — per-file codec."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    out = str(tmp_path / "routed_zstd")
-    ds = build_dataset(PipelineConfig(corpus_dir=corpus_dir))
-    route_to_sinks(ds, out, compression="zstd")
-    import glob
-
-    files = glob.glob(f"{out}/sink=*/*.parquet")
-    assert files
-    meta = pq.ParquetFile(files[0]).metadata
-    codecs = {meta.row_group(0).column(i).compression
-              for i in range(meta.num_columns)}
-    assert codecs == {"ZSTD"}
-    back = ray.data.read_parquet(out)
-    assert back.count() == len(corpus_frame)
 
 
 def test_enrichment_columns(corpus_dir, oracle):

@@ -17,7 +17,8 @@ timing, so the logs of two commits diff line by line; the child's own
 output (Ray and query logs) goes to stderr.
 
 With --md, appends a per-query markdown section (status, rows, hash,
-seconds) for a certification artifact.
+seconds, and each rows-only query's declared reason) for a certification
+artifact.
 """
 
 from __future__ import annotations
@@ -232,13 +233,16 @@ def main(sf_dir: str, num_cpus: int = 8, md_path: str | None = None,
                f"({total_s:.0f} s total at num_cpus={num_cpus})")
     print(summary, flush=True)
     if md_path:
+        from zeeklog_ray.queries import ROWS_ONLY
+
         with open(md_path, "a") as f:
             f.write(f"\n## {sf_dir} — {summary}\n\n")
-            f.write("| query | status | rows | hash | sec |\n"
-                    "|---|---|---|---|---|\n")
+            f.write("| query | status | rows | hash | sec | rows-only reason |\n"
+                    "|---|---|---|---|---|---|\n")
             for r in records:
                 f.write(f"| {r['name']} | {r['status']} | {r['rows']} | "
-                        f"{r['hash']} | {r['sec']:.1f} |\n")
+                        f"{r['hash']} | {r['sec']:.1f} | "
+                        f"{ROWS_ONLY.get(r['name'], '')} |\n")
     return counts["FAIL"] + counts["HANG"]
 
 

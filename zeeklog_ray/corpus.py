@@ -436,30 +436,3 @@ def make_documents_frame(n_docs: int, seed: int = DEFAULT_SEED,
         is_dup[i] = s
     return pd.DataFrame({"doc_id": np.arange(n_docs, dtype=np.int64),
                          "text": texts, "is_dup_of": is_dup})
-
-
-def generate_documents(n_docs: int, seed: int = DEFAULT_SEED,
-                       rows_per_file: int = 25_000) -> str:
-    """Cached parquet corpus of synthetic documents (multiple fragments)."""
-    out_dir = os.path.join(_CACHE_ROOT, f"docs-v1-n{n_docs}-seed{seed}")
-    if os.path.exists(os.path.join(out_dir, "_SUCCESS")):
-        return out_dir
-    df = make_documents_frame(n_docs, seed)
-    os.makedirs(_CACHE_ROOT, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix="docs-", dir=_CACHE_ROOT)
-    try:
-        for fi, start in enumerate(range(0, len(df), rows_per_file)):
-            chunk = pa.Table.from_pandas(df.iloc[start:start + rows_per_file],
-                                         preserve_index=False)
-            pq.write_table(chunk, os.path.join(tmp, f"part-{fi:05d}.parquet"),
-                           row_group_size=8192)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok\n")
-        try:
-            os.rename(tmp, out_dir)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return out_dir

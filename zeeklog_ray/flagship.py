@@ -1,22 +1,22 @@
 """Fused flagship stage: parse → enrich → routed write → partial stats in
 ONE ``map_batches`` task pass.
 
-The composable path (``build_dataset`` → ``route_to_sinks`` →
-``grouped_stats``) moves the full decoded table through the object store at
-every stage boundary and runs two executions (write, then aggregate).  On a
-single node that inter-stage traffic — not CPU — caps scaling.  This fused
-stage is the classic "map task writes its partition of a partitioned table"
-design: each batch is parsed, enriched, appended to the task's per-sink
-Parquet files, and reduced to a tiny per-sink stats row; only the partial
-stats rows (a few hundred bytes per batch) leave the stage.  The final merge
-is a tiny ``groupby``.
+Routing as composed stages (``build_dataset`` → ``write_parquet`` partitioned
+on ``sink`` → ``grouped_stats``) would move the full decoded table through
+the object store at every stage boundary and run two executions (write,
+then aggregate).  On a single node that inter-stage traffic — not CPU — caps
+scaling.  This fused stage is the classic "map task writes its partition of
+a partitioned table" design: each batch is parsed, enriched, appended to the
+task's per-sink Parquet files, and reduced to a tiny per-sink stats row;
+only the partial stats rows (a few hundred bytes per batch) leave the stage.
+The final merge is a tiny ``groupby``.
 
 The streaming executor still pipelines read → fused stage with backpressure;
 at cluster scale the same stage shape holds (writers stream to the shared
 filesystem / object storage from every node, nothing is collected centrally).
 
-Output layout matches :func:`zeeklog_ray.pipeline.route_to_sinks`
-(``out_dir/sink=<s>/part-*.parquet``), but each sink directory carries its
+Output layout is one hive partition per sink
+(``out_dir/sink=<s>/part-*.parquet``), and each sink directory carries its
 OWN schema: payload + enrichment columns plus that protocol's registry
 fields only — exactly like the reference's per-protocol sinks, and like
 real Zeek logs, where conn.log and dns.log have different columns.  The
@@ -78,7 +78,8 @@ class FusedRouteWriter:
 
         self.out_dir = out_dir
         # None → Arrow default (snappy); 'zstd' ~halves routed bytes on
-        # token payloads at modest encode cost (route_to_sinks docstring)
+        # token payloads at modest encode cost, and readers need no flag
+        # (the codec is per-file metadata)
         self.compression = compression
         self.enricher = Enricher() if enrich else None
         self.ip_pred = _ip_predicate(src_ip) if src_ip else None

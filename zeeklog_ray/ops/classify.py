@@ -120,32 +120,3 @@ def nb_predict(docs: "ray.data.Dataset", model: dict,
 
     return docs.map_batches(score, batch_format="pandas", batch_size=None)
 
-
-def nb_reference(train_df: pd.DataFrame, test_texts: "pd.Series",
-                 text_col: str = "text", label_col: str = "label",
-                 n_features: int = 1 << 18, alpha: int = 1) -> np.ndarray:
-    """Pure-Python/naive-numpy reference for pytest parity: same hashed
-    features, same smoothing, same tie-break; per-document Python loop —
-    correct by inspection, never used in the pipeline."""
-    from zeeklog_ray.ops.wordhash import split_word_hashes as swh
-
-    labels = np.sort(train_df[label_col].unique())
-    fc = np.zeros((len(labels), n_features), dtype=np.int64)
-    cd = np.zeros(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        sub = train_df[train_df[label_col] == lab]
-        cd[i] = len(sub)
-        for t in sub[text_col]:
-            _, wh = swh(pd.Series([t]))
-            for f in (wh % np.uint64(n_features)).astype(np.int64):
-                fc[i, f] += 1
-    lp = np.log(cd) - np.log(cd.sum())
-    ll = (np.log(fc + alpha)
-          - np.log(fc.sum(axis=1) + alpha * n_features)[:, None])
-    out = []
-    for t in test_texts:
-        _, wh = swh(pd.Series([t]))
-        feats = (wh % np.uint64(n_features)).astype(np.int64)
-        s = lp + ll[:, feats].sum(axis=1)
-        out.append(labels[int(np.argmax(s))])
-    return np.array(out, dtype=object)

@@ -16,8 +16,10 @@ Physical plan shape (SURVEY.md §3 "Rebuild lifecycle")::
       → map_batches(parse_batch, pyarrow, zero-copy)     # stateless tasks
       → [row predicate: src_ip]                          # vectorized mask
       → [map_batches(Enricher())]                        # stateless tasks
-      → write_parquet(partition_cols=['sink'])           # fan-out router
-      / grouped_stats / distinct summary                 # small shuffles
+      → grouped_stats / distinct summary                 # small shuffles
+
+The routed per-sink write is the fused one-pass stage in ``flagship.py``
+(``run_flagship``).
 
 Filter semantics: the src_ip predicate is ROW-level ("any address field
 equals ip"), the clearly-intended relational semantics of the reference's
@@ -163,29 +165,3 @@ def build_dataset(cfg: PipelineConfig) -> "ray.data.Dataset":
                             batch_size=None)
     return ds
 
-
-def route_to_sinks(ds: "ray.data.Dataset", out_dir: str,
-                   min_rows_per_file: int = 100_000,
-                   compression: str | None = None) -> None:
-    """Fan-out router: one Parquet partition directory per sink.
-
-    ``write_parquet(partition_cols=['sink'])`` writes ``sink=<s>/`` dirs —
-    the Ray-native analog of the reference's per-protocol grouping
-    (zeek_log_proto.rs enum as sink list, SURVEY.md §2.1 S4/S5).  Unknown
-    sources land in ``sink=none/`` (quarantine, not dropped).
-
-    ``min_rows_per_file`` keeps output files coarse: without it each write
-    task emits one file per block per sink and downstream readers pay a
-    per-file task cost (505 tiny files for a 4M-row run — measured 20×
-    slower to re-read at low parallelism).
-
-    ``compression`` passes through to the Parquet writer (``'zstd'`` /
-    ``'snappy'`` / ``'gzip'``; None = Arrow default snappy).  At 100 TB
-    the storage footprint, not the CPU, is usually the binding constraint
-    — zstd roughly halves routed-output bytes for token payloads at a
-    modest encode cost, and the READ side needs no flag (codec is
-    per-file metadata, so zstd and snappy outputs mix freely in one
-    corpus)."""
-    kwargs = {"compression": compression} if compression else {}
-    ds.write_parquet(out_dir, partition_cols=["sink"],
-                     min_rows_per_file=min_rows_per_file, **kwargs)

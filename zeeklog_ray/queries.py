@@ -1,6 +1,7 @@
 """Query registry: every implemented operator/pipeline as ``name →
-callable(sf_dir)``, with a matching DuckDB oracle SQL where the semantics are
-SQL-expressible (driver contract in ``__ray_entry__.py``).
+callable(sf_dir)``, registered by one ``@query`` record that carries either
+its DuckDB oracle SQL or the reason it is rows-only (the contract is in
+``__ray_entry__.py``).
 
 Two families:
 
@@ -9,9 +10,10 @@ Two families:
   /tmp).  Fully oracle-checked: DuckDB decodes the token payload with
   ``array_to_string(list_transform(tokens, x -> chr(x)), '')`` and splits on
   ``chr(9)``, replicating parse → route → filter → aggregate in SQL
-  (see ``_zeek_oracle_sql``).
+  (see ``_zeek_z``).
 * relational/analytics queries over the driver's testdata tables
-  (documents / events / lineitem / orders / …) — each with exact oracle SQL.
+  (documents / events / lineitem / orders / …) — each with exact oracle SQL
+  or a declared rows-only reason.
   Float policy: sums are integer-exact (cents), divisions happen on exact
   integer sums, similarity scores are floored at 1e-4 on DOUBLE math — see
   ``relational.py``.
@@ -20,6 +22,7 @@ Two families:
 from __future__ import annotations
 
 import os
+import shutil
 
 from collections.abc import Callable
 from typing import Any
@@ -32,7 +35,16 @@ import ray.data
 
 import zeeklog_ray.ops.sample as _sample_sql
 from zeeklog_ray.aggregate import HIST_COLUMNS, HIST_EDGES, distinct_column, grouped_stats
-from zeeklog_ray.corpus import GOLDEN_IP_0702_ONLY, corpus_for_sf_dir
+from zeeklog_ray.corpus import (
+    GOLDEN_IP_0702_ONLY,
+    SOURCE_MIX,
+    corpus_for_sf_dir,
+    corpus_path_for_sf_dir,
+)
+from zeeklog_ray.enrich import build_geo_dict, build_geo_ranges
+from zeeklog_ray.ops.mediacodec import HAS_PIL as _HAS_PIL
+from zeeklog_ray.ops.multimodal import media_parquet_path
+from zeeklog_ray.ops.sketch import count_min_oracle_sql, hll_oracle_sql
 from zeeklog_ray.pipeline import PipelineConfig, build_dataset
 from zeeklog_ray.relational import (
     CAP_SALT as _CAP_SALT,
@@ -45,6 +57,9 @@ from zeeklog_ray.relational import (
     to_pandas,
     top_k,
 )
+from zeeklog_ray.sources import CONN_PREFIXED, KNOWN_SOURCES
+from zeeklog_ray.zeektsv import tsv_fixture_path
+
 
 def _round_half_away(x: "pd.Series | np.ndarray") -> np.ndarray:
     """Round half away from zero to int64 — DuckDB's ROUND semantics.
@@ -57,18 +72,182 @@ def _round_half_away(x: "pd.Series | np.ndarray") -> np.ndarray:
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype("int64")
 
 
+def _scratch_dir(kind: str, sf_dir: str) -> str:
+    """An emptied ``/tmp/zeeklog_<kind>/<sf>-<pid>`` path.  The pid keeps two
+    concurrent runs (bench + oracle gate) from removing each other's
+    in-flight files; the directory stays on disk because the returned
+    Datasets read it lazily (tiny at test scale)."""
+    path = (f"/tmp/zeeklog_{kind}/"
+            f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
+    shutil.rmtree(path, ignore_errors=True)
+    return path
+
+
 # --------------------------------------------------------------------------
-# zeek_* — flagship pipeline queries (rows-only driver checks; pytest is the
-# strong gate).  Each takes sf_dir and maps it to a matching-scale corpus.
+# Registry: one ``@query`` record per query says how its result is checked:
+# ``oracle=`` the DuckDB replay (SQL text, or a function of ``sf_dir`` for
+# the oracles that read the per-sf corpus or media file), or ``rows_only=``
+# why no exact oracle exists (then only the row count is checked).
+# --------------------------------------------------------------------------
+
+QUERIES: dict[str, Callable[[str], Any]] = {}
+ROWS_ONLY: dict[str, str] = {}
+_ORACLES: dict[str, "str | Callable[[str], str]"] = {}
+
+
+def query(*, oracle: "str | Callable[[str], str] | None" = None,
+          rows_only: str | None = None) -> Callable:
+    """Register the decorated ``fn(sf_dir)`` in QUERIES under its name, with
+    exactly one of an oracle and a non-empty rows-only reason."""
+    if (oracle is None) == (rows_only is None):
+        raise ValueError("query() takes exactly one of oracle= and rows_only=")
+    if rows_only is not None and not rows_only.strip():
+        raise ValueError("query(rows_only=...) needs a non-empty reason")
+
+    def register(fn: Callable[[str], Any]) -> Callable[[str], Any]:
+        name = fn.__name__
+        if name in QUERIES:
+            raise ValueError(f"query {name!r} is registered twice")
+        QUERIES[name] = fn
+        if oracle is None:
+            ROWS_ONLY[name] = rows_only
+        else:
+            _ORACLES[name] = oracle
+        return fn
+
+    return register
+
+
+# The oracle views are registered over sf0.01 and both sides run at that
+# scale; the zeek corpus is addressed by absolute path inside the SQL.
+DRIVER_SF_DIR = "/root/testdata/sf0.01"
+
+
+def build_oracle_sql(sf_dir: str = DRIVER_SF_DIR) -> dict[str, str]:
+    """Every registered oracle's SQL, the per-sf ones built for ``sf_dir``
+    (tools/check_oracle.py checks scales other than ``DRIVER_SF_DIR``)."""
+    return {name: o(sf_dir) if callable(o) else o
+            for name, o in _ORACLES.items()}
+
+
+def ensure_oracle_corpus(sf_dir: str = DRIVER_SF_DIR) -> None:
+    """Generate (or reuse) the corpora the zeek oracle SQL reads — called by
+    ``__ray_entry__.oracle_sql()`` so the SQL's read targets exist even if
+    the driver runs the oracle before the Ray query."""
+    from zeeklog_ray.ops.multimodal import media_parquet_for_sf_dir
+    from zeeklog_ray.zeektsv import tsv_fixture_for_sf_dir
+
+    corpus_for_sf_dir(sf_dir)
+    tsv_fixture_for_sf_dir(sf_dir)
+    media_parquet_for_sf_dir(sf_dir)
+
+
+# SQL fragments the oracles share.  ``_WORDS_SQL`` is the ops/text word
+# split (single spaces, empty tokens dropped); the Horner hashes and the
+# sign fold replay numpy's uint64 arithmetic and its int64 view in HUGEINT.
+_WORDS_SQL = "LIST_FILTER(STRING_SPLIT(text, ' '), x -> x <> '')"
+_N_WORDS_SQL = f"CAST(LENGTH({_WORDS_SQL}) AS BIGINT) AS n_words"
+_N_STOP_SQL = ("CAST(LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), x -> x IN "
+               "('a','and','for','in','is','it','of','that','the','to'))) "
+               "AS BIGINT) AS n_stop")
+_MOD64 = "18446744073709551616::HUGEINT"                        # 2^64
+
+
+def _horner_sql(codes: str, base: int = 1000003) -> str:
+    """Horner hash of the HUGEINT list ``codes``, mod 2^64 at every step."""
+    return (f"list_reduce({codes}, (acc, c) -> "
+            f"(acc*{base}::HUGEINT + c) % {_MOD64})")
+
+
+def _byte_hashes_sql(k: int) -> str:
+    """Horner hashes of every k-byte window of ``text`` (ASCII corpus:
+    ord == utf-8 byte)."""
+    return (f"list_transform(range(1, length(text)-{k - 2}), i -> "
+            + _horner_sql(f"list_transform(range(i, i+{k}), "
+                          "j -> ord(substring(text, j, 1))::HUGEINT)") + ")")
+
+
+# per-word codepoint Horner over the ``words`` list
+_WORD_HASHES_SQL = ("list_transform(words, w -> " + _horner_sql(
+    "list_transform(range(1, length(w)+1), "
+    "j -> ord(substring(w, j, 1))::HUGEINT)") + ")")
+
+
+def _int64_sql(h: str) -> str:
+    """The HUGEINT ``h`` in [0, 2^64) folded to two's-complement BIGINT."""
+    return (f"CAST(CASE WHEN {h} >= 9223372036854775808::HUGEINT "
+            f"THEN {h} - {_MOD64} ELSE {h} END AS BIGINT)")
+
+
+# --------------------------------------------------------------------------
+# zeek_* — flagship pipeline queries.  Each takes sf_dir and maps it to a
+# matching-scale corpus.  DuckDB CAN decode the token payload —
+#   array_to_string(list_transform(tokens, x -> chr(x)), '')  → the TSV line
+#   string_split(line, chr(9))                                → the cells
+# so the whole parse→route→aggregate pipeline is SQL-expressible and the
+# flagship queries get the full rows+schema+hash gate.  Their
+# oracles are functions of sf_dir: they read the corpus that
+# ``corpus_for_sf_dir(sf_dir)`` resolves to by path (computed WITHOUT
+# generating; generation happens when the queries run or in
+# ``ensure_oracle_corpus``).
 # --------------------------------------------------------------------------
 
 
+def _sql_strings(names) -> str:
+    return "(" + ", ".join(f"'{n}'" for n in names) + ")"
+
+
+_KNOWN_SQL = _sql_strings(KNOWN_SOURCES)
+_CONN_SQL = _sql_strings(CONN_PREFIXED)
+
+
+def _corpus_sql(sf_dir: str) -> str:
+    """``read_parquet`` over the tokenized corpus for ``sf_dir``."""
+    return (f"read_parquet('{corpus_path_for_sf_dir(sf_dir)}"
+            "/date=*/part-*.parquet')")
+
+
+def _zeek_z(sf_dir: str) -> str:
+    """WITH clause of the decoded view: p = the TSV cells of the token
+    payload (1-indexed); id.orig_h = p[3], id.resp_h = p[5] for
+    connection-prefixed sources."""
+    return ("WITH z AS (SELECT date, source, lower(source) AS src, n_tok, "
+            "string_split(array_to_string(list_transform(tokens, x -> chr(x)), "
+            f"''), chr(9)) AS p FROM {_corpus_sql(sf_dir)}) ")
+
+
+def _zeek_sink_stats_sql(sf_dir: str) -> str:
+    """Per-sink row count, n_tok stats and n_tok histogram of the corpus."""
+    hist = ", ".join(
+        f"CAST(SUM(CASE WHEN n_tok >= {lo} AND n_tok < {hi} THEN 1 ELSE 0 "
+        f"END) AS BIGINT) AS {col}"
+        for col, lo, hi in (("hist_0_64", 0, 64), ("hist_64_128", 64, 128),
+                            ("hist_128_256", 128, 256),
+                            ("hist_256_512", 256, 512),
+                            ("hist_512_1024", 512, 1024),
+                            ("hist_1024_inf", 1024, 1 << 62)))
+    return (f"SELECT CASE WHEN lower(source) IN {_KNOWN_SQL} "
+            "THEN lower(source) ELSE 'none' END AS sink, COUNT(*) AS n, "
+            "CAST(SUM(n_tok) AS BIGINT) AS sum_n_tok, "
+            "CAST(MIN(n_tok) AS BIGINT) AS min_n_tok, "
+            f"CAST(MAX(n_tok) AS BIGINT) AS max_n_tok, {hist} "
+            f"FROM {_corpus_sql(sf_dir)} GROUP BY 1")
+
+
+def _ip_cond(ip: str) -> str:
+    """Rows of a connection-prefixed source with ``ip`` on either side."""
+    return f"src IN {_CONN_SQL} AND (p[3] = '{ip}' OR p[5] = '{ip}')"
+
+
+@query(oracle=_zeek_sink_stats_sql)
 def zeek_sink_stats(sf_dir: str) -> "ray.data.Dataset":
     """Flagship: parse → route → per-sink counts + n_tok stats + histogram."""
     corpus = corpus_for_sf_dir(sf_dir)
     return grouped_stats(build_dataset(PipelineConfig(corpus_dir=corpus)), key="sink")
 
 
+# enrichment appends columns but never rows — identical aggregate
+@query(oracle=_zeek_sink_stats_sql)
 def zeek_enriched_sink_stats(sf_dir: str) -> "ray.data.Dataset":
     """Same with the enrichment actor pool in the path (exercises ST1/J1)."""
     corpus = corpus_for_sf_dir(sf_dir)
@@ -76,6 +255,8 @@ def zeek_enriched_sink_stats(sf_dir: str) -> "ray.data.Dataset":
     return grouped_stats(ds, key="sink")
 
 
+@query(oracle=lambda sf_dir: _zeek_z(sf_dir) + (
+    f"SELECT DISTINCT p[3] AS id_orig_h FROM z WHERE src IN {_CONN_SQL}"))
 def zeek_distinct_orig_h(sf_dir: str) -> "ray.data.Dataset":
     """The _create_overview summary: distinct source addresses
     (zeek_log.rs:332-362, product semantics)."""
@@ -83,6 +264,12 @@ def zeek_distinct_orig_h(sf_dir: str) -> "ray.data.Dataset":
     return distinct_column(build_dataset(PipelineConfig(corpus_dir=corpus)), "id_orig_h")
 
 
+@query(oracle=lambda sf_dir: _zeek_z(sf_dir) + (
+    "SELECT d.date, CAST(COALESCE(m.n, 0) AS BIGINT) AS n_rows "
+    "FROM (VALUES ('2024-07-02'), ('2024-07-03')) AS d(date) "
+    "LEFT JOIN (SELECT date, COUNT(*) AS n FROM z WHERE "
+    f"{_ip_cond(GOLDEN_IP_0702_ONLY)} GROUP BY date) m "
+    "ON d.date = m.date"))
 def zeek_golden_ip_filter(sf_dir: str) -> pd.DataFrame:
     """Plan-4 ip filter on both golden dates; returns (date, n_rows) — the
     present/absent behavior of tests/zeek_search.rs:189-216."""
@@ -95,6 +282,20 @@ def zeek_golden_ip_filter(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
+_PLAN_IP = "10.2.17.31"
+
+
+@query(oracle=lambda sf_dir: _zeek_z(sf_dir) + (
+    "SELECT * FROM ("
+    "SELECT 0 AS plan, COUNT(*) AS n_rows FROM z WHERE date = '2024-07-02' "
+    "UNION ALL SELECT 1, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' "
+    "UNION ALL SELECT 2, COUNT(*) FROM z WHERE date = '2024-07-02' AND source = 'dns' "
+    "UNION ALL SELECT 3, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' AND source = 'dns' "
+    f"UNION ALL SELECT 4, COUNT(*) FROM z WHERE date = '2024-07-02' AND {_ip_cond(_PLAN_IP)} "
+    f"UNION ALL SELECT 5, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' AND {_ip_cond(_PLAN_IP)} "
+    f"UNION ALL SELECT 6, COUNT(*) FROM z WHERE date = '2024-07-02' AND source = 'dns' AND {_ip_cond(_PLAN_IP)} "
+    f"UNION ALL SELECT 7, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' AND source = 'dns' AND {_ip_cond(_PLAN_IP)}"
+    ") ORDER BY plan"))
 def zeek_plan_matrix(sf_dir: str) -> pd.DataFrame:
     """Row counts for all 8 (src_ip, source, end_date) plan combinations —
     the full matrix of ZeekSearchParams::check (zeek_search_params.rs:38-57).
@@ -110,7 +311,7 @@ def zeek_plan_matrix(sf_dir: str) -> pd.DataFrame:
     from zeeklog_ray.sources import normalize_source
 
     corpus = corpus_for_sf_dir(sf_dir)
-    ip, src, end = "10.2.17.31", "dns", "2024-07-03"
+    ip, src, end = _PLAN_IP, "dns", "2024-07-03"
     start = "2024-07-02"
     want = normalize_source(src)
     base = build_dataset(PipelineConfig(corpus_dir=corpus, start_date=start,
@@ -140,6 +341,10 @@ def zeek_plan_matrix(sf_dir: str) -> pd.DataFrame:
                                     for k in range(8)]})
 
 
+@query(oracle=lambda sf_dir: _zeek_z(sf_dir) + (
+    "SELECT src AS sink, CAST(FLOOR(CAST(p[1] AS DOUBLE) / 3600) "
+    "AS BIGINT) AS hour_bucket, COUNT(*) AS n FROM z "
+    f"WHERE src IN {_KNOWN_SQL} GROUP BY 1, 2"))
 def zeek_hourly_sink_counts(sf_dir: str) -> "ray.data.Dataset":
     """Tumbling one-hour windows on the flagship parse path: per
     (sink, hour bucket) row counts over the parsed ``ts`` epoch — the
@@ -163,6 +368,15 @@ def zeek_hourly_sink_counts(sf_dir: str) -> "ray.data.Dataset":
     return grouped_sum(bucketed, ["sink", "hour_bucket"], count_as="n")
 
 
+# the window exclusive-prefix-sum over doc_id order replays the two-level
+# prefix sum exactly (monotone date contract)
+@query(oracle=lambda sf_dir: (
+    "WITH w AS (SELECT source, n_tok, COALESCE(SUM(n_tok) OVER ("
+    "PARTITION BY source ORDER BY doc_id ROWS BETWEEN UNBOUNDED "
+    f"PRECEDING AND 1 PRECEDING), 0) AS off FROM {_corpus_sql(sf_dir)}) "
+    "SELECT source, CAST(off // 2048 AS BIGINT) AS pack_id, "
+    "CAST(COUNT(*) AS BIGINT) AS n_docs, "
+    "CAST(SUM(n_tok) AS BIGINT) AS sum_tok FROM w GROUP BY 1, 2"))
 def zeek_seq_packing(sf_dir: str) -> "ray.data.Dataset":
     """Sequence packing over the tokenized corpus: assign each doc to its
     fixed-2048-token context bin via a two-level distributed prefix sum
@@ -178,6 +392,37 @@ def zeek_seq_packing(sf_dir: str) -> "ray.data.Dataset":
     return pack_stats(ds, context_len=2048)
 
 
+# the loader materialization replayed from scratch: window-function stream
+# offsets per source (doc_id order == stream order by the monotonicity
+# contract), per-token global position via unnest(range), Horner over the
+# REAL tokens (padding never hashed).  Horner as a POWER-TABLE join, not a
+# per-pack list(): list aggregates cannot spill in DuckDB (the 34M-token
+# sf0.1 replay OOMs), while Σ tok·B^(n_real−1−pos) mod 2^64 over a 2048-row
+# recursive power CTE is a plain spillable grouped SUM — tok·v < 2^95 and
+# the pack sum < 2^107, inside HUGEINT
+@query(oracle=lambda sf_dir: (
+    "WITH RECURSIVE pw(k, v) AS ("
+    "SELECT 0, 1::HUGEINT "
+    f"UNION ALL SELECT k + 1, (v * 1000003::HUGEINT) % {_MOD64} "
+    "FROM pw WHERE k < 2047), "
+    "w AS (SELECT source, tokens, COALESCE(SUM(n_tok) "
+    "OVER (PARTITION BY source ORDER BY doc_id ROWS BETWEEN "
+    "UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS off FROM "
+    f"{_corpus_sql(sf_dir)}), "
+    "u AS (SELECT source, off + i - 1 AS gpos, "
+    "tokens[i]::HUGEINT AS tok "
+    "FROM w, unnest(range(1, len(tokens) + 1)) AS r(i)), "
+    "p AS (SELECT source, CAST(gpos // 2048 AS BIGINT) AS "
+    "pack_id, CAST(gpos % 2048 AS BIGINT) AS pos, tok FROM u), "
+    "sz AS (SELECT source, pack_id, COUNT(*) AS n_real "
+    "FROM p GROUP BY 1, 2), "
+    "h AS (SELECT p.source, p.pack_id, sz.n_real, "
+    f"SUM(p.tok * pw.v) % {_MOD64} AS m "
+    "FROM p JOIN sz USING (source, pack_id) "
+    "JOIN pw ON pw.k = sz.n_real - 1 - p.pos "
+    "GROUP BY 1, 2, 3) "
+    "SELECT source, pack_id, CAST(n_real AS BIGINT) AS n_real, "
+    f"{_int64_sql('m')} AS pack_hash FROM h"))
 def zeek_packed_rows(sf_dir: str) -> "ray.data.Dataset":
     """Loader materialization (loader.pack_token_rows): the pack
     assignments become REAL (source, pack_id, input_ids[2048]) rows —
@@ -205,6 +450,25 @@ def zeek_packed_rows(sf_dir: str) -> "ray.data.Dataset":
 _CHUNK_W, _CHUNK_S = 256, 192
 
 
+# same chunk-count contract as ops.packing.chunk_tokens, per-chunk Horner
+# hash over the 1-based list_slice, HUGEINT mod 2^64 folded to signed int64
+# like doc_fingerprints
+@query(oracle=lambda sf_dir: (
+    "WITH t AS (SELECT doc_id, tokens, n_tok FROM "
+    f"{_corpus_sql(sf_dir)} WHERE n_tok > 0), "
+    "c AS (SELECT doc_id, n_tok, tokens, unnest(range(0, "
+    f"CASE WHEN n_tok <= {_CHUNK_W} THEN 1 ELSE "
+    f"(n_tok - {_CHUNK_W} + {_CHUNK_S - 1}) // {_CHUNK_S} + 1 END"
+    ")) AS k FROM t) "
+    "SELECT doc_id, CAST(k AS BIGINT) AS chunk_id, "
+    "CAST(n_chunk_tok AS BIGINT) AS n_chunk_tok, "
+    f"{_int64_sql('m')} AS chunk_hash FROM ("
+    f"SELECT doc_id, k, LEAST({_CHUNK_W}, n_tok - k * {_CHUNK_S}) "
+    "AS n_chunk_tok, list_reduce(list_transform(list_slice(tokens, "
+    f"k * {_CHUNK_S} + 1, k * {_CHUNK_S} + "
+    f"LEAST({_CHUNK_W}, n_tok - k * {_CHUNK_S})), "
+    "x -> x::HUGEINT), (acc, c) -> (acc * 1000003::HUGEINT + c) % "
+    f"{_MOD64}) AS m FROM c)"))
 def zeek_token_chunks(sf_dir: str) -> "ray.data.Dataset":
     """Overlapping token-window chunking over the tokenized corpus
     (window 256, stride 192) — the split-side complement of
@@ -217,6 +481,10 @@ def zeek_token_chunks(sf_dir: str) -> "ray.data.Dataset":
     return chunk_tokens(ds, window=_CHUNK_W, stride=_CHUNK_S)
 
 
+@query(oracle=lambda sf_dir: (
+    "SELECT token, CAST(COUNT(*) AS BIGINT) AS n FROM "
+    f"(SELECT UNNEST(tokens) AS token FROM {_corpus_sql(sf_dir)}) "
+    "GROUP BY token ORDER BY n DESC, token LIMIT 20"))
 def zeek_token_vocab(sf_dir: str) -> "ray.data.Dataset":
     """Token-level vocabulary: top-20 token ids by total frequency across
     the corpus — the vocabulary-stats pass a training pipeline runs over
@@ -241,6 +509,21 @@ def zeek_token_vocab(sf_dir: str) -> "ray.data.Dataset":
     return top_k(summed, by=["n", "token"], descending=[True, False], k=20)
 
 
+# vocab ranked by (count DESC, token), dense 0-based ids; per-doc sum of
+# remapped ids replays the np.take + reduceat pipeline.  LEFT JOIN from the
+# docs table so an empty-token doc yields sum_tid=0 like the Ray side's
+# reduceat guard (an inner join over UNNEST would drop the doc's row)
+@query(oracle=lambda sf_dir: (
+    "WITH v AS (SELECT token, ROW_NUMBER() OVER "
+    "(ORDER BY COUNT(*) DESC, token) - 1 AS tid FROM "
+    f"(SELECT UNNEST(tokens) AS token FROM {_corpus_sql(sf_dir)}) "
+    "GROUP BY token), "
+    "s AS (SELECT e.doc_id, SUM(v.tid) AS s FROM "
+    f"(SELECT doc_id, UNNEST(tokens) AS token FROM {_corpus_sql(sf_dir)}) e "
+    "JOIN v ON e.token = v.token GROUP BY e.doc_id) "
+    "SELECT c.doc_id, CAST(COALESCE(s.s, 0) AS BIGINT) AS sum_tid "
+    f"FROM {_corpus_sql(sf_dir)} c "
+    "LEFT JOIN s ON c.doc_id = s.doc_id"))
 def zeek_token_remap(sf_dir: str) -> "ray.data.Dataset":
     """Retokenization: build the frequency-ranked vocabulary (token → dense
     id, count DESC then token ASC), broadcast the lookup array, remap every
@@ -293,6 +576,23 @@ def zeek_token_remap(sf_dir: str) -> "ray.data.Dataset":
     return full.map_batches(remap, batch_format="pyarrow", batch_size=None)
 
 
+def _geo_dict_values() -> str:
+    """The direct-IP geo dict as ``(ip, country_code)`` VALUES rows."""
+    return ", ".join(f"('{k}', '{v['geo_country_code']}')"
+                     for k, v in sorted(build_geo_dict().items()))
+
+
+def _geo_range_values() -> str:
+    """The CIDR ranges as ``(lo, hi, country_code, asn)`` VALUES rows."""
+    return ", ".join(
+        f"({r.lo}, {r.hi}, '{r.geo_country_code}', '{r.geo_asn}')"
+        for r in build_geo_ranges().itertuples())
+
+
+@query(oracle=lambda sf_dir: _zeek_z(sf_dir) + (
+    "SELECT DISTINCT p[3] AS id_orig_h, g.cc AS geo_country_code "
+    f"FROM z JOIN (VALUES {_geo_dict_values()}) AS g(ip, cc) "
+    f"ON p[3] = g.ip WHERE src IN {_CONN_SQL}"))
 def zeek_geo_summary(sf_dir: str) -> "ray.data.Dataset":
     """Distinct origin address + geo enrichment columns — the reference's
     summary map with IP2Location fields (zeek_log.rs:33-38, 416-458)."""
@@ -301,6 +601,17 @@ def zeek_geo_summary(sf_dir: str) -> "ray.data.Dataset":
     return distinct_column(ds, "geo_country_code", by=["id_orig_h"])
 
 
+# the CIDR-range variant: BETWEEN join on the same dotted-quad → BIGINT
+# arithmetic the Ray side vectorizes (enrich.ip_to_int)
+@query(oracle=lambda sf_dir: _zeek_z(sf_dir) + (
+    "SELECT DISTINCT p[3] AS id_orig_h, "
+    "r.cc AS geo_country_code, r.asn AS geo_asn "
+    f"FROM z JOIN (VALUES {_geo_range_values()}) AS r(lo, hi, cc, asn) "
+    "ON (split_part(p[3], '.', 1)::BIGINT * 16777216 + "
+    "split_part(p[3], '.', 2)::BIGINT * 65536 + "
+    "split_part(p[3], '.', 3)::BIGINT * 256 + "
+    "split_part(p[3], '.', 4)::BIGINT) BETWEEN r.lo AND r.hi "
+    f"WHERE src IN {_CONN_SQL}"))
 def zeek_geo_range_summary(sf_dir: str) -> "ray.data.Dataset":
     """CIDR-RANGE geo enrichment — the shape real IP2Location data has
     (interval tables, not exact-IP dicts): distinct conn-prefixed origin
@@ -310,9 +621,8 @@ def zeek_geo_range_summary(sf_dir: str) -> "ray.data.Dataset":
     table is the ONLY shuffle-free shape).  Inner summary (misses drop);
     the oracle replays with a VALUES BETWEEN join on the same integer
     arithmetic."""
-    from zeeklog_ray.enrich import broadcast_range_lookup, build_geo_ranges
+    from zeeklog_ray.enrich import broadcast_range_lookup
     from zeeklog_ray.relational import bucketed_distinct
-    from zeeklog_ray.sources import CONN_PREFIXED
 
     corpus = corpus_for_sf_dir(sf_dir)
     ds = build_dataset(PipelineConfig(corpus_dir=corpus))
@@ -331,6 +641,24 @@ def zeek_geo_range_summary(sf_dir: str) -> "ray.data.Dataset":
         batch_format="pandas", batch_size=None)
 
 
+def _geo_lookup_oracle_sql() -> str:
+    """The E3 direct-IP lookup as a VALUES join over the deterministic geo
+    dict (same dict build_geo_dict() gives the Ray side)."""
+    from zeeklog_ray.corpus import IP_POOL
+    from zeeklog_ray.enrich import GEO_FIELDS
+
+    geo = build_geo_dict()
+    cols = ", ".join(["ip"] + GEO_FIELDS)
+    values = ", ".join(
+        "(" + ", ".join(f"'{v}'" for v in
+                        [k] + [geo[k][f] for f in GEO_FIELDS]) + ")"
+        for k in sorted(geo))
+    probes = ", ".join(f"'{p}'" for p in sorted(geo)[:2] + [IP_POOL[3]])
+    return (f"SELECT * FROM (VALUES {values}) AS g({cols}) "
+            f"WHERE ip IN ({probes})")
+
+
+@query(oracle=_geo_lookup_oracle_sql())
 def geo_ip_lookup(sf_dir: str) -> pd.DataFrame:
     """Direct-IP lookup — the reference's E3 entry point (main.rs:250-268):
     given only IPs (no dates, no base dir), skip log scanning and query the
@@ -338,7 +666,7 @@ def geo_ip_lookup(sf_dir: str) -> pd.DataFrame:
     hit renders the 12-field record, a miss renders nothing (empty report).
     CLI surface: ``--lookup-ip``."""
     from zeeklog_ray.corpus import IP_POOL
-    from zeeklog_ray.enrich import GEO_FIELDS, build_geo_dict, lookup_ip
+    from zeeklog_ray.enrich import GEO_FIELDS, lookup_ip
 
     geo = build_geo_dict()
     probes = sorted(geo)[:2] + [IP_POOL[3]]   # IP_POOL[3] is never in the dict
@@ -352,6 +680,27 @@ def geo_ip_lookup(sf_dir: str) -> pd.DataFrame:
 # --------------------------------------------------------------------------
 
 
+def _tsv_ingest_sql(sf_dir: str) -> str:
+    """Re-read the same .log.gz files with read_csv: skip the 8 header
+    lines, null-pad the #close footer, drop '#' rows.  HAVING drops
+    zero-row sources: the Ray side (grouped_sum over rows actually present)
+    emits no row for a source that drew 0 lines, so an unconditional
+    (source, 0) row here would fail the rows gate."""
+    tsv_dir = tsv_fixture_path(sf_dir)
+    # hour bucket re-derived from the path: basename, then everything
+    # between the first '.' and the trailing '.log.gz'
+    hb = ("regexp_extract(regexp_extract(filename, '[^/]+$'), "
+          "'^[^.]+\\.(.*)\\.log\\.gz$', 1)")
+    return " UNION ALL ".join(
+        f"SELECT '{s}' AS source, {hb} AS hour_bucket, COUNT(*) AS n FROM "
+        f"read_csv('{tsv_dir}/*/{s}.*.log.gz', delim='\t', header=false, "
+        "skip=8, all_varchar=true, null_padding=true, union_by_name=true, "
+        "filename=true, names=['c0']) WHERE c0 NOT LIKE '#%' "
+        "GROUP BY 2 HAVING COUNT(*) > 0"
+        for s, _p in SOURCE_MIX)
+
+
+@query(oracle=_tsv_ingest_sql)
 def zeek_tsv_ingest(sf_dir: str) -> "ray.data.Dataset":
     """Real Zeek ``.log.gz`` TSV ingestion (zeektsv.read_zeek_logs): header
     sniff + per-file parse into the engine schema, aggregated to
@@ -367,6 +716,10 @@ def zeek_tsv_ingest(sf_dir: str) -> "ray.data.Dataset":
                        ["source", "hour_bucket"], count_as="n")
 
 
+@query(oracle=(
+    "SELECT source, COUNT(*) AS n, CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
+    "MIN(n_chars) AS min_chars, MAX(n_chars) AS max_chars "
+    "FROM documents GROUP BY source"))
 def docs_by_source(sf_dir: str) -> "ray.data.Dataset":
     """Per-source document stats — the per-route aggregate shape (A3)."""
     ds = read_table(sf_dir, "documents", columns=["source", "n_chars"])
@@ -377,11 +730,23 @@ def docs_by_source(sf_dir: str) -> "ray.data.Dataset":
         Min("n_chars", alias_name="min_chars"), Max("n_chars", alias_name="max_chars"))
 
 
+@query(oracle=(
+    "SELECT lang, COUNT(*) AS n, CAST(SUM(n_chars) AS BIGINT) AS sum_chars "
+    "FROM documents GROUP BY lang"))
 def docs_lang_stats(sf_dir: str) -> "ray.data.Dataset":
     ds = read_table(sf_dir, "documents", columns=["lang", "n_chars"])
     return grouped_sum(ds, ["lang"], sums={"n_chars": "sum_chars"}, count_as="n")
 
 
+@query(oracle=(
+    "WITH w AS (SELECT doc_id, "
+    "list_filter(string_split(text, ' '), x -> x <> '') AS ws "
+    "FROM documents), "
+    "s AS (SELECT doc_id, ws, UNNEST(range(0, len(ws), 24)) AS st "
+    "FROM w WHERE len(ws) > 0) "
+    "SELECT doc_id, st // 24 AS chunk_idx, "
+    "array_to_string(ws[st+1:st+32], ' ') AS chunk_text, "
+    "CAST(least(len(ws) - st, 32) AS BIGINT) AS n_words FROM s"))
 def docs_passage_chunks(sf_dir: str) -> "ray.data.Dataset":
     """Overlapping passage chunking (ops/text.passage_chunks): 32-word
     windows at stride 24 — the RAG / context-window splitter.  Row-local,
@@ -393,6 +758,21 @@ def docs_passage_chunks(sf_dir: str) -> "ray.data.Dataset":
     return passage_chunks(docs, chunk_words=32, stride=24)
 
 
+# normalization replayed verbatim: lower -> fold non-[a-z0-9] runs
+# to one space -> trim; planted variants rebuilt in SQL
+@query(oracle=(
+    "WITH variants AS ("
+    "SELECT doc_id, text FROM documents "
+    "UNION ALL "
+    "SELECT doc_id + 10000000, "
+    "CASE WHEN doc_id % 3 = 0 THEN upper(text) "
+    "WHEN doc_id % 3 = 1 THEN text || '  !!' "
+    "ELSE text END FROM documents), "
+    "norm AS (SELECT doc_id, "
+    "trim(regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g')) AS nt "
+    "FROM variants) "
+    "SELECT CAST(min(doc_id) AS BIGINT) AS doc_id, "
+    "CAST(count(*) AS BIGINT) AS n_dups FROM norm GROUP BY nt"))
 def docs_normalized_dedup(sf_dir: str) -> "ray.data.Dataset":
     """Normalization-canonicalized exact dedup
     (ops/dedup.normalized_exact_dedup): lowercase + non-alphanumeric
@@ -423,6 +803,32 @@ def docs_normalized_dedup(sf_dir: str) -> "ray.data.Dataset":
     return normalized_exact_dedup(variants)
 
 
+# the FULL simhash dedup chain replayed: signatures (the proven
+# doc_simhash HUGEINT CTE) over the planted variants, 16-bit bands
+# via HUGEINT division, band self-join, bit_count(xor) verify
+@query(oracle=(
+    "WITH variants AS ("
+    "SELECT doc_id, text FROM documents "
+    "UNION ALL "
+    "SELECT doc_id + 10000000, text || ' zz qq' FROM documents "
+    "WHERE doc_id % 5 = 0), "
+    f"h AS (SELECT doc_id, {_byte_hashes_sql(5)} AS hs FROM variants), "
+    "s AS (SELECT doc_id, COALESCE(list_sum(list_transform("
+    "range(0, 64), "
+    "b -> CASE WHEN 2*len(list_filter(hs, "
+    "x -> ((x // (2::HUGEINT ** b)::HUGEINT) % 2) = 1)) > len(hs) "
+    "THEN (2::HUGEINT ** b)::HUGEINT ELSE 0::HUGEINT END)), "
+    "0::HUGEINT) AS m FROM h), "
+    f"sb AS (SELECT doc_id, m, {_int64_sql('m')} AS sh FROM s), "
+    "bands AS (SELECT doc_id, sh, b, "
+    "(m // (65536::HUGEINT ** b)::HUGEINT) % 65536::HUGEINT AS bv "
+    "FROM sb, range(0, 4) t(b)), "
+    "cand AS (SELECT DISTINCT a.doc_id AS doc_a, c.doc_id AS doc_b, "
+    "a.sh AS sa, c.sh AS sc FROM bands a JOIN bands c "
+    "ON a.b = c.b AND a.bv = c.bv AND a.doc_id < c.doc_id) "
+    "SELECT doc_a, doc_b, "
+    "CAST(bit_count(xor(sa, sc)) AS BIGINT) AS hamming "
+    "FROM cand WHERE bit_count(xor(sa, sc)) <= 3"))
 def docs_simhash_dups(sf_dir: str) -> "ray.data.Dataset":
     """SimHash near-dup pairs (ops/dedup.simhash_near_dup_pairs):
     Hamming-ball blocking by the pigeonhole band split (4×16-bit bands
@@ -450,6 +856,20 @@ def docs_simhash_dups(sf_dir: str) -> "ray.data.Dataset":
     return simhash_near_dup_pairs(variants, max_hamming=3)
 
 
+# integer TF-IDF retrieval: idf = (N*10000)//df, whitespace tokens,
+# top-20 by (score desc, doc_id asc) — the same tie-break as the op
+@query(oracle=(
+    "WITH w AS (SELECT doc_id, unnest(LIST_FILTER("
+    "STRING_SPLIT_REGEX(text, '\\s+'), x -> x <> '')) AS term "
+    "FROM documents), "
+    "tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM w "
+    "WHERE term IN ('spark', 'join', 'vector') GROUP BY 1, 2), "
+    "df AS (SELECT term, COUNT(*) AS df FROM tf GROUP BY 1), "
+    "n AS (SELECT COUNT(*) AS nd FROM documents) "
+    "SELECT CAST(tf.doc_id AS BIGINT) AS doc_id, "
+    "CAST(SUM(tf.tf * ((n.nd * 10000) // df.df)) AS BIGINT) AS score "
+    "FROM tf JOIN df USING (term) CROSS JOIN n "
+    "GROUP BY tf.doc_id ORDER BY score DESC, doc_id LIMIT 20"))
 def docs_keyword_search(sf_dir: str) -> "ray.data.Dataset":
     """Distributed keyword retrieval (ops/retrieval.keyword_search):
     integer TF-IDF top-20 for a fixed 3-term query.  Shuffle volume is
@@ -464,6 +884,8 @@ def docs_keyword_search(sf_dir: str) -> "ray.data.Dataset":
     return keyword_search(docs, ["spark", "join", "vector"], k=20)
 
 
+@query(oracle=count_min_oracle_sql("events", "user_id", width=1024, depth=4,
+                                   k=10))
 def event_user_cm_counts(sf_dir: str) -> "ray.data.Dataset":
     """Count-Min sketch frequency estimation
     (ops/sketch.count_min_build/estimate): depth-4 × width-1024 counters
@@ -497,6 +919,27 @@ def event_user_cm_counts(sf_dir: str) -> "ray.data.Dataset":
                                             "n_cm": "int64"}))
 
 
+# BM25 with exact-rational k1=6/5, b=3/4: dl per doc, avgdl floored,
+# the scaled-integer saturation division replayed verbatim
+@query(oracle=(
+    "WITH w AS (SELECT doc_id, "
+    "LIST_FILTER(STRING_SPLIT_REGEX(text, '\\s+'), x -> x <> '') "
+    "AS words FROM documents), "
+    "dl AS (SELECT doc_id, len(words) AS dl FROM w), "
+    "stats AS (SELECT COUNT(*) AS nd, SUM(dl) // COUNT(*) AS avgdl "
+    "FROM dl), "
+    "u AS (SELECT doc_id, unnest(words) AS term FROM w), "
+    "tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM u "
+    "WHERE term IN ('spark', 'join', 'vector') GROUP BY 1, 2), "
+    "df AS (SELECT term, COUNT(*) AS df FROM tf GROUP BY 1) "
+    "SELECT CAST(tf.doc_id AS BIGINT) AS doc_id, "
+    "CAST(SUM(((s.nd * 10000) // df.df) * "
+    "((10000 * 44 * GREATEST(s.avgdl, 1) * tf.tf) // "
+    "(20 * GREATEST(s.avgdl, 1) * tf.tf + 6 * GREATEST(s.avgdl, 1) "
+    "+ 18 * dl.dl))) AS BIGINT) AS score "
+    "FROM tf JOIN df USING (term) JOIN dl ON tf.doc_id = dl.doc_id "
+    "CROSS JOIN stats s "
+    "GROUP BY tf.doc_id ORDER BY score DESC, doc_id LIMIT 20"))
 def docs_bm25_search(sf_dir: str) -> "ray.data.Dataset":
     """BM25 retrieval (ops/retrieval.keyword_search(bm25=True)): the
     dl/avgdl-normalized saturation form with k1 = 6/5 and b = 3/4 as
@@ -512,6 +955,8 @@ def docs_bm25_search(sf_dir: str) -> "ray.data.Dataset":
                           bm25=True)
 
 
+@query(rows_only="prediction is an argmax over float log-likelihoods; pytest "
+                 "parity with a pure-Python reference")
 def docs_nb_source_clf(sf_dir: str) -> "ray.data.Dataset":
     """Distributed hashed-feature Naive Bayes (ops/classify.py): train a
     source classifier on alternating doc_id blocks (block = doc_id//20,
@@ -541,6 +986,11 @@ def docs_nb_source_clf(sf_dir: str) -> "ray.data.Dataset":
     return grouped_sum(pred, ["source", "pred"], count_as="n")
 
 
+@query(oracle=(
+    "SELECT event_type, strftime(date_trunc('hour', ts), '%Y-%m-%d %H:00:00')"
+    " AS hour, COUNT(*) AS n, "
+    "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT) AS sum_value_cents "
+    "FROM events GROUP BY 1, 2"))
 def events_hourly(sf_dir: str) -> "ray.data.Dataset":
     """Tumbling 1-hour window per event type (streaming-shaped workload
     mapped to groupby — SURVEY.md §2.9: pre-materialized tumbling windows)."""
@@ -564,6 +1014,11 @@ def events_hourly(sf_dir: str) -> "ray.data.Dataset":
                        sums={"value_cents": "sum_value_cents"}, count_as="n")
 
 
+@query(oracle=(
+    "SELECT CAST(COUNT(*) AS BIGINT) AS n_orders, "
+    "CAST(SUM(CASE WHEN c_custkey IS NULL THEN 1 ELSE 0 END) "
+    "AS BIGINT) AS n_violations "
+    "FROM orders LEFT JOIN customer ON o_custkey = c_custkey"))
 def orders_fk_violations(sf_dir: str) -> pd.DataFrame:
     """Referential-integrity audit — the data-validation stage a pipeline
     runs before training joins: orders whose o_custkey has no customer
@@ -588,6 +1043,23 @@ def orders_fk_violations(sf_dir: str) -> pd.DataFrame:
                          "n_violations": [int(parts["_bad"].sum())]})
 
 
+@query(oracle=(
+    "SELECT 'event_id' AS \"column\", CAST(COUNT(*) AS BIGINT) "
+    "AS n_rows, CAST(COUNT(*) - COUNT(event_id) AS BIGINT) AS n_nulls, "
+    "CAST(MIN(event_id) AS BIGINT) AS min_i, "
+    "CAST(MAX(event_id) AS BIGINT) AS max_i FROM events "
+    "UNION ALL SELECT 'ts', CAST(COUNT(*) AS BIGINT), "
+    "CAST(COUNT(*) - COUNT(ts) AS BIGINT), "
+    "CAST(epoch_us(MIN(ts)) AS BIGINT), "
+    "CAST(epoch_us(MAX(ts)) AS BIGINT) FROM events "
+    "UNION ALL SELECT 'user_id', CAST(COUNT(*) AS BIGINT), "
+    "CAST(COUNT(*) - COUNT(user_id) AS BIGINT), "
+    "CAST(MIN(user_id) AS BIGINT), CAST(MAX(user_id) AS BIGINT) "
+    "FROM events "
+    "UNION ALL SELECT 'value', CAST(COUNT(*) AS BIGINT), "
+    "CAST(COUNT(*) - COUNT(value) AS BIGINT), "
+    "CAST(ROUND(MIN(value) * 100) AS BIGINT), "
+    "CAST(ROUND(MAX(value) * 100) AS BIGINT) FROM events"))
 def events_column_profile(sf_dir: str) -> pd.DataFrame:
     """Column-profile / data-quality report over the events table's
     numeric + timestamp columns: per column, row count, null count, and
@@ -633,6 +1105,16 @@ def events_column_profile(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("column").reset_index(drop=True)
 
 
+@query(oracle=(
+    "SELECT "
+    "CAST(SUM(CASE WHEN doc_id % 10 = 1 THEN 1 ELSE 0 END) AS BIGINT) "
+    "AS added, "
+    "CAST(SUM(CASE WHEN doc_id % 10 = 0 THEN 1 ELSE 0 END) AS BIGINT) "
+    "AS removed, "
+    "CAST(SUM(CASE WHEN doc_id % 10 <> 0 AND doc_id % 7 = 0 "
+    "THEN 1 ELSE 0 END) AS BIGINT) AS changed, "
+    "CAST(SUM(CASE WHEN doc_id % 10 <> 0 AND doc_id % 7 <> 0 "
+    "THEN 1 ELSE 0 END) AS BIGINT) AS unchanged FROM documents"))
 def docs_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     """CDC-shaped snapshot diff: documents vs a deterministically mutated
     second snapshot (doc_id % 10 == 0 deleted, % 10 == 1 added with a new
@@ -688,6 +1170,16 @@ def docs_snapshot_diff(sf_dir: str) -> pd.DataFrame:
                                    "unchanged")})
 
 
+@query(oracle=(
+    "WITH base AS (SELECT * FROM documents WHERE doc_id % 10 < 7), "
+    "newd AS ("
+    "SELECT doc_id, text, source, n_chars FROM documents "
+    "WHERE doc_id % 10 >= 7 "
+    "UNION ALL "
+    "SELECT doc_id + 10000000 AS doc_id, text, source, n_chars "
+    "FROM base WHERE doc_id % 7 = 0) "
+    "SELECT doc_id, source, n_chars FROM newd "
+    "WHERE NOT EXISTS (SELECT 1 FROM base b WHERE b.text = newd.text)"))
 def docs_incremental_dedup(sf_dir: str) -> "ray.data.Dataset":
     """Incremental snapshot-vs-base exact dedup
     (ops/dedup.incremental_dedup): the daily-crawl shape — the base
@@ -720,6 +1212,100 @@ def docs_incremental_dedup(sf_dir: str) -> "ray.data.Dataset":
     return kept.select_columns(["doc_id", "source", "n_chars"])
 
 
+_JACCARD_THRESHOLD_E4 = 5000
+
+
+def _mh_banded_cte(rel: str, tag: str, num_perm: int = 16, bands: int = 4,
+                   k: int = 5) -> str:
+    """Per-relation MinHash banding CTEs (``h{tag}``, ``sig{tag}``,
+    ``banded{tag}(doc_id, bb)``) over ``rel(doc_id, text)`` — the shared
+    SQL replay of ops.dedup._banded_rows used by both the self-join
+    (_minhash_pairs_cte) and the cross-snapshot
+    (docs_incremental_near_dup) oracles.  Same k-byte rolling shingle
+    hashes (Horner base-1000003 mod 2^64), same (a·x+b) mod 2^64
+    permutations (constants from _minhash_params embedded as literals),
+    same per-band Horner fold XOR band constant; HUGEINT carries the
+    mod-2^64 arithmetic and bb folds to two's-complement BIGINT exactly
+    like the numpy int64 view.  ASCII corpus ⇒ ord == utf-8 byte."""
+    from zeeklog_ray.ops.dedup import _minhash_params
+
+    rpb = num_perm // bands
+    a, b = _minhash_params(num_perm)
+    m = 1 << 64
+    maxu = m - 1
+
+    def fold(v: int) -> int:                  # uint64 → signed int64 literal
+        return v - m if v >= (1 << 63) else v
+
+    sig_terms = ", ".join(
+        f"COALESCE(list_min(list_transform(hs, x -> (x*{int(a[j])}::HUGEINT"
+        f" + {int(b[j])}::HUGEINT) % {_MOD64})), {maxu}::HUGEINT)"
+        for j in range(num_perm))
+    band_selects = []
+    for bi in range(bands):
+        elems = ", ".join(f"mh[{bi * rpb + c + 1}]" for c in range(rpb))
+        const = fold((bi * 0x9E3779B97F4A7C15) % m)
+        band_selects.append(
+            f"SELECT doc_id, xor({_int64_sql('h')}, CAST({const} AS BIGINT)) "
+            f"AS bb FROM (SELECT doc_id, {_horner_sql(f'[{elems}]')} AS h "
+            f"FROM sig{tag})")
+    banded = " UNION ALL ".join(band_selects)
+    return (
+        f"h{tag} AS (SELECT doc_id, {_byte_hashes_sql(k)} AS hs "
+        f"FROM {rel}), "
+        f"sig{tag} AS (SELECT doc_id, [{sig_terms}] AS mh FROM h{tag}), "
+        f"banded{tag} AS ({banded})")
+
+
+def _incr_near_dup_oracle_sql(threshold_e4: int, num_perm: int = 16,
+                              bands: int = 4, k: int = 5,
+                              max_bucket: int = 512) -> str:
+    """Bit-exact SQL replay of docs_incremental_near_dup: the base/new
+    snapshot CTEs (same modulus rules and ' rev2 rev2' edit as the Ray
+    side), per-snapshot MinHash banding via :func:`_mh_banded_cte`, the
+    over-cap guard as the UNION of both sides' oversized buckets, the
+    new×base cross join (distinct pairs), and the exact integer byte-
+    k-gram Jaccard verify with the same fixed-point filter
+    ``10000·inter >= t_e4·union`` / ``j_e4 = (10000·inter) // union``."""
+    return (
+        "WITH based AS (SELECT doc_id, text FROM documents "
+        "WHERE doc_id % 10 < 7), "
+        "newd AS (SELECT doc_id, text FROM documents "
+        "WHERE doc_id % 10 >= 7 "
+        "UNION ALL SELECT doc_id + 10000000, text || ' rev2 rev2' "
+        "FROM based WHERE doc_id % 13 = 0), "
+        + _mh_banded_cte("based", "B", num_perm, bands, k) + ", "
+        + _mh_banded_cte("newd", "N", num_perm, bands, k) + ", "
+        "big AS (SELECT bb FROM bandedB GROUP BY bb HAVING COUNT(*) > "
+        f"{max_bucket} UNION SELECT bb FROM bandedN GROUP BY bb "
+        f"HAVING COUNT(*) > {max_bucket}), "
+        "cand AS MATERIALIZED (SELECT DISTINCT n.doc_id AS doc_id, "
+        "b.doc_id AS base_id FROM bandedN n JOIN bandedB b "
+        "ON n.bb = b.bb WHERE n.bb NOT IN (SELECT bb FROM big)), "
+        "cdn AS (SELECT DISTINCT doc_id FROM cand), "
+        "cdb AS (SELECT DISTINCT base_id AS doc_id FROM cand), "
+        f"gn AS (SELECT DISTINCT d.doc_id, substring(d.text, s.i, {k}) "
+        "AS gram FROM newd d JOIN cdn USING (doc_id), "
+        f"LATERAL (SELECT unnest(range(1, length(d.text) - {k - 2})) AS i) "
+        f"s WHERE length(d.text) >= {k}), "
+        f"gb AS (SELECT DISTINCT d.doc_id, substring(d.text, s.i, {k}) "
+        "AS gram FROM based d JOIN cdb USING (doc_id), "
+        f"LATERAL (SELECT unnest(range(1, length(d.text) - {k - 2})) AS i) "
+        f"s WHERE length(d.text) >= {k}), "
+        "sn AS (SELECT doc_id, count(*) AS n FROM gn GROUP BY doc_id), "
+        "sb AS (SELECT doc_id, count(*) AS n FROM gb GROUP BY doc_id), "
+        "it AS (SELECT c.doc_id, c.base_id, count(*) AS inter "
+        "FROM cand c JOIN gn ga ON ga.doc_id = c.doc_id "
+        "JOIN gb gx ON gx.doc_id = c.base_id AND gx.gram = ga.gram "
+        "GROUP BY 1, 2) "
+        "SELECT it.doc_id, it.base_id, CAST((10000 * inter) // "
+        "(sn.n + sb.n - inter) AS BIGINT) AS j_e4 "
+        "FROM it JOIN sn ON sn.doc_id = it.doc_id "
+        "JOIN sb ON sb.doc_id = it.base_id "
+        f"WHERE 10000 * inter >= {threshold_e4} * (sn.n + sb.n - inter)")
+
+
+@query(oracle=_incr_near_dup_oracle_sql(_JACCARD_THRESHOLD_E4))
 def docs_incremental_near_dup(sf_dir: str) -> "ray.data.Dataset":
     """Cross-snapshot NEAR-dup detection (ops/dedup.incremental_near_dup):
     base corpus is docs with ``doc_id % 10 < 7``; the "new crawl" is the
@@ -754,6 +1340,11 @@ def docs_incremental_near_dup(sf_dir: str) -> "ray.data.Dataset":
                                 threshold_e4=_JACCARD_THRESHOLD_E4)
 
 
+@query(oracle=(
+    "SELECT strftime(ts, '%Y-%m-%d') AS day, "
+    "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT) "
+    "AS sum_cents, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM events WHERE event_type = 'click' GROUP BY day"))
 def events_partitioned_prune(sf_dir: str) -> "ray.data.Dataset":
     """Hive-partitioned export + partition-pruned read-back
     (zeeklog_ray.partitioned): events written as ``event_type=<v>/``
@@ -761,13 +1352,9 @@ def events_partitioned_prune(sf_dir: str) -> "ray.data.Dataset":
     scanned (path-level pruning — no listing, no bytes from the other
     partitions) and aggregated per day.  The oracle filters the ORIGINAL
     table, so a row leaking across partitions fails the hash."""
-    import shutil
-
     from zeeklog_ray.partitioned import read_partition, write_partitioned
 
-    root = (f"/tmp/zeeklog_part/"
-            f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(root, ignore_errors=True)
+    root = _scratch_dir("part", sf_dir)
     ev = read_table(sf_dir, "events",
                     columns=["event_type", "ts", "value"])
     write_partitioned(ev, root, ["event_type"])
@@ -789,6 +1376,12 @@ _HOP_STEP_S = 900          # 15-min hop
 _HOP_WINDOW_S = 3600       # 1-h window → each event lands in 4 hops
 
 
+@query(oracle=(
+    "SELECT event_type, "
+    "(CAST(FLOOR(epoch(ts)) AS BIGINT) // 900 - t.i) * 900 "
+    "AS window_start, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM events CROSS JOIN (SELECT UNNEST(range(4)) AS i) t "
+    "GROUP BY event_type, window_start"))
 def events_hopping_windows(sf_dir: str) -> "ray.data.Dataset":
     """HOPPING (overlapping) 1-hour windows advancing every 15 min, per
     event type: each event belongs to window_s/step_s = 4 hops, expanded
@@ -819,6 +1412,13 @@ def events_hopping_windows(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n")
 
 
+@query(oracle=(
+    "WITH s AS (SELECT event_type, "
+    "SUM(CAST(ROUND(value * 100) AS BIGINT)) AS tc "
+    "FROM events GROUP BY event_type), "
+    "g AS (SELECT SUM(tc) AS grand FROM s) "
+    "SELECT event_type, CAST(tc AS BIGINT) AS type_cents, "
+    "CAST(tc * 1000000 // grand AS BIGINT) AS share_e6 FROM s, g"))
 def event_type_share(sf_dir: str) -> pd.DataFrame:
     """Percent-of-total in exact fixed point: each event type's share of
     the global cent sum as ``share_e6 = type_cents * 10^6 // grand_cents``
@@ -850,6 +1450,15 @@ def event_type_share(sf_dir: str) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
+@query(oracle=(
+    "WITH u AS (SELECT user_id, "
+    "MIN(CASE WHEN event_type = 'click' THEN ts END) AS first_click, "
+    "MAX(CASE WHEN event_type = 'purchase' THEN ts END) AS last_purch "
+    "FROM events GROUP BY user_id) "
+    "SELECT CAST(COUNT(first_click) AS BIGINT) AS n_users_clicked, "
+    "CAST(COUNT(last_purch) AS BIGINT) AS n_users_purchased, "
+    "CAST(COALESCE(SUM(CASE WHEN first_click < last_purch "
+    "THEN 1 ELSE 0 END), 0) AS BIGINT) AS n_converted FROM u"))
 def user_funnel_counts(sf_dir: str) -> pd.DataFrame:
     """Two-step funnel: users whose FIRST click precedes their LAST
     purchase (click→purchase conversion).  Per-user min/max timestamps
@@ -904,6 +1513,18 @@ def user_funnel_counts(sf_dir: str) -> pd.DataFrame:
         "n_converted": [int(converted.sum())]})
 
 
+@query(oracle=(
+    "WITH h AS (SELECT unnest(generate_series("
+    "date_trunc('hour', (SELECT MIN(ts) FROM events)), "
+    "date_trunc('hour', (SELECT MAX(ts) FROM events)), "
+    "INTERVAL 1 HOUR)) AS hr), "
+    "t AS (SELECT DISTINCT event_type FROM events), "
+    "s AS (SELECT event_type, date_trunc('hour', ts) AS hr, "
+    "COUNT(*) AS n FROM events GROUP BY 1, 2) "
+    "SELECT t.event_type, strftime(h.hr, '%Y-%m-%d %H:00:00') AS hour, "
+    "CAST(COALESCE(s.n, 0) AS BIGINT) AS n "
+    "FROM t CROSS JOIN h "
+    "LEFT JOIN s ON s.event_type = t.event_type AND s.hr = h.hr"))
 def events_hourly_dense(sf_dir: str) -> "ray.data.Dataset":
     """GAP-FILLED hourly counts per event type: every hour in the
     table's [min, max] range appears for every type, missing hours as
@@ -948,6 +1569,35 @@ def events_hourly_dense(sf_dir: str) -> "ray.data.Dataset":
     return _rd.from_pandas(dense)
 
 
+# trailing-24h spike score over the dense hourly series; ROWS BETWEEN
+# 24 PRECEDING AND 1 PRECEDING replays trail_sum/trail_cnt exactly and
+# every division is positive floor, so the hash gate is exact
+_EVENTS_HOURLY_SPIKES_SQL = (
+    "WITH h AS (SELECT unnest(generate_series("
+    "date_trunc('hour', (SELECT MIN(ts) FROM events)), "
+    "date_trunc('hour', (SELECT MAX(ts) FROM events)), "
+    "INTERVAL 1 HOUR)) AS hr), "
+    "t AS (SELECT DISTINCT event_type FROM events), "
+    "s AS (SELECT event_type, date_trunc('hour', ts) AS hr, "
+    "COUNT(*) AS cnt FROM events GROUP BY 1, 2), "
+    "dense AS (SELECT t.event_type, h.hr, "
+    "COALESCE(s.cnt, 0) AS n FROM t CROSS JOIN h "
+    "LEFT JOIN s ON s.event_type = t.event_type AND s.hr = h.hr), "
+    "w AS (SELECT event_type, hr, n, "
+    "COALESCE(SUM(n) OVER (PARTITION BY event_type ORDER BY hr "
+    "ROWS BETWEEN 24 PRECEDING AND 1 PRECEDING), 0) AS trail_sum, "
+    "COUNT(n) OVER (PARTITION BY event_type ORDER BY hr "
+    "ROWS BETWEEN 24 PRECEDING AND 1 PRECEDING) AS trail_cnt "
+    "FROM dense) "
+    "SELECT event_type, strftime(hr, '%Y-%m-%d %H:00:00') AS hour, "
+    "CAST(n AS BIGINT) AS n, CAST(trail_sum AS BIGINT) AS trail_sum, "
+    "CAST(trail_cnt AS BIGINT) AS trail_cnt, "
+    "CAST(CASE WHEN n * trail_cnt - trail_sum > 0 THEN "
+    "(n * trail_cnt - trail_sum) * 10000 // GREATEST(trail_sum, 1) "
+    "ELSE 0 END AS BIGINT) AS spike_e4 FROM w")
+
+
+@query(oracle=_EVENTS_HOURLY_SPIKES_SQL)
 def events_hourly_spikes(sf_dir: str) -> "ray.data.Dataset":
     """Trailing-window anomaly scores over the gap-filled hourly series
     (ops/streaming.trailing_deviation over events_hourly_dense): per
@@ -961,6 +1611,14 @@ def events_hourly_spikes(sf_dir: str) -> "ray.data.Dataset":
                               value="n", window=24)
 
 
+@query(oracle=(
+    "SELECT l_returnflag, l_linestatus, COUNT(*) AS n, "
+    "CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty, "
+    "CAST(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)) AS BIGINT) AS sum_base_cents, "
+    "CAST(SUM(CAST(ROUND(l_extendedprice * (1 - l_discount) * 100) AS BIGINT)) AS BIGINT) "
+    "AS sum_disc_cents FROM lineitem "
+    "WHERE l_shipdate <= TIMESTAMP '1998-09-02' "
+    "GROUP BY l_returnflag, l_linestatus"))
 def lineitem_pricing(sf_dir: str) -> "ray.data.Dataset":
     """TPC-H Q1-shaped pricing summary; integer-cent exact sums."""
     import pyarrow.compute as pc
@@ -990,6 +1648,11 @@ def lineitem_pricing(sf_dir: str) -> "ray.data.Dataset":
                              "disc_cents": "sum_disc_cents"}, count_as="n")
 
 
+@query(oracle=(
+    "SELECT p_type, COUNT(*) AS n_items, "
+    "CAST(SUM(CAST(ROUND(l_extendedprice * (1 - l_discount) * 100) "
+    "AS BIGINT)) AS BIGINT) AS sum_rev_cents "
+    "FROM lineitem JOIN part ON l_partkey = p_partkey GROUP BY p_type"))
 def part_type_revenue(sf_dir: str) -> "ray.data.Dataset":
     """Fact⨝dimension via broadcast (the J1 lookup generalized to a
     mid-size dim): lineitem joined to part with a ray.put-broadcast pandas
@@ -1014,6 +1677,11 @@ def part_type_revenue(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_items")
 
 
+@query(oracle=(
+    "SELECT s_name, CAST(SUM(CAST(ROUND(l_extendedprice * "
+    "(1 - l_discount) * 100) AS BIGINT)) AS BIGINT) AS sum_rev_cents "
+    "FROM lineitem JOIN supplier ON l_suppkey = s_suppkey "
+    "GROUP BY s_name ORDER BY sum_rev_cents DESC, s_name LIMIT 5"))
 def top_suppliers(sf_dir: str) -> "ray.data.Dataset":
     """Top-5 suppliers by discounted lineitem revenue: broadcast supplier
     dim → combiner-first grouped sum → partial top-k."""
@@ -1037,6 +1705,10 @@ def top_suppliers(sf_dir: str) -> "ray.data.Dataset":
                  descending=[True, False], k=5)
 
 
+@query(oracle=(
+    "SELECT o_custkey, CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS BIGINT) "
+    "AS total_cents FROM orders GROUP BY o_custkey "
+    "ORDER BY total_cents DESC, o_custkey LIMIT 10"))
 def top_customers(sf_dir: str) -> "ray.data.Dataset":
     """Top-10 customers by total order value (grouped sum → sort+limit)."""
     import pyarrow.compute as pc
@@ -1056,6 +1728,10 @@ def top_customers(sf_dir: str) -> "ray.data.Dataset":
                  descending=[True, False], k=10)
 
 
+@query(oracle=(
+    "SELECT r_name, COUNT(*) AS n FROM customer "
+    "JOIN nation ON c_nationkey = n_nationkey "
+    "JOIN region ON n_regionkey = r_regionkey GROUP BY r_name"))
 def customers_by_region(sf_dir: str) -> "ray.data.Dataset":
     """customer ⨝ nation ⨝ region via BROADCAST join (dims are tiny —
     the small-side-broadcast rule, never a shuffle join)."""
@@ -1068,6 +1744,14 @@ def customers_by_region(sf_dir: str) -> "ray.data.Dataset":
     return grouped_sum(joined, ["r_name"], count_as="n")
 
 
+@query(oracle=(
+    "SELECT r_name, n_name, "
+    "CAST(SUM(CAST(ROUND(c_acctbal * 100) AS BIGINT)) AS BIGINT) "
+    "AS acctbal_cents, CAST(COUNT(*) AS BIGINT) AS n_cust "
+    "FROM customer "
+    "JOIN nation ON c_nationkey = n_nationkey "
+    "JOIN region ON n_regionkey = r_regionkey "
+    "GROUP BY ROLLUP(r_name, n_name)"))
 def region_nation_rollup(sf_dir: str) -> pd.DataFrame:
     """GROUP BY ROLLUP(r_name, n_name) over customer balances
     (relational.rollup_sum): broadcast dim chain → ONE distributed
@@ -1098,6 +1782,11 @@ def region_nation_rollup(sf_dir: str) -> pd.DataFrame:
                       count_as="n_cust")
 
 
+@query(oracle=(
+    "SELECT o_orderstatus, o_orderpriority, "
+    "CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS BIGINT) "
+    "AS total_cents, CAST(COUNT(*) AS BIGINT) AS n_orders "
+    "FROM orders GROUP BY CUBE(o_orderstatus, o_orderpriority)"))
 def order_cube(sf_dir: str) -> pd.DataFrame:
     """GROUP BY CUBE(o_orderstatus, o_orderpriority) over order totals
     (relational.cube_sum): one distributed finest grouped sum, then all
@@ -1120,6 +1809,11 @@ def order_cube(sf_dir: str) -> pd.DataFrame:
                     sums={"total_cents": "total_cents"}, count_as="n_orders")
 
 
+@query(oracle=(
+    "SELECT user_id, event_id, event_type FROM ("
+    "SELECT user_id, event_id, event_type, "
+    "ROW_NUMBER() OVER (PARTITION BY user_id "
+    "ORDER BY ts DESC, event_id DESC) AS rn FROM events) WHERE rn = 1"))
 def events_latest_per_user(sf_dir: str) -> "ray.data.Dataset":
     """Log-compaction "latest wins" (relational.latest_per_key): each
     user's single most recent event by (ts, event_id) — the upsert/SCD
@@ -1134,6 +1828,10 @@ def events_latest_per_user(sf_dir: str) -> "ray.data.Dataset":
     return latest.select_columns(["user_id", "event_id", "event_type"])
 
 
+@query(oracle=(
+    "SELECT event_id, user_id, CAST(ROW_NUMBER() OVER ("
+    "PARTITION BY user_id ORDER BY ts, event_id) AS BIGINT) AS seq "
+    "FROM events"))
 def event_user_seq(sf_dir: str) -> "ray.data.Dataset":
     """Per-user ROW_NUMBER over the event stream
     (relational.seq_index_per_key): every event tagged with its 1-based
@@ -1152,6 +1850,17 @@ def event_user_seq(sf_dir: str) -> "ray.data.Dataset":
     return seq.map_batches(finish, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT l_returnflag, l_linestatus, CAST(n AS BIGINT) AS n, CAST("
+    "(n * sx2 - sx * sx) * 1000000 // (n * (n - 1)) AS BIGINT) "
+    "AS var_scaled FROM ("
+    "SELECT l_returnflag, l_linestatus, "
+    "CAST(COUNT(*) AS HUGEINT) AS n, "
+    "CAST(SUM(q) AS HUGEINT) AS sx, "
+    "CAST(SUM(q * q) AS HUGEINT) AS sx2 FROM ("
+    "SELECT l_returnflag, l_linestatus, "
+    "CAST(ROUND(l_quantity) AS BIGINT) AS q FROM lineitem) "
+    "GROUP BY l_returnflag, l_linestatus) WHERE n >= 2"))
 def lineitem_qty_variance(sf_dir: str) -> pd.DataFrame:
     """Per-(returnflag, linestatus) sample variance of line quantity in
     EXACT integer arithmetic (relational.grouped_var_exact): only
@@ -1178,6 +1887,22 @@ def lineitem_qty_variance(sf_dir: str) -> pd.DataFrame:
                              "qty")
 
 
+@query(oracle=(
+    "SELECT l_returnflag, l_linestatus, CAST(n AS BIGINT) AS n, "
+    "CAST((n * sxy - sx * sy) * 1000000 // (n * (n - 1)) AS BIGINT) "
+    "AS cov_scaled, "
+    "CAST((n * sxy - sx * sy) * 1000000 // (n * sxx - sx * sx) "
+    "AS BIGINT) AS slope_scaled FROM ("
+    "SELECT l_returnflag, l_linestatus, "
+    "CAST(COUNT(*) AS HUGEINT) AS n, "
+    "CAST(SUM(x) AS HUGEINT) AS sx, CAST(SUM(y) AS HUGEINT) AS sy, "
+    "CAST(SUM(x * y) AS HUGEINT) AS sxy, "
+    "CAST(SUM(x * x) AS HUGEINT) AS sxx FROM ("
+    "SELECT l_returnflag, l_linestatus, "
+    "CAST(ROUND(l_quantity) AS BIGINT) AS x, "
+    "CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS y FROM lineitem) "
+    "GROUP BY l_returnflag, l_linestatus) "
+    "WHERE n >= 2 AND (n * sxx - sx * sx) <> 0"))
 def lineitem_price_cov(sf_dir: str) -> pd.DataFrame:
     """Per-(returnflag, linestatus) sample covariance and OLS slope of
     (quantity, price cents) in EXACT integer arithmetic
@@ -1203,6 +1928,16 @@ def lineitem_price_cov(sf_dir: str) -> pd.DataFrame:
                              "qty", "price_cents")
 
 
+@query(oracle=(
+    "SELECT l_orderkey, l_linenumber, qty, "
+    "CAST(RANK() OVER (PARTITION BY l_orderkey ORDER BY qty) "
+    "AS BIGINT) AS rnk, "
+    "CAST(DENSE_RANK() OVER (PARTITION BY l_orderkey ORDER BY qty) "
+    "AS BIGINT) AS drnk, "
+    "CAST(NTILE(4) OVER (PARTITION BY l_orderkey "
+    "ORDER BY qty, l_linenumber) AS BIGINT) AS tile FROM ("
+    "SELECT l_orderkey, l_linenumber, "
+    "CAST(ROUND(l_quantity) AS BIGINT) AS qty FROM lineitem)"))
 def lineitem_qty_ranks(sf_dir: str) -> "ray.data.Dataset":
     """Per-order RANK / DENSE_RANK over quantity (integer, so real ties)
     plus NTILE(4) over the (quantity, linenumber) total order — one
@@ -1225,6 +1960,13 @@ def lineitem_qty_ranks(sf_dir: str) -> "ray.data.Dataset":
                          tie_cols=["qty"], ntile=4)
 
 
+@query(oracle=(
+    "SELECT user_id, event_id, "
+    "CAST(COUNT(*) OVER w AS BIGINT) AS w_count, "
+    "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) OVER w AS BIGINT) "
+    "AS w_sum_cents FROM events "
+    "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
+    "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)"))
 def event_rows_window(sf_dir: str) -> "ray.data.Dataset":
     """Per-event trailing 6-row window (count, cents sum) per user — ROWS
     frame semantics complementing event_sliding_windows' RANGE frame
@@ -1254,6 +1996,13 @@ def event_rows_window(sf_dir: str) -> "ray.data.Dataset":
     return out.map_batches(finish, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT user_id, event_id, "
+    "CAST(COUNT(*) OVER w AS BIGINT) AS rt_count, "
+    "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) OVER w AS BIGINT) "
+    "AS rt_sum_cents FROM events "
+    "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
+    "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)"))
 def event_running_total(sf_dir: str) -> "ray.data.Dataset":
     """Per-user running (count, cents sum) in event order — the UNBOUNDED
     ROWS frame of ops/streaming.rows_window (SQL ROWS UNBOUNDED
@@ -1282,6 +2031,22 @@ def event_running_total(sf_dir: str) -> "ray.data.Dataset":
     return out.map_batches(finish, batch_format="pandas", batch_size=None)
 
 
+# exact fixed-point PERCENT_RANK / CUME_DIST: the double-valued SQL
+# builtins are replayed as integer formulas over RANK and the
+# peers-inclusive running count (the default RANGE frame)
+@query(oracle=(
+    "SELECT user_id, event_id, value_cents, "
+    "CASE WHEN m = 1 THEN 0 ELSE "
+    "CAST((rnk - 1) * 10000 // (m - 1) AS BIGINT) END AS pr_scaled, "
+    "CAST(c * 10000 // m AS BIGINT) AS cume_scaled FROM ("
+    "SELECT user_id, event_id, value_cents, "
+    "CAST(RANK() OVER (PARTITION BY user_id ORDER BY value_cents) "
+    "AS HUGEINT) AS rnk, "
+    "CAST(COUNT(*) OVER (PARTITION BY user_id ORDER BY value_cents) "
+    "AS HUGEINT) AS c, "
+    "CAST(COUNT(*) OVER (PARTITION BY user_id) AS HUGEINT) AS m "
+    "FROM (SELECT user_id, event_id, "
+    "CAST(ROUND(value * 100) AS BIGINT) AS value_cents FROM events))"))
 def event_value_pct_rank(sf_dir: str) -> "ray.data.Dataset":
     """Per-user PERCENT_RANK and CUME_DIST of the event's cents value in
     fixed-point e4 integers (relational.ranks_per_key percent_scale) —
@@ -1305,6 +2070,24 @@ def event_value_pct_rank(sf_dir: str) -> "ray.data.Dataset":
                                   "pr_scaled", "cume_scaled"])
 
 
+@query(oracle=(
+    "SELECT event_type, CAST(n AS BIGINT) AS n, "
+    "CAST((n * sxy - sx * sy) * 1000000 // (n * (n - 1)) AS BIGINT) "
+    "AS cov_scaled, "
+    "CAST((n * sxy - sx * sy) * 1000000 // (n * sxx - sx * sx) "
+    "AS BIGINT) AS slope_scaled, "
+    "CAST((n * sxy - sx * sy) * (n * sxy - sx * sy) * 10000 // "
+    "((n * sxx - sx * sx) * (n * syy - sy * sy)) AS BIGINT) "
+    "AS corr2_scaled FROM ("
+    "SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS n, "
+    "CAST(SUM(x) AS HUGEINT) AS sx, CAST(SUM(y) AS HUGEINT) AS sy, "
+    "CAST(SUM(x * y) AS HUGEINT) AS sxy, "
+    "CAST(SUM(x * x) AS HUGEINT) AS sxx, "
+    "CAST(SUM(y * y) AS HUGEINT) AS syy FROM ("
+    "SELECT event_type, epoch_us(ts) // 3600000000 AS x, "
+    "CAST(ROUND(value * 100) AS BIGINT) AS y FROM events) "
+    "GROUP BY event_type) WHERE n >= 2 "
+    "AND (n * sxx - sx * sx) <> 0 AND (n * syy - sy * sy) <> 0"))
 def event_type_value_corr(sf_dir: str) -> pd.DataFrame:
     """Per-event-type value-vs-time trend: exact-integer covariance, OLS
     slope, and squared Pearson correlation between the event's hour index
@@ -1329,6 +2112,12 @@ def event_type_value_corr(sf_dir: str) -> pd.DataFrame:
                              "value_cents", corr2_scale=10**4)
 
 
+@query(oracle=(
+    "SELECT user_id, event_type AS mode_event_type, n_mode FROM ("
+    "SELECT user_id, event_type, CAST(COUNT(*) AS BIGINT) AS n_mode, "
+    "ROW_NUMBER() OVER (PARTITION BY user_id "
+    "ORDER BY COUNT(*) DESC, event_type) AS rn "
+    "FROM events GROUP BY user_id, event_type) WHERE rn = 1"))
 def user_mode_event_type(sf_dir: str) -> "ray.data.Dataset":
     """Per-user most frequent event type (ties → lexicographically
     smallest) with its count — combiner-first mode
@@ -1340,6 +2129,9 @@ def user_mode_event_type(sf_dir: str) -> "ray.data.Dataset":
     return mode_per_key(ev, "user_id", "event_type")
 
 
+@query(oracle=(
+    "SELECT user_id, STRING_AGG(event_type, '>' "
+    "ORDER BY ts, event_id) AS journey FROM events GROUP BY user_id"))
 def user_event_journey(sf_dir: str) -> "ray.data.Dataset":
     """Per-user ordered event-type sequence string (the "journey"
     feature) — relational.string_agg_per_key, one key-hash shuffle,
@@ -1356,6 +2148,20 @@ _OUTER_MIN_CENTS = 30_000  # $300 — sparse enough that BOTH outer sides
 # are non-empty at sf0.01 (4 click-only, 5 purchase-only users)
 
 
+@query(oracle=(
+    "SELECT COALESCE(c.user_id, p.user_id) AS user_id, "
+    "COALESCE(c.n_clicks, 0) AS n_clicks, "
+    "COALESCE(p.n_purchases, 0) AS n_purchases FROM "
+    "(SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_clicks "
+    "FROM events WHERE event_type = 'click' "
+    "AND CAST(ROUND(value * 100) AS BIGINT) >= 30000 "
+    "GROUP BY user_id) c "
+    "FULL OUTER JOIN "
+    "(SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_purchases "
+    "FROM events WHERE event_type = 'purchase' "
+    "AND CAST(ROUND(value * 100) AS BIGINT) >= 30000 "
+    "GROUP BY user_id) p "
+    "ON c.user_id = p.user_id"))
 def user_click_purchase_outer(sf_dir: str) -> "ray.data.Dataset":
     """FULL OUTER join of per-user big-click counts vs big-purchase
     counts (relational.bucketed_equi_join how=full): users with only one
@@ -1399,6 +2205,11 @@ def user_click_purchase_outer(sf_dir: str) -> "ray.data.Dataset":
     return joined.map_batches(finish, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT o_orderpriority, COUNT(*) AS n_items, "
+    "CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty "
+    "FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
+    "GROUP BY o_orderpriority"))
 def order_priority_items(sf_dir: str) -> "ray.data.Dataset":
     """orders ⨝ lineitem — both sides large → bucketed equi-join, then
     grouped aggregate."""
@@ -1416,11 +2227,15 @@ def order_priority_items(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_items")
 
 
+@query(oracle="SELECT DISTINCT event_type FROM events")
 def distinct_event_types(sf_dir: str) -> "ray.data.Dataset":
     ds = read_table(sf_dir, "events", columns=["event_type"])
     return distinct_column(ds, "event_type")
 
 
+@query(oracle=(
+    "SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_dups "
+    "FROM documents GROUP BY text"))
 def exact_dedup_docs(sf_dir: str) -> "ray.data.Dataset":
     """Exact dedup by content: hash(text) partition → first (min doc_id) per
     group + duplicate count.  The digest stands in for the full text in the
@@ -1454,6 +2269,22 @@ def exact_dedup_docs(sf_dir: str) -> "ray.data.Dataset":
     return bucket_exchange(hashed, "digest", dedup_bucket)
 
 
+# the prep CHAIN: quality filter → first-wins dedup by exact text →
+# BPE token count → per-language rollup, as one CTE pipeline over the
+# proven doc_quality / doc_token_bpe SQL pieces
+@query(oracle=(
+    "WITH q AS (SELECT doc_id, lang, text, "
+    f"{_N_WORDS_SQL}, "
+    f"{_N_STOP_SQL} "
+    "FROM documents), "
+    "f AS (SELECT * FROM q WHERE n_words >= 15 AND "
+    "CAST(FLOOR(n_stop * 10000.0 / CASE WHEN n_words = 0 THEN 1 ELSE n_words END) AS BIGINT) >= 200), "
+    "d AS (SELECT MIN(doc_id) AS doc_id, MIN(lang) AS lang, text "
+    "FROM f GROUP BY text) "
+    "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs, "
+    "CAST(SUM(LENGTH(REGEXP_EXTRACT_ALL(text, "
+    "'[A-Za-z]+|[0-9]{1,3}|[^A-Za-z0-9\\s]'))) AS BIGINT) AS sum_bpe_tokens "
+    "FROM d GROUP BY lang"))
 def docs_prep_pipeline(sf_dir: str) -> "ray.data.Dataset":
     """Realistic training-corpus prep CHAIN in one query — the composition
     a reference user would actually run: quality filter → exact dedup
@@ -1471,6 +2302,8 @@ def docs_prep_pipeline(sf_dir: str) -> "ray.data.Dataset":
                                   columns=["doc_id", "text", "lang"]))
 
 
+@query(oracle=(
+    f"SELECT doc_id, LENGTH({_WORDS_SQL}) AS n_words FROM documents"))
 def doc_word_counts(sf_dir: str) -> "ray.data.Dataset":
     """Token counting (whitespace tokens) per document — text-analysis op."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -1482,6 +2315,8 @@ def doc_word_counts(sf_dir: str) -> "ray.data.Dataset":
     return ds.map_batches(count, batch_format="pandas", batch_size=None)
 
 
+@query(rows_only="approximate by design (bounded rank error); the exact twin "
+                 "event_value_quantiles is oracle-checked")
 def event_value_quantiles_sketch(sf_dir: str) -> pd.DataFrame:
     """Approximate quantiles of the continuous ``value`` column via the
     mergeable rank-sample sketch (ops/sketch.approx_quantiles): one ≤8 KB
@@ -1495,6 +2330,21 @@ def event_value_quantiles_sketch(sf_dir: str) -> pd.DataFrame:
     return approx_quantiles(ds, "value", [0.1, 0.5, 0.9, 0.99])
 
 
+# linear-idf in integer arithmetic: score = (tf * N * 10^4) // df
+@query(oracle=(
+    "WITH n AS (SELECT source, COUNT(*) AS nd FROM documents "
+    "GROUP BY source), "
+    "e AS (SELECT source, doc_id, UNNEST(regexp_extract_all("
+    "lower(text), '[a-z0-9]+')) AS term FROM documents), "
+    "a AS (SELECT source, term, COUNT(*) AS tf, "
+    "COUNT(DISTINCT doc_id) AS df FROM e GROUP BY 1, 2), "
+    "s AS (SELECT a.source, term, CAST(tf AS BIGINT) AS tf, "
+    "CAST(df AS BIGINT) AS df, "
+    "CAST((tf * nd * 10000) // df AS BIGINT) AS score_e4, "
+    "ROW_NUMBER() OVER (PARTITION BY a.source ORDER BY "
+    "(tf * nd * 10000) // df DESC, term) AS rn "
+    "FROM a JOIN n ON a.source = n.source) "
+    "SELECT source, term, tf, df, score_e4 FROM s WHERE rn <= 10"))
 def docs_top_terms(sf_dir: str) -> "ray.data.Dataset":
     """Top-10 characteristic terms per source by linear-idf tf-idf in
     exact integer math (ops/text.top_terms_per_source); the per-source doc
@@ -1508,6 +2358,17 @@ def docs_top_terms(sf_dir: str) -> "ray.data.Dataset":
     return top_terms_per_source(ds, counts, k=10)
 
 
+_HIST_CASE = ("CASE WHEN n_chars < 64 THEN 'hist_0_64' "
+              "WHEN n_chars < 128 THEN 'hist_64_128' "
+              "WHEN n_chars < 256 THEN 'hist_128_256' "
+              "WHEN n_chars < 512 THEN 'hist_256_512' "
+              "WHEN n_chars < 1024 THEN 'hist_512_1024' "
+              "ELSE 'hist_1024_inf' END")
+
+
+@query(oracle=(
+    f"SELECT {_HIST_CASE} AS bucket, COUNT(*) AS n "
+    "FROM documents GROUP BY 1"))
 def chars_histogram(sf_dir: str) -> "ray.data.Dataset":
     """Fixed-bucket histogram of document lengths (same buckets as the
     flagship n_tok histogram)."""
@@ -1529,6 +2390,15 @@ def _query_vector() -> np.ndarray:
     return np.round(np.random.default_rng(_SIM_RNG_SEED).normal(0, 1, _SIM_DIM), 4)
 
 
+def _sim_vector_sql() -> str:
+    return "CAST([" + ", ".join(f"{v:.4f}" for v in _query_vector()) + "] AS DOUBLE[])"
+
+
+@query(oracle=(
+    "SELECT vec_id, CAST(FLOOR(list_cosine_similarity("
+    f"CAST(embedding AS DOUBLE[]), {_sim_vector_sql()}) * 10000) AS BIGINT)"
+    " AS score_e4 FROM embeddings "
+    "ORDER BY score_e4 DESC, vec_id LIMIT 10"))
 def similarity_topk(sf_dir: str) -> "ray.data.Dataset":
     """Brute-force cosine top-10 over the embedding column: per-batch numpy
     matmul against the (broadcast) query vector + per-batch partial top-k,
@@ -1563,6 +2433,17 @@ def similarity_topk(sf_dir: str) -> "ray.data.Dataset":
 # --------------------------------------------------------------------------
 
 
+@query(oracle=(
+    "SELECT doc_id, n_chars, n_words, "
+    "CAST(FLOOR(n_nonspace * 10000.0 / CASE WHEN n_words = 0 THEN 1 ELSE n_words END) AS BIGINT) AS avg_word_len_e4, "
+    "CAST(FLOOR(n_punct * 10000.0 / CASE WHEN n_chars = 0 THEN 1 ELSE n_chars END) AS BIGINT) AS punct_ratio_e4, "
+    "CAST(FLOOR(n_stop * 10000.0 / CASE WHEN n_words = 0 THEN 1 ELSE n_words END) AS BIGINT) AS stopword_ratio_e4 "
+    "FROM (SELECT doc_id, CAST(LENGTH(text) AS BIGINT) AS n_chars, "
+    f"{_N_WORDS_SQL}, "
+    "CAST(LENGTH(REPLACE(text, ' ', '')) AS BIGINT) AS n_nonspace, "
+    "CAST(LENGTH(REGEXP_REPLACE(text, '[\\w\\s]', '', 'g')) AS BIGINT) AS n_punct, "
+    f"{_N_STOP_SQL} "
+    "FROM documents)"))
 def doc_quality(sf_dir: str) -> "ray.data.Dataset":
     """Quality scoring per document (ops/text.py) — int fixed-point ratios."""
     from zeeklog_ray.ops.text import quality_metrics
@@ -1570,6 +2451,10 @@ def doc_quality(sf_dir: str) -> "ray.data.Dataset":
     return quality_metrics(read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
+@query(oracle=(
+    "SELECT doc_id, CAST(LENGTH(REGEXP_EXTRACT_ALL(text, "
+    "'[A-Za-z]+|[0-9]{1,3}|[^A-Za-z0-9\\s]')) AS BIGINT) AS n_bpe_tokens "
+    "FROM documents"))
 def doc_token_bpe(sf_dir: str) -> "ray.data.Dataset":
     """BPE-ish token counting (ops/text.py)."""
     from zeeklog_ray.ops.text import token_counts
@@ -1577,6 +2462,30 @@ def doc_token_bpe(sf_dir: str) -> "ray.data.Dataset":
     return token_counts(read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
+def _langid_oracle_sql() -> str:
+    """SQL replica of ops.text.LangId: per-language stopword hit counts over
+    the same word tokenization, argmax with alphabetical tie-break, 0 hits →
+    'unknown'.  The >= cascade in language order (de,en,es,fr) picks the
+    alphabetically-first maximum, matching numpy argmax over sorted langs."""
+    from zeeklog_ray.ops.text import STOPWORDS
+
+    langs = sorted(STOPWORDS)   # de, en, es, fr
+    counts = ", ".join(
+        "LENGTH(LIST_FILTER(ws, x -> x IN ("
+        + ", ".join(f"'{w}'" for w in sorted(STOPWORDS[lang]))
+        + f"))) AS n_{lang}"
+        for lang in langs)
+    case = ("CASE WHEN GREATEST(n_de, n_en, n_es, n_fr) = 0 THEN 'unknown' "
+            "WHEN n_de >= n_en AND n_de >= n_es AND n_de >= n_fr THEN 'de' "
+            "WHEN n_en >= n_es AND n_en >= n_fr THEN 'en' "
+            "WHEN n_es >= n_fr THEN 'es' ELSE 'fr' END")
+    return (f"SELECT doc_id, {case} AS lang_pred FROM "
+            f"(SELECT doc_id, {counts} FROM "
+            "(SELECT doc_id, regexp_extract_all(lower(text), "
+            "'[a-zäöüßéèàùâêîôûñ]+') AS ws FROM documents))")
+
+
+@query(oracle=_langid_oracle_sql())
 def doc_lang_id(sf_dir: str) -> "ray.data.Dataset":
     """Language-ID heuristic (actor pool); accuracy asserted in pytest."""
     from zeeklog_ray.ops.text import lang_id
@@ -1584,6 +2493,15 @@ def doc_lang_id(sf_dir: str) -> "ray.data.Dataset":
     return lang_id(read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
+# rolling k-gram winnowing fingerprint, replayed exactly in SQL:
+# Horner base-1000003 over the 8-byte window with mod-2^64 HUGEINT
+# arithmetic at every step (matches numpy uint64 wraparound), min over
+# windows, then two's-complement fold to BIGINT (ASCII text: ord ==
+# utf-8 byte — asserted by the corpus generator's charset)
+@query(oracle=(
+    f"SELECT doc_id, {_int64_sql('m')} AS fingerprint FROM ("
+    f"SELECT doc_id, COALESCE(list_min({_byte_hashes_sql(8)}), 0::HUGEINT) "
+    "AS m FROM documents)"))
 def doc_fingerprints(sf_dir: str) -> "ray.data.Dataset":
     """Rolling-hash document fingerprints (ops/text.py)."""
     from zeeklog_ray.ops.text import fingerprints
@@ -1591,6 +2509,8 @@ def doc_fingerprints(sf_dir: str) -> "ray.data.Dataset":
     return fingerprints(read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
+@query(rows_only="the 64-permutation SQL replay takes over 5 min in DuckDB; "
+                 "minhash_dedup_pairs_small hash-checks the same code path")
 def minhash_dedup_pairs(sf_dir: str) -> "ray.data.Dataset":
     """MinHash+LSH near-duplicate candidate pairs (ops/dedup.py).
 
@@ -1607,6 +2527,34 @@ def minhash_dedup_pairs(sf_dir: str) -> "ray.data.Dataset":
                                         columns=["doc_id", "text"]))
 
 
+def _minhash_pairs_cte(num_perm: int = 16, bands: int = 4, k: int = 5,
+                       max_bucket: int = 512) -> str:
+    """Bit-exact SQL replay of ops.dedup.minhash_lsh_pairs as a WITH-clause
+    body (ends in relation ``mh_pairs(doc_a, doc_b)``): the same k-byte
+    rolling shingle hashes (Horner base-1000003 mod 2^64 — the
+    doc_simhash / doc_fingerprints technique), the same (a·x+b) mod 2^64
+    permutations (constants from _minhash_params, embedded as literals),
+    the same per-band Horner fold XOR band constant, the oversized-bucket
+    guard, and the ordered-distinct self-join.  HUGEINT carries the mod-
+    2^64 arithmetic; bb folds to two's-complement BIGINT exactly like the
+    numpy int64 view.  ASCII corpus ⇒ ord == utf-8 byte (asserted by the
+    generator's charset)."""
+    return (
+        _mh_banded_cte("documents", "", num_perm, bands, k) + ", "
+        f"big AS (SELECT bb FROM banded GROUP BY bb HAVING COUNT(*) > "
+        f"{max_bucket}), "
+        "bandok AS (SELECT * FROM banded WHERE bb NOT IN "
+        "(SELECT bb FROM big)), "
+        # MATERIALIZED: the recursive-CTE consumer re-references mh_pairs
+        # per iteration — without the hint DuckDB re-evaluates the whole
+        # minhash pipeline each round (measured 143 s vs 17 s)
+        "mh_pairs AS MATERIALIZED (SELECT DISTINCT a.doc_id AS doc_a, "
+        "b.doc_id AS doc_b "
+        "FROM bandok a JOIN bandok b ON a.bb = b.bb AND a.doc_id < b.doc_id)")
+
+
+@query(oracle=(
+    "WITH " + _minhash_pairs_cte() + " SELECT doc_a, doc_b FROM mh_pairs"))
 def minhash_dedup_pairs_small(sf_dir: str) -> "ray.data.Dataset":
     """MinHash+LSH pairs at ORACLE-FEASIBLE scale: the same code path as
     minhash_dedup_pairs (minhash_lsh_pairs), but 16 permutations × 4 bands
@@ -1621,6 +2569,17 @@ def minhash_dedup_pairs_small(sf_dir: str) -> "ray.data.Dataset":
                              num_perm=16, bands=4)
 
 
+# the same pair set resolved into components with a recursive-CTE
+# closure (the embedding_dup_components technique over MinHash pairs)
+@query(oracle=(
+    "WITH RECURSIVE " + _minhash_pairs_cte() +
+    ", ed AS (SELECT doc_a AS a, doc_b AS b FROM mh_pairs "
+    "UNION ALL SELECT doc_b, doc_a FROM mh_pairs), "
+    "nodes AS (SELECT DISTINCT a AS node FROM ed), "
+    "walk(node, label) AS (SELECT node, node FROM nodes "
+    "UNION SELECT e.b, w.label FROM walk w JOIN ed e ON e.a = w.node) "
+    "SELECT node, CAST(MIN(label) AS BIGINT) AS component "
+    "FROM walk GROUP BY node"))
 def near_dup_components_small(sf_dir: str) -> "ray.data.Dataset":
     """Duplicate-group resolution over the ORACLE-CHECKED MinHash pair set
     (16 perms × 4 bands): connected components via min-label propagation,
@@ -1636,9 +2595,35 @@ def near_dup_components_small(sf_dir: str) -> "ray.data.Dataset":
     return connected_components(pairs)
 
 
-_JACCARD_THRESHOLD_E4 = 5000
+def _ngram_jaccard_oracle_sql(threshold_e4: int, k: int = 5) -> str:
+    """Bit-exact SQL replay of ops.dedup.ngram_jaccard_dedup_pairs: the
+    16-perm × 4-band LSH candidate CTE (shared with
+    minhash_dedup_pairs_small), then per-candidate-doc DISTINCT character
+    k-grams via substring (ASCII corpus ⇒ char grams == byte grams), exact
+    integer intersection/union, and the same fixed-point filter
+    ``10000*inter >= t_e4*union`` with ``j_e4 = (10000*inter) // union``
+    (DuckDB ``//`` == Python ``//`` for non-negative ints)."""
+    return (
+        "WITH " + _minhash_pairs_cte() + ", "
+        "cand_docs AS (SELECT doc_a AS doc_id FROM mh_pairs "
+        "UNION SELECT doc_b FROM mh_pairs), "
+        "g AS (SELECT DISTINCT d.doc_id, substring(d.text, s.i, "
+        f"{k}) AS gram FROM documents d JOIN cand_docs USING (doc_id), "
+        f"LATERAL (SELECT unnest(range(1, length(d.text) - {k - 2})) AS i) s "
+        f"WHERE length(d.text) >= {k}), "
+        "sizes AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id), "
+        "it AS (SELECT p.doc_a, p.doc_b, count(*) AS inter "
+        "FROM mh_pairs p JOIN g ga ON ga.doc_id = p.doc_a "
+        "JOIN g gb ON gb.doc_id = p.doc_b AND gb.gram = ga.gram "
+        "GROUP BY 1, 2) "
+        "SELECT doc_a, doc_b, CAST((10000 * inter) // "
+        "(sa.n + sb.n - inter) AS BIGINT) AS j_e4 "
+        "FROM it JOIN sizes sa ON sa.doc_id = it.doc_a "
+        "JOIN sizes sb ON sb.doc_id = it.doc_b "
+        f"WHERE 10000 * inter >= {threshold_e4} * (sa.n + sb.n - inter)")
 
 
+@query(oracle=_ngram_jaccard_oracle_sql(_JACCARD_THRESHOLD_E4))
 def ngram_jaccard_dups(sf_dir: str) -> "ray.data.Dataset":
     """n-gram Jaccard near-dup pairs: MinHash+LSH candidates (the oracle-
     feasible 16-perm × 4-band configuration — same as
@@ -1653,6 +2638,19 @@ def ngram_jaccard_dups(sf_dir: str) -> "ray.data.Dataset":
         threshold_e4=_JACCARD_THRESHOLD_E4, num_perm=16, bands=4)
 
 
+# 64-bit SimHash replayed exactly in SQL: the k=5 rolling hashes (same
+# Horner mod-2^64 as doc_fingerprints below), then per-bit majority
+# vote (bit set iff 2·#set > #windows) folded back to BIGINT.  The
+# heaviest oracle (~17 s at sf0.01: ~16M lambda evaluations) — the
+# price of bit-exact SQL replay of a custom sketch.
+@query(oracle=(
+    f"WITH h AS (SELECT doc_id, {_byte_hashes_sql(5)} AS hs FROM documents) "
+    f"SELECT doc_id, {_int64_sql('m')} AS simhash FROM ("
+    "SELECT doc_id, COALESCE(list_sum(list_transform(range(0, 64), "
+    "b -> CASE WHEN 2*len(list_filter(hs, "
+    "x -> ((x // (2::HUGEINT ** b)::HUGEINT) % 2) = 1)) > len(hs) "
+    "THEN (2::HUGEINT ** b)::HUGEINT ELSE 0::HUGEINT END)), 0::HUGEINT) "
+    "AS m FROM h)"))
 def doc_simhash(sf_dir: str) -> "ray.data.Dataset":
     """64-bit SimHash signatures (ops/dedup.py)."""
     from zeeklog_ray.ops.dedup import simhash_signatures
@@ -1664,6 +2662,14 @@ def doc_simhash(sf_dir: str) -> "ray.data.Dataset":
 _NEAR_DUP_THRESHOLD_E4 = 3500
 
 
+@query(oracle=(
+    "SELECT a.vec_id AS id_a, b.vec_id AS id_b, "
+    "CAST(FLOOR(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
+    "CAST(b.embedding AS DOUBLE[])) * 10000) AS BIGINT) AS cos_e4 "
+    "FROM embeddings a JOIN embeddings b "
+    "ON a.label = b.label AND a.vec_id < b.vec_id "
+    "WHERE CAST(FLOOR(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
+    "CAST(b.embedding AS DOUBLE[])) * 10000) AS BIGINT) >= 3500"))
 def embedding_near_dups(sf_dir: str) -> "ray.data.Dataset":
     """Embedding-cosine near-dup pairs within label blocks (ops/dedup.py)."""
     from zeeklog_ray.ops.dedup import embedding_cosine_pairs
@@ -1672,6 +2678,8 @@ def embedding_near_dups(sf_dir: str) -> "ray.data.Dataset":
     return embedding_cosine_pairs(ds, _NEAR_DUP_THRESHOLD_E4, block_col="label")
 
 
+@query(rows_only="multi-probe cluster blocking is approximate; planted-dup "
+                 "recall is pytest-gated")
 def semantic_dedup(sf_dir: str) -> "ray.data.Dataset":
     """Cluster-blocked semantic near-dup pairs (ops/dedup.py
     semantic_dedup_pairs): sample-trained coarse quantizer → top-2-probe
@@ -1686,6 +2694,10 @@ def semantic_dedup(sf_dir: str) -> "ray.data.Dataset":
                                 n_probes=2)
 
 
+# bit-exact splitmix64 train/val/test banding (ops/sample.py CTE)
+@query(oracle=_sample_sql.split_assign_sql(
+    "documents", "doc_id", "doc_id, source",
+    {"train": 0.8, "val": 0.1, "test": 0.1}))
 def docs_split_assign(sf_dir: str) -> "ray.data.Dataset":
     """Deterministic 80/10/10 train/val/test assignment over doc_id
     (ops/sample.split_assign): row-local splitmix64 banding, stable
@@ -1698,6 +2710,13 @@ def docs_split_assign(sf_dir: str) -> "ray.data.Dataset":
         "doc_id", {"train": 0.8, "val": 0.1, "test": 0.1})
 
 
+@query(oracle=(
+    "SELECT user_id, CAST(1 + SUM(CASE WHEN prev_ts IS NOT NULL AND "
+    "ts - prev_ts > INTERVAL 30 MINUTE THEN 1 ELSE 0 END) AS BIGINT) "
+    "AS n_sessions, CAST(COUNT(*) AS BIGINT) AS n_events "
+    "FROM (SELECT user_id, ts, LAG(ts) OVER "
+    "(PARTITION BY user_id ORDER BY ts) AS prev_ts FROM events) "
+    "GROUP BY user_id"))
 def event_sessions(sf_dir: str) -> "ray.data.Dataset":
     """Gap sessionization (30 min) per user (ops/sessionize.py)."""
     from zeeklog_ray.ops.sessionize import session_counts
@@ -1705,6 +2724,13 @@ def event_sessions(sf_dir: str) -> "ray.data.Dataset":
     return session_counts(read_table(sf_dir, "events", columns=["user_id", "ts"]))
 
 
+@query(oracle=(
+    "SELECT event_id, user_id, epoch_us(ts) AS ts_us, "
+    "COALESCE(epoch_us(ts) - LAG(epoch_us(ts)) OVER w, -1) "
+    "AS prev_gap_us, "
+    "COALESCE(LEAD(epoch_us(ts)) OVER w - epoch_us(ts), -1) "
+    "AS next_gap_us FROM events "
+    "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)"))
 def event_lead_lag(sf_dir: str) -> "ray.data.Dataset":
     """Per-user LAG/LEAD inter-arrival gaps (ops/sessionize.lead_lag):
     for every event, microsecond gaps to the previous and next event of
@@ -1737,6 +2763,12 @@ def event_lead_lag(sf_dir: str) -> "ray.data.Dataset":
     return out.map_batches(finish, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT l.event_id, l.user_id, "
+    "CAST(ROUND(r.value * 100) AS BIGINT) AS prior_view_cents "
+    "FROM (SELECT * FROM events WHERE event_type = 'purchase') l "
+    "ASOF JOIN (SELECT * FROM events WHERE event_type = 'view') r "
+    "ON l.user_id = r.user_id AND l.ts >= r.ts"))
 def purchase_prior_view(sf_dir: str) -> "ray.data.Dataset":
     """As-of join: for each purchase event, the value (cents) of the same
     user's latest prior view event (ops/sessionize.py).
@@ -1775,6 +2807,12 @@ def purchase_prior_view(sf_dir: str) -> "ray.data.Dataset":
     return joined.map_batches(finish, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT e.user_id, CAST(COUNT(*) AS BIGINT) AS n_first_day "
+    "FROM events e JOIN (SELECT user_id, MIN(ts) AS t0 FROM events "
+    "GROUP BY user_id) f ON e.user_id = f.user_id "
+    "AND e.ts >= f.t0 AND e.ts <= f.t0 + INTERVAL 24 HOUR "
+    "GROUP BY e.user_id"))
 def events_first_day(sf_dir: str) -> "ray.data.Dataset":
     """Range (interval) join: per user, how many of their events fall
     within 24 h of their FIRST event — per-user [t0, t0+24h] intervals
@@ -1802,6 +2840,8 @@ def events_first_day(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_first_day")
 
 
+@query(rows_only="approximate by design (LSH bucket probes); recall against "
+                 "brute force is pytest-gated")
 def ann_lsh_topk(sf_dir: str) -> pd.DataFrame:
     """LSH-bucketed approximate nearest neighbors (ops/similarity.py);
     recall vs brute force asserted in pytest."""
@@ -1811,6 +2851,11 @@ def ann_lsh_topk(sf_dir: str) -> pd.DataFrame:
     return lsh_bucketed_topk(ds, _query_vector(), k=10)
 
 
+# multimodal plumbing gate: both sides read the SAME media parquet;
+# identity + payload size are SQL-expressible, decode features not
+@query(oracle=lambda sf_dir: (
+    "SELECT item_id, modality, octet_length(payload) AS n_bytes "
+    f"FROM read_parquet('{media_parquet_path(sf_dir)}')"))
 def media_features(sf_dir: str) -> "ray.data.Dataset":
     """Multimodal pipeline: Parquet corpus of REAL encoded payloads
     (24-bit BMP / PCM-16 WAV / raw-frame video) → actor-pool decode +
@@ -1829,6 +2874,14 @@ def media_features(sf_dir: str) -> "ray.data.Dataset":
     return extract_features(ds).drop_columns(["features"])
 
 
+# resize plumbing gate: images only, ids preserved, exact BMP
+# output size = 54 + out_h·(out_w·3 rounded up to 4 bytes)
+@query(oracle=lambda sf_dir: (
+    "SELECT item_id, CAST(32 AS BIGINT) AS out_w, "
+    "CAST(24 AS BIGINT) AS out_h, "
+    f"CAST({54 + 24 * ((32 * 3 + 3) // 4 * 4)} AS BIGINT) AS n_bytes "
+    f"FROM read_parquet('{media_parquet_path(sf_dir)}') "
+    "WHERE modality = 'image'"))
 def media_resized(sf_dir: str) -> "ray.data.Dataset":
     """Actor-pool image resize (ops/multimodal.resize_image — vectorized
     bilinear, half-pixel-center convention) over the media corpus: decode
@@ -1864,6 +2917,17 @@ def media_jpeg_features(sf_dir: str) -> "ray.data.Dataset":
     return extract_features(ds, decoder="real").drop_columns(["features"])
 
 
+# registered only where Pillow imports, so no one samples a query that raises
+# by design (ops/mediacodec.py keeps the NotImplementedError seam)
+if _HAS_PIL:  # pragma: no cover - needs Pillow
+    query(rows_only="JPEG decode is not SQL-expressible; decoder parity is "
+                    "pytest-gated where Pillow imports")(media_jpeg_features)
+
+
+@query(oracle=lambda sf_dir: _zeek_z(sf_dir) + (
+    "SELECT MIN(date) AS date, id_orig_h FROM "
+    "(SELECT DISTINCT date, p[3] AS id_orig_h FROM z "
+    f"WHERE src IN {_CONN_SQL}) GROUP BY id_orig_h"))
 def zeek_multiday_first_wins(sf_dir: str) -> "ray.data.Dataset":
     """Reference E2 semantics (main.rs:301-334): per-day summaries unioned
     over the date range, first-wins dedup per source address (ops/dedup.py
@@ -1876,6 +2940,35 @@ def zeek_multiday_first_wins(sf_dir: str) -> "ray.data.Dataset":
     return first_wins(per_day, key="id_orig_h", order_col="date")
 
 
+# Same-label cos≥threshold pair set (id_a < id_b) — consumed by the
+# graph-metric oracles.
+_EMB_PAIRS = (
+    "pairs AS ("
+    "SELECT a.vec_id AS id_a, b.vec_id AS id_b "
+    "FROM embeddings a JOIN embeddings b "
+    "ON a.label = b.label AND a.vec_id < b.vec_id "
+    "WHERE CAST(FLOOR(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
+    "CAST(b.embedding AS DOUBLE[])) * 10000) AS BIGINT) >= 3500)")
+_EMB_PAIRS_CTE = "WITH " + _EMB_PAIRS
+
+# Recursive-CTE closure over that pair graph — `comp` is (node,
+# component=min reachable id); consumed by the embedding_dup_components
+# and dup_cluster_canonical oracles.
+_EMB_COMP_CTE = (
+    "WITH RECURSIVE " + _EMB_PAIRS + ", "
+    "ed AS (SELECT id_a AS a, id_b AS b FROM pairs "
+    "UNION ALL SELECT id_b, id_a FROM pairs), "
+    "nodes AS (SELECT DISTINCT a AS node FROM ed), "
+    "walk(node, label) AS ("
+    "SELECT node, node FROM nodes "
+    "UNION "
+    "SELECT e.b, w.label FROM walk w JOIN ed e ON e.a = w.node), "
+    "comp AS (SELECT node, CAST(MIN(label) AS BIGINT) AS component "
+    "FROM walk GROUP BY node)")
+
+
+@query(oracle=(
+    _EMB_COMP_CTE + " SELECT node, component FROM comp"))
 def embedding_dup_components(sf_dir: str) -> "ray.data.Dataset":
     """Near-dup GROUP resolution with a hard oracle: embedding-cosine pairs
     (SQL-expressible) → connected components via min-label propagation
@@ -1889,6 +2982,16 @@ def embedding_dup_components(sf_dir: str) -> "ray.data.Dataset":
     return connected_components(pairs, a_col="id_a", b_col="id_b")
 
 
+@query(oracle=(
+    _EMB_COMP_CTE +
+    " SELECT component, canonical, canonical_score, n_members FROM ("
+    "SELECT c.component, d.doc_id AS canonical, "
+    "d.n_chars AS canonical_score, "
+    "CAST(COUNT(*) OVER (PARTITION BY c.component) AS BIGINT) "
+    "AS n_members, "
+    "ROW_NUMBER() OVER (PARTITION BY c.component "
+    "ORDER BY d.n_chars DESC, d.doc_id) AS rn "
+    "FROM comp c JOIN documents d ON c.node = d.doc_id) WHERE rn = 1"))
 def dup_cluster_canonical(sf_dir: str) -> "ray.data.Dataset":
     """Quality-aware dedup policy (ops/graph.canonical_per_component):
     embedding-cosine dup components → keep the member with the most
@@ -1908,6 +3011,8 @@ def dup_cluster_canonical(sf_dir: str) -> "ray.data.Dataset":
                                    score_col="n_chars")
 
 
+@query(rows_only="the 64-permutation SQL replay takes over 5 min in DuckDB; "
+                 "near_dup_components_small hash-checks the same code path")
 def near_dup_components(sf_dir: str) -> "ray.data.Dataset":
     """MinHash-LSH candidate pairs resolved into duplicate groups via
     distributed min-label propagation (ops/graph.py)."""
@@ -1919,6 +3024,8 @@ def near_dup_components(sf_dir: str) -> "ray.data.Dataset":
     return connected_components(pairs)
 
 
+@query(rows_only="HyperLogLog estimate over the pandas SipHash cannot "
+                 "hash-match an exact count; its accuracy is pytest-gated")
 def approx_distinct_users(sf_dir: str) -> pd.DataFrame:
     """HyperLogLog approximate distinct user count over events
     (ops/sketch.py); accuracy asserted in pytest, rows-only here (approx
@@ -1930,6 +3037,9 @@ def approx_distinct_users(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"n_users_approx": [est]})
 
 
+@query(oracle=(
+    "SELECT event_type, CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) "
+    "AS BIGINT) AS sum_value_cents FROM events GROUP BY event_type"))
 def salted_events_sum(sf_dir: str) -> "ray.data.Dataset":
     """Explicit salted two-phase grouped sum (hot-key mitigation,
     aggregate.salted_groupby_sum) — exact result, oracle-checked."""
@@ -1946,6 +3056,13 @@ def salted_events_sum(sf_dir: str) -> "ray.data.Dataset":
                               "event_type", "value_cents")
 
 
+@query(oracle=(
+    "SELECT user_id, epoch_us(ts) AS ts_us, "
+    "CAST(COUNT(*) OVER w AS BIGINT) AS w_count, "
+    "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) OVER w AS BIGINT) "
+    "AS w_sum_cents FROM events "
+    "WINDOW w AS (PARTITION BY user_id ORDER BY ts "
+    "RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)"))
 def event_sliding_windows(sf_dir: str) -> "ray.data.Dataset":
     """Per-event trailing-1h window (count, cents sum) per user over the FULL
     events table — key-hash-bucketed groupby with a vectorized two-pointer
@@ -1978,6 +3095,8 @@ def event_sliding_windows(sf_dir: str) -> "ray.data.Dataset":
     return out.map_batches(finish, batch_format="pandas", batch_size=None)
 
 
+@query(rows_only="approximate by design (coarse-quantizer probes); recall is "
+                 "pytest-gated")
 def ivf_ann_topk(sf_dir: str) -> pd.DataFrame:
     """IVF (coarse-quantizer) approximate nearest neighbors
     (ops/similarity.py); recall asserted in pytest."""
@@ -1987,6 +3106,9 @@ def ivf_ann_topk(sf_dir: str) -> pd.DataFrame:
     return ivf_topk(ds, _query_vector(), k=10, n_clusters=8, nprobe=3)
 
 
+@query(oracle=(
+    "SELECT event_id, CAST(json_extract(props, '$.k') AS BIGINT) AS k "
+    "FROM events"))
 def event_props_extract(sf_dir: str) -> "ray.data.Dataset":
     """JSON property extraction from the events props column — the live
     realization of the reference's naive JSON→record parser (F10,
@@ -2002,6 +3124,10 @@ def event_props_extract(sf_dir: str) -> "ray.data.Dataset":
     return ds.map_batches(extract, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT o_orderkey, o_custkey FROM orders "
+    "WHERE o_custkey IN (SELECT c_custkey FROM customer "
+    "WHERE c_mktsegment = 'BUILDING')"))
 def building_segment_orders(sf_dir: str) -> "ray.data.Dataset":
     """Broadcast SEMI join: orders whose customer is in the BUILDING market
     segment — key set broadcast, filtered inside map_batches (no shuffle;
@@ -2021,6 +3147,10 @@ def building_segment_orders(sf_dir: str) -> "ray.data.Dataset":
     return ds.map_batches(semi, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT c_custkey, c_name FROM customer "
+    "WHERE c_custkey NOT IN (SELECT o_custkey FROM orders "
+    "WHERE o_orderpriority = '1-URGENT')"))
 def customers_without_orders(sf_dir: str) -> "ray.data.Dataset":
     """Broadcast ANTI join: customers with no 1-URGENT orders — complement
     key set filtered inside map_batches, no shuffle."""
@@ -2038,6 +3168,9 @@ def customers_without_orders(sf_dir: str) -> "ray.data.Dataset":
     return ds.map_batches(anti, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n FROM events "
+    "GROUP BY user_id ORDER BY n DESC, user_id LIMIT 10"))
 def event_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     """Top-10 users by event count via the two-pass Misra-Gries heavy-hitter
     sketch (ops/sketch.heavy_hitters): bounded per-batch summaries → exact
@@ -2053,6 +3186,10 @@ def event_heavy_hitters(sf_dir: str) -> pd.DataFrame:
 _QUANTILE_QS = [0.1, 0.5, 0.9, 0.99]
 
 
+@query(oracle=(" UNION ALL ".join(
+    f"SELECT CAST({q} AS DOUBLE) AS q, "
+    f"quantile_disc(CAST(ROUND(value * 100) AS BIGINT), {q}) AS value "
+    "FROM events" for q in _QUANTILE_QS)))
 def event_value_quantiles(sf_dir: str) -> pd.DataFrame:
     """Exact p10/p50/p90/p99 of event value (cents) via the distributed
     value-histogram method (ops/sketch.exact_quantiles) — no global sort,
@@ -2069,6 +3206,10 @@ def event_value_quantiles(sf_dir: str) -> pd.DataFrame:
                            "value_cents", _QUANTILE_QS)
 
 
+@query(oracle=(" UNION ALL ".join(
+    f"SELECT event_type, CAST({q} AS DOUBLE) AS q, "
+    f"quantile_disc(CAST(ROUND(value * 100) AS BIGINT), {q}) AS value "
+    "FROM events GROUP BY event_type" for q in (0.5, 0.99))))
 def event_type_quantiles(sf_dir: str) -> "ray.data.Dataset":
     """Per-event-type exact p50/p99 of value cents — the GROUPED variant of
     the value-histogram quantile method (ops/sketch.grouped_exact_quantiles),
@@ -2086,6 +3227,8 @@ def event_type_quantiles(sf_dir: str) -> "ray.data.Dataset":
         "event_type", "value_cents", [0.5, 0.99])
 
 
+@query(rows_only="approximate by design (bounded rank error); accuracy against "
+                 "event_type_quantiles is pytest-gated")
 def event_type_quantiles_sketch(sf_dir: str) -> pd.DataFrame:
     """Per-event-type APPROXIMATE p50/p99 via the grouped mergeable
     rank-sample sketch (ops/sketch.grouped_approx_quantiles) — the
@@ -2101,6 +3244,20 @@ def event_type_quantiles_sketch(sf_dir: str) -> pd.DataFrame:
         "event_type", "value", [0.5, 0.99])
 
 
+# same integer fence arithmetic: (3 * IQR) // 2, DuckDB // = floor
+@query(oracle=(
+    "WITH prep AS (SELECT event_type, "
+    "CAST(ROUND(value * 100) AS BIGINT) AS v FROM events), "
+    "q AS (SELECT event_type, quantile_disc(v, 0.25) AS q25, "
+    "quantile_disc(v, 0.75) AS q75 FROM prep GROUP BY event_type), "
+    "b AS (SELECT event_type, q25 - (3 * (q75 - q25)) // 2 AS lo, "
+    "q75 + (3 * (q75 - q25)) // 2 AS hi FROM q) "
+    "SELECT p.event_type, CAST(b.lo AS BIGINT) AS lo, "
+    "CAST(b.hi AS BIGINT) AS hi, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(CASE WHEN p.v < b.lo OR p.v > b.hi THEN 1 ELSE 0 END) "
+    "AS BIGINT) AS n_outliers "
+    "FROM prep p JOIN b USING (event_type) "
+    "GROUP BY p.event_type, b.lo, b.hi"))
 def event_value_outliers(sf_dir: str) -> "ray.data.Dataset":
     """Per-event-type Tukey-fence outlier counts on value cents
     (ops/sketch.grouped_iqr_outliers): exact grouped quantiles → tiny
@@ -2143,6 +3300,9 @@ def _event_users(sf_dir: str, kind: str,
     return ev.map_batches(keep, batch_format="pyarrow", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT user_id FROM events WHERE event_type = 'click' "
+    "INTERSECT SELECT user_id FROM events WHERE event_type = 'purchase'"))
 def users_click_and_purchase(sf_dir: str) -> "ray.data.Dataset":
     """INTERSECT: distinct users who both clicked and purchased
     (relational.set_op — tagged union + one bucketed shuffle)."""
@@ -2152,6 +3312,11 @@ def users_click_and_purchase(sf_dir: str) -> "ray.data.Dataset":
                   _event_users(sf_dir, "purchase"), ["user_id"], "intersect")
 
 
+@query(oracle=(
+    "SELECT user_id FROM events WHERE event_type = 'view' "
+    "AND CAST(ROUND(value * 100) AS BIGINT) >= 20000 "
+    "EXCEPT SELECT user_id FROM events WHERE event_type = 'purchase' "
+    "AND CAST(ROUND(value * 100) AS BIGINT) >= 20000"))
 def users_big_view_no_big_purchase(sf_dir: str) -> "ray.data.Dataset":
     """EXCEPT: distinct users with a ≥$200 view event but no ≥$200
     purchase (relational.set_op)."""
@@ -2162,6 +3327,14 @@ def users_big_view_no_big_purchase(sf_dir: str) -> "ray.data.Dataset":
                   ["user_id"], "except")
 
 
+# floored-DOUBLE float policy (like cos_e4): AVG and the Ray-side
+# sum/n agree to ~1e-10 of the 1e6 scale, far from any floor boundary
+@query(oracle=(
+    "SELECT label, pos, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(FLOOR(AVG(CAST(embedding[CAST(pos AS INTEGER) + 1] AS DOUBLE))"
+    " * 1000000) AS BIGINT) AS centroid_e6 "
+    "FROM embeddings e, LATERAL (SELECT unnest(range(0, "
+    "len(e.embedding))) AS pos) p GROUP BY label, pos"))
 def embedding_label_centroids(sf_dir: str) -> "ray.data.Dataset":
     """Per-label embedding centroid, long format (label, pos, n,
     centroid_e6) — cluster-quality stats over the embedding column with
@@ -2173,6 +3346,17 @@ def embedding_label_centroids(sf_dir: str) -> "ray.data.Dataset":
         read_table(sf_dir, "embeddings", columns=["label", "embedding"]))
 
 
+# bit-exact int8-quantization replay: identical float64 ops in the
+# same order on both sides (cast→abs→max, then x/scale*127+0.5 floor)
+@query(oracle=(
+    "WITH s AS (SELECT vec_id, embedding, list_max(list_transform("
+    "embedding, x -> abs(CAST(x AS DOUBLE)))) AS scale FROM embeddings) "
+    "SELECT s.vec_id, CAST(p.pos AS BIGINT) AS pos, "
+    "CAST(CASE WHEN s.scale = 0 THEN 0 ELSE FLOOR(CAST("
+    "s.embedding[CAST(p.pos AS INTEGER) + 1] AS DOUBLE) / s.scale "
+    "* 127.0 + 0.5) END AS BIGINT) AS q, "
+    "CAST(FLOOR(s.scale * 1000000000) AS BIGINT) AS scale_e9 "
+    "FROM s, LATERAL (SELECT unnest(range(0, len(s.embedding))) AS pos) p"))
 def embedding_quantize(sf_dir: str) -> "ray.data.Dataset":
     """int8 symmetric quantization of the embedding table, exploded to
     long format (vec_id, pos, q, scale_e9) so the driver can hash every
@@ -2202,6 +3386,20 @@ def embedding_quantize(sf_dir: str) -> "ray.data.Dataset":
     return q.map_batches(explode, batch_format="pyarrow", batch_size=None)
 
 
+# exact integer Gram of the quantized table: the quantize replay
+# above feeding a pos<=pos self-join — every term is int so SUM is
+# hash-stable regardless of evaluation order
+@query(oracle=(
+    "WITH s AS (SELECT vec_id, embedding, list_max(list_transform("
+    "embedding, x -> abs(CAST(x AS DOUBLE)))) AS scale FROM embeddings), "
+    "qq AS (SELECT s.vec_id, CAST(p.pos AS BIGINT) AS pos, "
+    "CAST(CASE WHEN s.scale = 0 THEN 0 ELSE FLOOR(CAST("
+    "s.embedding[CAST(p.pos AS INTEGER) + 1] AS DOUBLE) / s.scale "
+    "* 127.0 + 0.5) END AS BIGINT) AS q "
+    "FROM s, LATERAL (SELECT unnest(range(0, len(s.embedding))) AS pos) p) "
+    "SELECT a.pos AS i, b.pos AS j, CAST(SUM(a.q * b.q) AS BIGINT) AS g "
+    "FROM qq a JOIN qq b ON a.vec_id = b.vec_id AND a.pos <= b.pos "
+    "GROUP BY a.pos, b.pos"))
 def embedding_gram_int8(sf_dir: str) -> "ray.data.Dataset":
     """Exact upper-triangular Gram matrix of the int8-quantized embedding
     table (ops/linalg.gram_int8): quantize row-locally (bit-exact replay),
@@ -2215,6 +3413,8 @@ def embedding_gram_int8(sf_dir: str) -> "ray.data.Dataset":
         read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"]))
 
 
+@query(rows_only="eigenvectors are not SQL-expressible; numpy parity is "
+                 "pytest-gated")
 def embedding_pca_project(sf_dir: str) -> "ray.data.Dataset":
     """PCA over the embedding table (ops/linalg): one streaming pass of
     d×d float partials → driver eigh → row-local projection onto the top
@@ -2228,6 +3428,12 @@ def embedding_pca_project(sf_dir: str) -> "ray.data.Dataset":
     return pca_project(ds, fit)
 
 
+# the zone-map scan must return EXACTLY the rows a plain range filter
+# returns — pruning is a physical optimization, never a semantic one
+@query(oracle=(
+    "SELECT event_id, user_id, CAST(ROUND(value * 100) AS BIGINT) "
+    "AS cents FROM events WHERE value IS NOT NULL "
+    "AND CAST(ROUND(value * 100) AS BIGINT) BETWEEN 2000 AND 2999"))
 def events_value_zonemap(sf_dir: str) -> "ray.data.Dataset":
     """Range query through the zone-map export (partitioned.py): the
     events table is exported ONCE per sf as range-sorted Parquet with a
@@ -2260,6 +3466,19 @@ def events_value_zonemap(sf_dir: str) -> "ray.data.Dataset":
     return zonemap_scan(root, 2000, 2999)
 
 
+# integer epoch-week cohorts: DATE_DIFF days // 7 truncates the same
+# way numpy datetime64[D] // 7 floors (all post-1970 → positive)
+@query(oracle=(
+    "WITH f AS (SELECT user_id, MIN(ts) AS fts FROM events "
+    "GROUP BY user_id), "
+    "d AS (SELECT e.user_id, "
+    "DATE_DIFF('day', DATE '1970-01-01', CAST(e.ts AS DATE)) // 7 AS w, "
+    "DATE_DIFF('day', DATE '1970-01-01', CAST(f.fts AS DATE)) // 7 AS cw "
+    "FROM events e JOIN f USING (user_id)) "
+    "SELECT CAST(cw AS BIGINT) AS cohort_week, "
+    "CAST(w - cw AS BIGINT) AS week_offset, "
+    "CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users "
+    "FROM d GROUP BY cw, w - cw"))
 def user_retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
     """Cohort retention: users grouped by first-seen epoch-week, counted
     distinct per (cohort_week, week_offset) — the product-analytics
@@ -2274,6 +3493,8 @@ def user_retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
         read_table(sf_dir, "events", columns=["user_id", "ts"]))
 
 
+@query(rows_only="DuckDB cannot decode image payloads; the dHash is pinned by "
+                 "exact-value pytest")
 def media_phash(sf_dir: str) -> "ray.data.Dataset":
     """Per-image 64-bit perceptual hash (dHash) over the media corpus —
     the image-dedup signature (ops/multimodal.dhash_image: integer luma,
@@ -2292,6 +3513,8 @@ def media_phash(sf_dir: str) -> "ray.data.Dataset":
     return phash_images(rd.read_parquet(media_parquet_for_sf_dir(sf_dir)))
 
 
+@query(rows_only="DuckDB cannot decode WAV payloads; the fingerprint is pinned "
+                 "by exact-value pytest")
 def media_audio_fp(sf_dir: str) -> "ray.data.Dataset":
     """Per-clip 64-bit audio fingerprint (energy-envelope dHash,
     level-robust) over the media corpus — the audio-dedup signature
@@ -2309,6 +3532,8 @@ def media_audio_fp(sf_dir: str) -> "ray.data.Dataset":
         rd.read_parquet(media_parquet_for_sf_dir(sf_dir)))
 
 
+@query(rows_only="DuckDB cannot decode RVID payloads; the signature is pinned "
+                 "by exact-value pytest")
 def media_video_hash(sf_dir: str) -> "ray.data.Dataset":
     """Per-video 64-bit signature (mean-frame dHash, reorder/trim-robust)
     over the media corpus (ops/multimodal.vhash_video).  Rows-only for
@@ -2324,6 +3549,14 @@ def media_video_hash(sf_dir: str) -> "ray.data.Dataset":
     return video_hashes(rd.read_parquet(media_parquet_for_sf_dir(sf_dir)))
 
 
+# the digest is a stand-in for the text: SQL groups the text itself
+@query(oracle=(
+    "WITH g AS (SELECT source, text, COUNT(*) AS n FROM documents "
+    "GROUP BY source, text) "
+    "SELECT source, CAST(SUM(n) AS BIGINT) AS n_docs, "
+    "CAST(COUNT(*) AS BIGINT) AS n_distinct, "
+    "CAST((SUM(n) - COUNT(*)) * 1000000 // SUM(n) AS BIGINT) "
+    "AS dup_rate_ppm FROM g GROUP BY source"))
 def docs_dup_rate_by_source(sf_dir: str) -> "ray.data.Dataset":
     """Corpus-health report: per-source exact-duplicate rate (ppm) —
     total docs, distinct contents, dup share.  Only (source, 128-bit
@@ -2370,6 +3603,28 @@ def docs_dup_rate_by_source(sf_dir: str) -> "ray.data.Dataset":
                               batch_size=None)
 
 
+# bit-exact HUGEINT replay of the window-hash dup-span signal: per-word
+# codepoint Horner (base 1000003, acc0 = first codepoint — the
+# doc_simhash technique), then an 8-word Horner combine (base
+# 1099511628211), both mod 2^64; a window hash in >= 2 distinct docs
+# is a duplicated span
+@query(oracle=(
+    f"WITH w AS (SELECT doc_id, {_WORDS_SQL} AS words FROM documents), "
+    f"wh AS (SELECT doc_id, {_WORD_HASHES_SQL} AS whs, "
+    "len(words) AS nw FROM w), "
+    f"g AS (SELECT doc_id, {_horner_sql('whs[i:i+7]', 1099511628211)} "
+    "AS gmod FROM wh, "
+    "UNNEST(range(1, nw - 6)) AS t(i) WHERE nw >= 8), "
+    f"gi AS (SELECT doc_id, {_int64_sql('gmod')} AS gram FROM g), "
+    "dg AS (SELECT doc_id, gram, COUNT(*) AS cnt FROM gi GROUP BY 1, 2), "
+    "gd AS (SELECT gram FROM dg GROUP BY gram HAVING COUNT(*) >= 2), "
+    "dd AS (SELECT dg.doc_id, SUM(dg.cnt) AS dupw FROM dg "
+    "JOIN gd USING (gram) GROUP BY 1) "
+    "SELECT wh.doc_id, CAST(GREATEST(wh.nw - 7, 0) AS BIGINT) "
+    "AS n_windows, CAST(COALESCE(dd.dupw, 0) AS BIGINT) AS dup_windows, "
+    "CAST(COALESCE(dd.dupw, 0) * 10000 // GREATEST(wh.nw - 7, 1) "
+    "AS BIGINT) AS dup_ratio_e4 "
+    "FROM wh LEFT JOIN dd USING (doc_id)"))
 def docs_dup_windows(sf_dir: str) -> "ray.data.Dataset":
     """Cross-document duplicated-SPAN statistics (ops/dedup.py): per doc,
     how many of its 8-word windows hash-match a window appearing in >= 2
@@ -2383,6 +3638,9 @@ def docs_dup_windows(sf_dir: str) -> "ray.data.Dataset":
         read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
+@query(rows_only="the min/max-bounded CDC boundary walk is sequential state "
+                 "with no SQL replay; pytest-gated against a pure-Python "
+                 "chunker")
 def docs_cdc_dup(sf_dir: str) -> "ray.data.Dataset":
     """Shared-content estimate from CONTENT-DEFINED chunks
     (ops/dedup.cdc_dup_stats): Rabin/FastCDC-style word chunking
@@ -2401,6 +3659,8 @@ def docs_cdc_dup(sf_dir: str) -> "ray.data.Dataset":
         window=4, mask_bits=4, min_words=4, max_words=32)
 
 
+@query(rows_only="the CDC screen's boundary walk has no SQL replay; its exact "
+                 "tier is hash-gated as docs_dup_windows")
 def docs_screen_verify(sf_dir: str) -> "ray.data.Dataset":
     """Two-tier dup workflow (ops/dedup.cdc_screen_then_verify): cheap
     CDC screening flags suspect docs, only suspects pay the bit-exact
@@ -2416,6 +3676,29 @@ def docs_screen_verify(sf_dir: str) -> "ray.data.Dataset":
         screen_ratio_e4=2_000)
 
 
+# span REMOVAL over the same bit-replayed window hashes: a word at
+# 1-based position j survives iff no dup window start s has
+# s <= j <= s+7; cleaned text rebuilds from the filtered word list
+@query(oracle=(
+    f"WITH w AS (SELECT doc_id, {_WORDS_SQL} AS words FROM documents), "
+    f"wh AS (SELECT doc_id, words, {_WORD_HASHES_SQL} AS whs, "
+    "len(words) AS nw FROM w), "
+    f"g AS (SELECT doc_id, i, {_horner_sql('whs[i:i+7]', 1099511628211)} "
+    "AS gram FROM wh, "
+    "UNNEST(range(1, nw - 6)) AS t(i) WHERE nw >= 8), "
+    "gd AS (SELECT gram FROM (SELECT DISTINCT doc_id, gram FROM g) "
+    "GROUP BY gram HAVING COUNT(*) >= 2), "
+    "st AS (SELECT g.doc_id, list(g.i) AS starts FROM g "
+    "JOIN gd USING (gram) GROUP BY 1) "
+    "SELECT wh.doc_id, COALESCE(array_to_string(list_transform("
+    "list_filter(range(1, wh.nw + 1), j -> len(list_filter("
+    "COALESCE(st.starts, []), s -> s <= j AND j <= s + 7)) = 0), "
+    "j -> wh.words[j]), ' '), '') AS text_clean, "
+    "CAST(wh.nw AS BIGINT) AS n_words, "
+    "CAST(len(list_filter(range(1, wh.nw + 1), j -> len(list_filter("
+    "COALESCE(st.starts, []), s -> s <= j AND j <= s + 7)) > 0)) "
+    "AS BIGINT) AS n_removed "
+    "FROM wh LEFT JOIN st USING (doc_id)"))
 def docs_remove_dup_spans(sf_dir: str) -> "ray.data.Dataset":
     """Duplicated-span REMOVAL (ops/dedup.remove_dup_spans): delete every
     word covered by an 8-word window shared by >= 2 docs — the cleaning
@@ -2428,6 +3711,42 @@ def docs_remove_dup_spans(sf_dir: str) -> "ray.data.Dataset":
         read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
+# the full cleaning chain as one CTE composition of the proven
+# repetition-filter and span-removal pieces; thresholds are literals
+# shared with the Ray side (0.30 distinct / 0.10 top-bigram / 15
+# clean words)
+@query(oracle=(
+    f"WITH w0 AS (SELECT doc_id, lang, {_WORDS_SQL} AS words "
+    "FROM documents), "
+    "m AS (SELECT doc_id, lang, words, len(words) AS nw, "
+    "len(list_distinct(words)) AS nd FROM w0), "
+    "bgc AS (SELECT doc_id, MAX(c) AS topb FROM (SELECT doc_id, "
+    "bigram, COUNT(*) AS c FROM (SELECT doc_id, "
+    "unnest(list_transform(range(1, nw), i -> words[i] || ' ' || "
+    "words[i+1])) AS bigram FROM m WHERE nw >= 2) GROUP BY 1, 2) "
+    "GROUP BY 1), "
+    "f AS (SELECT m.doc_id, m.lang, m.words, m.nw FROM m "
+    "LEFT JOIN bgc USING (doc_id) "
+    "WHERE nd * 10000 // GREATEST(nw, 1) >= 3000 "
+    "AND COALESCE(topb, 0) * 10000 // GREATEST(nw - 1, 1) <= 1000), "
+    f"wh AS (SELECT doc_id, lang, words, {_WORD_HASHES_SQL} AS whs, "
+    "nw FROM f), "
+    f"g AS (SELECT doc_id, i, {_horner_sql('whs[i:i+7]', 1099511628211)} "
+    "AS gram FROM wh, "
+    "UNNEST(range(1, nw - 6)) AS t(i) WHERE nw >= 8), "
+    "gd AS (SELECT gram FROM (SELECT DISTINCT doc_id, gram FROM g) "
+    "GROUP BY gram HAVING COUNT(*) >= 2), "
+    "st AS (SELECT g.doc_id, list(g.i) AS starts FROM g "
+    "JOIN gd USING (gram) GROUP BY 1), "
+    "c AS (SELECT wh.doc_id, wh.lang, wh.nw, "
+    "COALESCE(len(list_filter(range(1, wh.nw + 1), "
+    "j -> len(list_filter(COALESCE(st.starts, []), "
+    "s -> s <= j AND j <= s + 7)) > 0)), 0) AS n_removed "
+    "FROM wh LEFT JOIN st USING (doc_id)) "
+    "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs, "
+    "CAST(SUM(nw - n_removed) AS BIGINT) AS sum_clean_words, "
+    "CAST(SUM(n_removed) AS BIGINT) AS sum_removed "
+    "FROM c WHERE nw - n_removed >= 15 GROUP BY lang"))
 def docs_clean_pipeline(sf_dir: str) -> "ray.data.Dataset":
     """End-to-end corpus CLEANING chain wiring the round-4 operators:
     Gopher repetition filter (distinct-word ratio >= 0.30, top-bigram
@@ -2458,6 +3777,29 @@ def docs_clean_pipeline(sf_dir: str) -> "ray.data.Dataset":
                         "removed": "sum_removed"}, count_as="n_docs")
 
 
+# Gopher repetition rules over the filtered ' '-split word list; all
+# ratios are integer-e4 with // (truncating) division
+_DOCS_REPETITION_SQL = (
+    f"WITH w AS (SELECT doc_id, {_WORDS_SQL} AS words FROM documents), "
+    "base AS (SELECT doc_id, words, len(words) AS nw, "
+    "len(list_distinct(words)) AS nd FROM w), "
+    "wc AS (SELECT doc_id, MAX(c) AS topw FROM (SELECT doc_id, word, "
+    "COUNT(*) AS c FROM (SELECT doc_id, unnest(words) AS word FROM w) "
+    "GROUP BY 1, 2) GROUP BY 1), "
+    "bg AS (SELECT doc_id, MAX(c) AS topb FROM (SELECT doc_id, bigram, "
+    "COUNT(*) AS c FROM (SELECT doc_id, unnest(list_transform("
+    "range(1, nw), i -> words[i] || ' ' || words[i+1])) AS bigram "
+    "FROM base WHERE nw >= 2) GROUP BY 1, 2) GROUP BY 1) "
+    "SELECT base.doc_id, CAST(nw AS BIGINT) AS n_words, "
+    "CAST(nd * 10000 // GREATEST(nw, 1) AS BIGINT) AS distinct_ratio_e4, "
+    "CAST(COALESCE(topw, 0) * 10000 // GREATEST(nw, 1) AS BIGINT) "
+    "AS top_word_ratio_e4, "
+    "CAST(COALESCE(topb, 0) * 10000 // GREATEST(nw - 1, 1) AS BIGINT) "
+    "AS top_bigram_ratio_e4 "
+    "FROM base LEFT JOIN wc USING (doc_id) LEFT JOIN bg USING (doc_id)")
+
+
+@query(oracle=_DOCS_REPETITION_SQL)
 def docs_repetition(sf_dir: str) -> "ray.data.Dataset":
     """Gopher-style intra-document repetition filter features
     (ops/text.repetition_stats): distinct-word / top-word / top-bigram
@@ -2468,6 +3810,23 @@ def docs_repetition(sf_dir: str) -> "ray.data.Dataset":
         read_table(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
+# exact linear PMI in HUGEINT; ties at the k boundary break by
+# (count desc, w1, w2) on both sides
+@query(oracle=(
+    f"WITH w AS (SELECT {_WORDS_SQL} AS words FROM documents), "
+    "u AS (SELECT unnest(words) AS word FROM w), "
+    "wc AS (SELECT word, COUNT(*) AS c FROM u GROUP BY 1), "
+    "n AS (SELECT SUM(c)::HUGEINT AS n FROM wc), "
+    "b AS (SELECT words[i] AS w1, words[i+1] AS w2 FROM w, "
+    "UNNEST(range(1, len(words))) AS t(i)), "
+    "bc AS (SELECT w1, w2, COUNT(*) AS cxy FROM b GROUP BY 1, 2), "
+    "top AS (SELECT * FROM bc WHERE cxy >= 5 "
+    "ORDER BY cxy DESC, w1, w2 LIMIT 20) "
+    "SELECT top.w1, top.w2, CAST(top.cxy AS BIGINT) AS pair_count, "
+    "CAST(top.cxy::HUGEINT * n.n * 10000 // "
+    "(a.c::HUGEINT * b2.c::HUGEINT) AS BIGINT) AS pmi_e4 "
+    "FROM top CROSS JOIN n "
+    "JOIN wc a ON a.word = top.w1 JOIN wc b2 ON b2.word = top.w2"))
 def docs_bigram_pmi(sf_dir: str) -> pd.DataFrame:
     """Top-20 bigram collocations with exact linear PMI
     (ops/text.bigram_pmi_topk): big-int c_xy·N·10^4 // (c_x·c_y), HUGEINT
@@ -2479,6 +3838,18 @@ def docs_bigram_pmi(sf_dir: str) -> pd.DataFrame:
         k=20, min_count=5)
 
 
+# rare = corpus unigram count < 5, counted per word POSITION
+@query(oracle=(
+    f"WITH w AS (SELECT doc_id, {_WORDS_SQL} AS words FROM documents), "
+    "u AS (SELECT doc_id, unnest(words) AS word FROM w), "
+    "wc AS (SELECT word, COUNT(*) AS c FROM u GROUP BY 1), "
+    "r AS (SELECT u.doc_id, COUNT(*) AS n_rare FROM u "
+    "JOIN wc USING (word) WHERE wc.c < 5 GROUP BY 1) "
+    "SELECT w.doc_id, CAST(len(words) AS BIGINT) AS n_words, "
+    "CAST(COALESCE(r.n_rare, 0) AS BIGINT) AS n_rare, "
+    "CAST(COALESCE(r.n_rare, 0) * 10000 // GREATEST(len(words), 1) "
+    "AS BIGINT) AS rare_ratio_e4 "
+    "FROM w LEFT JOIN r USING (doc_id)"))
 def docs_rare_word_ratio(sf_dir: str) -> "ray.data.Dataset":
     """Per-doc rare-word position ratio against the corpus unigram table
     (ops/text.rare_word_stats) — the integer-exact core of
@@ -2491,6 +3862,8 @@ def docs_rare_word_ratio(sf_dir: str) -> "ray.data.Dataset":
         min_corpus_count=5)
 
 
+@query(rows_only="log2 is float, so a hash gate would compare libm ulps; the "
+                 "integer twin docs_rare_word_ratio is hash-gated")
 def docs_unigram_logprob(sf_dir: str) -> "ray.data.Dataset":
     """Per-doc average unigram log-likelihood under the corpus's own LM
     (ops/text.unigram_logprob).  Rows-only for the driver: log2 is float,
@@ -2506,6 +3879,26 @@ def docs_unigram_logprob(sf_dir: str) -> "ray.data.Dataset":
 _QR_RATES = {"q0": 0.2, "q1": 0.7, "q2": 1.0, "q3": 1.5}
 
 
+def _quality_resample_oracle_sql() -> str:
+    bucketed = (
+        f"(WITH scored AS ({_DOCS_REPETITION_SQL}), "
+        "qq AS (SELECT quantile_disc(distinct_ratio_e4, 0.25) AS q1, "
+        "quantile_disc(distinct_ratio_e4, 0.50) AS q2, "
+        "quantile_disc(distinct_ratio_e4, 0.75) AS q3 FROM scored) "
+        "SELECT s.doc_id, s.n_words, "
+        "CASE WHEN s.distinct_ratio_e4 <= qq.q1 THEN 'q0' "
+        "WHEN s.distinct_ratio_e4 <= qq.q2 THEN 'q1' "
+        "WHEN s.distinct_ratio_e4 <= qq.q3 THEN 'q2' ELSE 'q3' END "
+        "AS qbucket FROM scored s CROSS JOIN qq) b")
+    mix = _sample_sql.mixture_resample_sql(
+        bucketed, key_col="doc_id", select_cols="qbucket, n_words",
+        by="qbucket", rates=_QR_RATES, default_rate=1.0)
+    return (f"SELECT qbucket, CAST(COUNT(*) AS BIGINT) AS n_rows, "
+            f"CAST(SUM(n_words) AS BIGINT) AS sum_words "
+            f"FROM ({mix}) t GROUP BY qbucket")
+
+
+@query(oracle=_quality_resample_oracle_sql())
 def docs_quality_resample(sf_dir: str) -> "ray.data.Dataset":
     """Quality-bucketed resampling — the quality-curation pipeline with
     every stage exact: score docs by the integer Gopher distinct-word
@@ -2545,29 +3938,11 @@ def docs_quality_resample(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_rows")
 
 
-def _quality_resample_oracle_sql() -> str:
-    from zeeklog_ray.ops.sample import mixture_resample_sql
-
-    rep_sql = ORACLE_SQL["docs_repetition"]
-    bucketed = (
-        f"(WITH scored AS ({rep_sql}), "
-        "qq AS (SELECT quantile_disc(distinct_ratio_e4, 0.25) AS q1, "
-        "quantile_disc(distinct_ratio_e4, 0.50) AS q2, "
-        "quantile_disc(distinct_ratio_e4, 0.75) AS q3 FROM scored) "
-        "SELECT s.doc_id, s.n_words, "
-        "CASE WHEN s.distinct_ratio_e4 <= qq.q1 THEN 'q0' "
-        "WHEN s.distinct_ratio_e4 <= qq.q2 THEN 'q1' "
-        "WHEN s.distinct_ratio_e4 <= qq.q3 THEN 'q2' ELSE 'q3' END "
-        "AS qbucket FROM scored s CROSS JOIN qq) b")
-    mix = mixture_resample_sql(bucketed, key_col="doc_id",
-                               select_cols="qbucket, n_words",
-                               by="qbucket", rates=_QR_RATES,
-                               default_rate=1.0)
-    return (f"SELECT qbucket, CAST(COUNT(*) AS BIGINT) AS n_rows, "
-            f"CAST(SUM(n_words) AS BIGINT) AS sum_words "
-            f"FROM ({mix}) t GROUP BY qbucket")
-
-
+# balanced stratified sample: exact integer threshold target·2^64//n_g
+# recomputed in HUGEINT over the same splitmix64 draw
+@query(oracle=_sample_sql.stratified_sample_sql(
+    "documents", "doc_id", "doc_id, lang, source",
+    by="lang", target_per_group=40))
 def docs_stratified_sample(sf_dir: str) -> "ray.data.Dataset":
     """Balanced per-language sample (~40 docs/lang) with keep-rates derived
     from the actual group sizes (ops/sample.stratified_sample): one
@@ -2580,6 +3955,14 @@ def docs_stratified_sample(sf_dir: str) -> "ray.data.Dataset":
         key_col="doc_id", by="lang", target_per_group=40)
 
 
+# per-type top-5 users; Ray recounts MG candidates exactly, so plain
+# windowed SQL is the oracle; ties (count DESC, user ASC)
+@query(oracle=(
+    "SELECT event_type, user_id, n, rank FROM ("
+    "SELECT event_type, user_id, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(ROW_NUMBER() OVER (PARTITION BY event_type "
+    "ORDER BY COUNT(*) DESC, user_id) AS BIGINT) AS rank "
+    "FROM events GROUP BY event_type, user_id) WHERE rank <= 5"))
 def event_type_heavy_users(sf_dir: str) -> pd.DataFrame:
     """Per-event-type top-5 users by event count via the grouped two-pass
     Misra-Gries pattern (ops/sketch.grouped_heavy_hitters): bounded
@@ -2591,6 +3974,26 @@ def event_type_heavy_users(sf_dir: str) -> pd.DataFrame:
         "event_type", "user_id", k=5, capacity=8192)
 
 
+# exact integer TV over the top-50 vocabulary: HUGEINT products in
+# SQL, Python big-int finish on the Ray side; // truncates (positive)
+@query(oracle=(
+    "WITH w AS (SELECT source, unnest(string_split(text, ' ')) AS word "
+    "FROM documents), "
+    "f AS (SELECT source, word, COUNT(*) AS n FROM w WHERE word <> '' "
+    "GROUP BY source, word), "
+    "topk AS (SELECT word FROM (SELECT word, SUM(n) AS tot FROM f "
+    "GROUP BY word ORDER BY tot DESC, word LIMIT 50)), "
+    "g AS (SELECT f.source, f.word, f.n FROM f JOIN topk USING (word)), "
+    "tot AS (SELECT source, SUM(n) AS N FROM g GROUP BY source), "
+    "p AS (SELECT a.source AS sa, a.N AS na, b.source AS sb, b.N AS nb "
+    "FROM tot a JOIN tot b ON a.source < b.source) "
+    "SELECT p.sa AS source_a, p.sb AS source_b, "
+    "CAST(SUM(ABS(COALESCE(ga.n, 0) * p.nb - COALESCE(gb.n, 0) * p.na))"
+    " * 1000000 // (2 * p.na * p.nb) AS BIGINT) AS tv_ppm "
+    "FROM p CROSS JOIN topk t "
+    "LEFT JOIN g ga ON ga.source = p.sa AND ga.word = t.word "
+    "LEFT JOIN g gb ON gb.source = p.sb AND gb.word = t.word "
+    "GROUP BY p.sa, p.sb, p.na, p.nb"))
 def docs_source_tv(sf_dir: str) -> pd.DataFrame:
     """Pairwise total-variation distance (ppm) between the per-source
     word distributions over the global top-50 vocabulary — the
@@ -2602,6 +4005,29 @@ def docs_source_tv(sf_dir: str) -> pd.DataFrame:
         read_table(sf_dir, "documents", columns=["source", "text"]), k=50)
 
 
+# per-source distinctive terms: all-integer rate ratio (ppm rates,
+# e4 score), // truncates on both sides (all positive); SUM() is
+# HUGEINT in DuckDB so the products are exact
+@query(oracle=(
+    "WITH w AS (SELECT source, unnest(string_split(text, ' ')) AS word "
+    "FROM documents), "
+    "c AS (SELECT source, word, COUNT(*) AS c_sw FROM w "
+    "WHERE word <> '' GROUP BY source, word), "
+    "cw AS (SELECT word, SUM(c_sw) AS c_w FROM c GROUP BY word), "
+    "ns AS (SELECT source, SUM(c_sw) AS n_s FROM c GROUP BY source), "
+    "tot AS (SELECT SUM(c_sw) AS n_tot FROM c), "
+    "sc AS (SELECT c.source, c.word, c.c_sw, "
+    "c.c_sw * 1000000 // ns.n_s AS rin, "
+    "(cw.c_w - c.c_sw) * 1000000 // GREATEST(tot.n_tot - ns.n_s, 1) "
+    "AS rout FROM c JOIN cw USING (word) JOIN ns USING (source) "
+    "CROSS JOIN tot WHERE cw.c_w >= 20), "
+    "r AS (SELECT source, word, c_sw, "
+    "rin * 10000 // (rout + 1) AS score_e4, "
+    "ROW_NUMBER() OVER (PARTITION BY source "
+    "ORDER BY rin * 10000 // (rout + 1) DESC, word) AS rank FROM sc) "
+    "SELECT source, CAST(rank AS BIGINT) AS rank, word, "
+    "CAST(c_sw AS BIGINT) AS tf_source, "
+    "CAST(score_e4 AS BIGINT) AS score_e4 FROM r WHERE rank <= 10"))
 def docs_distinctive_terms(sf_dir: str) -> "ray.data.Dataset":
     """Per-source distinctive vocabulary: top-10 words by the integer
     in-source vs rest-of-corpus rate ratio
@@ -2615,6 +4041,8 @@ def docs_distinctive_terms(sf_dir: str) -> "ray.data.Dataset":
         k=10, min_count=20)
 
 
+@query(rows_only="BPE training is an iterative argmax; both tiers are "
+                 "pytest-gated against a pure-Python reference")
 def docs_bpe_merges(sf_dir: str) -> pd.DataFrame:
     """BPE tokenizer TRAINING on the corpus: the first 16 learned merges
     with their weighted pair counts (ops/bpetrain.train_bpe — one corpus
@@ -2636,6 +4064,8 @@ def docs_bpe_merges(sf_dir: str) -> pd.DataFrame:
     })
 
 
+@query(rows_only="the merge list comes from the iterative BPE trainer; the "
+                 "apply kernel is pytest-gated")
 def docs_bpe_tokenize(sf_dir: str) -> "ray.data.Dataset":
     """END-TO-END tokenizer pass: train 16 BPE merges on the corpus, then
     tokenize every document with them (ops/bpetrain.tokenize_with_merges
@@ -2651,6 +4081,8 @@ def docs_bpe_tokenize(sf_dir: str) -> "ray.data.Dataset":
     return tokenize_with_merges(docs, fit)
 
 
+@query(rows_only="2^x decay weights are float; the kernel is pinned by a "
+                 "closed-form parity pytest")
 def user_value_decayed(sf_dir: str) -> "ray.data.Dataset":
     """Per-user exponentially time-decayed value sum (1-day half-life,
     referenced at the corpus max timestamp) —
@@ -2666,6 +4098,15 @@ def user_value_decayed(sf_dir: str) -> "ray.data.Dataset":
                             half_life_s=86_400.0, t_ref=t_ref)
 
 
+@query(oracle=(
+    "WITH c AS (SELECT event_type, "
+    "CAST(ROUND(value * 100) AS BIGINT) AS cents FROM events), "
+    "b AS (SELECT quantile_disc(cents, 0.01) AS lo, "
+    "quantile_disc(cents, 0.99) AS hi FROM c) "
+    "SELECT event_type, "
+    "CAST(SUM(LEAST(GREATEST(cents, b.lo), b.hi)) AS BIGINT) "
+    "AS sum_cents_w, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM c CROSS JOIN b GROUP BY event_type"))
 def event_value_winsorized(sf_dir: str) -> "ray.data.Dataset":
     """Outlier-robust per-type revenue: clamp value-cents at the exact
     global [p01, p99] (ops/sketch.exact_quantiles — distributed value
@@ -2696,6 +4137,9 @@ def event_value_winsorized(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n")
 
 
+@query(oracle=(
+    "SELECT doc_id, n_chars, CAST(ROW_NUMBER() OVER "
+    "(ORDER BY n_chars, doc_id) AS BIGINT) AS rank FROM documents"))
 def docs_length_rank(sf_dir: str) -> "ray.data.Dataset":
     """Global ROW_NUMBER over the whole corpus ordered by (n_chars,
     doc_id) — the distributed range-partitioned sort-rank
@@ -2709,6 +4153,15 @@ def docs_length_rank(sf_dir: str) -> "ray.data.Dataset":
                        by="n_chars", tie="doc_id")
 
 
+@query(oracle=(
+    "WITH c AS (SELECT user_id, COUNT(*) AS n_k FROM events "
+    "GROUP BY user_id) "
+    "SELECT CAST(SUM(n_k) AS BIGINT) AS n_rows, "
+    "CAST(COUNT(*) AS BIGINT) AS n_keys, "
+    "CAST(MAX(n_k) AS BIGINT) AS max_key_rows, "
+    "CAST(MAX(n_k) * 1000000 // SUM(n_k) AS BIGINT) AS max_share_ppm, "
+    "CAST(quantile_disc(n_k, 0.5) AS BIGINT) AS p50_key_rows, "
+    "CAST(quantile_disc(n_k, 0.99) AS BIGINT) AS p99_key_rows FROM c"))
 def event_user_skew(sf_dir: str) -> pd.DataFrame:
     """Skew profile of events.user_id — the pre-partitioning diagnostic
     (relational.key_skew_profile): total rows, distinct keys, hottest
@@ -2720,6 +4173,8 @@ def event_user_skew(sf_dir: str) -> pd.DataFrame:
                                        columns=["user_id"]), "user_id")
 
 
+@query(rows_only="float power iteration is not SQL-replayable; pytest-gated "
+                 "against a dense-matrix reference")
 def embedding_graph_pagerank(sf_dir: str) -> "ray.data.Dataset":
     """PageRank centrality over the embedding near-dup pair graph
     (ops/graph.pagerank — tiered power iteration; 1e-9 fixed point).
@@ -2736,6 +4191,8 @@ def embedding_graph_pagerank(sf_dir: str) -> "ray.data.Dataset":
     return pagerank(pairs, a_col="id_a", b_col="id_b")
 
 
+@query(rows_only="iterative float means are not SQL-replayable; pytest-gated "
+                 "on monotone SSE and planted-mixture recovery")
 def embedding_kmeans(sf_dir: str) -> "ray.data.Dataset":
     """Full-data distributed k-means over the embedding table, reported as
     per-cluster sizes (ops/cluster.kmeans_fit + kmeans_assign).  NO SQL
@@ -2752,6 +4209,12 @@ def embedding_kmeans(sf_dir: str) -> "ray.data.Dataset":
                        ["cluster"], count_as="n")
 
 
+@query(oracle=(
+    _EMB_PAIRS_CTE +
+    ", ed AS (SELECT id_a AS node FROM pairs "
+    "UNION ALL SELECT id_b FROM pairs) "
+    "SELECT node, CAST(COUNT(*) AS BIGINT) AS degree "
+    "FROM ed GROUP BY node"))
 def embedding_graph_degrees(sf_dir: str) -> "ray.data.Dataset":
     """Per-node degree of the embedding near-dup pair graph — the hub /
     skew profile of the candidate set (ops/graph.node_degrees: row-local
@@ -2766,6 +4229,11 @@ def embedding_graph_degrees(sf_dir: str) -> "ray.data.Dataset":
     return node_degrees(pairs, a_col="id_a", b_col="id_b")
 
 
+@query(oracle=(
+    _EMB_PAIRS_CTE +
+    " SELECT CAST(COUNT(*) AS BIGINT) AS n_triangles "
+    "FROM pairs e1 JOIN pairs e2 ON e2.id_a = e1.id_b "
+    "JOIN pairs e3 ON e3.id_a = e1.id_a AND e3.id_b = e2.id_b"))
 def embedding_graph_triangles(sf_dir: str) -> pd.DataFrame:
     """Exact triangle count of the embedding near-dup pair graph —
     cluster-density metric via the degree-orientation algorithm
@@ -2786,6 +4254,13 @@ def embedding_graph_triangles(sf_dir: str) -> pd.DataFrame:
 _PIVOT_TYPES = ["click", "error", "purchase", "signup", "view"]
 
 
+@query(oracle=(
+    "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_events, " +
+    ", ".join(
+        f"CAST(SUM(CASE WHEN event_type = '{t}' THEN "
+        "CAST(ROUND(value * 100) AS BIGINT) ELSE 0 END) AS BIGINT) "
+        f"AS cents_{t}" for t in _PIVOT_TYPES) +
+    " FROM events GROUP BY user_id"))
 def user_event_pivot(sf_dir: str) -> "ray.data.Dataset":
     """PIVOT: per-user wide table — one value-cents sum column per event
     type plus a total event count (relational.pivot_sum).  The widening
@@ -2807,6 +4282,13 @@ def user_event_pivot(sf_dir: str) -> "ray.data.Dataset":
                      bucketed=True)  # per-user index is entity-shaped
 
 
+@query(oracle=(
+    "SELECT 'cents_' || t.et AS variable, "
+    "CAST(COALESCE(SUM(CAST(ROUND(e.value * 100) AS BIGINT)), 0) "
+    "AS BIGINT) AS total_cents "
+    "FROM (VALUES ('click'), ('error'), ('purchase'), ('signup'), "
+    "('view')) t(et) LEFT JOIN events e ON e.event_type = t.et "
+    "GROUP BY t.et"))
 def event_pivot_unpivot(sf_dir: str) -> "ray.data.Dataset":
     """PIVOT → UNPIVOT round-trip (relational.melt): the per-user wide
     table melts back to long and re-aggregates per variable — the oracle
@@ -2832,6 +4314,16 @@ def event_pivot_unpivot(sf_dir: str) -> "ray.data.Dataset":
     return grouped_sum(long, ["variable"], sums={"cents": "total_cents"})
 
 
+@query(oracle=(
+    "WITH t AS (SELECT quantile_disc(n_chars, 0.25) AS q1, "
+    "quantile_disc(n_chars, 0.5) AS q2, "
+    "quantile_disc(n_chars, 0.75) AS q3 FROM documents) "
+    "SELECT CAST(CASE WHEN n_chars <= q1 THEN 0 "
+    "WHEN n_chars <= q2 THEN 1 WHEN n_chars <= q3 THEN 2 "
+    "ELSE 3 END AS BIGINT) AS bucket, "
+    "CAST(COUNT(*) AS BIGINT) AS n_docs, "
+    "CAST(SUM(n_chars) AS BIGINT) AS sum_chars "
+    "FROM documents, t GROUP BY 1"))
 def docs_length_buckets(sf_dir: str) -> "ray.data.Dataset":
     """Length-quartile bucketing — the curriculum / batch-shape prep op:
     EXACT quartile thresholds (ops/sketch.exact_quantiles, distributed
@@ -2856,6 +4348,9 @@ def docs_length_buckets(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_docs")
 
 
+# the inlined linear-counting table is a 4096-row VALUES list (see
+# ops/sketch.hll_oracle_sql)
+@query(oracle=hll_oracle_sql("events", "event_type", "user_id"))
 def event_type_users_hll(sf_dir: str) -> pd.DataFrame:
     """Approximate COUNT(DISTINCT user) per event type
     (ops/sketch.grouped_approx_distinct, ``replayable=True``): per-batch
@@ -2875,6 +4370,12 @@ def event_type_users_hll(sf_dir: str) -> pd.DataFrame:
 _SCRUB_TERMS = ["spark", "dup", "slow"]
 
 
+# \b agrees between RE2 and Python re over this ASCII corpus
+@query(oracle=(
+    r"SELECT doc_id, CAST(length(regexp_extract_all(text, "
+    r"'\b(?:spark|dup|slow)\b')) AS BIGINT) AS n_redactions, "
+    r"regexp_replace(text, '\b(?:spark|dup|slow)\b', '<TERM>', 'g') "
+    "AS text_clean FROM documents"))
 def docs_term_scrub(sf_dir: str) -> "ray.data.Dataset":
     """Blocklist redaction over the documents table (ops/text.term_scrub):
     whole-word occurrences of the blocklist become ``<TERM>``, with exact
@@ -2891,6 +4392,19 @@ _BOILER_DF_PCT = 78  # tokens in >= 78% of documents are boilerplate
 # 75-80%; 15/31 tokens scrub at sf0.01, 3/31 at sf0.1)
 
 
+# same tokenization as the Ray side: string_split(' '), empties kept
+@query(oracle=(
+    "WITH toks AS (SELECT doc_id, l[CAST(i AS INTEGER)] AS tok, i AS ord "
+    "FROM (SELECT doc_id, string_split(text, ' ') AS l FROM documents) d, "
+    "LATERAL (SELECT unnest(range(1, len(l) + 1)) AS i) s), "
+    "freq AS (SELECT tok FROM toks GROUP BY tok "
+    f"HAVING COUNT(DISTINCT doc_id) * 100 >= "
+    f"(SELECT COUNT(*) FROM documents) * {_BOILER_DF_PCT}) "
+    "SELECT t.doc_id, "
+    "CAST(COUNT(*) FILTER (f.tok IS NOT NULL) AS BIGINT) AS n_removed, "
+    "COALESCE(string_agg(CASE WHEN f.tok IS NULL THEN t.tok END, ' ' "
+    "ORDER BY t.ord), '') AS text_clean "
+    "FROM toks t LEFT JOIN freq f ON t.tok = f.tok GROUP BY t.doc_id"))
 def docs_df_boilerplate(sf_dir: str) -> "ray.data.Dataset":
     """Document-frequency boilerplate scrub (ops/text.df_census +
     df_token_scrub): census the corpus for tokens present in >=78% of
@@ -2909,6 +4423,13 @@ def docs_df_boilerplate(sf_dir: str) -> "ray.data.Dataset":
     return df_token_scrub(docs, freq)
 
 
+# ORC hop fidelity: hour-bucketed rollup of the roundtripped
+# timestamps + integer id sums vs the original parquet
+@query(oracle=(
+    "SELECT event_type, strftime(date_trunc('hour', ts), "
+    "'%Y-%m-%d %H:00:00') AS hour, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(event_id) AS BIGINT) AS sum_id "
+    "FROM events GROUP BY event_type, hour"))
 def events_orc_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """ORC sink/source round-trip (jsonio.write_orc / read_orc — the
     data-lake interchange format Ray lacks natively, grafted on as a
@@ -2917,16 +4438,12 @@ def events_orc_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     ROUNDTRIPPED timestamps to hours and roll up with integer sums —
     the oracle reads the original parquet, so any timestamp or integer
     fidelity loss in the ORC hop fails the hash."""
-    import shutil
-
     import pyarrow.compute as pc
 
     from zeeklog_ray.jsonio import read_orc, write_orc
     from zeeklog_ray.relational import grouped_sum
 
-    out_dir = (f"/tmp/zeeklog_orc/"
-               f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _scratch_dir("orc", sf_dir)
     ev = read_table(sf_dir, "events",
                     columns=["event_id", "ts", "event_type"])
     write_orc(ev, out_dir)
@@ -2943,19 +4460,21 @@ def events_orc_roundtrip(sf_dir: str) -> "ray.data.Dataset":
         ["event_type", "hour"], sums={"event_id": "sum_id"}, count_as="n")
 
 
+# Feather hop fidelity: per-source rollup with integer id sums
+@query(oracle=(
+    "SELECT source, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
+    "CAST(SUM(doc_id) AS BIGINT) AS sum_ids "
+    "FROM documents GROUP BY source"))
 def docs_feather_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """Feather (Arrow IPC) sink/source round-trip (jsonio.write_feather /
     read_feather — the zero-parse local interchange hop, grafted like the
     ORC pair): export the document projection, read the shards back, and
     aggregate per source against the original-parquet oracle."""
-    import shutil
-
     from zeeklog_ray.jsonio import read_feather, write_feather
     from zeeklog_ray.relational import grouped_sum
 
-    out_dir = (f"/tmp/zeeklog_feather/"
-               f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _scratch_dir("feather", sf_dir)
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "source", "n_chars"])
     write_feather(docs, out_dir)
@@ -2965,6 +4484,9 @@ def docs_feather_roundtrip(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n")
 
 
+@query(oracle=(
+    "SELECT source, CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
+    "CAST(COUNT(*) AS BIGINT) AS n_docs FROM documents GROUP BY source"))
 def docs_jsonl_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """JSONL sink/source round-trip (jsonio.write_jsonl / read_jsonl):
     export the integer/string document projection as JSONL shards (one
@@ -2972,17 +4494,10 @@ def docs_jsonl_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     back, and aggregate per source — the oracle compares against the
     ORIGINAL parquet, so any type-fidelity loss in the JSON hop fails
     the hash."""
-    import shutil
-
     from zeeklog_ray.jsonio import read_jsonl, write_jsonl
     from zeeklog_ray.relational import grouped_sum
 
-    # pid-scoped dir: two concurrent runs (bench + oracle gate) must not
-    # rmtree each other's in-flight shards; left on disk because the
-    # returned Dataset reads it LAZILY (tiny at test scale)
-    out_dir = (f"/tmp/zeeklog_jsonl/"
-               f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _scratch_dir("jsonl", sf_dir)
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "source", "n_chars"])
     write_jsonl(docs, out_dir)
@@ -2991,20 +4506,19 @@ def docs_jsonl_roundtrip(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_docs")
 
 
+@query(oracle=(
+    "SELECT source, CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
+    "CAST(COUNT(*) AS BIGINT) AS n_docs FROM documents GROUP BY source"))
 def docs_csv_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """CSV sink/source round-trip (jsonio.write_csv / read_csv): same
     gate as docs_jsonl_roundtrip — one headered shard per block out, a
     parallel shard-directory scan back, aggregate compared against the
     ORIGINAL parquet so any type loss through the CSV hop fails the
     hash."""
-    import shutil
-
     from zeeklog_ray.jsonio import read_csv, write_csv
     from zeeklog_ray.relational import grouped_sum
 
-    out_dir = (f"/tmp/zeeklog_csv/"
-               f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir = _scratch_dir("csv", sf_dir)
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "source", "n_chars"])
     write_csv(docs, out_dir)
@@ -3013,6 +4527,11 @@ def docs_csv_roundtrip(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_docs")
 
 
+@query(oracle=(
+    "SELECT user_id, "
+    "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT) "
+    "AS sum_cents, CAST(COUNT(*) AS BIGINT) AS n_events "
+    "FROM events GROUP BY user_id"))
 def user_value_sums(sf_dir: str) -> "ray.data.Dataset":
     """ENTITY-shaped aggregate (relational.grouped_sum_bucketed): per-user
     event-value totals — output cardinality scales with the user count,
@@ -3033,6 +4552,9 @@ def user_value_sums(sf_dir: str) -> "ray.data.Dataset":
                                 count_as="n_events")
 
 
+@query(oracle=(
+    "SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) "
+    "AS n_users FROM events GROUP BY event_type"))
 def event_type_user_counts(sf_dir: str) -> "ray.data.Dataset":
     """COUNT(DISTINCT user_id) per event_type: bucketed distinct on the
     (event_type, user_id) pair (relational.bucketed_distinct — only the
@@ -3056,6 +4578,22 @@ def event_type_user_counts(sf_dir: str) -> "ray.data.Dataset":
 _PREP_RATES = {"src0": 2.5, "src1": 0.5}  # oversample + downsample mix
 
 
+# per-user daily spike scores over the SPARSE observed-day series —
+# no gap filling, so the ROWS frame replays the op exactly
+@query(oracle=(
+    "WITH s AS (SELECT user_id, strftime(date_trunc('day', ts), "
+    "'%Y-%m-%d') AS day, COUNT(*) AS cnt FROM events GROUP BY 1, 2), "
+    "w AS (SELECT user_id, day, cnt, "
+    "COALESCE(SUM(cnt) OVER (PARTITION BY user_id ORDER BY day "
+    "ROWS BETWEEN 7 PRECEDING AND 1 PRECEDING), 0) AS trail_sum, "
+    "COUNT(cnt) OVER (PARTITION BY user_id ORDER BY day "
+    "ROWS BETWEEN 7 PRECEDING AND 1 PRECEDING) AS trail_cnt FROM s) "
+    "SELECT user_id, day, CAST(cnt AS BIGINT) AS n, "
+    "CAST(trail_sum AS BIGINT) AS trail_sum, "
+    "CAST(trail_cnt AS BIGINT) AS trail_cnt, "
+    "CAST(CASE WHEN cnt * trail_cnt - trail_sum > 0 THEN "
+    "(cnt * trail_cnt - trail_sum) * 10000 // GREATEST(trail_sum, 1) "
+    "ELSE 0 END AS BIGINT) AS spike_e4 FROM w"))
 def user_daily_spikes(sf_dir: str) -> "ray.data.Dataset":
     """Per-USER trailing-deviation scores over each user's observed
     daily activity — the same window pass as events_hourly_spikes but at
@@ -3082,6 +4620,10 @@ def user_daily_spikes(sf_dir: str) -> "ray.data.Dataset":
                               value="n", window=7)
 
 
+# top-20 spike report over the dense-series window replay; the
+# (spike desc, type, hour) tie-break makes LIMIT deterministic
+@query(oracle=("SELECT * FROM (" + _EVENTS_HOURLY_SPIKES_SQL + ") "
+               "ORDER BY spike_e4 DESC, event_type, hour LIMIT 20"))
 def event_spike_topk(sf_dir: str) -> "ray.data.Dataset":
     """The anomaly report a monitoring consumer actually reads: top-20
     (event_type, hour) cells by the trailing-deviation spike score
@@ -3095,6 +4637,13 @@ def event_spike_topk(sf_dir: str) -> "ray.data.Dataset":
                  descending=[True, False, False], k=20)
 
 
+# the compaction round trip must preserve content exactly: per-day
+# rollup of what the compacted layout reads back vs the source table
+@query(oracle=(
+    "SELECT strftime(date_trunc('day', ts), '%Y-%m-%d') AS day, "
+    "CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(event_id) AS BIGINT) AS sum_id "
+    "FROM events GROUP BY day"))
 def events_compact_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """Table-maintenance round trip: write events hive-partitioned by
     day as many SMALL files, run the journal-committed small-file
@@ -3103,15 +4652,11 @@ def events_compact_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     maintenance pass preserved content exactly; pytest
     (tests/test_compaction.py) covers file-count reduction, idempotence
     and crash recovery."""
-    import shutil
-
     import pyarrow.compute as pc
 
     from zeeklog_ray.partitioned import compact_partitions, write_partitioned
 
-    out = (f"/tmp/zeeklog_compact/"
-           f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out, ignore_errors=True)
+    out = _scratch_dir("compact", sf_dir)
     ds = read_table(sf_dir, "events", columns=["event_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -3134,6 +4679,23 @@ def events_compact_roundtrip(sf_dir: str) -> "ray.data.Dataset":
         ["day"], sums={"event_id": "sum_id"}, count_as="n")
 
 
+# the upsert MERGE replayed in SQL: tombstones (%17) drop keys,
+# updates (%5, unless tombstoned) bump ver to 1, inserts (%7==3)
+# arrive re-keyed +1e9 at ver 1; latest-wins per key is exactly this
+# CASE because each key sees at most one change row
+@query(oracle=(
+    "WITH base AS (SELECT event_id, "
+    "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
+    "final AS ("
+    "SELECT event_id, day, CASE WHEN event_id % 5 = 0 "
+    "THEN 1 ELSE 0 END AS ver FROM base WHERE event_id % 17 != 0 "
+    "UNION ALL "
+    "SELECT event_id + 1000000000, day, 1 FROM base "
+    "WHERE event_id % 7 = 3) "
+    "SELECT day, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
+    "CAST(SUM(ver) AS BIGINT) AS sum_ver "
+    "FROM final GROUP BY day"))
 def events_upsert_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """CDC upsert round trip: seed a day-partitioned store with the full
     events table (ver=0), then apply one change batch — updates
@@ -3145,15 +4707,11 @@ def events_upsert_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     key sums, and version sums all shift when any row is mis-merged);
     pytest (tests/test_upsert.py) covers latest-wins ordering,
     tie-breaks, untouched-partition economics and crash recovery."""
-    import shutil
-
     import pyarrow.compute as pc
 
     from zeeklog_ray.partitioned import upsert_partitions, write_partitioned
 
-    out = (f"/tmp/zeeklog_upsert/"
-           f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out, ignore_errors=True)
+    out = _scratch_dir("upsert", sf_dir)
     ds = read_table(sf_dir, "events", columns=["event_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -3209,15 +4767,11 @@ def _seed_mor_store(sf_dir: str, family: str) -> str:
     must win by delta sequence) and tombstones ``event_id % 17 == 0``
     (ver 2).  Used by events_mor_roundtrip (current view) and
     events_time_travel (snapshot views)."""
-    import shutil
-
     import pyarrow.compute as pc
 
     from zeeklog_ray.partitioned import append_deltas, write_partitioned
 
-    out = (f"/tmp/zeeklog_{family}/"
-           f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out, ignore_errors=True)
+    out = _scratch_dir(family, sf_dir)
     ds = read_table(sf_dir, "events", columns=["event_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -3281,6 +4835,23 @@ def _mor_day_rollup(merged: "ray.data.Dataset",
         count_as="n")
 
 
+# the merge-on-read view replayed in SQL: tombstones (%17) drop
+# keys; among survivors ver=1 iff any delta touched the key, and the
+# winning flag is batch 2's (200, %10) over batch 1's (10, %5)
+# because equal-ver ties resolve to the later delta sequence
+@query(oracle=(
+    "WITH base AS (SELECT event_id, "
+    "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
+    "final AS (SELECT event_id, day, "
+    "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
+    "CASE WHEN event_id % 10 = 0 THEN 200 "
+    "WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
+    "FROM base WHERE event_id % 17 != 0) "
+    "SELECT day, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
+    "CAST(SUM(ver) AS BIGINT) AS sum_ver, "
+    "CAST(SUM(flag) AS BIGINT) AS sum_flag "
+    "FROM final GROUP BY day"))
 def events_mor_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """Merge-on-read round trip: seed the shared MOR fixture store
     (:func:`_seed_mor_store` — base ver=0/flag=0, batch 1 updates %5,
@@ -3297,6 +4868,31 @@ def events_mor_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     return _mor_day_rollup(merged)
 
 
+# every retained snapshot of the delta log replayed in SQL: snap 0 =
+# base (all zeros), snap 1 = batch 1 only (%5 → ver 1 / flag 10, no
+# tombstones yet), snap 2 = the current merged view (same expression
+# as events_mor_roundtrip)
+@query(oracle=(
+    "WITH base AS (SELECT event_id, "
+    "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
+    "s0 AS (SELECT 0 AS snap, event_id, day, 0 AS ver, 0 AS flag "
+    "FROM base), "
+    "s1 AS (SELECT 1 AS snap, event_id, day, "
+    "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
+    "CASE WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
+    "FROM base), "
+    "s2 AS (SELECT 2 AS snap, event_id, day, "
+    "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
+    "CASE WHEN event_id % 10 = 0 THEN 200 "
+    "WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
+    "FROM base WHERE event_id % 17 != 0), "
+    "allsnaps AS (SELECT * FROM s0 UNION ALL SELECT * FROM s1 "
+    "UNION ALL SELECT * FROM s2) "
+    "SELECT snap, day, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
+    "CAST(SUM(ver) AS BIGINT) AS sum_ver, "
+    "CAST(SUM(flag) AS BIGINT) AS sum_flag "
+    "FROM allsnaps GROUP BY snap, day"))
 def events_time_travel(sf_dir: str) -> "ray.data.Dataset":
     """Snapshot time travel over the delta log: the shared MOR fixture
     store read AS OF every retained snapshot — ``as_of_seq=0`` (base
@@ -3319,6 +4915,21 @@ def events_time_travel(sf_dir: str) -> "ray.data.Dataset":
     return snaps[0].union(*snaps[1:])
 
 
+# vacuum must remove ONLY garbage: the post-GC merged view equals
+# the untouched merge-on-read expression
+@query(oracle=(
+    "WITH base AS (SELECT event_id, "
+    "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
+    "final AS (SELECT event_id, day, "
+    "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
+    "CASE WHEN event_id % 10 = 0 THEN 200 "
+    "WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
+    "FROM base WHERE event_id % 17 != 0) "
+    "SELECT day, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
+    "CAST(SUM(ver) AS BIGINT) AS sum_ver, "
+    "CAST(SUM(flag) AS BIGINT) AS sum_flag "
+    "FROM final GROUP BY day"))
 def events_vacuum_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     """Store GC round trip: seed the shared MOR fixture store, LITTER it
     with every class of crash debris vacuum owns — a leftover upsert
@@ -3367,6 +4978,25 @@ def events_vacuum_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     return _mor_day_rollup(merged)
 
 
+# the maintained aggregate must equal a plain GROUP BY over the
+# merged CDC view: even-day-of-month rows take updates (%5, +777
+# cents), tombstones (%17, precedence) and inserts (%7==3, re-keyed
+# +1e9 at 555 cents); odd-day rows pass through — their aggregate
+# files were never rewritten, so any staleness bug shifts the sums
+@query(oracle=(
+    "WITH base AS (SELECT event_id, event_type, "
+    "CAST(ROUND(value * 100) AS BIGINT) AS cents, "
+    "CAST(strftime(ts, '%d') AS INT) % 2 = 0 AS even_day FROM events), "
+    "final AS ("
+    "SELECT event_id, event_type, "
+    "CASE WHEN even_day AND event_id % 5 = 0 THEN cents + 777 "
+    "ELSE cents END AS cents "
+    "FROM base WHERE NOT (even_day AND event_id % 17 = 0) "
+    "UNION ALL "
+    "SELECT event_id + 1000000000, event_type, 555 FROM base "
+    "WHERE even_day AND event_id % 7 = 3) "
+    "SELECT event_type, CAST(SUM(cents) AS BIGINT) AS sum_cents, "
+    "CAST(COUNT(*) AS BIGINT) AS n FROM final GROUP BY event_type"))
 def events_ivm_groupsum(sf_dir: str) -> "ray.data.Dataset":
     """Incremental materialized-view maintenance: a per-event-type
     (sum_cents, n) aggregate over a day-partitioned MOR store, kept
@@ -3393,12 +5023,8 @@ def events_ivm_groupsum(sf_dir: str) -> "ray.data.Dataset":
     )
     from zeeklog_ray.relational import to_cents
 
-    base_tag = os.path.basename(os.path.normpath(sf_dir))
-    out = f"/tmp/zeeklog_ivm/{base_tag}-{os.getpid()}"
+    out = _scratch_dir("ivm", sf_dir)
     agg = out + "-agg"
-    import shutil
-
-    shutil.rmtree(out, ignore_errors=True)
     shutil.rmtree(agg, ignore_errors=True)
     ds = read_table(sf_dir, "events",
                     columns=["event_id", "ts", "event_type", "value"])
@@ -3477,6 +5103,16 @@ def events_ivm_groupsum(sf_dir: str) -> "ray.data.Dataset":
         ["event_type"], sums={"sum_cents": "sum_cents", "n": "n"})
 
 
+# rename + typed-default + widen replayed as a CASE: even doc_ids
+# were written under schema v1 (body only), so they must surface
+# with source 'legacy' and n_chars -1 after the evolved read
+@query(oracle=(
+    "SELECT CASE WHEN doc_id % 2 = 0 THEN 'legacy' ELSE source END "
+    "AS source, "
+    "CAST(SUM(CASE WHEN doc_id % 2 = 0 THEN -1 ELSE n_chars END) "
+    "AS BIGINT) AS sum_chars, "
+    "CAST(COUNT(*) AS BIGINT) AS n_docs "
+    "FROM documents GROUP BY 1"))
 def docs_schema_evolution(sf_dir: str) -> "ray.data.Dataset":
     """Schema-on-read evolution: a store written under TWO historical
     schema versions — v1 files (even doc_ids) carry only ``(doc_id
@@ -3490,15 +5126,11 @@ def docs_schema_evolution(sf_dir: str) -> "ray.data.Dataset":
     CASE over the source table, so a file normalized wrong (default
     leaking onto v2 rows, widen truncating, rename missed) shifts the
     hash."""
-    import shutil
-
     import pyarrow.compute as pc
 
     from zeeklog_ray.partitioned import read_evolved
 
-    out = (f"/tmp/zeeklog_evolve/"
-           f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out, ignore_errors=True)
+    out = _scratch_dir("evolve", sf_dir)
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "text", "source", "n_chars"])
 
@@ -3525,6 +5157,33 @@ def docs_schema_evolution(sf_dir: str) -> "ray.data.Dataset":
                        count_as="n_docs")
 
 
+def _prep_export_oracle_sql() -> str:
+    """Composed SQL replay of the prep-export chain (see prep.py)."""
+    dedup = (
+        "(WITH q AS (SELECT doc_id, source, text, "
+        f"{_N_WORDS_SQL}, {_N_STOP_SQL} FROM documents), "
+        "f AS (SELECT * FROM q WHERE n_words >= 15 AND "
+        "CAST(FLOOR(n_stop * 10000.0 / CASE WHEN n_words = 0 THEN 1 "
+        "ELSE n_words END) AS BIGINT) >= 200), "
+        "d AS (SELECT MIN(doc_id) AS doc_id, MIN(source) AS source, "
+        "CAST(LENGTH(REGEXP_EXTRACT_ALL(text, "
+        "'[A-Za-z]+|[0-9]{1,3}|[^A-Za-z0-9\\s]')) AS BIGINT) AS n_bpe "
+        "FROM f GROUP BY text) SELECT doc_id, source, n_bpe FROM d) dd")
+    resample = _sample_sql.mixture_resample_sql(
+        dedup, key_col="doc_id", select_cols="doc_id, source, n_bpe",
+        by="source", rates=_PREP_RATES, default_rate=1.0)
+    return (
+        f"WITH rs AS ({resample}), "
+        "p AS (SELECT source, n_bpe, "
+        "(SUM(n_bpe) OVER (PARTITION BY source ORDER BY doc_id, epoch "
+        "ROWS UNBOUNDED PRECEDING) - n_bpe) // 2048 AS pack_id FROM rs) "
+        "SELECT source, CAST(COUNT(*) AS BIGINT) AS n_rows, "
+        "CAST(SUM(n_bpe) AS BIGINT) AS sum_tokens, "
+        "CAST(COUNT(DISTINCT pack_id) AS BIGINT) AS n_packs "
+        "FROM p GROUP BY source")
+
+
+@query(oracle=_prep_export_oracle_sql())
 def docs_prep_export(sf_dir: str) -> pd.DataFrame:
     """The FULL training-data export chain (zeeklog_ray.prep): quality
     filter → exact dedup → source-mixture resample (src0 ×2.5, src1
@@ -3533,13 +5192,9 @@ def docs_prep_export(sf_dir: str) -> pd.DataFrame:
     (quality/dedup CTE + splitmix64 resample + window-cumsum packing) and
     compares the per-source rollup — gating the chain end to end,
     INCLUDING the written output."""
-    import shutil
-
     from zeeklog_ray.prep import prep_export
 
-    out = (f"/tmp/zeeklog_prep/"
-           f"{os.path.basename(os.path.normpath(sf_dir))}-{os.getpid()}")
-    shutil.rmtree(out, ignore_errors=True)
+    out = _scratch_dir("prep", sf_dir)
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "source"])
     summary = prep_export(docs, out, rates=_PREP_RATES)
@@ -3550,6 +5205,8 @@ def docs_prep_export(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
+@query(rows_only="the span screen's CDC boundary walk has no SQL replay; the "
+                 "unscreened chain is hash-gated as docs_prep_export")
 def docs_prep_screened(sf_dir: str) -> pd.DataFrame:
     """The prep chain with the OPTIONAL duplicated-span screen enabled
     (prep.span_screen, CDC scoring tier): docs whose shared-span ratio
@@ -3571,38 +5228,10 @@ def docs_prep_screened(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-def _prep_export_oracle_sql() -> str:
-    """Composed SQL replay of the prep-export chain (see prep.py)."""
-    import zeeklog_ray.ops.sample as sample_sql
-
-    dedup = (
-        "(WITH q AS (SELECT doc_id, source, text, "
-        "CAST(LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), "
-        "x -> x <> '')) AS BIGINT) AS n_words, "
-        "CAST(LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), x -> x IN "
-        "('a','and','for','in','is','it','of','that','the','to'))) "
-        "AS BIGINT) AS n_stop FROM documents), "
-        "f AS (SELECT * FROM q WHERE n_words >= 15 AND "
-        "CAST(FLOOR(n_stop * 10000.0 / CASE WHEN n_words = 0 THEN 1 "
-        "ELSE n_words END) AS BIGINT) >= 200), "
-        "d AS (SELECT MIN(doc_id) AS doc_id, MIN(source) AS source, "
-        "CAST(LENGTH(REGEXP_EXTRACT_ALL(text, "
-        "'[A-Za-z]+|[0-9]{1,3}|[^A-Za-z0-9\\s]')) AS BIGINT) AS n_bpe "
-        "FROM f GROUP BY text) SELECT doc_id, source, n_bpe FROM d) dd")
-    resample = sample_sql.mixture_resample_sql(
-        dedup, key_col="doc_id", select_cols="doc_id, source, n_bpe",
-        by="source", rates=_PREP_RATES, default_rate=1.0)
-    return (
-        f"WITH rs AS ({resample}), "
-        "p AS (SELECT source, n_bpe, "
-        "(SUM(n_bpe) OVER (PARTITION BY source ORDER BY doc_id, epoch "
-        "ROWS UNBOUNDED PRECEDING) - n_bpe) // 2048 AS pack_id FROM rs) "
-        "SELECT source, CAST(COUNT(*) AS BIGINT) AS n_rows, "
-        "CAST(SUM(n_bpe) AS BIGINT) AS sum_tokens, "
-        "CAST(COUNT(DISTINCT pack_id) AS BIGINT) AS n_packs "
-        "FROM p GROUP BY source")
-
-
+@query(oracle=(
+    "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n FROM events "
+    "WHERE event_type IN ('click', 'error', 'purchase', 'signup', "
+    "'view') GROUP BY event_type"))
 def event_type_counts_cm(sf_dir: str) -> pd.DataFrame:
     """Count-Min sketch frequencies for the known event types
     (ops/sketch.count_min_build/estimate over a string key).  The sketch
@@ -3622,6 +5251,23 @@ def event_type_counts_cm(sf_dir: str) -> pd.DataFrame:
 _CONT_Q_PCTS = [50, 90, 99]
 
 
+# continuous quantiles replayed in the SAME exact integer math as
+# ops.sketch.grouped_interp_quantiles (quantile_cont itself computes in
+# double — ×100-and-cast would be ulp-fragile): sorted value list per
+# key, i = p*(n-1)//100, r = p*(n-1)%100, x[i]*(100-r) + x[i+1]*r
+@query(oracle=(
+    "WITH s AS (SELECT event_type, "
+    "list(v ORDER BY v) AS l, count(*) AS n FROM "
+    "(SELECT event_type, CAST(ROUND(value * 100) AS BIGINT) AS v "
+    "FROM events WHERE value IS NOT NULL) GROUP BY event_type) "
+    "SELECT event_type, CAST(q_pct AS BIGINT) AS q_pct, "
+    "CAST(l[CAST(i AS INTEGER) + 1] * (100 - r) + "
+    "l[CAST(LEAST(i + 1, n - 1) AS INTEGER) + 1] * r AS BIGINT) "
+    "AS value_x100 FROM ("
+    "SELECT event_type, l, n, q_pct, "
+    "(q_pct * (n - 1)) // 100 AS i, (q_pct * (n - 1)) % 100 AS r "
+    "FROM s, (VALUES " +
+    ", ".join(f"({p})" for p in _CONT_Q_PCTS) + ") AS qq(q_pct))"))
 def event_type_quantiles_cont(sf_dir: str) -> "ray.data.Dataset":
     """Per-event-type CONTINUOUS (linearly interpolated) quantiles of
     value cents, in exact integer math — quantile_cont semantics with
@@ -3640,6 +5286,10 @@ def event_type_quantiles_cont(sf_dir: str) -> "ray.data.Dataset":
         "event_type", "value_cents", _CONT_Q_PCTS)
 
 
+@query(oracle=(
+    "SELECT o_orderkey, o_custkey FROM orders "
+    "WHERE o_custkey IN (SELECT c_custkey FROM customer "
+    "WHERE c_mktsegment = 'BUILDING')"))
 def building_orders_bloom(sf_dir: str) -> "ray.data.Dataset":
     """Bloom-pruned semi-join (relational.bloom_semi_filter): same result
     as building_segment_orders, but the broadcast is a 128 KB bitset (10
@@ -3663,6 +5313,8 @@ def building_orders_bloom(sf_dir: str) -> "ray.data.Dataset":
     return pruned.map_batches(verify, batch_format="pandas", batch_size=None)
 
 
+@query(oracle=(
+    "SELECT doc_id, source, n_chars FROM documents WHERE doc_id % 20 = 3"))
 def docs_sample_mod(sf_dir: str) -> "ray.data.Dataset":
     """Deterministic 5% sample: keep doc_id ≡ 3 (mod 20).  Hash/modulo
     sampling is the reproducible, partition-independent sampling scheme a
@@ -3681,6 +5333,10 @@ def docs_sample_mod(sf_dir: str) -> "ray.data.Dataset":
     return ds.map_batches(keep, batch_format="pyarrow", batch_size=None)
 
 
+# bit-exact splitmix64 ROW_NUMBER replay (ops/sample.py builds the CTE)
+@query(oracle=_sample_sql.cap_per_key_sql(
+    "documents", "source", "doc_id", "doc_id, source, n_chars",
+    10, _CAP_SALT))
 def docs_cap_per_source(sf_dir: str) -> "ray.data.Dataset":
     """Per-source document cap (relational.cap_per_key): at most 10 docs
     per source, chosen by the deterministic mix64 draw — the "max
@@ -3710,6 +5366,33 @@ _PII_IPV4 = r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b"
 _PII_LONGNUM = r"\d{9,}"
 
 
+# sequential-scrub replay: each count runs on the text AFTER the
+# previous pattern's replacement, mirroring the Ray side's subn chain
+@query(oracle=(
+    f"WITH planted AS (SELECT doc_id, text "
+    f"|| (CASE WHEN doc_id % 3 <> 0 THEN ' contact user' || "
+    f"CAST(doc_id AS VARCHAR) || '@example.com' ELSE '' END) "
+    f"|| (CASE WHEN doc_id % 2 = 0 THEN ' from 10.' || "
+    f"CAST(doc_id % 200 AS VARCHAR) || '.' || "
+    f"CAST(doc_id % 250 AS VARCHAR) || '.7' ELSE '' END) "
+    # printf never truncates (lpad would cut ids > 12 digits, silently
+    # diverging from Python's '%012d')
+    f"|| ' ref 9' || printf('%012d', doc_id) AS t "
+    f"FROM documents), "
+    f"s1 AS (SELECT doc_id, "
+    f"CAST(len(regexp_extract_all(t, '{_PII_EMAIL}')) AS BIGINT) "
+    f"AS n_email, "
+    f"regexp_replace(t, '{_PII_EMAIL}', '[EMAIL]', 'g') AS t "
+    f"FROM planted), "
+    f"s2 AS (SELECT doc_id, n_email, "
+    f"CAST(len(regexp_extract_all(t, '{_PII_IPV4}')) AS BIGINT) "
+    f"AS n_ip, "
+    f"regexp_replace(t, '{_PII_IPV4}', '[IP]', 'g') AS t FROM s1) "
+    f"SELECT doc_id, "
+    f"regexp_replace(t, '{_PII_LONGNUM}', '[NUM]', 'g') AS scrubbed, "
+    f"n_email, n_ip, "
+    f"CAST(len(regexp_extract_all(t, '{_PII_LONGNUM}')) AS BIGINT) "
+    f"AS n_num FROM s2"))
 def docs_pii_scrub(sf_dir: str) -> "ray.data.Dataset":
     """PII redaction over the corpus: emails → [EMAIL], IPv4 literals →
     [IP], ≥9-digit runs → [NUM], with per-doc match counts — the
@@ -3775,6 +5458,16 @@ _NORM_PLANTS = [
 ]
 
 
+# NFC+lower+collapse+strip replay; the planted strings are embedded as
+# raw UTF-8 literals — the CASE arms must match _NORM_PLANTS verbatim
+@query(oracle=(
+    "WITH planted AS (SELECT doc_id, text || CASE doc_id % 4 "
+    + " ".join(f"WHEN {i} THEN '{p}'" for i, p in enumerate(_NORM_PLANTS))
+    + " END AS t FROM documents), "
+    "n AS (SELECT doc_id, trim(regexp_replace(lower(nfc_normalize(t)), "
+    "'[ \t\n\r\f\v]+', ' ', 'g'), ' ') AS text_norm FROM planted) "
+    "SELECT doc_id, text_norm, "
+    "CAST(length(text_norm) AS BIGINT) AS n_chars_norm FROM n"))
 def docs_text_normalize(sf_dir: str) -> "ray.data.Dataset":
     """Unicode canonicalization over the corpus (ops/text.normalize_text):
     NFC + lowercase + whitespace-run collapse + strip, with the
@@ -3808,6 +5501,23 @@ def docs_text_normalize(sf_dir: str) -> "ray.data.Dataset":
                               batch_size=None)
 
 
+# integer linear-idf TF-IDF: // truncates on both sides (all positive)
+@query(oracle=(
+    "WITH w AS (SELECT doc_id, unnest(string_split(text, ' ')) AS word "
+    "FROM documents), "
+    "f AS (SELECT doc_id, word, COUNT(*) AS tf FROM w WHERE word <> '' "
+    "GROUP BY doc_id, word), "
+    "nw AS (SELECT doc_id, SUM(tf) AS n_words FROM f GROUP BY doc_id), "
+    "dfreq AS (SELECT word, COUNT(*) AS df FROM f GROUP BY word), "
+    "n AS (SELECT COUNT(*) AS n_docs FROM documents), "
+    "s AS (SELECT f.doc_id, f.word, f.tf, "
+    "(f.tf * 1000000 * n.n_docs) // (nw.n_words * dfreq.df) AS score_ppm "
+    "FROM f JOIN nw USING (doc_id) JOIN dfreq USING (word) CROSS JOIN n), "
+    "r AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY doc_id "
+    "ORDER BY score_ppm DESC, word) AS rank FROM s) "
+    "SELECT doc_id, CAST(rank AS BIGINT) AS rank, word, "
+    "CAST(tf AS BIGINT) AS tf, CAST(score_ppm AS BIGINT) AS score_ppm "
+    "FROM r WHERE rank <= 3"))
 def docs_tfidf_top_terms(sf_dir: str) -> "ray.data.Dataset":
     """Per-document top-3 TF-IDF terms (integer linear-idf scoring) —
     relevance scoring / keyword extraction over the corpus
@@ -3819,6 +5529,17 @@ def docs_tfidf_top_terms(sf_dir: str) -> "ray.data.Dataset":
         read_table(sf_dir, "documents", columns=["doc_id", "text"]), k=3)
 
 
+# inverted index: DISTINCT (word, doc) pairs, df + first-5 postings
+@query(oracle=(
+    "WITH w AS (SELECT DISTINCT * FROM (SELECT doc_id, "
+    "unnest(string_split(text, ' ')) AS word FROM documents)), "
+    "r AS (SELECT word, doc_id, "
+    "ROW_NUMBER() OVER (PARTITION BY word ORDER BY doc_id) AS rn, "
+    "COUNT(*) OVER (PARTITION BY word) AS df "
+    "FROM w WHERE word <> '') "
+    "SELECT word, CAST(max(df) AS BIGINT) AS df, "
+    "STRING_AGG(CASE WHEN rn <= 5 THEN CAST(doc_id AS VARCHAR) END, "
+    "',' ORDER BY doc_id) AS postings FROM r GROUP BY word"))
 def docs_word_postings(sf_dir: str) -> "ray.data.Dataset":
     """Inverted index over the corpus: per word, the document frequency
     and a CAPPED posting list (first 5 doc_ids, ascending) — the search /
@@ -3857,6 +5578,17 @@ def docs_word_postings(sf_dir: str) -> "ray.data.Dataset":
     return bucket_exchange(exploded, ["word"], per_bucket)
 
 
+# within-doc consecutive word pairs; (count desc, bigram) tie-break
+# makes the LIMIT deterministic on both sides
+@query(oracle=(
+    "WITH t AS (SELECT doc_id, string_split(text, ' ') AS ws "
+    "FROM documents), "
+    "u AS (SELECT doc_id, unnest(ws) AS w, "
+    "unnest(generate_series(1, len(ws))) AS i FROM t), "
+    "b AS (SELECT a.w || ' ' || c.w AS bigram FROM u a "
+    "JOIN u c ON a.doc_id = c.doc_id AND c.i = a.i + 1) "
+    "SELECT bigram, CAST(count(*) AS BIGINT) AS n FROM b "
+    "GROUP BY bigram ORDER BY n DESC, bigram LIMIT 20"))
 def docs_top_bigrams(sf_dir: str) -> pd.DataFrame:
     """Phrase mining: the 20 most frequent word bigrams corpus-wide
     (ties broken by the bigram string) — boilerplate/template detection.
@@ -3909,6 +5641,11 @@ def docs_top_bigrams(sf_dir: str) -> pd.DataFrame:
         .head(20).reset_index(drop=True)
 
 
+# DuckDB levenshtein is byte-level — exactly what the DP computes
+@query(oracle=(
+    "SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
+    "CAST(levenshtein(a.text, b.text) AS BIGINT) AS edit_dist "
+    "FROM documents a JOIN documents b ON b.doc_id = a.doc_id + 1"))
 def docs_editdist_adjacent(sf_dir: str) -> "ray.data.Dataset":
     """Byte-level Levenshtein distance over candidate pairs
     (ops/dedup.levenshtein_pairs) — the PRECISION tier of near-dup
@@ -3943,6 +5680,9 @@ def docs_editdist_adjacent(sf_dir: str) -> "ray.data.Dataset":
     return joined.map_batches(dist, batch_format="pandas", batch_size=None)
 
 
+# bit-exact splitmix64 ROW_NUMBER replay (ops/sample.py builds the CTE)
+@query(oracle=_sample_sql.shuffle_rank_sql(
+    "documents", "doc_id", "doc_id, source"))
 def docs_shuffle_order(sf_dir: str) -> "ray.data.Dataset":
     """Deterministic global training-order shuffle
     (ops/sample.shuffle_rank): every doc's explicit position under the
@@ -3955,6 +5695,13 @@ def docs_shuffle_order(sf_dir: str) -> "ray.data.Dataset":
     return shuffle_rank(ds, id_col="doc_id")
 
 
+@query(oracle=(
+    "SELECT o_custkey, o_orderkey, total_cents FROM ("
+    "SELECT o_custkey, o_orderkey, "
+    "CAST(ROUND(o_totalprice * 100) AS BIGINT) AS total_cents, "
+    "ROW_NUMBER() OVER (PARTITION BY o_custkey "
+    "ORDER BY CAST(ROUND(o_totalprice * 100) AS BIGINT) DESC, o_orderkey) "
+    "AS rn FROM orders) WHERE rn <= 2"))
 def top_orders_per_customer(sf_dir: str) -> "ray.data.Dataset":
     """Per-group top-N (window-rank shape): each customer's 2 highest-value
     orders.  One :func:`~zeeklog_ray.relational.bucket_exchange`: a sort
@@ -3978,6 +5725,13 @@ def top_orders_per_customer(sf_dir: str) -> "ray.data.Dataset":
         "o_custkey", top2)
 
 
+@query(oracle=(
+    "SELECT o_orderkey, CAST(SUM(CAST(ROUND(l_extendedprice * "
+    "(1 - l_discount) * 100) AS BIGINT)) AS BIGINT) AS revenue_cents "
+    "FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
+    "WHERE o_custkey IN (SELECT c_custkey FROM customer "
+    "WHERE c_mktsegment = 'BUILDING') "
+    "GROUP BY o_orderkey ORDER BY revenue_cents DESC, o_orderkey LIMIT 10"))
 def building_revenue_q3(sf_dir: str) -> "ray.data.Dataset":
     """TPC-H Q3-shaped: top-10 orders by revenue for BUILDING-segment
     customers — broadcast semi-filter (customer keys) + bucketed
@@ -4015,6 +5769,10 @@ def building_revenue_q3(sf_dir: str) -> "ray.data.Dataset":
                  descending=[True, False], k=10)
 
 
+@query(oracle=(
+    "SELECT n_name, CAST(COUNT(o_orderkey) AS BIGINT) AS n_orders "
+    "FROM customer JOIN nation ON c_nationkey = n_nationkey "
+    "LEFT JOIN orders ON o_custkey = c_custkey GROUP BY n_name"))
 def nation_order_counts_left(sf_dir: str) -> "ray.data.Dataset":
     """LEFT OUTER equi-join: every nation with its customer-order count,
     including nations whose customers placed no orders (NULL-extended side
@@ -4049,6 +5807,10 @@ _SAMPLE_RATES = {f"src{i}": round(0.05 + 0.045 * i, 3) for i in range(20)}
 _MIXTURE_RATES = {f"src{i}": (2.3, 1.0, 0.4, 1.75)[i % 4] for i in range(20)}
 
 
+# bit-exact splitmix64 replay in HUGEINT (ops/sample.py builds the CTE)
+@query(oracle=_sample_sql.hash_sample_sql(
+    "documents", "doc_id", "doc_id, source, lang, n_chars",
+    "source", _SAMPLE_RATES))
 def docs_hash_sample(sf_dir: str) -> "ray.data.Dataset":
     """Deterministic per-source hash down-sampling (mixture weighting with
     keep-rates < 1): keep a doc iff splitmix64(doc_id) < rate(source)·2^64.
@@ -4061,6 +5823,9 @@ def docs_hash_sample(sf_dir: str) -> "ray.data.Dataset":
     return hash_sample(ds, "doc_id", by="source", rates=_SAMPLE_RATES)
 
 
+@query(oracle=_sample_sql.mixture_resample_sql(
+    "documents", "doc_id", "doc_id, source, n_chars",
+    "source", _MIXTURE_RATES))
 def docs_mixture_resample(sf_dir: str) -> "ray.data.Dataset":
     """Source-mixture re-weighting with rates ABOVE 1 (epoch oversampling):
     floor(rate) copies per doc plus a salted-hash fractional copy, each
@@ -4076,6 +5841,27 @@ _CONTAM_K = 8          # byte-8-grams pack exactly into uint64
 _CONTAM_BENCH_MOD = 13  # doc_id % 13 == 0 plays the held-out benchmark set
 
 
+# bit-exact replay of ops.decontam.benchmark_contamination: distinct
+# char-8-grams (ASCII corpus ⇒ char grams == byte grams), benchmark =
+# doc_id ≡ 0 (mod 13), DuckDB // == Python // for non-negative ints
+@query(oracle=(
+    f"WITH bench AS (SELECT text FROM documents "
+    f"WHERE doc_id % {_CONTAM_BENCH_MOD} = 0), "
+    f"train AS (SELECT doc_id, text FROM documents "
+    f"WHERE doc_id % {_CONTAM_BENCH_MOD} <> 0), "
+    f"gb AS (SELECT DISTINCT substring(b.text, s.i, {_CONTAM_K}) AS gram "
+    f"FROM bench b, LATERAL (SELECT unnest(range(1, length(b.text) - "
+    f"{_CONTAM_K - 2})) AS i) s WHERE length(b.text) >= {_CONTAM_K}), "
+    f"gt AS (SELECT DISTINCT t.doc_id, substring(t.text, s.i, "
+    f"{_CONTAM_K}) AS gram FROM train t, LATERAL (SELECT "
+    f"unnest(range(1, length(t.text) - {_CONTAM_K - 2})) AS i) s "
+    f"WHERE length(t.text) >= {_CONTAM_K}), "
+    "sizes AS (SELECT doc_id, count(*) AS n_grams FROM gt GROUP BY doc_id), "
+    "hits AS (SELECT gt.doc_id, count(*) AS n_hit FROM gt "
+    "JOIN gb USING (gram) GROUP BY gt.doc_id) "
+    "SELECT h.doc_id, s.n_grams, h.n_hit, "
+    "CAST((10000 * h.n_hit) // s.n_grams AS BIGINT) AS contam_e4 "
+    "FROM hits h JOIN sizes s USING (doc_id)"))
 def docs_benchmark_contam(sf_dir: str) -> "ray.data.Dataset":
     """Benchmark decontamination (ops/decontam.py): docs sharing any
     distinct byte-8-gram with the "benchmark" subset (doc_id ≡ 0 mod 13),
@@ -4105,1977 +5891,3 @@ def docs_benchmark_contam(sf_dir: str) -> "ray.data.Dataset":
     train = docs.map_batches(side(False), batch_format="pyarrow",
                              batch_size=None)
     return benchmark_contamination(train, bench, k=_CONTAM_K)
-
-
-# --------------------------------------------------------------------------
-# Registry + oracle SQL
-# --------------------------------------------------------------------------
-
-QUERIES: dict[str, Callable[[str], Any]] = {
-    # flagship pipeline (rows-only driver checks; pytest is the strong gate)
-    "zeek_sink_stats": zeek_sink_stats,
-    "zeek_enriched_sink_stats": zeek_enriched_sink_stats,
-    "zeek_distinct_orig_h": zeek_distinct_orig_h,
-    "zeek_golden_ip_filter": zeek_golden_ip_filter,
-    "zeek_plan_matrix": zeek_plan_matrix,
-    "zeek_geo_summary": zeek_geo_summary,
-    "zeek_geo_range_summary": zeek_geo_range_summary,
-    "geo_ip_lookup": geo_ip_lookup,
-    "zeek_hourly_sink_counts": zeek_hourly_sink_counts,
-    "zeek_token_vocab": zeek_token_vocab,
-    "zeek_token_chunks": zeek_token_chunks,
-    "zeek_seq_packing": zeek_seq_packing,
-    "zeek_packed_rows": zeek_packed_rows,
-    "zeek_token_remap": zeek_token_remap,
-    "zeek_tsv_ingest": zeek_tsv_ingest,
-    # oracle-checked relational/analytics operators
-    "docs_by_source": docs_by_source,
-    "docs_jsonl_roundtrip": docs_jsonl_roundtrip,
-    "events_orc_roundtrip": events_orc_roundtrip,
-    "docs_feather_roundtrip": docs_feather_roundtrip,
-    "docs_csv_roundtrip": docs_csv_roundtrip,
-    "docs_prep_export": docs_prep_export,
-    "docs_prep_screened": docs_prep_screened,
-    "user_value_sums": user_value_sums,
-    "event_type_user_counts": event_type_user_counts,
-    "event_pivot_unpivot": event_pivot_unpivot,
-    "docs_length_buckets": docs_length_buckets,
-    "event_type_users_hll": event_type_users_hll,
-    "events_hopping_windows": events_hopping_windows,
-    "event_type_share": event_type_share,
-    "user_funnel_counts": user_funnel_counts,
-    "events_partitioned_prune": events_partitioned_prune,
-    "events_hourly_dense": events_hourly_dense,
-    "events_hourly_spikes": events_hourly_spikes,
-    "event_spike_topk": event_spike_topk,
-    "user_daily_spikes": user_daily_spikes,
-    "events_compact_roundtrip": events_compact_roundtrip,
-    "events_upsert_roundtrip": events_upsert_roundtrip,
-    "events_mor_roundtrip": events_mor_roundtrip,
-    "events_time_travel": events_time_travel,
-    "events_vacuum_roundtrip": events_vacuum_roundtrip,
-    "events_ivm_groupsum": events_ivm_groupsum,
-    "docs_schema_evolution": docs_schema_evolution,
-    "orders_fk_violations": orders_fk_violations,
-    "events_column_profile": events_column_profile,
-    "docs_snapshot_diff": docs_snapshot_diff,
-    "docs_incremental_dedup": docs_incremental_dedup,
-    "docs_incremental_near_dup": docs_incremental_near_dup,
-    "docs_normalized_dedup": docs_normalized_dedup,
-    "docs_keyword_search": docs_keyword_search,
-    "docs_simhash_dups": docs_simhash_dups,
-    "docs_bm25_search": docs_bm25_search,
-    "event_user_cm_counts": event_user_cm_counts,
-    "docs_lang_stats": docs_lang_stats,
-    "docs_nb_source_clf": docs_nb_source_clf,
-    "docs_passage_chunks": docs_passage_chunks,
-    "events_hourly": events_hourly,
-    "lineitem_pricing": lineitem_pricing,
-    "part_type_revenue": part_type_revenue,
-    "top_suppliers": top_suppliers,
-    "top_customers": top_customers,
-    "customers_by_region": customers_by_region,
-    "region_nation_rollup": region_nation_rollup,
-    "order_cube": order_cube,
-    "events_latest_per_user": events_latest_per_user,
-    "event_user_seq": event_user_seq,
-    "lineitem_qty_variance": lineitem_qty_variance,
-    "lineitem_price_cov": lineitem_price_cov,
-    "lineitem_qty_ranks": lineitem_qty_ranks,
-    "event_rows_window": event_rows_window,
-    "event_running_total": event_running_total,
-    "event_value_pct_rank": event_value_pct_rank,
-    "event_type_value_corr": event_type_value_corr,
-    "user_mode_event_type": user_mode_event_type,
-    "user_event_journey": user_event_journey,
-    "user_click_purchase_outer": user_click_purchase_outer,
-    "order_priority_items": order_priority_items,
-    "distinct_event_types": distinct_event_types,
-    "exact_dedup_docs": exact_dedup_docs,
-    "doc_word_counts": doc_word_counts,
-    "docs_top_terms": docs_top_terms,
-    "chars_histogram": chars_histogram,
-    "similarity_topk": similarity_topk,
-    # extended ops (dedup / similarity / text / temporal / multimodal)
-    "doc_quality": doc_quality,
-    "docs_prep_pipeline": docs_prep_pipeline,
-    "doc_token_bpe": doc_token_bpe,
-    "doc_lang_id": doc_lang_id,
-    "doc_fingerprints": doc_fingerprints,
-    "minhash_dedup_pairs": minhash_dedup_pairs,
-    "minhash_dedup_pairs_small": minhash_dedup_pairs_small,
-    "near_dup_components_small": near_dup_components_small,
-    "ngram_jaccard_dups": ngram_jaccard_dups,
-    "doc_simhash": doc_simhash,
-    "embedding_near_dups": embedding_near_dups,
-    "event_sessions": event_sessions,
-    "event_lead_lag": event_lead_lag,
-    "purchase_prior_view": purchase_prior_view,
-    "events_first_day": events_first_day,
-    "ann_lsh_topk": ann_lsh_topk,
-    "media_features": media_features,
-    "media_resized": media_resized,
-    "zeek_multiday_first_wins": zeek_multiday_first_wins,
-    "embedding_dup_components": embedding_dup_components,
-    "dup_cluster_canonical": dup_cluster_canonical,
-    "near_dup_components": near_dup_components,
-    "approx_distinct_users": approx_distinct_users,
-    "salted_events_sum": salted_events_sum,
-    "event_sliding_windows": event_sliding_windows,
-    "ivf_ann_topk": ivf_ann_topk,
-    "event_props_extract": event_props_extract,
-    "building_segment_orders": building_segment_orders,
-    "building_orders_bloom": building_orders_bloom,
-    "event_heavy_hitters": event_heavy_hitters,
-    "event_value_quantiles": event_value_quantiles,
-    "event_value_quantiles_sketch": event_value_quantiles_sketch,
-    "event_type_quantiles": event_type_quantiles,
-    "event_value_outliers": event_value_outliers,
-    "event_type_quantiles_cont": event_type_quantiles_cont,
-    "user_event_pivot": user_event_pivot,
-    "embedding_label_centroids": embedding_label_centroids,
-    "embedding_quantize": embedding_quantize,
-    "embedding_graph_degrees": embedding_graph_degrees,
-    "embedding_graph_triangles": embedding_graph_triangles,
-    "embedding_graph_pagerank": embedding_graph_pagerank,
-    "embedding_kmeans": embedding_kmeans,
-    "user_retention_cohorts": user_retention_cohorts,
-    "event_user_skew": event_user_skew,
-    "media_phash": media_phash,
-    "media_audio_fp": media_audio_fp,
-    "media_video_hash": media_video_hash,
-    "docs_length_rank": docs_length_rank,
-    "event_value_winsorized": event_value_winsorized,
-    "docs_bpe_merges": docs_bpe_merges,
-    "docs_bpe_tokenize": docs_bpe_tokenize,
-    "user_value_decayed": user_value_decayed,
-    "docs_source_tv": docs_source_tv,
-    "docs_distinctive_terms": docs_distinctive_terms,
-    "docs_dup_rate_by_source": docs_dup_rate_by_source,
-    "docs_dup_windows": docs_dup_windows,
-    "docs_cdc_dup": docs_cdc_dup,
-    "docs_screen_verify": docs_screen_verify,
-    "docs_remove_dup_spans": docs_remove_dup_spans,
-    "docs_clean_pipeline": docs_clean_pipeline,
-    "docs_repetition": docs_repetition,
-    "docs_bigram_pmi": docs_bigram_pmi,
-    "docs_stratified_sample": docs_stratified_sample,
-    "docs_quality_resample": docs_quality_resample,
-    "event_type_heavy_users": event_type_heavy_users,
-    "docs_rare_word_ratio": docs_rare_word_ratio,
-    "docs_unigram_logprob": docs_unigram_logprob,
-    "users_click_and_purchase": users_click_and_purchase,
-    "users_big_view_no_big_purchase": users_big_view_no_big_purchase,
-    "event_type_counts_cm": event_type_counts_cm,
-    "docs_term_scrub": docs_term_scrub,
-    "docs_df_boilerplate": docs_df_boilerplate,
-    "customers_without_orders": customers_without_orders,
-    "docs_sample_mod": docs_sample_mod,
-    "docs_cap_per_source": docs_cap_per_source,
-    "docs_pii_scrub": docs_pii_scrub,
-    "docs_text_normalize": docs_text_normalize,
-    "docs_shuffle_order": docs_shuffle_order,
-    "docs_editdist_adjacent": docs_editdist_adjacent,
-    "docs_word_postings": docs_word_postings,
-    "docs_tfidf_top_terms": docs_tfidf_top_terms,
-    "docs_top_bigrams": docs_top_bigrams,
-    "docs_hash_sample": docs_hash_sample,
-    "docs_mixture_resample": docs_mixture_resample,
-    "top_orders_per_customer": top_orders_per_customer,
-    "building_revenue_q3": building_revenue_q3,
-    "nation_order_counts_left": nation_order_counts_left,
-    "docs_benchmark_contam": docs_benchmark_contam,
-    "embedding_gram_int8": embedding_gram_int8,
-    "embedding_pca_project": embedding_pca_project,
-    "events_value_zonemap": events_value_zonemap,
-    "semantic_dedup": semantic_dedup,
-    "docs_split_assign": docs_split_assign,
-    "event_type_quantiles_sketch": event_type_quantiles_sketch,
-}
-
-# codec-gated queries: registered only where the adapter library imports,
-# so the driver never samples a query that raises by design in this
-# container (ops/mediacodec.py keeps the honest NotImplementedError seam)
-from zeeklog_ray.ops.mediacodec import HAS_PIL as _HAS_PIL
-
-if _HAS_PIL:  # pragma: no cover - this container has no Pillow
-    QUERIES["media_jpeg_features"] = media_jpeg_features
-
-_HIST_CASE = ("CASE WHEN n_chars < 64 THEN 'hist_0_64' "
-              "WHEN n_chars < 128 THEN 'hist_64_128' "
-              "WHEN n_chars < 256 THEN 'hist_128_256' "
-              "WHEN n_chars < 512 THEN 'hist_256_512' "
-              "WHEN n_chars < 1024 THEN 'hist_512_1024' "
-              "ELSE 'hist_1024_inf' END")
-
-
-# --------------------------------------------------------------------------
-# zeek_* oracle SQL: DuckDB CAN decode the token payload —
-#   array_to_string(list_transform(tokens, x -> chr(x)), '')  → the TSV line
-#   string_split(line, chr(9))                                → the cells
-# so the whole parse→route→aggregate pipeline is SQL-expressible and the
-# flagship queries get the driver's full rows+schema+hash gate.
-# --------------------------------------------------------------------------
-
-# The driver registers its oracle views over sf0.01 and runs both sides at
-# that scale; the zeek corpus is addressed by absolute path inside the SQL.
-DRIVER_SF_DIR = "/root/testdata/sf0.01"
-
-
-def _sql_strings(names) -> str:
-    return "(" + ", ".join(f"'{n}'" for n in names) + ")"
-
-
-def _zeek_oracle_sql(sf_dir: str) -> dict[str, str]:
-    """Oracle SQL for the flagship queries over the tokenized corpus that
-    ``corpus_for_sf_dir(sf_dir)`` resolves to (path computed WITHOUT
-    generating; generation happens when the queries run / via
-    ``ensure_oracle_corpus``)."""
-    from zeeklog_ray.corpus import corpus_path_for_sf_dir
-    from zeeklog_ray.enrich import build_geo_dict
-    from zeeklog_ray.sources import CONN_PREFIXED, KNOWN_SOURCES
-
-    corpus_glob = f"{corpus_path_for_sf_dir(sf_dir)}/date=*/part-*.parquet"
-    known = _sql_strings(KNOWN_SOURCES)
-    connp = _sql_strings(CONN_PREFIXED)
-    # decoded view: p = the TSV cells of the token payload (1-indexed);
-    # id.orig_h = p[3], id.resp_h = p[5] for connection-prefixed sources
-    z = ("WITH z AS (SELECT date, source, lower(source) AS src, n_tok, "
-         "string_split(array_to_string(list_transform(tokens, x -> chr(x)), "
-         "''), chr(9)) AS p "
-         f"FROM read_parquet('{corpus_glob}')) ")
-    sink = (f"CASE WHEN lower(source) IN {known} "
-            "THEN lower(source) ELSE 'none' END")
-    hist = " ".join(
-        f"CAST(SUM(CASE WHEN n_tok >= {lo} AND n_tok < {hi} THEN 1 ELSE 0 "
-        f"END) AS BIGINT) AS {col},"
-        for col, lo, hi in (("hist_0_64", 0, 64), ("hist_64_128", 64, 128),
-                            ("hist_128_256", 128, 256),
-                            ("hist_256_512", 256, 512),
-                            ("hist_512_1024", 512, 1024),
-                            ("hist_1024_inf", 1024, 1 << 62)))
-    sink_stats = (
-        f"SELECT {sink} AS sink, COUNT(*) AS n, "
-        "CAST(SUM(n_tok) AS BIGINT) AS sum_n_tok, "
-        "CAST(MIN(n_tok) AS BIGINT) AS min_n_tok, "
-        "CAST(MAX(n_tok) AS BIGINT) AS max_n_tok, "
-        + hist.rstrip(",")
-        + f" FROM read_parquet('{corpus_glob}') GROUP BY 1")
-
-    ip = "10.2.17.31"
-    ip_cond = f"src IN {connp} AND (p[3] = '{{ip}}' OR p[5] = '{{ip}}')"
-    golden = GOLDEN_IP_0702_ONLY
-    geo = build_geo_dict()
-    geo_values = ", ".join(
-        f"('{k}', '{v['geo_country_code']}')" for k, v in sorted(geo.items()))
-    from zeeklog_ray.enrich import build_geo_ranges
-
-    range_values = ", ".join(
-        f"({r.lo}, {r.hi}, '{r.geo_country_code}', '{r.geo_asn}')"
-        for r in build_geo_ranges().itertuples())
-    ipnum_sql = ("(split_part(p[3], '.', 1)::BIGINT * 16777216 + "
-                 "split_part(p[3], '.', 2)::BIGINT * 65536 + "
-                 "split_part(p[3], '.', 3)::BIGINT * 256 + "
-                 "split_part(p[3], '.', 4)::BIGINT)")
-
-    # TSV-ingest oracle: re-read the same .log.gz files with read_csv —
-    # skip the 8 header lines, null-pad the #close footer, drop '#' rows
-    from zeeklog_ray.corpus import SOURCE_MIX
-    from zeeklog_ray.zeektsv import tsv_fixture_path
-
-    tsv_dir = tsv_fixture_path(sf_dir)
-    # HAVING drops zero-row sources: the Ray side (grouped_sum over rows
-    # actually present) emits no row for a source that drew 0 lines, so an
-    # unconditional (source, 0) row here would fail the rows gate
-    # hour bucket re-derived from the path: basename, then everything
-    # between the first '.' and the trailing '.log.gz'
-    hb = ("regexp_extract(regexp_extract(filename, '[^/]+$'), "
-          "'^[^.]+\\.(.*)\\.log\\.gz$', 1)")
-    tsv_terms = " UNION ALL ".join(
-        f"SELECT '{s}' AS source, {hb} AS hour_bucket, COUNT(*) AS n FROM "
-        f"read_csv('{tsv_dir}/*/{s}.*.log.gz', delim='\t', header=false, "
-        "skip=8, all_varchar=true, null_padding=true, union_by_name=true, "
-        "filename=true, names=['c0']) WHERE c0 NOT LIKE '#%' "
-        "GROUP BY 2 HAVING COUNT(*) > 0"
-        for s, _p in SOURCE_MIX)
-
-    return {
-        "zeek_tsv_ingest": tsv_terms,
-        "zeek_sink_stats": sink_stats,
-        # enrichment appends columns but never rows — identical aggregate
-        "zeek_enriched_sink_stats": sink_stats,
-        "zeek_distinct_orig_h": (
-            z + f"SELECT DISTINCT p[3] AS id_orig_h FROM z WHERE src IN {connp}"),
-        "zeek_golden_ip_filter": (
-            z + "SELECT d.date, CAST(COALESCE(m.n, 0) AS BIGINT) AS n_rows "
-            "FROM (VALUES ('2024-07-02'), ('2024-07-03')) AS d(date) "
-            "LEFT JOIN (SELECT date, COUNT(*) AS n FROM z WHERE "
-            + ip_cond.format(ip=golden) + " GROUP BY date) m ON d.date = m.date"),
-        "zeek_plan_matrix": (
-            z + "SELECT * FROM ("
-            "SELECT 0 AS plan, COUNT(*) AS n_rows FROM z WHERE date = '2024-07-02' "
-            "UNION ALL SELECT 1, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' "
-            "UNION ALL SELECT 2, COUNT(*) FROM z WHERE date = '2024-07-02' AND source = 'dns' "
-            "UNION ALL SELECT 3, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' AND source = 'dns' "
-            f"UNION ALL SELECT 4, COUNT(*) FROM z WHERE date = '2024-07-02' AND {ip_cond.format(ip=ip)} "
-            f"UNION ALL SELECT 5, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' AND {ip_cond.format(ip=ip)} "
-            f"UNION ALL SELECT 6, COUNT(*) FROM z WHERE date = '2024-07-02' AND source = 'dns' AND {ip_cond.format(ip=ip)} "
-            f"UNION ALL SELECT 7, COUNT(*) FROM z WHERE date BETWEEN '2024-07-02' AND '2024-07-03' AND source = 'dns' AND {ip_cond.format(ip=ip)}"
-            ") ORDER BY plan"),
-        # packing oracle: the window exclusive-prefix-sum over doc_id order
-        # replays the two-level prefix sum exactly (monotone date contract)
-        "zeek_seq_packing": (
-            "WITH w AS (SELECT source, n_tok, COALESCE(SUM(n_tok) OVER ("
-            "PARTITION BY source ORDER BY doc_id ROWS BETWEEN UNBOUNDED "
-            "PRECEDING AND 1 PRECEDING), 0) AS off FROM "
-            f"read_parquet('{corpus_glob}')) "
-            "SELECT source, CAST(off // 2048 AS BIGINT) AS pack_id, "
-            "CAST(COUNT(*) AS BIGINT) AS n_docs, "
-            "CAST(SUM(n_tok) AS BIGINT) AS sum_tok FROM w GROUP BY 1, 2"),
-        "zeek_token_vocab": (
-            "SELECT token, CAST(COUNT(*) AS BIGINT) AS n FROM "
-            "(SELECT UNNEST(tokens) AS token FROM "
-            f"read_parquet('{corpus_glob}')) "
-            "GROUP BY token ORDER BY n DESC, token LIMIT 20"),
-        # the loader materialization replayed from scratch: window-
-        # function stream offsets per source (doc_id order == stream
-        # order by the monotonicity contract), per-token global position
-        # via unnest(range), per-pack ordered token list, Horner HUGEINT
-        # list_reduce over the REAL tokens (padding never hashed)
-        # Horner as a POWER-TABLE join, not a per-pack list(): list
-        # aggregates cannot spill in DuckDB (the 34M-token sf0.1 replay
-        # OOMs), while Σ tok·B^(n_real−1−pos) mod 2^64 over a 2048-row
-        # recursive power CTE is a plain spillable grouped SUM —
-        # tok·v < 2^95 and the pack sum < 2^107, inside HUGEINT
-        "zeek_packed_rows": (
-            "WITH RECURSIVE pw(k, v) AS ("
-            "SELECT 0, 1::HUGEINT "
-            "UNION ALL SELECT k + 1, (v * 1000003::HUGEINT) % "
-            "18446744073709551616::HUGEINT FROM pw WHERE k < 2047), "
-            "w AS (SELECT source, tokens, COALESCE(SUM(n_tok) "
-            "OVER (PARTITION BY source ORDER BY doc_id ROWS BETWEEN "
-            "UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS off FROM "
-            f"read_parquet('{corpus_glob}')), "
-            "u AS (SELECT source, off + i - 1 AS gpos, "
-            "tokens[i]::HUGEINT AS tok "
-            "FROM w, unnest(range(1, len(tokens) + 1)) AS r(i)), "
-            "p AS (SELECT source, CAST(gpos // 2048 AS BIGINT) AS "
-            "pack_id, CAST(gpos % 2048 AS BIGINT) AS pos, tok FROM u), "
-            "sz AS (SELECT source, pack_id, COUNT(*) AS n_real "
-            "FROM p GROUP BY 1, 2), "
-            "h AS (SELECT p.source, p.pack_id, sz.n_real, "
-            "SUM(p.tok * pw.v) % 18446744073709551616::HUGEINT AS m "
-            "FROM p JOIN sz USING (source, pack_id) "
-            "JOIN pw ON pw.k = sz.n_real - 1 - p.pos "
-            "GROUP BY 1, 2, 3) "
-            "SELECT source, pack_id, CAST(n_real AS BIGINT) AS n_real, "
-            "CAST(CASE WHEN m >= 9223372036854775808::HUGEINT "
-            "THEN m - 18446744073709551616::HUGEINT ELSE m END "
-            "AS BIGINT) AS pack_hash FROM h"),
-        # chunking replay: same chunk-count contract as ops.packing.
-        # chunk_tokens, per-chunk Horner hash over the 1-based list_slice,
-        # HUGEINT mod 2^64 folded to signed int64 like doc_fingerprints
-        "zeek_token_chunks": (
-            "WITH t AS (SELECT doc_id, tokens, n_tok FROM "
-            f"read_parquet('{corpus_glob}') WHERE n_tok > 0), "
-            "c AS (SELECT doc_id, n_tok, tokens, unnest(range(0, "
-            f"CASE WHEN n_tok <= {_CHUNK_W} THEN 1 ELSE "
-            f"(n_tok - {_CHUNK_W} + {_CHUNK_S - 1}) // {_CHUNK_S} + 1 END"
-            ")) AS k FROM t) "
-            "SELECT doc_id, CAST(k AS BIGINT) AS chunk_id, "
-            "CAST(n_chunk_tok AS BIGINT) AS n_chunk_tok, "
-            "CAST(CASE WHEN m >= 9223372036854775808::HUGEINT "
-            "THEN m - 18446744073709551616::HUGEINT ELSE m END AS BIGINT) "
-            "AS chunk_hash FROM ("
-            f"SELECT doc_id, k, LEAST({_CHUNK_W}, n_tok - k * {_CHUNK_S}) "
-            "AS n_chunk_tok, list_reduce(list_transform(list_slice(tokens, "
-            f"k * {_CHUNK_S} + 1, k * {_CHUNK_S} + "
-            f"LEAST({_CHUNK_W}, n_tok - k * {_CHUNK_S})), "
-            "x -> x::HUGEINT), (acc, c) -> (acc * 1000003::HUGEINT + c) % "
-            "18446744073709551616::HUGEINT) AS m FROM c)"),
-        # vocab ranked by (count DESC, token), dense 0-based ids; per-doc
-        # sum of remapped ids replays the np.take + reduceat pipeline.
-        # LEFT JOIN from the docs table so an empty-token doc yields
-        # sum_tid=0 like the Ray side's reduceat guard (an inner join over
-        # UNNEST would drop the doc's row entirely)
-        "zeek_token_remap": (
-            "WITH v AS (SELECT token, ROW_NUMBER() OVER "
-            "(ORDER BY COUNT(*) DESC, token) - 1 AS tid FROM "
-            "(SELECT UNNEST(tokens) AS token FROM "
-            f"read_parquet('{corpus_glob}')) GROUP BY token), "
-            "s AS (SELECT e.doc_id, SUM(v.tid) AS s FROM "
-            "(SELECT doc_id, UNNEST(tokens) AS token FROM "
-            f"read_parquet('{corpus_glob}')) e "
-            "JOIN v ON e.token = v.token GROUP BY e.doc_id) "
-            "SELECT c.doc_id, CAST(COALESCE(s.s, 0) AS BIGINT) AS sum_tid "
-            f"FROM read_parquet('{corpus_glob}') c "
-            "LEFT JOIN s ON c.doc_id = s.doc_id"),
-        "zeek_hourly_sink_counts": (
-            z + "SELECT src AS sink, CAST(FLOOR(CAST(p[1] AS DOUBLE) / 3600) "
-            "AS BIGINT) AS hour_bucket, COUNT(*) AS n FROM z "
-            f"WHERE src IN {known} GROUP BY 1, 2"),
-        "zeek_geo_summary": (
-            z + "SELECT DISTINCT p[3] AS id_orig_h, g.cc AS geo_country_code "
-            f"FROM z JOIN (VALUES {geo_values}) AS g(ip, cc) ON p[3] = g.ip "
-            f"WHERE src IN {connp}"),
-        # the CIDR-range variant: BETWEEN join on the same dotted-quad →
-        # BIGINT arithmetic the Ray side vectorizes (enrich.ip_to_int)
-        "zeek_geo_range_summary": (
-            z + "SELECT DISTINCT p[3] AS id_orig_h, "
-            "r.cc AS geo_country_code, r.asn AS geo_asn "
-            f"FROM z JOIN (VALUES {range_values}) AS r(lo, hi, cc, asn) "
-            f"ON {ipnum_sql} BETWEEN r.lo AND r.hi "
-            f"WHERE src IN {connp}"),
-        "zeek_multiday_first_wins": (
-            z + "SELECT MIN(date) AS date, id_orig_h FROM "
-            "(SELECT DISTINCT date, p[3] AS id_orig_h FROM z "
-            f"WHERE src IN {connp}) GROUP BY id_orig_h"),
-        # multimodal plumbing gate: both sides read the SAME media parquet;
-        # identity + payload size are SQL-expressible, decode features not
-        "media_features": (
-            "SELECT item_id, modality, octet_length(payload) AS n_bytes "
-            f"FROM read_parquet('{_media_parquet(sf_dir)}')"),
-        # resize plumbing gate: images only, ids preserved, exact BMP
-        # output size = 54 + out_h·(out_w·3 rounded up to 4 bytes)
-        "media_resized": (
-            "SELECT item_id, CAST(32 AS BIGINT) AS out_w, "
-            "CAST(24 AS BIGINT) AS out_h, "
-            f"CAST({54 + 24 * ((32 * 3 + 3) // 4 * 4)} AS BIGINT) AS n_bytes "
-            f"FROM read_parquet('{_media_parquet(sf_dir)}') "
-            "WHERE modality = 'image'"),
-    }
-
-
-def _media_parquet(sf_dir: str) -> str:
-    # path only; the file itself is written lazily (ensure_oracle_corpus /
-    # the query run) — single source of truth in ops/multimodal
-    from zeeklog_ray.ops.multimodal import media_parquet_path
-
-    return media_parquet_path(sf_dir)
-
-
-def ensure_oracle_corpus(sf_dir: str = DRIVER_SF_DIR) -> None:
-    """Generate (or reuse) the corpora the zeek oracle SQL reads — called by
-    ``__ray_entry__.oracle_sql()`` so the SQL's read targets exist even if
-    the driver runs the oracle before the Ray query."""
-    from zeeklog_ray.ops.multimodal import media_parquet_for_sf_dir
-    from zeeklog_ray.zeektsv import tsv_fixture_for_sf_dir
-
-    corpus_for_sf_dir(sf_dir)
-    tsv_fixture_for_sf_dir(sf_dir)
-    media_parquet_for_sf_dir(sf_dir)
-
-
-def _sim_vector_sql() -> str:
-    return "CAST([" + ", ".join(f"{v:.4f}" for v in _query_vector()) + "] AS DOUBLE[])"
-
-
-def _mh_banded_cte(rel: str, tag: str, num_perm: int = 16, bands: int = 4,
-                   k: int = 5) -> str:
-    """Per-relation MinHash banding CTEs (``h{tag}``, ``sig{tag}``,
-    ``banded{tag}(doc_id, bb)``) over ``rel(doc_id, text)`` — the shared
-    SQL replay of ops.dedup._banded_rows used by both the self-join
-    (_minhash_pairs_cte) and the cross-snapshot
-    (docs_incremental_near_dup) oracles.  Same k-byte rolling shingle
-    hashes (Horner base-1000003 mod 2^64), same (a·x+b) mod 2^64
-    permutations (constants from _minhash_params embedded as literals),
-    same per-band Horner fold XOR band constant; HUGEINT carries the
-    mod-2^64 arithmetic and bb folds to two's-complement BIGINT exactly
-    like the numpy int64 view.  ASCII corpus ⇒ ord == utf-8 byte."""
-    from zeeklog_ray.ops.dedup import _minhash_params
-
-    rpb = num_perm // bands
-    a, b = _minhash_params(num_perm)
-    m = 1 << 64
-    maxu = m - 1
-
-    def fold(v: int) -> int:                  # uint64 → signed int64 literal
-        return v - m if v >= (1 << 63) else v
-
-    sig_terms = ", ".join(
-        f"COALESCE(list_min(list_transform(hs, x -> (x*{int(a[j])}::HUGEINT"
-        f" + {int(b[j])}::HUGEINT) % {m}::HUGEINT)), {maxu}::HUGEINT)"
-        for j in range(num_perm))
-    band_selects = []
-    for bi in range(bands):
-        elems = ", ".join(f"mh[{bi * rpb + c + 1}]" for c in range(rpb))
-        const = fold((bi * 0x9E3779B97F4A7C15) % m)
-        band_selects.append(
-            "SELECT doc_id, xor(CAST(CASE WHEN h >= "
-            f"9223372036854775808::HUGEINT THEN h - {m}::HUGEINT ELSE h END "
-            f"AS BIGINT), CAST({const} AS BIGINT)) AS bb FROM "
-            f"(SELECT doc_id, list_reduce([{elems}], (acc, c) -> "
-            f"(acc*1000003::HUGEINT + c) % {m}::HUGEINT) AS h FROM sig{tag})")
-    banded = " UNION ALL ".join(band_selects)
-    return (
-        f"h{tag} AS (SELECT doc_id, list_transform(range(1, length(text)-"
-        f"{k - 2}), i -> list_reduce(list_transform(range(i, i+{k}), "
-        "j -> ord(substring(text, j, 1))::HUGEINT), (acc, c) -> "
-        f"(acc*1000003::HUGEINT + c) % {m}::HUGEINT)) AS hs FROM {rel}), "
-        f"sig{tag} AS (SELECT doc_id, [{sig_terms}] AS mh FROM h{tag}), "
-        f"banded{tag} AS ({banded})")
-
-
-def _minhash_pairs_cte(num_perm: int = 16, bands: int = 4, k: int = 5,
-                       max_bucket: int = 512) -> str:
-    """Bit-exact SQL replay of ops.dedup.minhash_lsh_pairs as a WITH-clause
-    body (ends in relation ``mh_pairs(doc_a, doc_b)``): the same k-byte
-    rolling shingle hashes (Horner base-1000003 mod 2^64 — the
-    doc_simhash / doc_fingerprints technique), the same (a·x+b) mod 2^64
-    permutations (constants from _minhash_params, embedded as literals),
-    the same per-band Horner fold XOR band constant, the oversized-bucket
-    guard, and the ordered-distinct self-join.  HUGEINT carries the mod-
-    2^64 arithmetic; bb folds to two's-complement BIGINT exactly like the
-    numpy int64 view.  ASCII corpus ⇒ ord == utf-8 byte (asserted by the
-    generator's charset)."""
-    return (
-        _mh_banded_cte("documents", "", num_perm, bands, k) + ", "
-        f"big AS (SELECT bb FROM banded GROUP BY bb HAVING COUNT(*) > "
-        f"{max_bucket}), "
-        "bandok AS (SELECT * FROM banded WHERE bb NOT IN "
-        "(SELECT bb FROM big)), "
-        # MATERIALIZED: the recursive-CTE consumer re-references mh_pairs
-        # per iteration — without the hint DuckDB re-evaluates the whole
-        # minhash pipeline each round (measured 143 s vs 17 s)
-        "mh_pairs AS MATERIALIZED (SELECT DISTINCT a.doc_id AS doc_a, "
-        "b.doc_id AS doc_b "
-        "FROM bandok a JOIN bandok b ON a.bb = b.bb AND a.doc_id < b.doc_id)")
-
-
-def _incr_near_dup_oracle_sql(threshold_e4: int, num_perm: int = 16,
-                              bands: int = 4, k: int = 5,
-                              max_bucket: int = 512) -> str:
-    """Bit-exact SQL replay of docs_incremental_near_dup: the base/new
-    snapshot CTEs (same modulus rules and ' rev2 rev2' edit as the Ray
-    side), per-snapshot MinHash banding via :func:`_mh_banded_cte`, the
-    over-cap guard as the UNION of both sides' oversized buckets, the
-    new×base cross join (distinct pairs), and the exact integer byte-
-    k-gram Jaccard verify with the same fixed-point filter
-    ``10000·inter >= t_e4·union`` / ``j_e4 = (10000·inter) // union``."""
-    return (
-        "WITH based AS (SELECT doc_id, text FROM documents "
-        "WHERE doc_id % 10 < 7), "
-        "newd AS (SELECT doc_id, text FROM documents "
-        "WHERE doc_id % 10 >= 7 "
-        "UNION ALL SELECT doc_id + 10000000, text || ' rev2 rev2' "
-        "FROM based WHERE doc_id % 13 = 0), "
-        + _mh_banded_cte("based", "B", num_perm, bands, k) + ", "
-        + _mh_banded_cte("newd", "N", num_perm, bands, k) + ", "
-        "big AS (SELECT bb FROM bandedB GROUP BY bb HAVING COUNT(*) > "
-        f"{max_bucket} UNION SELECT bb FROM bandedN GROUP BY bb "
-        f"HAVING COUNT(*) > {max_bucket}), "
-        "cand AS MATERIALIZED (SELECT DISTINCT n.doc_id AS doc_id, "
-        "b.doc_id AS base_id FROM bandedN n JOIN bandedB b "
-        "ON n.bb = b.bb WHERE n.bb NOT IN (SELECT bb FROM big)), "
-        "cdn AS (SELECT DISTINCT doc_id FROM cand), "
-        "cdb AS (SELECT DISTINCT base_id AS doc_id FROM cand), "
-        f"gn AS (SELECT DISTINCT d.doc_id, substring(d.text, s.i, {k}) "
-        "AS gram FROM newd d JOIN cdn USING (doc_id), "
-        f"LATERAL (SELECT unnest(range(1, length(d.text) - {k - 2})) AS i) "
-        f"s WHERE length(d.text) >= {k}), "
-        f"gb AS (SELECT DISTINCT d.doc_id, substring(d.text, s.i, {k}) "
-        "AS gram FROM based d JOIN cdb USING (doc_id), "
-        f"LATERAL (SELECT unnest(range(1, length(d.text) - {k - 2})) AS i) "
-        f"s WHERE length(d.text) >= {k}), "
-        "sn AS (SELECT doc_id, count(*) AS n FROM gn GROUP BY doc_id), "
-        "sb AS (SELECT doc_id, count(*) AS n FROM gb GROUP BY doc_id), "
-        "it AS (SELECT c.doc_id, c.base_id, count(*) AS inter "
-        "FROM cand c JOIN gn ga ON ga.doc_id = c.doc_id "
-        "JOIN gb gx ON gx.doc_id = c.base_id AND gx.gram = ga.gram "
-        "GROUP BY 1, 2) "
-        "SELECT it.doc_id, it.base_id, CAST((10000 * inter) // "
-        "(sn.n + sb.n - inter) AS BIGINT) AS j_e4 "
-        "FROM it JOIN sn ON sn.doc_id = it.doc_id "
-        "JOIN sb ON sb.doc_id = it.base_id "
-        f"WHERE 10000 * inter >= {threshold_e4} * (sn.n + sb.n - inter)")
-
-
-def _ngram_jaccard_oracle_sql(threshold_e4: int, k: int = 5) -> str:
-    """Bit-exact SQL replay of ops.dedup.ngram_jaccard_dedup_pairs: the
-    16-perm × 4-band LSH candidate CTE (shared with
-    minhash_dedup_pairs_small), then per-candidate-doc DISTINCT character
-    k-grams via substring (ASCII corpus ⇒ char grams == byte grams), exact
-    integer intersection/union, and the same fixed-point filter
-    ``10000*inter >= t_e4*union`` with ``j_e4 = (10000*inter) // union``
-    (DuckDB ``//`` == Python ``//`` for non-negative ints)."""
-    return (
-        "WITH " + _minhash_pairs_cte() + ", "
-        "cand_docs AS (SELECT doc_a AS doc_id FROM mh_pairs "
-        "UNION SELECT doc_b FROM mh_pairs), "
-        "g AS (SELECT DISTINCT d.doc_id, substring(d.text, s.i, "
-        f"{k}) AS gram FROM documents d JOIN cand_docs USING (doc_id), "
-        f"LATERAL (SELECT unnest(range(1, length(d.text) - {k - 2})) AS i) s "
-        f"WHERE length(d.text) >= {k}), "
-        "sizes AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id), "
-        "it AS (SELECT p.doc_a, p.doc_b, count(*) AS inter "
-        "FROM mh_pairs p JOIN g ga ON ga.doc_id = p.doc_a "
-        "JOIN g gb ON gb.doc_id = p.doc_b AND gb.gram = ga.gram "
-        "GROUP BY 1, 2) "
-        "SELECT doc_a, doc_b, CAST((10000 * inter) // "
-        "(sa.n + sb.n - inter) AS BIGINT) AS j_e4 "
-        "FROM it JOIN sizes sa ON sa.doc_id = it.doc_a "
-        "JOIN sizes sb ON sb.doc_id = it.doc_b "
-        f"WHERE 10000 * inter >= {threshold_e4} * (sa.n + sb.n - inter)")
-
-
-def _geo_lookup_oracle_sql() -> str:
-    """The E3 direct-IP lookup as a VALUES join over the deterministic geo
-    dict (same dict build_geo_dict() gives the Ray side)."""
-    from zeeklog_ray.corpus import IP_POOL
-    from zeeklog_ray.enrich import GEO_FIELDS, build_geo_dict
-
-    geo = build_geo_dict()
-    cols = ", ".join(["ip"] + GEO_FIELDS)
-    values = ", ".join(
-        "(" + ", ".join(f"'{v}'" for v in
-                        [k] + [geo[k][f] for f in GEO_FIELDS]) + ")"
-        for k in sorted(geo))
-    probes = ", ".join(f"'{p}'" for p in sorted(geo)[:2] + [IP_POOL[3]])
-    return (f"SELECT * FROM (VALUES {values}) AS g({cols}) "
-            f"WHERE ip IN ({probes})")
-
-
-def _langid_oracle_sql() -> str:
-    """SQL replica of ops.text.LangId: per-language stopword hit counts over
-    the same word tokenization, argmax with alphabetical tie-break, 0 hits →
-    'unknown'.  The >= cascade in language order (de,en,es,fr) picks the
-    alphabetically-first maximum, matching numpy argmax over sorted langs."""
-    from zeeklog_ray.ops.text import STOPWORDS
-
-    langs = sorted(STOPWORDS)   # de, en, es, fr
-    counts = ", ".join(
-        "LENGTH(LIST_FILTER(ws, x -> x IN ("
-        + ", ".join(f"'{w}'" for w in sorted(STOPWORDS[lang]))
-        + f"))) AS n_{lang}"
-        for lang in langs)
-    case = ("CASE WHEN GREATEST(n_de, n_en, n_es, n_fr) = 0 THEN 'unknown' "
-            "WHEN n_de >= n_en AND n_de >= n_es AND n_de >= n_fr THEN 'de' "
-            "WHEN n_en >= n_es AND n_en >= n_fr THEN 'en' "
-            "WHEN n_es >= n_fr THEN 'es' ELSE 'fr' END")
-    return (f"SELECT doc_id, {case} AS lang_pred FROM "
-            f"(SELECT doc_id, {counts} FROM "
-            "(SELECT doc_id, regexp_extract_all(lower(text), "
-            "'[a-zäöüßéèàùâêîôûñ]+') AS ws FROM documents))")
-
-
-# Shared recursive-CTE closure over the embedding-cosine pair graph —
-# `comp` is (node, component=min reachable id); consumed by the
-# embedding_dup_components and dup_cluster_canonical oracles.
-_EMB_COMP_CTE = (
-    "WITH RECURSIVE pairs AS ("
-    "SELECT a.vec_id AS id_a, b.vec_id AS id_b "
-    "FROM embeddings a JOIN embeddings b "
-    "ON a.label = b.label AND a.vec_id < b.vec_id "
-    "WHERE CAST(FLOOR(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
-    "CAST(b.embedding AS DOUBLE[])) * 10000) AS BIGINT) >= 3500), "
-    "ed AS (SELECT id_a AS a, id_b AS b FROM pairs "
-    "UNION ALL SELECT id_b, id_a FROM pairs), "
-    "nodes AS (SELECT DISTINCT a AS node FROM ed), "
-    "walk(node, label) AS ("
-    "SELECT node, node FROM nodes "
-    "UNION "
-    "SELECT e.b, w.label FROM walk w JOIN ed e ON e.a = w.node), "
-    "comp AS (SELECT node, CAST(MIN(label) AS BIGINT) AS component "
-    "FROM walk GROUP BY node)")
-
-# Same-label cos≥threshold pair set (id_a < id_b), the non-recursive
-# prefix of _EMB_COMP_CTE — consumed by the graph-metric oracles.
-_EMB_PAIRS_CTE = (
-    "WITH pairs AS ("
-    "SELECT a.vec_id AS id_a, b.vec_id AS id_b "
-    "FROM embeddings a JOIN embeddings b "
-    "ON a.label = b.label AND a.vec_id < b.vec_id "
-    "WHERE CAST(FLOOR(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
-    "CAST(b.embedding AS DOUBLE[])) * 10000) AS BIGINT) >= 3500)")
-
-ORACLE_SQL: dict[str, str] = {
-    "docs_length_rank": (
-        "SELECT doc_id, n_chars, CAST(ROW_NUMBER() OVER "
-        "(ORDER BY n_chars, doc_id) AS BIGINT) AS rank FROM documents"),
-    # the digest is a stand-in for the text: SQL groups the text itself
-    "docs_dup_rate_by_source": (
-        "WITH g AS (SELECT source, text, COUNT(*) AS n FROM documents "
-        "GROUP BY source, text) "
-        "SELECT source, CAST(SUM(n) AS BIGINT) AS n_docs, "
-        "CAST(COUNT(*) AS BIGINT) AS n_distinct, "
-        "CAST((SUM(n) - COUNT(*)) * 1000000 // SUM(n) AS BIGINT) "
-        "AS dup_rate_ppm FROM g GROUP BY source"),
-    # balanced stratified sample: exact integer threshold target·2^64//n_g
-    # recomputed in HUGEINT over the same splitmix64 draw
-    "docs_stratified_sample": _sample_sql.stratified_sample_sql(
-        "documents", "doc_id", "doc_id, lang, source",
-        by="lang", target_per_group=40),
-    # per-type top-5 users; Ray recounts MG candidates exactly, so plain
-    # windowed SQL is the oracle; ties (count DESC, user ASC)
-    "event_type_heavy_users": (
-        "SELECT event_type, user_id, n, rank FROM ("
-        "SELECT event_type, user_id, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(ROW_NUMBER() OVER (PARTITION BY event_type "
-        "ORDER BY COUNT(*) DESC, user_id) AS BIGINT) AS rank "
-        "FROM events GROUP BY event_type, user_id) WHERE rank <= 5"),
-    # normalization replayed verbatim: lower -> fold non-[a-z0-9] runs
-    # to one space -> trim; planted variants rebuilt in SQL
-    "docs_normalized_dedup": (
-        "WITH variants AS ("
-        "SELECT doc_id, text FROM documents "
-        "UNION ALL "
-        "SELECT doc_id + 10000000, "
-        "CASE WHEN doc_id % 3 = 0 THEN upper(text) "
-        "WHEN doc_id % 3 = 1 THEN text || '  !!' "
-        "ELSE text END FROM documents), "
-        "norm AS (SELECT doc_id, "
-        "trim(regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g')) AS nt "
-        "FROM variants) "
-        "SELECT CAST(min(doc_id) AS BIGINT) AS doc_id, "
-        "CAST(count(*) AS BIGINT) AS n_dups FROM norm GROUP BY nt"),
-    # the FULL simhash dedup chain replayed: signatures (the proven
-    # doc_simhash HUGEINT CTE) over the planted variants, 16-bit bands
-    # via HUGEINT division, band self-join, bit_count(xor) verify
-    "docs_simhash_dups": (
-        "WITH variants AS ("
-        "SELECT doc_id, text FROM documents "
-        "UNION ALL "
-        "SELECT doc_id + 10000000, text || ' zz qq' FROM documents "
-        "WHERE doc_id % 5 = 0), "
-        "h AS (SELECT doc_id, list_transform(range(1, length(text)-3), "
-        "i -> list_reduce(list_transform(range(i, i+5), "
-        "j -> ord(substring(text, j, 1))::HUGEINT), "
-        "(acc, c) -> (acc*1000003::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT)) AS hs FROM variants), "
-        "s AS (SELECT doc_id, COALESCE(list_sum(list_transform("
-        "range(0, 64), "
-        "b -> CASE WHEN 2*len(list_filter(hs, "
-        "x -> ((x // (2::HUGEINT ** b)::HUGEINT) % 2) = 1)) > len(hs) "
-        "THEN (2::HUGEINT ** b)::HUGEINT ELSE 0::HUGEINT END)), "
-        "0::HUGEINT) AS m FROM h), "
-        "sb AS (SELECT doc_id, m, "
-        "CAST(CASE WHEN m >= 9223372036854775808::HUGEINT "
-        "THEN m - 18446744073709551616::HUGEINT ELSE m END AS BIGINT) "
-        "AS sh FROM s), "
-        "bands AS (SELECT doc_id, sh, b, "
-        "(m // (65536::HUGEINT ** b)::HUGEINT) % 65536::HUGEINT AS bv "
-        "FROM sb, range(0, 4) t(b)), "
-        "cand AS (SELECT DISTINCT a.doc_id AS doc_a, c.doc_id AS doc_b, "
-        "a.sh AS sa, c.sh AS sc FROM bands a JOIN bands c "
-        "ON a.b = c.b AND a.bv = c.bv AND a.doc_id < c.doc_id) "
-        "SELECT doc_a, doc_b, "
-        "CAST(bit_count(xor(sa, sc)) AS BIGINT) AS hamming "
-        "FROM cand WHERE bit_count(xor(sa, sc)) <= 3"),
-    # BM25 with exact-rational k1=6/5, b=3/4: dl per doc, avgdl floored,
-    # the scaled-integer saturation division replayed verbatim
-    "docs_bm25_search": (
-        "WITH w AS (SELECT doc_id, "
-        "LIST_FILTER(STRING_SPLIT_REGEX(text, '\\s+'), x -> x <> '') "
-        "AS words FROM documents), "
-        "dl AS (SELECT doc_id, len(words) AS dl FROM w), "
-        "stats AS (SELECT COUNT(*) AS nd, SUM(dl) // COUNT(*) AS avgdl "
-        "FROM dl), "
-        "u AS (SELECT doc_id, unnest(words) AS term FROM w), "
-        "tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM u "
-        "WHERE term IN ('spark', 'join', 'vector') GROUP BY 1, 2), "
-        "df AS (SELECT term, COUNT(*) AS df FROM tf GROUP BY 1) "
-        "SELECT CAST(tf.doc_id AS BIGINT) AS doc_id, "
-        "CAST(SUM(((s.nd * 10000) // df.df) * "
-        "((10000 * 44 * GREATEST(s.avgdl, 1) * tf.tf) // "
-        "(20 * GREATEST(s.avgdl, 1) * tf.tf + 6 * GREATEST(s.avgdl, 1) "
-        "+ 18 * dl.dl))) AS BIGINT) AS score "
-        "FROM tf JOIN df USING (term) JOIN dl ON tf.doc_id = dl.doc_id "
-        "CROSS JOIN stats s "
-        "GROUP BY tf.doc_id ORDER BY score DESC, doc_id LIMIT 20"),
-    # integer TF-IDF retrieval: idf = (N*10000)//df, whitespace tokens,
-    # top-20 by (score desc, doc_id asc) — the same tie-break as the op
-    "docs_keyword_search": (
-        "WITH w AS (SELECT doc_id, unnest(LIST_FILTER("
-        "STRING_SPLIT_REGEX(text, '\\s+'), x -> x <> '')) AS term "
-        "FROM documents), "
-        "tf AS (SELECT doc_id, term, COUNT(*) AS tf FROM w "
-        "WHERE term IN ('spark', 'join', 'vector') GROUP BY 1, 2), "
-        "df AS (SELECT term, COUNT(*) AS df FROM tf GROUP BY 1), "
-        "n AS (SELECT COUNT(*) AS nd FROM documents) "
-        "SELECT CAST(tf.doc_id AS BIGINT) AS doc_id, "
-        "CAST(SUM(tf.tf * ((n.nd * 10000) // df.df)) AS BIGINT) AS score "
-        "FROM tf JOIN df USING (term) CROSS JOIN n "
-        "GROUP BY tf.doc_id ORDER BY score DESC, doc_id LIMIT 20"),
-    # exact linear PMI in HUGEINT; ties at the k boundary break by
-    # (count desc, w1, w2) on both sides
-    "docs_bigram_pmi": (
-        "WITH w AS (SELECT LIST_FILTER(STRING_SPLIT(text, ' '), "
-        "x -> x <> '') AS words FROM documents), "
-        "u AS (SELECT unnest(words) AS word FROM w), "
-        "wc AS (SELECT word, COUNT(*) AS c FROM u GROUP BY 1), "
-        "n AS (SELECT SUM(c)::HUGEINT AS n FROM wc), "
-        "b AS (SELECT words[i] AS w1, words[i+1] AS w2 FROM w, "
-        "UNNEST(range(1, len(words))) AS t(i)), "
-        "bc AS (SELECT w1, w2, COUNT(*) AS cxy FROM b GROUP BY 1, 2), "
-        "top AS (SELECT * FROM bc WHERE cxy >= 5 "
-        "ORDER BY cxy DESC, w1, w2 LIMIT 20) "
-        "SELECT top.w1, top.w2, CAST(top.cxy AS BIGINT) AS pair_count, "
-        "CAST(top.cxy::HUGEINT * n.n * 10000 // "
-        "(a.c::HUGEINT * b2.c::HUGEINT) AS BIGINT) AS pmi_e4 "
-        "FROM top CROSS JOIN n "
-        "JOIN wc a ON a.word = top.w1 JOIN wc b2 ON b2.word = top.w2"),
-    # rare = corpus unigram count < 5, counted per word POSITION
-    "docs_rare_word_ratio": (
-        "WITH w AS (SELECT doc_id, LIST_FILTER(STRING_SPLIT(text, ' '), "
-        "x -> x <> '') AS words FROM documents), "
-        "u AS (SELECT doc_id, unnest(words) AS word FROM w), "
-        "wc AS (SELECT word, COUNT(*) AS c FROM u GROUP BY 1), "
-        "r AS (SELECT u.doc_id, COUNT(*) AS n_rare FROM u "
-        "JOIN wc USING (word) WHERE wc.c < 5 GROUP BY 1) "
-        "SELECT w.doc_id, CAST(len(words) AS BIGINT) AS n_words, "
-        "CAST(COALESCE(r.n_rare, 0) AS BIGINT) AS n_rare, "
-        "CAST(COALESCE(r.n_rare, 0) * 10000 // GREATEST(len(words), 1) "
-        "AS BIGINT) AS rare_ratio_e4 "
-        "FROM w LEFT JOIN r USING (doc_id)"),
-    # the full cleaning chain as one CTE composition of the proven
-    # repetition-filter and span-removal pieces; thresholds are literals
-    # shared with the Ray side (0.30 distinct / 0.10 top-bigram / 15
-    # clean words)
-    "docs_clean_pipeline": (
-        "WITH w0 AS (SELECT doc_id, lang, LIST_FILTER(STRING_SPLIT(text, "
-        "' '), x -> x <> '') AS words FROM documents), "
-        "m AS (SELECT doc_id, lang, words, len(words) AS nw, "
-        "len(list_distinct(words)) AS nd FROM w0), "
-        "bgc AS (SELECT doc_id, MAX(c) AS topb FROM (SELECT doc_id, "
-        "bigram, COUNT(*) AS c FROM (SELECT doc_id, "
-        "unnest(list_transform(range(1, nw), i -> words[i] || ' ' || "
-        "words[i+1])) AS bigram FROM m WHERE nw >= 2) GROUP BY 1, 2) "
-        "GROUP BY 1), "
-        "f AS (SELECT m.doc_id, m.lang, m.words, m.nw FROM m "
-        "LEFT JOIN bgc USING (doc_id) "
-        "WHERE nd * 10000 // GREATEST(nw, 1) >= 3000 "
-        "AND COALESCE(topb, 0) * 10000 // GREATEST(nw - 1, 1) <= 1000), "
-        "wh AS (SELECT doc_id, lang, words, list_transform(words, w -> "
-        "list_reduce(list_transform(range(1, length(w)+1), "
-        "j -> ord(substring(w, j, 1))::HUGEINT), "
-        "(acc, c) -> (acc*1000003::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT)) AS whs, nw FROM f), "
-        "g AS (SELECT doc_id, i, list_reduce(whs[i:i+7], "
-        "(acc, c) -> (acc*1099511628211::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT) AS gram FROM wh, "
-        "UNNEST(range(1, nw - 6)) AS t(i) WHERE nw >= 8), "
-        "gd AS (SELECT gram FROM (SELECT DISTINCT doc_id, gram FROM g) "
-        "GROUP BY gram HAVING COUNT(*) >= 2), "
-        "st AS (SELECT g.doc_id, list(g.i) AS starts FROM g "
-        "JOIN gd USING (gram) GROUP BY 1), "
-        "c AS (SELECT wh.doc_id, wh.lang, wh.nw, "
-        "COALESCE(len(list_filter(range(1, wh.nw + 1), "
-        "j -> len(list_filter(COALESCE(st.starts, []), "
-        "s -> s <= j AND j <= s + 7)) > 0)), 0) AS n_removed "
-        "FROM wh LEFT JOIN st USING (doc_id)) "
-        "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs, "
-        "CAST(SUM(nw - n_removed) AS BIGINT) AS sum_clean_words, "
-        "CAST(SUM(n_removed) AS BIGINT) AS sum_removed "
-        "FROM c WHERE nw - n_removed >= 15 GROUP BY lang"),
-    # span REMOVAL over the same bit-replayed window hashes: a word at
-    # 1-based position j survives iff no dup window start s has
-    # s <= j <= s+7; cleaned text rebuilds from the filtered word list
-    "docs_remove_dup_spans": (
-        "WITH w AS (SELECT doc_id, LIST_FILTER(STRING_SPLIT(text, ' '), "
-        "x -> x <> '') AS words FROM documents), "
-        "wh AS (SELECT doc_id, words, list_transform(words, w -> "
-        "list_reduce(list_transform(range(1, length(w)+1), "
-        "j -> ord(substring(w, j, 1))::HUGEINT), "
-        "(acc, c) -> (acc*1000003::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT)) AS whs, "
-        "len(words) AS nw FROM w), "
-        "g AS (SELECT doc_id, i, list_reduce(whs[i:i+7], "
-        "(acc, c) -> (acc*1099511628211::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT) AS gram FROM wh, "
-        "UNNEST(range(1, nw - 6)) AS t(i) WHERE nw >= 8), "
-        "gd AS (SELECT gram FROM (SELECT DISTINCT doc_id, gram FROM g) "
-        "GROUP BY gram HAVING COUNT(*) >= 2), "
-        "st AS (SELECT g.doc_id, list(g.i) AS starts FROM g "
-        "JOIN gd USING (gram) GROUP BY 1) "
-        "SELECT wh.doc_id, COALESCE(array_to_string(list_transform("
-        "list_filter(range(1, wh.nw + 1), j -> len(list_filter("
-        "COALESCE(st.starts, []), s -> s <= j AND j <= s + 7)) = 0), "
-        "j -> wh.words[j]), ' '), '') AS text_clean, "
-        "CAST(wh.nw AS BIGINT) AS n_words, "
-        "CAST(len(list_filter(range(1, wh.nw + 1), j -> len(list_filter("
-        "COALESCE(st.starts, []), s -> s <= j AND j <= s + 7)) > 0)) "
-        "AS BIGINT) AS n_removed "
-        "FROM wh LEFT JOIN st USING (doc_id)"),
-    # Gopher repetition rules over the filtered ' '-split word list; all
-    # ratios are integer-e4 with // (truncating) division
-    "docs_repetition": (
-        "WITH w AS (SELECT doc_id, LIST_FILTER(STRING_SPLIT(text, ' '), "
-        "x -> x <> '') AS words FROM documents), "
-        "base AS (SELECT doc_id, words, len(words) AS nw, "
-        "len(list_distinct(words)) AS nd FROM w), "
-        "wc AS (SELECT doc_id, MAX(c) AS topw FROM (SELECT doc_id, word, "
-        "COUNT(*) AS c FROM (SELECT doc_id, unnest(words) AS word FROM w) "
-        "GROUP BY 1, 2) GROUP BY 1), "
-        "bg AS (SELECT doc_id, MAX(c) AS topb FROM (SELECT doc_id, bigram, "
-        "COUNT(*) AS c FROM (SELECT doc_id, unnest(list_transform("
-        "range(1, nw), i -> words[i] || ' ' || words[i+1])) AS bigram "
-        "FROM base WHERE nw >= 2) GROUP BY 1, 2) GROUP BY 1) "
-        "SELECT base.doc_id, CAST(nw AS BIGINT) AS n_words, "
-        "CAST(nd * 10000 // GREATEST(nw, 1) AS BIGINT) AS distinct_ratio_e4, "
-        "CAST(COALESCE(topw, 0) * 10000 // GREATEST(nw, 1) AS BIGINT) "
-        "AS top_word_ratio_e4, "
-        "CAST(COALESCE(topb, 0) * 10000 // GREATEST(nw - 1, 1) AS BIGINT) "
-        "AS top_bigram_ratio_e4 "
-        "FROM base LEFT JOIN wc USING (doc_id) LEFT JOIN bg USING (doc_id)"),
-    # bit-exact HUGEINT replay of the window-hash dup-span signal: per-word
-    # codepoint Horner (base 1000003, acc0 = first codepoint — the
-    # doc_simhash technique), then an 8-word Horner combine (base
-    # 1099511628211), both mod 2^64; a window hash in >= 2 distinct docs
-    # is a duplicated span
-    "docs_dup_windows": (
-        "WITH w AS (SELECT doc_id, LIST_FILTER(STRING_SPLIT(text, ' '), "
-        "x -> x <> '') AS words FROM documents), "
-        "wh AS (SELECT doc_id, list_transform(words, w -> list_reduce("
-        "list_transform(range(1, length(w)+1), "
-        "j -> ord(substring(w, j, 1))::HUGEINT), "
-        "(acc, c) -> (acc*1000003::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT)) AS whs, "
-        "len(words) AS nw FROM w), "
-        "g AS (SELECT doc_id, list_reduce(whs[i:i+7], "
-        "(acc, c) -> (acc*1099511628211::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT) AS gmod FROM wh, "
-        "UNNEST(range(1, nw - 6)) AS t(i) WHERE nw >= 8), "
-        "gi AS (SELECT doc_id, CAST(CASE WHEN gmod >= "
-        "9223372036854775808::HUGEINT THEN gmod - "
-        "18446744073709551616::HUGEINT ELSE gmod END AS BIGINT) AS gram "
-        "FROM g), "
-        "dg AS (SELECT doc_id, gram, COUNT(*) AS cnt FROM gi GROUP BY 1, 2), "
-        "gd AS (SELECT gram FROM dg GROUP BY gram HAVING COUNT(*) >= 2), "
-        "dd AS (SELECT dg.doc_id, SUM(dg.cnt) AS dupw FROM dg "
-        "JOIN gd USING (gram) GROUP BY 1) "
-        "SELECT wh.doc_id, CAST(GREATEST(wh.nw - 7, 0) AS BIGINT) "
-        "AS n_windows, CAST(COALESCE(dd.dupw, 0) AS BIGINT) AS dup_windows, "
-        "CAST(COALESCE(dd.dupw, 0) * 10000 // GREATEST(wh.nw - 7, 1) "
-        "AS BIGINT) AS dup_ratio_e4 "
-        "FROM wh LEFT JOIN dd USING (doc_id)"),
-    # per-source distinctive terms: all-integer rate ratio (ppm rates,
-    # e4 score), // truncates on both sides (all positive); SUM() is
-    # HUGEINT in DuckDB so the products are exact
-    "docs_distinctive_terms": (
-        "WITH w AS (SELECT source, unnest(string_split(text, ' ')) AS word "
-        "FROM documents), "
-        "c AS (SELECT source, word, COUNT(*) AS c_sw FROM w "
-        "WHERE word <> '' GROUP BY source, word), "
-        "cw AS (SELECT word, SUM(c_sw) AS c_w FROM c GROUP BY word), "
-        "ns AS (SELECT source, SUM(c_sw) AS n_s FROM c GROUP BY source), "
-        "tot AS (SELECT SUM(c_sw) AS n_tot FROM c), "
-        "sc AS (SELECT c.source, c.word, c.c_sw, "
-        "c.c_sw * 1000000 // ns.n_s AS rin, "
-        "(cw.c_w - c.c_sw) * 1000000 // GREATEST(tot.n_tot - ns.n_s, 1) "
-        "AS rout FROM c JOIN cw USING (word) JOIN ns USING (source) "
-        "CROSS JOIN tot WHERE cw.c_w >= 20), "
-        "r AS (SELECT source, word, c_sw, "
-        "rin * 10000 // (rout + 1) AS score_e4, "
-        "ROW_NUMBER() OVER (PARTITION BY source "
-        "ORDER BY rin * 10000 // (rout + 1) DESC, word) AS rank FROM sc) "
-        "SELECT source, CAST(rank AS BIGINT) AS rank, word, "
-        "CAST(c_sw AS BIGINT) AS tf_source, "
-        "CAST(score_e4 AS BIGINT) AS score_e4 FROM r WHERE rank <= 10"),
-    # exact integer TV over the top-50 vocabulary: HUGEINT products in
-    # SQL, Python big-int finish on the Ray side; // truncates (positive)
-    "docs_source_tv": (
-        "WITH w AS (SELECT source, unnest(string_split(text, ' ')) AS word "
-        "FROM documents), "
-        "f AS (SELECT source, word, COUNT(*) AS n FROM w WHERE word <> '' "
-        "GROUP BY source, word), "
-        "topk AS (SELECT word FROM (SELECT word, SUM(n) AS tot FROM f "
-        "GROUP BY word ORDER BY tot DESC, word LIMIT 50)), "
-        "g AS (SELECT f.source, f.word, f.n FROM f JOIN topk USING (word)), "
-        "tot AS (SELECT source, SUM(n) AS N FROM g GROUP BY source), "
-        "p AS (SELECT a.source AS sa, a.N AS na, b.source AS sb, b.N AS nb "
-        "FROM tot a JOIN tot b ON a.source < b.source) "
-        "SELECT p.sa AS source_a, p.sb AS source_b, "
-        "CAST(SUM(ABS(COALESCE(ga.n, 0) * p.nb - COALESCE(gb.n, 0) * p.na))"
-        " * 1000000 // (2 * p.na * p.nb) AS BIGINT) AS tv_ppm "
-        "FROM p CROSS JOIN topk t "
-        "LEFT JOIN g ga ON ga.source = p.sa AND ga.word = t.word "
-        "LEFT JOIN g gb ON gb.source = p.sb AND gb.word = t.word "
-        "GROUP BY p.sa, p.sb, p.na, p.nb"),
-    "event_value_winsorized": (
-        "WITH c AS (SELECT event_type, "
-        "CAST(ROUND(value * 100) AS BIGINT) AS cents FROM events), "
-        "b AS (SELECT quantile_disc(cents, 0.01) AS lo, "
-        "quantile_disc(cents, 0.99) AS hi FROM c) "
-        "SELECT event_type, "
-        "CAST(SUM(LEAST(GREATEST(cents, b.lo), b.hi)) AS BIGINT) "
-        "AS sum_cents_w, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM c CROSS JOIN b GROUP BY event_type"),
-    "event_user_skew": (
-        "WITH c AS (SELECT user_id, COUNT(*) AS n_k FROM events "
-        "GROUP BY user_id) "
-        "SELECT CAST(SUM(n_k) AS BIGINT) AS n_rows, "
-        "CAST(COUNT(*) AS BIGINT) AS n_keys, "
-        "CAST(MAX(n_k) AS BIGINT) AS max_key_rows, "
-        "CAST(MAX(n_k) * 1000000 // SUM(n_k) AS BIGINT) AS max_share_ppm, "
-        "CAST(quantile_disc(n_k, 0.5) AS BIGINT) AS p50_key_rows, "
-        "CAST(quantile_disc(n_k, 0.99) AS BIGINT) AS p99_key_rows FROM c"),
-    # integer epoch-week cohorts: DATE_DIFF days // 7 truncates the same
-    # way numpy datetime64[D] // 7 floors (all post-1970 → positive)
-    "user_retention_cohorts": (
-        "WITH f AS (SELECT user_id, MIN(ts) AS fts FROM events "
-        "GROUP BY user_id), "
-        "d AS (SELECT e.user_id, "
-        "DATE_DIFF('day', DATE '1970-01-01', CAST(e.ts AS DATE)) // 7 AS w, "
-        "DATE_DIFF('day', DATE '1970-01-01', CAST(f.fts AS DATE)) // 7 AS cw "
-        "FROM events e JOIN f USING (user_id)) "
-        "SELECT CAST(cw AS BIGINT) AS cohort_week, "
-        "CAST(w - cw AS BIGINT) AS week_offset, "
-        "CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users "
-        "FROM d GROUP BY cw, w - cw"),
-    "embedding_graph_degrees": (
-        _EMB_PAIRS_CTE +
-        ", ed AS (SELECT id_a AS node FROM pairs "
-        "UNION ALL SELECT id_b FROM pairs) "
-        "SELECT node, CAST(COUNT(*) AS BIGINT) AS degree "
-        "FROM ed GROUP BY node"),
-    "embedding_graph_triangles": (
-        _EMB_PAIRS_CTE +
-        " SELECT CAST(COUNT(*) AS BIGINT) AS n_triangles "
-        "FROM pairs e1 JOIN pairs e2 ON e2.id_a = e1.id_b "
-        "JOIN pairs e3 ON e3.id_a = e1.id_a AND e3.id_b = e2.id_b"),
-    # ORC hop fidelity: hour-bucketed rollup of the roundtripped
-    # timestamps + integer id sums vs the original parquet
-    "events_orc_roundtrip": (
-        "SELECT event_type, strftime(date_trunc('hour', ts), "
-        "'%Y-%m-%d %H:00:00') AS hour, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(event_id) AS BIGINT) AS sum_id "
-        "FROM events GROUP BY event_type, hour"),
-    # Feather hop fidelity: per-source rollup with integer id sums
-    "docs_feather_roundtrip": (
-        "SELECT source, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
-        "CAST(SUM(doc_id) AS BIGINT) AS sum_ids "
-        "FROM documents GROUP BY source"),
-    "docs_jsonl_roundtrip": (
-        "SELECT source, CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs FROM documents GROUP BY source"),
-    "docs_csv_roundtrip": (
-        "SELECT source, CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs FROM documents GROUP BY source"),
-    "docs_prep_export": _prep_export_oracle_sql(),
-    "user_value_sums": (
-        "SELECT user_id, "
-        "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT) "
-        "AS sum_cents, CAST(COUNT(*) AS BIGINT) AS n_events "
-        "FROM events GROUP BY user_id"),
-    "event_type_user_counts": (
-        "SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) "
-        "AS n_users FROM events GROUP BY event_type"),
-    "event_pivot_unpivot": (
-        "SELECT 'cents_' || t.et AS variable, "
-        "CAST(COALESCE(SUM(CAST(ROUND(e.value * 100) AS BIGINT)), 0) "
-        "AS BIGINT) AS total_cents "
-        "FROM (VALUES ('click'), ('error'), ('purchase'), ('signup'), "
-        "('view')) t(et) LEFT JOIN events e ON e.event_type = t.et "
-        "GROUP BY t.et"),
-    "events_hourly_dense": (
-        "WITH h AS (SELECT unnest(generate_series("
-        "date_trunc('hour', (SELECT MIN(ts) FROM events)), "
-        "date_trunc('hour', (SELECT MAX(ts) FROM events)), "
-        "INTERVAL 1 HOUR)) AS hr), "
-        "t AS (SELECT DISTINCT event_type FROM events), "
-        "s AS (SELECT event_type, date_trunc('hour', ts) AS hr, "
-        "COUNT(*) AS n FROM events GROUP BY 1, 2) "
-        "SELECT t.event_type, strftime(h.hr, '%Y-%m-%d %H:00:00') AS hour, "
-        "CAST(COALESCE(s.n, 0) AS BIGINT) AS n "
-        "FROM t CROSS JOIN h "
-        "LEFT JOIN s ON s.event_type = t.event_type AND s.hr = h.hr"),
-    # trailing-24h spike score over the dense hourly series; ROWS BETWEEN
-    # 24 PRECEDING AND 1 PRECEDING replays trail_sum/trail_cnt exactly and
-    # every division is positive floor, so the hash gate is exact
-    "events_hourly_spikes": (
-        "WITH h AS (SELECT unnest(generate_series("
-        "date_trunc('hour', (SELECT MIN(ts) FROM events)), "
-        "date_trunc('hour', (SELECT MAX(ts) FROM events)), "
-        "INTERVAL 1 HOUR)) AS hr), "
-        "t AS (SELECT DISTINCT event_type FROM events), "
-        "s AS (SELECT event_type, date_trunc('hour', ts) AS hr, "
-        "COUNT(*) AS cnt FROM events GROUP BY 1, 2), "
-        "dense AS (SELECT t.event_type, h.hr, "
-        "COALESCE(s.cnt, 0) AS n FROM t CROSS JOIN h "
-        "LEFT JOIN s ON s.event_type = t.event_type AND s.hr = h.hr), "
-        "w AS (SELECT event_type, hr, n, "
-        "COALESCE(SUM(n) OVER (PARTITION BY event_type ORDER BY hr "
-        "ROWS BETWEEN 24 PRECEDING AND 1 PRECEDING), 0) AS trail_sum, "
-        "COUNT(n) OVER (PARTITION BY event_type ORDER BY hr "
-        "ROWS BETWEEN 24 PRECEDING AND 1 PRECEDING) AS trail_cnt "
-        "FROM dense) "
-        "SELECT event_type, strftime(hr, '%Y-%m-%d %H:00:00') AS hour, "
-        "CAST(n AS BIGINT) AS n, CAST(trail_sum AS BIGINT) AS trail_sum, "
-        "CAST(trail_cnt AS BIGINT) AS trail_cnt, "
-        "CAST(CASE WHEN n * trail_cnt - trail_sum > 0 THEN "
-        "(n * trail_cnt - trail_sum) * 10000 // GREATEST(trail_sum, 1) "
-        "ELSE 0 END AS BIGINT) AS spike_e4 FROM w"),
-    # the compaction round trip must preserve content exactly: per-day
-    # rollup of what the compacted layout reads back vs the source table
-    "events_compact_roundtrip": (
-        "SELECT strftime(date_trunc('day', ts), '%Y-%m-%d') AS day, "
-        "CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(event_id) AS BIGINT) AS sum_id "
-        "FROM events GROUP BY day"),
-    # the upsert MERGE replayed in SQL: tombstones (%17) drop keys,
-    # updates (%5, unless tombstoned) bump ver to 1, inserts (%7==3)
-    # arrive re-keyed +1e9 at ver 1; latest-wins per key is exactly this
-    # CASE because each key sees at most one change row
-    "events_upsert_roundtrip": (
-        "WITH base AS (SELECT event_id, "
-        "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
-        "final AS ("
-        "SELECT event_id, day, CASE WHEN event_id % 5 = 0 "
-        "THEN 1 ELSE 0 END AS ver FROM base WHERE event_id % 17 != 0 "
-        "UNION ALL "
-        "SELECT event_id + 1000000000, day, 1 FROM base "
-        "WHERE event_id % 7 = 3) "
-        "SELECT day, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
-        "CAST(SUM(ver) AS BIGINT) AS sum_ver "
-        "FROM final GROUP BY day"),
-    # the merge-on-read view replayed in SQL: tombstones (%17) drop
-    # keys; among survivors ver=1 iff any delta touched the key, and the
-    # winning flag is batch 2's (200, %10) over batch 1's (10, %5)
-    # because equal-ver ties resolve to the later delta sequence
-    "events_mor_roundtrip": (
-        "WITH base AS (SELECT event_id, "
-        "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
-        "final AS (SELECT event_id, day, "
-        "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
-        "CASE WHEN event_id % 10 = 0 THEN 200 "
-        "WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
-        "FROM base WHERE event_id % 17 != 0) "
-        "SELECT day, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
-        "CAST(SUM(ver) AS BIGINT) AS sum_ver, "
-        "CAST(SUM(flag) AS BIGINT) AS sum_flag "
-        "FROM final GROUP BY day"),
-    # every retained snapshot of the delta log replayed in SQL: snap 0 =
-    # base (all zeros), snap 1 = batch 1 only (%5 → ver 1 / flag 10, no
-    # tombstones yet), snap 2 = the current merged view (same expression
-    # as events_mor_roundtrip)
-    "events_time_travel": (
-        "WITH base AS (SELECT event_id, "
-        "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
-        "s0 AS (SELECT 0 AS snap, event_id, day, 0 AS ver, 0 AS flag "
-        "FROM base), "
-        "s1 AS (SELECT 1 AS snap, event_id, day, "
-        "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
-        "CASE WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
-        "FROM base), "
-        "s2 AS (SELECT 2 AS snap, event_id, day, "
-        "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
-        "CASE WHEN event_id % 10 = 0 THEN 200 "
-        "WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
-        "FROM base WHERE event_id % 17 != 0), "
-        "allsnaps AS (SELECT * FROM s0 UNION ALL SELECT * FROM s1 "
-        "UNION ALL SELECT * FROM s2) "
-        "SELECT snap, day, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
-        "CAST(SUM(ver) AS BIGINT) AS sum_ver, "
-        "CAST(SUM(flag) AS BIGINT) AS sum_flag "
-        "FROM allsnaps GROUP BY snap, day"),
-    # vacuum must remove ONLY garbage: the post-GC merged view equals
-    # the untouched merge-on-read expression
-    "events_vacuum_roundtrip": (
-        "WITH base AS (SELECT event_id, "
-        "strftime(date_trunc('day', ts), '%Y-%m-%d') AS day FROM events), "
-        "final AS (SELECT event_id, day, "
-        "CASE WHEN event_id % 5 = 0 THEN 1 ELSE 0 END AS ver, "
-        "CASE WHEN event_id % 10 = 0 THEN 200 "
-        "WHEN event_id % 5 = 0 THEN 10 ELSE 0 END AS flag "
-        "FROM base WHERE event_id % 17 != 0) "
-        "SELECT day, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(event_id) AS BIGINT) AS sum_id, "
-        "CAST(SUM(ver) AS BIGINT) AS sum_ver, "
-        "CAST(SUM(flag) AS BIGINT) AS sum_flag "
-        "FROM final GROUP BY day"),
-    # the maintained aggregate must equal a plain GROUP BY over the
-    # merged CDC view: even-day-of-month rows take updates (%5, +777
-    # cents), tombstones (%17, precedence) and inserts (%7==3, re-keyed
-    # +1e9 at 555 cents); odd-day rows pass through — their aggregate
-    # files were never rewritten, so any staleness bug shifts the sums
-    "events_ivm_groupsum": (
-        "WITH base AS (SELECT event_id, event_type, "
-        "CAST(ROUND(value * 100) AS BIGINT) AS cents, "
-        "CAST(strftime(ts, '%d') AS INT) % 2 = 0 AS even_day FROM events), "
-        "final AS ("
-        "SELECT event_id, event_type, "
-        "CASE WHEN even_day AND event_id % 5 = 0 THEN cents + 777 "
-        "ELSE cents END AS cents "
-        "FROM base WHERE NOT (even_day AND event_id % 17 = 0) "
-        "UNION ALL "
-        "SELECT event_id + 1000000000, event_type, 555 FROM base "
-        "WHERE even_day AND event_id % 7 = 3) "
-        "SELECT event_type, CAST(SUM(cents) AS BIGINT) AS sum_cents, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM final GROUP BY event_type"),
-    # rename + typed-default + widen replayed as a CASE: even doc_ids
-    # were written under schema v1 (body only), so they must surface
-    # with source 'legacy' and n_chars -1 after the evolved read
-    "docs_schema_evolution": (
-        "SELECT CASE WHEN doc_id % 2 = 0 THEN 'legacy' ELSE source END "
-        "AS source, "
-        "CAST(SUM(CASE WHEN doc_id % 2 = 0 THEN -1 ELSE n_chars END) "
-        "AS BIGINT) AS sum_chars, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs "
-        "FROM documents GROUP BY 1"),
-    "orders_fk_violations": (
-        "SELECT CAST(COUNT(*) AS BIGINT) AS n_orders, "
-        "CAST(SUM(CASE WHEN c_custkey IS NULL THEN 1 ELSE 0 END) "
-        "AS BIGINT) AS n_violations "
-        "FROM orders LEFT JOIN customer ON o_custkey = c_custkey"),
-    "events_column_profile": (
-        "SELECT 'event_id' AS \"column\", CAST(COUNT(*) AS BIGINT) "
-        "AS n_rows, CAST(COUNT(*) - COUNT(event_id) AS BIGINT) AS n_nulls, "
-        "CAST(MIN(event_id) AS BIGINT) AS min_i, "
-        "CAST(MAX(event_id) AS BIGINT) AS max_i FROM events "
-        "UNION ALL SELECT 'ts', CAST(COUNT(*) AS BIGINT), "
-        "CAST(COUNT(*) - COUNT(ts) AS BIGINT), "
-        "CAST(epoch_us(MIN(ts)) AS BIGINT), "
-        "CAST(epoch_us(MAX(ts)) AS BIGINT) FROM events "
-        "UNION ALL SELECT 'user_id', CAST(COUNT(*) AS BIGINT), "
-        "CAST(COUNT(*) - COUNT(user_id) AS BIGINT), "
-        "CAST(MIN(user_id) AS BIGINT), CAST(MAX(user_id) AS BIGINT) "
-        "FROM events "
-        "UNION ALL SELECT 'value', CAST(COUNT(*) AS BIGINT), "
-        "CAST(COUNT(*) - COUNT(value) AS BIGINT), "
-        "CAST(ROUND(MIN(value) * 100) AS BIGINT), "
-        "CAST(ROUND(MAX(value) * 100) AS BIGINT) FROM events"),
-    "docs_passage_chunks": (
-        "WITH w AS (SELECT doc_id, "
-        "list_filter(string_split(text, ' '), x -> x <> '') AS ws "
-        "FROM documents), "
-        "s AS (SELECT doc_id, ws, UNNEST(range(0, len(ws), 24)) AS st "
-        "FROM w WHERE len(ws) > 0) "
-        "SELECT doc_id, st // 24 AS chunk_idx, "
-        "array_to_string(ws[st+1:st+32], ' ') AS chunk_text, "
-        "CAST(least(len(ws) - st, 32) AS BIGINT) AS n_words FROM s"),
-    "docs_incremental_dedup": (
-        "WITH base AS (SELECT * FROM documents WHERE doc_id % 10 < 7), "
-        "newd AS ("
-        "SELECT doc_id, text, source, n_chars FROM documents "
-        "WHERE doc_id % 10 >= 7 "
-        "UNION ALL "
-        "SELECT doc_id + 10000000 AS doc_id, text, source, n_chars "
-        "FROM base WHERE doc_id % 7 = 0) "
-        "SELECT doc_id, source, n_chars FROM newd "
-        "WHERE NOT EXISTS (SELECT 1 FROM base b WHERE b.text = newd.text)"),
-    "docs_incremental_near_dup": _incr_near_dup_oracle_sql(
-        _JACCARD_THRESHOLD_E4),
-    "docs_snapshot_diff": (
-        "SELECT "
-        "CAST(SUM(CASE WHEN doc_id % 10 = 1 THEN 1 ELSE 0 END) AS BIGINT) "
-        "AS added, "
-        "CAST(SUM(CASE WHEN doc_id % 10 = 0 THEN 1 ELSE 0 END) AS BIGINT) "
-        "AS removed, "
-        "CAST(SUM(CASE WHEN doc_id % 10 <> 0 AND doc_id % 7 = 0 "
-        "THEN 1 ELSE 0 END) AS BIGINT) AS changed, "
-        "CAST(SUM(CASE WHEN doc_id % 10 <> 0 AND doc_id % 7 <> 0 "
-        "THEN 1 ELSE 0 END) AS BIGINT) AS unchanged FROM documents"),
-    "events_partitioned_prune": (
-        "SELECT strftime(ts, '%Y-%m-%d') AS day, "
-        "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT) "
-        "AS sum_cents, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM events WHERE event_type = 'click' GROUP BY day"),
-    "events_hopping_windows": (
-        "SELECT event_type, "
-        "(CAST(FLOOR(epoch(ts)) AS BIGINT) // 900 - t.i) * 900 "
-        "AS window_start, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM events CROSS JOIN (SELECT UNNEST(range(4)) AS i) t "
-        "GROUP BY event_type, window_start"),
-    "event_type_share": (
-        "WITH s AS (SELECT event_type, "
-        "SUM(CAST(ROUND(value * 100) AS BIGINT)) AS tc "
-        "FROM events GROUP BY event_type), "
-        "g AS (SELECT SUM(tc) AS grand FROM s) "
-        "SELECT event_type, CAST(tc AS BIGINT) AS type_cents, "
-        "CAST(tc * 1000000 // grand AS BIGINT) AS share_e6 FROM s, g"),
-    "user_funnel_counts": (
-        "WITH u AS (SELECT user_id, "
-        "MIN(CASE WHEN event_type = 'click' THEN ts END) AS first_click, "
-        "MAX(CASE WHEN event_type = 'purchase' THEN ts END) AS last_purch "
-        "FROM events GROUP BY user_id) "
-        "SELECT CAST(COUNT(first_click) AS BIGINT) AS n_users_clicked, "
-        "CAST(COUNT(last_purch) AS BIGINT) AS n_users_purchased, "
-        "CAST(COALESCE(SUM(CASE WHEN first_click < last_purch "
-        "THEN 1 ELSE 0 END), 0) AS BIGINT) AS n_converted FROM u"),
-    "docs_length_buckets": (
-        "WITH t AS (SELECT quantile_disc(n_chars, 0.25) AS q1, "
-        "quantile_disc(n_chars, 0.5) AS q2, "
-        "quantile_disc(n_chars, 0.75) AS q3 FROM documents) "
-        "SELECT CAST(CASE WHEN n_chars <= q1 THEN 0 "
-        "WHEN n_chars <= q2 THEN 1 WHEN n_chars <= q3 THEN 2 "
-        "ELSE 3 END AS BIGINT) AS bucket, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs, "
-        "CAST(SUM(n_chars) AS BIGINT) AS sum_chars "
-        "FROM documents, t GROUP BY 1"),
-    "docs_by_source": (
-        "SELECT source, COUNT(*) AS n, CAST(SUM(n_chars) AS BIGINT) AS sum_chars, "
-        "MIN(n_chars) AS min_chars, MAX(n_chars) AS max_chars "
-        "FROM documents GROUP BY source"),
-    "docs_lang_stats": (
-        "SELECT lang, COUNT(*) AS n, CAST(SUM(n_chars) AS BIGINT) AS sum_chars "
-        "FROM documents GROUP BY lang"),
-    "events_hourly": (
-        "SELECT event_type, strftime(date_trunc('hour', ts), '%Y-%m-%d %H:00:00')"
-        " AS hour, COUNT(*) AS n, "
-        "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) AS BIGINT) AS sum_value_cents "
-        "FROM events GROUP BY 1, 2"),
-    "lineitem_pricing": (
-        "SELECT l_returnflag, l_linestatus, COUNT(*) AS n, "
-        "CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty, "
-        "CAST(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)) AS BIGINT) AS sum_base_cents, "
-        "CAST(SUM(CAST(ROUND(l_extendedprice * (1 - l_discount) * 100) AS BIGINT)) AS BIGINT) "
-        "AS sum_disc_cents FROM lineitem "
-        "WHERE l_shipdate <= TIMESTAMP '1998-09-02' "
-        "GROUP BY l_returnflag, l_linestatus"),
-    "part_type_revenue": (
-        "SELECT p_type, COUNT(*) AS n_items, "
-        "CAST(SUM(CAST(ROUND(l_extendedprice * (1 - l_discount) * 100) "
-        "AS BIGINT)) AS BIGINT) AS sum_rev_cents "
-        "FROM lineitem JOIN part ON l_partkey = p_partkey GROUP BY p_type"),
-    "top_suppliers": (
-        "SELECT s_name, CAST(SUM(CAST(ROUND(l_extendedprice * "
-        "(1 - l_discount) * 100) AS BIGINT)) AS BIGINT) AS sum_rev_cents "
-        "FROM lineitem JOIN supplier ON l_suppkey = s_suppkey "
-        "GROUP BY s_name ORDER BY sum_rev_cents DESC, s_name LIMIT 5"),
-    "top_customers": (
-        "SELECT o_custkey, CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS BIGINT) "
-        "AS total_cents FROM orders GROUP BY o_custkey "
-        "ORDER BY total_cents DESC, o_custkey LIMIT 10"),
-    "region_nation_rollup": (
-        "SELECT r_name, n_name, "
-        "CAST(SUM(CAST(ROUND(c_acctbal * 100) AS BIGINT)) AS BIGINT) "
-        "AS acctbal_cents, CAST(COUNT(*) AS BIGINT) AS n_cust "
-        "FROM customer "
-        "JOIN nation ON c_nationkey = n_nationkey "
-        "JOIN region ON n_regionkey = r_regionkey "
-        "GROUP BY ROLLUP(r_name, n_name)"),
-    "order_cube": (
-        "SELECT o_orderstatus, o_orderpriority, "
-        "CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT)) AS BIGINT) "
-        "AS total_cents, CAST(COUNT(*) AS BIGINT) AS n_orders "
-        "FROM orders GROUP BY CUBE(o_orderstatus, o_orderpriority)"),
-    "events_latest_per_user": (
-        "SELECT user_id, event_id, event_type FROM ("
-        "SELECT user_id, event_id, event_type, "
-        "ROW_NUMBER() OVER (PARTITION BY user_id "
-        "ORDER BY ts DESC, event_id DESC) AS rn FROM events) WHERE rn = 1"),
-    "event_user_seq": (
-        "SELECT event_id, user_id, CAST(ROW_NUMBER() OVER ("
-        "PARTITION BY user_id ORDER BY ts, event_id) AS BIGINT) AS seq "
-        "FROM events"),
-    "lineitem_qty_variance": (
-        "SELECT l_returnflag, l_linestatus, CAST(n AS BIGINT) AS n, CAST("
-        "(n * sx2 - sx * sx) * 1000000 // (n * (n - 1)) AS BIGINT) "
-        "AS var_scaled FROM ("
-        "SELECT l_returnflag, l_linestatus, "
-        "CAST(COUNT(*) AS HUGEINT) AS n, "
-        "CAST(SUM(q) AS HUGEINT) AS sx, "
-        "CAST(SUM(q * q) AS HUGEINT) AS sx2 FROM ("
-        "SELECT l_returnflag, l_linestatus, "
-        "CAST(ROUND(l_quantity) AS BIGINT) AS q FROM lineitem) "
-        "GROUP BY l_returnflag, l_linestatus) WHERE n >= 2"),
-    "lineitem_price_cov": (
-        "SELECT l_returnflag, l_linestatus, CAST(n AS BIGINT) AS n, "
-        "CAST((n * sxy - sx * sy) * 1000000 // (n * (n - 1)) AS BIGINT) "
-        "AS cov_scaled, "
-        "CAST((n * sxy - sx * sy) * 1000000 // (n * sxx - sx * sx) "
-        "AS BIGINT) AS slope_scaled FROM ("
-        "SELECT l_returnflag, l_linestatus, "
-        "CAST(COUNT(*) AS HUGEINT) AS n, "
-        "CAST(SUM(x) AS HUGEINT) AS sx, CAST(SUM(y) AS HUGEINT) AS sy, "
-        "CAST(SUM(x * y) AS HUGEINT) AS sxy, "
-        "CAST(SUM(x * x) AS HUGEINT) AS sxx FROM ("
-        "SELECT l_returnflag, l_linestatus, "
-        "CAST(ROUND(l_quantity) AS BIGINT) AS x, "
-        "CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS y FROM lineitem) "
-        "GROUP BY l_returnflag, l_linestatus) "
-        "WHERE n >= 2 AND (n * sxx - sx * sx) <> 0"),
-    "lineitem_qty_ranks": (
-        "SELECT l_orderkey, l_linenumber, qty, "
-        "CAST(RANK() OVER (PARTITION BY l_orderkey ORDER BY qty) "
-        "AS BIGINT) AS rnk, "
-        "CAST(DENSE_RANK() OVER (PARTITION BY l_orderkey ORDER BY qty) "
-        "AS BIGINT) AS drnk, "
-        "CAST(NTILE(4) OVER (PARTITION BY l_orderkey "
-        "ORDER BY qty, l_linenumber) AS BIGINT) AS tile FROM ("
-        "SELECT l_orderkey, l_linenumber, "
-        "CAST(ROUND(l_quantity) AS BIGINT) AS qty FROM lineitem)"),
-    "event_rows_window": (
-        "SELECT user_id, event_id, "
-        "CAST(COUNT(*) OVER w AS BIGINT) AS w_count, "
-        "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) OVER w AS BIGINT) "
-        "AS w_sum_cents FROM events "
-        "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-        "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)"),
-    "event_running_total": (
-        "SELECT user_id, event_id, "
-        "CAST(COUNT(*) OVER w AS BIGINT) AS rt_count, "
-        "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) OVER w AS BIGINT) "
-        "AS rt_sum_cents FROM events "
-        "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)"),
-    # exact fixed-point PERCENT_RANK / CUME_DIST: the double-valued SQL
-    # builtins are replayed as integer formulas over RANK and the
-    # peers-inclusive running count (the default RANGE frame)
-    "event_value_pct_rank": (
-        "SELECT user_id, event_id, value_cents, "
-        "CASE WHEN m = 1 THEN 0 ELSE "
-        "CAST((rnk - 1) * 10000 // (m - 1) AS BIGINT) END AS pr_scaled, "
-        "CAST(c * 10000 // m AS BIGINT) AS cume_scaled FROM ("
-        "SELECT user_id, event_id, value_cents, "
-        "CAST(RANK() OVER (PARTITION BY user_id ORDER BY value_cents) "
-        "AS HUGEINT) AS rnk, "
-        "CAST(COUNT(*) OVER (PARTITION BY user_id ORDER BY value_cents) "
-        "AS HUGEINT) AS c, "
-        "CAST(COUNT(*) OVER (PARTITION BY user_id) AS HUGEINT) AS m "
-        "FROM (SELECT user_id, event_id, "
-        "CAST(ROUND(value * 100) AS BIGINT) AS value_cents FROM events))"),
-    "event_type_value_corr": (
-        "SELECT event_type, CAST(n AS BIGINT) AS n, "
-        "CAST((n * sxy - sx * sy) * 1000000 // (n * (n - 1)) AS BIGINT) "
-        "AS cov_scaled, "
-        "CAST((n * sxy - sx * sy) * 1000000 // (n * sxx - sx * sx) "
-        "AS BIGINT) AS slope_scaled, "
-        "CAST((n * sxy - sx * sy) * (n * sxy - sx * sy) * 10000 // "
-        "((n * sxx - sx * sx) * (n * syy - sy * sy)) AS BIGINT) "
-        "AS corr2_scaled FROM ("
-        "SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS n, "
-        "CAST(SUM(x) AS HUGEINT) AS sx, CAST(SUM(y) AS HUGEINT) AS sy, "
-        "CAST(SUM(x * y) AS HUGEINT) AS sxy, "
-        "CAST(SUM(x * x) AS HUGEINT) AS sxx, "
-        "CAST(SUM(y * y) AS HUGEINT) AS syy FROM ("
-        "SELECT event_type, epoch_us(ts) // 3600000000 AS x, "
-        "CAST(ROUND(value * 100) AS BIGINT) AS y FROM events) "
-        "GROUP BY event_type) WHERE n >= 2 "
-        "AND (n * sxx - sx * sx) <> 0 AND (n * syy - sy * sy) <> 0"),
-    "user_mode_event_type": (
-        "SELECT user_id, event_type AS mode_event_type, n_mode FROM ("
-        "SELECT user_id, event_type, CAST(COUNT(*) AS BIGINT) AS n_mode, "
-        "ROW_NUMBER() OVER (PARTITION BY user_id "
-        "ORDER BY COUNT(*) DESC, event_type) AS rn "
-        "FROM events GROUP BY user_id, event_type) WHERE rn = 1"),
-    "user_event_journey": (
-        "SELECT user_id, STRING_AGG(event_type, '>' "
-        "ORDER BY ts, event_id) AS journey FROM events GROUP BY user_id"),
-    "user_click_purchase_outer": (
-        "SELECT COALESCE(c.user_id, p.user_id) AS user_id, "
-        "COALESCE(c.n_clicks, 0) AS n_clicks, "
-        "COALESCE(p.n_purchases, 0) AS n_purchases FROM "
-        "(SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_clicks "
-        "FROM events WHERE event_type = 'click' "
-        "AND CAST(ROUND(value * 100) AS BIGINT) >= 30000 "
-        "GROUP BY user_id) c "
-        "FULL OUTER JOIN "
-        "(SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_purchases "
-        "FROM events WHERE event_type = 'purchase' "
-        "AND CAST(ROUND(value * 100) AS BIGINT) >= 30000 "
-        "GROUP BY user_id) p "
-        "ON c.user_id = p.user_id"),
-    "customers_by_region": (
-        "SELECT r_name, COUNT(*) AS n FROM customer "
-        "JOIN nation ON c_nationkey = n_nationkey "
-        "JOIN region ON n_regionkey = r_regionkey GROUP BY r_name"),
-    "order_priority_items": (
-        "SELECT o_orderpriority, COUNT(*) AS n_items, "
-        "CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty "
-        "FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
-        "GROUP BY o_orderpriority"),
-    "distinct_event_types": "SELECT DISTINCT event_type FROM events",
-    "exact_dedup_docs": (
-        "SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_dups "
-        "FROM documents GROUP BY text"),
-    "doc_word_counts": (
-        "SELECT doc_id, LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), "
-        "x -> x <> '')) AS n_words FROM documents"),
-    # linear-idf in integer arithmetic: score = (tf * N * 10^4) // df
-    "docs_top_terms": (
-        "WITH n AS (SELECT source, COUNT(*) AS nd FROM documents "
-        "GROUP BY source), "
-        "e AS (SELECT source, doc_id, UNNEST(regexp_extract_all("
-        "lower(text), '[a-z0-9]+')) AS term FROM documents), "
-        "a AS (SELECT source, term, COUNT(*) AS tf, "
-        "COUNT(DISTINCT doc_id) AS df FROM e GROUP BY 1, 2), "
-        "s AS (SELECT a.source, term, CAST(tf AS BIGINT) AS tf, "
-        "CAST(df AS BIGINT) AS df, "
-        "CAST((tf * nd * 10000) // df AS BIGINT) AS score_e4, "
-        "ROW_NUMBER() OVER (PARTITION BY a.source ORDER BY "
-        "(tf * nd * 10000) // df DESC, term) AS rn "
-        "FROM a JOIN n ON a.source = n.source) "
-        "SELECT source, term, tf, df, score_e4 FROM s WHERE rn <= 10"),
-    "chars_histogram": (
-        f"SELECT {_HIST_CASE} AS bucket, COUNT(*) AS n "
-        "FROM documents GROUP BY 1"),
-    "similarity_topk": (
-        "SELECT vec_id, CAST(FLOOR(list_cosine_similarity("
-        f"CAST(embedding AS DOUBLE[]), {_sim_vector_sql()}) * 10000) AS BIGINT)"
-        " AS score_e4 FROM embeddings "
-        "ORDER BY score_e4 DESC, vec_id LIMIT 10"),
-    "doc_quality": (
-        "SELECT doc_id, n_chars, n_words, "
-        "CAST(FLOOR(n_nonspace * 10000.0 / CASE WHEN n_words = 0 THEN 1 ELSE n_words END) AS BIGINT) AS avg_word_len_e4, "
-        "CAST(FLOOR(n_punct * 10000.0 / CASE WHEN n_chars = 0 THEN 1 ELSE n_chars END) AS BIGINT) AS punct_ratio_e4, "
-        "CAST(FLOOR(n_stop * 10000.0 / CASE WHEN n_words = 0 THEN 1 ELSE n_words END) AS BIGINT) AS stopword_ratio_e4 "
-        "FROM (SELECT doc_id, CAST(LENGTH(text) AS BIGINT) AS n_chars, "
-        "CAST(LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), x -> x <> '')) AS BIGINT) AS n_words, "
-        "CAST(LENGTH(REPLACE(text, ' ', '')) AS BIGINT) AS n_nonspace, "
-        "CAST(LENGTH(REGEXP_REPLACE(text, '[\\w\\s]', '', 'g')) AS BIGINT) AS n_punct, "
-        "CAST(LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), x -> x IN "
-        "('a','and','for','in','is','it','of','that','the','to'))) AS BIGINT) AS n_stop "
-        "FROM documents)"),
-    "doc_token_bpe": (
-        "SELECT doc_id, CAST(LENGTH(REGEXP_EXTRACT_ALL(text, "
-        "'[A-Za-z]+|[0-9]{1,3}|[^A-Za-z0-9\\s]')) AS BIGINT) AS n_bpe_tokens "
-        "FROM documents"),
-    "doc_lang_id": _langid_oracle_sql(),
-    "geo_ip_lookup": _geo_lookup_oracle_sql(),
-    "minhash_dedup_pairs_small": (
-        "WITH " + _minhash_pairs_cte() + " SELECT doc_a, doc_b FROM mh_pairs"),
-    "ngram_jaccard_dups": _ngram_jaccard_oracle_sql(_JACCARD_THRESHOLD_E4),
-    # the same pair set resolved into components with a recursive-CTE
-    # closure (the embedding_dup_components technique over MinHash pairs)
-    "near_dup_components_small": (
-        "WITH RECURSIVE " + _minhash_pairs_cte() +
-        ", ed AS (SELECT doc_a AS a, doc_b AS b FROM mh_pairs "
-        "UNION ALL SELECT doc_b, doc_a FROM mh_pairs), "
-        "nodes AS (SELECT DISTINCT a AS node FROM ed), "
-        "walk(node, label) AS (SELECT node, node FROM nodes "
-        "UNION SELECT e.b, w.label FROM walk w JOIN ed e ON e.a = w.node) "
-        "SELECT node, CAST(MIN(label) AS BIGINT) AS component "
-        "FROM walk GROUP BY node"),
-    # the prep CHAIN: quality filter → first-wins dedup by exact text →
-    # BPE token count → per-language rollup, as one CTE pipeline over the
-    # proven doc_quality / doc_token_bpe SQL pieces
-    "docs_prep_pipeline": (
-        "WITH q AS (SELECT doc_id, lang, text, "
-        "CAST(LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), x -> x <> '')) AS BIGINT) AS n_words, "
-        "CAST(LENGTH(LIST_FILTER(STRING_SPLIT(text, ' '), x -> x IN "
-        "('a','and','for','in','is','it','of','that','the','to'))) AS BIGINT) AS n_stop "
-        "FROM documents), "
-        "f AS (SELECT * FROM q WHERE n_words >= 15 AND "
-        "CAST(FLOOR(n_stop * 10000.0 / CASE WHEN n_words = 0 THEN 1 ELSE n_words END) AS BIGINT) >= 200), "
-        "d AS (SELECT MIN(doc_id) AS doc_id, MIN(lang) AS lang, text "
-        "FROM f GROUP BY text) "
-        "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs, "
-        "CAST(SUM(LENGTH(REGEXP_EXTRACT_ALL(text, "
-        "'[A-Za-z]+|[0-9]{1,3}|[^A-Za-z0-9\\s]'))) AS BIGINT) AS sum_bpe_tokens "
-        "FROM d GROUP BY lang"),
-    # 64-bit SimHash replayed exactly in SQL: the k=5 rolling hashes (same
-    # Horner mod-2^64 as doc_fingerprints below), then per-bit majority
-    # vote (bit set iff 2·#set > #windows) folded back to BIGINT.  The
-    # heaviest oracle (~17 s at sf0.01: ~16M lambda evaluations) — the
-    # price of bit-exact SQL replay of a custom sketch.
-    "doc_simhash": (
-        "WITH h AS (SELECT doc_id, list_transform(range(1, length(text)-3), "
-        "i -> list_reduce(list_transform(range(i, i+5), "
-        "j -> ord(substring(text, j, 1))::HUGEINT), "
-        "(acc, c) -> (acc*1000003::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT)) AS hs FROM documents) "
-        "SELECT doc_id, CAST(CASE WHEN m >= 9223372036854775808::HUGEINT "
-        "THEN m - 18446744073709551616::HUGEINT ELSE m END AS BIGINT) "
-        "AS simhash FROM ("
-        "SELECT doc_id, COALESCE(list_sum(list_transform(range(0, 64), "
-        "b -> CASE WHEN 2*len(list_filter(hs, "
-        "x -> ((x // (2::HUGEINT ** b)::HUGEINT) % 2) = 1)) > len(hs) "
-        "THEN (2::HUGEINT ** b)::HUGEINT ELSE 0::HUGEINT END)), 0::HUGEINT) "
-        "AS m FROM h)"),
-    # rolling k-gram winnowing fingerprint, replayed exactly in SQL:
-    # Horner base-1000003 over the 8-byte window with mod-2^64 HUGEINT
-    # arithmetic at every step (matches numpy uint64 wraparound), min over
-    # windows, then two's-complement fold to BIGINT (ASCII text: ord ==
-    # utf-8 byte — asserted by the corpus generator's charset)
-    "doc_fingerprints": (
-        "SELECT doc_id, CAST(CASE WHEN m >= 9223372036854775808::HUGEINT "
-        "THEN m - 18446744073709551616::HUGEINT ELSE m END AS BIGINT) "
-        "AS fingerprint FROM ("
-        "SELECT doc_id, COALESCE(list_min(list_transform("
-        "range(1, length(text)-6), "
-        "i -> list_reduce(list_transform(range(i, i+8), "
-        "j -> ord(substring(text, j, 1))::HUGEINT), "
-        "(acc, c) -> (acc*1000003::HUGEINT + c) % "
-        "18446744073709551616::HUGEINT))), 0::HUGEINT) AS m FROM documents)"),
-    "embedding_near_dups": (
-        "SELECT a.vec_id AS id_a, b.vec_id AS id_b, "
-        "CAST(FLOOR(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
-        "CAST(b.embedding AS DOUBLE[])) * 10000) AS BIGINT) AS cos_e4 "
-        "FROM embeddings a JOIN embeddings b "
-        "ON a.label = b.label AND a.vec_id < b.vec_id "
-        "WHERE CAST(FLOOR(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
-        "CAST(b.embedding AS DOUBLE[])) * 10000) AS BIGINT) >= 3500"),
-    "embedding_dup_components": (
-        _EMB_COMP_CTE + " SELECT node, component FROM comp"),
-    "dup_cluster_canonical": (
-        _EMB_COMP_CTE +
-        " SELECT component, canonical, canonical_score, n_members FROM ("
-        "SELECT c.component, d.doc_id AS canonical, "
-        "d.n_chars AS canonical_score, "
-        "CAST(COUNT(*) OVER (PARTITION BY c.component) AS BIGINT) "
-        "AS n_members, "
-        "ROW_NUMBER() OVER (PARTITION BY c.component "
-        "ORDER BY d.n_chars DESC, d.doc_id) AS rn "
-        "FROM comp c JOIN documents d ON c.node = d.doc_id) WHERE rn = 1"),
-    "event_sessions": (
-        "SELECT user_id, CAST(1 + SUM(CASE WHEN prev_ts IS NOT NULL AND "
-        "ts - prev_ts > INTERVAL 30 MINUTE THEN 1 ELSE 0 END) AS BIGINT) "
-        "AS n_sessions, CAST(COUNT(*) AS BIGINT) AS n_events "
-        "FROM (SELECT user_id, ts, LAG(ts) OVER "
-        "(PARTITION BY user_id ORDER BY ts) AS prev_ts FROM events) "
-        "GROUP BY user_id"),
-    "purchase_prior_view": (
-        "SELECT l.event_id, l.user_id, "
-        "CAST(ROUND(r.value * 100) AS BIGINT) AS prior_view_cents "
-        "FROM (SELECT * FROM events WHERE event_type = 'purchase') l "
-        "ASOF JOIN (SELECT * FROM events WHERE event_type = 'view') r "
-        "ON l.user_id = r.user_id AND l.ts >= r.ts"),
-    "events_first_day": (
-        "SELECT e.user_id, CAST(COUNT(*) AS BIGINT) AS n_first_day "
-        "FROM events e JOIN (SELECT user_id, MIN(ts) AS t0 FROM events "
-        "GROUP BY user_id) f ON e.user_id = f.user_id "
-        "AND e.ts >= f.t0 AND e.ts <= f.t0 + INTERVAL 24 HOUR "
-        "GROUP BY e.user_id"),
-    "salted_events_sum": (
-        "SELECT event_type, CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) "
-        "AS BIGINT) AS sum_value_cents FROM events GROUP BY event_type"),
-    "event_props_extract": (
-        "SELECT event_id, CAST(json_extract(props, '$.k') AS BIGINT) AS k "
-        "FROM events"),
-    "building_segment_orders": (
-        "SELECT o_orderkey, o_custkey FROM orders "
-        "WHERE o_custkey IN (SELECT c_custkey FROM customer "
-        "WHERE c_mktsegment = 'BUILDING')"),
-    "building_orders_bloom": (
-        "SELECT o_orderkey, o_custkey FROM orders "
-        "WHERE o_custkey IN (SELECT c_custkey FROM customer "
-        "WHERE c_mktsegment = 'BUILDING')"),
-    "event_heavy_hitters": (
-        "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n FROM events "
-        "GROUP BY user_id ORDER BY n DESC, user_id LIMIT 10"),
-    "event_value_quantiles": (" UNION ALL ".join(
-        f"SELECT CAST({q} AS DOUBLE) AS q, "
-        f"quantile_disc(CAST(ROUND(value * 100) AS BIGINT), {q}) AS value "
-        "FROM events" for q in _QUANTILE_QS)),
-    # same integer fence arithmetic: (3 * IQR) // 2, DuckDB // = floor
-    "event_value_outliers": (
-        "WITH prep AS (SELECT event_type, "
-        "CAST(ROUND(value * 100) AS BIGINT) AS v FROM events), "
-        "q AS (SELECT event_type, quantile_disc(v, 0.25) AS q25, "
-        "quantile_disc(v, 0.75) AS q75 FROM prep GROUP BY event_type), "
-        "b AS (SELECT event_type, q25 - (3 * (q75 - q25)) // 2 AS lo, "
-        "q75 + (3 * (q75 - q25)) // 2 AS hi FROM q) "
-        "SELECT p.event_type, CAST(b.lo AS BIGINT) AS lo, "
-        "CAST(b.hi AS BIGINT) AS hi, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(CASE WHEN p.v < b.lo OR p.v > b.hi THEN 1 ELSE 0 END) "
-        "AS BIGINT) AS n_outliers "
-        "FROM prep p JOIN b USING (event_type) "
-        "GROUP BY p.event_type, b.lo, b.hi"),
-    "event_type_quantiles": (" UNION ALL ".join(
-        f"SELECT event_type, CAST({q} AS DOUBLE) AS q, "
-        f"quantile_disc(CAST(ROUND(value * 100) AS BIGINT), {q}) AS value "
-        "FROM events GROUP BY event_type" for q in (0.5, 0.99))),
-    # continuous quantiles replayed in the SAME exact integer math as
-    # ops.sketch.grouped_interp_quantiles (quantile_cont itself computes in
-    # double — ×100-and-cast would be ulp-fragile): sorted value list per
-    # key, i = p*(n-1)//100, r = p*(n-1)%100, x[i]*(100-r) + x[i+1]*r
-    "event_type_quantiles_cont": (
-        "WITH s AS (SELECT event_type, "
-        "list(v ORDER BY v) AS l, count(*) AS n FROM "
-        "(SELECT event_type, CAST(ROUND(value * 100) AS BIGINT) AS v "
-        "FROM events WHERE value IS NOT NULL) GROUP BY event_type) "
-        "SELECT event_type, CAST(q_pct AS BIGINT) AS q_pct, "
-        "CAST(l[CAST(i AS INTEGER) + 1] * (100 - r) + "
-        "l[CAST(LEAST(i + 1, n - 1) AS INTEGER) + 1] * r AS BIGINT) "
-        "AS value_x100 FROM ("
-        "SELECT event_type, l, n, q_pct, "
-        "(q_pct * (n - 1)) // 100 AS i, (q_pct * (n - 1)) % 100 AS r "
-        "FROM s, (VALUES " +
-        ", ".join(f"({p})" for p in _CONT_Q_PCTS) + ") AS qq(q_pct))"),
-    "users_click_and_purchase": (
-        "SELECT user_id FROM events WHERE event_type = 'click' "
-        "INTERSECT SELECT user_id FROM events WHERE event_type = 'purchase'"),
-    # \b agrees between RE2 and Python re over this ASCII corpus
-    "docs_term_scrub": (
-        r"SELECT doc_id, CAST(length(regexp_extract_all(text, "
-        r"'\b(?:spark|dup|slow)\b')) AS BIGINT) AS n_redactions, "
-        r"regexp_replace(text, '\b(?:spark|dup|slow)\b', '<TERM>', 'g') "
-        "AS text_clean FROM documents"),
-    # same tokenization as the Ray side: string_split(' '), empties kept
-    "docs_df_boilerplate": (
-        "WITH toks AS (SELECT doc_id, l[CAST(i AS INTEGER)] AS tok, i AS ord "
-        "FROM (SELECT doc_id, string_split(text, ' ') AS l FROM documents) d, "
-        "LATERAL (SELECT unnest(range(1, len(l) + 1)) AS i) s), "
-        "freq AS (SELECT tok FROM toks GROUP BY tok "
-        f"HAVING COUNT(DISTINCT doc_id) * 100 >= "
-        f"(SELECT COUNT(*) FROM documents) * {_BOILER_DF_PCT}) "
-        "SELECT t.doc_id, "
-        "CAST(COUNT(*) FILTER (f.tok IS NOT NULL) AS BIGINT) AS n_removed, "
-        "COALESCE(string_agg(CASE WHEN f.tok IS NULL THEN t.tok END, ' ' "
-        "ORDER BY t.ord), '') AS text_clean "
-        "FROM toks t LEFT JOIN freq f ON t.tok = f.tok GROUP BY t.doc_id"),
-    "event_type_counts_cm": (
-        "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n FROM events "
-        "WHERE event_type IN ('click', 'error', 'purchase', 'signup', "
-        "'view') GROUP BY event_type"),
-    "users_big_view_no_big_purchase": (
-        "SELECT user_id FROM events WHERE event_type = 'view' "
-        "AND CAST(ROUND(value * 100) AS BIGINT) >= 20000 "
-        "EXCEPT SELECT user_id FROM events WHERE event_type = 'purchase' "
-        "AND CAST(ROUND(value * 100) AS BIGINT) >= 20000"),
-    # floored-DOUBLE float policy (like cos_e4): AVG and the Ray-side
-    # sum/n agree to ~1e-10 of the 1e6 scale, far from any floor boundary
-    "embedding_label_centroids": (
-        "SELECT label, pos, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(FLOOR(AVG(CAST(embedding[CAST(pos AS INTEGER) + 1] AS DOUBLE))"
-        " * 1000000) AS BIGINT) AS centroid_e6 "
-        "FROM embeddings e, LATERAL (SELECT unnest(range(0, "
-        "len(e.embedding))) AS pos) p GROUP BY label, pos"),
-    # bit-exact int8-quantization replay: identical float64 ops in the
-    # same order on both sides (cast→abs→max, then x/scale*127+0.5 floor)
-    "embedding_quantize": (
-        "WITH s AS (SELECT vec_id, embedding, list_max(list_transform("
-        "embedding, x -> abs(CAST(x AS DOUBLE)))) AS scale FROM embeddings) "
-        "SELECT s.vec_id, CAST(p.pos AS BIGINT) AS pos, "
-        "CAST(CASE WHEN s.scale = 0 THEN 0 ELSE FLOOR(CAST("
-        "s.embedding[CAST(p.pos AS INTEGER) + 1] AS DOUBLE) / s.scale "
-        "* 127.0 + 0.5) END AS BIGINT) AS q, "
-        "CAST(FLOOR(s.scale * 1000000000) AS BIGINT) AS scale_e9 "
-        "FROM s, LATERAL (SELECT unnest(range(0, len(s.embedding))) AS pos) p"),
-    # exact integer Gram of the quantized table: the quantize replay
-    # above feeding a pos<=pos self-join — every term is int so SUM is
-    # hash-stable regardless of evaluation order
-    "embedding_gram_int8": (
-        "WITH s AS (SELECT vec_id, embedding, list_max(list_transform("
-        "embedding, x -> abs(CAST(x AS DOUBLE)))) AS scale FROM embeddings), "
-        "qq AS (SELECT s.vec_id, CAST(p.pos AS BIGINT) AS pos, "
-        "CAST(CASE WHEN s.scale = 0 THEN 0 ELSE FLOOR(CAST("
-        "s.embedding[CAST(p.pos AS INTEGER) + 1] AS DOUBLE) / s.scale "
-        "* 127.0 + 0.5) END AS BIGINT) AS q "
-        "FROM s, LATERAL (SELECT unnest(range(0, len(s.embedding))) AS pos) p) "
-        "SELECT a.pos AS i, b.pos AS j, CAST(SUM(a.q * b.q) AS BIGINT) AS g "
-        "FROM qq a JOIN qq b ON a.vec_id = b.vec_id AND a.pos <= b.pos "
-        "GROUP BY a.pos, b.pos"),
-    # the zone-map scan must return EXACTLY the rows a plain range filter
-    # returns — pruning is a physical optimization, never a semantic one
-    "events_value_zonemap": (
-        "SELECT event_id, user_id, CAST(ROUND(value * 100) AS BIGINT) "
-        "AS cents FROM events WHERE value IS NOT NULL "
-        "AND CAST(ROUND(value * 100) AS BIGINT) BETWEEN 2000 AND 2999"),
-    "user_event_pivot": (
-        "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_events, " +
-        ", ".join(
-            f"CAST(SUM(CASE WHEN event_type = '{t}' THEN "
-            "CAST(ROUND(value * 100) AS BIGINT) ELSE 0 END) AS BIGINT) "
-            f"AS cents_{t}" for t in _PIVOT_TYPES) +
-        " FROM events GROUP BY user_id"),
-    "customers_without_orders": (
-        "SELECT c_custkey, c_name FROM customer "
-        "WHERE c_custkey NOT IN (SELECT o_custkey FROM orders "
-        "WHERE o_orderpriority = '1-URGENT')"),
-    "docs_sample_mod": (
-        "SELECT doc_id, source, n_chars FROM documents WHERE doc_id % 20 = 3"),
-    # NFC+lower+collapse+strip replay; the planted strings are embedded as
-    # raw UTF-8 literals — the CASE arms must match _NORM_PLANTS verbatim
-    "docs_text_normalize": (
-        "WITH planted AS (SELECT doc_id, text || CASE doc_id % 4 "
-        + " ".join(f"WHEN {i} THEN '{p}'" for i, p in enumerate(_NORM_PLANTS))
-        + " END AS t FROM documents), "
-        "n AS (SELECT doc_id, trim(regexp_replace(lower(nfc_normalize(t)), "
-        "'[ \t\n\r\f\v]+', ' ', 'g'), ' ') AS text_norm FROM planted) "
-        "SELECT doc_id, text_norm, "
-        "CAST(length(text_norm) AS BIGINT) AS n_chars_norm FROM n"),
-    # bit-exact splitmix64 ROW_NUMBER replay (ops/sample.py builds the CTE)
-    "docs_shuffle_order": _sample_sql.shuffle_rank_sql(
-        "documents", "doc_id", "doc_id, source"),
-    # bit-exact splitmix64 train/val/test banding (ops/sample.py CTE)
-    "docs_split_assign": _sample_sql.split_assign_sql(
-        "documents", "doc_id", "doc_id, source",
-        {"train": 0.8, "val": 0.1, "test": 0.1}),
-    # integer linear-idf TF-IDF: // truncates on both sides (all positive)
-    "docs_tfidf_top_terms": (
-        "WITH w AS (SELECT doc_id, unnest(string_split(text, ' ')) AS word "
-        "FROM documents), "
-        "f AS (SELECT doc_id, word, COUNT(*) AS tf FROM w WHERE word <> '' "
-        "GROUP BY doc_id, word), "
-        "nw AS (SELECT doc_id, SUM(tf) AS n_words FROM f GROUP BY doc_id), "
-        "dfreq AS (SELECT word, COUNT(*) AS df FROM f GROUP BY word), "
-        "n AS (SELECT COUNT(*) AS n_docs FROM documents), "
-        "s AS (SELECT f.doc_id, f.word, f.tf, "
-        "(f.tf * 1000000 * n.n_docs) // (nw.n_words * dfreq.df) AS score_ppm "
-        "FROM f JOIN nw USING (doc_id) JOIN dfreq USING (word) CROSS JOIN n), "
-        "r AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY doc_id "
-        "ORDER BY score_ppm DESC, word) AS rank FROM s) "
-        "SELECT doc_id, CAST(rank AS BIGINT) AS rank, word, "
-        "CAST(tf AS BIGINT) AS tf, CAST(score_ppm AS BIGINT) AS score_ppm "
-        "FROM r WHERE rank <= 3"),
-    # inverted index: DISTINCT (word, doc) pairs, df + first-5 postings
-    "docs_word_postings": (
-        "WITH w AS (SELECT DISTINCT * FROM (SELECT doc_id, "
-        "unnest(string_split(text, ' ')) AS word FROM documents)), "
-        "r AS (SELECT word, doc_id, "
-        "ROW_NUMBER() OVER (PARTITION BY word ORDER BY doc_id) AS rn, "
-        "COUNT(*) OVER (PARTITION BY word) AS df "
-        "FROM w WHERE word <> '') "
-        "SELECT word, CAST(max(df) AS BIGINT) AS df, "
-        "STRING_AGG(CASE WHEN rn <= 5 THEN CAST(doc_id AS VARCHAR) END, "
-        "',' ORDER BY doc_id) AS postings FROM r GROUP BY word"),
-    # within-doc consecutive word pairs; (count desc, bigram) tie-break
-    # makes the LIMIT deterministic on both sides
-    "docs_top_bigrams": (
-        "WITH t AS (SELECT doc_id, string_split(text, ' ') AS ws "
-        "FROM documents), "
-        "u AS (SELECT doc_id, unnest(ws) AS w, "
-        "unnest(generate_series(1, len(ws))) AS i FROM t), "
-        "b AS (SELECT a.w || ' ' || c.w AS bigram FROM u a "
-        "JOIN u c ON a.doc_id = c.doc_id AND c.i = a.i + 1) "
-        "SELECT bigram, CAST(count(*) AS BIGINT) AS n FROM b "
-        "GROUP BY bigram ORDER BY n DESC, bigram LIMIT 20"),
-    # DuckDB levenshtein is byte-level — exactly what the DP computes
-    "docs_editdist_adjacent": (
-        "SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
-        "CAST(levenshtein(a.text, b.text) AS BIGINT) AS edit_dist "
-        "FROM documents a JOIN documents b ON b.doc_id = a.doc_id + 1"),
-    # bit-exact splitmix64 ROW_NUMBER replay (ops/sample.py builds the CTE)
-    "docs_cap_per_source": _sample_sql.cap_per_key_sql(
-        "documents", "source", "doc_id", "doc_id, source, n_chars",
-        10, _CAP_SALT),
-    # sequential-scrub replay: each count runs on the text AFTER the
-    # previous pattern's replacement, mirroring the Ray side's subn chain
-    "docs_pii_scrub": (
-        f"WITH planted AS (SELECT doc_id, text "
-        f"|| (CASE WHEN doc_id % 3 <> 0 THEN ' contact user' || "
-        f"CAST(doc_id AS VARCHAR) || '@example.com' ELSE '' END) "
-        f"|| (CASE WHEN doc_id % 2 = 0 THEN ' from 10.' || "
-        f"CAST(doc_id % 200 AS VARCHAR) || '.' || "
-        f"CAST(doc_id % 250 AS VARCHAR) || '.7' ELSE '' END) "
-        # printf never truncates (lpad would cut ids > 12 digits, silently
-        # diverging from Python's '%012d')
-        f"|| ' ref 9' || printf('%012d', doc_id) AS t "
-        f"FROM documents), "
-        f"s1 AS (SELECT doc_id, "
-        f"CAST(len(regexp_extract_all(t, '{_PII_EMAIL}')) AS BIGINT) "
-        f"AS n_email, "
-        f"regexp_replace(t, '{_PII_EMAIL}', '[EMAIL]', 'g') AS t "
-        f"FROM planted), "
-        f"s2 AS (SELECT doc_id, n_email, "
-        f"CAST(len(regexp_extract_all(t, '{_PII_IPV4}')) AS BIGINT) "
-        f"AS n_ip, "
-        f"regexp_replace(t, '{_PII_IPV4}', '[IP]', 'g') AS t FROM s1) "
-        f"SELECT doc_id, "
-        f"regexp_replace(t, '{_PII_LONGNUM}', '[NUM]', 'g') AS scrubbed, "
-        f"n_email, n_ip, "
-        f"CAST(len(regexp_extract_all(t, '{_PII_LONGNUM}')) AS BIGINT) "
-        f"AS n_num FROM s2"),
-    # bit-exact splitmix64 replay in HUGEINT (ops/sample.py builds the CTE)
-    "docs_hash_sample": _sample_sql.hash_sample_sql(
-        "documents", "doc_id", "doc_id, source, lang, n_chars",
-        "source", _SAMPLE_RATES),
-    "docs_mixture_resample": _sample_sql.mixture_resample_sql(
-        "documents", "doc_id", "doc_id, source, n_chars",
-        "source", _MIXTURE_RATES),
-    "event_lead_lag": (
-        "SELECT event_id, user_id, epoch_us(ts) AS ts_us, "
-        "COALESCE(epoch_us(ts) - LAG(epoch_us(ts)) OVER w, -1) "
-        "AS prev_gap_us, "
-        "COALESCE(LEAD(epoch_us(ts)) OVER w - epoch_us(ts), -1) "
-        "AS next_gap_us FROM events "
-        "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)"),
-    "event_sliding_windows": (
-        "SELECT user_id, epoch_us(ts) AS ts_us, "
-        "CAST(COUNT(*) OVER w AS BIGINT) AS w_count, "
-        "CAST(SUM(CAST(ROUND(value * 100) AS BIGINT)) OVER w AS BIGINT) "
-        "AS w_sum_cents FROM events "
-        "WINDOW w AS (PARTITION BY user_id ORDER BY ts "
-        "RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)"),
-    "top_orders_per_customer": (
-        "SELECT o_custkey, o_orderkey, total_cents FROM ("
-        "SELECT o_custkey, o_orderkey, "
-        "CAST(ROUND(o_totalprice * 100) AS BIGINT) AS total_cents, "
-        "ROW_NUMBER() OVER (PARTITION BY o_custkey "
-        "ORDER BY CAST(ROUND(o_totalprice * 100) AS BIGINT) DESC, o_orderkey) "
-        "AS rn FROM orders) WHERE rn <= 2"),
-    "building_revenue_q3": (
-        "SELECT o_orderkey, CAST(SUM(CAST(ROUND(l_extendedprice * "
-        "(1 - l_discount) * 100) AS BIGINT)) AS BIGINT) AS revenue_cents "
-        "FROM orders JOIN lineitem ON o_orderkey = l_orderkey "
-        "WHERE o_custkey IN (SELECT c_custkey FROM customer "
-        "WHERE c_mktsegment = 'BUILDING') "
-        "GROUP BY o_orderkey ORDER BY revenue_cents DESC, o_orderkey LIMIT 10"),
-    "nation_order_counts_left": (
-        "SELECT n_name, CAST(COUNT(o_orderkey) AS BIGINT) AS n_orders "
-        "FROM customer JOIN nation ON c_nationkey = n_nationkey "
-        "LEFT JOIN orders ON o_custkey = c_custkey GROUP BY n_name"),
-    # bit-exact replay of ops.decontam.benchmark_contamination: distinct
-    # char-8-grams (ASCII corpus ⇒ char grams == byte grams), benchmark =
-    # doc_id ≡ 0 (mod 13), DuckDB // == Python // for non-negative ints
-    "docs_benchmark_contam": (
-        f"WITH bench AS (SELECT text FROM documents "
-        f"WHERE doc_id % {_CONTAM_BENCH_MOD} = 0), "
-        f"train AS (SELECT doc_id, text FROM documents "
-        f"WHERE doc_id % {_CONTAM_BENCH_MOD} <> 0), "
-        f"gb AS (SELECT DISTINCT substring(b.text, s.i, {_CONTAM_K}) AS gram "
-        f"FROM bench b, LATERAL (SELECT unnest(range(1, length(b.text) - "
-        f"{_CONTAM_K - 2})) AS i) s WHERE length(b.text) >= {_CONTAM_K}), "
-        f"gt AS (SELECT DISTINCT t.doc_id, substring(t.text, s.i, "
-        f"{_CONTAM_K}) AS gram FROM train t, LATERAL (SELECT "
-        f"unnest(range(1, length(t.text) - {_CONTAM_K - 2})) AS i) s "
-        f"WHERE length(t.text) >= {_CONTAM_K}), "
-        "sizes AS (SELECT doc_id, count(*) AS n_grams FROM gt GROUP BY doc_id), "
-        "hits AS (SELECT gt.doc_id, count(*) AS n_hit FROM gt "
-        "JOIN gb USING (gram) GROUP BY gt.doc_id) "
-        "SELECT h.doc_id, s.n_grams, h.n_hit, "
-        "CAST((10000 * h.n_hit) // s.n_grams AS BIGINT) AS contam_e4 "
-        "FROM hits h JOIN sizes s USING (doc_id)"),
-}
-
-# The flagship zeek_* oracles read the tokenized corpus by absolute path at
-# the driver's comparison scale (sf0.01).
-ORACLE_SQL["docs_quality_resample"] = _quality_resample_oracle_sql()
-
-
-def _hll_oracle() -> str:
-    """Generated at call time (the inlined linear-counting table is a
-    4096-row VALUES list — see ops/sketch.hll_oracle_sql)."""
-    from zeeklog_ray.ops.sketch import hll_oracle_sql
-
-    return hll_oracle_sql("events", "event_type", "user_id")
-
-
-ORACLE_SQL["event_type_users_hll"] = _hll_oracle()
-
-
-def _cm_oracle() -> str:
-    from zeeklog_ray.ops.sketch import count_min_oracle_sql
-
-    return count_min_oracle_sql("events", "user_id", width=1024,
-                                depth=4, k=10)
-
-
-ORACLE_SQL["event_user_cm_counts"] = _cm_oracle()
-# per-user daily spike scores over the SPARSE observed-day series —
-# no gap filling, so the ROWS frame replays the op exactly
-ORACLE_SQL["user_daily_spikes"] = (
-    "WITH s AS (SELECT user_id, strftime(date_trunc('day', ts), "
-    "'%Y-%m-%d') AS day, COUNT(*) AS cnt FROM events GROUP BY 1, 2), "
-    "w AS (SELECT user_id, day, cnt, "
-    "COALESCE(SUM(cnt) OVER (PARTITION BY user_id ORDER BY day "
-    "ROWS BETWEEN 7 PRECEDING AND 1 PRECEDING), 0) AS trail_sum, "
-    "COUNT(cnt) OVER (PARTITION BY user_id ORDER BY day "
-    "ROWS BETWEEN 7 PRECEDING AND 1 PRECEDING) AS trail_cnt FROM s) "
-    "SELECT user_id, day, CAST(cnt AS BIGINT) AS n, "
-    "CAST(trail_sum AS BIGINT) AS trail_sum, "
-    "CAST(trail_cnt AS BIGINT) AS trail_cnt, "
-    "CAST(CASE WHEN cnt * trail_cnt - trail_sum > 0 THEN "
-    "(cnt * trail_cnt - trail_sum) * 10000 // GREATEST(trail_sum, 1) "
-    "ELSE 0 END AS BIGINT) AS spike_e4 FROM w")
-# top-20 spike report over the dense-series window replay; the
-# (spike desc, type, hour) tie-break makes LIMIT deterministic
-ORACLE_SQL["event_spike_topk"] = (
-    "SELECT * FROM (" + ORACLE_SQL["events_hourly_spikes"] + ") "
-    "ORDER BY spike_e4 DESC, event_type, hour LIMIT 20")
-ORACLE_SQL.update(_zeek_oracle_sql(DRIVER_SF_DIR))
-
-
-def build_oracle_sql(sf_dir: str = DRIVER_SF_DIR) -> dict[str, str]:
-    """ORACLE_SQL with the zeek_* entries re-targeted at ``sf_dir``'s corpus
-    (for local gate replicas like tools/check_oracle.py that run at other
-    scales)."""
-    out = dict(ORACLE_SQL)
-    out.update(_zeek_oracle_sql(sf_dir))
-    return out
