@@ -32,8 +32,9 @@ def join_family(n_docs: int = 2000) -> dict:
     """minhash_lsh_pairs → connected_components with every heap tier
     forced distributed (so the label rounds join), plus a full outer join
     of the components against every doc; JSON-able, order-free."""
+    from synthdocs import make_documents_frame
+
     from zeeklog_ray import relational
-    from zeeklog_ray.corpus import make_documents_frame
     from zeeklog_ray.ops.dedup import minhash_lsh_pairs
     from zeeklog_ray.ops.graph import connected_components
 
@@ -69,7 +70,9 @@ def stateful_family(n_docs: int = 300, n_media: int = 60) -> dict:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from zeeklog_ray.corpus import generate_corpus, make_documents_frame
+    from synthdocs import make_documents_frame
+
+    from zeeklog_ray.corpus import generate_corpus
     from zeeklog_ray.enrich import GEO_FIELDS
     from zeeklog_ray.ops.decontam import benchmark_contamination
     from zeeklog_ray.ops.multimodal import (

@@ -1,4 +1,4 @@
-"""Connected components, HLL sketch, salted groupby, streaming windows,
+"""Connected components, HLL sketch, salted groupby, trailing windows,
 IVF ANN."""
 
 import numpy as np
@@ -8,9 +8,8 @@ import ray.data
 
 from zeeklog_ray import relational
 from zeeklog_ray.aggregate import salted_groupby_sum
-from zeeklog_ray.ops.graph import connected_components, dedup_keep_canonical
+from zeeklog_ray.ops.graph import connected_components
 from zeeklog_ray.ops.sketch import approx_distinct
-from zeeklog_ray.ops.streaming import sliding_window_counts
 
 
 @pytest.mark.parametrize("heap_tier", [100_000, 0], indirect=True)
@@ -25,13 +24,6 @@ def test_connected_components(ray_session, heap_tier):
     assert out.loc[[1, 2, 3, 9]].tolist() == [1, 1, 1, 1]
     assert out.loc[[5, 6]].tolist() == [5, 5]
     assert out.loc[[7, 8]].tolist() == [7, 7]
-
-
-def test_dedup_keep_canonical(ray_session):
-    pairs = pd.DataFrame({"doc_a": [10, 11], "doc_b": [11, 12]})
-    drop = dedup_keep_canonical(ray.data.from_pandas(pairs))
-    assert set(drop["node"]) == {11, 12}
-    assert set(drop["component"]) == {10}
 
 
 def test_hll_approx_distinct(ray_session):
@@ -58,97 +50,6 @@ def test_salted_groupby_sum(ray_session):
     assert got.to_dict() == exp.to_dict()
 
 
-def test_sliding_window_counts(ray_session):
-    ts = pd.to_datetime(["2024-01-01 10:00", "2024-01-01 10:20",
-                         "2024-01-01 10:50", "2024-01-01 12:00",
-                         "2024-01-01 10:10"])
-    df = pd.DataFrame({"user_id": ["a", "a", "a", "a", "b"],
-                       "ts": ts, "value": [1.0, 2.0, 3.0, 4.0, 9.0]})
-    out = sliding_window_counts(ray.data.from_pandas(df), window_seconds=3600,
-                                num_buckets=2)
-    a = out[out["user_id"] == "a"].sort_values("ts")
-    # 1h trailing window: 10:00→1; 10:20→2; 10:50→3; 12:00→only itself
-    assert a["w_count"].tolist() == [1, 2, 3, 1]
-    assert a["w_sum"].tolist() == [1.0, 3.0, 6.0, 4.0]
-    b = out[out["user_id"] == "b"]
-    assert b["w_count"].tolist() == [1] and b["w_sum"].tolist() == [9.0]
-
-
-def test_window_boundary_event_retained(ray_session):
-    """An event at exactly t_last - window must survive state trimming: a
-    later arrival with ts == t_last still counts it (regression: strict-'>'
-    trim evicted it and undercounted)."""
-    from zeeklog_ray.ops.streaming import WindowBucketActor
-
-    actor = WindowBucketActor.remote(3600)
-    base = pd.Timestamp("2024-01-01 10:00")
-    def batch(ts_off_s, val):
-        return pd.DataFrame({"user_id": ["k"], "ts": [base + pd.Timedelta(seconds=ts_off_s)],
-                             "value": [float(val)]})
-    r1 = ray.get(actor.process.remote(batch(0, 1), "user_id", "ts", "value"))
-    r2 = ray.get(actor.process.remote(batch(3600, 2), "user_id", "ts", "value"))
-    r3 = ray.get(actor.process.remote(batch(3600, 4), "user_id", "ts", "value"))
-    assert r1["w_count"].tolist() == [1]
-    assert r2["w_count"].tolist() == [2]          # [0, 3600] inclusive
-    assert r3["w_count"].tolist() == [3]          # ts=0 event still in state
-    assert r3["w_sum"].tolist() == [7.0]
-    ray.kill(actor)
-
-
-def test_streaming_dedup_first_seen(ray_session):
-    """Incremental dedup actors admit each content exactly once, keeping
-    the first occurrence, across batch and bucket boundaries."""
-    from zeeklog_ray.ops.streaming import streaming_dedup
-
-    df = pd.DataFrame({"doc_id": range(12),
-                       "text": ["a", "b", "a", "c", "b", "a",
-                                "d", "c", "e", "e", "f", "b"]})
-    out = streaming_dedup(ray.data.from_pandas(df), content_col="text",
-                          num_buckets=3, batch_rows=4)
-    assert sorted(out["text"]) == ["a", "b", "c", "d", "e", "f"]
-    # first occurrence wins (stream order preserved inside each bucket)
-    first = df.drop_duplicates(subset=["text"])
-    assert set(out["doc_id"]) == set(first["doc_id"])
-
-
-def test_window_actor_preserves_int_dtype(ray_session):
-    """Integer inputs (cents) must stay integer through the actor tier's
-    cumsum: float64 is only exact to 2^53, so a huge int value survives
-    iff the accumulator mirrors the input dtype (like trailing_windows)."""
-    from zeeklog_ray.ops.streaming import WindowBucketActor
-
-    big = (1 << 53) + 1                 # not representable in float64
-    actor = WindowBucketActor.remote(3600)
-    df = pd.DataFrame({"user_id": ["k"],
-                       "ts": [pd.Timestamp("2024-01-01 10:00")],
-                       "value": np.array([big], dtype=np.int64)})
-    out = ray.get(actor.process.remote(df, "user_id", "ts", "value"))
-    assert out["w_sum"].dtype == np.int64
-    assert out["w_sum"].tolist() == [big]
-    ray.kill(actor)
-
-
-def test_window_actor_promotes_dtype_across_batches(ray_session):
-    """float64 state from an earlier batch (e.g. a null made pandas
-    deliver floats) followed by an int64 batch must promote the
-    accumulator — an int64 w_sum would unsafely cast a float csum
-    (NaN → garbage integer, silently)."""
-    from zeeklog_ray.ops.streaming import WindowBucketActor
-
-    actor = WindowBucketActor.remote(3600)
-    base = pd.Timestamp("2024-01-01 10:00")
-    b1 = pd.DataFrame({"user_id": ["k"], "ts": [base],
-                       "value": np.array([1.5], dtype=np.float64)})
-    b2 = pd.DataFrame({"user_id": ["k"],
-                       "ts": [base + pd.Timedelta(minutes=1)],
-                       "value": np.array([2], dtype=np.int64)})
-    ray.get(actor.process.remote(b1, "user_id", "ts", "value"))
-    out = ray.get(actor.process.remote(b2, "user_id", "ts", "value"))
-    assert out["w_sum"].dtype == np.float64
-    assert out["w_sum"].tolist() == [3.5]
-    ray.kill(actor)
-
-
 def test_ivf_topk_recall(ray_session):
     from zeeklog_ray.ops.similarity import brute_force_topk, ivf_topk
 
@@ -169,8 +70,10 @@ def test_ivf_topk_recall(ray_session):
 @pytest.mark.parametrize("nb", [1024, 1])
 def test_trailing_windows_matches_bruteforce(ray_session, in_blocks, nb):
     """Bucketed trailing windows == O(n^2) reference, RANGE semantics
-    (equal-ts peers included); nb=1 (one input block) puts every key in
-    ONE exchange call so the key-segment boundary logic is exercised."""
+    (equal-ts peers included, and an event exactly ``window_seconds``
+    earlier too); nb=1 (one input block) puts every key in ONE exchange
+    call so the key-segment boundary logic is exercised.  Integer sums
+    stay int64, exact above 2^53."""
     from zeeklog_ray.ops.streaming import trailing_windows
 
     rng = np.random.default_rng(17)
@@ -181,6 +84,13 @@ def test_trailing_windows_matches_bruteforce(ray_session, in_blocks, nb):
                        "ts": ts, "value": rng.integers(0, 100, n).astype("int64")})
     # plant an exact-duplicate timestamp pair to pin peer semantics
     df.loc[1, ["user_id", "ts"]] = [df.loc[0, "user_id"], df.loc[0, "ts"]]
+    # key 9: a 2^53 + 1 value (not float64-representable), then a second
+    # event exactly one window later, whose window must still hold it
+    big = (1 << 53) + 1
+    df = pd.concat([df, pd.DataFrame({
+        "user_id": [9, 9],
+        "ts": pd.to_datetime(["2024-01-01 01:00", "2024-01-01 02:00"]),
+        "value": np.array([big, 1], dtype="int64")})], ignore_index=True)
 
     got = trailing_windows(in_blocks(df.sample(frac=1, random_state=3)
                                      .reset_index(drop=True), nb),
@@ -197,6 +107,10 @@ def test_trailing_windows_matches_bruteforce(ray_session, in_blocks, nb):
         .sort_values(["user_id", "ts", "w_count"]).reset_index(drop=True)
     assert got["w_count"].tolist() == exp["w_count"].tolist()
     assert got["w_sum"].tolist() == exp["w_sum"].tolist()
+    assert got["w_sum"].dtype == np.int64
+    planted = got[got["user_id"] == 9]
+    assert planted["w_count"].tolist() == [1, 2]
+    assert planted["w_sum"].tolist() == [big, big + 1]
 
 
 @pytest.mark.parametrize("nb", [1024, 1])

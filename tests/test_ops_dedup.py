@@ -130,8 +130,8 @@ def test_minhash_planted_dups_recall(ray_session):
     duplicates (the measurable dedup scenario a training pipeline cares
     about)."""
     import ray.data
+    from synthdocs import make_documents_frame
 
-    from zeeklog_ray.corpus import make_documents_frame
     from zeeklog_ray.ops.dedup import minhash_lsh_pairs
 
     df = make_documents_frame(4000, dup_rate=0.05)

@@ -1,9 +1,10 @@
 """Multimodal: real numpy BMP/WAV/RVID codecs, exact feature values on
-known payloads, schema, actor stage, decoder tiers."""
+known payloads, schema, map stage, decoder tiers."""
 
 import json
 
 import numpy as np
+import pyarrow as pa
 import pytest
 import ray.data
 
@@ -22,7 +23,6 @@ from zeeklog_ray.ops.multimodal import (
     encode_wav,
     extract_features,
     image_features,
-    media_schema,
     synth_media_table,
     video_features,
 )
@@ -204,7 +204,9 @@ def test_video_features_static_vs_moving():
 
 def test_synth_table_schema_and_payloads_decode():
     t = synth_media_table(60)
-    assert t.schema.equals(media_schema())
+    assert t.schema.equals(pa.schema([
+        ("item_id", pa.string()), ("payload", pa.binary()),
+        ("modality", pa.string()), ("meta", pa.string())]))
     assert len(t) == 60
     assert t.equals(synth_media_table(60))            # deterministic
     # every payload is REAL encoded media matching its meta

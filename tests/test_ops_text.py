@@ -385,6 +385,39 @@ def test_bigram_pmi_no_cross_doc_bigrams(ray_session):
     assert got == {("a", "b"): 2, ("b", "a"): 2}
 
 
+def test_bigram_pmi_rows_survive_a_permuted_top_k_index(ray_session,
+                                                       monkeypatch):
+    """Each row's pmi_e4 belongs to that row's bigram even when the
+    top-k frame Ray hands back carries a permuted index (the finish
+    must not align the PMI list to it by label)."""
+    from collections import Counter
+    from types import SimpleNamespace
+
+    from zeeklog_ray.ops.text import bigram_pmi_topk
+
+    real_top_k = relational.top_k
+
+    def reversed_top_k(*args, **kwargs):
+        df = real_top_k(*args, **kwargs).to_pandas()
+        return SimpleNamespace(to_pandas=lambda: df.set_axis(df.index[::-1]))
+
+    monkeypatch.setattr(relational, "top_k", reversed_top_k)
+    texts = ["a b a b a b", "c d c d", "e f e g"]
+    out = bigram_pmi_topk(ray.data.from_pandas(pd.DataFrame(
+        {"doc_id": [1, 2, 3], "text": texts})), k=3, min_count=2)
+
+    words = [t.split(" ") for t in texts]
+    uni = Counter(w for ws in words for w in ws)
+    bi = Counter(p for ws in words for p in zip(ws, ws[1:]))
+    n = sum(uni.values())
+    assert sorted(zip(out["w1"], out["w2"])) == [("a", "b"), ("b", "a"),
+                                                 ("c", "d")]
+    for r in out.itertuples():
+        c = bi[(r.w1, r.w2)]
+        assert r.pair_count == c
+        assert r.pmi_e4 == c * n * 10_000 // (uni[r.w1] * uni[r.w2])
+
+
 def test_rare_word_stats_hand_case(ray_session):
     from zeeklog_ray.ops.text import rare_word_stats
 

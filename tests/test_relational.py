@@ -296,9 +296,6 @@ _NUM_BUCKETS_ALLOWED = {
                                        "pack workload passes it",
     "loader.py:pack_token_rows": "accepted and ignored: perfbench's pack "
                                  "workload passes it",
-    "ops/streaming.py:streaming_dedup": "a count of actors, not of buckets",
-    "ops/streaming.py:sliding_window_counts": "a count of actors, not of "
-                                              "buckets",
     "relational.py:sampled_range_boundaries": "a count of key ranges for "
                                               "a range exchange",
     "relational.py:global_rank": "a count of key ranges for a range "
@@ -472,6 +469,22 @@ def test_no_actor_pool_map_stage_in_package():
     its lifetime and starves the upstream read on a 1-CPU cluster."""
     pkg = pathlib.Path(zeeklog_ray.__file__).parent
     offenders = _map_batches_pool_sites(pkg, "zeeklog_ray")
+    assert offenders == [], offenders
+
+
+def test_no_raw_actor_or_remote_task_in_package():
+    """One execution model: every stage is a Ray Data operator.  A
+    hand-made ``ray.remote`` actor or task (and the ``ray.kill`` that
+    tears one down) is a second scheduler the Dataset executor cannot
+    see, budget or back-pressure."""
+    pkg = pathlib.Path(zeeklog_ray.__file__).parent
+    pattern = re.compile(r"ray\.(remote|kill)\b"
+                         r"|from ray import .*\b(remote|kill)\b")
+    offenders = sorted(
+        f"{p.relative_to(pkg).as_posix()}:{i}"
+        for p in pkg.rglob("*.py")
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if pattern.search(line))
     assert offenders == [], offenders
 
 

@@ -3,7 +3,7 @@
 A from-scratch rebuild of the query and data-processing capabilities of the
 Rust Zeek log-analysis library ``endepointe/log-analysis`` (see SURVEY.md),
 expressed as an idiomatic Ray Data pipeline: parse → enrich → route →
-aggregate over zero-copy Arrow batches, with actor-pool enrichment, salted
+aggregate over zero-copy Arrow batches, with map-stage enrichment, salted
 two-phase aggregation, fan-out Parquet sinks and per-partition lineage
 manifests for checkpoint/resume.
 

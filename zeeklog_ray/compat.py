@@ -16,8 +16,6 @@ reference's observable behaviors for parity testing:
 * F6 ``~`` path expansion (``zeek_search_params.rs:59-84``) and F8 input
   validation (``main.rs:786-812``): :func:`expand_path`, :func:`parse_ip`,
   :func:`parse_date`.
-* O1 protocol-sorted iteration (BTreeMap ordering, ``types/types.rs:5``):
-  :func:`sorted_report`.
 """
 
 from __future__ import annotations
@@ -65,12 +63,6 @@ def prune_empty(df: pd.DataFrame) -> pd.DataFrame:
     """A2 ``_reduce``: drop all-null columns, then all-null rows."""
     df = df.dropna(axis=1, how="all")
     return df.dropna(axis=0, how="all").reset_index(drop=True)
-
-
-def sorted_report(ds: "ray.data.Dataset", key: str = "sink") -> "ray.data.Dataset":
-    """O1: deterministic key-sorted report (only for small final outputs —
-    sorting the data path costs pipelining, SURVEY.md §7.3)."""
-    return ds.sort(key)
 
 
 def expand_path(p: str) -> str:

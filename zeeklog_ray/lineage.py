@@ -39,12 +39,6 @@ import ray.data
 from zeeklog_ray.pipeline import PipelineConfig
 
 
-def list_fragments(corpus_dir: str) -> list[str]:
-    """Deterministically ordered input fragment (file) list."""
-    return sorted(glob.glob(os.path.join(corpus_dir, "**", "*.parquet"),
-                            recursive=True))
-
-
 def make_shards(fragments: list[str], files_per_shard: int) -> list[list[str]]:
     return [fragments[i:i + files_per_shard]
             for i in range(0, len(fragments), files_per_shard)]

@@ -28,8 +28,8 @@ _MERSENNE = (1 << 61) - 1
 
 def content_digest128(texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     """The engine's 128-bit content digest (two independent 64-bit pandas
-    hashes) — shared by the batch exact-dedup path (queries.exact_dedup_docs)
-    and the streaming dedup actor tier.  One definition, one collision
+    hashes) — shared by the exact-dedup paths (queries.exact_dedup_docs,
+    incremental_dedup).  One definition, one collision
     argument: a single 64-bit key would birthday-collide at the 10^12-row
     design scale; at 128 bits the odds stay ~n²/2^129."""
     h1 = pd.util.hash_pandas_object(texts, index=False).to_numpy(np.uint64)

@@ -133,13 +133,6 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 30,
         batch_format="pandas", batch_size=None)
 
 
-def dedup_keep_canonical(pairs: "ray.data.Dataset") -> pd.DataFrame:
-    """Resolve near-dup pairs into a drop-list: every node whose component
-    canonical (min id) is not itself — the rows a dedup pass would remove."""
-    comp = connected_components(pairs).to_pandas()
-    return comp[comp["node"] != comp["component"]].reset_index(drop=True)
-
-
 def canonical_per_component(components: "ray.data.Dataset",
                             meta: "ray.data.Dataset",
                             meta_key: str = "doc_id",

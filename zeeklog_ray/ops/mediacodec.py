@@ -5,7 +5,7 @@ images (JPEG first), ``soundfile``/libsndfile for codec'd audio
 (MP3/FLAC/OGG).  Neither library ships in this container, so here every
 codec'd-format path stays an honest ``NotImplementedError`` at the exact
 payload that needs it — but when the libs ARE present (any normal
-deployment) the same actor stage decodes JPEG/MP3 with no other code
+deployment) the same map stage decodes JPEG/MP3 with no other code
 change: ``MediaFeatureExtractor(decoder="real")`` sniffs the container
 format per payload, routes the repo-native formats (BMP / PNG / WAV /
 RVID) through the pure-numpy codecs in :mod:`zeeklog_ray.ops.multimodal`,
@@ -79,18 +79,6 @@ def sniff_format(payload: bytes) -> str:
             and (payload[1] & 0xE0) == 0xE0):
         return "mp3"
     return "unknown"
-
-
-def codec_available(fmt: str) -> bool:
-    """Whether THIS process can decode ``fmt`` — native formats always,
-    codec'd formats only when the adapter library imported."""
-    if fmt in NATIVE_FORMATS:
-        return True
-    if fmt == "jpeg":
-        return HAS_PIL
-    if fmt in ("mp3", "flac", "ogg"):
-        return HAS_SOUNDFILE
-    return False
 
 
 def _require(fmt: str, lib: str, present: bool) -> None:

@@ -322,15 +322,6 @@ def video_features(frames: np.ndarray, sample_frames: int = 4) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def media_schema() -> pa.Schema:
-    return pa.schema([
-        ("item_id", pa.string()),
-        ("payload", pa.binary()),
-        ("modality", pa.string()),
-        ("meta", pa.string()),
-    ])
-
-
 def _media_n_for_sf_dir(sf_dir: str) -> int:
     return 500 if "0.001" in sf_dir else 2000
 

@@ -298,7 +298,3 @@ def quantize_embeddings(ds: "ray.data.Dataset", id_col: str = "vec_id",
 
     return ds.map_batches(quant, batch_format="pyarrow", batch_size=None)
 
-
-def dequantize(q: np.ndarray, scale: float) -> np.ndarray:
-    """Inverse of :func:`quantize_embeddings` for one vector."""
-    return q.astype(np.float64) * (scale / 127.0)

@@ -1,27 +1,19 @@
-"""Windowed / stream-shaped processing.
+"""Windowed / stream-shaped processing over bucketed exchanges.
 
-Two tiers:
+:func:`trailing_windows` is the per-event trailing window (SQL:
+``SUM(..) OVER (PARTITION BY key ORDER BY ts RANGE BETWEEN <w> PRECEDING
+AND CURRENT ROW)``), expressed as one key-hash exchange with a fully
+vectorized two-pointer (``np.searchsorted`` over sorted timestamps +
+prefix sums) inside each call.  One hash shuffle co-partitions each key,
+every key segment computes in O(n log n) numpy, nothing streams through
+the driver.  Partitioning assumption: one key's events fit in one call
+(bound = events per key per window span × retention; salt by time-bucket
+first if a single key exceeds worker memory).
 
-* :func:`trailing_windows` — the BATCH-SEMANTICS per-event trailing window
-  (SQL: ``SUM(..) OVER (PARTITION BY key ORDER BY ts RANGE BETWEEN <w>
-  PRECEDING AND CURRENT ROW)``), expressed as ``groupby(key).map_groups``
-  with a fully vectorized two-pointer (``np.searchsorted`` over sorted
-  timestamps + prefix sums) inside each group.  This is the scale path: one
-  hash shuffle co-partitions each key, every group computes in O(n log n)
-  numpy, nothing streams through the driver.  Partitioning assumption: one
-  key's events fit in one group (bound = events per key per window span ×
-  retention; salt by time-bucket first if a single key exceeds worker
-  memory).
-* :class:`WindowBucketActor` — raw Ray actors holding incremental per-key
-  state, for genuinely UNBOUNDED feeds that must emit per event as data
-  arrives (the guide's last-resort tier; Ray Data cannot express
-  incremental emission).  Per-batch work is vectorized per key present in
-  the batch — no per-row Python.
-
-Stream-order note: the actor tier counts events *seen so far* in the
-window (ties broken by arrival), while ``trailing_windows`` follows SQL
-RANGE semantics (all peer rows with equal ts are included).  They agree
-whenever timestamps are unique.
+Every function here is a bounded Ray Data job that returns a Dataset;
+there is no incremental emit-as-you-go tier.  An unbounded feed runs as
+successive bounded jobs, the way ``ops.dedup.incremental_dedup`` dedups
+each new snapshot against the base already admitted.
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-import ray
 import ray.data
 
 
@@ -154,162 +145,6 @@ def rows_window(ds: "ray.data.Dataset", key: str,
         return out
 
     return bucket_exchange(ds, key, per_bucket)
-
-
-@ray.remote
-class WindowBucketActor:
-    """Holds sliding-window state for every key hashed to this bucket.
-
-    Emits, per event, the count and value-sum of the key's events within the
-    trailing window (events seen SO FAR, stream order) — the incremental
-    variant that batch map_groups cannot produce for an unbounded feed.
-    State per key is the (ts, value) tail inside the current window.
-    """
-
-    def __init__(self, window_seconds: int) -> None:
-        self.window_ns = np.int64(window_seconds) * 1_000_000_000
-        self.state: dict = {}   # key -> (ts int64 ndarray, value ndarray)
-
-    def process(self, batch: pd.DataFrame, key: str, ts: str,
-                value: str) -> pd.DataFrame:
-        n = len(batch)
-        w_count = np.empty(n, dtype="int64")
-        t_all = batch[ts].to_numpy("datetime64[ns]").astype("int64")
-        v_all = batch[value].to_numpy()
-        groups = batch.groupby(key, sort=False).indices
-        # preserve the input dtype through the cumsum (mirrors
-        # trailing_windows): integer inputs (e.g. cents) stay exact instead
-        # of passing through float64 and losing precision above 2^53.
-        # Promote across BATCHES too: if an earlier batch left float64
-        # state (e.g. a null made pandas deliver floats) and this batch is
-        # int64, an int64 accumulator would unsafely cast the float csum
-        # (NaN → garbage int) — the result dtype must cover both.
-        acc_dtype = np.cumsum(np.zeros(1, dtype=v_all.dtype)).dtype
-        for k in groups:
-            st = self.state.get(k)
-            if st is not None:
-                acc_dtype = np.result_type(acc_dtype, st[1].dtype)
-        w_sum = np.empty(n, dtype=acc_dtype)
-        # vectorized per KEY present in the batch (each key's rows arrive in
-        # stream order because the feeder sorts globally by ts)
-        for k, idx in groups.items():
-            t = t_all[idx]
-            v = v_all[idx]
-            pt, pv = self.state.get(k, (np.empty(0, np.int64),
-                                        np.empty(0, v_all.dtype)))
-            at = np.concatenate((pt, t))
-            av = np.concatenate((pv, v)).astype(acc_dtype, copy=False)
-            pos = np.arange(len(pt), len(at))
-            lo = np.searchsorted(at, at[pos] - self.window_ns, side="left")
-            csum = np.concatenate((np.zeros(1, acc_dtype), np.cumsum(av)))
-            w_count[idx] = pos + 1 - lo
-            w_sum[idx] = csum[pos + 1] - csum[lo]
-            # ">=" keeps the event AT the window boundary: a later arrival
-            # with ts == at[-1] still counts an event at exactly
-            # at[-1] - window (dropping it undercounted vs the documented
-            # inclusive-boundary semantics)
-            keep = at >= at[-1] - self.window_ns
-            self.state[k] = (at[keep], av[keep])
-        out = batch[[key, ts]].copy()
-        out["w_count"] = w_count
-        out["w_sum"] = w_sum
-        return out
-
-    def n_keys(self) -> int:
-        return len(self.state)
-
-
-@ray.remote
-class DedupBucketActor:
-    """Holds the seen-digest set for content hashed to this bucket and
-    emits only FIRST-SEEN rows — incremental exact dedup for unbounded
-    feeds (the batch tier is ``queries.exact_dedup_docs``; this actor tier
-    exists for streams that must emit accepted rows as data arrives).
-
-    Digests are 128-bit (ops.dedup.content_digest128 — the shared
-    exact-dedup definition and collision argument); the FEEDER computes
-    them once per row and ships them as ``_h1``/``_h2`` columns, so the
-    actor never re-hashes document bodies.  State is one Python set of
-    (h1, h2) tuples per bucket, bounded by the bucket's distinct-content
-    count; per-batch set ops are bounded by batch size.  Scale by adding
-    bucket actors over the digest-hash space (same content ⇒ same bucket
-    ⇒ exactness holds)."""
-
-    def __init__(self) -> None:
-        self.seen: set = set()
-
-    def process(self, batch: pd.DataFrame) -> pd.DataFrame:
-        h1 = batch["_h1"].to_numpy(np.uint64)
-        h2 = batch["_h2"].to_numpy(np.uint64)
-        keep = np.zeros(len(batch), dtype=bool)
-        seen = self.seen
-        for i, t in enumerate(zip(h1.tolist(), h2.tolist())):
-            if t not in seen:           # first occurrence in stream order
-                seen.add(t)
-                keep[i] = True
-        return batch[keep].drop(columns=["_h1", "_h2"])
-
-    def n_seen(self) -> int:
-        return len(self.seen)
-
-
-def streaming_dedup(ds: "ray.data.Dataset", content_col: str = "text",
-                    num_buckets: int = 4,
-                    batch_rows: int = 4096) -> pd.DataFrame:
-    """Incremental-feed driver over :class:`DedupBucketActor` buckets:
-    batches are routed by digest-hash bucket (same content ⇒ same actor),
-    each actor admits only first-seen content.  Use the batch
-    ``exact_dedup_docs`` path for bounded inputs — this exists for the
-    emit-as-you-go streaming case, like ``sliding_window_counts``."""
-    from zeeklog_ray.ops.dedup import content_digest128
-
-    actors = [DedupBucketActor.remote() for _ in range(num_buckets)]
-    pending = []
-    for batch in ds.iter_batches(batch_size=batch_rows,
-                                 batch_format="pandas"):
-        h1, h2 = content_digest128(batch[content_col])   # hashed ONCE here
-        batch = batch.assign(_h1=h1, _h2=h2)
-        bucket = (h1 % np.uint64(num_buckets)).astype(int)
-        for bi in range(num_buckets):
-            sub = batch[bucket == bi]
-            if len(sub):
-                pending.append(actors[bi].process.remote(sub))
-    parts = ray.get(pending)
-    for a in actors:
-        ray.kill(a)
-    if not parts:
-        return pd.DataFrame(columns=list(ds.schema().names))
-    return pd.concat(parts, ignore_index=True)
-
-
-def sliding_window_counts(ds: "ray.data.Dataset", key: str = "user_id",
-                          ts: str = "ts", value: str = "value",
-                          window_seconds: int = 3600,
-                          num_buckets: int = 4,
-                          batch_rows: int = 4096) -> pd.DataFrame:
-    """Incremental-feed driver over :class:`WindowBucketActor` buckets.
-
-    Use :func:`trailing_windows` for batch workloads — this exists to
-    demonstrate the incremental tier (per-actor FIFO preserves each
-    bucket's stream order).  The driver only routes batch HANDLES; the
-    per-event work happens in the actors.
-    """
-    actors = [WindowBucketActor.remote(window_seconds) for _ in range(num_buckets)]
-    pending = []
-    for batch in ds.sort(ts).iter_batches(batch_size=batch_rows,
-                                          batch_format="pandas"):
-        h = pd.util.hash_pandas_object(batch[key], index=False)
-        bucket = (h % num_buckets).astype(int)
-        for bi in range(num_buckets):
-            sub = batch[bucket.to_numpy() == bi]
-            if len(sub):
-                pending.append(actors[bi].process.remote(sub, key, ts, value))
-    parts = ray.get(pending)
-    for a in actors:
-        ray.kill(a)
-    if not parts:
-        return pd.DataFrame(columns=[key, ts, "w_count", "w_sum"])
-    return pd.concat(parts, ignore_index=True)
 
 
 def time_decayed_sum(ds: "ray.data.Dataset", key: str, ts: str, value: str,

@@ -5,7 +5,7 @@ language ID (character n-gram heuristic), quality scoring (length /
 punctuation / stopword ratios), token counting (whitespace + BPE-ish regex),
 and document fingerprinting (rolling hash).  All per-row work is pandas/numpy
 vectorized; stateful pieces (compiled regexes, n-gram profiles) live in
-callable classes so Ray runs them as actor pools with one-time setup.
+callable instances, built once on the driver and shipped with every task.
 """
 
 from __future__ import annotations
@@ -864,7 +864,7 @@ def bigram_pmi_topk(docs: "ray.data.Dataset", k: int = 20,
     n_total = int(uni.sum("c"))
     top = top_k(bi.filter(expr=f"c >= {min_count}"),
                 by=["c", "w1", "w2"], descending=[True, False, False],
-                k=k).to_pandas()
+                k=k).to_pandas().reset_index(drop=True)
 
     need = pa.array(sorted(frozenset(top["w1"]) | frozenset(top["w2"])),
                     type=pa.string())

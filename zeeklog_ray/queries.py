@@ -249,7 +249,7 @@ def zeek_sink_stats(sf_dir: str) -> "ray.data.Dataset":
 # enrichment appends columns but never rows — identical aggregate
 @query(oracle=_zeek_sink_stats_sql)
 def zeek_enriched_sink_stats(sf_dir: str) -> "ray.data.Dataset":
-    """Same with the enrichment actor pool in the path (exercises ST1/J1)."""
+    """Same with the enrichment map stage in the path (exercises ST1/J1)."""
     corpus = corpus_for_sf_dir(sf_dir)
     ds = build_dataset(PipelineConfig(corpus_dir=corpus, enrich=True))
     return grouped_stats(ds, key="sink")
@@ -1658,7 +1658,6 @@ def part_type_revenue(sf_dir: str) -> "ray.data.Dataset":
     mid-size dim): lineitem joined to part with a ray.put-broadcast pandas
     merge — no shuffle of the fact side — discounted revenue cents and
     item counts per part type."""
-    from zeeklog_ray.relational import broadcast_merge, small_table
 
     li = read_table(sf_dir, "lineitem",
                     columns=["l_partkey", "l_extendedprice", "l_discount"])
@@ -1685,7 +1684,6 @@ def part_type_revenue(sf_dir: str) -> "ray.data.Dataset":
 def top_suppliers(sf_dir: str) -> "ray.data.Dataset":
     """Top-5 suppliers by discounted lineitem revenue: broadcast supplier
     dim → combiner-first grouped sum → partial top-k."""
-    from zeeklog_ray.relational import broadcast_merge, small_table
 
     sup = small_table(sf_dir, "supplier", columns=["s_suppkey", "s_name"]) \
         .rename(columns={"s_suppkey": "l_suppkey"})
@@ -2487,7 +2485,7 @@ def _langid_oracle_sql() -> str:
 
 @query(oracle=_langid_oracle_sql())
 def doc_lang_id(sf_dir: str) -> "ray.data.Dataset":
-    """Language-ID heuristic (actor pool); accuracy asserted in pytest."""
+    """Language-ID heuristic (map stage); accuracy asserted in pytest."""
     from zeeklog_ray.ops.text import lang_id
 
     return lang_id(read_table(sf_dir, "documents", columns=["doc_id", "text"]))
@@ -2858,7 +2856,7 @@ def ann_lsh_topk(sf_dir: str) -> pd.DataFrame:
     f"FROM read_parquet('{media_parquet_path(sf_dir)}')"))
 def media_features(sf_dir: str) -> "ray.data.Dataset":
     """Multimodal pipeline: Parquet corpus of REAL encoded payloads
-    (24-bit BMP / PCM-16 WAV / raw-frame video) → actor-pool decode +
+    (24-bit BMP / PCM-16 WAV / raw-frame video) → map-stage decode +
     feature extraction with pure-numpy codecs (ops/multimodal.py); only
     codec'd formats (JPEG/MP3/H.264) remain a documented library seam.
     The DuckDB oracle reads the SAME parquet (decode features are not
@@ -2883,7 +2881,7 @@ def media_features(sf_dir: str) -> "ray.data.Dataset":
     f"FROM read_parquet('{media_parquet_path(sf_dir)}') "
     "WHERE modality = 'image'"))
 def media_resized(sf_dir: str) -> "ray.data.Dataset":
-    """Actor-pool image resize (ops/multimodal.resize_image — vectorized
+    """Map-stage image resize (ops/multimodal.resize_image — vectorized
     bilinear, half-pixel-center convention) over the media corpus: decode
     BMP/PNG → 32×24 → re-encode BMP.  Like media_features, the oracle
     gates the SQL-expressible surface — image routing, id preservation,
@@ -3498,7 +3496,7 @@ def user_retention_cohorts(sf_dir: str) -> "ray.data.Dataset":
 def media_phash(sf_dir: str) -> "ray.data.Dataset":
     """Per-image 64-bit perceptual hash (dHash) over the media corpus —
     the image-dedup signature (ops/multimodal.dhash_image: integer luma,
-    nearest resize, gradient bits; actor-pool decode).  NO SQL oracle —
+    nearest resize, gradient bits; map-stage decode).  NO SQL oracle —
     DuckDB cannot decode binary image payloads; the hash is pinned by
     exact-value pytest on known pixels and the near-dup grouping by a
     planted-duplicate test.  Deterministic, so rows-only still pins the
@@ -3564,7 +3562,7 @@ def docs_dup_rate_by_source(sf_dir: str) -> "ray.data.Dataset":
     bucketed count per (source, digest), then a report-shaped per-source
     rollup.  Integer-exact; SQL replays by grouping the text itself."""
     from zeeklog_ray.ops.dedup import content_digest128
-    from zeeklog_ray.relational import grouped_sum, grouped_sum_bucketed
+    from zeeklog_ray.relational import grouped_sum_bucketed
 
     docs = read_table(sf_dir, "documents", columns=["source", "text"])
 
@@ -3756,7 +3754,6 @@ def docs_clean_pipeline(sf_dir: str) -> "ray.data.Dataset":
     oracle is one CTE composition of the proven SQL pieces."""
     from zeeklog_ray.ops.dedup import remove_dup_spans
     from zeeklog_ray.ops.text import repetition_filter
-    from zeeklog_ray.relational import grouped_sum
 
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "lang"])
@@ -4114,7 +4111,6 @@ def event_value_winsorized(sf_dir: str) -> "ray.data.Dataset":
     sum of the clamped cents — the winsorization preprocessing step,
     integer-exact end to end."""
     from zeeklog_ray.ops.sketch import exact_quantiles
-    from zeeklog_ray.relational import grouped_sum
 
     ev = read_table(sf_dir, "events", columns=["event_type", "value"])
 
@@ -4201,7 +4197,6 @@ def embedding_kmeans(sf_dir: str) -> "ray.data.Dataset":
     tests/test_ops_advanced.py).  Deterministic seed → deterministic
     sizes, so the driver's rows-only check still pins k."""
     from zeeklog_ray.ops.cluster import kmeans_assign, kmeans_fit
-    from zeeklog_ray.relational import grouped_sum
 
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     fit = kmeans_fit(ds, k=8, n_iters=6, seed=42)
@@ -4295,7 +4290,7 @@ def event_pivot_unpivot(sf_dir: str) -> "ray.data.Dataset":
     compares against a direct per-type aggregation of the raw events, so
     any loss through the widen/melt hop fails the hash.  Both hops are
     row-local; only aggregated cells ever shuffle."""
-    from zeeklog_ray.relational import grouped_sum, melt, pivot_sum
+    from zeeklog_ray.relational import melt, pivot_sum
 
     ev = read_table(sf_dir, "events",
                     columns=["user_id", "event_type", "value"])
@@ -4331,7 +4326,6 @@ def docs_length_buckets(sf_dir: str) -> "ray.data.Dataset":
     bucketize, then a report-shaped rollup per bucket.  Two scans, no
     row-data shuffle."""
     from zeeklog_ray.ops.sketch import exact_quantiles
-    from zeeklog_ray.relational import grouped_sum
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
     q = exact_quantiles(docs, "n_chars", [0.25, 0.5, 0.75])
@@ -4441,7 +4435,6 @@ def events_orc_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.compute as pc
 
     from zeeklog_ray.jsonio import read_orc, write_orc
-    from zeeklog_ray.relational import grouped_sum
 
     out_dir = _scratch_dir("orc", sf_dir)
     ev = read_table(sf_dir, "events",
@@ -4472,7 +4465,6 @@ def docs_feather_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     ORC pair): export the document projection, read the shards back, and
     aggregate per source against the original-parquet oracle."""
     from zeeklog_ray.jsonio import read_feather, write_feather
-    from zeeklog_ray.relational import grouped_sum
 
     out_dir = _scratch_dir("feather", sf_dir)
     docs = read_table(sf_dir, "documents",
@@ -4495,7 +4487,6 @@ def docs_jsonl_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     ORIGINAL parquet, so any type-fidelity loss in the JSON hop fails
     the hash."""
     from zeeklog_ray.jsonio import read_jsonl, write_jsonl
-    from zeeklog_ray.relational import grouped_sum
 
     out_dir = _scratch_dir("jsonl", sf_dir)
     docs = read_table(sf_dir, "documents",
@@ -4516,7 +4507,6 @@ def docs_csv_roundtrip(sf_dir: str) -> "ray.data.Dataset":
     ORIGINAL parquet so any type loss through the CSV hop fails the
     hash."""
     from zeeklog_ray.jsonio import read_csv, write_csv
-    from zeeklog_ray.relational import grouped_sum
 
     out_dir = _scratch_dir("csv", sf_dir)
     docs = read_table(sf_dir, "documents",
@@ -4560,7 +4550,7 @@ def event_type_user_counts(sf_dir: str) -> "ray.data.Dataset":
     (event_type, user_id) pair (relational.bucketed_distinct — only the
     pair columns shuffle, dedup is C-level per bucket), then the
     report-shaped grouped count."""
-    from zeeklog_ray.relational import bucketed_distinct, grouped_sum
+    from zeeklog_ray.relational import bucketed_distinct
 
     ev = read_table(sf_dir, "events", columns=["event_type", "user_id"])
 
@@ -4630,7 +4620,6 @@ def event_spike_topk(sf_dir: str) -> "ray.data.Dataset":
     (relational.top_k over events_hourly_spikes — per-block partial
     top-k bounds the sort input); deterministic (spike desc, type, hour)
     tie-break on both sides."""
-    from zeeklog_ray.relational import top_k
 
     spikes = events_hourly_spikes(sf_dir)
     return top_k(spikes, by=["spike_e4", "event_type", "hour"],
@@ -5216,7 +5205,6 @@ def docs_prep_screened(sf_dir: str) -> pd.DataFrame:
     non-SQL-expressible step (same as docs_cdc_dup); the unscreened
     chain itself stays fully hash-gated via docs_prep_export."""
     from zeeklog_ray.prep import prep_manifest
-    from zeeklog_ray.relational import grouped_sum
 
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "source"])
