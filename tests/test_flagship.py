@@ -200,3 +200,165 @@ def test_routed_write_equals_per_sink_filter(corpus_dir, tmp_path, case):
         assert back.equals(exp[s]), s
     assert dict(zip(stats["sink"].to_pylist(), stats["n"].to_pylist())) \
         == {s: len(e) for s, e in exp.items()}
+
+
+@pytest.mark.parametrize("sizes,cpus,call_bytes", [
+    ([10] * 8, 4, 100),                  # small input: one task per CPU
+    ([10] * 8, 1, 100),                  # one CPU: one task for all
+    ([10] * 8, 1, 30),                   # over one call: three tasks
+    ([10] * 10, 2, 40),                  # just over a wave: two full waves
+    ([7, 1, 12, 3, 9, 2, 2, 8, 5], 2, 16),
+    ([1, 1, 100, 1, 1, 1, 1], 2, 32),    # one oversized fragment
+    ([100, 120, 90], 4, 32),             # design scale: all oversized
+    ([0, 0, 0], 4, 32),                  # empty files
+])
+def test_route_groups_rule(sizes, cpus, call_bytes):
+    """Route tasks are contiguous runs covering every fragment once, in
+    input order; their count is the smallest multiple of the CPU count
+    that keeps the mean task within ``call_bytes`` (capped at one task
+    per fragment), a multi-fragment task stays within ``call_bytes`` and
+    an oversized fragment is a task of its own."""
+    from zeeklog_ray.flagship import _route_groups
+
+    groups = _route_groups(sizes, cpus, call_bytes)
+    assert [i for a, b in groups for i in range(a, b)] \
+        == list(range(len(sizes)))
+    assert all(a < b for a, b in groups)
+    total = sum(sizes)
+    k = -(-total // (cpus * call_bytes))
+    assert len(groups) == min(len(sizes), cpus * max(1, k))
+    for a, b in groups:
+        assert b - a == 1 or sum(sizes[a:b]) <= call_bytes
+        assert all(b - a == 1 for s in sizes[a:b] if s > call_bytes)
+    assert _route_groups([], cpus, call_bytes) == []
+
+
+def test_route_groups_cuts_overflowing_quantile_group():
+    """Where the quantile cuts leave a multi-fragment group above the
+    call size, it is cut again: more tasks, each within the cap."""
+    from zeeklog_ray.flagship import _route_groups
+
+    groups = _route_groups([6, 6, 6], 1, 10)   # the formula says 2
+    assert groups == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_run_files_empty_returns_stats_columns(tmp_path):
+    """No fragments (e.g. a Zeek-TSV date range with no ``.log.gz``)
+    gives the empty stats frame with its columns, not a Ray error."""
+    from zeeklog_ray.aggregate import STAT_COLUMNS
+    from zeeklog_ray.flagship import run_files
+
+    out = str(tmp_path / "routed")
+    stats = run_files(PipelineConfig(corpus_dir=str(tmp_path)), [], out,
+                      input_format="zeek-tsv")
+    assert stats.empty
+    assert list(stats.columns) == ["sink"] + STAT_COLUMNS
+    assert not os.path.exists(out)
+
+
+def _merge_partials(parts):
+    """The driver merge of per-fragment partial stats, as pandas."""
+    import pyarrow as pa
+
+    pdf = pa.concat_tables(parts).to_pandas()
+    return pdf.groupby("sink").agg(
+        n=("n", "sum"), sum_n_tok=("sum_n_tok", "sum"),
+        min_n_tok=("min_n_tok", "min"), max_n_tok=("max_n_tok", "max"),
+        **{c: (c, "sum") for c in HIST_COLUMNS}).reset_index()
+
+
+def test_task_granular_route_equals_per_fragment_writer(ray_session,
+                                                        tmp_path):
+    """Byte-sized route tasks (several fragments each at the session's 4
+    CPUs) write the same rows per sink, in the same order, as one
+    ``FusedRouteWriter`` call per fragment; every file has its sink's
+    registry schema, the stats equal the per-fragment merge, and each
+    sink directory holds at most one file per task."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from zeeklog_ray.corpus import generate_corpus
+    from zeeklog_ray.flagship import (
+        FusedRouteWriter,
+        _fragment_hint,
+        _route_groups,
+        run_files,
+    )
+    from zeeklog_ray.pipeline import _date_dirs
+    from zeeklog_ray.relational import CALL_BYTES, cluster_cpus
+    from zeeklog_ray.sources import sink_schemas
+
+    cfg = PipelineConfig(corpus_dir=generate_corpus(6_000, rows_per_file=500),
+                         enrich=True)
+    files = _date_dirs(cfg)
+    groups = _route_groups([os.path.getsize(f) for f in files],
+                           cluster_cpus(), CALL_BYTES)
+    assert cluster_cpus() == 4 and len(files) == 12 and len(groups) == 4
+
+    out, ref = str(tmp_path / "tasks"), str(tmp_path / "ref")
+    stats = run_files(cfg, files, out)
+    w = FusedRouteWriter(ref, enrich=True)
+    ref_stats = _merge_partials([w(pq.read_table(f), name_hint=_fragment_hint(f))
+                                 for f in files])
+    pd.testing.assert_frame_equal(stats, ref_stats)
+
+    reg = sink_schemas(enrich=True)
+    sinks = sorted(os.listdir(ref))
+    assert sorted(os.listdir(out)) == sinks and len(sinks) == 29
+    for d in sinks:
+        got = sorted(glob.glob(os.path.join(out, d, "*.parquet")))
+        assert len(got) <= len(groups), d
+        for f in got:
+            assert pq.read_schema(f).names == reg[d.removeprefix("sink=")]
+        exp = pa.concat_tables(
+            pq.read_table(f, columns=["doc_id", "tokens"]) for f in
+            sorted(glob.glob(os.path.join(ref, d, "*.parquet"))))
+        back = pa.concat_tables(pq.read_table(f, columns=["doc_id", "tokens"])
+                                for f in got)
+        assert back.equals(exp), d
+
+
+def _zeek_pair(tmp_path):
+    """A good conn log and a corrupt ``.log.gz`` after it, one date dir."""
+    from zeeklog_ray.zeektsv import write_zeek_log_gz
+
+    d = tmp_path / "zeek" / "2024-07-02"
+    good = str(d / "conn.00:00:00-01:00:00.log.gz")
+    write_zeek_log_gz(good, "conn", [
+        "\t".join(["1719878400.5", f"C{i}", "1.2.3.4", "5", "9.8.7.6",
+                   "443", "tcp", "ssl", "1", "9"]) for i in range(4)])
+    bad = d / "dns.00:00:00-01:00:00.log.gz"
+    bad.write_bytes(b"not a gzip stream")
+    return good, str(bad)
+
+
+def test_route_task_failure_leaves_no_partial_file(tmp_path):
+    """A route task that fails on its second fragment closes and deletes
+    the part files it opened before re-raising; with ``on_error='skip'``
+    the good fragment is written and the bad one skipped (in-process,
+    no Ray)."""
+    import gzip
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from zeeklog_ray.flagship import _file_route_task
+
+    good, bad = _zeek_pair(tmp_path)
+    batch = pa.table({"path": [good, bad]})
+    kw = dict(src_ip=None, enrich=False, input_format="zeek-tsv")
+
+    out = str(tmp_path / "raise")
+    with pytest.raises(gzip.BadGzipFile):
+        _file_route_task(batch, out_dir=out, on_error="raise", **kw)
+    assert glob.glob(os.path.join(out, "**", "*.parquet"),
+                     recursive=True) == []
+
+    out = str(tmp_path / "skip")
+    stats = _file_route_task(batch, out_dir=out, on_error="skip", **kw)
+    files = glob.glob(os.path.join(out, "**", "*.parquet"), recursive=True)
+    assert [os.path.relpath(f, out) for f in files] \
+        == ["sink=conn/part-2024-07-02-conn.00:00:00-01:00:00.log.parquet"]
+    assert pq.read_table(files[0]).num_rows == 4
+    assert dict(zip(stats["sink"].to_pylist(), stats["n"].to_pylist())) \
+        == {"conn": 4}

@@ -71,31 +71,33 @@ def build_geo_dict() -> dict[str, dict[str, str]]:
 
 
 class LiveLookupEnricher:
-    """The live-enrichment SEAM: an :class:`Enricher`-compatible actor-pool
+    """The live-enrichment SEAM: an :class:`Enricher`-compatible map
     stage whose geo source is a user-supplied ``resolver(ip) -> dict |
     None`` callable — where the reference's blocking HTTP ip2location
     client (``ip2location.rs:174-222``, one GET per IP under a global
     mutex) would plug in, redesigned for a cluster:
 
     * per batch, only the batch's DISTINCT not-yet-seen IPs are resolved
-      (the actor memoizes hits AND misses for its lifetime, so a hot IP is
-      fetched once per actor, not once per row);
+      (the instance memoizes hits AND misses, so a hot IP is fetched once
+      per memo, not once per row);
     * each lookup gets ``max_retries`` bounded retries with exponential
       backoff (``backoff_s * 2**attempt``) — a transient failure never
       kills the job, a persistent one raises with the cause chained;
-    * effective request rate is bounded by pool size × in-flight batches —
-      size ``concurrency`` to the remote service's rate limit.
+    * effective request rate is bounded by the tasks in flight — cap them
+      with ``concurrency=N`` to the remote service's rate limit.
 
-    Usage::
+    Usage — a callable instance, mapped as a task stage like
+    :class:`Enricher` (not an actor pool, which would hold a CPU for the
+    stage's lifetime and can starve the read on a small cluster)::
 
-        ds.map_batches(LiveLookupEnricher, batch_format="pyarrow",
-                       fn_constructor_kwargs={"resolver": my_client},
-                       concurrency=(1, 4))
+        ds.map_batches(LiveLookupEnricher(my_client), batch_format="pyarrow")
 
-    The resolver must be picklable (module-level function or callable
-    class).  Offline/deterministic pipelines should keep using
-    :class:`Enricher`; this class exists so a real network source drops in
-    without touching pipeline code.
+    Each task gets its own copy of the instance, so the memo lasts one
+    task: a hot IP is fetched once per task.  The resolver must be
+    picklable (module-level function or callable class).
+    Offline/deterministic pipelines should keep using :class:`Enricher`;
+    this class exists so a real network source drops in without touching
+    pipeline code.
     """
 
     def __init__(self, resolver, max_retries: int = 3,
@@ -133,7 +135,7 @@ class LiveLookupEnricher:
                 self._cache[ip] = self._resolve(ip)
         # project the lookup arrays from the BATCH's distinct IPs only —
         # iterating the whole cache here would cost O(|cache|) per batch
-        # on a long-lived actor (the memoization's own win reversed)
+        # on a long-lived memo (the memoization's own win reversed)
         hits = sorted(ip for ip in uniq if self._cache[ip] is not None)
         gidx = pc.index_in(batch[self._ip_col],
                            value_set=pa.array(hits, type=pa.string()))

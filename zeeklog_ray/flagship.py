@@ -6,10 +6,22 @@ on ``sink`` → ``grouped_stats``) would move the full decoded table through
 the object store at every stage boundary and run two executions (write,
 then aggregate).  On a single node that inter-stage traffic — not CPU — caps
 scaling.  This fused stage is the classic "map task writes its partition of
-a partitioned table" design: each batch is parsed, enriched, appended to the
-task's per-sink Parquet files, and reduced to a tiny per-sink stats row;
-only the partial stats rows (a few hundred bytes per batch) leave the stage.
-The final merge is a tiny ``groupby``.
+a partitioned table" design: each route task takes a contiguous run of
+input fragments, parses, enriches and appends them to ONE Parquet file per
+sink, and reduces them to a tiny per-sink stats table; only those partial
+stats rows (a few hundred bytes per task) leave the stage.  The final
+merge is a tiny ``groupby``.
+
+Route tasks are sized by input bytes (:func:`_route_groups`): the fewest
+tasks, in a multiple of the cluster's CPU count, that keep each task's
+input within ``relational.CALL_BYTES``; a fragment larger than that is a
+task of its own.  A task still holds ONE fragment at a time: it loads,
+parses, filters and enriches a fragment, appends each sink's rows as one
+row group to that sink's open ``pq.ParquetWriter``, and drops the
+fragment before loading the next.  One file per sink per task matters
+because about half of a small Parquet write is fixed per-file cost: the
+perfbench ``route`` corpus (48k rows in 8 fragments) went from 232 files
+of ~54 KB, one per (fragment, sink), to 29.
 
 The streaming executor still pipelines read → fused stage with backpressure;
 at cluster scale the same stage shape holds (writers stream to the shared
@@ -29,7 +41,7 @@ padded union.
 
 The routed write partitions each fragment ONCE: one stable sort on
 ``sink`` and one ``take`` make each sink's rows a contiguous run in their
-original order, each run is written as a zero-copy ``slice`` with its
+original order, each run is appended as a zero-copy ``slice`` with its
 sink's columns kept by ``select`` (a one-sink fragment, e.g. every Zeek-TSV
 fragment, skips the sort and the copy).  Do not bring back per-sink
 ``filter`` + ``drop_columns``: on one 7,981-row, 102-column, 29-sink
@@ -42,6 +54,9 @@ core of a 4-vCPU VM).
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import itertools
 import os
 
 import pandas as pd
@@ -51,16 +66,61 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from zeeklog_ray.aggregate import HIST_COLUMNS, _partial_stats
+from zeeklog_ray.aggregate import HIST_COLUMNS, STAT_COLUMNS, _partial_stats
 from zeeklog_ray.enrich import Enricher
 from zeeklog_ray.parse import parse_batch
 from zeeklog_ray.pipeline import PipelineConfig, _ip_predicate
+from zeeklog_ray.relational import CALL_BYTES, cluster_cpus
 
 
 # Columns worth parquet min/max stats in routed output (predicate-pushdown
 # candidates); stats on the other ~80 wide-registry columns are overhead.
 _STATS_COLUMNS = ["ts", "uid", "doc_id", "n_tok",
                   "id_orig_h", "id_orig_p", "id_resp_h", "id_resp_p"]
+
+
+class _SinkFiles:
+    """The routed output of one write: one ``pq.ParquetWriter`` per sink
+    at ``out_dir/sink=<s>/part-<name>.parquet``, opened on the sink's
+    first rows; each :meth:`write` appends one row group.  As a context
+    manager it closes every file on success; on an exception it closes
+    and deletes every file it opened, so no partial file stays readable
+    (a retried task rewrites the same names)."""
+
+    def __init__(self, out_dir: str, name: str,
+                 compression: str | None) -> None:
+        self.out_dir = out_dir
+        self.name = name
+        # None → Arrow default (snappy)
+        self.wargs = {"compression": compression} if compression else {}
+        self.writers: dict[str, tuple[str, pq.ParquetWriter]] = {}
+
+    def write(self, sink: str, t: pa.Table) -> None:
+        if sink not in self.writers:
+            d = os.path.join(self.out_dir, f"sink={sink}")
+            os.makedirs(d, exist_ok=True)
+            path = os.path.join(d, f"part-{self.name}.parquet")
+            # dictionary encoding costs ~25% of the routed write on the
+            # wide (28-source) schema and buys little on these short
+            # string columns; keep min/max stats only for the columns a
+            # downstream filter would actually push down on
+            self.writers[sink] = (path, pq.ParquetWriter(
+                path, t.schema, use_dictionary=False,
+                write_statistics=_STATS_COLUMNS, **self.wargs))
+        self.writers[sink][1].write_table(t)
+
+    def __enter__(self) -> "_SinkFiles":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for path, w in self.writers.values():
+            if exc_type is None:
+                w.close()
+            else:  # the original error wins over a failing close
+                with contextlib.suppress(Exception):
+                    w.close()
+                with contextlib.suppress(OSError):
+                    os.remove(path)
 
 
 class FusedRouteWriter:
@@ -77,9 +137,8 @@ class FusedRouteWriter:
         )
 
         self.out_dir = out_dir
-        # None → Arrow default (snappy); 'zstd' ~halves routed bytes on
-        # token payloads at modest encode cost, and readers need no flag
-        # (the codec is per-file metadata)
+        # 'zstd' ~halves routed bytes on token payloads at modest encode
+        # cost, and readers need no flag (the codec is per-file metadata)
         self.compression = compression
         self.enricher = Enricher() if enrich else None
         self.ip_pred = _ip_predicate(src_ip) if src_ip else None
@@ -95,8 +154,7 @@ class FusedRouteWriter:
         }
         self.drop_for_sink["none"] = frozenset(["sink", *EXTRACTED_COLUMNS])
 
-    def __call__(self, batch: pa.Table, name_hint: str | None = None,
-                 pre_parsed: bool = False) -> pa.Table:
+    def _prepare(self, batch: pa.Table, pre_parsed: bool) -> pa.Table:
         # pre_parsed: the fragment loader already produced the parsed
         # schema (e.g. the Zeek-TSV path, where header-driven extraction
         # happens during decompress) — skip the token parse
@@ -107,16 +165,12 @@ class FusedRouteWriter:
             t = self.ip_pred(t)
         if self.enricher is not None:
             t = self.enricher(t)
+        return t
+
+    def _route(self, t: pa.Table, files: _SinkFiles) -> pa.Table:
+        """Append each sink's rows of ``t`` to ``files`` as one row group;
+        return the ``(sink, n_tok)`` columns the partial stats need."""
         if len(t):
-            # name_hint (fragment-derived) makes output paths DETERMINISTIC:
-            # a retried task overwrites its failed attempt's files instead of
-            # duplicating rows.  It is REQUIRED — a uuid/sequence fallback
-            # would silently duplicate rows on Ray task retry.
-            if name_hint is None:
-                raise ValueError(
-                    "FusedRouteWriter needs a deterministic name_hint (derive "
-                    "it from the input fragment path, as FileRouteWorker does)"
-                )
             # partition once (module docstring): the stable sort keeps each
             # sink's rows in input order; a one-sink fragment skips it
             runs = pc.value_counts(t["sink"])
@@ -130,35 +184,51 @@ class FusedRouteWriter:
             for sink, n in zip(runs.field("values").to_pylist(),
                                runs.field("counts").to_pylist()):
                 drop = self.drop_for_sink.get(sink, frozenset(["sink"]))
-                sub = by_sink.slice(start, n).select(
-                    [c for c in t.column_names if c not in drop])
+                files.write(sink, by_sink.slice(start, n).select(
+                    [c for c in t.column_names if c not in drop]))
                 start += n
-                d = os.path.join(self.out_dir, f"sink={sink}")
-                os.makedirs(d, exist_ok=True)
-                # dictionary encoding costs ~25% of the routed write on the
-                # wide (28-source) schema and buys little on these short
-                # string columns; keep min/max stats only for the columns a
-                # downstream filter would actually push down on
-                wargs = ({"compression": self.compression}
-                         if self.compression else {})
-                pq.write_table(sub, os.path.join(d, f"part-{name_hint}.parquet"),
-                               use_dictionary=False,
-                               write_statistics=_STATS_COLUMNS, **wargs)
         # parse_batch always appends 'sink', so this is valid for empty t too
-        return self.combine(t.select(["sink", "n_tok"]))
+        return t.select(["sink", "n_tok"])
+
+    def __call__(self, batch: pa.Table, name_hint: str | None = None,
+                 pre_parsed: bool = False) -> pa.Table:
+        t = self._prepare(batch, pre_parsed)
+        # name_hint (fragment-derived) makes output paths DETERMINISTIC:
+        # a retried task overwrites its failed attempt's files instead of
+        # duplicating rows.  It is REQUIRED — a uuid/sequence fallback
+        # would silently duplicate rows on Ray task retry.
+        if len(t) and name_hint is None:
+            raise ValueError(
+                "FusedRouteWriter needs a deterministic name_hint (derive "
+                "it from the input fragment path, as FileRouteWorker does)"
+            )
+        with _SinkFiles(self.out_dir, name_hint, self.compression) as files:
+            return self.combine(self._route(t, files))
+
+
+def _fragment_hint(path: str) -> str:
+    """Deterministic per-fragment output name: ``<date-dir>-<file-stem>``."""
+    return (os.path.basename(os.path.dirname(path)) + "-"
+            + os.path.splitext(os.path.basename(path))[0])
 
 
 class FileRouteWorker(FusedRouteWriter):
-    """Consume INPUT FRAGMENT PATHS; for each file do
-    read → parse → enrich → routed write → partial stats, entirely inside
-    one map task (:func:`_file_route_task` builds one worker per fragment).
+    """Consume a route task's INPUT FRAGMENT PATHS and do
+    read → parse → enrich → routed write → partial stats for each, entirely
+    inside one map task (:func:`_file_route_task` builds one worker per
+    task).  The task writes ONE file per sink, ``part-<first fragment's
+    name>.parquet``: each fragment is loaded and routed on its own and
+    appended as one row group per sink, so the task holds one fragment at
+    a time, and its file names depend on its inputs only (a retried task
+    overwrites its own files).  It returns one partial-stats table.
 
     Why file-granular: the tokens column decode costs about as much CPU as
     parse+enrich+write combined, so any static split of CPUs between a read
     stage and a process stage leaves one side starved (measured: 3 of 8
     cores busy).  Feeding paths makes every task do read+process
     end-to-end — no large block ever crosses the object store, CPUs stay
-    balanced at any cluster size, and retries/lineage stay file-granular.
+    balanced at any cluster size, a retry reruns one task, and lineage
+    stays file-granular.
     This is the map-partition pattern for partitioned-table ETL; Ray Data
     still provides scheduling and backpressure.
     """
@@ -168,15 +238,14 @@ class FileRouteWorker(FusedRouteWriter):
         return pq.read_table(path, use_threads=False), False
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # batch: path rows
-        outs = []
-        for path in batch["path"].to_pylist():
-            t, pre_parsed = self._load(path)
-            # deterministic per-fragment output name: <date-dir>-<file-stem>
-            hint = (os.path.basename(os.path.dirname(path)) + "-"
-                    + os.path.splitext(os.path.basename(path))[0])
-            outs.append(FusedRouteWriter.__call__(self, t, name_hint=hint,
-                                                  pre_parsed=pre_parsed))
-        return pa.concat_tables(outs)
+        paths = batch["path"].to_pylist()
+        with _SinkFiles(self.out_dir, _fragment_hint(paths[0]),
+                        self.compression) as files:
+            # one fragment alive at a time: only its (sink, n_tok)
+            # columns outlive the loop iteration
+            keys = [self._route(self._prepare(*self._load(p)), files)
+                    for p in paths]
+        return self.combine(pa.concat_tables(keys))
 
 
 class ZeekTsvRouteWorker(FileRouteWorker):
@@ -214,13 +283,54 @@ def _file_route_task(batch: pa.Table, *, out_dir: str, src_ip: str | None,
                      compression: str | None = None,
                      input_format: str = "parquet",
                      on_error: str = "raise") -> pa.Table:
-    # one worker per fragment task: building it (Enricher included) costs
-    # about a millisecond against a fragment's ~0.2 s of work
+    # one worker per route task: building it (Enricher included) costs
+    # about a millisecond against a fragment's ~0.2 s of work, and the
+    # task's batch is all its fragment paths (_route_groups)
     kw = dict(out_dir=out_dir, src_ip=src_ip, enrich=enrich, source=source,
               compression=compression)
     w = (ZeekTsvRouteWorker(on_error=on_error, **kw)
          if input_format == "zeek-tsv" else FileRouteWorker(**kw))
     return w(batch)
+
+
+def _route_groups(sizes: list[int], cpus: int,
+                  call_bytes: int) -> list[tuple[int, int]]:
+    """Cut fragments (their byte sizes, in input order) into contiguous
+    route tasks, returned as ``(start, stop)`` index ranges.
+
+    The task count is the smallest multiple of ``cpus`` that keeps the
+    mean task input within ``call_bytes``, capped at one task per
+    fragment: a multiple of the CPU count keeps every wave full.  Each
+    cut falls at the fragment boundary nearest its byte quantile.  A
+    group of several fragments that still exceeds ``call_bytes`` is cut
+    again where it would overflow, so a fragment larger than
+    ``call_bytes`` is always a task of its own (at design scale, where
+    fragments are ~100 MB, every fragment is)."""
+    n = len(sizes)
+    if not n:
+        return []
+    total = sum(sizes)
+    k = min(n, cpus * max(1, -(-total // (cpus * call_bytes))))
+    ends = list(itertools.accumulate(sizes))
+    cuts = [0]
+    for i in range(1, k):
+        q = total * i / k
+        c = bisect.bisect_left(ends, q)  # the c-th boundary is below q
+        if ends[c] - q < q - (ends[c - 1] if c else 0):
+            c += 1
+        # non-empty groups: past the last cut, leaving one file per group
+        cuts.append(min(max(c, cuts[-1] + 1), n - (k - i)))
+    cuts.append(n)
+    groups = []
+    for a, b in zip(cuts, cuts[1:]):
+        acc = 0
+        for j in range(a, b):
+            if j > a and acc + sizes[j] > call_bytes:
+                groups.append((a, j))
+                a, acc = j, 0
+            acc += sizes[j]
+        groups.append((a, b))
+    return groups
 
 
 def run_flagship(cfg: PipelineConfig, out_dir: str,
@@ -249,30 +359,28 @@ def run_files(cfg: PipelineConfig, files: list[str], out_dir: str,
     over raw ``.log.gz`` fragments (ZeekTsvRouteWorker)."""
     import functools
 
-    import ray
-
-    # one block per fragment path → one map task per fragment (full width;
-    # without this from_items packs paths into few blocks and parallelism
-    # collapses to the block count)
-    paths = ray.data.from_items([{"path": f} for f in files],
-                                override_num_blocks=len(files))
-    # task dispatch on prestarted workers
-    partial = paths.map_batches(
+    if not files:  # e.g. a date range that selects no .log.gz
+        return pd.DataFrame(columns=["sink"] + STAT_COLUMNS)
+    groups = _route_groups([os.path.getsize(f) for f in files],
+                           cluster_cpus(), CALL_BYTES)
+    # one block per route task (its fragment paths), one map call per block
+    tasks = ray.data.from_arrow([pa.table({"path": files[a:b]})
+                                 for a, b in groups])
+    partial = tasks.map_batches(
         functools.partial(_file_route_task, out_dir=out_dir,
                           src_ip=cfg.src_ip, enrich=cfg.enrich,
                           source=cfg.source, compression=compression,
                           input_format=input_format, on_error=on_error),
-        batch_format="pyarrow", batch_size=1)
-    # Final merge on the DRIVER: the combiner emits ≤|sinks| rows per
-    # fragment, so the collected partials are tiny (|fragments| × |sinks|).
+        batch_format="pyarrow", batch_size=None)
+    # Final merge on the DRIVER: each task emits ≤|sinks| rows, so the
+    # collected partials are tiny (|tasks| × |sinks|).
     # Keeping the merge out of the streaming plan matters: a groupby in the
     # same plan makes the executor reserve CPU budget for the shuffle
     # operators and halves the map stage's parallelism (measured 3 of 8
     # cores busy with the in-plan groupby vs 8 of 8 map-only).
     pdf = partial.to_pandas()
-    stat_cols = ["n", "sum_n_tok", "min_n_tok", "max_n_tok"] + HIST_COLUMNS
     if pdf.empty:  # e.g. a filter matched nothing — keep the schema
-        return pd.DataFrame(columns=["sink"] + stat_cols)
+        return pd.DataFrame(columns=["sink"] + STAT_COLUMNS)
     g = pdf.groupby("sink")
     out = g.agg(n=("n", "sum"), sum_n_tok=("sum_n_tok", "sum"),
                 min_n_tok=("min_n_tok", "min"), max_n_tok=("max_n_tok", "max"),
