@@ -1,6 +1,7 @@
 """Live-enrichment seam: LiveLookupEnricher — resolver callable + bounded
-retries + per-actor memoization (the designed plug-in point for the
-reference's HTTP ip2location client, ip2location.rs:174-222)."""
+retries + memoization, per task as a task stage and per actor in a pool
+(the designed plug-in point for the reference's HTTP ip2location client,
+ip2location.rs:174-222)."""
 
 import pandas as pd
 import pyarrow as pa
@@ -82,6 +83,38 @@ def test_actor_pool_map_batches(ray_session):
                                "max_retries": 2, "backoff_s": 0.0},
         concurrency=1).to_pandas()
     assert (out["geo_country_code"] == _GEO[_HIT]["geo_country_code"]).all()
+
+
+def test_task_stage_map_batches_memo_lasts_one_task(ray_session, tmp_path):
+    """The documented form: a callable instance mapped as a task stage.
+    A flaky resolver still recovers, and each task resolves the hot IP
+    once: the memo lasts one task (4 blocks, one task each, 2 one-row
+    batches per task, so 4 lookups for 8 rows)."""
+    log = str(tmp_path / "lookups")
+
+    class FlakyLoggingResolver:
+        def __init__(self):
+            self.seen: set = set()
+
+        def __call__(self, ip):
+            if ip not in self.seen:           # first call per copy fails
+                self.seen.add(ip)
+                raise ConnectionError(f"transient failure for {ip}")
+            from zeeklog_ray.enrich import build_geo_dict
+
+            with open(log, "a") as f:
+                f.write(ip + "\n")
+            return build_geo_dict().get(ip)
+
+    blocks = [pd.DataFrame({"id_orig_h": [_HIT] * 2}) for _ in range(4)]
+    out = ray.data.from_pandas(blocks).map_batches(
+        LiveLookupEnricher(FlakyLoggingResolver(), max_retries=2,
+                           backoff_s=0.0),
+        batch_format="pyarrow", batch_size=1).to_pandas()
+    assert len(out) == 8
+    assert (out["geo_country_code"] == _GEO[_HIT]["geo_country_code"]).all()
+    with open(log) as f:
+        assert f.read().split() == [_HIT] * 4
 
 
 def test_ip_to_int_and_range_lookup(ray_session):

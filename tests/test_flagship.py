@@ -202,44 +202,65 @@ def test_routed_write_equals_per_sink_filter(corpus_dir, tmp_path, case):
         == {s: len(e) for s, e in exp.items()}
 
 
-@pytest.mark.parametrize("sizes,cpus,call_bytes", [
-    ([10] * 8, 4, 100),                  # small input: one task per CPU
-    ([10] * 8, 1, 100),                  # one CPU: one task for all
-    ([10] * 8, 1, 30),                   # over one call: three tasks
-    ([10] * 10, 2, 40),                  # just over a wave: two full waves
-    ([7, 1, 12, 3, 9, 2, 2, 8, 5], 2, 16),
-    ([1, 1, 100, 1, 1, 1, 1], 2, 32),    # one oversized fragment
-    ([100, 120, 90], 4, 32),             # design scale: all oversized
-    ([0, 0, 0], 4, 32),                  # empty files
+@pytest.mark.parametrize("sizes,cpus,call_bytes,n_tasks", [
+    ([10] * 8, 4, 100, 4),               # small input: one task per CPU
+    ([10] * 8, 1, 100, 1),               # one CPU: one task for all
+    ([10] * 8, 1, 30, 3),                # over one call: three tasks
+    ([10] * 12, 2, 50, 4),               # just over a wave: two full waves
+    ([10] * 10, 2, 40, 4),               # k = 4 does not divide 10
+    ([7, 1, 12, 3, 9, 2, 2, 8, 5], 2, 16, 5),
+    ([15, 15, 13, 14, 13, 14, 13, 13], 4, 100, 4),  # 15% apart
+    ([1, 1, 100, 1, 1, 1, 1], 2, 32, 3),  # one oversized fragment
+    ([100, 120, 90], 4, 32, 3),          # design scale: all oversized
+    ([0, 0, 0], 4, 32, 1),               # empty files
 ])
-def test_route_groups_rule(sizes, cpus, call_bytes):
+def test_route_groups_rule(sizes, cpus, call_bytes, n_tasks):
     """Route tasks are contiguous runs covering every fragment once, in
-    input order; their count is the smallest multiple of the CPU count
-    that keeps the mean task within ``call_bytes`` (capped at one task
-    per fragment), a multi-fragment task stays within ``call_bytes`` and
-    an oversized fragment is a task of its own."""
+    input order; on equal fragments whose number k divides, their count
+    is k, the smallest multiple of the CPU count that keeps the mean task
+    within ``call_bytes`` (capped at one task per fragment); a
+    multi-fragment task stays within ``call_bytes`` and an oversized
+    fragment is a task of its own."""
     from zeeklog_ray.flagship import _route_groups
 
     groups = _route_groups(sizes, cpus, call_bytes)
     assert [i for a, b in groups for i in range(a, b)] \
         == list(range(len(sizes)))
     assert all(a < b for a, b in groups)
-    total = sum(sizes)
-    k = -(-total // (cpus * call_bytes))
-    assert len(groups) == min(len(sizes), cpus * max(1, k))
+    assert len(groups) == n_tasks
+    k = min(len(sizes), cpus * max(1, -(-sum(sizes) // (cpus * call_bytes))))
+    if len(set(sizes)) == 1 and sizes[0] and len(sizes) % k == 0:
+        assert n_tasks == k
     for a, b in groups:
         assert b - a == 1 or sum(sizes[a:b]) <= call_bytes
         assert all(b - a == 1 for s in sizes[a:b] if s > call_bytes)
     assert _route_groups([], cpus, call_bytes) == []
 
 
-def test_route_groups_cuts_overflowing_quantile_group():
-    """Where the quantile cuts leave a multi-fragment group above the
-    call size, it is cut again: more tasks, each within the cap."""
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_route_groups_cuts_at_call_bytes(cpus):
+    """A task that would go over the call size closes early: more tasks,
+    each within the cap, so on 2 CPUs the count is no longer a multiple
+    of the CPU count."""
     from zeeklog_ray.flagship import _route_groups
 
-    groups = _route_groups([6, 6, 6], 1, 10)   # the formula says 2
-    assert groups == [(0, 1), (1, 2), (2, 3)]
+    # k = 2 tasks of 9 bytes by the formula; two 6-byte fragments are 12 > 10
+    assert _route_groups([6, 6, 6], cpus, 10) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_file_sizes_matches_getsize_across_chunks(tmp_path):
+    """``_file_sizes`` stats 2,100 files in three chunks across threads
+    and returns the sizes in input order."""
+    from zeeklog_ray.flagship import _file_sizes
+
+    files = []
+    for i in range(2_100):
+        f = tmp_path / f"f{i}"
+        f.write_bytes(b"x" * (i % 7))
+        files.append(str(f))
+    assert _file_sizes(files) == [i % 7 for i in range(2_100)]
+    assert _file_sizes(files[:5]) == [0, 1, 2, 3, 4]
+    assert _file_sizes([]) == []
 
 
 def test_run_files_empty_returns_stats_columns(tmp_path):

@@ -12,13 +12,15 @@ sink, and reduces them to a tiny per-sink stats table; only those partial
 stats rows (a few hundred bytes per task) leave the stage.  The final
 merge is a tiny ``groupby``.
 
-Route tasks are sized by input bytes (:func:`_route_groups`): the fewest
-tasks, in a multiple of the cluster's CPU count, that keep each task's
-input within ``relational.CALL_BYTES``; a fragment larger than that is a
-task of its own.  A task still holds ONE fragment at a time: it loads,
-parses, filters and enriches a fragment, appends each sink's rows as one
-row group to that sink's open ``pq.ParquetWriter``, and drops the
-fragment before loading the next.  One file per sink per task matters
+Route tasks are sized by input bytes (:func:`_route_groups`): one greedy
+pass closes each task near ``total / k`` bytes, ``k`` the smallest
+multiple of the cluster's CPU count that keeps that within
+``relational.CALL_BYTES``; no task of several fragments goes over
+``CALL_BYTES``, so a fragment larger than that is a task of its own.
+A task still holds ONE fragment at a time: it loads, parses, filters
+and enriches a fragment, appends each sink's rows as one row group to
+that sink's open ``pq.ParquetWriter``, and drops the fragment before
+loading the next.  One file per sink per task matters
 because about half of a small Parquet write is fixed per-file cost: the
 perfbench ``route`` corpus (48k rows in 8 fragments) went from 232 files
 of ~54 KB, one per (fragment, sink), to 29.
@@ -54,9 +56,7 @@ core of a 4-vCPU VM).
 
 from __future__ import annotations
 
-import bisect
 import contextlib
-import itertools
 import os
 
 import pandas as pd
@@ -298,39 +298,45 @@ def _route_groups(sizes: list[int], cpus: int,
     """Cut fragments (their byte sizes, in input order) into contiguous
     route tasks, returned as ``(start, stop)`` index ranges.
 
-    The task count is the smallest multiple of ``cpus`` that keeps the
-    mean task input within ``call_bytes``, capped at one task per
-    fragment: a multiple of the CPU count keeps every wave full.  Each
-    cut falls at the fragment boundary nearest its byte quantile.  A
-    group of several fragments that still exceeds ``call_bytes`` is cut
-    again where it would overflow, so a fragment larger than
-    ``call_bytes`` is always a task of its own (at design scale, where
-    fragments are ~100 MB, every fragment is)."""
-    n = len(sizes)
-    if not n:
+    One greedy pass: a task closes at the fragment boundary nearest
+    ``total / k`` bytes, ``k`` the smallest multiple of ``cpus`` that
+    keeps that within ``call_bytes``, capped at one task per fragment.
+    Nearest, not the last boundary under it: on the 32 fragments of the
+    sf0.1 corpus (1.34-1.51 MB) that made 9 tasks on 8 CPUs, not 8.  A
+    fragment that would take its task over ``call_bytes`` opens a new
+    one, so a fragment larger than ``call_bytes`` is always a task of its
+    own (at design scale, where fragments are ~100 MB, every fragment
+    is).  Equal fragments make ``k`` tasks, a full last wave, when ``k``
+    divides their number; otherwise the count can be off from ``k``."""
+    if not sizes:
         return []
-    total = sum(sizes)
-    k = min(n, cpus * max(1, -(-total // (cpus * call_bytes))))
-    ends = list(itertools.accumulate(sizes))
-    cuts = [0]
-    for i in range(1, k):
-        q = total * i / k
-        c = bisect.bisect_left(ends, q)  # the c-th boundary is below q
-        if ends[c] - q < q - (ends[c - 1] if c else 0):
-            c += 1
-        # non-empty groups: past the last cut, leaving one file per group
-        cuts.append(min(max(c, cuts[-1] + 1), n - (k - i)))
-    cuts.append(n)
-    groups = []
-    for a, b in zip(cuts, cuts[1:]):
-        acc = 0
-        for j in range(a, b):
-            if j > a and acc + sizes[j] > call_bytes:
-                groups.append((a, j))
-                a, acc = j, 0
-            acc += sizes[j]
-        groups.append((a, b))
-    return groups
+    n, total = len(sizes), sum(sizes)
+    budget = total / min(n, cpus * max(1, -(-total // (cpus * call_bytes))))
+    groups, start, acc = [], 0, 0
+    for j, s in enumerate(sizes):
+        if j > start and (acc + s / 2 > budget or acc + s > call_bytes):
+            groups.append((start, j))
+            start, acc = j, 0
+        acc += s
+    return groups + [(start, n)]
+
+
+def _file_sizes(files: list[str]) -> list[int]:
+    """On-disk sizes of ``files``, stat'ed in chunks of 1,024 by 16
+    threads: a stat releases the GIL, so on shared storage the per-file
+    metadata round-trips overlap instead of adding up (SCALE.md has the
+    local-disk cost)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    def stat(part: list[str]) -> list[int]:
+        return [os.path.getsize(f) for f in part]
+
+    if len(files) <= 1024:
+        return stat(files)
+    with ThreadPoolExecutor(16) as ex:
+        parts = ex.map(stat, (files[i:i + 1024]
+                              for i in range(0, len(files), 1024)))
+        return [s for part in parts for s in part]
 
 
 def run_flagship(cfg: PipelineConfig, out_dir: str,
@@ -361,8 +367,7 @@ def run_files(cfg: PipelineConfig, files: list[str], out_dir: str,
 
     if not files:  # e.g. a date range that selects no .log.gz
         return pd.DataFrame(columns=["sink"] + STAT_COLUMNS)
-    groups = _route_groups([os.path.getsize(f) for f in files],
-                           cluster_cpus(), CALL_BYTES)
+    groups = _route_groups(_file_sizes(files), cluster_cpus(), CALL_BYTES)
     # one block per route task (its fragment paths), one map call per block
     tasks = ray.data.from_arrow([pa.table({"path": files[a:b]})
                                  for a, b in groups])
