@@ -72,3 +72,41 @@ def in_blocks(ray_session):
                                      for i in range(k)])
 
     return make
+
+
+@pytest.fixture(scope="session")
+def check_routed_read():
+    """``check_routed_read(got, dirs)``: ``got`` (an Arrow table read
+    back from the routed trees ``<dir>/sink=<s>/*.parquet``) holds the
+    rows of every part file, each read on its own with pyarrow and
+    tagged with ``sink`` (and ``<key>`` for a dir named
+    ``<key>=<value>``): per ``doc_id`` the same rows, the same column
+    set and types, identical ``tokens`` arrays."""
+    import glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    def check(got, dirs):
+        parts = []
+        for d in dirs:
+            tags = os.path.basename(d).split("=")
+            for f in sorted(glob.glob(os.path.join(d, "sink=*", "*.parquet"))):
+                t = pq.read_table(f)
+                if len(tags) == 2:
+                    t = t.append_column(tags[0], pa.array([tags[1]] * len(t)))
+                sink = os.path.basename(os.path.dirname(f))[len("sink="):]
+                parts.append(t.append_column("sink",
+                                             pa.array([sink] * len(t))))
+        ref = pa.concat_tables(parts, promote_options="default")
+        assert sorted(got.column_names) == sorted(ref.column_names)
+        assert len(got) == len(ref)
+        got = got.sort_by("doc_id")
+        ref = ref.select(got.column_names).sort_by("doc_id")
+        assert got.schema == ref.schema
+        assert got["tokens"].equals(ref["tokens"])
+        for c in got.column_names:
+            assert got[c].equals(ref[c]), c
+
+    return check

@@ -9,7 +9,7 @@ import pytest
 import ray.data
 
 from zeeklog_ray.aggregate import HIST_COLUMNS, grouped_stats
-from zeeklog_ray.flagship import run_flagship
+from zeeklog_ray.flagship import read_routed, run_flagship
 from zeeklog_ray.pipeline import PipelineConfig, build_dataset
 
 
@@ -34,7 +34,7 @@ def test_flagship_output_layout_and_tokens(corpus_dir, corpus_frame, tmp_path):
         corpus_frame["source"].isin(SOURCE_FIELDS), "none").unique())
     assert sinks == exp_sinks            # all 28 protocol sinks + quarantine
     assert len(sinks) == 29
-    back = ray.data.read_parquet(out).to_pandas()
+    back = read_routed(out).to_pandas()
     assert set(back["doc_id"]) == set(corpus_frame["doc_id"])
     # exact token-array equality per doc_id through the fused path
     exp = dict(zip(corpus_frame["doc_id"], corpus_frame["tokens"]))
@@ -96,7 +96,7 @@ def test_flagship_rerun_no_duplicates(corpus_dir, corpus_frame, tmp_path):
     out = str(tmp_path / "routed")
     run_flagship(PipelineConfig(corpus_dir=corpus_dir), out)
     run_flagship(PipelineConfig(corpus_dir=corpus_dir), out)
-    back = ray.data.read_parquet(out)
+    back = read_routed(out)
     assert back.count() == len(corpus_frame)
 
 
@@ -208,19 +208,25 @@ def test_routed_write_equals_per_sink_filter(corpus_dir, tmp_path, case):
     ([10] * 8, 1, 30, 3),                # over one call: three tasks
     ([10] * 12, 2, 50, 4),               # just over a wave: two full waves
     ([10] * 10, 2, 40, 4),               # k = 4 does not divide 10
-    ([7, 1, 12, 3, 9, 2, 2, 8, 5], 2, 16, 5),
+    ([7, 1, 12, 3, 9, 2, 2, 8, 5], 2, 16, 4),
     ([15, 15, 13, 14, 13, 14, 13, 13], 4, 100, 4),  # 15% apart
-    ([1, 1, 100, 1, 1, 1, 1], 2, 32, 3),  # one oversized fragment
+    ([1, 1, 100, 1, 1, 1, 1], 2, 32, 4),  # one oversized fragment
     ([100, 120, 90], 4, 32, 3),          # design scale: all oversized
     ([0, 0, 0], 4, 32, 1),               # empty files
+    # sf0.1-like: the fragment size drops along the list; one budget for
+    # the whole pass left a 1-fragment fifth task at 4 CPUs
+    ([1_500_000] * 8 + [1_360_000] * 24, 4, 32 << 20, 4),
+    ([1_500_000] * 8 + [1_360_000] * 24, 8, 32 << 20, 8),
+    ([1_500_000] * 8 + [1_360_000] * 24, 1, 32 << 20, 2),
 ])
 def test_route_groups_rule(sizes, cpus, call_bytes, n_tasks):
     """Route tasks are contiguous runs covering every fragment once, in
     input order; on equal fragments whose number k divides, their count
     is k, the smallest multiple of the CPU count that keeps the mean task
-    within ``call_bytes`` (capped at one task per fragment); a
-    multi-fragment task stays within ``call_bytes`` and an oversized
-    fragment is a task of its own."""
+    within ``call_bytes`` (capped at one task per fragment); each task's
+    budget is the bytes left over the tasks left, so a size change along
+    the list still gives k; a multi-fragment task stays within
+    ``call_bytes`` and an oversized fragment is a task of its own."""
     from zeeklog_ray.flagship import _route_groups
 
     groups = _route_groups(sizes, cpus, call_bytes)
@@ -337,6 +343,56 @@ def test_task_granular_route_equals_per_fragment_writer(ray_session,
         back = pa.concat_tables(pq.read_table(f, columns=["doc_id", "tokens"])
                                 for f in got)
         assert back.equals(exp), d
+
+
+def test_read_routed_matches_files_without_schema_warnings(
+        corpus_dir, check_routed_read, tmp_path):
+    """``read_routed`` over a 29-sink ``run_flagship`` output gives every
+    part file's rows with ``sink`` as a string column, one schema for
+    every block, and Ray logs no "different schema" line (it does for
+    ``ray.data.read_parquet`` over the same tree)."""
+    import logging
+
+    import pyarrow as pa
+    import ray
+
+    out = str(tmp_path / "routed")
+    run_flagship(PipelineConfig(corpus_dir=corpus_dir, enrich=True), out)
+    assert len(glob.glob(os.path.join(out, "sink=*"))) == 29
+
+    class Lines(logging.Handler):
+        def __init__(self):
+            super().__init__()
+            self.lines = []
+
+        def emit(self, record):
+            self.lines.append(record.getMessage())
+
+    def warnings_of(read):
+        lines, ray_log = Lines(), logging.getLogger("ray.data")
+        ray_log.addHandler(lines)
+        try:
+            return read(), [m for m in lines.lines if "different schema" in m]
+        finally:
+            ray_log.removeHandler(lines)
+
+    # the handler sees the line where Ray logs it
+    assert warnings_of(lambda: ray.data.read_parquet(out).materialize())[1]
+    blocks, warned = warnings_of(
+        lambda: ray.get(read_routed(out).to_arrow_refs()))
+    assert warned == []
+    assert len({b.schema for b in blocks}) == 1
+    got = pa.concat_tables(blocks)
+    assert got.schema.field("sink").type == pa.string()
+    check_routed_read(got, [out])
+
+
+def test_read_routed_empty_tree(tmp_path):
+    """A tree with no part files reads as zero rows with a ``sink``
+    column, not an error."""
+    os.makedirs(tmp_path / "routed" / "sink=conn")
+    ds = read_routed(str(tmp_path / "routed"))
+    assert ds.count() == 0 and ds.columns() == ["sink"]
 
 
 def _zeek_pair(tmp_path):

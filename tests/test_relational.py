@@ -358,8 +358,6 @@ _UNION_ALLOWED = {
                                    "sum, not a co-group",
     "ops/graph.py:connected_components": "same-schema label candidates "
                                          "into a grouped min",
-    "lineage.py:committed_output": "concatenates the committed shards' "
-                                   "outputs",
     "queries.py:_seed_mor_store": "concatenates one delta batch's updates "
                                   "and tombstones for one append",
     "queries.py:events_time_travel": "concatenates the per-snapshot "

@@ -32,6 +32,92 @@ def test_resume_no_duplicates(corpus_dir, corpus_frame, tmp_path):
     assert set(back["doc_id"]) == set(corpus_frame["doc_id"])
 
 
+@pytest.mark.parametrize("call_bytes", [None, 64 << 10])
+def test_committed_output_matches_committed_files(
+        corpus_dir, check_routed_read, tmp_path, monkeypatch, call_bytes):
+    """After a kill and a resume, ``committed_output`` holds exactly the
+    rows of the committed shards' part files (per ``doc_id``: same rows,
+    same column set, identical ``tokens``), with ``shard`` and ``sink``
+    as strings; an uncommitted partial ``shard=`` dir is not read.  With
+    a small ``CALL_BYTES`` each shard becomes several tasks and the
+    result is the same."""
+    import shutil
+
+    import pyarrow as pa
+    import ray
+
+    from zeeklog_ray import flagship
+
+    out = str(tmp_path / "routed")
+    rr = ResumableRun(PipelineConfig(corpus_dir=corpus_dir, enrich=True),
+                      out, files_per_shard=1)
+    with pytest.raises(RuntimeError, match="simulated failure"):
+        rr.run(fail_after_shards=1)
+    rr.run()
+    done = sorted(committed_shards(out))
+    # a partial of a shard that never committed: a copy of shard 0's rows
+    shutil.copytree(os.path.join(out, "shard=00000"),
+                    os.path.join(out, "shard=00099"))
+    dirs = [os.path.join(out, f"shard={i:05d}") for i in done]
+
+    if call_bytes is not None:
+        monkeypatch.setattr(flagship, "CALL_BYTES", call_bytes)
+    n_tasks = len(flagship._routed_tasks(dirs)[1])
+    assert (n_tasks == len(done)) == (call_bytes is None)
+    blocks = ray.get(rr.committed_output().to_arrow_refs())
+    assert len(blocks) == n_tasks
+    got = pa.concat_tables(blocks)
+    for c in ("shard", "sink"):
+        assert got.schema.field(c).type == pa.string()
+    assert set(got["shard"].to_pylist()) == {f"{i:05d}" for i in done}
+    check_routed_read(got, dirs)
+
+
+def test_invalid_manifest_is_uncommitted_for_every_reader(corpus_dir,
+                                                          tmp_path):
+    """A torn manifest record and one without ``shard_id`` count as
+    uncommitted in ``committed_stats``, ``committed_output`` and ``run``
+    alike: the stats and the output cover the other shards, and the next
+    run re-runs the torn shard only."""
+    out = str(tmp_path / "routed")
+    rr = ResumableRun(PipelineConfig(corpus_dir=corpus_dir), out,
+                      files_per_shard=1)
+    full = rr.run()
+    assert len(full) >= 3
+    mdir = os.path.join(out, "_manifest")
+    with open(os.path.join(mdir, "shard-00001.json"), "w") as f:
+        f.write('{"shard_id": 1, "rows_per')               # torn
+    with open(os.path.join(mdir, "shard-00042.json"), "w") as f:
+        json.dump({"rows_per_sink": {"conn": 1}}, f)       # no shard_id
+    kept = [r for r in full if r["shard_id"] != 1]
+
+    stats = rr.committed_stats()
+    assert stats["committed_shards"] == len(kept)
+    assert sum(stats["rows_per_sink"].values()) \
+        == sum(sum(r["rows_per_sink"].values()) for r in kept)
+    back = rr.committed_output().to_pandas()
+    assert set(back["shard"]) == {f"{r['shard_id']:05d}" for r in kept}
+    assert len(back) == sum(stats["rows_per_sink"].values())
+    assert [r["shard_id"] for r in rr.run()] == [1]
+
+
+def test_committed_output_with_empty_shards(corpus_dir, tmp_path):
+    """A committed shard whose filter kept no rows writes no ``shard=``
+    dir; the read-back covers the other shards instead of failing."""
+    from zeeklog_ray.corpus import GOLDEN_IP_0702_ONLY
+
+    out = str(tmp_path / "routed")
+    rr = ResumableRun(PipelineConfig(corpus_dir=corpus_dir,
+                                     src_ip=GOLDEN_IP_0702_ONLY),
+                      out, files_per_shard=1)
+    rr.run()
+    assert len(committed_shards(out)) > len(glob.glob(
+        os.path.join(out, "shard=*")))
+    back = rr.committed_output().to_pandas()
+    assert len(back) == sum(rr.committed_stats()["rows_per_sink"].values())
+    assert len(back) > 0
+
+
 def test_resume_zeek_tsv_no_duplicates(tmp_path):
     """Raw .log.gz trees resume exactly like corpus shards: kill mid-run,
     resume, full doc_id coverage with no duplicates (the native-input

@@ -13,10 +13,11 @@ stats rows (a few hundred bytes per task) leave the stage.  The final
 merge is a tiny ``groupby``.
 
 Route tasks are sized by input bytes (:func:`_route_groups`): one greedy
-pass closes each task near ``total / k`` bytes, ``k`` the smallest
-multiple of the cluster's CPU count that keeps that within
-``relational.CALL_BYTES``; no task of several fragments goes over
-``CALL_BYTES``, so a fragment larger than that is a task of its own.
+pass makes ``k`` tasks, ``k`` the smallest multiple of the cluster's CPU
+count that keeps ``total / k`` bytes within ``relational.CALL_BYTES``,
+closing each near the bytes left over the tasks left; no task of several
+fragments goes over ``CALL_BYTES``, so a fragment larger than that is a
+task of its own.
 A task still holds ONE fragment at a time: it loads, parses, filters
 and enriches a fragment, appends each sink's rows as one row group to
 that sink's open ``pq.ParquetWriter``, and drops the fragment before
@@ -37,9 +38,12 @@ real Zeek logs, where conn.log and dns.log have different columns.  The
 registry columns of OTHER protocols are definitionally all-null for a sink,
 so writing the 90-column union would cost ~45% of the routed write in
 null-column metadata (measured) and the same again on every downstream
-scan.  Cross-sink reads still work: pyarrow/Ray unify the per-directory
-schemas and null-fill absent columns — semantically identical to the
-padded union.
+scan.  Read the tree back with :func:`read_routed`: it unifies the
+per-directory schemas once on the driver and null-fills absent columns
+in its tasks — semantically identical to the padded union, with one
+schema for every block.  (``ray.data.read_parquet`` over the tree gives
+the same rows but one schema per sink, and Ray logs "different schema"
+at every change.)
 
 The routed write partitions each fragment ONCE: one stable sort on
 ``sink`` and one ``take`` make each sink's rows a contiguous run in their
@@ -57,8 +61,10 @@ core of a 4-vCPU VM).
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -298,24 +304,31 @@ def _route_groups(sizes: list[int], cpus: int,
     """Cut fragments (their byte sizes, in input order) into contiguous
     route tasks, returned as ``(start, stop)`` index ranges.
 
-    One greedy pass: a task closes at the fragment boundary nearest
-    ``total / k`` bytes, ``k`` the smallest multiple of ``cpus`` that
-    keeps that within ``call_bytes``, capped at one task per fragment.
-    Nearest, not the last boundary under it: on the 32 fragments of the
-    sf0.1 corpus (1.34-1.51 MB) that made 9 tasks on 8 CPUs, not 8.  A
-    fragment that would take its task over ``call_bytes`` opens a new
-    one, so a fragment larger than ``call_bytes`` is always a task of its
-    own (at design scale, where fragments are ~100 MB, every fragment
-    is).  Equal fragments make ``k`` tasks, a full last wave, when ``k``
-    divides their number; otherwise the count can be off from ``k``."""
+    One greedy pass for ``k`` tasks, ``k`` the smallest multiple of
+    ``cpus`` that keeps ``total / k`` bytes within ``call_bytes``, capped
+    at one task per fragment.  A task closes at the fragment boundary
+    nearest its budget, the bytes left over the tasks left (re-derived
+    at every close, so a size change along the list does not leave a
+    one-fragment last task: 8 fragments of 1.50 MB then 24 of 1.36 MB
+    make 4 tasks at 4 CPUs, not 5).  Nearest, not the last boundary
+    under it: on the 32 fragments of the sf0.1 corpus that made 9 tasks
+    on 8 CPUs, not 8.  A fragment that would take its task over
+    ``call_bytes`` opens a new one, so a fragment larger than
+    ``call_bytes`` is always a task of its own (at design scale, where
+    fragments are ~100 MB, every fragment is).  Equal fragments make
+    ``k`` tasks, a full last wave, when ``k`` divides their number;
+    otherwise, or after a close forced by ``call_bytes``, the count can
+    be off from ``k``."""
     if not sizes:
         return []
-    n, total = len(sizes), sum(sizes)
-    budget = total / min(n, cpus * max(1, -(-total // (cpus * call_bytes))))
-    groups, start, acc = [], 0, 0
+    n, left = len(sizes), sum(sizes)
+    k = min(n, cpus * max(1, -(-left // (cpus * call_bytes))))
+    groups, start, acc, budget = [], 0, 0, left / k
     for j, s in enumerate(sizes):
         if j > start and (acc + s / 2 > budget or acc + s > call_bytes):
             groups.append((start, j))
+            left -= acc
+            budget = left / max(1, k - len(groups))
             start, acc = j, 0
         acc += s
     return groups + [(start, n)]
@@ -363,8 +376,6 @@ def run_files(cfg: PipelineConfig, files: list[str], out_dir: str,
     """Fused flagship over an explicit fragment list (the unit the lineage
     shards use).  ``input_format='zeek-tsv'`` runs the same fused stage
     over raw ``.log.gz`` fragments (ZeekTsvRouteWorker)."""
-    import functools
-
     if not files:  # e.g. a date range that selects no .log.gz
         return pd.DataFrame(columns=["sink"] + STAT_COLUMNS)
     groups = _route_groups(_file_sizes(files), cluster_cpus(), CALL_BYTES)
@@ -391,3 +402,87 @@ def run_files(cfg: PipelineConfig, files: list[str], out_dir: str,
                 min_n_tok=("min_n_tok", "min"), max_n_tok=("max_n_tok", "max"),
                 **{c: (c, "sum") for c in HIST_COLUMNS})
     return out.reset_index()
+
+
+def _routed_tasks(dirs: list[str]) -> tuple[pa.Schema, list[pa.Table]]:
+    """Plan :func:`read_routed` on the driver: the one output schema and
+    one table of ``(path, <partition columns>)`` rows per read task."""
+    plan, first_of_sink, part_keys = [], {}, {}
+    for d in dirs:
+        # a root named key=value (a lineage shard dir) is a partition
+        # column too, as hive parsing of the path would make it
+        name = os.path.basename(os.path.normpath(d))
+        part = dict([name.split("=", 1)]) if name.count("=") == 1 else {}
+        part_keys.update(dict.fromkeys(part))
+        rows, sizes = [], []
+        for sd in sorted(os.scandir(d), key=lambda e: e.name):
+            if not (sd.is_dir() and sd.name.startswith("sink=")):
+                continue
+            sink = sd.name.removeprefix("sink=")
+            for f in sorted(os.scandir(sd.path), key=lambda e: e.name):
+                if f.name.endswith(".parquet") and f.is_file():
+                    first_of_sink.setdefault(sink, f.path)
+                    rows.append({"": f.path, **part, "sink": sink})
+                    sizes.append(f.stat().st_size)
+        # tasks never span roots; a task stays within CALL_BYTES unless
+        # one file is larger
+        plan += [rows[a:b] for a, b in _route_groups(sizes, 1, CALL_BYTES)]
+    # every sink directory holds one schema, so one footer per sink
+    # covers every file
+    schema = pa.unify_schemas([pq.read_schema(p).remove_metadata()
+                               for p in first_of_sink.values()]
+                              or [pa.schema([])])
+    keys = [*part_keys, "sink"]
+    for k in keys:
+        schema = schema.append(pa.field(k, pa.string()))
+    # the path column first, unnamed: "path" is a Zeek field
+    task_schema = pa.schema([(c, pa.string()) for c in ["", *keys]])
+    return schema, [pa.Table.from_pylist(rows, schema=task_schema)
+                    for rows in plan]
+
+
+def _read_routed_task(batch: pa.Table, *, schema: pa.Schema) -> pa.Table:
+    """Read a task's part files (``batch``'s first column) one at a time,
+    tag each file's rows with its partition values (the other columns)
+    and conform the lot to the one output schema."""
+    tables = []
+    for p in batch.column(0).to_pylist():
+        # ParquetFile, not read_table: no dataset discovery per file
+        # (0.5 ms against 1.4 ms per ~17-row, ~100-column part file,
+        # pyarrow 16 on one core of a 4-vCPU VM)
+        with pq.ParquetFile(p) as f:
+            tables.append(f.read(use_threads=False))
+    # one chunk per column: the same 500-row, 103-column block in one
+    # chunk per file took 30x longer to pickle into the object store
+    t = pa.concat_tables(tables, promote_options="default").combine_chunks()
+    of_file = np.repeat(np.arange(len(tables)), [len(x) for x in tables])
+    keys = batch.column_names[1:]
+    return pa.Table.from_arrays([
+        batch[f.name].take(of_file) if f.name in keys
+        else t[f.name].cast(f.type) if f.name in t.column_names
+        else pa.nulls(len(t), f.type) for f in schema], schema=schema)
+
+
+def read_routed(*dirs: str) -> "ray.data.Dataset":
+    """Dataset over routed output trees, each ``<dir>/sink=<s>/*.parquet``
+    (a :func:`run_flagship` output dir, or a lineage ``shard=<id>`` dir),
+    with ``sink`` as a string column, and ``<key>`` too for a dir named
+    ``<key>=<value>``.
+
+    One schema for every block: the driver lists each dir with
+    ``os.scandir``, reads ONE footer per distinct sink directory, unifies
+    them and adds the partition columns; each task reads its part files
+    one at a time and null-fills them to that schema.  Ray's
+    ``read_parquet`` over the same tree yields one schema per sink and
+    logs "different schema" for every change.  Each dir's files are cut
+    into tasks by :func:`_route_groups` at one CPU: a task never spans
+    two dirs and stays within ``CALL_BYTES`` unless one file is larger.
+    Keep the tasks that small: where Ray cannot infer a plan's schema
+    (e.g. after ``select_columns``), it runs the plan under ``limit(1)``
+    first, which re-reads the first task."""
+    schema, tasks = _routed_tasks(list(dirs))
+    if not tasks:
+        return ray.data.from_arrow(schema.empty_table())
+    return ray.data.from_arrow(tasks).map_batches(
+        functools.partial(_read_routed_task, schema=schema),
+        batch_format="pyarrow", batch_size=None)

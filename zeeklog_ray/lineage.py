@@ -19,6 +19,11 @@ Design (the resumable-batch pattern from the Ray guide):
   ``out_dir/_manifest/shard-<id>.json``.
 * Resume = enumerate shards, skip those with a committed manifest record,
   re-run the rest from scratch (their partial output is overwritten).
+* Read-back (``ResumableRun.committed_output``) lists the committed shard
+  dirs only and reads them in ONE stage of path tasks
+  (``flagship.read_routed``): one schema for every block, ``shard`` and
+  ``sink`` as string columns, and no task spanning two shards or going
+  over ``relational.CALL_BYTES``.
 
 At 100 TB a shard would be a few hundred fragments (~10-100 GB); shards may
 run concurrently across the cluster — the manifest protocol is per-shard and
@@ -189,40 +194,37 @@ class ResumableRun:
 
     def committed_stats(self) -> dict:
         """Aggregate lineage metrics across committed shards — the run's
-        progress/throughput report without touching row data."""
+        progress/throughput report without touching row data.  A torn or
+        invalid record counts as uncommitted, as in :meth:`run` and
+        :meth:`committed_output`."""
         rows: dict[str, int] = {}
         toks: dict[str, int] = {}
         total_bytes = 0
         wall = 0.0
-        n = 0
-        mdir = _manifest_dir(self.out_dir)
-        for p in glob.glob(os.path.join(mdir, "shard-*.json")):
-            with open(p) as f:
-                rec = json.load(f)
+        recs = committed_records(self.out_dir).values()
+        for rec in recs:
             for s, v in rec["rows_per_sink"].items():
                 rows[s] = rows.get(s, 0) + v
             for s, v in rec["tokens_per_sink"].items():
                 toks[s] = toks.get(s, 0) + v
             total_bytes += rec["output_bytes"]
             wall += rec["wall_time_s"]
-            n += 1
-        return {"committed_shards": n, "rows_per_sink": rows,
+        return {"committed_shards": len(recs), "rows_per_sink": rows,
                 "tokens_per_sink": toks, "output_bytes": total_bytes,
                 "total_shard_wall_s": round(wall, 3)}
 
     def committed_output(self) -> "ray.data.Dataset":
-        """Dataset over the COMMITTED shards only (uncommitted partials are
-        excluded, so readers never see rows from a torn shard).
+        """Dataset over the COMMITTED shards only, with ``shard`` and
+        ``sink`` as string columns; an uncommitted partial ``shard=`` dir
+        is never listed, so readers never see rows from a torn shard.
 
-        Each shard dir is read on its own (hive parsing restores the
-        ``sink`` partition column) and the lazy datasets are unioned.
-        """
+        One read stage over all of them (``flagship.read_routed``): every
+        block has the same schema, and no task spans two shards."""
+        from zeeklog_ray.flagship import read_routed
+
         done = sorted(committed_shards(self.out_dir))
         if not done:
             raise FileNotFoundError("no committed shards")
-        parts = [ray.data.read_parquet(os.path.join(self.out_dir, f"shard={i:05d}"))
-                 for i in done]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
-        return out
+        dirs = [os.path.join(self.out_dir, f"shard={i:05d}") for i in done]
+        # a shard whose filter kept no rows committed without a dir
+        return read_routed(*filter(os.path.isdir, dirs))
