@@ -474,6 +474,29 @@ def test_vacuum_reclaims_orphan_seq_tmp(tmp_path):
     assert vacuum_store(root)["tmp_files"] == 0
 
 
+def test_vacuum_reclaims_orphan_manifest_tmp(tmp_path):
+    """A crash inside rebuild_zonemap_manifest leaves a ``*.json.tmp``
+    in a zonemapped partition; vacuum reclaims it like every ``*.tmp``
+    and keeps the manifest it would have replaced."""
+    from zeeklog_ray.partitioned import vacuum_store
+
+    root = str(tmp_path / "store")
+    d = os.path.join(root, "day=a")
+    os.makedirs(d)
+    pq.write_table(pa.table({"k": [1], "v": [10]}),
+                   os.path.join(d, "a.parquet"))
+    with open(os.path.join(d, "manifest.json"), "w") as f:
+        f.write('{"col": "k", "files": []}')
+    orphan = os.path.join(d, "tmpX.json.tmp")
+    with open(orphan, "w") as f:
+        f.write('{"col": "k", "fi')
+    rep = vacuum_store(root)
+    assert rep["tmp_files"] == 1 and rep["bytes_reclaimed"] == 16
+    assert not os.path.exists(orphan)
+    assert sorted(os.listdir(d)) == ["a.parquet", "manifest.json"]
+    assert vacuum_store(root)["tmp_files"] == 0
+
+
 def test_global_seq_survives_fold_and_crash_rebuild(base_store, ray_session):
     import ray.data
 

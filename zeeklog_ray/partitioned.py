@@ -1,5 +1,7 @@
-"""Hive-partitioned Parquet output + partition-pruned reads, and
-range-sorted zone-map export + range-pruned scans.
+"""Hive-partitioned Parquet output + partition-pruned reads,
+range-sorted zone-map export + range-pruned scans, and the table store
+on that layout (compaction, copy-on-write upsert, merge-on-read delta
+log, vacuum, group-sum maintenance, schema-on-read).
 
 The 100-TB output layout: ``write_partitioned`` lays data out as
 ``<root>/<col>=<value>/...`` (one directory per partition value, many
@@ -19,16 +21,30 @@ writes its own Parquet file, and a ``manifest.json`` records per-file
 zone overlaps the predicate — at 10^12 rows a selective range touches a
 handful of files instead of every block, which is the difference between
 an index lookup and a full scan.
+
+Crash safety has one path.  A file that replaces another (part files,
+manifests, the ``_delta_seq`` counter, group-sum files) goes through
+:func:`_publish`; a change to a partition's base files (compaction,
+upsert, delta fold) goes through :func:`_commit`, whose journal the next
+touch rolls forward (:func:`_recover_compaction`).  A crash at any
+filesystem step leaves the old state or a committed journal, plus at
+worst ``*.tmp`` litter that :func:`vacuum_store` reclaims.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import shutil
 import tempfile
+import uuid
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -46,23 +62,103 @@ def read_partition(root: str, col: str, value: str) -> "ray.data.Dataset":
     return ray.data.read_parquet(f"{root}/{col}={value}")
 
 
+def _fsync(path: str) -> None:
+    """fsync a file's data blocks, or a directory so renames within it
+    are durable.  Durability ordering is the whole point of the commit
+    journal: the journal must not become durable before the data it
+    commits, or a crash rolls FORWARD onto truncated files."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _publish(path: str, write) -> None:
+    """Durably replace ``path`` with the file ``write(tmp)`` writes: the
+    tmp sits hidden in the same directory (``.<random><ext>.tmp``), its
+    data is fsynced before ``os.replace`` publishes it, and the
+    directory is fsynced after.  A crash at any step leaves the old file
+    or the new one, never a truncated one that reads as complete, plus
+    at worst the tmp, which :func:`vacuum_store` reclaims."""
+    d = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".",
+                               suffix=os.path.splitext(path)[1] + ".tmp")
+    os.close(fd)
+    write(tmp)
+    _fsync(tmp)
+    os.replace(tmp, path)
+    _fsync(d)
+
+
+def _write_text(text: str):
+    """A :func:`_publish` writer for a small text file."""
+    return lambda tmp: Path(tmp).write_text(text)
+
+
+def _base_files(d: str) -> list[str]:
+    """The base Parquet files of a directory in name order: ``*.parquet``
+    without a ``.`` prefix — tmps, ``_deltas/`` and ``manifest.json``
+    are not base data."""
+    return sorted(f for f in os.listdir(d)
+                  if f.endswith(".parquet") and not f.startswith("."))
+
+
+def _tables(d: str, names: list[str]) -> list["pa.Table"]:
+    return [pq.read_table(os.path.join(d, f)) for f in names]
+
+
+def _partitions(root: str, ctx: str | None = None) -> list[str]:
+    """The ``<col>=<value>`` partition directory names under ``root``,
+    sorted; with ``ctx``, a store without one is an error."""
+    parts = sorted(d for d in os.listdir(root)
+                   if "=" in d and os.path.isdir(os.path.join(root, d)))
+    if ctx and not parts:
+        raise ValueError(f"{ctx}: no hive partitions in {root}")
+    return parts
+
+
+def _each(items: list, fn) -> "ray.data.Dataset":
+    """The fan-out: one Ray task per item (a partition, a file), with
+    ``fn(item)`` returning that item's rows as a pandas frame or an
+    Arrow table.  Items are independent, so this parallelizes to the
+    cluster width, and only what ``fn`` returns leaves the task."""
+
+    def run(batch: pd.DataFrame):
+        outs = [fn(x) for x in batch["item"]]
+        if isinstance(outs[0], pa.Table):
+            return pa.concat_tables(outs)
+        return pd.concat(outs, ignore_index=True)
+
+    return ray.data.from_pandas(pd.DataFrame({"item": items})) \
+        .repartition(len(items)) \
+        .map_batches(run, batch_format="pandas", batch_size=None)
+
+
+def _report(items: list, fn) -> pd.DataFrame:
+    """:func:`_each` for ``fn`` returning one report dict per item: the
+    report frame, sorted by its ``dir`` column."""
+    return _each(items, lambda x: pd.DataFrame([fn(x)])).to_pandas() \
+        .sort_values("dir").reset_index(drop=True)
+
+
 def _streaming_boundaries(ds: "ray.data.Dataset", col: str,
-                          num_files: int, per_block: int = 65,
-                          ctx: str = "write_sorted_zonemap") -> np.ndarray:
+                          num_files: int) -> np.ndarray:
     """Range boundaries for ``col`` from ONE streaming pass — no
-    ``count()``, no ``materialize()``: each block emits ≤ ``per_block``
-    evenly spaced order statistics weighted by the rows they stand for,
-    and one reduce task merges them into ``num_files - 1`` weighted
-    quantiles.  Deterministic (order statistics, no RNG), and the driver
-    only ever sees the final boundary array; the per-block sample table
-    (O(blocks × per_block) scalar pairs) merges inside a worker task, so
-    at 10^12 rows nothing larger than the boundaries reaches the driver.
+    ``count()``, no ``materialize()``: each block emits ≤ 65 evenly
+    spaced order statistics weighted by the rows they stand for, and one
+    reduce task merges them into ``num_files - 1`` weighted quantiles.
+    Deterministic (order statistics, no RNG), and the driver only ever
+    sees the final boundary array; the per-block sample table
+    (O(blocks × 65) scalar pairs) merges inside a worker task, so at
+    10^12 rows nothing larger than the boundaries reaches the driver.
     Nulls in the sort key raise, same contract as ``global_rank``."""
+    per_block = 65
 
     def block_stats(batch: pd.DataFrame) -> pd.DataFrame:
         v = batch[col]
         if v.isna().any():
-            raise ValueError(f"{ctx}: null values in {col!r}")
+            raise ValueError(f"write_sorted_zonemap: null values in {col!r}")
         arr = np.sort(v.to_numpy())
         k = min(len(arr), per_block)
         if k == 0:
@@ -87,14 +183,12 @@ def _streaming_boundaries(ds: "ray.data.Dataset", col: str,
         .map_batches(merge, batch_format="pandas", batch_size=None) \
         .to_pandas()
     if len(merged) == 0:
-        raise ValueError(f"{ctx}: empty dataset")
+        raise ValueError("write_sorted_zonemap: empty dataset")
     return merged["v"].to_numpy()
 
 
 def write_sorted_zonemap(ds: "ray.data.Dataset", col: str, root: str,
-                         num_files: int = 64, sample_n: int = 8192,
-                         seed: int = 7, spill_dir: str | None = None,
-                         pin: bool = False) -> dict:
+                         num_files: int = 64) -> dict:
     """Range-sorted Parquet export with a zone-map manifest.
 
     Shape: ONE streaming pass computes range boundaries for ``col``
@@ -102,37 +196,25 @@ def write_sorted_zonemap(ds: "ray.data.Dataset", col: str, root: str,
     :func:`_streaming_boundaries`; deterministic, nothing pinned), then a
     second pass tags each row with its range bucket row-locally and ONE
     bucketed shuffle lets each range sort itself and write its own file
-    (``part-<bucket>.parquet``, tempfile + ``os.replace`` so a re-run of a
-    failed range is atomic — the resumable-output contract).  Only the
-    one-row-per-file stats table returns to the driver, which writes
-    ``manifest.json``: ``{"col", "files": [{"path", "min", "max",
-    "rows"}, ...]}``.
+    (``part-<bucket>.parquet`` through :func:`_publish`, so a re-run of
+    a failed range is atomic — the resumable-output contract).  Only
+    the one-row-per-file stats table returns to the driver, which
+    publishes ``manifest.json``: ``{"col", "files": [{"path", "min",
+    "max", "rows"}, ...]}``.
 
-    The default path never materializes the input: the two passes each
-    re-execute the upstream plan, which for the intended input (a
-    deterministic ``read_parquet``) costs one extra scan and keeps the
-    object store flat — at 10^12 rows a full-input pin would BE the
-    bottleneck.  For an expensive or non-deterministic upstream, pass
-    ``spill_dir`` (stage the input once as Parquet via ``pin_or_spill``
-    and run both passes off the staged copy — the 100-TB-safe pin) or
-    ``pin=True`` (object-store materialize, small inputs only).
+    The input is never materialized: the two passes each re-execute the
+    upstream plan, which for the intended input (a deterministic
+    ``read_parquet``) costs one extra scan and keeps the object store
+    flat — at 10^12 rows a full-input pin would BE the bottleneck.  An
+    expensive or non-deterministic upstream is the caller's to stage
+    first (``spill.pin_or_spill``).
 
     Sorting is a global all-to-all by construction (same as any ORDER BY);
     everything after it is file-local.  Null sort keys are rejected like
     ``global_rank`` (make the null policy explicit upstream).  Returns the
-    manifest dict.  ``sample_n``/``seed`` are accepted for signature
-    compatibility; the streaming sampler is deterministic without RNG."""
-    from zeeklog_ray.spill import pin_or_spill
-
+    manifest dict."""
     os.makedirs(root, exist_ok=True)
-    if spill_dir is not None:
-        proj = pin_or_spill(ds, spill_dir, "zonemap_input")
-    elif pin:
-        proj = ds.materialize()
-    else:
-        proj = ds
-    boundaries = _streaming_boundaries(proj, col, num_files)
-    bref = ray.put(boundaries)
+    bref = ray.put(_streaming_boundaries(ds, col, num_files))
 
     def assign(batch: pd.DataFrame) -> pd.DataFrame:
         if batch[col].isna().any():
@@ -144,24 +226,17 @@ def write_sorted_zonemap(ds: "ray.data.Dataset", col: str, root: str,
         return batch
 
     def write_range(group: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
         b = int(group["_rb"].iloc[0])
         g = group.sort_values(col, kind="mergesort").drop(columns=["_rb"])
         path = os.path.join(root, f"part-{b:05d}.parquet")
-        fd, tmp = tempfile.mkstemp(dir=root, suffix=".parquet.tmp")
-        os.close(fd)
-        pq.write_table(pa.Table.from_pandas(g, preserve_index=False), tmp)
-        _fsync_file(tmp)  # data durable before the rename publishes it
-        os.replace(tmp, path)
+        table = pa.Table.from_pandas(g, preserve_index=False)
+        _publish(path, lambda tmp: pq.write_table(table, tmp))
         lo, hi = g[col].iloc[0], g[col].iloc[-1]
         return pd.DataFrame({"path": [path],
                              "min": [lo], "max": [hi],
                              "rows": [np.int64(len(g))]})
 
-    stats = proj.map_batches(assign, batch_format="pandas",
-                             batch_size=None) \
+    stats = ds.map_batches(assign, batch_format="pandas", batch_size=None) \
         .groupby("_rb").map_groups(write_range, batch_format="pandas") \
         .to_pandas().sort_values("path")
     manifest = {"col": col, "files": [
@@ -170,35 +245,9 @@ def write_sorted_zonemap(ds: "ray.data.Dataset", col: str, root: str,
         for r in stats.itertuples()]}
     # atomic like the part files: a process killed mid-dump must not
     # leave a truncated manifest that reads as a completed export
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".json.tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(manifest, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(root, "manifest.json"))
-    _fsync_dir(root)
+    _publish(os.path.join(root, "manifest.json"),
+             _write_text(json.dumps(manifest)))
     return manifest
-
-
-def _fsync_file(path: str) -> None:
-    """fsync a file's data blocks.  Durability ordering is the whole
-    point of the compaction journal: the journal must not become durable
-    before the merged data it commits, or a crash rolls FORWARD onto
-    truncated files."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _fsync_dir(d: str) -> None:
-    """fsync a directory so renames within it are durable."""
-    fd = os.open(d, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _json_bound(v, col: str):
@@ -237,25 +286,18 @@ def zonemap_manifest_is_stale(root: str, manifest: dict) -> bool:
     the manifest (a file was overwritten in place).  A stale manifest
     must never drive pruning: a zone entry pointing at a replaced file
     would silently hide matching rows."""
-    import pyarrow.parquet as pq
-
-    disk = {f for f in os.listdir(root)
-            if f.endswith(".parquet") and not f.startswith(".")}
     entries = {os.path.basename(e["path"]): e for e in manifest["files"]}
-    if disk != set(entries):
+    if set(_base_files(root)) != set(entries):
         return True
-    for name, e in entries.items():
-        md = pq.read_metadata(os.path.join(root, name))
-        if md.num_rows != e["rows"]:
-            return True
-    return False
+    return any(pq.read_metadata(os.path.join(root, name)).num_rows
+               != e["rows"] for name, e in entries.items())
 
 
 def rebuild_zonemap_manifest(root: str, col: str | None = None) -> dict:
     """Rebuild ``manifest.json`` from the Parquet files currently in
-    ``root`` — the refresh step after :func:`compact_partition_dir`
-    merges a zonemapped directory's files.  Zones stay correct under any
-    file rearrangement because a zone is just the file's actual
+    ``root`` — the refresh step after :func:`_commit` rewrites a
+    zonemapped directory's files.  Zones stay correct under any file
+    rearrangement because a zone is just the file's actual
     ``[min, max]``: a compacted file spanning two old ranges gets the
     union zone (coarser pruning, same answers).
 
@@ -265,14 +307,12 @@ def rebuild_zonemap_manifest(root: str, col: str | None = None) -> dict:
     rows.  The files were just fully read+written by the merge, so the
     extra one-column scan is marginal."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     if col is None:
         with open(os.path.join(root, "manifest.json")) as f:
             col = json.load(f)["col"]
     entries = []
-    for name in sorted(f for f in os.listdir(root)
-                       if f.endswith(".parquet") and not f.startswith(".")):
+    for name in _base_files(root):
         path = os.path.join(root, name)
         t = pq.read_table(path, columns=[col])
         if t.num_rows == 0:
@@ -283,18 +323,12 @@ def rebuild_zonemap_manifest(root: str, col: str | None = None) -> dict:
                         "max": _json_bound(mm["max"], col),
                         "rows": int(t.num_rows)})
     manifest = {"col": col, "files": entries}
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".json.tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump(manifest, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(root, "manifest.json"))
-    _fsync_dir(root)
+    _publish(os.path.join(root, "manifest.json"),
+             _write_text(json.dumps(manifest)))
     return manifest
 
 
-def zonemap_scan(root: str, lo, hi, validate: bool = True
-                 ) -> "ray.data.Dataset":
+def zonemap_scan(root: str, lo, hi) -> "ray.data.Dataset":
     """Range query over a :func:`write_sorted_zonemap` export: open ONLY
     the overlapping files (zone pruning), then a row-local Arrow filter
     trims the two boundary files.  An empty intersection still reads one
@@ -302,20 +336,17 @@ def zonemap_scan(root: str, lo, hi, validate: bool = True
     its columns — the empty-``to_pandas`` schema-loss quirk is documented
     in BASELINE.md.
 
-    ``validate=True`` (default) guards against a stale manifest
-    (:func:`zonemap_manifest_is_stale` — file set or row-count mismatch,
-    e.g. a compaction that didn't refresh): pruning is abandoned and ALL
-    files are scanned with the row-local trim, which is slower but never
-    wrong.  Pass ``validate=False`` to skip the footer checks when the
-    caller owns the root's lifecycle."""
+    A stale manifest (:func:`zonemap_manifest_is_stale` — file set or
+    row-count mismatch, e.g. an external rewrite) never drives pruning:
+    ALL files are scanned with the row-local trim, which is slower but
+    never wrong."""
     import pyarrow.compute as pc
 
     with open(os.path.join(root, "manifest.json")) as f:
         manifest = json.load(f)
     col = manifest["col"]
-    if validate and zonemap_manifest_is_stale(root, manifest):
-        paths = [os.path.join(root, f) for f in sorted(os.listdir(root))
-                 if f.endswith(".parquet") and not f.startswith(".")]
+    if zonemap_manifest_is_stale(root, manifest):
+        paths = [os.path.join(root, f) for f in _base_files(root)]
     else:
         paths = zonemap_files_for_range(manifest, lo, hi)
         if not paths:
@@ -330,89 +361,47 @@ def zonemap_scan(root: str, lo, hi, validate: bool = True
         trim, batch_format="pyarrow", batch_size=None)
 
 
-def compact_partition_dir(part_dir: str, target_rows: int) -> dict:
-    """Compact ONE partition directory's small Parquet files into files
-    of ~``target_rows`` rows, crash-safe via a roll-forward journal.
+def _commit(part_dir: str, olds: list[str], news) -> None:
+    """THE commit of a partition directory's base files: replace
+    ``olds`` (names relative to ``part_dir``, ``_deltas/...`` included)
+    with ``news`` (``(name, table)`` pairs, consumed one at a time so
+    only one new table is in memory).  Rerunnable at every step:
 
-    Protocol (rerunnable at every step):
+    1. each new table is written as ``<name>.tmp`` and fsynced — data
+       durable BEFORE the journal commits it
+    2. ``_compaction.journal`` (``{"olds": [...], "news": [...]}``) is
+       published (:func:`_publish`: journal blocks fsynced before the
+       rename, the directory after) — the commit point
+    3. :func:`_recover_compaction` rolls it forward: tmps renamed into
+       place, olds deleted, a zonemapped directory's ``manifest.json``
+       rebuilt, the journal deleted last
 
-    1. recover any interrupted compaction (see :func:`_recover_compaction`)
-    2. PLAN from footer metadata only (``pq.read_metadata`` per file —
-       no data bytes): greedy-pack files in name order into groups whose
-       row sum reaches ``target_rows``; groups of one file are skipped
-       (already compact), so a second run is a no-op
-    3. write every group's merged file as ``compact-*.parquet.tmp``
-    4. journal ``{"olds": [...], "news": [...]}`` (atomic replace)
-    5. rename tmps into place, delete olds, delete the journal
-
-    A crash before (4) leaves only tmps — recovery deletes them and the
-    originals are untouched.  A crash after (4) is rolled FORWARD —
-    recovery re-renames any surviving tmps and deletes any surviving
-    olds, because the journal only commits after every tmp is fully
-    written.  Readers between (4) and (5) may see both an old and its
-    compacted copy — compact into a quiesced snapshot (the standard
-    table-maintenance contract; a manifest-pinned reader like
-    ``zonemap_scan`` never sees uncommitted files).
-
-    Returns ``{"dir", "files_before", "files_after", "rows"}``.
-    """
-    import uuid
-
-    import pyarrow.parquet as pq
-
+    A crash before (2) leaves only tmps — the next recovery deletes them
+    and the originals are untouched.  A crash after (2) is rolled
+    FORWARD by the next recovery, because the journal only commits after
+    every tmp is fully written.  Readers between (2) and (3) may see both
+    an old file and its replacement — run maintenance on a quiesced
+    snapshot (the standard table-maintenance contract; a manifest-pinned
+    reader like ``zonemap_scan`` never sees uncommitted files)."""
+    names = []
+    for name, table in news:
+        tmp = os.path.join(part_dir, name + ".tmp")
+        pq.write_table(table, tmp)
+        _fsync(tmp)
+        names.append(name)
+    _publish(os.path.join(part_dir, "_compaction.journal"),
+             _write_text(json.dumps({"olds": olds, "news": names})))
     _recover_compaction(part_dir)
-    files = sorted(f for f in os.listdir(part_dir)
-                   if f.endswith(".parquet") and not f.startswith("."))
-    counts = {f: pq.read_metadata(os.path.join(part_dir, f)).num_rows
-              for f in files}
-    groups: list[list[str]] = []
-    cur: list[str] = []
-    acc = 0
-    for f in files:
-        cur.append(f)
-        acc += counts[f]
-        if acc >= target_rows:
-            groups.append(cur)
-            cur, acc = [], 0
-    if cur:
-        groups.append(cur)
-    plan = [g for g in groups if len(g) > 1]
-    olds, news = [], []
-    for g in plan:
-        tables = [pq.read_table(os.path.join(part_dir, f)) for f in g]
-        import pyarrow as pa
-
-        merged = pa.concat_tables(tables, promote_options="default")
-        name = f"compact-{uuid.uuid4().hex[:12]}.parquet"
-        tmp_data = os.path.join(part_dir, name + ".tmp")
-        pq.write_table(merged, tmp_data)
-        _fsync_file(tmp_data)  # data durable BEFORE the journal commits it
-        olds.extend(g)
-        news.append(name)
-    if plan:
-        fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".journal.tmp")
-        with os.fdopen(fd, "w") as f:
-            json.dump({"olds": olds, "news": news}, f)
-            f.flush()
-            os.fsync(f.fileno())  # journal blocks durable before the rename
-        os.replace(tmp, os.path.join(part_dir, "_compaction.journal"))
-        _fsync_dir(part_dir)  # the commit point: journal rename durable
-        _recover_compaction(part_dir)  # the same roll-forward commits it
-    if plan and os.path.exists(os.path.join(part_dir, "manifest.json")):
-        # a zonemapped dir was compacted: refresh the manifest so
-        # zonemap_scan keeps pruning (a stale one falls back to full scan)
-        rebuild_zonemap_manifest(part_dir)
-    after = [f for f in os.listdir(part_dir)
-             if f.endswith(".parquet") and not f.startswith(".")]
-    return {"dir": part_dir, "files_before": len(files),
-            "files_after": len(after),
-            "rows": int(sum(counts.values()))}
 
 
 def _recover_compaction(part_dir: str) -> None:
-    """Roll an interrupted :func:`compact_partition_dir` forward (journal
-    present and parseable: finish renames + deletes) or back (no journal,
-    OR a torn/unparseable journal: drop orphan tmps, keep the originals).
+    """Roll an interrupted :func:`_commit` forward (journal present and
+    parseable: finish renames + deletes) or back (no journal, OR a
+    torn/unparseable journal: drop orphan tmps, keep the originals).
+    Rolling forward also rebuilds a zonemapped directory's
+    ``manifest.json`` (so ``zonemap_scan`` keeps pruning; a stale one
+    falls back to a full scan) BEFORE the journal is deleted, so a crash
+    anywhere in the roll-forward reruns all of it.
 
     A torn journal is safe to treat as PRE-commit because the writer
     fsyncs the journal's blocks before renaming it into place and fsyncs
@@ -436,14 +425,52 @@ def _recover_compaction(part_dir: str) -> None:
             p = os.path.join(part_dir, old)
             if os.path.exists(p):
                 os.remove(p)
+        if os.path.exists(os.path.join(part_dir, "manifest.json")):
+            rebuild_zonemap_manifest(part_dir)
         os.remove(journal_path)
-        _fsync_dir(part_dir)
+        _fsync(part_dir)
     else:
         for f in os.listdir(part_dir):
             if f.endswith(".parquet.tmp"):
                 os.remove(os.path.join(part_dir, f))
         if os.path.exists(journal_path):
             os.remove(journal_path)
+
+
+def compact_partition_dir(part_dir: str, target_rows: int) -> dict:
+    """Compact ONE partition directory's small Parquet files into files
+    of ~``target_rows`` rows, crash-safe through :func:`_commit`.
+
+    After recovering any interrupted commit, the PLAN reads footer
+    metadata only (``pq.read_metadata`` per file — no data bytes):
+    files greedy-pack in name order into groups whose row sum reaches
+    ``target_rows``; groups of one file are skipped (already compact),
+    so a second run is a no-op.  Each group merges into one
+    ``compact-*.parquet``, all of them committed together.
+
+    Returns ``{"dir", "files_before", "files_after", "rows"}``."""
+    _recover_compaction(part_dir)
+    files = _base_files(part_dir)
+    counts = [pq.read_metadata(os.path.join(part_dir, f)).num_rows
+              for f in files]
+    groups: list[list[str]] = [[]]
+    acc = 0
+    for f, n in zip(files, counts):
+        groups[-1].append(f)
+        acc += n
+        if acc >= target_rows:
+            groups.append([])
+            acc = 0
+    plan = [g for g in groups if len(g) > 1]
+    if plan:
+        _commit(part_dir, [f for g in plan for f in g],
+                ((f"compact-{uuid.uuid4().hex[:12]}.parquet",
+                  pa.concat_tables(_tables(part_dir, g),
+                                   promote_options="default"))
+                 for g in plan))
+    return {"dir": part_dir, "files_before": len(files),
+            "files_after": len(_base_files(part_dir)),
+            "rows": int(sum(counts))}
 
 
 def compact_partitions(root: str,
@@ -453,146 +480,119 @@ def compact_partitions(root: str,
     needs (each incremental run appends a few small files per partition;
     unmaintained, a year of runs makes reads metadata-bound).
 
-    Fan-out: one :func:`compact_partition_dir` call per partition via a
-    ``map_batches`` task pool — partitions are independent, so this
-    parallelizes to the cluster width and a re-run skips already-compact
-    partitions (the per-dir protocol is idempotent).  Only the per-dir
-    report rows return to the driver."""
-    parts = sorted(
-        os.path.join(root, d) for d in os.listdir(root)
-        if os.path.isdir(os.path.join(root, d)) and "=" in d)
-    if not parts:
-        raise ValueError(f"compact_partitions: no hive partitions in {root}")
+    Fan-out: one :func:`compact_partition_dir` task per partition —
+    partitions are independent, so this parallelizes to the cluster
+    width and a re-run skips already-compact partitions (the per-dir
+    protocol is idempotent).  Only the per-dir report rows return to the
+    driver."""
+    return _report([os.path.join(root, d)
+                    for d in _partitions(root, "compact_partitions")],
+                   lambda d: compact_partition_dir(d, target_rows))
 
-    def compact_one(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame([compact_partition_dir(d, target_rows)
-                             for d in batch["dir"]])
 
-    reports = ray.data.from_pandas(pd.DataFrame({"dir": parts})) \
-        .repartition(len(parts)) \
-        .map_batches(compact_one, batch_format="pandas", batch_size=None)
-    return reports.to_pandas().sort_values("dir").reset_index(drop=True)
+def _latest_wins(base_tables: list, change_tables: list, key: str,
+                 order_col: str, deleted_col: str | None
+                 ) -> tuple[pd.DataFrame, int]:
+    """THE latest-wins merge: base rows, then change rows in apply order,
+    stable-sorted on ``order_col`` with keep=last per ``key`` — so at
+    equal ``order_col`` a change beats the base and a later change an
+    earlier one.  When ``deleted_col`` is given, a change row with a
+    true value there is a TOMBSTONE: if it is the latest version of its
+    key, the key is dropped (the tombstone itself is not kept).  Returns
+    the merged frame and the number of keys tombstones dropped."""
+    frames = [t.to_pandas().assign(_tomb=False) for t in base_tables]
+    for t in change_tables:
+        t = t.to_pandas()
+        if deleted_col is None:
+            t["_tomb"] = False
+        else:
+            t = t.rename(columns={deleted_col: "_tomb"})
+            t["_tomb"] = t["_tomb"].fillna(False).astype(bool)
+        frames.append(t)
+    if not frames:
+        return pd.DataFrame(), 0
+    both = pd.concat(frames, ignore_index=True) \
+        .sort_values(order_col, kind="stable")
+    merged = both.drop_duplicates(subset=[key], keep="last")
+    tomb = merged["_tomb"]
+    return merged[~tomb].drop(columns=["_tomb"]), int(tomb.sum())
 
 
 def upsert_partition_dir(part_dir: str, staging_dir: str, key: str,
                          order_col: str,
                          deleted_col: str | None = None) -> dict:
     """Apply one partition's change rows (Parquet files under
-    ``staging_dir``) to ``part_dir`` with LATEST-WINS per ``key`` on
-    ``order_col`` — copy-on-write upsert, crash-safe via the exact
-    journal protocol of :func:`compact_partition_dir` (same journal
-    name, same roll-forward recovery, same fsync ordering: tmp data →
-    journal blocks → journal rename → directory).
-
-    Ties on ``order_col`` break in favor of the CHANGE row (existing
-    rows sort first, stable sort, keep=last).  When ``deleted_col`` is
-    given, a change row with a true value there is a TOMBSTONE: if it is
-    the latest version of its key, the key disappears from the
-    partition (the tombstone itself is not written — this store has no
-    merge-on-read readers to replay it, so compaction of tombstones is
-    immediate).  A partition with no existing directory is created.
+    ``staging_dir``) to ``part_dir`` with latest-wins per ``key`` on
+    ``order_col`` (:func:`_latest_wins`: ties go to the change row, a
+    winning ``deleted_col`` tombstone drops its key) — copy-on-write
+    upsert, committed through :func:`_commit`.  A partition with no
+    existing directory is created.
 
     The whole partition rewrites into one file — the copy-on-write
-    trade: reads stay plain Parquet scans, and the write cost is why
-    callers partition by something change-local (ingest day), so a CDC
-    batch touches only recent partitions."""
-    import uuid
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
+    trade: reads stay plain Parquet scans with no delta log to replay,
+    and the write cost is why callers partition by something
+    change-local (ingest day), so a CDC batch touches only recent
+    partitions.  Where change locality does not hold,
+    :func:`append_deltas` appends instead and :func:`read_merged`
+    merges on read."""
     os.makedirs(part_dir, exist_ok=True)
     _recover_compaction(part_dir)
-    olds = sorted(f for f in os.listdir(part_dir)
-                  if f.endswith(".parquet") and not f.startswith("."))
-    existing = [pq.read_table(os.path.join(part_dir, f)) for f in olds]
-    changes = [pq.read_table(os.path.join(staging_dir, f))
-               for f in sorted(os.listdir(staging_dir))
-               if f.endswith(".parquet")]
+    olds = _base_files(part_dir)
+    existing = _tables(part_dir, olds)
+    changes = _tables(staging_dir, sorted(
+        f for f in os.listdir(staging_dir) if f.endswith(".parquet")))
+    rows_before = int(sum(t.num_rows for t in existing))
     if not changes:
-        return {"dir": part_dir, "rows_before": int(
-            sum(t.num_rows for t in existing)), "rows_after": int(
-            sum(t.num_rows for t in existing)), "changes": 0,
-            "deleted": 0}
-    ch = pa.concat_tables(changes, promote_options="default") \
-        .to_pandas()
-    n_changes = len(ch)
-    if deleted_col is None:
-        ch = ch.assign(**{"_tomb": False})
-    else:
-        ch = ch.rename(columns={deleted_col: "_tomb"})
-        ch["_tomb"] = ch["_tomb"].fillna(False).astype(bool)
-    if existing:
-        ex = pa.concat_tables(existing, promote_options="default") \
-            .to_pandas()
-        ex["_tomb"] = False
-        both = pd.concat([ex, ch], ignore_index=True)  # changes LAST
-    else:
-        both = ch
-    both = both.sort_values(order_col, kind="stable")
-    merged = both.drop_duplicates(subset=[key], keep="last")
-    n_del = int(merged["_tomb"].sum())
-    merged = merged[~merged["_tomb"]].drop(columns=["_tomb"])
-    name = f"upsert-{uuid.uuid4().hex[:12]}.parquet"
-    tmp_data = os.path.join(part_dir, name + ".tmp")
-    pq.write_table(pa.Table.from_pandas(merged, preserve_index=False),
-                   tmp_data)
-    _fsync_file(tmp_data)   # data durable BEFORE the journal commits it
-    fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".journal.tmp")
-    with os.fdopen(fd, "w") as f:
-        json.dump({"olds": olds, "news": [name]}, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(part_dir, "_compaction.journal"))
-    _fsync_dir(part_dir)    # commit point
-    _recover_compaction(part_dir)
-    if os.path.exists(os.path.join(part_dir, "manifest.json")):
-        rebuild_zonemap_manifest(part_dir)
-    return {"dir": part_dir,
-            "rows_before": int(sum(t.num_rows for t in existing)),
-            "rows_after": int(len(merged)), "changes": n_changes,
+        return {"dir": part_dir, "rows_before": rows_before,
+                "rows_after": rows_before, "changes": 0, "deleted": 0}
+    merged, n_del = _latest_wins(existing, changes, key, order_col,
+                                 deleted_col)
+    _commit(part_dir, olds,
+            [(f"upsert-{uuid.uuid4().hex[:12]}.parquet",
+              pa.Table.from_pandas(merged, preserve_index=False))])
+    return {"dir": part_dir, "rows_before": rows_before,
+            "rows_after": int(len(merged)),
+            "changes": int(sum(t.num_rows for t in changes)),
             "deleted": n_del}
+
+
+@contextlib.contextmanager
+def _stage(root: str, changes: "ray.data.Dataset", part_col: str,
+           prefix: str):
+    """Stage a change batch AS a hive-partitioned write under
+    ``<root>/<prefix><id>`` (change rows route to their partition inside
+    Ray tasks, never via the driver) and yield ``(staging dir, touched
+    partition names)``.  The staging tree is removed on exit; a driver
+    that dies inside leaves it to :func:`vacuum_store`."""
+    staging = os.path.join(root, f"{prefix}{uuid.uuid4().hex[:8]}")
+    try:
+        changes.write_parquet(staging, partition_cols=[part_col])
+        touched = sorted(d for d in os.listdir(staging)
+                         if d.startswith(f"{part_col}="))
+        if not touched:
+            raise ValueError(f"change batch staged zero partitions "
+                             f"under {root}")
+        yield staging, touched
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def upsert_partitions(root: str, changes: "ray.data.Dataset",
                       part_col: str, key: str, order_col: str,
                       deleted_col: str | None = None) -> pd.DataFrame:
     """Apply a CDC change batch to a hive-partitioned store: stage the
-    changes AS a hive-partitioned write (so change rows route to their
-    partition without ever visiting the driver), then run one
-    :func:`upsert_partition_dir` task per TOUCHED partition — untouched
-    partitions are never read, listed, or rewritten, which is the whole
-    economics of partition-by-ingest-day CDC at 100 TB.
+    changes (:func:`_stage`), then run one :func:`upsert_partition_dir`
+    task per TOUCHED partition — untouched partitions are never read,
+    listed, or rewritten, which is the whole economics of
+    partition-by-ingest-day CDC at 100 TB.
 
     Returns the per-partition report frame (rows before/after, change
     and tombstone counts)."""
-    import shutil as _shutil
-    import uuid
-
-    staging = os.path.join(root, f"_upsert_staging_{uuid.uuid4().hex[:8]}")
-    changes.write_parquet(staging, partition_cols=[part_col])
-    try:
-        touched = sorted(d for d in os.listdir(staging)
-                         if d.startswith(f"{part_col}="))
-        if not touched:
-            raise ValueError("upsert_partitions: change batch staged "
-                             "zero partitions")
-        pairs = pd.DataFrame({
-            "dir": [os.path.join(root, d) for d in touched],
-            "stage": [os.path.join(staging, d) for d in touched]})
-
-        def upsert_one(batch: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame([
-                upsert_partition_dir(d, s, key, order_col, deleted_col)
-                for d, s in zip(batch["dir"], batch["stage"])])
-
-        reports = ray.data.from_pandas(pairs).repartition(len(pairs)) \
-            .map_batches(upsert_one, batch_format="pandas",
-                         batch_size=None)
-        return reports.to_pandas().sort_values("dir") \
-            .reset_index(drop=True)
-    finally:
-        _shutil.rmtree(staging, ignore_errors=True)
+    with _stage(root, changes, part_col, "_upsert_staging_") \
+            as (staging, touched):
+        return _report(touched, lambda d: upsert_partition_dir(
+            os.path.join(root, d), os.path.join(staging, d), key,
+            order_col, deleted_col))
 
 
 def append_deltas(root: str, changes: "ray.data.Dataset",
@@ -625,28 +625,16 @@ def append_deltas(root: str, changes: "ray.data.Dataset",
     at equal ``order_col``.  Rows WITHIN one batch must not carry the
     same key at the same ``order_col`` (their file order inside the
     batch is block layout, not time).  Single writer per STORE assumed
-    — same contract as the compaction journal.
+    — same contract as the commit journal.
 
     Returns a per-partition report (dir, seq, files, rows)."""
-    import shutil as _shutil
-    import uuid
-
-    staging = os.path.join(root, f"_delta_staging_{uuid.uuid4().hex[:8]}")
-    changes.write_parquet(staging, partition_cols=[part_col])
-    try:
-        import pyarrow.parquet as pq
-
-        touched = sorted(d for d in os.listdir(staging)
-                         if d.startswith(f"{part_col}="))
-        if not touched:
-            raise ValueError("append_deltas: change batch staged "
-                             "zero partitions")
+    with _stage(root, changes, part_col, "_delta_staging_") \
+            as (staging, touched):
         _sweep_torn_deltas(root)
         seq = 1 + _store_delta_seq(root)
         rows = []
         for d in touched:
-            part_dir = os.path.join(root, d)
-            ddir = os.path.join(part_dir, "_deltas")
+            ddir = os.path.join(root, d, "_deltas")
             os.makedirs(ddir, exist_ok=True)
             files = sorted(f for f in os.listdir(os.path.join(staging, d))
                            if f.endswith(".parquet"))
@@ -655,15 +643,25 @@ def append_deltas(root: str, changes: "ray.data.Dataset",
                 src = os.path.join(staging, d, f)
                 n += pq.read_metadata(src).num_rows
                 dst = os.path.join(ddir, f"delta-{seq:06d}-{i:04d}.parquet")
-                _shutil.move(src, dst)
-                _fsync_file(dst)
-            _fsync_dir(ddir)
-            rows.append({"dir": part_dir, "seq": seq,
+                shutil.move(src, dst)
+                _fsync(dst)
+            _fsync(ddir)
+            rows.append({"dir": os.path.join(root, d), "seq": seq,
                          "files": len(files), "rows": n})
         _advance_store_delta_seq(root, seq)
-        return pd.DataFrame(rows).sort_values("dir").reset_index(drop=True)
-    finally:
-        _shutil.rmtree(staging, ignore_errors=True)
+    return pd.DataFrame(rows).sort_values("dir").reset_index(drop=True)
+
+
+def _delta_files(part_dir: str, as_of_seq: int | None = None) -> list[str]:
+    """A partition's delta files (``_deltas/...``, relative to
+    ``part_dir``) in sequence order, batches above ``as_of_seq`` left
+    out (None = all)."""
+    ddir = os.path.join(part_dir, "_deltas")
+    if not os.path.isdir(ddir):
+        return []
+    return [os.path.join("_deltas", f) for f in sorted(os.listdir(ddir))
+            if f.endswith(".parquet")
+            and (as_of_seq is None or _delta_seq(f) <= as_of_seq)]
 
 
 def _store_delta_seq(root: str) -> int:
@@ -675,14 +673,8 @@ def _store_delta_seq(root: str) -> int:
     committed = _committed_delta_seq(root)
     if committed is not None:
         return committed
-    best = 0
-    for d in os.listdir(root):
-        ddir = os.path.join(root, d, "_deltas")
-        if "=" in d and os.path.isdir(ddir):
-            best = max(best, max(
-                (_delta_seq(f) for f in os.listdir(ddir)
-                 if f.startswith("delta-")), default=0))
-    return best
+    return max((_delta_seq(f) for d in _partitions(root)
+                for f in _delta_files(os.path.join(root, d))), default=0)
 
 
 def _committed_delta_seq(root: str) -> int | None:
@@ -704,25 +696,21 @@ def _sweep_torn_deltas(root: str) -> tuple[int, int]:
     if committed is None:
         return 0, 0
     n_files = n_bytes = 0
-    for d in os.listdir(root):
-        ddir = os.path.join(root, d, "_deltas")
-        if "=" not in d or not os.path.isdir(ddir):
-            continue
-        torn = [f for f in os.listdir(ddir)
-                if f.startswith("delta-") and f.endswith(".parquet")
-                and _delta_seq(f) > committed]
+    for d in _partitions(root):
+        part_dir = os.path.join(root, d)
+        torn = [f for f in _delta_files(part_dir) if _delta_seq(f) > committed]
         for f in torn:
-            fp = os.path.join(ddir, f)
+            fp = os.path.join(part_dir, f)
             n_bytes += os.path.getsize(fp)
             os.remove(fp)
         if torn:
-            _fsync_dir(ddir)
+            _fsync(os.path.join(part_dir, "_deltas"))
             n_files += len(torn)
     return n_files, n_bytes
 
 
 def _advance_store_delta_seq(root: str, seq: int) -> None:
-    """Commit the counter AFTER the batch's delta files are durable —
+    """Publish the counter AFTER the batch's delta files are durable —
     the counter advance IS the append's commit point: delta files with
     a sequence above the counter are a torn batch (crash between file
     moves and counter advance), which readers and folds ignore and
@@ -730,19 +718,12 @@ def _advance_store_delta_seq(root: str, seq: int) -> None:
     on the very first append of a legacy store with no counter file —
     there the rebuild walk cannot tell torn from committed and assumes
     committed (documented legacy trade)."""
-    path = os.path.join(root, "_delta_seq")
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".seq.tmp")
-    with os.fdopen(fd, "w") as f:
-        f.write(str(seq))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(root)
+    _publish(os.path.join(root, "_delta_seq"), _write_text(str(seq)))
 
 
 def _delta_seq(fname: str) -> int:
     """Batch sequence number encoded in a delta file name
-    (``delta-{seq:06d}-{i:04d}.parquet``)."""
+    (``[_deltas/]delta-{seq:06d}-{i:04d}.parquet``)."""
     return int(fname.split("-")[1])
 
 
@@ -750,10 +731,9 @@ def _merged_partition_table(part_dir: str, key: str, order_col: str,
                             deleted_col: str | None,
                             as_of_seq: int | None = None) -> pd.DataFrame:
     """One partition's merge-on-read view as a DataFrame: base files,
-    then delta files in sequence order, stable-sorted on ``order_col``
-    with keep=last per ``key`` — EXACTLY the :func:`upsert_partition_dir`
-    merge (concat order is sequence order, so equal-``order_col`` ties
-    resolve to the latest delta), tombstones dropped at the end.
+    then delta files in sequence order, through :func:`_latest_wins`
+    (so equal-``order_col`` ties resolve to the latest delta, and
+    tombstones drop their keys).
 
     ``as_of_seq`` is the TIME-TRAVEL knob: only delta batches with
     sequence number ≤ ``as_of_seq`` apply (0 = base only, None = all) —
@@ -761,36 +741,9 @@ def _merged_partition_table(part_dir: str, key: str, order_col: str,
     folds the log, which collapses history into the base (the standard
     table-format trade: snapshot retention ends where compaction
     begins)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    base_files = sorted(f for f in os.listdir(part_dir)
-                        if f.endswith(".parquet") and not f.startswith("."))
-    ddir = os.path.join(part_dir, "_deltas")
-    delta_files = (sorted(f for f in os.listdir(ddir)
-                          if f.endswith(".parquet"))
-                   if os.path.isdir(ddir) else [])
-    if as_of_seq is not None:
-        delta_files = [f for f in delta_files
-                       if _delta_seq(f) <= as_of_seq]
-    tabs = [pq.read_table(os.path.join(part_dir, f)).to_pandas()
-            for f in base_files]
-    for t in tabs:
-        t["_tomb"] = False
-    for f in delta_files:
-        t = pq.read_table(os.path.join(ddir, f)).to_pandas()
-        if deleted_col is None:
-            t["_tomb"] = False
-        else:
-            t = t.rename(columns={deleted_col: "_tomb"})
-            t["_tomb"] = t["_tomb"].fillna(False).astype(bool)
-        tabs.append(t)
-    if not tabs:
-        return pd.DataFrame()
-    both = pd.concat(tabs, ignore_index=True)
-    both = both.sort_values(order_col, kind="stable")
-    merged = both.drop_duplicates(subset=[key], keep="last")
-    return merged[~merged["_tomb"]].drop(columns=["_tomb"])
+    return _latest_wins(_tables(part_dir, _base_files(part_dir)),
+                        _tables(part_dir, _delta_files(part_dir, as_of_seq)),
+                        key, order_col, deleted_col)[0]
 
 
 def read_merged(root: str, key: str, order_col: str,
@@ -811,120 +764,83 @@ def read_merged(root: str, key: str, order_col: str,
     everything it folds — run it on the cadence your audit window
     allows, exactly like snapshot expiry in any log-structured table
     format."""
-    parts = sorted(d for d in os.listdir(root)
-                   if os.path.isdir(os.path.join(root, d)) and "=" in d)
-    if not parts:
-        raise ValueError(f"read_merged: no hive partitions in {root}")
+    parts = _partitions(root, "read_merged")
     col = parts[0].split("=", 1)[0]
     committed = _store_delta_seq(root)
     eff_seq = committed if as_of_seq is None else min(as_of_seq, committed)
 
-    def merge_one(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for d in batch["part"]:
-            m = _merged_partition_table(os.path.join(root, d), key,
-                                        order_col, deleted_col,
-                                        eff_seq)
-            if len(m):
-                m = m.copy()
-                m[col] = d.split("=", 1)[1]
-                outs.append(m)
-        return (pd.concat(outs, ignore_index=True) if outs
-                else pd.DataFrame())
+    def merge_one(part: str) -> pd.DataFrame:
+        m = _merged_partition_table(os.path.join(root, part), key,
+                                    order_col, deleted_col, eff_seq)
+        if not len(m):
+            return pd.DataFrame()
+        return m.assign(**{col: part.split("=", 1)[1]})
 
-    return ray.data.from_pandas(pd.DataFrame({"part": parts})) \
-        .repartition(len(parts)) \
-        .map_batches(merge_one, batch_format="pandas", batch_size=None)
+    return _each(parts, merge_one)
 
 
 def compact_deltas(root: str, key: str, order_col: str,
                    deleted_col: str | None = None) -> pd.DataFrame:
     """Fold every partition's pending delta log into its base — the
     maintenance pass that pays the merge ONCE so subsequent plain scans
-    are delta-free.  Per partition: merge (same semantics as
-    :func:`read_merged`), write one new base file, commit via the
-    compaction journal with the old base files AND the folded delta
-    files as ``olds`` — the existing roll-forward recovery then covers a
-    crash at any point (and an interrupted fold that left deltas behind
-    is harmless: re-applying an already-folded delta is idempotent —
-    updates re-select the same winning rows, tombstones hit nothing).
+    are delta-free.  Per partition: merge (same :func:`_latest_wins` as
+    :func:`read_merged`), then :func:`_commit` one new base file with
+    the old base files AND the folded delta files as ``olds`` — a crash
+    at any point is recovered by the next touch (and an interrupted fold
+    that left deltas behind is harmless: re-applying an already-folded
+    delta is idempotent — updates re-select the same winning rows,
+    tombstones hit nothing).
 
     Partitions with no pending deltas are skipped (metadata-only)."""
-    import uuid
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    parts = sorted(d for d in os.listdir(root)
-                   if os.path.isdir(os.path.join(root, d)) and "=" in d)
-    if not parts:
-        raise ValueError(f"compact_deltas: no hive partitions in {root}")
+    parts = _partitions(root, "compact_deltas")
     committed = _store_delta_seq(root)
 
     def fold_one(part: str) -> dict:
         part_dir = os.path.join(root, part)
         _recover_compaction(part_dir)
-        ddir = os.path.join(part_dir, "_deltas")
         # fold only COMMITTED deltas: a torn append (seq above the
         # counter) must never be absorbed into the base — vacuum owns it
-        delta_files = (sorted(f for f in os.listdir(ddir)
-                              if f.endswith(".parquet")
-                              and _delta_seq(f) <= committed)
-                       if os.path.isdir(ddir) else [])
-        base_files = sorted(
-            f for f in os.listdir(part_dir)
-            if f.endswith(".parquet") and not f.startswith("."))
-        if not delta_files:
+        deltas = _delta_files(part_dir, committed)
+        base = _base_files(part_dir)
+        if not deltas:
             return {"dir": part_dir, "deltas_folded": 0, "rows": int(
                 sum(pq.read_metadata(os.path.join(part_dir, f)).num_rows
-                    for f in base_files))}
-        merged = _merged_partition_table(part_dir, key, order_col,
-                                         deleted_col, committed)
-        name = f"fold-{uuid.uuid4().hex[:12]}.parquet"
-        tmp_data = os.path.join(part_dir, name + ".tmp")
-        pq.write_table(pa.Table.from_pandas(merged, preserve_index=False),
-                       tmp_data)
-        _fsync_file(tmp_data)  # data durable BEFORE the journal commits it
-        olds = base_files + [os.path.join("_deltas", f)
-                             for f in delta_files]
-        fd, tmp = tempfile.mkstemp(dir=part_dir, suffix=".journal.tmp")
-        with os.fdopen(fd, "w") as f:
-            json.dump({"olds": olds, "news": [name]}, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, os.path.join(part_dir, "_compaction.journal"))
-        _fsync_dir(part_dir)   # commit point
-        _recover_compaction(part_dir)
-        if os.path.exists(os.path.join(part_dir, "manifest.json")):
-            rebuild_zonemap_manifest(part_dir)
-        return {"dir": part_dir, "deltas_folded": len(delta_files),
+                    for f in base))}
+        merged, _ = _latest_wins(_tables(part_dir, base),
+                                 _tables(part_dir, deltas), key, order_col,
+                                 deleted_col)
+        _commit(part_dir, base + deltas,
+                [(f"fold-{uuid.uuid4().hex[:12]}.parquet",
+                  pa.Table.from_pandas(merged, preserve_index=False))])
+        return {"dir": part_dir, "deltas_folded": len(deltas),
                 "rows": int(len(merged))}
 
-    def fold_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame([fold_one(p) for p in batch["part"]])
+    return _report(parts, fold_one)
 
-    reports = ray.data.from_pandas(pd.DataFrame({"part": parts})) \
-        .repartition(len(parts)) \
-        .map_batches(fold_batch, batch_format="pandas", batch_size=None)
-    return reports.to_pandas().sort_values("dir").reset_index(drop=True)
 
 def vacuum_store(root: str) -> dict:
     """Garbage-collect crash litter from a partitioned store — the
     maintenance pass that keeps a long-lived 100-TB table from
-    accumulating orphans the journal protocol cannot reach:
+    accumulating orphans the commit protocol cannot reach:
 
     - **staging directories** (``_upsert_staging_*`` /
       ``_delta_staging_*``): a driver that died between
       ``write_parquet`` and the per-partition apply tasks leaves a full
       staged copy of its change batch behind — invisible to readers
       (``_``-prefix) but real bytes at CDC scale
-    - **orphan tmps** (``*.parquet.tmp`` / ``*.journal.tmp``) in every
-      partition directory — first any COMMITTED journal is rolled
-      forward via :func:`_recover_compaction` (so vacuum never deletes
-      a tmp the journal still owns), then survivors are pre-commit
-      garbage by the protocol's fsync-ordering argument and are dropped;
-      plus root-level ``*.seq.tmp`` counter tmps left by a crash inside
-      :func:`_advance_store_delta_seq` (counted in ``tmp_files``)
+    - **orphan tmps**: first every COMMITTED journal is rolled forward
+      via :func:`_recover_compaction` (so vacuum never deletes a tmp the
+      journal still owns — one renamed into place is a commit, not a
+      reclaim); after that, every ``*.tmp`` at the store root, in a
+      partition directory or in its ``_deltas/`` is pre-commit garbage
+      by the fsync-ordering argument of :func:`_publish` and
+      :func:`_commit`, and is dropped (counted in ``tmp_files``)
+    - **torn delta batches**: delta files whose sequence is above the
+      store's committed ``_delta_seq`` counter — an append that died
+      before its commit point; already invisible to
+      :func:`read_merged` / :func:`compact_deltas`, reclaimed here
+      (skipped when the store predates the counter file or the counter
+      is unreadable — then torn cannot be told from committed)
 
     Committed data is never touched: vacuum is a no-op on a healthy
     store (gated by the hash-green ``events_vacuum_roundtrip`` query,
@@ -933,74 +849,49 @@ def vacuum_store(root: str) -> dict:
     vacuum quiesced, not concurrently with a writer whose tmps are
     in flight.
 
-    - **torn delta batches**: delta files whose sequence is above the
-      store's committed ``_delta_seq`` counter — an append that died
-      before its commit point; already invisible to
-      :func:`read_merged` / :func:`compact_deltas`, reclaimed here
-      (skipped when the store predates the counter file or the counter
-      is unreadable — then torn cannot be told from committed)
-
     Returns ``{"staging_dirs", "tmp_files", "torn_delta_files",
     "bytes_reclaimed", "partitions"}``."""
-    import shutil as _shutil
-
-    staging_dirs = tmp_files = torn_delta_files = 0
-    bytes_reclaimed = n_parts = 0
-    for d in sorted(os.listdir(root)):
+    staging_dirs = tmp_files = bytes_reclaimed = 0
+    for d in os.listdir(root):
         p = os.path.join(root, d)
         if d.startswith(("_upsert_staging_", "_delta_staging_")) \
                 and os.path.isdir(p):
             bytes_reclaimed += sum(
                 os.path.getsize(os.path.join(dp, f))
                 for dp, _, fs in os.walk(p) for f in fs)
-            _shutil.rmtree(p)
+            shutil.rmtree(p)
             staging_dirs += 1
-        elif d.endswith(".seq.tmp") and os.path.isfile(p):
-            bytes_reclaimed += os.path.getsize(p)
-            os.remove(p)
-            tmp_files += 1
-        elif os.path.isdir(p) and "=" in d:
-            n_parts += 1
-            # snapshot tmps BEFORE recovery: the rollback path of
-            # _recover_compaction deletes pre-commit tmps itself, and
-            # those are reclaimed garbage too — but a COMMITTED
-            # journal's tmps get renamed into place (base name appears),
-            # which is a commit, not a reclaim
-            pre = {f: os.path.getsize(os.path.join(p, f))
-                   for f in os.listdir(p)
-                   if f.endswith((".parquet.tmp", ".journal.tmp"))}
-            _recover_compaction(p)  # committed journals roll forward
-            for f, sz in pre.items():
-                if not os.path.exists(os.path.join(p, f)) and \
-                        not os.path.exists(
-                            os.path.join(p, f[:-len(".tmp")])):
-                    bytes_reclaimed += sz
-                    tmp_files += 1
-            for sub in (p, os.path.join(p, "_deltas")):
-                if not os.path.isdir(sub):
-                    continue
-                for f in os.listdir(sub):
-                    if f.endswith((".parquet.tmp", ".journal.tmp")):
-                        fp = os.path.join(sub, f)
-                        bytes_reclaimed += os.path.getsize(fp)
-                        os.remove(fp)
-                        tmp_files += 1
+    parts = [os.path.join(root, d) for d in _partitions(root)]
+    dirs = [root] + parts + [os.path.join(p, "_deltas") for p in parts]
+    # snapshot tmps BEFORE recovery: its rollback path deletes
+    # pre-commit tmps itself, and those are reclaimed garbage too
+    tmps = {os.path.join(s, f): os.path.getsize(os.path.join(s, f))
+            for s in dirs if os.path.isdir(s) for f in os.listdir(s)
+            if f.endswith(".tmp") and os.path.isfile(os.path.join(s, f))}
+    for p in parts:
+        _recover_compaction(p)
+    for path, size in tmps.items():
+        if os.path.exists(path):
+            os.remove(path)
+        elif os.path.exists(path[:-len(".tmp")]):
+            continue  # renamed into place by the roll-forward: a commit
+        tmp_files += 1
+        bytes_reclaimed += size
     torn_delta_files, torn_bytes = _sweep_torn_deltas(root)
     return {"staging_dirs": staging_dirs, "tmp_files": tmp_files,
             "torn_delta_files": torn_delta_files,
             "bytes_reclaimed": int(bytes_reclaimed + torn_bytes),
-            "partitions": n_parts}
+            "partitions": len(parts)}
 
 
 def refresh_group_sums(root: str, agg_root: str, key: str, order_col: str,
                        group_cols: list[str], sum_cols: list[str],
                        deleted_col: str | None = None,
-                       parts: list[str] | None = None,
-                       as_of_seq: int | None = None) -> pd.DataFrame:
+                       parts: list[str] | None = None) -> pd.DataFrame:
     """Partition-incremental materialized-aggregate maintenance: keep a
     per-partition group-sum table (``SUM(sum_cols), COUNT(*) GROUP BY
-    group_cols``) over the merged view of a delta-logged store, stored
-    as ONE Parquet file per partition under ``agg_root``.
+    group_cols``) over the current merged view of a delta-logged store,
+    stored as ONE Parquet file per partition under ``agg_root``.
 
     ``parts`` is the incremental handle: pass the touched-partition
     list from an :func:`append_deltas` / :func:`upsert_partitions`
@@ -1012,20 +903,14 @@ def refresh_group_sums(root: str, agg_root: str, key: str, order_col: str,
     rebuilds everything (first run / backfill).
 
     Per-partition refresh is recompute-idempotent and crash-safe via
-    tmp + ``os.replace``: a died refresh leaves either the old file or
-    the new one, both self-consistent; re-running converges.  Sums are
+    :func:`_publish`: a died refresh leaves either the old file or the
+    new one, both self-consistent; re-running converges.  Sums are
     emitted as ``sum_<col>`` int64 plus ``n`` — integer-exact, so the
     global rollup (a small groupby over partition aggregates) is
     hash-gated against SQL (``events_ivm_groupsum``).
 
     Returns the per-partition refresh report (dir, groups, rows)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    all_parts = sorted(d for d in os.listdir(root)
-                       if os.path.isdir(os.path.join(root, d)) and "=" in d)
-    if not all_parts:
-        raise ValueError(f"refresh_group_sums: no hive partitions in {root}")
+    all_parts = _partitions(root, "refresh_group_sums")
     if parts is None:
         todo = all_parts
     else:
@@ -1037,11 +922,10 @@ def refresh_group_sums(root: str, agg_root: str, key: str, order_col: str,
     os.makedirs(agg_root, exist_ok=True)
     part_col = all_parts[0].split("=", 1)[0]
     committed = _store_delta_seq(root)
-    eff_seq = committed if as_of_seq is None else min(as_of_seq, committed)
 
     def refresh_one(part: str) -> dict:
         m = _merged_partition_table(os.path.join(root, part), key,
-                                    order_col, deleted_col, eff_seq)
+                                    order_col, deleted_col, committed)
         sum_names = [f"sum_{c}" for c in sum_cols]
         if len(m):
             g = m.groupby(list(group_cols), as_index=False, sort=True) \
@@ -1052,22 +936,13 @@ def refresh_group_sums(root: str, agg_root: str, key: str, order_col: str,
         for c in sum_names + ["n"]:
             g[c] = g[c].astype("int64")
         g.insert(0, part_col, part.split("=", 1)[1])
-        tmp = os.path.join(agg_root, f".{part}.parquet.tmp")
-        pq.write_table(pa.Table.from_pandas(g, preserve_index=False), tmp)
-        _fsync_file(tmp)
-        os.replace(tmp, os.path.join(agg_root, f"{part}.parquet"))
+        table = pa.Table.from_pandas(g, preserve_index=False)
+        _publish(os.path.join(agg_root, f"{part}.parquet"),
+                 lambda tmp: pq.write_table(table, tmp))
         return {"dir": os.path.join(root, part), "groups": int(len(g)),
                 "rows": int(g["n"].sum()) if len(g) else 0}
 
-    def refresh_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame([refresh_one(p) for p in batch["part"]])
-
-    reports = ray.data.from_pandas(pd.DataFrame({"part": todo})) \
-        .repartition(len(todo)) \
-        .map_batches(refresh_batch, batch_format="pandas", batch_size=None)
-    out = reports.to_pandas().sort_values("dir").reset_index(drop=True)
-    _fsync_dir(agg_root)
-    return out
+    return _report(todo, refresh_one)
 
 
 def read_group_sums(agg_root: str) -> "ray.data.Dataset":
@@ -1077,6 +952,7 @@ def read_group_sums(agg_root: str) -> "ray.data.Dataset":
     scan; callers finish with ``relational.grouped_sum`` over the
     ``sum_*`` / ``n`` columns."""
     return ray.data.read_parquet(agg_root)
+
 
 def read_evolved(root: str, target: "object", renames: dict | None = None,
                  defaults: dict | None = None) -> "ray.data.Dataset":
@@ -1102,9 +978,7 @@ def read_evolved(root: str, target: "object", renames: dict | None = None,
 
     Files and directories with ``_``/``.`` prefixes are skipped (same
     discovery convention as the delta log)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     renames = dict(renames or {})
     defaults = dict(defaults or {})
@@ -1140,10 +1014,4 @@ def read_evolved(root: str, target: "object", renames: dict | None = None,
             cols.append(pc.cast(col, field.type))
         return pa.table(dict(zip(target.names, cols)))
 
-    def evolve_batch(batch: pd.DataFrame) -> "pa.Table":
-        tabs = [evolve_one(rel) for rel in batch["rel"]]
-        return pa.concat_tables(tabs)
-
-    return ray.data.from_pandas(pd.DataFrame({"rel": files})) \
-        .repartition(len(files)) \
-        .map_batches(evolve_batch, batch_format="pandas", batch_size=None)
+    return _each(files, evolve_one)
